@@ -134,11 +134,17 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
         if shapes_text
         else DEFAULT_SHAPES
     )
+    timeout = _pick(args.smt_timeout, config, "smt-timeout", 60.0, float)
+    if not timeout > 0:
+        raise CliError(f"--smt-timeout must be positive, got {timeout}")
+    coeff_bound = _pick(args.coeff_bound, config, "coeff-bound", 16, int)
+    if coeff_bound < 0:
+        raise CliError(f"--coeff-bound must be at least 0, got {coeff_bound}")
     prover_config = ProverConfig(
         shapes=shapes,
         solver=solver,
-        timeout=_pick(args.smt_timeout, config, "smt-timeout", 60.0, float),
-        coeff_bound=_pick(args.coeff_bound, config, "coeff-bound", 16, int),
+        timeout=timeout,
+        coeff_bound=coeff_bound,
         parallel=args.parallel,
         emit_smt=args.emit_smt,
     )
@@ -184,6 +190,10 @@ def _simulate_pars(args):
 
 
 def _run_simulate(args, config: dict[str, str], color: bool) -> int:
+    if args.steps < 0:
+        raise CliError(f"--steps must be at least 0, got {args.steps}")
+    if args.node_budget < 1:
+        raise CliError(f"--node-budget must be at least 1, got {args.node_budget}")
     pars = _simulate_pars(args)
     start = pars.parse_object(args.start)
     cert = None
@@ -299,6 +309,15 @@ def main(argv: list[str] | None = None) -> int:
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # Last resort: exit 1 would read as MAYBE, so no failure may leave
+        # main uncaught.
+        if args.verbose:
+            import traceback
+
+            traceback.print_exc()
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable, Mapping, Sequence
 
 from .rewriting import PTRS, ProbRule
-from .terms import App, Term, Var
+from .terms import App, Term, Var, fold_term
 
 Coeff = Any  # Fraction | int | smt.Poly, via duck typing
 
@@ -364,25 +364,41 @@ def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) ->
     The cap bounds monomial degree during encoding; checking concrete
     certificates runs uncapped (only squaring is fatal there).
     """
-    if isinstance(term, Var):
+
+    def variable(var: Var) -> Form:
         if interp.kind == "poly":
-            return PolyForm.variable(term.name, cap)
-        return VecForm.variable(term.name, interp.dim)
-    args = [symbolic_eval(interp, a, cap) for a in term.args]
-    if term.symbol not in interp.arities:
-        raise KeyError(f"no interpretation for symbol {term.symbol!r}")
-    return interp.apply_form(term.symbol, args, cap)
+            return PolyForm.variable(var.name, cap)
+        return VecForm.variable(var.name, interp.dim)
+
+    def apply(node: App, args: list[Form]) -> Form:
+        return interp.apply_form(_interpreted_symbol(interp, node), args, cap)
+
+    return fold_term(term, variable, apply)
 
 
-def eval_term(interp: Interpretation, term: Term, assignment: Mapping[str, Any]) -> Any:
-    """Numeric evaluation; unassigned variables read as zero."""
+def eval_term(
+    interp: Interpretation,
+    term: Term,
+    assignment: Mapping[str, Any],
+    memo: dict[Term, Any] | None = None,
+) -> Any:
+    """Numeric evaluation; unassigned variables read as zero.
+
+    A memo passed in collects the value of every subterm and answers later
+    calls from it; reuse it only with the same interpretation and assignment.
+    """
     zero: Any = Fraction(0) if interp.kind == "poly" else (Fraction(0),) * interp.dim
-    if isinstance(term, Var):
-        return assignment.get(term.name, zero)
-    args = [eval_term(interp, a, assignment) for a in term.args]
-    if term.symbol not in interp.arities:
-        raise KeyError(f"no interpretation for symbol {term.symbol!r}")
-    return interp.apply_values(term.symbol, args)
+
+    def apply(node: App, args: list[Any]) -> Any:
+        return interp.apply_values(_interpreted_symbol(interp, node), args)
+
+    return fold_term(term, lambda var: assignment.get(var.name, zero), apply, memo)
+
+
+def _interpreted_symbol(interp: Interpretation, node: App) -> str:
+    if node.symbol not in interp.arities:
+        raise KeyError(f"no interpretation for symbol {node.symbol!r}")
+    return node.symbol
 
 
 def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
@@ -475,10 +491,15 @@ def ranking_from_certificate(cert: Certificate) -> tuple[Callable[[Term], Fracti
     Terms evaluate at the zero assignment; matrix values collapse to their
     first component. Along any reduction step the expected rank drops by at
     least epsilon times the surviving mass.
+
+    Each returned rank function remembers the value of every subterm it has
+    evaluated, so reducts that share most of their structure with terms
+    ranked before cost only their new spine.
     """
+    values: dict[Term, Any] = {}
 
     def rank(term: Term) -> Fraction:
-        value = eval_term(cert.interpretation, term, {})
+        value = eval_term(cert.interpretation, term, {}, values)
         return value if cert.kind == "poly" else value[0]
 
     return rank, cert.epsilon

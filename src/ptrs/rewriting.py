@@ -28,16 +28,17 @@ from .multidist import (
 )
 from .terms import (
     App,
+    Context,
     Position,
     Signature,
     Term,
     Var,
     apply_substitution,
     check_term,
+    context_position,
     match,
     replace_at,
-    subterm_at,
-    subterm_positions,
+    term_size,
     variables,
 )
 
@@ -82,35 +83,87 @@ class PTRS:
                 check_term(term, self.signature)
 
 
-@dataclass
 class RedexStep:
-    """One rule applied at one position, with the resulting distribution."""
+    """One rule applied at one position, with the resulting distribution.
 
-    position: Position
-    rule_index: int
-    substitution: dict[str, Term]
-    result: FiniteDistribution[Term]
+    The walk records only the redex's context, so the position and the
+    reduct distribution are built on first access; a step that is never
+    chosen costs no term construction.
+    """
 
+    __slots__ = (
+        "rule_index", "substitution", "_rule", "_term", "_context", "_span", "_position", "_result"
+    )
 
-def enumerate_redexes(system: PTRS, term: Term) -> list[RedexStep]:
-    """All redexes in pre-order position order, rule order within a position."""
-    steps: list[RedexStep] = []
-    for position in subterm_positions(term):
-        sub = subterm_at(term, position)
-        for index, rule in enumerate(system.rules):
-            subst = match(rule.lhs, sub)
-            if subst is None:
-                continue
+    def __init__(
+        self,
+        rule_index: int,
+        substitution: dict[str, Term],
+        rule: ProbRule,
+        term: Term,
+        context: Context,
+        span: tuple[int, int],
+    ):
+        self.rule_index = rule_index
+        self.substitution = substitution
+        self._rule = rule
+        self._term = term
+        self._context = context
+        # pre-order numbers of the redex node and of the first node after
+        # its subterm: later redexes below it number inside this span
+        self._span = span
+        self._position: Position | None = None
+        self._result: FiniteDistribution[Term] | None = None
+
+    @property
+    def position(self) -> Position:
+        if self._position is None:
+            self._position = context_position(self._context)
+        return self._position
+
+    @property
+    def result(self) -> FiniteDistribution[Term]:
+        if self._result is None:
             # Instantiation can merge distinct right-hand sides, so collapse
             # before plugging into the context (contexts are injective).
             local: dict[Term, Fraction] = {}
-            for rhs_term, p in rule.rhs.items():
-                image = apply_substitution(rhs_term, subst)
+            for rhs_term, p in self._rule.rhs.items():
+                image = apply_substitution(rhs_term, self.substitution)
                 local[image] = local.get(image, Fraction(0)) + p
-            dist = FiniteDistribution(
-                {replace_at(term, position, image): p for image, p in local.items()}
+            position = self.position
+            self._result = FiniteDistribution(
+                {replace_at(self._term, position, image): p for image, p in local.items()}
             )
-            steps.append(RedexStep(position, index, subst, dist))
+        return self._result
+
+    def __repr__(self) -> str:
+        return f"RedexStep(position={self.position}, rule_index={self.rule_index})"
+
+
+def enumerate_redexes(system: PTRS, term: Term) -> list[RedexStep]:
+    """All redexes in pre-order position order, rule order within a position.
+
+    One walk over the term: every node carries its context down, so no
+    subterm is located or rebuilt from the root.
+    """
+    steps: list[RedexStep] = []
+    rules = list(enumerate(system.rules))
+    stack: list[tuple[Term, Context]] = [(term, None)]
+    number = 0
+    while stack:
+        node, context = stack.pop()
+        if node.__class__ is App:
+            for index, rule in rules:
+                if rule.lhs.symbol != node.symbol:
+                    continue
+                subst = match(rule.lhs, node)
+                if subst is not None:
+                    span = (number, number + term_size(node))
+                    steps.append(RedexStep(index, subst, rule, term, context, span))
+            args = node.args
+            for i in range(len(args), 0, -1):
+                stack.append((args[i - 1], (context, node, i)))
+        number += 1
     return steps
 
 
@@ -119,6 +172,14 @@ class Pars:
 
     def options(self, obj: Hashable) -> list[FiniteDistribution]:
         raise NotImplementedError
+
+    def choose(self, obj: Hashable, chooser: "Chooser") -> FiniteDistribution | None:
+        """The reduct distribution the chooser picks for obj, or None when
+        obj is terminal."""
+        options = self.options(obj)
+        if not options:
+            return None
+        return options[chooser(self, obj, options)]
 
     def is_terminal(self, obj: Hashable) -> bool:
         return not self.options(obj)
@@ -135,8 +196,15 @@ class Pars:
         raise NotImplementedError(f"{type(self).__name__} cannot parse start objects")
 
 
+MEMO_LIMIT = 65536
+"""Most terms a TermPars keeps the redexes of. Past it the memo stops
+growing and every further term is enumerated afresh on each visit, which
+bounds memory on long exhaustive runs at the price of repeated walks."""
+
+
 class TermPars(Pars):
-    """The PARS a PTRS induces on terms."""
+    """The PARS a PTRS induces on terms; redexes are memoised per term up to
+    MEMO_LIMIT terms."""
 
     def __init__(self, system: PTRS):
         self.system = system
@@ -146,12 +214,19 @@ class TermPars(Pars):
         steps = self._memo.get(term)
         if steps is None:
             steps = enumerate_redexes(self.system, term)
-            if len(self._memo) < 65536:
+            if len(self._memo) < MEMO_LIMIT:
                 self._memo[term] = steps
         return steps
 
     def options(self, term: Term) -> list[FiniteDistribution]:
         return [step.result for step in self.redexes(term)]
+
+    def choose(self, term: Term, chooser: "Chooser") -> FiniteDistribution | None:
+        # Only the chosen redex has its reduct distribution built.
+        steps = self.redexes(term)
+        if not steps:
+            return None
+        return steps[chooser(self, term, _LazyReducts(steps))].result
 
     def term_view(self, obj: Hashable) -> Term | None:
         return obj if isinstance(obj, (Var, App)) else None
@@ -160,6 +235,19 @@ class TermPars(Pars):
         from .wst import parse_term_text
 
         return parse_term_text(text, set(), self.system.signature)
+
+
+class _LazyReducts(Sequence):
+    """The reduct distributions of a list of redexes, each built when indexed."""
+
+    def __init__(self, steps: list[RedexStep]):
+        self._steps = steps
+
+    def __len__(self) -> int:
+        return len(self._steps)
+
+    def __getitem__(self, index: int) -> FiniteDistribution[Term]:
+        return self._steps[index].result
 
 
 Chooser = Callable[[Pars, Hashable, Sequence[FiniteDistribution]], int]
@@ -171,13 +259,18 @@ def leftmost_outermost(pars: Pars, obj: Hashable, options: Sequence[FiniteDistri
 
 
 def leftmost_innermost(pars: Pars, obj: Hashable, options: Sequence[FiniteDistribution]) -> int:
+    # Redexes come in pre-order, so one is innermost exactly when the next
+    # redex at another node does not lie below it: its pre-order number is
+    # past the end of the first one's span.
     if isinstance(pars, TermPars):
         steps = pars.redexes(obj)
-        positions = [s.position for s in steps]
-        for index, pos in enumerate(positions):
-            below = [q for q in positions if len(q) > len(pos) and q[: len(pos)] == pos]
-            if not below:
-                return index
+        first = 0
+        for index in range(1, len(steps) + 1):
+            if index < len(steps) and steps[index]._span[0] == steps[first]._span[0]:
+                continue  # another rule at the same node
+            if index == len(steps) or steps[index]._span[0] >= steps[first]._span[1]:
+                return first
+            first = index
     return 0
 
 
@@ -192,11 +285,9 @@ def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> Multi
     """One reduction step; terminal entries vanish, so mass is monotone."""
     parts: list[tuple[Fraction, MultiDistribution]] = []
     for p, obj in mu.entries:
-        options = pars.options(obj)
-        if not options:
-            continue
-        chosen = options[chooser(pars, obj, options)]
-        parts.append((p, MultiDistribution.from_distribution(chosen)))
+        chosen = pars.choose(obj, chooser)
+        if chosen is not None:
+            parts.append((p, MultiDistribution.from_distribution(chosen)))
     return convex_union(parts)
 
 

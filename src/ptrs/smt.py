@@ -291,8 +291,10 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
         cap = None
     constraints: list[Constraint] = []
     for index, rule in enumerate(system.rules, start=1):
-        total, weighted = rule_weights(rule)
-        lhs = _scaled_form(template, rule, cap, total, weighted)
+        # rule_difference computes [l] - sum pj [rj]; rescale by the weight
+        # total so every coefficient clears its denominators.
+        total, _ = rule_weights(rule)
+        lhs = rule_difference(template, rule, cap).scale(total)
         if isinstance(lhs, PolyForm):
             for V in lhs.monomials():
                 coeff = _as_poly(lhs.coeffs[V]).scaled_integral()
@@ -328,13 +330,6 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
                 )
     logic = "QF_NIA" if any(c.poly.degree() > 1 for c in constraints) else "QF_LIA"
     return EncodedProblem(shape, template, ConstraintSet(unknowns, constraints, logic), bound)
-
-
-def _scaled_form(template, rule, cap, total, weighted):
-    diff = rule_difference(template, rule, cap)
-    # rule_difference computes [l] - sum pj [rj]; rescale by the weight total
-    # so every coefficient clears its denominators.
-    return diff.scale(total)
 
 
 def _as_poly(value) -> Poly:

@@ -2,12 +2,20 @@
 
 Positions follow the rewriting convention: a position is a tuple of 1-based
 argument indices, and the empty tuple addresses the root.
+
+Terms are immutable and carry two annotations computed once, at
+construction, from the annotations of their children: a hash and a node
+count. A dictionary lookup therefore never re-hashes a term. Equality tests
+identity first, then the cached hashes, and only then the structure.
+
+Nothing here recurses on the shape of a term: every traversal keeps an
+explicit stack, so terms thousands of levels deep are handled like any
+other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 
 class TermError(Exception):
@@ -57,74 +65,232 @@ class Signature:
         return f"Signature({inner})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Frozen:
+    """Attribute assignment is refused: the cached hash must stay valid."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable term")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable term")
+
+
+class Var(_Frozen):
+    __slots__ = ("name", "_hash")
+    _size = 1
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(name))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+    def __reduce__(self):
+        return (Var, (self.name,))
 
     def __str__(self) -> str:
         return self.name
 
+    def __repr__(self) -> str:
+        return f"Var(name={self.name!r})"
 
-@dataclass(frozen=True)
-class App:
-    symbol: str
-    args: tuple["Term", ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
+class App(_Frozen):
+    __slots__ = ("symbol", "args", "_hash", "_size")
+
+    def __init__(self, symbol: str, args: "tuple[Term, ...]" = ()):
+        args = tuple(args)
+        size = 1
+        key: list[Any] = [symbol]
+        for arg in args:
+            size += arg._size
+            key.append(arg._hash)
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_hash", hash(tuple(key)))
+        object.__setattr__(self, "_size", size)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return self._hash == other._hash and _same_structure(self, other)
+
+    def __reduce__(self):
+        # The hash of a symbol name differs between processes; rebuild it.
+        return (App, (self.symbol, self.args))
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.symbol
-        return f"{self.symbol}({','.join(str(a) for a in self.args)})"
+        return _render(
+            self,
+            lambda leaf: leaf.name if leaf.__class__ is Var else leaf.symbol,
+            lambda node: node.symbol + "(",
+            lambda node: ")",
+            ",",
+        )
+
+    def __repr__(self) -> str:
+        return _render(
+            self,
+            lambda leaf: repr(leaf) if leaf.__class__ is Var else f"App(symbol={leaf.symbol!r}, args=())",
+            lambda node: f"App(symbol={node.symbol!r}, args=(",
+            lambda node: ",))" if len(node.args) == 1 else "))",
+            ", ",
+        )
 
 
 Term = Union[Var, App]
 Position = tuple[int, ...]
 Substitution = Mapping[str, Term]
+# A one-hole context as a parent-linked chain: (outer context, node, i) is
+# the node with its i-th argument (1-based) replaced by the hole.
+Context = Optional[tuple[Any, "App", int]]
+
+
+def _render(
+    term: Term,
+    leaf: Callable[[Term], str],
+    opening: Callable[[App], str],
+    closing: Callable[[App], str],
+    separator: str,
+) -> str:
+    """Text of a term: leaf renders variables and constants, opening and
+    closing the text around a node's arguments, separator goes between them."""
+    out: list[str] = []
+    stack: list[Any] = [term]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+        elif item.__class__ is Var or not item.args:
+            out.append(leaf(item))
+        else:
+            out.append(opening(item))
+            stack.append(closing(item))
+            args = item.args
+            for i in range(len(args) - 1, 0, -1):
+                stack.append(args[i])
+                stack.append(separator)
+            stack.append(args[0])
+    return "".join(out)
+
+
+def _same_structure(left: Term, right: Term) -> bool:
+    stack = [(left, right)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        if a.__class__ is not b.__class__ or a._hash != b._hash:
+            return False
+        if a.__class__ is Var:
+            if a.name != b.name:
+                return False
+        elif a.symbol != b.symbol or len(a.args) != len(b.args):
+            return False
+        else:
+            stack.extend(zip(a.args, b.args))
+    return True
+
+
+def fold_term(
+    term: Term,
+    on_var: Callable[[Var], Any],
+    on_app: Callable[[App, list[Any]], Any],
+    memo: dict[Term, Any] | None = None,
+) -> Any:
+    """Bottom-up evaluation: on_app gets a node and its arguments' values.
+
+    Arguments are evaluated left to right and every distinct subterm once.
+    A memo passed in keeps the values of all subterms for later calls, so
+    it must only be reused with the same on_var and on_app.
+    """
+    values: dict[Term, Any] = {} if memo is None else memo
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            values[node] = on_app(node, [values[a] for a in node.args])
+        elif node in values:
+            continue
+        elif node.__class__ is Var:
+            values[node] = on_var(node)
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in reversed(node.args))
+    return values[term]
 
 
 def check_term(term: Term, signature: Signature) -> None:
     """Raise TermError unless every symbol occurs with its declared arity."""
-    if isinstance(term, Var):
-        return
-    if signature.arity(term.symbol) != len(term.args):
-        raise TermError(
-            f"symbol {term.symbol!r} used with {len(term.args)} arguments, "
-            f"declared arity is {signature.arity(term.symbol)}"
-        )
-    for arg in term.args:
-        check_term(arg, signature)
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Var:
+            continue
+        if signature.arity(node.symbol) != len(node.args):
+            raise TermError(
+                f"symbol {node.symbol!r} used with {len(node.args)} arguments, "
+                f"declared arity is {signature.arity(node.symbol)}"
+            )
+        stack.extend(reversed(node.args))
 
 
 def variables(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
     out: set[str] = set()
-    for arg in term.args:
-        out |= variables(arg)
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is Var:
+            out.add(node.name)
+        else:
+            stack.extend(node.args)
     return out
 
 
 def term_size(term: Term) -> int:
-    if isinstance(term, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in term.args)
+    """Number of nodes, read from the annotation made at construction."""
+    return term._size
 
 
 def apply_substitution(term: Term, subst: Substitution) -> Term:
-    """Capture is not a concern for first-order terms: plain replacement."""
-    if isinstance(term, Var):
-        return subst.get(term.name, term)
-    return App(term.symbol, tuple(apply_substitution(a, subst) for a in term.args))
+    """Capture is not a concern for first-order terms: plain replacement.
+
+    Subterms the substitution leaves unchanged are shared, not copied.
+    """
+
+    def rebuild(node: App, args: list[Term]) -> Term:
+        if all(new is old for new, old in zip(args, node.args)):
+            return node
+        return App(node.symbol, tuple(args))
+
+    return fold_term(term, lambda var: subst.get(var.name, var), rebuild)
 
 
 def subterm_positions(term: Term) -> list[Position]:
     """All positions of the term in pre-order (root first, leftmost first)."""
-    out: list[Position] = [()]
-    if isinstance(term, App):
-        for i, arg in enumerate(term.args, start=1):
-            out.extend((i, *p) for p in subterm_positions(arg))
+    out: list[Position] = []
+    stack: list[tuple[Position, Term]] = [((), term)]
+    while stack:
+        position, node = stack.pop()
+        out.append(position)
+        if node.__class__ is App:
+            for i in range(len(node.args), 0, -1):
+                stack.append(((*position, i), node.args[i - 1]))
     return out
 
 
@@ -137,15 +303,29 @@ def subterm_at(term: Term, position: Position) -> Term:
     return node
 
 
+def context_position(context: Context) -> Position:
+    """The position of a context's hole."""
+    steps: list[int] = []
+    while context is not None:
+        context, _, i = context
+        steps.append(i)
+    return tuple(reversed(steps))
+
+
 def replace_at(term: Term, position: Position, replacement: Term) -> Term:
-    if not position:
-        return replacement
-    i = position[0]
-    if isinstance(term, Var) or not 1 <= i <= len(term.args):
-        raise InvalidPosition(f"no subterm of {term} at position {position}")
-    args = list(term.args)
-    args[i - 1] = replace_at(args[i - 1], position[1:], replacement)
-    return App(term.symbol, tuple(args))
+    """The term with the subterm at position replaced; only the spine above
+    the position is rebuilt, everything beside it is shared."""
+    spine: list[tuple[App, int]] = []
+    node = term
+    for step, i in enumerate(position):
+        if isinstance(node, Var) or not 1 <= i <= len(node.args):
+            raise InvalidPosition(f"no subterm of {node} at position {position[step:]}")
+        spine.append((node, i))
+        node = node.args[i - 1]
+    for node, i in reversed(spine):
+        args = node.args
+        replacement = App(node.symbol, args[: i - 1] + (replacement,) + args[i:])
+    return replacement
 
 
 def match(pattern: Term, subject: Term) -> dict[str, Term] | None:

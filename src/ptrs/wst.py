@@ -155,25 +155,39 @@ class _TermReader:
         self.arities: dict[str, tuple[int, Token]] = {}
 
     def read(self, cur: _Cursor) -> Term:
-        head = cur.next("IDENT")
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "LPAREN":
-            if head.text in self.variables:
-                raise ParseError(f"variable {head.text!r} used with arguments", head.line, head.col)
-            cur.next("LPAREN")
-            args: list[Term] = []
-            if cur.peek() is not None and cur.peek().kind != "RPAREN":
-                args.append(self.read(cur))
-                while cur.peek() is not None and cur.peek().kind == "COMMA":
+        # Open applications wait on a stack, so nesting depth costs no
+        # recursion. Symbols are noted in post-order, as they complete.
+        pending: list[tuple[Token, list[Term]]] = []
+        while True:
+            head = cur.next("IDENT")
+            nxt = cur.peek()
+            if nxt is not None and nxt.kind == "LPAREN":
+                if head.text in self.variables:
+                    raise ParseError(f"variable {head.text!r} used with arguments", head.line, head.col)
+                cur.next("LPAREN")
+                if cur.peek() is not None and cur.peek().kind != "RPAREN":
+                    pending.append((head, []))
+                    continue
+                cur.next("RPAREN")
+                self._note(head, 0)
+                term: Term = App(head.text, ())
+            elif head.text in self.variables:
+                term = Var(head.text)
+            else:
+                self._note(head, 0)
+                term = App(head.text, ())
+            while pending:
+                head, args = pending[-1]
+                args.append(term)
+                if cur.peek() is not None and cur.peek().kind == "COMMA":
                     cur.next("COMMA")
-                    args.append(self.read(cur))
-            cur.next("RPAREN")
-            self._note(head, len(args))
-            return App(head.text, tuple(args))
-        if head.text in self.variables:
-            return Var(head.text)
-        self._note(head, 0)
-        return App(head.text, ())
+                    break
+                cur.next("RPAREN")
+                pending.pop()
+                self._note(head, len(args))
+                term = App(head.text, tuple(args))
+            else:
+                return term
 
     def _note(self, tok: Token, arity: int) -> None:
         seen = self.arities.get(tok.text)

@@ -224,3 +224,59 @@ def test_verbose_goes_to_stderr(capsys):
     assert code == 0
     assert "solver:" in err
     assert "solver:" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("prove", RW34, "--coeff-bound", "-1"), "--coeff-bound"),
+        (("prove", RW34, "--smt-timeout", "0"), "--smt-timeout"),
+        (("prove", RW34, "--smt-timeout", "-2.5"), "--smt-timeout"),
+        (("simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--steps", "-3"), "--steps"),
+        (("simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--node-budget", "0"), "--node-budget"),
+    ],
+)
+def test_out_of_range_values_are_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err
+
+
+def test_out_of_range_config_values_are_errors(capsys, tmp_path):
+    config = tmp_path / "ptrs.conf"
+    config.write_text("coeff-bound = -1\n")
+    code, _, err = run_cli(capsys, "prove", RW34, "--config", str(config))
+    assert code == 2 and "--coeff-bound" in err
+
+
+def test_unexpected_failures_exit_two(capsys, monkeypatch):
+    import ptrs.cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(ptrs.cli, "run", broken)
+    code, out, err = run_cli(capsys, "simulate", "--family", "rw", "--p", "1/2", "--start", "1")
+    assert code == 2 and out == ""
+    assert err == "error: RuntimeError: boom\n"
+
+
+def test_uninterpreted_start_symbol_is_an_error(capsys):
+    code, _, err = run_cli(capsys, "simulate", str(ROOT / "problems" / "matrix.wst"),
+                           "--start", "a(a(0))", "--steps", "1",
+                           "--cert", str(ROOT / "problems" / "matrix.cert"))
+    assert code == 2 and err.startswith("error: KeyError: ")
+
+
+def test_deep_starts_simulate(capsys):
+    depth = 3000
+    start = "s(" * depth + "0" + ")" * depth
+    code, out, _ = run_cli(capsys, "simulate", RW34, "--start", start, "--steps", "2", "--collapse")
+    assert code == 0
+    assert out.splitlines()[3] == "step 2: mass 1, edl 2"
+    code, out, _ = run_cli(
+        capsys, "simulate", "--family", "rw", "--p", "3/4", "--start", str(depth),
+        "--steps", "2", "--cert", RW34_CERT,
+    )
+    assert code == 0
+    assert "edl bound from certificate: 6000" in out

@@ -283,3 +283,35 @@ def test_expected_interpretation_is_affine():
 def test_certificate_dataclass():
     cert = Certificate(walk_interp(), (H,), H)
     assert cert.kind == "poly"
+
+
+def test_deep_terms_evaluate_without_recursion():
+    depth = 5000
+    interp = walk_interp()
+    assert eval_term(interp, nat(depth), {}) == depth
+    open_term = x
+    for _ in range(depth):
+        open_term = App("s", (open_term,))
+    form = symbolic_eval(interp, open_term)
+    assert form.coefficient(frozenset({"x"})) == 1 and form.constant_part() == depth
+    cert = check_certificate(MATRIX_INTERP, MATRIX_SYSTEM)
+    rank, _ = ranking_from_certificate(cert)
+    tower = App("b", (x,))
+    for _ in range(depth):
+        tower = App("a", (tower,))
+    assert rank(tower) == depth - 1
+
+
+def test_rank_memo_matches_fresh_evaluation():
+    rng = random.Random(37)
+    signature = Signature({"?": 1, "s": 1, "$": 1, "f": 1, "g": 1, "0": 0})
+    cert = check_certificate(COIN_INTERP, elaborate(parse_problem(COINGAME)))
+    rank, _ = ranking_from_certificate(cert)
+    terms = [random_term(signature, rng, max_depth=6, variable_pool=()) for _ in range(300)]
+    for term in terms + terms[::-1]:
+        assert rank(term) == eval_term(COIN_INTERP, term, {})
+    memo = {}
+    assert eval_term(COIN_INTERP, nat(3), {}, memo) == 4
+    assert set(memo) == {nat(k) for k in range(4)}
+    with pytest.raises(KeyError):
+        eval_term(COIN_INTERP, App("h", (nat(1),)), {})

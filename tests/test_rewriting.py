@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,8 +28,18 @@ from ptrs.rewriting import (
     random_walk_ptrs,
     step_multidist,
 )
-from ptrs.terms import App, Signature, Var, apply_substitution
-from ptrs.wst import elaborate, parse_problem
+from ptrs.terms import (
+    App,
+    Signature,
+    Var,
+    apply_substitution,
+    match,
+    replace_at,
+    subterm_at,
+    subterm_positions,
+    variables,
+)
+from ptrs.wst import elaborate, load_system, parse_problem
 
 H = Fraction(1, 2)
 x = Var("x")
@@ -251,3 +262,118 @@ def test_term_view():
 def test_ptrs_signature_validation():
     with pytest.raises(Exception):
         PTRS(Signature({"s": 1}), (ProbRule(App("s", (x,)), FiniteDistribution({App("t", (x,)): 1})),))
+
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def naive_redexes(system, term):
+    """Reference enumeration: locate every subterm from the root, match it,
+    and plug each collapsed instance back in with replace_at."""
+    out = []
+    for position in subterm_positions(term):
+        sub = subterm_at(term, position)
+        for index, rule in enumerate(system.rules):
+            subst = match(rule.lhs, sub)
+            if subst is None:
+                continue
+            local = {}
+            for rhs_term, p in rule.rhs.items():
+                image = apply_substitution(rhs_term, subst)
+                local[image] = local.get(image, Fraction(0)) + p
+            dist = FiniteDistribution({replace_at(term, position, image): p for image, p in local.items()})
+            out.append((position, index, subst, dist))
+    return out
+
+
+def quadratic_innermost(positions):
+    """The first position with no other redex position strictly below it."""
+    for index, pos in enumerate(positions):
+        if not any(len(q) > len(pos) and q[: len(pos)] == pos for q in positions):
+            return index
+    return 0
+
+
+def random_ptrs(rng):
+    """A small PTRS over f/2, g/1, s/1, a/0 and 0/0; right-hand sides reuse
+    left-hand variables, sometimes twice, so instantiation can merge them."""
+    signature = Signature({"f": 2, "g": 1, "s": 1, "a": 0, "0": 0})
+    rules = []
+    wanted = rng.randint(1, 4)
+    while len(rules) < wanted:
+        lhs = random_term(signature, rng, max_depth=3)
+        if isinstance(lhs, Var):
+            continue
+        pool = sorted(variables(lhs)) or ("zz",)
+        closed = [t for t in (random_term(signature, rng, max_depth=3, variable_pool=pool)
+                              for _ in range(rng.randint(1, 3)))
+                  if variables(t) <= variables(lhs)]
+        if closed:
+            alternatives = closed + closed[: rng.randint(0, 1)]
+            weight = Fraction(1, len(alternatives))
+            rhs = FiniteDistribution([(t, weight) for t in alternatives])
+            rules.append(ProbRule(lhs, rhs))
+    return PTRS(signature, tuple(rules))
+
+
+def systems_under_test():
+    rng = random.Random(29)
+    shipped = [load_system(str(path)) for path in sorted(PROBLEMS.glob("*.wst"))]
+    return shipped + [random_ptrs(rng) for _ in range(25)]
+
+
+def test_walk_agrees_with_naive_enumeration():
+    rng = random.Random(31)
+    checked = 0
+    for system in systems_under_test():
+        pars = TermPars(system)
+        for _ in range(60):
+            term = random_term(system.signature, rng, max_depth=rng.randint(2, 6))
+            steps = enumerate_redexes(system, term)
+            expected = naive_redexes(system, term)
+            assert [(st.position, st.rule_index, st.substitution, st.result) for st in steps] == expected
+            chosen = leftmost_innermost(pars, term, pars.options(term))
+            assert chosen == quadratic_innermost([pos for pos, *_ in expected])
+            checked += len(steps)
+    assert checked > 1000
+
+
+def test_innermost_skips_rules_at_the_same_node():
+    system = elaborate(parse_problem("(VAR x)(RULES f(x) -> x  f(a) -> a  a -> b)"))
+    pars = TermPars(system)
+    term = App("h", (App("f", (App("a"),)), App("f", (App("b"),))))
+    assert [st.position for st in pars.redexes(term)] == [(1,), (1,), (1, 1), (2,)]
+    assert leftmost_innermost(pars, term, pars.options(term)) == 2
+    term = App("h", (App("f", (App("b"),)), App("a")))
+    assert [st.position for st in pars.redexes(term)] == [(1,), (2,)]
+    assert leftmost_innermost(pars, term, pars.options(term)) == 0
+
+
+def test_single_strategy_step_builds_only_the_chosen_reduct():
+    pars = TermPars(random_walk_ptrs(Fraction(3, 4)))
+    term = nat(50)
+    nu = step_multidist(pars, MultiDistribution.point(term), leftmost_innermost)
+    steps = pars.redexes(term)
+    assert nu == MultiDistribution.from_distribution(steps[-1].result)
+    assert [st._result is None for st in steps] == [True] * 49 + [False]
+
+
+def test_choose_default_goes_through_options():
+    walk = RandomWalk(H)
+    assert walk.choose(3, leftmost_outermost) == FiniteDistribution({2: H, 4: H})
+    assert walk.choose(0, leftmost_outermost) is None
+    pars = TermPars(random_walk_ptrs(H))
+    assert pars.choose(App("0"), leftmost_outermost) is None
+    assert pars.choose(nat(2), random_chooser(random.Random(1))) in pars.options(nat(2))
+
+
+def test_deep_term_walk_is_linear_and_recursion_free():
+    rw = random_walk_ptrs(Fraction(3, 4))
+    depth = 3000
+    steps = enumerate_redexes(rw, nat(depth))
+    assert len(steps) == depth
+    assert steps[-1].position == (1,) * (depth - 1)
+    assert steps[-1].result == FiniteDistribution({nat(depth - 1): Fraction(3, 4), nat(depth + 1): Fraction(1, 4)})
+    # the chooser reads the redexes, not the options; building every option
+    # here would rebuild a spine per redex, which is quadratic
+    assert leftmost_innermost(TermPars(rw), nat(depth), ()) == depth - 1

@@ -10,6 +10,7 @@ from ptrs.terms import (
     Var,
     apply_substitution,
     check_term,
+    fold_term,
     match,
     replace_at,
     subterm_at,
@@ -132,3 +133,105 @@ def test_substitution_is_homomorphic():
         if isinstance(t, App):
             assert image == App(t.symbol, tuple(apply_substitution(a, sigma) for a in t.args))
         assert variables(image) <= variables(t) | variables(sigma["x"]) | variables(sigma["y"])
+
+
+DEEP = 5000  # well past the interpreter's default recursion limit of 1000
+
+
+def tower(n, leaf=ZERO, symbol="s"):
+    term = leaf
+    for _ in range(n):
+        term = App(symbol, (term,))
+    return term
+
+
+def copy_term(term):
+    """An equal term that shares no node with the original."""
+    return fold_term(term, lambda v: Var(v.name), lambda node, args: App(node.symbol, tuple(args)))
+
+
+def test_equal_terms_have_equal_hashes():
+    rng = random.Random(23)
+    for _ in range(200):
+        t = _random_term(rng)
+        u = _random_term(rng)
+        copy = copy_term(t)
+        assert copy == t and hash(copy) == hash(t)
+        assert (t == u) == (str(t) == str(u))
+        if t == u:
+            assert hash(t) == hash(u)
+
+
+def test_var_and_constant_of_the_same_name_differ():
+    assert Var("x") != App("x")
+    assert App("x") != Var("x")
+    assert len({Var("x"), App("x")}) == 2
+    assert Var("x") != "x" and App("x") != ("x", ())
+
+
+def test_repr_and_constructor_contract():
+    assert repr(x) == "Var(name='x')"
+    assert repr(ZERO) == "App(symbol='0', args=())"
+    assert repr(s(ZERO)) == "App(symbol='s', args=(App(symbol='0', args=()),))"
+    assert repr(f(x, ZERO)) == "App(symbol='f', args=(Var(name='x'), App(symbol='0', args=())))"
+    assert App("f", [x, y]).args == (x, y)
+    assert App(symbol="g", args=(x,)) == g(x)
+
+
+def test_terms_are_immutable():
+    t = s(ZERO)
+    with pytest.raises(AttributeError):
+        t.symbol = "g"
+    with pytest.raises(AttributeError):
+        x.name = "y"
+    assert t == s(ZERO)
+
+
+def test_term_size_is_the_node_count():
+    assert term_size(x) == 1
+    assert term_size(f(x, g(ZERO))) == 4
+    assert term_size(tower(DEEP)) == DEEP + 1
+
+
+def test_deep_terms_need_no_recursion():
+    left, right = tower(DEEP), tower(DEEP)
+    assert left is not right and left == right and hash(left) == hash(right)
+    assert left != tower(DEEP, leaf=x)
+    assert str(left) == "s(" * DEEP + "0" + ")" * DEEP
+    assert repr(tower(DEEP)).count("App(symbol='s'") == DEEP
+    open_term = tower(DEEP, leaf=f(x, y))
+    assert variables(open_term) == {"x", "y"}
+    check_term(open_term, SIG)
+    with pytest.raises(TermError):
+        check_term(tower(DEEP, leaf=App("f", (x,))), SIG)
+    image = apply_substitution(open_term, {"x": ZERO})
+    assert image == tower(DEEP, leaf=f(ZERO, y))
+    assert match(open_term, image) == {"x": ZERO, "y": y}
+    assert match(image, open_term) is None
+    assert match(tower(DEEP, leaf=x), left) == {"x": ZERO}
+    position = (1,) * DEEP
+    assert subterm_at(left, position) == ZERO
+    assert replace_at(left, position, x) == tower(DEEP, leaf=x)
+
+
+def test_substitution_shares_untouched_subterms():
+    ground = f(s(ZERO), g(ZERO))
+    assert apply_substitution(ground, {"x": ZERO}) is ground
+    t = f(x, g(ZERO))
+    image = apply_substitution(t, {"x": ZERO})
+    assert image.args[1] is t.args[1]
+
+
+def test_fold_term_evaluates_each_subterm_once():
+    seen = []
+
+    def on_app(node, values):
+        seen.append(node)
+        return 1 + sum(values)
+
+    shared = g(ZERO)
+    memo = {}
+    assert fold_term(f(shared, shared), lambda v: 1, on_app, memo) == 5
+    assert seen == [ZERO, shared, f(shared, shared)]
+    assert fold_term(g(shared), lambda v: 1, on_app, memo) == 3
+    assert seen[-1] == g(shared) and len(seen) == 4

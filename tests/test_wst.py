@@ -146,3 +146,29 @@ def test_parse_term_text():
         parse_term_text("s(0,0)", set(), pf.signature)
     with pytest.raises(ParseError):
         parse_term_text("s(0) extra", set(), pf.signature)
+
+
+def test_deep_terms_parse_without_recursion():
+    depth = 5000
+    pf = parse_problem(COINGAME)
+    text = "?(" + "s(" * depth + "0" + ")" * (depth + 1)
+    term = parse_term_text(text, set(pf.variables), pf.signature)
+    assert str(term) == text
+    nested = parse_problem("(VAR x)(RULES " + "g(" * depth + "x" + ")" * depth + " -> x)")
+    assert str(nested.rules[0].lhs) == "g(" * depth + "x" + ")" * depth
+    with pytest.raises(ParseError):
+        parse_term_text("s(" * depth + "0" + ")" * (depth - 1), set(), pf.signature)
+
+
+def test_symbols_are_noted_as_their_terms_complete():
+    # first use wins, and an application is used when its ')' is read, after
+    # its arguments: the inner f(x) below is the first use of f
+    with pytest.raises(ParseError) as err:
+        parse_problem("(VAR x y)(RULES f(f(x), y) -> x)")
+    assert "2 arguments here but with 1" in err.value.message
+    t = parse_term_text("f(a, g(b), c)", set())
+    assert t == App("f", (App("a"), App("g", (App("b"),)), App("c")))
+    with pytest.raises(ParseError):
+        parse_term_text("f(a,)", set())
+    with pytest.raises(ParseError):
+        parse_term_text("f(a", set())
