@@ -40,11 +40,19 @@ class FiniteDistribution(Generic[T]):
                 raise InvalidWeights(f"negative probability {p} for {obj}")
             if p == 0:
                 continue
-            acc[obj] = acc.get(obj, Fraction(0)) + p
+            seen = acc.get(obj)
+            acc[obj] = p if seen is None else seen + p
         total = sum(acc.values(), Fraction(0))
         if total != 1:
             raise InvalidWeights(f"probabilities sum to {total}, expected 1")
         self._entries = acc
+
+    @classmethod
+    def _unchecked(cls, entries: dict[T, Fraction]) -> "FiniteDistribution[T]":
+        """Wrap Fraction weights already known to be positive and to sum to 1."""
+        dist = cls.__new__(cls)
+        dist._entries = entries
+        return dist
 
     def probability(self, obj: T) -> Fraction:
         return self._entries.get(obj, Fraction(0))
@@ -59,8 +67,9 @@ class FiniteDistribution(Generic[T]):
         out: dict[S, Fraction] = {}
         for obj, p in self._entries.items():
             image = fn(obj)
-            out[image] = out.get(image, Fraction(0)) + p
-        return FiniteDistribution(out)
+            seen = out.get(image)
+            out[image] = p if seen is None else seen + p
+        return FiniteDistribution._unchecked(out)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -85,9 +94,14 @@ class FiniteDistribution(Generic[T]):
 
 
 class MultiDistribution(Generic[T]):
-    """Finite multiset of (probability, object) entries with total mass <= 1."""
+    """Finite multiset of (probability, object) entries with total mass <= 1.
 
-    __slots__ = ("_entries",)
+    The constructor checks weights that come from outside. Constructions
+    inside this package derive their weights from checked ones, so they
+    build through `_unchecked` and carry the mass along instead.
+    """
+
+    __slots__ = ("_entries", "_mass")
 
     def __init__(self, entries: Iterable[tuple[Rational, T]]):
         kept: list[tuple[Fraction, T]] = []
@@ -103,25 +117,37 @@ class MultiDistribution(Generic[T]):
         if total > 1:
             raise InvalidWeights(f"total mass {total} exceeds 1")
         self._entries = tuple(kept)
+        self._mass = total
+
+    @classmethod
+    def _unchecked(
+        cls, entries: tuple[tuple[Fraction, T], ...], mass: Fraction
+    ) -> "MultiDistribution[T]":
+        """Wrap Fraction weights already known to lie in (0, 1], with their
+        sum `mass` already known to be at most 1."""
+        mu = cls.__new__(cls)
+        mu._entries = entries
+        mu._mass = mass
+        return mu
 
     @classmethod
     def point(cls, obj: T) -> "MultiDistribution[T]":
-        return cls([(Fraction(1), obj)])
+        return cls._unchecked(((Fraction(1), obj),), Fraction(1))
 
     @classmethod
     def empty(cls) -> "MultiDistribution[T]":
-        return cls([])
+        return cls._unchecked((), Fraction(0))
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution[T]) -> "MultiDistribution[T]":
-        return cls([(p, obj) for obj, p in dist.items()])
+        return cls._unchecked(tuple((p, obj) for obj, p in dist.items()), Fraction(1))
 
     @property
     def entries(self) -> tuple[tuple[Fraction, T], ...]:
         return self._entries
 
     def mass(self) -> Fraction:
-        return sum((p for p, _ in self._entries), Fraction(0))
+        return self._mass
 
     def objects(self) -> list[T]:
         return [obj for _, obj in self._entries]
@@ -130,15 +156,26 @@ class MultiDistribution(Generic[T]):
         """Merge equal objects; the result is a subdistribution as a dict."""
         out: dict[T, Fraction] = {}
         for p, obj in self._entries:
-            out[obj] = out.get(obj, Fraction(0)) + p
+            seen = out.get(obj)
+            out[obj] = p if seen is None else seen + p
         return out
 
     def map(self, fn: Callable[[T], S]) -> "MultiDistribution[S]":
-        return MultiDistribution([(p, fn(obj)) for p, obj in self._entries])
+        return MultiDistribution._unchecked(
+            tuple((p, fn(obj)) for p, obj in self._entries), self._mass
+        )
 
     def scale(self, factor: Rational) -> "MultiDistribution[T]":
         factor = as_fraction(factor)
-        return MultiDistribution([(factor * p, obj) for p, obj in self._entries])
+        if not 0 <= factor <= 1:
+            # the checking constructor rejects the scaled weights unless
+            # they still fit (a factor above 1 on a light multidistribution)
+            return MultiDistribution([(factor * p, obj) for p, obj in self._entries])
+        if factor == 0:
+            return MultiDistribution.empty()
+        return MultiDistribution._unchecked(
+            tuple((factor * p, obj) for p, obj in self._entries), factor * self._mass
+        )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -169,16 +206,20 @@ def convex_union(
     """Weighted multiset union sum pi * mui with pi >= 0 and sum pi <= 1."""
     entries: list[tuple[Fraction, T]] = []
     total = Fraction(0)
+    mass = Fraction(0)
     for p, mu in parts:
         p = as_fraction(p)
         if p < 0:
             raise InvalidWeights(f"negative part weight {p}")
+        if p == 0:
+            continue
         total += p
-        for q, obj in mu.entries:
-            entries.append((p * q, obj))
+        mass += p * mu._mass
+        entries.extend((p * q, obj) for q, obj in mu._entries)
     if total > 1:
         raise InvalidWeights(f"part weights sum to {total}, exceeding 1")
-    return MultiDistribution(entries)
+    # every p * q lies in (0, p], so the union needs no further check
+    return MultiDistribution._unchecked(tuple(entries), mass)
 
 
 def expectation(mu: MultiDistribution[Any]) -> Fraction:

@@ -126,12 +126,15 @@ class RedexStep:
         if self._result is None:
             # Instantiation can merge distinct right-hand sides, so collapse
             # before plugging into the context (contexts are injective).
+            # The rule's weights were checked when it was built, and merging
+            # and plugging keep them positive and summing to 1.
             local: dict[Term, Fraction] = {}
             for rhs_term, p in self._rule.rhs.items():
                 image = apply_substitution(rhs_term, self.substitution)
-                local[image] = local.get(image, Fraction(0)) + p
+                seen = local.get(image)
+                local[image] = p if seen is None else seen + p
             position = self.position
-            self._result = FiniteDistribution(
+            self._result = FiniteDistribution._unchecked(
                 {replace_at(self._term, position, image): p for image, p in local.items()}
             )
         return self._result
@@ -324,8 +327,11 @@ def all_steps(
     if tracker is not None:
         tracker.spend(combos * len(alternatives))
     for combo in product(*alternatives):
-        entries = [entry for part in combo for entry in part.entries]
-        nu = MultiDistribution(entries)
+        # the parts weigh the entries of mu they came from, so their
+        # masses add up to at most mass(mu)
+        entries = tuple(entry for part in combo for entry in part.entries)
+        mass = sum((part.mass() for part in combo), Fraction(0))
+        nu = MultiDistribution._unchecked(entries, mass)
         if nu not in seen:
             seen[nu] = None
     return list(seen)
@@ -399,11 +405,19 @@ class RandomWalk(Pars):
         if not 0 <= self.p <= 1:
             raise ValueError(f"probability {self.p} outside [0, 1]")
         self.truncate = truncate
+        # options per height, built once: a run of k steps from n visits at
+        # most n + k heights
+        self._options: dict[int, list[FiniteDistribution]] = {}
 
     def options(self, obj: int) -> list[FiniteDistribution]:
         if obj <= 0 or self.truncates(obj):
             return []
-        return [FiniteDistribution([(obj - 1, self.p), (obj + 1, 1 - self.p)])]
+        options = self._options.get(obj)
+        if options is None:
+            options = self._options[obj] = [
+                FiniteDistribution([(obj - 1, self.p), (obj + 1, 1 - self.p)])
+            ]
+        return options
 
     def truncates(self, obj: int) -> bool:
         return self.truncate is not None and obj >= self.truncate

@@ -70,7 +70,7 @@ class RunReport:
 def collapsed(mu: MultiDistribution) -> MultiDistribution:
     """Merge equal objects into single entries, deterministically ordered."""
     items = sorted(((p, obj) for obj, p in mu.collapse().items()), key=display_key)
-    return MultiDistribution(items)
+    return MultiDistribution._unchecked(tuple(items), mu.mass())
 
 
 def _hits_truncation(pars: Pars, mu: MultiDistribution) -> bool:
@@ -286,6 +286,8 @@ def drift_harness(
             # equal terms keeps the check exact while the state stays small
             mu = collapsed(nu)
             if len(mu.entries) > max_width:
-                heaviest = sorted(mu.entries, key=lambda e: (-e[0], display_key(e)))
-                mu = MultiDistribution(heaviest[:max_width])
+                heaviest = sorted(mu.entries, key=lambda e: (-e[0], display_key(e)))[:max_width]
+                mu = MultiDistribution._unchecked(
+                    tuple(heaviest), sum((p for p, _ in heaviest), Fraction(0))
+                )
     return DriftReport(trials, checks, None)

@@ -152,7 +152,8 @@ class _TermReader:
 
     def __init__(self, variables: set[str]):
         self.variables = variables
-        self.arities: dict[str, tuple[int, Token]] = {}
+        # each symbol's arity and its first use; None for a declared symbol
+        self.arities: dict[str, tuple[int, Token | None]] = {}
 
     def read(self, cur: _Cursor) -> Term:
         # Open applications wait on a stack, so nesting depth costs no
@@ -194,9 +195,13 @@ class _TermReader:
         if seen is None:
             self.arities[tok.text] = (arity, tok)
         elif seen[0] != arity:
+            first = seen[1]
+            if first is None:
+                earlier = f"the system declares it with {seen[0]}"
+            else:
+                earlier = f"with {seen[0]} at line {first.line}, column {first.col}"
             raise ParseError(
-                f"symbol {tok.text!r} used with {arity} arguments here but with "
-                f"{seen[0]} at line {seen[1].line}, column {seen[1].col}",
+                f"symbol {tok.text!r} used with {arity} arguments here but {earlier}",
                 tok.line,
                 tok.col,
             )
@@ -354,7 +359,7 @@ def parse_term_text(text: str, variables: set[str], signature: Signature | None 
     reader = _TermReader(set(variables))
     if signature is not None:
         for sym, arity in signature.symbols().items():
-            reader.arities[sym] = (arity, Token("IDENT", sym, 0, 0))
+            reader.arities[sym] = (arity, None)
     cur = _Cursor(tokens, 1)
     term = reader.read(cur)
     leftover = cur.peek()

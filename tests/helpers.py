@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from ptrs.interpretations import MatrixInterpretation, PolyInterpretation
 from ptrs.multidist import FiniteDistribution
+from ptrs.rewriting import PTRS, ProbRule, random_term
+from ptrs.terms import Signature, Var, variables
 
 
 def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 4) -> Fraction:
@@ -133,3 +135,25 @@ def hitting_times_truncated(p: Fraction, height: int) -> list[Fraction]:
     for i in range(size - 2, -1, -1):
         sol[i] = (rhs[i] - sup[i] * sol[i + 1]) / diag[i]
     return [Fraction(0)] + sol + [Fraction(0)]
+
+
+def random_ptrs(rng):
+    """A small PTRS over f/2, g/1, s/1, a/0 and 0/0; right-hand sides reuse
+    left-hand variables, sometimes twice, so instantiation can merge them."""
+    signature = Signature({"f": 2, "g": 1, "s": 1, "a": 0, "0": 0})
+    rules = []
+    wanted = rng.randint(1, 4)
+    while len(rules) < wanted:
+        lhs = random_term(signature, rng, max_depth=3)
+        if isinstance(lhs, Var):
+            continue
+        pool = sorted(variables(lhs)) or ("zz",)
+        closed = [t for t in (random_term(signature, rng, max_depth=3, variable_pool=pool)
+                              for _ in range(rng.randint(1, 3)))
+                  if variables(t) <= variables(lhs)]
+        if closed:
+            alternatives = closed + closed[: rng.randint(0, 1)]
+            weight = Fraction(1, len(alternatives))
+            rhs = FiniteDistribution([(t, weight) for t in alternatives])
+            rules.append(ProbRule(lhs, rhs))
+    return PTRS(signature, tuple(rules))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -280,3 +281,46 @@ def test_deep_starts_simulate(capsys):
     )
     assert code == 0
     assert "edl bound from certificate: 6000" in out
+
+
+def test_start_term_with_a_wrong_arity_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", RW34, "--start", "s(0,0)")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: line 1, column 1: symbol 's' used with 2 arguments here "
+        "but the system declares it with 1\n"
+    )
+
+
+S5 = "s(" * 5 + "0" + ")" * 5
+
+
+@pytest.mark.parametrize(
+    "digest, argv",
+    [
+        ("59c23a3b0548537d89595a7da97e8a24c87f28fda9317df43f8096fac0f88941",
+         ("--family", "rw", "--p", "3/4", "--start", "5", "--steps", "110", "--collapse")),
+        ("d0164a025ec7ff8ee23bd8d2190e57eff086350d9c2ee3532777fd6e84276f05",
+         ("--family", "rw", "--p", "2/3", "--start", "5", "--steps", "110", "--collapse")),
+        ("96bba2974b87d381a69e20fc7706751dbaed1b480d2f17a6d12b6dd4e3ea4a9c",
+         ("--family", "rw", "--p", "3/5", "--start", "5", "--steps", "110", "--collapse")),
+        ("debd8acf0d1a84467476a6ef7ac7dc92bd1e4396431e7a85475fab0d07bd7979",
+         ("--family", "rw", "--p", "3/4", "--start", "5", "--steps", "110", "--collapse", "--json")),
+        ("46d9e49d7234c60c91841bb5723c08aac87fedf234a46750c8460abbdf66989f",
+         (RW34, "--start", S5, "--steps", "12")),
+        ("77bd36359e2d347c696fb3b1416dce9334dd4fd99c6da8a61d08ce3fde028c0b",
+         (RW34, "--start", S5, "--steps", "12", "--mode", "innermost")),
+        ("19392442edf2c857979ba685d7160530bef2d66fe899e9493b42bc2b0c6eddfb",
+         (RW34, "--start", S5, "--steps", "6", "--mode", "innermost", "--trace", "--json")),
+        ("59447388d41fcb2fb89f6941034bcd4f73dea314f49679913c8e7e08c12b8fb5",
+         ("--family", "payout", "--start", "a0", "--mode", "exhaustive", "--steps", "8")),
+        ("233c07ab58c31e5f24b47fee89d7938294d9a1ae847d49cf3827ef02b6ed8610",
+         ("--family", "nd", "--start", "a", "--mode", "exhaustive", "--steps", "4", "--trace")),
+    ],
+)
+def test_simulate_stdout_is_pinned(capsys, digest, argv):
+    # sha256 of the whole stdout: every mass, edl and outcome entry, in
+    # order, byte for byte as the exact simulator has always printed them
+    code, out, _ = run_cli(capsys, "simulate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

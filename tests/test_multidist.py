@@ -127,3 +127,67 @@ def test_canonical_order_is_deterministic():
     b = MultiDistribution([(Q, "a"), (H, "b")])
     c = MultiDistribution([(1, "a")])
     assert canonical_order([a, c]) == canonical_order([b, c])
+
+
+def reference_build(entries):
+    """The checks of the public constructor, written out independently:
+    (entries, mass) with zero weights dropped, or None where a weight lies
+    outside [0, 1] or the mass exceeds 1."""
+    kept = []
+    for p, obj in entries:
+        p = Fraction(p)
+        if p < 0 or p > 1:
+            return None
+        if p:
+            kept.append((p, obj))
+    mass = sum((p for p, _ in kept), Fraction(0))
+    return (tuple(kept), mass) if mass <= 1 else None
+
+
+def built(make):
+    """(entries, mass) of the multidistribution make() returns, or None
+    where it raises InvalidWeights."""
+    try:
+        mu = make()
+    except InvalidWeights:
+        return None
+    return mu.entries, mu.mass()
+
+
+WEIGHTS = (Fraction(-1, 2), 0, Fraction(1, 4), Fraction(1, 3), H, 1, Fraction(3, 2), 2)
+
+
+def test_public_entry_points_reject_what_they_always_rejected():
+    rng = random.Random(41)
+    rejected = accepted = 0
+    for _ in range(400):
+        entries = [(rng.choice(WEIGHTS), rng.choice("abc")) for _ in range(rng.randrange(0, 4))]
+        got = built(lambda: MultiDistribution(entries))
+        assert got == reference_build(entries)
+        if got is None:
+            rejected += 1
+            continue
+        accepted += 1
+        mu = MultiDistribution(entries)
+        factor = rng.choice(WEIGHTS + (Fraction(-1, 3), 4))
+        assert built(lambda: mu.scale(factor)) == reference_build(
+            [(factor * p, obj) for p, obj in mu.entries])
+        parts = [(rng.choice(WEIGHTS), mu) for _ in range(rng.randrange(0, 3))]
+        expected = None
+        if all(Fraction(w) >= 0 for w, _ in parts) and sum(Fraction(w) for w, _ in parts) <= 1:
+            expected = reference_build(
+                [(w * p, obj) for w, part in parts for p, obj in part.entries])
+        assert built(lambda: convex_union(parts)) == expected
+    assert rejected > 50 and accepted > 50
+
+
+def test_scale_factor_bounds():
+    light = MultiDistribution([(Q, "a")])
+    for factor in (-1, Fraction(-1, 4), 5):
+        with pytest.raises(InvalidWeights):
+            light.scale(factor)
+    # a factor above 1 passes as long as the scaled weights still fit
+    assert light.scale(2) == MultiDistribution([(H, "a")])
+    assert light.scale(2).mass() == H
+    assert light.scale(0) == MultiDistribution.empty()
+    assert MultiDistribution.empty().scale(-1) == MultiDistribution.empty()

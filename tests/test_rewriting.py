@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import random_ptrs
 from ptrs.multidist import FiniteDistribution, MultiDistribution
 from ptrs.rewriting import (
     BudgetTracker,
@@ -292,28 +293,6 @@ def quadratic_innermost(positions):
         if not any(len(q) > len(pos) and q[: len(pos)] == pos for q in positions):
             return index
     return 0
-
-
-def random_ptrs(rng):
-    """A small PTRS over f/2, g/1, s/1, a/0 and 0/0; right-hand sides reuse
-    left-hand variables, sometimes twice, so instantiation can merge them."""
-    signature = Signature({"f": 2, "g": 1, "s": 1, "a": 0, "0": 0})
-    rules = []
-    wanted = rng.randint(1, 4)
-    while len(rules) < wanted:
-        lhs = random_term(signature, rng, max_depth=3)
-        if isinstance(lhs, Var):
-            continue
-        pool = sorted(variables(lhs)) or ("zz",)
-        closed = [t for t in (random_term(signature, rng, max_depth=3, variable_pool=pool)
-                              for _ in range(rng.randint(1, 3)))
-                  if variables(t) <= variables(lhs)]
-        if closed:
-            alternatives = closed + closed[: rng.randint(0, 1)]
-            weight = Fraction(1, len(alternatives))
-            rhs = FiniteDistribution([(t, weight) for t in alternatives])
-            rules.append(ProbRule(lhs, rhs))
-    return PTRS(signature, tuple(rules))
 
 
 def systems_under_test():

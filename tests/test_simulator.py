@@ -1,9 +1,16 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from helpers import dp_random_walk, hitting_times_truncated, walk_masses, walk_partial_edl
+from helpers import (
+    dp_random_walk,
+    hitting_times_truncated,
+    random_ptrs,
+    walk_masses,
+    walk_partial_edl,
+)
 from ptrs.certtext import parse_interpretation
 from ptrs.interpretations import check_certificate
 from ptrs.multidist import FiniteDistribution, MultiDistribution
@@ -14,6 +21,8 @@ from ptrs.rewriting import (
     RandomWalk,
     Stake,
     TermPars,
+    random_chooser,
+    random_term,
     random_walk_ptrs,
 )
 from ptrs.simulator import (
@@ -24,8 +33,10 @@ from ptrs.simulator import (
     estimate_edh,
     run,
 )
+from ptrs.wst import load_system
 
 F = Fraction
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_walk_quarter_up_sequence():
@@ -217,3 +228,46 @@ def test_run_report_modes():
     assert run(RunConfig(RandomWalk(F(1, 2)), 1, 1, mode="exhaustive")).mode == "exhaustive"
     chooser = lambda pars, obj, options: 0
     assert run(RunConfig(RandomWalk(F(1, 2)), 1, 1, mode=chooser)).mode == "custom"
+
+
+def test_every_multidistribution_built_is_well_formed(monkeypatch):
+    # Internal constructions skip the weight checks and carry the mass, so
+    # record every multidistribution they build and check it afterwards.
+    built = []
+    unchecked = MultiDistribution._unchecked.__func__
+
+    def recording(cls, entries, mass):
+        mu = unchecked(cls, entries, mass)
+        built.append(mu)
+        return mu
+
+    monkeypatch.setattr(MultiDistribution, "_unchecked", classmethod(recording))
+    rng = random.Random(43)
+    rw34 = load_system(str(PROBLEMS / "rw34.wst"))
+    coingame = load_system(str(PROBLEMS / "coingame.wst"))
+    cases = [
+        (RandomWalk(F(3, 4)), 3, 10),
+        (RandomWalk(F(1, 3), truncate=6), 2, 10),
+        (NondetBranch(), "a", 4),
+        (Payout(truncate=5), Stake(0), 8),
+    ]
+    for system in [rw34, coingame] + [random_ptrs(rng) for _ in range(6)]:
+        pars = TermPars(system)
+        for _ in range(2):
+            cases.append((pars, random_term(system.signature, rng, max_depth=3), 3))
+    for pars, start, steps in cases:
+        for mode in ("outermost", "innermost", "exhaustive", random_chooser(rng)):
+            for collapse in (False, True):
+                config = RunConfig(pars, start, steps, mode, collapse, node_budget=10**5)
+                try:
+                    run(config)
+                except NodeBudgetExceeded:
+                    pass  # what was built before the budget ran out still counts
+    cert = check_certificate(parse_interpretation((PROBLEMS / "rw34.cert").read_text()), rw34)
+    drift_harness(rw34, cert, trials=10, max_depth=8, rng=rng, max_width=3)
+    assert len(built) > 5000
+    for mu in built:
+        weights = [p for p, _ in mu.entries]
+        assert all(type(p) is Fraction and 0 < p <= 1 for p in weights), mu
+        assert mu.mass() == sum(weights, Fraction(0)), mu
+        assert mu.mass() <= 1, mu

@@ -148,6 +148,15 @@ def test_parse_term_text():
         parse_term_text("s(0) extra", set(), pf.signature)
 
 
+def test_start_term_arity_error_names_the_declaration():
+    pf = parse_problem(COINGAME)
+    with pytest.raises(ParseError) as err:
+        parse_term_text("?(s(0, 0))", set(), pf.signature)
+    assert (err.value.line, err.value.col) == (1, 3)
+    assert err.value.message == (
+        "symbol 's' used with 2 arguments here but the system declares it with 1")
+
+
 def test_deep_terms_parse_without_recursion():
     depth = 5000
     pf = parse_problem(COINGAME)
