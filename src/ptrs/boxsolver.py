@@ -20,7 +20,7 @@ from itertools import product
 DEFAULT_LIMIT = 200_000
 
 
-class ScriptError(Exception):
+class ScriptError(ValueError):
     pass
 
 

@@ -412,6 +412,36 @@ def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = No
     return lhs.sub(expected)
 
 
+def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:
+    """The entries of a rule difference that absolute positiveness bounds,
+    as (where, value, strict): every non-strict value must be >= 0 and the
+    one strict value, the constant margin, must be > 0.
+
+    Polynomials list their monomials by degree, the constant first, or last
+    with value 0 when the difference has none. Matrices list each variable's
+    matrix row by row, then the constant vector, whose first component is
+    the margin. The encoder and the checker both read this list.
+    """
+    if isinstance(diff, PolyForm):
+        entries = [
+            (f"coefficient of {'*'.join(sorted(V))}" if V else "constant margin", diff.coeffs[V], not V)
+            for V in diff.monomials()
+        ]
+        if frozenset() not in diff.coeffs:
+            entries.append(("constant margin", Fraction(0), True))
+        return entries
+    entries = [
+        (f"coefficient of {name} at entry ({r},{c})", value, False)
+        for name in diff.variables()
+        for r, row in enumerate(diff.matrix(name), start=1)
+        for c, value in enumerate(row, start=1)
+    ]
+    for r, value in enumerate(diff.const, start=1):
+        where = "first-component margin" if r == 1 else f"constant difference at component {r}"
+        entries.append((where, value, r == 1))
+    return entries
+
+
 def orientation_margin(interp: Interpretation, rule: ProbRule) -> Fraction:
     """The rule's constant margin, or NotOriented with the offending entry.
 
@@ -419,29 +449,13 @@ def orientation_margin(interp: Interpretation, rule: ProbRule) -> Fraction:
     of the difference is nonnegative, so the difference is minimized at the
     zero assignment, where it equals the returned constant.
     """
-    diff = rule_difference(interp, rule)
-    if isinstance(diff, PolyForm):
-        for V in diff.monomials():
-            if V and diff.coeffs[V] < 0:
-                raise NotOriented(
-                    f"coefficient of {'*'.join(sorted(V))} is {diff.coeffs[V]}, negative"
-                )
-        margin = diff.constant_part()
-        if margin <= 0:
-            raise NotOriented(f"constant margin is {margin}, not strictly positive")
-        return margin
-    for name in diff.variables():
-        M = diff.matrix(name)
-        for r, row in enumerate(M, start=1):
-            for c, value in enumerate(row, start=1):
-                if value < 0:
-                    raise NotOriented(f"coefficient of {name} at entry ({r},{c}) is {value}, negative")
-    for r, value in enumerate(diff.const, start=1):
-        if r > 1 and value < 0:
-            raise NotOriented(f"constant difference at component {r} is {value}, negative")
-    margin = diff.const[0]
+    entries = orientation_entries(rule_difference(interp, rule))
+    for where, value, strict in entries:
+        if not strict and value < 0:
+            raise NotOriented(f"{where} is {value}, negative")
+    [(where, margin)] = [(where, value) for where, value, strict in entries if strict]
     if margin <= 0:
-        raise NotOriented(f"first-component margin is {margin}, not strictly positive")
+        raise NotOriented(f"{where} is {margin}, not strictly positive")
     return margin
 
 

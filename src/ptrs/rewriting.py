@@ -184,9 +184,6 @@ class Pars:
             return None
         return options[chooser(self, obj, options)]
 
-    def is_terminal(self, obj: Hashable) -> bool:
-        return not self.options(obj)
-
     def truncates(self, obj: Hashable) -> bool:
         """True when the object sits on a configured truncation boundary."""
         return False

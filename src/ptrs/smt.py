@@ -5,10 +5,10 @@ clearing denominators: with weights wj = pj * w,
 
     w * [l]  -  (w1 * [r1] + ... + wn * [rn])
 
-must have nonnegative coefficients on every non-constant monomial (entrywise
-for matrix shapes) and a constant part of at least 1, which makes the
-rational margin at least 1/w. Unknown coefficients range over a bounded
-integer box, 0..bound.
+must keep every entry `interpretations.orientation_entries` lists at 0 or
+more, and its constant margin at 1 or more, which makes the rational margin
+at least 1/w. Unknown coefficients range over a bounded integer box,
+0..bound.
 
 Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe.
 Every model is decoded and re-validated exactly before it is believed.
@@ -25,13 +25,13 @@ from fractions import Fraction
 from itertools import combinations, product as iter_product
 from typing import Iterator, Mapping, Sequence
 
+from .boxsolver import ScriptError, parse_script
 from .interpretations import (
     DegreeOverflow,
     Interpretation,
     MatrixInterpretation,
-    PolyForm,
     PolyInterpretation,
-    VecForm,
+    orientation_entries,
     rule_difference,
 )
 from .rewriting import PTRS
@@ -105,22 +105,11 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_constant(self) -> bool:
-        return all(not m for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
 
     def unknowns(self) -> set[str]:
         return {name for m in self.terms for name in m}
-
-    def scaled_integral(self) -> "Poly":
-        """The same polynomial times the lcm of coefficient denominators."""
-        denom = math.lcm(*(c.denominator for c in self.terms.values())) if self.terms else 1
-        return Poly({m: c * denom for m, c in self.terms.items()})
 
     def evaluate(self, env: Mapping[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -268,11 +257,10 @@ def matrix_template(system: PTRS, dim: int, bound: int) -> tuple[MatrixInterpret
     return MatrixInterpretation(dict(symbols), dim, entries), unknowns
 
 
-def rule_weights(rule) -> tuple[int, list[tuple[int, object]]]:
-    """Integer weights recovered from the rule's probabilities."""
-    items = list(rule.rhs.items())
-    total = math.lcm(*(p.denominator for _, p in items))
-    return total, [(int(p * total), term) for term, p in items]
+def rule_weights(rule) -> int:
+    """The lcm of the rule's probability denominators: the weight total
+    that turns every probability into an integer weight."""
+    return math.lcm(*(p.denominator for _, p in rule.rhs.items()))
 
 
 def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
@@ -291,43 +279,13 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
         cap = None
     constraints: list[Constraint] = []
     for index, rule in enumerate(system.rules, start=1):
-        # rule_difference computes [l] - sum pj [rj]; rescale by the weight
-        # total so every coefficient clears its denominators.
-        total, _ = rule_weights(rule)
-        lhs = rule_difference(template, rule, cap).scale(total)
-        if isinstance(lhs, PolyForm):
-            for V in lhs.monomials():
-                coeff = _as_poly(lhs.coeffs[V]).scaled_integral()
-                if not V:
-                    constraints.append(
-                        Constraint(coeff, 1, f"rule {index}: constant margin")
-                    )
-                else:
-                    constraints.append(
-                        Constraint(coeff, 0, f"rule {index}: monomial {'*'.join(sorted(V))}")
-                    )
-            if frozenset() not in lhs.coeffs:
-                constraints.append(Constraint(Poly(), 1, f"rule {index}: constant margin"))
-        else:
-            for name in lhs.variables():
-                M = lhs.matrix(name)
-                for r, row in enumerate(M, start=1):
-                    for c, value in enumerate(row, start=1):
-                        constraints.append(
-                            Constraint(
-                                _as_poly(value).scaled_integral(),
-                                0,
-                                f"rule {index}: {name} entry ({r},{c})",
-                            )
-                        )
-            for r, value in enumerate(lhs.const, start=1):
-                constraints.append(
-                    Constraint(
-                        _as_poly(value).scaled_integral(),
-                        1 if r == 1 else 0,
-                        f"rule {index}: constant component {r}",
-                    )
-                )
+        # rule_difference computes [l] - sum pj [rj]; rescaling by the weight
+        # total clears every denominator.
+        diff = rule_difference(template, rule, cap).scale(rule_weights(rule))
+        constraints.extend(
+            Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
+            for where, value, strict in orientation_entries(diff)
+        )
     logic = "QF_NIA" if any(c.poly.degree() > 1 for c in constraints) else "QF_LIA"
     return EncodedProblem(shape, template, ConstraintSet(unknowns, constraints, logic), bound)
 
@@ -472,42 +430,6 @@ def run_solver(
     return SolverResult("unknown", detail="solver answered unknown")
 
 
-def _sexp_tokens(text: str) -> Iterator[str]:
-    token = []
-    for ch in text:
-        if ch in "()":
-            if token:
-                yield "".join(token)
-                token = []
-            yield ch
-        elif ch.isspace():
-            if token:
-                yield "".join(token)
-                token = []
-        else:
-            token.append(ch)
-    if token:
-        yield "".join(token)
-
-
-def _sexp_parse(tokens: Iterator[str]):
-    out = []
-    stack = [out]
-    for tok in tokens:
-        if tok == "(":
-            new: list = []
-            stack[-1].append(new)
-            stack.append(new)
-        elif tok == ")":
-            if len(stack) == 1:
-                raise ValueError("unbalanced ')' in solver output")
-            stack.pop()
-        else:
-            stack[-1].append(tok)
-    if len(stack) != 1:
-        raise ValueError("unbalanced '(' in solver output")
-    return out
-
 def _atom_value(node) -> Fraction:
     if isinstance(node, list):
         if len(node) == 2 and node[0] == "-":
@@ -525,8 +447,10 @@ def parse_model(text: str) -> dict[str, Fraction]:
     """Pull (define-fun name () Int value) entries out of solver output."""
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip() == "sat"), -1)
-    body = "\n".join(lines[start + 1 :])
-    nodes = _sexp_parse(_sexp_tokens(body))
+    try:
+        nodes = parse_script("\n".join(lines[start + 1 :]))
+    except ScriptError as exc:
+        raise ScriptError(f"{exc} in solver output") from None
     model: dict[str, Fraction] = {}
 
     def walk(node) -> None:

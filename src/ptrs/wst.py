@@ -350,8 +350,11 @@ def load_system(path: str) -> PTRS:
 def parse_term_text(text: str, variables: set[str], signature: Signature | None = None) -> Term:
     """Parse a standalone term, e.g. a start object given on a command line.
 
-    Symbols already known from `signature` must keep their arity; unseen
-    symbols are accepted with the arity they are used at.
+    Symbols already known from `signature` must keep their arity. A symbol
+    the signature does not declare is accepted as a new constant, but not
+    with arguments: `s^5000(0)` is an error, not a normal form named
+    `s^5000`. Without a signature every symbol is accepted at the arity it
+    is first used with.
     """
     tokens = tokenize(text)
     if not tokens:
@@ -365,4 +368,13 @@ def parse_term_text(text: str, variables: set[str], signature: Signature | None 
     leftover = cur.peek()
     if leftover is not None:
         raise ParseError(f"unexpected trailing {leftover.text!r}", leftover.line, leftover.col)
+    if signature is not None:
+        for sym, (arity, first) in reader.arities.items():
+            if first is not None and arity > 0:
+                raise ParseError(
+                    f"symbol {sym!r} is applied to arguments but the system does not "
+                    "declare it; new symbols may only be constants",
+                    first.line,
+                    first.col,
+                )
     return term

@@ -292,6 +292,55 @@ def test_start_term_with_a_wrong_arity_is_an_error(capsys):
     )
 
 
+def test_start_term_with_an_undeclared_function_symbol_is_an_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", RW34, "--start", "s^5000(0)")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: line 1, column 1: symbol 's^5000' is applied to arguments but the system "
+        "does not declare it; new symbols may only be constants\n"
+    )
+    # rw34.wst declares s but no constant: a fresh 0 is still welcome
+    code, out, _ = run_cli(capsys, "simulate", RW34, "--start", "s(0)", "--steps", "1")
+    assert code == 0 and out.splitlines()[0] == "start s(0), steps 1, mode outermost"
+
+
+MATRIX = str(ROOT / "problems" / "matrix.wst")
+
+
+@pytest.mark.parametrize(
+    "problem, certificate, digest, reason",
+    [
+        (RW14, "poly\n[s](x) = 2*x + 1\n[0] = 0\n",
+         "6f743efecd3838ea0b7f1e5c28ce4fe2818908ad7511979d9f8dee4b97b32175",
+         "coefficient of x is -5/4, negative"),
+        (RW14, "poly\n[s](x) = x + 1\n[0] = 0\n",
+         "4edf876d65b87565c29b263ba46a8bd83910ac9ea53ddaf62c42e65325cc9b4a",
+         "constant margin is -1/2, not strictly positive"),
+        (RW34, "poly\n[s](x) = x\n[0] = 0\n",
+         "e4b4dd5830703da54bb9ee5a52f8d38275822b501201591be175ad0062240b57",
+         "constant margin is 0, not strictly positive"),
+        (MATRIX, "matrix 2\n[a](x) = [[2, 0], [0, 0]]*x + [1, 0]\n[b](x) = [[1, 0], [0, 0]]*x + [0, 0]\n",
+         "908a495c18d9549831810f043feb3a45448a73da07e7a20ed6c7720cf03772ad",
+         "coefficient of x at entry (1,1) is -1, negative"),
+        (RW34, "matrix 2\n[s](x) = [[1, 0], [1, 1]]*x + [1, 0]\n[0] = [0, 0]\n",
+         "d57b3448d020268c810df80dbbe6a95564d32e02f760e77b2c26af998fe94bc8",
+         "constant difference at component 2 is -1/4, negative"),
+        (MATRIX, "matrix 2\n[a](x) = [[1, 1], [0, 0]]*x + [0, 0]\n[b](x) = [[1, 0], [0, 0]]*x + [0, 1]\n",
+         "382fe9d9a5c9086f7426a54a0b19b2d690b4e2376d9ce43938b65a74d2c13533",
+         "first-component margin is -3/4, not strictly positive"),
+    ],
+)
+def test_check_reports_forged_certificates(capsys, tmp_path, problem, certificate, digest, reason):
+    # sha256 of the whole stdout: the verdict, the rule and the first
+    # violated entry, which the checker names in the encoder's order
+    cert = tmp_path / "forged.cert"
+    cert.write_text(certificate)
+    code, out, _ = run_cli(capsys, "check", problem, "--certificate", str(cert))
+    assert code == 1
+    assert out.splitlines()[-1].endswith(f"is not oriented: {reason}")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 S5 = "s(" * 5 + "0" + ")" * 5
 
 

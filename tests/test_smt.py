@@ -1,7 +1,11 @@
+import hashlib
+import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,11 @@ from ptrs.smt import (
     poly_sexpr,
     run_solver,
 )
-from ptrs.wst import elaborate, parse_problem
+from ptrs.wst import elaborate, load_system, parse_problem
+
+from helpers import random_ptrs
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"
@@ -41,7 +49,6 @@ def test_poly_algebra():
     assert (a - a).is_zero()
     assert (2 * a).terms == {("a",): Fraction(2)}
     assert (a * a).degree() == 2
-    assert Poly.constant(Fraction(3, 4)).scaled_integral() == 3
     assert str(a * b + 2) == "2 + a*b"
 
 
@@ -69,7 +76,7 @@ def test_encode_walk_linear():
     assert cs.logic == "QF_NIA"  # s nests on the right-hand side
     # 4*[s(x)] - (3*[x] + [s(s(x))]) = (4a - 3 - a^2) x + (3b - ab)
     a, b = Poly.unknown("c0_1"), Poly.unknown("c0_k")
-    slope = next(c for c in cs.constraints if "monomial x" in c.label)
+    slope = next(c for c in cs.constraints if c.label == "rule 1: coefficient of x")
     const = next(c for c in cs.constraints if "constant margin" in c.label)
     assert slope.poly == 4 * a - 3 - a * a
     assert slope.at_least == 0
@@ -129,18 +136,21 @@ def test_enumerate_box_walk():
 def test_box_models_agree_with_exact_checker():
     """Dual route: an integer assignment satisfies the cleared constraints
     exactly when the decoded interpretation passes rational validation."""
+    fg = elaborate(parse_problem("(VAR x)(RULES f(x) -> x  g(x) -> f(f(x)))"))
+    rng = random.Random(5)
     systems = [
-        (RW34, Shape("poly", 1)),
-        (RW14, Shape("poly", 1)),
-        (elaborate(parse_problem("(VAR x)(RULES f(x) -> x  g(x) -> f(f(x)))")), Shape("poly", 1)),
-        (elaborate(parse_problem("(VAR x)(RULES f(x) -> x  g(x) -> f(f(x)))")), Shape("matrix", 1)),
-    ]
-    for system, shape in systems:
-        encoded = encode(system, shape, bound=2)
+        (RW34, Shape("poly", 1), 2),
+        (RW14, Shape("poly", 1), 2),
+        (fg, Shape("poly", 1), 2),
+        (fg, Shape("matrix", 1), 2),
+        (RW34, Shape("matrix", 2), 2),
+    ] + [(random_ptrs(rng), Shape("poly", 1), 1) for _ in range(4)]
+    for system, shape, bound in systems:
+        encoded = encode(system, shape, bound=bound)
         cs = encoded.constraint_set
         names = [u.name for u in cs.unknowns]
         sat_models = {tuple(m[n] for n in names) for m in enumerate_box(cs)}
-        for values in product(range(0, 3), repeat=len(names)):
+        for values in product(range(0, bound + 1), repeat=len(names)):
             env = dict(zip(names, values))
             in_box = all(u.lo <= env[u.name] <= u.hi for u in cs.unknowns)
             claims_sat = in_box and all(
@@ -161,6 +171,14 @@ def test_parse_model_values():
     text = "sat\n(\n  (define-fun a () Int 3)\n  (define-fun b () Int (- 2))\n)\n"
     assert parse_model(text) == {"a": 3, "b": -2}
     assert parse_model("sat\n(model\n  (define-fun c () Int 0)\n)") == {"c": 0}
+    assert parse_model("sat\n( ; a comment (\n  (define-fun a () Int 3)\n)") == {"a": 3}
+    for text, detail in (
+        ("sat\n((define-fun a () Int 3)", "unbalanced '(' in solver output"),
+        ("sat\n(define-fun a () Int 3))", "unbalanced ')' in solver output"),
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_model(text)
+        assert str(err.value) == detail
 
 
 def test_decode_validation():
@@ -254,14 +272,53 @@ def test_cancel_token_kills_solver():
 def test_weight_recovery_from_probabilities():
     from ptrs.smt import rule_weights
 
-    total, weighted = rule_weights(RW34.rules[0])
-    assert total == 4
-    assert sorted(w for w, _ in weighted) == [1, 3]
-    total, weighted = rule_weights(RW14.rules[0])
-    assert total == 4
+    assert rule_weights(RW34.rules[0]) == 4
+    assert rule_weights(RW14.rules[0]) == 4
 
 
 def test_emit_skips_nothing_on_empty_constraints():
     cs = ConstraintSet([UnknownSpec("u", 0, 1)], [Constraint(Poly.unknown("u"), 1)], "QF_LIA")
     text = emit_smtlib(cs)
     assert "(assert (>= u 1))" in text
+
+
+@pytest.mark.parametrize(
+    "problem, shape, digest",
+    [
+        ("coingame", "poly-linear", "270c82b0e698432be6ce9c28007de311f78e6404dcf8b4b352043570b3df8527"),
+        ("coingame", "poly-multilinear-2", "270c82b0e698432be6ce9c28007de311f78e6404dcf8b4b352043570b3df8527"),
+        ("coingame", "matrix-2", "fa42af7fece8a9cf290eca3153cba8ad26efbd36acc2bc11ca3f865ce49c1bc4"),
+        ("coingame", "matrix-3", "e6d5350276b964779eed8401282fdd2723aaae981d204adb2adde38c4f49ece7"),
+        ("matrix", "poly-linear", "9ecc6fdcbdb24748cfb3dccb4cf80bd67c10e89af240fa344eb6455cad9fe5b0"),
+        ("matrix", "poly-multilinear-2", "9ecc6fdcbdb24748cfb3dccb4cf80bd67c10e89af240fa344eb6455cad9fe5b0"),
+        ("matrix", "matrix-2", "4097ebce4c5f35992008bc36e3122e9b39e59f16e5abcf563e4ca790708518f1"),
+        ("matrix", "matrix-3", "560cdac2e826d6dbcb959f408129c1954d67f5db489d7552ae0a59d83811e4c7"),
+        ("rw14", "poly-linear", "91417fe059712dcdabddb991a0b0899f24f450fcb201377028f2f2a978544625"),
+        ("rw14", "poly-multilinear-2", "91417fe059712dcdabddb991a0b0899f24f450fcb201377028f2f2a978544625"),
+        ("rw14", "matrix-2", "263294348e8155721acd09096d40c61e99b4e5ea1ed36204b615a8e310052af1"),
+        ("rw14", "matrix-3", "fdfaa542f92ef091a3394516814f7a0957410d83eeccd5b16aca7422de8d0a39"),
+        ("rw34", "poly-linear", "26a058e248bcbf5fa529e94611bfc3742f3cc5237e12601b04676176b64e2e13"),
+        ("rw34", "poly-multilinear-2", "26a058e248bcbf5fa529e94611bfc3742f3cc5237e12601b04676176b64e2e13"),
+        ("rw34", "matrix-2", "ae4d7efaa381f9be3c94be125fe8515a6a59905258595a01d16adc28560ef9a6"),
+        ("rw34", "matrix-3", "630380e2f4f33d8717ceffce859b37d1471e56eec9c0dd46075891843d0cfa7c"),
+    ],
+)
+def test_emitted_scripts_are_pinned(problem, shape, digest):
+    # sha256 of the scripts for coefficient bounds 1, 2 and 16 in a row:
+    # every declaration and constraint, in order, byte for byte
+    system = load_system(str(PROBLEMS / f"{problem}.wst"))
+    scripts = "".join(
+        emit_smtlib(encode(system, parse_shape(shape), bound).constraint_set) for bound in (1, 2, 16)
+    )
+    assert hashlib.sha256(scripts.encode()).hexdigest() == digest
+
+
+def test_boxsolver_imports_no_other_ptrs_module():
+    # every solver child pays for what `python -m ptrs.boxsolver` imports
+    probe = (
+        "import sys, ptrs.boxsolver; "
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'ptrs')))"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["ptrs", "ptrs.boxsolver"]

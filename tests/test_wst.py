@@ -157,6 +157,18 @@ def test_start_term_arity_error_names_the_declaration():
         "symbol 's' used with 2 arguments here but the system declares it with 1")
 
 
+def test_start_term_may_add_constants_but_not_function_symbols():
+    pf = parse_problem("(VAR x)(RULES s(x) -> x)")
+    assert parse_term_text("s(s(z))", set(), pf.signature) == App("s", (App("s", (App("z"),)),))
+    for text, col, sym in (("s^5000(0)", 1, "s^5000"), ("s(f(0, 0))", 3, "f"), ("s(g(z))", 3, "g")):
+        with pytest.raises(ParseError) as err:
+            parse_term_text(text, set(), pf.signature)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert err.value.message == (
+            f"symbol {sym!r} is applied to arguments but the system does not declare it; "
+            "new symbols may only be constants")
+
+
 def test_deep_terms_parse_without_recursion():
     depth = 5000
     pf = parse_problem(COINGAME)
