@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from itertools import product
 
 DEFAULT_LIMIT = 200_000
@@ -153,7 +154,9 @@ def _extract_bounds(node, declared: set[str], box: Box) -> None:
         box.tighten(name, hi=k - 1)
 
 
-def solve(text: str, limit: int = DEFAULT_LIMIT) -> list[str]:
+def solve(text: str, limit: int = DEFAULT_LIMIT, stop: Callable[[], bool] | None = None) -> list[str]:
+    """The reply lines for one script. `stop`, when given, is asked every
+    1024 box points whether to give up; a stopped search answers `unknown`."""
     script = parse_script(text)
     declared: list[str] = []
     asserts: list = []
@@ -204,7 +207,9 @@ def solve(text: str, limit: int = DEFAULT_LIMIT) -> list[str]:
     if count > limit:
         return ["unknown"]
 
-    for values in product(*ranges):
+    for index, values in enumerate(product(*ranges)):
+        if stop is not None and not index % 1024 and stop():
+            return ["unknown"]
         env = dict(zip(declared, values))
         scope = {"_e": env}
         if all(eval(code, {"__builtins__": {}}, scope) for code in compiled):

@@ -18,7 +18,7 @@ from .multidist import MultiDistribution
 from .prover import ProverConfig, Verdict, check_only, format_verdict, prove, verdict_json
 from .rewriting import FAMILY_NAMES, NodeBudgetExceeded, TermPars, make_family
 from .simulator import RunConfig, estimate_edh, run
-from .smt import DEFAULT_SHAPES, parse_shape
+from .smt import DEFAULT_SHAPES, in_process_limit, parse_shape
 from .wst import WstError, load_system
 
 DEFAULT_SOLVER = "z3 -in"
@@ -149,7 +149,8 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
         emit_smt=args.emit_smt,
     )
     if args.verbose:
-        print(f"solver: {solver}", file=sys.stderr)
+        where = " (in process)" if in_process_limit(solver) is not None else ""
+        print(f"solver: {solver}{where}", file=sys.stderr)
         print(f"shapes: {', '.join(str(s) for s in prover_config.shapes)}", file=sys.stderr)
     verdict = prove(system, prover_config)
     if args.json:

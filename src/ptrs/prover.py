@@ -21,6 +21,7 @@ from .smt import (
     EncodingError,
     ModelDecodeError,
     Shape,
+    SolverResult,
     decode,
     emit_smtlib,
     encode,
@@ -60,8 +61,15 @@ class Verdict:
 
 
 def _attempt(
-    system: PTRS, shape: Shape, config: ProverConfig, cancel: CancelToken
+    system: PTRS,
+    shape: Shape,
+    config: ProverConfig,
+    cancel: CancelToken,
+    unsat_scripts: set[str] | None = None,
 ) -> tuple[ShapeOutcome, Certificate | None]:
+    """Encode, solve, decode and check one shape. A script in
+    `unsat_scripts` is answered unsat without a solver call, and a script
+    the solver answers unsat is added to it."""
     if cancel.cancelled:
         return ShapeOutcome(shape, "cancelled", "portfolio already finished"), None
     try:
@@ -75,7 +83,12 @@ def _attempt(
         os.makedirs(config.emit_smt, exist_ok=True)
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
-    result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
+    if unsat_scripts is not None and script in unsat_scripts:
+        result = SolverResult("unsat")
+    else:
+        result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
+        if unsat_scripts is not None and result.status == "unsat":
+            unsat_scripts.add(script)
     if result.status == "sat":
         try:
             interp = decode(encoded, result.model or {})
@@ -118,9 +131,11 @@ def prove(system: PTRS, config: ProverConfig = ProverConfig()) -> Verdict:
 
 
 def _run_sequential(system, config, cancel):
-    results = []
+    # Shapes can encode the same script (poly-multilinear-2 is poly-linear
+    # when no symbol takes two arguments); an unsat one is solved once.
+    results, unsat_scripts = [], set()
     for shape in config.shapes:
-        outcome, cert = _attempt(system, shape, config, cancel)
+        outcome, cert = _attempt(system, shape, config, cancel, unsat_scripts)
         results.append((outcome, cert))
         if cert is not None:
             break

@@ -10,22 +10,27 @@ more, and its constant margin at 1 or more, which makes the rational margin
 at least 1/w. Unknown coefficients range over a bounded integer box,
 0..bound.
 
-Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe.
-Every model is decoded and re-validated exactly before it is believed.
+Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe;
+the shipped box solver may instead be called in process, with the same
+reply. Every model is decoded and re-validated exactly before it is
+believed.
 """
 
 from __future__ import annotations
 
 import math
 import shlex
+import shutil
 import subprocess
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iter_product
+from time import monotonic
 from typing import Iterator, Mapping, Sequence
 
-from .boxsolver import ScriptError, parse_script
+from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve
 from .interpretations import (
     DegreeOverflow,
     Interpretation,
@@ -379,13 +384,45 @@ class SolverResult:
     detail: str = ""
 
 
+def in_process_limit(command: str) -> int | None:
+    """The box budget when `command` runs ptrs's own box solver on this very
+    interpreter, which `run_solver` then calls in process; None otherwise.
+
+    Only `EXE -m ptrs.boxsolver [--limit N]` matches, with EXE this
+    interpreter's path or a name `shutil.which` finds at that exact path.
+    Symlinks are not resolved: a venv's python or a pyenv shim may see
+    other site-packages, so it gets a child process like any other command.
+    """
+    try:
+        argv = shlex.split(command)
+    except ValueError:
+        return None
+    if len(argv) not in (3, 5) or argv[1:3] != ["-m", "ptrs.boxsolver"]:
+        return None
+    exe = argv[0]
+    if not sys.executable or (exe != sys.executable and shutil.which(exe) != sys.executable):
+        return None
+    if len(argv) == 3:
+        return DEFAULT_LIMIT
+    if argv[3] != "--limit" or not argv[4].isdecimal():
+        return None
+    return int(argv[4])
+
+
 def run_solver(
     script: str,
     command: str,
     timeout: float = 60.0,
     cancel: CancelToken | None = None,
 ) -> SolverResult:
-    """One-shot pipe protocol: write the script, read the full reply."""
+    """One-shot pipe protocol: write the script, read the full reply.
+
+    The shipped box solver on this interpreter (see `in_process_limit`) is
+    called in process instead, with the reply its child would print.
+    """
+    limit = in_process_limit(command)
+    if limit is not None:
+        return _run_box_solver(script, limit, timeout, cancel)
     argv = shlex.split(command)
     if not argv:
         return SolverResult("error", detail="empty solver command")
@@ -409,6 +446,37 @@ def run_solver(
         return SolverResult("unknown", detail=f"solver timed out after {timeout}s")
     if cancel is not None and cancel.cancelled:
         return SolverResult("unknown", detail="cancelled")
+    return _read_reply(out, err, proc.returncode)
+
+
+def _run_box_solver(
+    script: str, limit: int, timeout: float, cancel: CancelToken | None
+) -> SolverResult:
+    """`python -m ptrs.boxsolver --limit LIMIT` without the child: its
+    stdout, stderr (of a traceback, the head line) and exit code are
+    rebuilt and read like a child's. The search stops on timeout or
+    cancel, and the outcome is the one the killed child gives."""
+    deadline = monotonic() + timeout
+
+    def stop() -> bool:
+        return (cancel is not None and cancel.cancelled) or monotonic() > deadline
+
+    try:
+        out, err, returncode = "".join(line + "\n" for line in solve(script, limit, stop)), "", 0
+    except ScriptError as exc:
+        out, err, returncode = f'(error "{exc}")\n', "", 1
+    except Exception:  # the child dies with a traceback, e.g. RecursionError
+        out, err, returncode = "", "Traceback (most recent call last):\n", 1
+    if monotonic() > deadline:
+        return SolverResult("unknown", detail=f"solver timed out after {timeout}s")
+    if cancel is not None and cancel.cancelled:
+        return SolverResult("unknown", detail="cancelled")
+    return _read_reply(out, err, returncode)
+
+
+def _read_reply(out: str, err: str, returncode: int) -> SolverResult:
+    """A solver's answer from its stdout; without a verdict, the first line
+    of stderr (else stdout, else the exit code) goes into the detail."""
     verdict = None
     for line in out.splitlines():
         word = line.strip()
@@ -417,7 +485,7 @@ def run_solver(
             break
     if verdict is None:
         detail = (err or out or "").strip().splitlines()
-        head = detail[0] if detail else f"exit code {proc.returncode}"
+        head = detail[0] if detail else f"exit code {returncode}"
         return SolverResult("error", detail=f"no verdict in solver output ({head})")
     if verdict == "sat":
         try:

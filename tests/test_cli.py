@@ -225,6 +225,12 @@ def test_verbose_goes_to_stderr(capsys):
     assert code == 0
     assert "solver:" in err
     assert "solver:" not in out
+    assert f"solver: {BOXSOLVER} (in process)\n" in err
+    _, quiet_out, _ = run_cli(capsys, "prove", RW34, "--solver", BOXSOLVER, "--shapes", "poly-linear")
+    assert quiet_out == out
+    command = f"{FAKE} --reply unsat"
+    _, _, err = run_cli(capsys, "prove", RW34, "--solver", command, "--shapes", "poly-linear", "-v")
+    assert f"solver: {command}\n" in err
 
 
 @pytest.mark.parametrize(
@@ -372,4 +378,39 @@ def test_simulate_stdout_is_pinned(capsys, digest, argv):
     # order, byte for byte as the exact simulator has always printed them
     code, out, _ = run_cli(capsys, "simulate", *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "digest, argv",
+    [
+        ("d1fbe4d7057ad0d45aaaa90640a4592cdc39b3e2134df7502691601c81340891", ("coingame.wst", "--coeff-bound", "1")),
+        ("4e92ac68844945d1f0360e1a80c933d4c55e8cbf4466dc13cc60320a811c7e52", ("coingame.wst", "--coeff-bound", "1", "--json")),
+        ("52a25108f84ba0664002fcfd687916be48d8890438e6bc3ba104063e72425e41", ("coingame.wst", "--coeff-bound", "2")),
+        ("8a6e89e154738cbdb742d9bf7ac773c23dd27a8780807b4434ebec45536a4107", ("coingame.wst", "--coeff-bound", "2", "--json")),
+        ("2feff6ca9937df4309049cfab5e336cc8df4868b27ab8b064977cc635e318e51", ("matrix.wst", "--coeff-bound", "1")),
+        ("fca67ad946f96df0ac294470ae3cc81f9968cf64badf9bd3334ae428dd8f71de", ("matrix.wst", "--coeff-bound", "1", "--json")),
+        ("52a25108f84ba0664002fcfd687916be48d8890438e6bc3ba104063e72425e41", ("matrix.wst", "--coeff-bound", "2")),
+        ("45c2e730ec9f6867f209ebe15b7b3aeb704a97b6c68b9743bacef1e28799937b", ("matrix.wst", "--coeff-bound", "2", "--json")),
+        ("cdfd743fcc0f22387bf83aec34aa017410d32770cf2a9ac277689f5f7e0687a1", ("rw14.wst", "--coeff-bound", "1")),
+        ("753fbddbd0934dc9fdda9756d3c10f87f8b5522fd468aee4e312fec33e88816b", ("rw14.wst", "--coeff-bound", "1", "--json")),
+        ("15a9419412ebc1fadc77cf00f2f4d9d9b74b604aab72ceb308f9030d328db5d7", ("rw14.wst", "--coeff-bound", "2")),
+        ("013ffc260afaa907b232b44f810a416a138449fcc0dfce95ea5ace8e4cd50418", ("rw14.wst", "--coeff-bound", "2", "--json")),
+        ("92823f3cf3540dac66d7a36ccbe5b8b0c352f10081749de0b9f6bbd71dfa6ad4", ("rw34.wst", "--coeff-bound", "1")),
+        ("c2b7f0d30c7317d372ceb8ec27fb692b4e738c67e49450b732bfdd0225b6abaf", ("rw34.wst", "--coeff-bound", "1", "--json")),
+        ("92823f3cf3540dac66d7a36ccbe5b8b0c352f10081749de0b9f6bbd71dfa6ad4", ("rw34.wst", "--coeff-bound", "2")),
+        ("c2b7f0d30c7317d372ceb8ec27fb692b4e738c67e49450b732bfdd0225b6abaf", ("rw34.wst", "--coeff-bound", "2", "--json")),
+        # only poly-linear's box fits the default budget at the default
+        # bound, so the parallel winner is fixed
+        ("92823f3cf3540dac66d7a36ccbe5b8b0c352f10081749de0b9f6bbd71dfa6ad4",
+         ("rw34.wst", "--parallel", "--shapes", "poly-linear,matrix-2,matrix-3")),
+    ],
+)
+def test_prove_stdout_is_pinned(capsys, monkeypatch, digest, argv):
+    # sha256 of the whole stdout: verdict, shape, certificate or the outcome
+    # of every shape, byte for byte; run from problems/ so that the file
+    # name in --json is the same in every checkout
+    monkeypatch.chdir(ROOT / "problems")
+    code, out, _ = run_cli(capsys, "prove", argv[0], "--solver", BOXSOLVER, *argv[1:])
+    assert code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest

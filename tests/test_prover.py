@@ -2,9 +2,11 @@ import shutil
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ptrs import prover
 from ptrs.prover import (
     ProverConfig,
     check_only,
@@ -12,8 +14,8 @@ from ptrs.prover import (
     prove,
     verdict_json,
 )
-from ptrs.smt import Shape, parse_shape
-from ptrs.wst import elaborate, parse_problem
+from ptrs.smt import Shape, parse_shape, run_solver
+from ptrs.wst import elaborate, load_system, parse_problem
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"
@@ -23,6 +25,7 @@ RW34 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 3 : x || 1 : s(s(x)))"))
 RW14 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 1 : x || 3 : s(s(x)))"))
 
 POLY_ONLY = (Shape("poly", 1),)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_prove_walk_with_box_enumeration():
@@ -127,6 +130,61 @@ def test_parallel_portfolio_and_cancellation():
     slow_config = ProverConfig(shapes=POLY_ONLY, solver=slow, timeout=1.0)
     slow_verdict = prove(RW34, slow_config)
     assert slow_verdict.outcomes[0].status == "unknown"
+
+
+def test_parallel_lanes_share_the_in_process_box_solver():
+    # at the default bound only poly-linear's box fits the box solver's
+    # budget, so the winner does not depend on which thread runs first
+    config = ProverConfig(
+        shapes=(Shape("poly", 1), Shape("matrix", 2), Shape("matrix", 3)),
+        solver=BOXSOLVER,
+        timeout=30,
+        parallel=True,
+    )
+    verdict = prove(RW34, config)
+    assert verdict.kind == "YES"
+    assert verdict.shape == Shape("poly", 1)
+
+
+def _count_solver_calls(monkeypatch) -> list[str]:
+    scripts: list[str] = []
+
+    def counting(script, *args, **kwargs):
+        scripts.append(script)
+        return run_solver(script, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "run_solver", counting)
+    return scripts
+
+
+def test_sequential_portfolio_solves_an_unsat_script_once(monkeypatch, tmp_path):
+    scripts = _count_solver_calls(monkeypatch)
+    system = load_system(str(PROBLEMS / "rw14.wst"))
+    config = ProverConfig(solver=BOXSOLVER, coeff_bound=1, emit_smt=str(tmp_path))
+    verdict = prove(system, config)
+    assert [(str(o.shape), o.status) for o in verdict.outcomes] == [
+        ("poly-linear", "unsat"),
+        ("poly-multilinear-2", "unsat"),
+        ("matrix-2", "unsat"),
+        ("matrix-3", "unsat"),
+    ]
+    assert verdict.outcomes[0].detail == verdict.outcomes[1].detail
+    # poly-multilinear-2 encodes poly-linear's script: no second call
+    assert len(scripts) == 3 and len(set(scripts)) == 3
+    emitted = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert len(emitted) == 4
+    assert emitted["poly-multilinear-2.smt2"] == emitted["poly-linear.smt2"] == scripts[0]
+
+
+def test_only_sequential_unsat_answers_are_reused(monkeypatch):
+    scripts = _count_solver_calls(monkeypatch)
+    both_poly = (Shape("poly", 1), Shape("poly", 2))
+    unknown = prove(RW14, ProverConfig(shapes=both_poly, solver=f"{FAKE} --reply unknown"))
+    assert [o.status for o in unknown.outcomes] == ["unknown", "unknown"]
+    assert len(scripts) == 2
+    parallel = prove(RW14, ProverConfig(shapes=both_poly, solver=BOXSOLVER, parallel=True))
+    assert [o.status for o in parallel.outcomes] == ["unsat", "unsat"]
+    assert len(scripts) == 4
 
 
 def test_yes_certificate_reproduces_through_text(tmp_path):

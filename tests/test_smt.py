@@ -1,7 +1,10 @@
 import hashlib
+import os
 import random
+import shlex
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from itertools import product
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ptrs.boxsolver import DEFAULT_LIMIT, solve
 from ptrs.interpretations import CertificateInvalid, DegreeOverflow, check_certificate
 from ptrs.rewriting import random_walk_ptrs
 from ptrs.smt import (
@@ -19,11 +23,14 @@ from ptrs.smt import (
     ModelDecodeError,
     Poly,
     Shape,
+    SolverResult,
     UnknownSpec,
+    _read_reply,
     decode,
     emit_smtlib,
     encode,
     enumerate_box,
+    in_process_limit,
     parse_model,
     parse_shape,
     poly_sexpr,
@@ -209,23 +216,22 @@ def test_boxsolver_exhausts_unsat_box():
     assert result.status == "unsat"
 
 
+CORNER_SAT = "(declare-const x Int)(assert (= x 1))(check-sat)(get-model)"
+CORNER_UNSAT = "(declare-const x Int)(assert (< x 0))(assert (>= x 0))(check-sat)"
+CORNER_UNKNOWN = (
+    "\n".join([f"(declare-const v{i} Int)" for i in range(10)])
+    + "\n"
+    + "\n".join(f"(assert (>= v{i} 0))(assert (<= v{i} 16))" for i in range(10))
+    + "\n(check-sat)"
+)
+
+
 def test_boxsolver_protocol_corner_cases():
-    sat = run_solver(
-        "(declare-const x Int)(assert (= x 1))(check-sat)(get-model)", BOXSOLVER, timeout=15
-    )
+    sat = run_solver(CORNER_SAT, BOXSOLVER, timeout=15)
     assert sat.status == "sat" and sat.model == {"x": 1}
-    unsat = run_solver(
-        "(declare-const x Int)(assert (< x 0))(assert (>= x 0))(check-sat)", BOXSOLVER, timeout=15
-    )
+    unsat = run_solver(CORNER_UNSAT, BOXSOLVER, timeout=15)
     assert unsat.status == "unsat"
-    unknown = run_solver(
-        "\n".join([f"(declare-const v{i} Int)" for i in range(10)])
-        + "\n"
-        + "\n".join(f"(assert (>= v{i} 0))(assert (<= v{i} 16))" for i in range(10))
-        + "\n(check-sat)",
-        BOXSOLVER,
-        timeout=15,
-    )
+    unknown = run_solver(CORNER_UNKNOWN, BOXSOLVER, timeout=15)
     assert unknown.status == "unknown"
 
 
@@ -322,3 +328,106 @@ def test_boxsolver_imports_no_other_ptrs_module():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["ptrs", "ptrs.boxsolver"]
+
+
+def test_in_process_limit_matches_only_this_interpreter(monkeypatch, tmp_path):
+    exe = sys.executable
+    assert in_process_limit(BOXSOLVER) == DEFAULT_LIMIT
+    assert in_process_limit(shlex.join([exe, "-m", "ptrs.boxsolver", "--limit", "10"])) == 10
+    for flags in (["--limit=10"], ["--limit", "-1"], ["--limit", "1e3"], ["--limit"],
+                  ["--limit", "10", "-v"], ["-v"]):
+        assert in_process_limit(shlex.join([exe, "-m", "ptrs.boxsolver", *flags])) is None, flags
+    for command in (f"{exe} -m ptrs.fake_solver", f"{exe} -u -m ptrs.boxsolver",
+                    f"{exe} -m ptrs.boxsolver.x", "z3 -in", "", "'unbalanced"):
+        assert in_process_limit(command) is None, command
+    # a name on PATH counts only when it resolves to this very path
+    monkeypatch.setenv("PATH", os.path.dirname(exe))
+    assert in_process_limit(f"{os.path.basename(exe)} -m ptrs.boxsolver") == DEFAULT_LIMIT
+    # a symlink to this interpreter is another path: it gets a child
+    link = tmp_path / "python"
+    link.symlink_to(exe)
+    assert in_process_limit(f"{link} -m ptrs.boxsolver") is None
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert in_process_limit("python -m ptrs.boxsolver") is None
+    assert run_solver(CORNER_SAT, f"{link} -m ptrs.boxsolver", timeout=30).model == {"x": 1}
+
+
+def _same_as_child(script: str, *flags: str) -> SolverResult:
+    # run_solver in process against a real child's reply read by the same reader
+    command = shlex.join([sys.executable, "-m", "ptrs.boxsolver", *flags])
+    assert in_process_limit(command) is not None
+    mine = run_solver(script, command, timeout=60)
+    child = subprocess.run(
+        [sys.executable, "-m", "ptrs.boxsolver", *flags],
+        input=script, capture_output=True, text=True, timeout=60,
+    )
+    assert mine == _read_reply(child.stdout, child.stderr, child.returncode)
+    return mine
+
+
+@pytest.mark.parametrize("problem", ["coingame", "matrix", "rw14", "rw34"])
+def test_in_process_box_solver_answers_like_its_child_on_shipped_problems(problem):
+    system = load_system(str(PROBLEMS / f"{problem}.wst"))
+    statuses = set()
+    for shape in DEFAULT_SHAPES:
+        for bound in (1, 2):
+            try:
+                encoded = encode(system, shape, bound)
+            except DegreeOverflow:
+                continue
+            statuses.add(_same_as_child(emit_smtlib(encoded.constraint_set)).status)
+    assert statuses <= {"sat", "unsat", "unknown"}
+    assert len(statuses) >= 2
+
+
+def test_in_process_box_solver_answers_like_its_child_on_corner_cases():
+    rng = random.Random(11)
+    for _ in range(4):
+        encoded = encode(random_ptrs(rng), Shape("poly", 1), 1)
+        _same_as_child(emit_smtlib(encoded.constraint_set))
+    assert _same_as_child(CORNER_SAT).model == {"x": 1}
+    assert _same_as_child(CORNER_UNSAT).status == "unsat"
+    assert _same_as_child(CORNER_UNKNOWN).status == "unknown"
+    assert _same_as_child(CORNER_UNKNOWN.replace("16", "0"), "--limit", "10").status == "sat"
+    assert _same_as_child(CORNER_SAT.replace("= x 1", "<= x 11"), "--limit", "10").status == "unknown"
+    unsupported = _same_as_child("(declare-const x Int)(assert (foo x 1))(check-sat)")
+    assert unsupported.detail == "no verdict in solver output ((error \"unsupported operation 'foo'\"))"
+    deep = "(declare-const x Int)(assert (>= " + "(+ 1 " * 1000 + "x" + ")" * 1000 + " 0))(check-sat)"
+    nested = _same_as_child(deep)
+    assert nested.detail == "no verdict in solver output (Traceback (most recent call last):)"
+    assert _same_as_child("(declare-const x Int)").detail == "no verdict in solver output (exit code 0)"
+
+
+# 10^6 points, every one of them failing the last assertion
+MILLION_POINT_BOX = (
+    "".join(f"(declare-const v{i} Int)(assert (>= v{i} 0))(assert (<= v{i} 9))" for i in range(6))
+    + "(assert (< (+ v0 v1 v2 v3 v4 v5) 0))(check-sat)"
+)
+ROOMY_BOXSOLVER = f"{BOXSOLVER} --limit 2000000"
+
+
+def test_in_process_box_solver_times_out():
+    start = time.monotonic()
+    result = run_solver(MILLION_POINT_BOX, ROOMY_BOXSOLVER, timeout=0.3)
+    assert result == SolverResult("unknown", detail="solver timed out after 0.3s")
+    assert time.monotonic() - start < 5
+
+
+def test_in_process_box_solver_is_cancelled():
+    token = CancelToken()
+    timer = threading.Timer(0.3, token.cancel)
+    timer.start()
+    start = time.monotonic()
+    try:
+        result = run_solver(MILLION_POINT_BOX, ROOMY_BOXSOLVER, timeout=60, cancel=token)
+    finally:
+        timer.cancel()
+    assert result == SolverResult("unknown", detail="cancelled")
+    assert time.monotonic() - start < 5
+
+
+def test_box_solver_asks_stop_every_1024_points():
+    asked = []
+    assert solve(MILLION_POINT_BOX, 2_000_000, lambda: asked.append(1) or len(asked) == 3) == ["unknown"]
+    assert len(asked) == 3
+    assert solve(CORNER_SAT, stop=lambda: False)[0] == "sat"
