@@ -428,7 +428,7 @@ def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:
             for V in diff.monomials()
         ]
         if frozenset() not in diff.coeffs:
-            entries.append(("constant margin", Fraction(0), True))
+            entries.append(("constant margin", 0, True))
         return entries
     entries = [
         (f"coefficient of {name} at entry ({r},{c})", value, False)

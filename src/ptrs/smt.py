@@ -37,7 +37,7 @@ from .interpretations import (
     MatrixInterpretation,
     PolyInterpretation,
     orientation_entries,
-    rule_difference,
+    symbolic_eval,
 )
 from .rewriting import PTRS
 
@@ -51,59 +51,80 @@ class ModelDecodeError(Exception):
 
 
 class Poly:
-    """Polynomial in named integer unknowns with exact coefficients.
+    """Polynomial in named integer unknowns with `int` coefficients.
 
     Monomials are sorted tuples of unknown names, repeats meaning powers;
-    the empty tuple is the constant term.
+    the empty tuple is the constant term. No stored coefficient is zero, and
+    a coefficient that is not an `int` is a TypeError: the encoder clears
+    every denominator before it builds a polynomial.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[str, ...], Fraction | int] | None = None):
-        cleaned: dict[tuple[str, ...], Fraction] = {}
+    def __init__(self, terms: Mapping[tuple[str, ...], int] | None = None):
+        cleaned: dict[tuple[str, ...], int] = {}
         for mono, c in (terms or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                cleaned[tuple(sorted(mono))] = cleaned.get(tuple(sorted(mono)), Fraction(0)) + c
-        self.terms = {m: c for m, c in cleaned.items() if c != 0}
+            mono = tuple(sorted(mono))
+            cleaned[mono] = cleaned.get(mono, 0) + _integer(c)
+        self.terms = {m: c for m, c in cleaned.items() if c}
 
     @classmethod
-    def constant(cls, value: Fraction | int) -> "Poly":
-        return cls({(): Fraction(value)})
+    def _of(cls, terms: dict[tuple[str, ...], int]) -> "Poly":
+        """Wrap terms that are already sorted, merged and nonzero."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        return poly
+
+    @classmethod
+    def constant(cls, value: int) -> "Poly":
+        return cls._of({(): value} if _integer(value) else {})
 
     @classmethod
     def unknown(cls, name: str) -> "Poly":
-        return cls({(name,): Fraction(1)})
+        return cls._of({(name,): 1})
 
-    def _coerce(self, other: "Poly | Fraction | int") -> "Poly":
-        return other if isinstance(other, Poly) else Poly.constant(other)
-
-    def __add__(self, other: "Poly | Fraction | int") -> "Poly":
-        other = self._coerce(other)
+    def __add__(self, other: "Poly | int") -> "Poly":
+        other = _as_poly(other)
+        if len(self.terms) < len(other.terms):
+            self, other = other, self
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(out)
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Poly._of(out)
 
     __radd__ = __add__
 
-    def __sub__(self, other: "Poly | Fraction | int") -> "Poly":
-        return self + self._coerce(other).__neg__()
+    def __sub__(self, other: "Poly | int") -> "Poly":
+        out = dict(self.terms)
+        for m, c in _as_poly(other).terms.items():
+            c = out.get(m, 0) - c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return Poly._of(out)
 
-    def __rsub__(self, other: "Poly | Fraction | int") -> "Poly":
-        return self._coerce(other) - self
+    def __rsub__(self, other: "Poly | int") -> "Poly":
+        return _as_poly(other) - self
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return Poly._of({m: -c for m, c in self.terms.items()})
 
-    def __mul__(self, other: "Poly | Fraction | int") -> "Poly":
-        other = self._coerce(other)
-        out: dict[tuple[str, ...], Fraction] = {}
+    def __mul__(self, other: "Poly | int") -> "Poly":
+        if not isinstance(other, Poly):
+            if _integer(other) == 1:
+                return self
+            return Poly._of({m: c * other for m, c in self.terms.items()} if other else {})
+        out: dict[tuple[str, ...], int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+                mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return Poly._of({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -127,7 +148,7 @@ class Poly:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.terms == Poly.constant(other).terms
+            return self.terms == ({(): other} if other else {})
         if isinstance(other, Poly):
             return self.terms == other.terms
         return NotImplemented
@@ -150,6 +171,16 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _integer(value: int) -> int:
+    if not isinstance(value, int):
+        raise TypeError(f"Poly coefficients are int, not {type(value).__name__} {value}")
+    return value
+
+
+def _as_poly(value: "Poly | int") -> Poly:
+    return value if isinstance(value, Poly) else Poly.constant(value)
 
 
 @dataclass(frozen=True)
@@ -284,9 +315,11 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
         cap = None
     constraints: list[Constraint] = []
     for index, rule in enumerate(system.rules, start=1):
-        # rule_difference computes [l] - sum pj [rj]; rescaling by the weight
-        # total clears every denominator.
-        diff = rule_difference(template, rule, cap).scale(rule_weights(rule))
+        # total * ([l] - sum pj [rj]), with the integer weights pj * total
+        total = rule_weights(rule)
+        diff = symbolic_eval(template, rule.lhs, cap).scale(total)
+        for term, p in rule.rhs.items():
+            diff = diff.sub(symbolic_eval(template, term, cap).scale((p * total).numerator))
         constraints.extend(
             Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
             for where, value, strict in orientation_entries(diff)
@@ -295,17 +328,11 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
     return EncodedProblem(shape, template, ConstraintSet(unknowns, constraints, logic), bound)
 
 
-def _as_poly(value) -> Poly:
-    return value if isinstance(value, Poly) else Poly.constant(value)
-
-
 # ---------------------------------------------------------------------------
 # SMT-LIB emission
 
 
-def _mono_sexpr(mono: tuple[str, ...], c: Fraction) -> str:
-    assert c.denominator == 1
-    k = c.numerator
+def _mono_sexpr(mono: tuple[str, ...], k: int) -> str:
     parts = list(mono)
     if k != 1 or not parts:
         parts = [str(k) if k >= 0 else f"(- {-k})"] + parts
