@@ -178,6 +178,13 @@ def _run_check(args, config: dict[str, str], color: bool) -> int:
     return _exit_code(verdict)
 
 
+def _memo_full_note(limit: int) -> None:
+    print(
+        f"note: redex memo full at {limit} terms; further terms are walked afresh on every visit",
+        file=sys.stderr,
+    )
+
+
 def _simulate_pars(args):
     if (args.file is None) == (args.family is None):
         raise CliError("simulate needs exactly one of FILE or --family")
@@ -186,7 +193,7 @@ def _simulate_pars(args):
             raise CliError("--p only applies to --family rw")
         if args.truncate is not None:
             raise CliError("--truncate only applies to the rw and payout families")
-        return TermPars(load_system(args.file))
+        return TermPars(load_system(args.file), _memo_full_note if args.verbose else None)
     return make_family(args.family, Fraction(args.p) if args.p else None, args.truncate)
 
 

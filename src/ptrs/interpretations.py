@@ -508,12 +508,15 @@ def ranking_from_certificate(cert: Certificate) -> tuple[Callable[[Term], Fracti
 
     Each returned rank function remembers the value of every subterm it has
     evaluated, so reducts that share most of their structure with terms
-    ranked before cost only their new spine.
+    ranked before cost only their new spine, and a term ranked before costs
+    one lookup.
     """
     values: dict[Term, Any] = {}
 
     def rank(term: Term) -> Fraction:
-        value = eval_term(cert.interpretation, term, {}, values)
+        value = values.get(term)
+        if value is None:
+            value = eval_term(cert.interpretation, term, {}, values)
         return value if cert.kind == "poly" else value[0]
 
     return rank, cert.epsilon

@@ -199,16 +199,19 @@ class Pars:
 MEMO_LIMIT = 65536
 """Most terms a TermPars keeps the redexes of. Past it the memo stops
 growing and every further term is enumerated afresh on each visit, which
-bounds memory on long exhaustive runs at the price of repeated walks."""
+bounds memory on long exhaustive runs at the price of repeated walks. The
+memo holds its terms, so they stay interned while it lives."""
 
 
 class TermPars(Pars):
     """The PARS a PTRS induces on terms; redexes are memoised per term up to
-    MEMO_LIMIT terms."""
+    MEMO_LIMIT terms. on_memo_full, if given, is called with the limit once,
+    the first time a term is left out of the full memo."""
 
-    def __init__(self, system: PTRS):
+    def __init__(self, system: PTRS, on_memo_full: Callable[[int], None] | None = None):
         self.system = system
         self._memo: dict[Term, list[RedexStep]] = {}
+        self._on_memo_full = on_memo_full
 
     def redexes(self, term: Term) -> list[RedexStep]:
         steps = self._memo.get(term)
@@ -216,6 +219,9 @@ class TermPars(Pars):
             steps = enumerate_redexes(self.system, term)
             if len(self._memo) < MEMO_LIMIT:
                 self._memo[term] = steps
+            elif self._on_memo_full is not None:
+                self._on_memo_full(MEMO_LIMIT)
+                self._on_memo_full = None
         return steps
 
     def options(self, term: Term) -> list[FiniteDistribution]:

@@ -254,17 +254,6 @@ def drift_harness(
     pars = TermPars(system)
     rank, certified = ranking_from_certificate(cert)
     required = certified if epsilon is None else epsilon
-    # Entries of one step are ranked again as the next step's start, so
-    # this cache, keyed by those very objects, mostly hits by identity; the
-    # subterm memo inside rank may hold an equal but distinct key and then
-    # pays a structural compare (about 12% of drift-rank ops/s without it).
-    ranks: dict = {}
-
-    def rank_of(obj) -> Fraction:
-        value = ranks.get(obj)
-        if value is None:
-            value = ranks[obj] = rank(pars.term_view(obj))
-        return value
 
     checks = 0
     for trial in range(trials):
@@ -276,8 +265,8 @@ def drift_harness(
                 break
             nu = step_multidist(pars, mu, chooser)
             checks += 1
-            before = expected_value(mu, rank_of)
-            after = expected_value(nu, rank_of)
+            before = expected_value(mu, rank)
+            after = expected_value(nu, rank)
             if before < after + required * nu.mass():
                 return DriftReport(trial + 1, checks, DriftViolation(
                     trial, depth, mu, nu, before, after, required

@@ -525,21 +525,39 @@ def _read_reply(out: str, err: str, returncode: int) -> SolverResult:
     return SolverResult("unknown", detail="solver answered unknown")
 
 
-def _atom_value(node) -> Fraction:
-    if isinstance(node, list):
-        if len(node) == 2 and node[0] == "-":
-            return -_atom_value(node[1])
-        if len(node) == 3 and node[0] == "/":
-            return _atom_value(node[1]) / _atom_value(node[2])
-        raise ValueError(f"cannot read model value {node!r}")
-    try:
-        return Fraction(node)
-    except ValueError:
-        raise ValueError(f"cannot read model value {node!r}") from None
+def _model_value(name: str, node) -> Fraction:
+    """The value given to name: a numeral, or (- v) or (/ a b) of values."""
+    values: list[Fraction] = []
+    stack = [(node, False)]
+    while stack:
+        item, ready = stack.pop()
+        if ready and item[0] == "-":
+            values.append(-values.pop())
+        elif ready:
+            divisor = values.pop()
+            if divisor == 0:
+                raise ValueError(f"model value of {name} divides by zero")
+            values.append(values.pop() / divisor)
+        elif isinstance(item, list):
+            if not (len(item) == 2 and item[0] == "-" or len(item) == 3 and item[0] == "/"):
+                raise ValueError(f"cannot read the model value of {name}")
+            stack.append((item, True))
+            stack.extend((arg, False) for arg in reversed(item[1:]))
+        else:
+            try:
+                values.append(Fraction(item))
+            except ValueError:
+                raise ValueError(f"cannot read the model value of {name}: {item!r}") from None
+    return values[0]
 
 
 def parse_model(text: str) -> dict[str, Fraction]:
-    """Pull (define-fun name () Int value) entries out of solver output."""
+    """Pull (define-fun name () Int value) entries out of solver output.
+
+    After the `sat` line, every list is a define-fun or a model: a list of
+    entries, optionally headed by `model`, each a list headed by a keyword.
+    Entries other than constant define-funs are skipped.
+    """
     lines = text.splitlines()
     start = next((i for i, line in enumerate(lines) if line.strip() == "sat"), -1)
     try:
@@ -547,18 +565,20 @@ def parse_model(text: str) -> dict[str, Fraction]:
     except ScriptError as exc:
         raise ScriptError(f"{exc} in solver output") from None
     model: dict[str, Fraction] = {}
-
-    def walk(node) -> None:
-        if not isinstance(node, list):
-            return
-        if len(node) >= 5 and node[0] == "define-fun" and node[2] == []:
-            model[node[1]] = _atom_value(node[4])
-            return
-        for child in node:
-            walk(child)
-
     for node in nodes:
-        walk(node)
+        if not isinstance(node, list):
+            continue
+        if node[:1] == ["define-fun"]:
+            entries = [node]
+        elif node[:1] == ["model"]:
+            entries = node[1:]
+        else:
+            entries = node
+        for entry in entries:
+            if not isinstance(entry, list) or not entry or not isinstance(entry[0], str):
+                raise ValueError("solver output after sat is not a model")
+            if len(entry) >= 5 and entry[0] == "define-fun" and isinstance(entry[1], str) and entry[2] == []:
+                model[entry[1]] = _model_value(entry[1], entry[4])
     return model
 
 

@@ -3,10 +3,14 @@
 Positions follow the rewriting convention: a position is a tuple of 1-based
 argument indices, and the empty tuple addresses the root.
 
-Terms are immutable and carry two annotations computed once, at
-construction, from the annotations of their children: a hash and a node
-count. A dictionary lookup therefore never re-hashes a term. Equality tests
-identity first, then the cached hashes, and only then the structure.
+Terms are immutable and hash-consed: constructing a term returns the one
+live node for it, so equal terms are the same object and equality is
+identity. Each node carries a hash and a node count, computed once from its
+children's. The hash is built from the symbol and the arguments' hashes,
+never from a node's address, so the order in which a set of terms iterates
+does not depend on where its nodes were allocated. A term of at most
+STR_CACHE_NODES nodes keeps its text after the first str(), built from its
+arguments' kept texts.
 
 Nothing here recurses on the shape of a term: every traversal keeps an
 explicit stack, so terms thousands of levels deep are handled like any
@@ -15,6 +19,8 @@ other.
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from typing import Any, Callable, Iterator, Mapping, Optional, Union
 
 
@@ -66,7 +72,10 @@ class Signature:
 
 
 class _Frozen:
-    """Attribute assignment is refused: the cached hash must stay valid."""
+    """Attribute assignment is refused: the cached hash must stay valid.
+
+    A term is its own copy, deep or shallow: it is immutable and interned.
+    """
 
     __slots__ = ()
 
@@ -76,24 +85,74 @@ class _Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r} of an immutable term")
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+
+STR_CACHE_NODES = 256
+"""Largest term, in nodes, that keeps its text after the first str(). A
+bigger node renders its text afresh each time, so a spine like s^5000(0)
+holds O(STR_CACHE_NODES**2) characters, not O(n**2)."""
+
+
+class _Ref(weakref.ref):
+    """A weak reference to an interned node, filed in table under its key.
+
+    table holds the one live node of every term: a variable under its name,
+    an application under its symbol and the ids of its arguments. Arguments
+    are interned and kept alive by the node, so those ids name them uniquely
+    while the node lives. Entries are added only by dict.setdefault and
+    removed only by _remove_dead_weakref, both atomic, so threads building
+    the same term at once all get the node that was entered first.
+    """
+
+    __slots__ = ("key",)
+    table: dict[Any, "_Ref"] = {}
+
+
+_lookup = _Ref.table.get
+
+
+def _forget(ref: _Ref, table: dict = _Ref.table, remove: Any = _remove_dead_weakref) -> None:
+    # Bound as defaults: nodes still die while the interpreter shuts down,
+    # after module globals may have been cleared.
+    remove(table, ref.key)
+
+
+def _interned(key: Any, node: "Term") -> "Term":
+    """The live node under key, else node, which is entered under key."""
+    ref = _Ref(node, _forget)
+    ref.key = key
+    table = _Ref.table
+    while True:
+        old = table.setdefault(key, ref)
+        if old is ref:
+            return node
+        live = old()
+        if live is not None:
+            return live
+        _remove_dead_weakref(table, key)
+
 
 class Var(_Frozen):
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "_hash", "__weakref__")
     _size = 1
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(name))
+    def __new__(cls, name: str) -> "Var":
+        ref = _lookup(name)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "name", name)
+            object.__setattr__(node, "_hash", hash(name))
+            node = _interned(name, node)
+        return node
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
 
     def __reduce__(self):
         return (Var, (self.name,))
@@ -106,52 +165,66 @@ class Var(_Frozen):
 
 
 class App(_Frozen):
-    __slots__ = ("symbol", "args", "_hash", "_size")
+    __slots__ = ("symbol", "args", "_hash", "_size", "_str", "__weakref__")
 
-    def __init__(self, symbol: str, args: "tuple[Term, ...]" = ()):
+    def __new__(cls, symbol: str, args: "tuple[Term, ...]" = ()) -> "App":
         args = tuple(args)
+        key = (symbol, *map(id, args))
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
         size = 1
-        key: list[Any] = [symbol]
+        hashes: list[Any] = [symbol]
         for arg in args:
             size += arg._size
-            key.append(arg._hash)
-        object.__setattr__(self, "symbol", symbol)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "_hash", hash(tuple(key)))
-        object.__setattr__(self, "_size", size)
+            hashes.append(arg._hash)
+        node = object.__new__(cls)
+        _set_symbol(node, symbol)
+        _set_args(node, args)
+        _set_hash(node, hash(tuple(hashes)))
+        _set_size(node, size)
+        _set_str(node, None if args else symbol)
+        return _interned(key, node)
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not App:
-            return NotImplemented
-        return self._hash == other._hash and _same_structure(self, other)
-
     def __reduce__(self):
-        # The hash of a symbol name differs between processes; rebuild it.
+        # Unpickling calls App again, which interns the node; the hash of a
+        # symbol name differs between processes and is recomputed there.
         return (App, (self.symbol, self.args))
 
     def __str__(self) -> str:
-        return _render(
-            self,
-            lambda leaf: leaf.name if leaf.__class__ is Var else leaf.symbol,
-            lambda node: node.symbol + "(",
-            lambda node: ")",
-            ",",
-        )
+        text = self._str
+        return _text(self) if text is None else text
 
     def __repr__(self) -> str:
-        return _render(
-            self,
-            lambda leaf: repr(leaf) if leaf.__class__ is Var else f"App(symbol={leaf.symbol!r}, args=())",
-            lambda node: f"App(symbol={node.symbol!r}, args=(",
-            lambda node: ",))" if len(node.args) == 1 else "))",
-            ", ",
-        )
+        out: list[str] = []
+        stack: list[Any] = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                out.append(item)
+            elif item.__class__ is Var:
+                out.append(repr(item))
+            else:
+                out.append(f"App(symbol={item.symbol!r}, args=(")
+                stack.append(",))" if len(item.args) == 1 else "))")
+                args = item.args
+                for i in range(len(args) - 1, 0, -1):
+                    stack.append(args[i])
+                    stack.append(", ")
+                if args:
+                    stack.append(args[0])
+        return "".join(out)
 
+
+# Slot setters that bypass _Frozen.__setattr__; the constructors use them.
+_set_symbol, _set_args, _set_hash, _set_size, _set_str = (
+    App.__dict__[name].__set__ for name in ("symbol", "args", "_hash", "_size", "_str")
+)
 
 Term = Union[Var, App]
 Position = tuple[int, ...]
@@ -161,50 +234,45 @@ Substitution = Mapping[str, Term]
 Context = Optional[tuple[Any, "App", int]]
 
 
-def _render(
-    term: Term,
-    leaf: Callable[[Term], str],
-    opening: Callable[[App], str],
-    closing: Callable[[App], str],
-    separator: str,
-) -> str:
-    """Text of a term: leaf renders variables and constants, opening and
-    closing the text around a node's arguments, separator goes between them."""
+def _text(term: App) -> str:
+    """str of a term whose text is not kept yet: nodes of at most
+    STR_CACHE_NODES nodes get theirs kept, bigger ones are streamed."""
     out: list[str] = []
     stack: list[Any] = [term]
     while stack:
         item = stack.pop()
         if item.__class__ is str:
             out.append(item)
-        elif item.__class__ is Var or not item.args:
-            out.append(leaf(item))
+        elif item.__class__ is Var:
+            out.append(item.name)
+        elif item._str is not None:
+            out.append(item._str)
+        elif item._size <= STR_CACHE_NODES:
+            out.append(_keep_text(item))
         else:
-            out.append(opening(item))
-            stack.append(closing(item))
+            out.append(item.symbol + "(")
+            stack.append(")")
             args = item.args
             for i in range(len(args) - 1, 0, -1):
                 stack.append(args[i])
-                stack.append(separator)
+                stack.append(",")
             stack.append(args[0])
     return "".join(out)
 
 
-def _same_structure(left: Term, right: Term) -> bool:
-    stack = [(left, right)]
+def _keep_text(term: App) -> str:
+    """Keep the text of term and of every subterm, children first."""
+    stack = [term]
     while stack:
-        a, b = stack.pop()
-        if a is b:
+        node = stack[-1]
+        missing = [a for a in node.args if a.__class__ is App and a._str is None]
+        if missing:
+            stack.extend(missing)
             continue
-        if a.__class__ is not b.__class__ or a._hash != b._hash:
-            return False
-        if a.__class__ is Var:
-            if a.name != b.name:
-                return False
-        elif a.symbol != b.symbol or len(a.args) != len(b.args):
-            return False
-        else:
-            stack.extend(zip(a.args, b.args))
-    return True
+        stack.pop()
+        parts = [a.name if a.__class__ is Var else a._str for a in node.args]
+        _set_str(node, f"{node.symbol}({','.join(parts)})")
+    return term._str
 
 
 def fold_term(
@@ -268,17 +336,10 @@ def term_size(term: Term) -> int:
 
 
 def apply_substitution(term: Term, subst: Substitution) -> Term:
-    """Capture is not a concern for first-order terms: plain replacement.
-
-    Subterms the substitution leaves unchanged are shared, not copied.
-    """
-
-    def rebuild(node: App, args: list[Term]) -> Term:
-        if all(new is old for new, old in zip(args, node.args)):
-            return node
-        return App(node.symbol, tuple(args))
-
-    return fold_term(term, lambda var: subst.get(var.name, var), rebuild)
+    """Capture is not a concern for first-order terms: plain replacement."""
+    return fold_term(
+        term, lambda var: subst.get(var.name, var), lambda node, args: App(node.symbol, args)
+    )
 
 
 def subterm_positions(term: Term) -> list[Position]:

@@ -233,6 +233,18 @@ def test_verbose_goes_to_stderr(capsys):
     assert f"solver: {command}\n" in err
 
 
+def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
+    import ptrs.rewriting
+
+    argv = ("simulate", RW34, "--start", "s(s(s(s(s(0)))))", "--steps", "12")
+    _, quiet_out, quiet_err = run_cli(capsys, *argv, "-v")
+    assert quiet_err == ""
+    monkeypatch.setattr(ptrs.rewriting, "MEMO_LIMIT", 3)
+    code, out, err = run_cli(capsys, *argv, "-v")
+    assert code == 0 and out == quiet_out
+    assert err == "note: redex memo full at 3 terms; further terms are walked afresh on every visit\n"
+    assert run_cli(capsys, *argv) == (0, quiet_out, "")
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -198,6 +198,24 @@ def test_parse_model_values():
         assert str(err.value) == detail
 
 
+def test_deeply_nested_solver_output_is_an_error_outcome():
+    nested = _read_reply("sat\n" + "(" * 3000 + ")" * 3000, "", 0)
+    assert nested.status == "error"
+    assert nested.detail == "solver output after sat is not a model"
+    deep_value = "(- " * 3000 + "4" + ")" * 3000
+    assert parse_model(f"sat\n(model (define-fun a () Int {deep_value}))") == {"a": 4}
+    garbled = "(foo " + "(" * 3000 + ")" * 3000 + ")"
+    for value, detail in (
+        (garbled, "cannot read the model value of a"),
+        ("(/ 1 0)", "model value of a divides by zero"),
+        ("-", "cannot read the model value of a: '-'"),
+    ):
+        reply = _read_reply(f"sat\n((define-fun a () Int {value}))", "", 0)
+        assert (reply.status, reply.detail) == ("error", detail)
+    assert parse_model("sat\n((define-fun f ((x Int)) Int 3) (define-fun b () Int (/ (- 4) 6)))") == {
+        "b": Fraction(-2, 3)
+    }
+
 def test_decode_validation():
     encoded = encode(RW34, Shape("poly", 1), bound=16)
     good = decode(encoded, {"c0_1": Fraction(1), "c0_k": Fraction(1)})

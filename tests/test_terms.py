@@ -1,7 +1,13 @@
+import copy
+import pickle
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
+from ptrs import terms
 from ptrs.terms import (
     App,
     InvalidPosition,
@@ -146,7 +152,7 @@ def tower(n, leaf=ZERO, symbol="s"):
 
 
 def copy_term(term):
-    """An equal term that shares no node with the original."""
+    """The term rebuilt node by node from fresh constructor calls."""
     return fold_term(term, lambda v: Var(v.name), lambda node, args: App(node.symbol, tuple(args)))
 
 
@@ -195,7 +201,7 @@ def test_term_size_is_the_node_count():
 
 def test_deep_terms_need_no_recursion():
     left, right = tower(DEEP), tower(DEEP)
-    assert left is not right and left == right and hash(left) == hash(right)
+    assert left is right and left == right and hash(left) == hash(right)
     assert left != tower(DEEP, leaf=x)
     assert str(left) == "s(" * DEEP + "0" + ")" * DEEP
     assert repr(tower(DEEP)).count("App(symbol='s'") == DEEP
@@ -235,3 +241,111 @@ def test_fold_term_evaluates_each_subterm_once():
     assert seen == [ZERO, shared, f(shared, shared)]
     assert fold_term(g(shared), lambda v: 1, on_app, memo) == 3
     assert seen[-1] == g(shared) and len(seen) == 4
+
+
+def streamed_text(term):
+    """str of a term, streamed piece by piece with nothing kept (the oracle)."""
+    out, stack = [], [term]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var) or not item.args:
+            out.append(item.name if isinstance(item, Var) else item.symbol)
+        else:
+            out.append(item.symbol + "(")
+            stack.append(")")
+            for i in range(len(item.args) - 1, 0, -1):
+                stack += [item.args[i], ","]
+            stack.append(item.args[0])
+    return "".join(out)
+
+
+def test_equal_terms_are_one_node():
+    rng = random.Random(29)
+    for _ in range(200):
+        t = _random_term(rng)
+        assert copy_term(t) is t
+    assert Var("x") is x and App("f", [x, ZERO]) is f(x, ZERO)
+    assert App(symbol="g", args=(ZERO,)) is g(ZERO)
+
+
+def test_hashes_are_structural():
+    assert hash(x) == hash("x")
+    assert hash(ZERO) == hash(("0",))
+    assert hash(g(ZERO)) == hash(("g", hash(("0",))))
+    assert hash(f(x, g(ZERO))) == hash(("f", hash("x"), hash(("g", hash(("0",))))))
+
+
+def test_copies_and_unpickled_terms_are_the_interned_node():
+    t = f(x, g(s(ZERO)))
+    assert copy.copy(t) is t and copy.deepcopy(t) is t and copy.deepcopy(x) is x
+    assert copy.deepcopy(tower(DEEP)) is tower(DEEP)
+    assert pickle.loads(pickle.dumps(t)) is t
+    # the pickled term is gone when it is loaded, so loading interns it anew
+    data = pickle.dumps(App("pickled", (App("leaf"), Var("v"))))
+    loaded = pickle.loads(data)
+    assert loaded is App("pickled", (App("leaf"), Var("v")))
+    assert loaded.args[1] is Var("v")
+
+
+def test_node_table_shrinks_when_terms_are_dropped():
+    before = len(terms._Ref.table)
+    spine = tower(1000, leaf=App("dropped-leaf"), symbol="dropped")
+    assert len(terms._Ref.table) == before + 1001
+    del spine
+    assert len(terms._Ref.table) == before
+
+
+def test_threads_building_the_same_terms_get_one_node():
+    workers, rounds = 8, 30
+    barrier = threading.Barrier(workers)
+    results = [[] for _ in range(workers)]
+
+    def build(out):
+        for r in range(rounds):
+            barrier.wait(timeout=30)
+            out.append(tower(200, leaf=f(Var(f"v{r}"), App(f"c{r}")), symbol=f"t{r}"))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for r in range(rounds):
+        first = results[0][r]
+        assert all(out[r] is first for out in results)
+        for position in ((), (1,) * 100, (1,) * 200, (1,) * 200 + (1,)):
+            assert all(subterm_at(out[r], position) is subterm_at(first, position) for out in results)
+
+
+def test_cached_text_matches_streamed_text():
+    rng = random.Random(31)
+    for _ in range(200):
+        t = _random_term(rng)
+        wide = f(tower(300, leaf=t), tower(5, leaf=t))
+        assert str(t) == streamed_text(t)
+        assert str(wide) == streamed_text(wide)
+        assert str(wide) == streamed_text(wide)
+
+
+def test_text_of_a_deep_spine_keeps_memory_small():
+    def peak(render, symbol):
+        term = tower(DEEP, leaf=App(f"{symbol}-leaf"), symbol=symbol)
+        tracemalloc.start()
+        try:
+            text = render(term)
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    cached_peak, text = peak(str, "cached")
+    streamed_peak, expected = peak(streamed_text, "streamed")
+    assert text == expected.replace("streamed", "cached")
+    assert cached_peak <= 2 * streamed_peak
