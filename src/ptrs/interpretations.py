@@ -71,11 +71,6 @@ class PolyInterpretation:
             table[sym] = row
         self.coeffs = table
 
-    @property
-    def degree(self) -> int:
-        widths = [len(V) for row in self.coeffs.values() for V in row]
-        return max(widths, default=1) or 1
-
     def arity(self, symbol: str) -> int:
         return self.arities[symbol]
 
@@ -300,21 +295,6 @@ class PolyForm:
 
     def monomials(self) -> list[frozenset[str]]:
         return sorted(self.coeffs, key=lambda V: (len(V), sorted(V)))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for V in self.monomials():
-            c = self.coeffs[V]
-            vars_part = "*".join(sorted(V))
-            if not V:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append(vars_part)
-            else:
-                bits.append(f"{c}*{vars_part}")
-        return " + ".join(bits)
 
 
 class VecForm:

@@ -149,9 +149,6 @@ class MultiDistribution(Generic[T]):
     def mass(self) -> Fraction:
         return self._mass
 
-    def objects(self) -> list[T]:
-        return [obj for _, obj in self._entries]
-
     def collapse(self) -> dict[T, Fraction]:
         """Merge equal objects; the result is a subdistribution as a dict."""
         out: dict[T, Fraction] = {}

@@ -44,7 +44,11 @@ from .terms import (
 
 
 class RuleError(ValueError):
-    """Ill-formed probabilistic rewrite rule."""
+    """Ill-formed probabilistic rewrite rule; `reason` names the defect."""
+
+    def __init__(self, message: str, reason: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -60,12 +64,15 @@ class ProbRule:
 
     def __post_init__(self) -> None:
         if isinstance(self.lhs, Var):
-            raise RuleError(f"left-hand side is the bare variable {self.lhs}")
+            raise RuleError(f"left-hand side is the bare variable {self.lhs}", "variable-lhs")
         bound = variables(self.lhs)
         for term in self.rhs.support():
             extra = variables(term) - bound
             if extra:
-                raise RuleError(f"right-hand side variable {sorted(extra)[0]!r} is not bound on the left")
+                raise RuleError(
+                    f"right-hand side uses variable {sorted(extra)[0]!r} not bound on the left",
+                    "free-variable-on-rhs",
+                )
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"

@@ -28,10 +28,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from time import monotonic
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve
 from .interpretations import (
+    Coeff,
     DegreeOverflow,
     Interpretation,
     MatrixInterpretation,
@@ -111,9 +112,6 @@ class Poly:
     def __rsub__(self, other: "Poly | int") -> "Poly":
         return _as_poly(other) - self
 
-    def __neg__(self) -> "Poly":
-        return Poly._of({m: -c for m, c in self.terms.items()})
-
     def __mul__(self, other: "Poly | int") -> "Poly":
         if not isinstance(other, Poly):
             if _integer(other) == 1:
@@ -133,9 +131,6 @@ class Poly:
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
-
-    def unknowns(self) -> set[str]:
-        return {name for m in self.terms for name in m}
 
     def evaluate(self, env: Mapping[str, Fraction | int]) -> Fraction:
         total = Fraction(0)
@@ -238,10 +233,9 @@ DEFAULT_SHAPES = (Shape("poly", 1), Shape("poly", 2), Shape("matrix", 2), Shape(
 
 @dataclass
 class EncodedProblem:
+    system: PTRS
     shape: Shape
-    template: Interpretation
     constraint_set: ConstraintSet
-    bound: int
 
 
 def _subsets(indices: Sequence[int], max_size: int) -> list[tuple[int, ...]]:
@@ -251,46 +245,38 @@ def _subsets(indices: Sequence[int], max_size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def poly_template(system: PTRS, degree: int, bound: int) -> tuple[PolyInterpretation, list[UnknownSpec]]:
+def template(system: PTRS, shape: Shape, coefficient: Callable[[str, int], Coeff]) -> Interpretation:
+    """The shape's interpretation of every symbol, taking each coefficient
+    from `coefficient(name, lo)` with `lo` its lower bound. The calls come
+    in declaration order: symbols by name, then a polynomial's monomials by
+    size, or a matrix's argument matrices row by row and its constant."""
     symbols = sorted(system.signature.symbols().items())
-    coeffs: dict[str, dict[frozenset[int], Poly]] = {}
-    unknowns: list[UnknownSpec] = []
-    for index, (sym, arity) in enumerate(symbols):
-        row: dict[frozenset[int], Poly] = {}
-        for V in _subsets(range(1, arity + 1), degree):
-            tag = "k" if not V else "_".join(str(i) for i in V)
-            name = f"c{index}_{tag}"
-            lo = 1 if len(V) == 1 else 0  # monotonicity witness folded into the box
-            unknowns.append(UnknownSpec(name, lo, bound))
-            row[frozenset(V)] = Poly.unknown(name)
-        coeffs[sym] = row
-    return PolyInterpretation(dict(symbols), coeffs), unknowns
-
-
-def matrix_template(system: PTRS, dim: int, bound: int) -> tuple[MatrixInterpretation, list[UnknownSpec]]:
-    symbols = sorted(system.signature.symbols().items())
-    entries: dict[str, tuple[list, tuple]] = {}
-    unknowns: list[UnknownSpec] = []
+    n = shape.param
+    if shape.kind == "poly":
+        coeffs: dict[str, dict[frozenset[int], Coeff]] = {}
+        for index, (sym, arity) in enumerate(symbols):
+            row: dict[frozenset[int], Coeff] = {}
+            for V in _subsets(range(1, arity + 1), n):
+                tag = "k" if not V else "_".join(str(i) for i in V)
+                lo = 1 if len(V) == 1 else 0  # monotonicity witness folded into the box
+                row[frozenset(V)] = coefficient(f"c{index}_{tag}", lo)
+            coeffs[sym] = row
+        return PolyInterpretation(dict(symbols), coeffs)
+    entries: dict[str, tuple[list, list]] = {}
     for index, (sym, arity) in enumerate(symbols):
         mats = []
         for arg in range(1, arity + 1):
             rows = []
-            for r in range(1, dim + 1):
+            for r in range(1, n + 1):
                 row = []
-                for c in range(1, dim + 1):
-                    name = f"m{index}_a{arg}_{r}_{c}"
+                for c in range(1, n + 1):
                     lo = 1 if r == 1 and c == 1 else 0
-                    unknowns.append(UnknownSpec(name, lo, bound))
-                    row.append(Poly.unknown(name))
-                rows.append(tuple(row))
-            mats.append(tuple(rows))
-        const = []
-        for r in range(1, dim + 1):
-            name = f"m{index}_k_{r}"
-            unknowns.append(UnknownSpec(name, 0, bound))
-            const.append(Poly.unknown(name))
-        entries[sym] = (mats, tuple(const))
-    return MatrixInterpretation(dict(symbols), dim, entries), unknowns
+                    row.append(coefficient(f"m{index}_a{arg}_{r}_{c}", lo))
+                rows.append(row)
+            mats.append(rows)
+        const = [coefficient(f"m{index}_k_{r}", 0) for r in range(1, n + 1)]
+        entries[sym] = (mats, const)
+    return MatrixInterpretation(dict(symbols), n, entries)
 
 
 def rule_weights(rule) -> int:
@@ -307,25 +293,27 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
     """
     if not system.rules:
         raise EncodingError("system has no rules")
-    if shape.kind == "poly":
-        template, unknowns = poly_template(system, shape.param, bound)
-        cap: int | None = shape.param
-    else:
-        template, unknowns = matrix_template(system, shape.param, bound)
-        cap = None
+    unknowns: list[UnknownSpec] = []
+
+    def unknown(name: str, lo: int) -> Poly:
+        unknowns.append(UnknownSpec(name, lo, bound))
+        return Poly.unknown(name)
+
+    interp = template(system, shape, unknown)
+    cap = shape.param if shape.kind == "poly" else None
     constraints: list[Constraint] = []
     for index, rule in enumerate(system.rules, start=1):
         # total * ([l] - sum pj [rj]), with the integer weights pj * total
         total = rule_weights(rule)
-        diff = symbolic_eval(template, rule.lhs, cap).scale(total)
+        diff = symbolic_eval(interp, rule.lhs, cap).scale(total)
         for term, p in rule.rhs.items():
-            diff = diff.sub(symbolic_eval(template, term, cap).scale((p * total).numerator))
+            diff = diff.sub(symbolic_eval(interp, term, cap).scale((p * total).numerator))
         constraints.extend(
             Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
             for where, value, strict in orientation_entries(diff)
         )
     logic = "QF_NIA" if any(c.poly.degree() > 1 for c in constraints) else "QF_LIA"
-    return EncodedProblem(shape, template, ConstraintSet(unknowns, constraints, logic), bound)
+    return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints, logic))
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +582,7 @@ def decode(encoded: EncodedProblem, model: Mapping[str, Fraction]) -> Interpreta
         if not spec.lo <= value <= spec.hi:
             raise ModelDecodeError(f"{spec.name} = {value} outside box {spec.lo}..{spec.hi}")
         env[spec.name] = value
-    template = encoded.template
-    if isinstance(template, PolyInterpretation):
-        coeffs = {
-            sym: {V: poly.evaluate(env) for V, poly in row.items()}
-            for sym, row in template.coeffs.items()
-        }
-        return PolyInterpretation(template.arities, coeffs)
-    entries = {}
-    for sym in template.symbols():
-        mats = tuple(
-            tuple(tuple(_as_poly(e).evaluate(env) for e in row) for row in M)
-            for M in template.matrices(sym)
-        )
-        const = tuple(_as_poly(e).evaluate(env) for e in template.constant(sym))
-        entries[sym] = (mats, const)
-    return MatrixInterpretation(template.arities, template.dim, entries)
+    return template(encoded.system, encoded.shape, lambda name, lo: env[name])
 
 
 def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[str, int]]:

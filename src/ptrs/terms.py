@@ -192,9 +192,19 @@ class App(_Frozen):
         return self._hash
 
     def __reduce__(self):
-        # Unpickling calls App again, which interns the node; the hash of a
-        # symbol name differs between processes and is recomputed there.
-        return (App, (self.symbol, self.args))
+        # The distinct nodes in post-order, a variable by its name and an
+        # application by its symbol and its arguments' indices: depth costs
+        # no recursion and a shared subterm is written once. Unpickling
+        # calls App again, which interns every node; the hash of a symbol
+        # name differs between processes and is recomputed there.
+        nodes: list[Any] = []
+
+        def entry(item: Any) -> int:
+            nodes.append(item)
+            return len(nodes) - 1
+
+        fold_term(self, lambda var: entry(var.name), lambda node, args: entry((node.symbol, *args)))
+        return (_unflatten, (nodes,))
 
     def __str__(self) -> str:
         text = self._str
@@ -219,6 +229,14 @@ class App(_Frozen):
                 if args:
                     stack.append(args[0])
         return "".join(out)
+
+
+def _unflatten(nodes: list[Any]) -> Term:
+    """The interned term that App.__reduce__ flattened into nodes."""
+    terms: list[Term] = []
+    for item in nodes:
+        terms.append(Var(item) if item.__class__ is str else App(item[0], [terms[i] for i in item[1:]]))
+    return terms[-1]
 
 
 # Slot setters that bypass _Frozen.__setattr__; the constructors use them.

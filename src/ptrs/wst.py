@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .multidist import FiniteDistribution
-from .rewriting import PTRS, ProbRule
-from .terms import App, Signature, Term, Var, variables
+from .rewriting import PTRS, ProbRule, RuleError
+from .terms import App, Signature, Term, Var
 
 _DELIMS = set(" \t\r\n(),:;|")
 
@@ -207,7 +207,7 @@ class _TermReader:
             )
 
 
-def _split_blocks(tokens: list[Token], end_line: int) -> list[tuple[Token, list[Token]]]:
+def _split_blocks(tokens: list[Token]) -> list[tuple[Token, list[Token]]]:
     blocks: list[tuple[Token, list[Token]]] = []
     i = 0
     while i < len(tokens):
@@ -237,7 +237,7 @@ def parse_problem(text: str) -> ProblemFile:
     end_line = text.count("\n") + 1
     if not tokens:
         raise ParseError("empty problem file", 1, 1)
-    blocks = _split_blocks(tokens, end_line)
+    blocks = _split_blocks(tokens)
 
     variables: list[str] = []
     for name, body in blocks:
@@ -312,29 +312,15 @@ def elaborate(problem: ProblemFile) -> PTRS:
     """
     rules: list[ProbRule] = []
     for raw in problem.rules:
-        if isinstance(raw.lhs, Var):
-            raise ElaborationError(
-                f"left-hand side is the bare variable {raw.lhs}", raw.line, raw.col, "variable-lhs"
-            )
-        if not raw.alternatives:
-            raise ElaborationError("rule has no alternatives", raw.line, raw.col, "empty-rule")
         merged: dict[Term, int] = {}
         for weight, term in raw.alternatives:
             merged[term] = merged.get(term, 0) + weight
         total = sum(merged.values())
-        lhs_vars = variables(raw.lhs)
-        for term in merged:
-            extra = variables(term) - lhs_vars
-            if extra:
-                name = sorted(extra)[0]
-                raise ElaborationError(
-                    f"right-hand side uses variable {name!r} not bound on the left",
-                    raw.line,
-                    raw.col,
-                    "free-variable-on-rhs",
-                )
         dist = FiniteDistribution({term: Fraction(w, total) for term, w in merged.items()})
-        rules.append(ProbRule(raw.lhs, dist))
+        try:
+            rules.append(ProbRule(raw.lhs, dist))
+        except RuleError as exc:
+            raise ElaborationError(str(exc), raw.line, raw.col, exc.reason) from None
     return PTRS(problem.signature, tuple(rules))
 
 

@@ -359,6 +359,26 @@ def test_check_reports_forged_certificates(capsys, tmp_path, problem, certificat
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_check_reports_negative_coefficients_and_squared_variables(capsys, tmp_path):
+    # sha256 of the whole stdout; these certificates fail before or outside
+    # orientation, so no rule is reported "not oriented"
+    cert = tmp_path / "negative.cert"
+    cert.write_text("poly\n[s](x) = 2*x + -1\n[0] = 0\n")
+    code, out, _ = run_cli(capsys, "check", RW34, "--certificate", str(cert))
+    assert code == 1
+    assert out.splitlines()[-1] == "  [s] has negative coefficient -1 on the constant"
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e2a2a9d144b5d7bb13af791f76b95b6ace754b6377042d7766b6878d82ed3281"
+    problem = tmp_path / "square.wst"
+    problem.write_text("(VAR x)\n(RULES\n  f(x,x) -> 1 : x || 1 : f(x,x)\n)\n")
+    cert.write_text("poly\n[f](x, y) = x*y + x + y + 1\n")
+    code, out, _ = run_cli(capsys, "check", str(problem), "--certificate", str(cert))
+    assert code == 1
+    assert "variable x would be squared; " in out.splitlines()[-1]
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "6f5c5c7d29f957fb52c5c7253e7a42841703f12a9beedc6df711a070413deef6"
+
+
 S5 = "s(" * 5 + "0" + ")" * 5
 
 

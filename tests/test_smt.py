@@ -42,9 +42,9 @@ from ptrs.smt import (
     parse_model,
     parse_shape,
     poly_sexpr,
-    poly_template,
     rule_weights,
     run_solver,
+    template as build_template,
 )
 from ptrs.wst import elaborate, load_system, parse_problem
 
@@ -366,7 +366,7 @@ def _fraction_template(template):
 def _fraction_path_constraints(encoded, system):
     """What encode emitted when it scaled the Fraction difference
     [l] - sum pj [rj] by the weight total: (label, at_least, terms)."""
-    template = _fraction_template(encoded.template)
+    template = _fraction_template(build_template(encoded.system, encoded.shape, lambda name, lo: Poly.unknown(name)))
     cap = encoded.shape.param if encoded.shape.kind == "poly" else None
     out = []
     for index, rule in enumerate(system.rules, start=1):
@@ -388,7 +388,7 @@ def test_encode_matches_the_fraction_path():
             try:
                 encoded = encode(system, shape, 1)
             except DegreeOverflow:
-                template = _fraction_template(poly_template(system, shape.param, 1)[0])
+                template = _fraction_template(build_template(system, shape, lambda name, lo: Poly.unknown(name)))
                 with pytest.raises(DegreeOverflow):
                     for rule in system.rules:
                         rule_difference(template, rule, shape.param)

@@ -289,6 +289,23 @@ def test_copies_and_unpickled_terms_are_the_interned_node():
     assert loaded.args[1] is Var("v")
 
 
+def test_pickling_deep_and_shared_terms():
+    # a term pickles as its distinct nodes, flat: depth costs no recursion
+    deep = tower(DEEP)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(deep, protocol)) is deep
+    # and a shared subterm is written once: 2**40 leaves, 41 nodes
+    dag = ZERO
+    for _ in range(40):
+        dag = f(dag, dag)
+    data = pickle.dumps(dag)
+    assert len(data) < 10_000
+    assert pickle.loads(data) is dag
+    assert copy.copy(dag) is dag and copy.deepcopy(dag) is dag
+    mixed = f(g(x), f(x, g(x)))
+    assert pickle.loads(pickle.dumps([mixed, x])) == [mixed, x]
+
+
 def test_node_table_shrinks_when_terms_are_dropped():
     before = len(terms._Ref.table)
     spine = tower(1000, leaf=App("dropped-leaf"), symbol="dropped")
