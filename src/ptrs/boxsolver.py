@@ -22,6 +22,10 @@ Every script is checked before the search; an unsupported, ill-sorted or
 malformed term raises ScriptError. Useful wherever a real SMT solver is not
 installed; the default coefficient boxes of the encoder stay within reach
 for linear shapes.
+
+`solve_sums` gives the same answer for the constraints the encoder would
+emit, handed over as sums of products with no script: it narrows the box,
+compares it with the budget, and only then builds the programs it searches.
 """
 
 from __future__ import annotations
@@ -362,6 +366,88 @@ def _search(programs: list, lo: list[int], hi: list[int], stop: Callable[[], boo
             if d == depth - 1:
                 return point
             d += 1
+
+
+# Σ monomials >= at_least: the one predicate of the sum-of-products form
+_AT_LEAST = _OPERATIONS[">="]
+
+
+def _sum_program(monomials: list, at_least: int) -> tuple[list, list, set[int]]:
+    """The point and box programs, and the variables read, of one constraint
+    of the sum-of-products form: the programs `_program` builds from the
+    assertion `emit_smtlib` writes for it, read off the monomials directly."""
+    point_code: list = []
+    box_code: list = []
+    positions: set[int] = set()
+    for coefficient, variables in monomials:
+        n = len(variables)
+        if coefficient != 1 or not n:
+            point_code.append((0, coefficient))
+            box_code.append((0, (coefficient, coefficient)))
+            n += 1
+        for position in variables:
+            point_code.append((-1, position))
+            box_code.append((-1, position))
+        if n > 1:
+            point_code.append((n, prod))
+            box_code.append((n, _mul))
+        positions.update(variables)
+    n = len(monomials)
+    if not n:  # the zero polynomial
+        point_code.append((0, 0))
+        box_code.append((0, (0, 0)))
+    elif n > 1:
+        point_code.append((n, sum))
+        box_code.append((n, _add))
+    point_code += (0, at_least), (2, _AT_LEAST[0])
+    box_code += (0, (at_least, at_least)), (2, _AT_LEAST[1])
+    return point_code, box_code, positions
+
+
+def narrow(lo: list[int], hi: list[int], constraints: list) -> tuple[list[int], int]:
+    """The box `solve_sums` searches, given as its lower ends and its number
+    of points (0 when it is empty). Each constraint that is one variable
+    with coefficient 1 raises that variable's lower end: those are the only
+    bounds `_extract_bounds` finds among the assertions `emit_smtlib`
+    writes for the constraints."""
+    lo = list(lo)
+    for monomials, at_least in constraints:
+        match monomials:
+            case [(1, [position])]:
+                lo[position] = max(lo[position], at_least)
+    return lo, prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+
+
+def solve_sums(
+    lo: list[int],
+    hi: list[int],
+    constraints: list,
+    limit: int = DEFAULT_LIMIT,
+    stop: Callable[[], bool] | None = None,
+) -> tuple[str, list[int] | None]:
+    """The answer of `solve` to the script of a constraint set, found
+    without one: ("sat", first model), ("unsat", None) or ("unknown", None).
+
+    Variable i ranges over lo[i]..hi[i]. Each constraint is a pair
+    (monomials, at_least), meaning Σ coefficient · Π variables >= at_least
+    over its monomials (coefficient, positions of the variables). The box
+    is narrowed first (`narrow`); an empty box is unsat and one over `limit`
+    points unknown, and no program is built before that. `stop` is asked
+    at the root and then every 1024 search nodes whether to give up; a
+    stopped search answers unknown.
+    """
+    lo, count = narrow(lo, hi, constraints)
+    if not count:
+        return "unsat", None
+    if count > limit:
+        return "unknown", None
+    programs = [_sum_program(monomials, at_least) for monomials, at_least in constraints]
+    found = _search(programs, lo, hi, stop)
+    if found is _STOPPED:
+        return "unknown", None
+    if found is None:
+        return "unsat", None
+    return "sat", found
 
 
 def solve(text: str, limit: int = DEFAULT_LIMIT, stop: Callable[[], bool] | None = None) -> list[str]:

@@ -1,6 +1,7 @@
 """Portfolio termination prover.
 
-Tries a sequence of interpretation shapes against an external SMT solver.
+Tries a sequence of interpretation shapes against an external SMT solver,
+or in process against the shipped box solver.
 The first shape whose model survives exact re-validation yields YES; if
 every shape comes back unsat, unknown, or unusable the answer is MAYBE.
 The prover never answers NO: failure to find a certificate proves nothing.
@@ -22,10 +23,14 @@ from .smt import (
     ModelDecodeError,
     Shape,
     SolverResult,
+    box_form,
+    box_points,
     decode,
     emit_smtlib,
     encode,
+    in_process_limit,
     run_solver,
+    solve_box,
 )
 
 
@@ -65,11 +70,13 @@ def _attempt(
     shape: Shape,
     config: ProverConfig,
     cancel: CancelToken,
-    unsat_scripts: set[str] | None = None,
+    limit: int | None,
+    unsat_sets: set[tuple] | None = None,
 ) -> tuple[ShapeOutcome, Certificate | None]:
-    """Encode, solve, decode and check one shape. A script in
-    `unsat_scripts` is answered unsat without a solver call, and a script
-    the solver answers unsat is added to it."""
+    """Encode, solve, decode and check one shape: in process with box budget
+    `limit` (see `in_process_limit`), else by `config.solver` as a child.
+    A constraint set in `unsat_sets` is answered unsat without solving it,
+    and a set that comes back unsat is added to it."""
     if cancel.cancelled:
         return ShapeOutcome(shape, "cancelled", "portfolio already finished"), None
     try:
@@ -78,17 +85,26 @@ def _attempt(
         return ShapeOutcome(shape, "degree-overflow", str(exc)), None
     except EncodingError as exc:
         raise ProverError(f"cannot encode {shape}: {exc}") from exc
-    script = emit_smtlib(encoded.constraint_set)
+    cs = encoded.constraint_set
+    if limit is None or config.emit_smt is not None:
+        script = emit_smtlib(cs)
     if config.emit_smt is not None:
         os.makedirs(config.emit_smt, exist_ok=True)
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
-    if unsat_scripts is not None and script in unsat_scripts:
+    form = box_form(cs) if limit is not None else None
+    # equal sets emit equal scripts; an over-budget box never comes back unsat
+    key = None
+    if unsat_sets is not None and (form is None or box_points(form) <= limit):
+        key = (tuple(cs.unknowns), tuple(cs.constraints))
+    if key is not None and key in unsat_sets:
         result = SolverResult("unsat")
+    elif form is not None:
+        result = solve_box(form, limit, timeout=config.timeout, cancel=cancel)
     else:
         result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
-        if unsat_scripts is not None and result.status == "unsat":
-            unsat_scripts.add(script)
+    if key is not None and result.status == "unsat":
+        unsat_sets.add(key)
     if result.status == "sat":
         try:
             interp = decode(encoded, result.model or {})
@@ -115,11 +131,12 @@ def _attempt(
 def prove(system: PTRS, config: ProverConfig = ProverConfig()) -> Verdict:
     """Run the shape portfolio and return YES with a certificate or MAYBE."""
     cancel = CancelToken()
+    limit = in_process_limit(config.solver)
     try:
         if config.parallel and len(config.shapes) > 1:
-            results = _run_parallel(system, config, cancel)
+            results = _run_parallel(system, config, cancel, limit)
         else:
-            results = _run_sequential(system, config, cancel)
+            results = _run_sequential(system, config, cancel, limit)
     except ProverError as exc:
         cancel.cancel()
         return Verdict("ERROR", error=str(exc))
@@ -130,21 +147,22 @@ def prove(system: PTRS, config: ProverConfig = ProverConfig()) -> Verdict:
     return Verdict("MAYBE", outcomes=outcomes)
 
 
-def _run_sequential(system, config, cancel):
-    # Shapes can encode the same script (poly-multilinear-2 is poly-linear
-    # when no symbol takes two arguments); an unsat one is solved once.
-    results, unsat_scripts = [], set()
+def _run_sequential(system, config, cancel, limit):
+    # Shapes can encode the same constraint set (poly-multilinear-2 is
+    # poly-linear when no symbol takes two arguments); an unsat one is
+    # solved once.
+    results, unsat_sets = [], set()
     for shape in config.shapes:
-        outcome, cert = _attempt(system, shape, config, cancel, unsat_scripts)
+        outcome, cert = _attempt(system, shape, config, cancel, limit, unsat_sets)
         results.append((outcome, cert))
         if cert is not None:
             break
     return results
 
 
-def _run_parallel(system, config, cancel):
+def _run_parallel(system, config, cancel, limit):
     def worker(shape: Shape):
-        outcome, cert = _attempt(system, shape, config, cancel)
+        outcome, cert = _attempt(system, shape, config, cancel, limit)
         if cert is not None:
             cancel.cancel()  # first success kills the remaining solvers
         return outcome, cert

@@ -11,9 +11,9 @@ at least 1/w. Unknown coefficients range over a bounded integer box,
 0..bound.
 
 Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe;
-the shipped box solver may instead be called in process, with the same
-reply. Every model is decoded and re-validated exactly before it is
-believed.
+the shipped box solver may instead search the constraint set in process,
+with the answer its child gives on the emitted script. Every model is
+decoded and re-validated exactly before it is believed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from itertools import combinations, product as iter_product
 from time import monotonic
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve
+from .boxsolver import DEFAULT_LIMIT, ScriptError, narrow, parse_script, solve_sums
 from .interpretations import (
     Coeff,
     DegreeOverflow,
@@ -401,7 +401,8 @@ class SolverResult:
 
 def in_process_limit(command: str) -> int | None:
     """The box budget when `command` runs ptrs's own box solver on this very
-    interpreter, which `run_solver` then calls in process; None otherwise.
+    interpreter, whose search `prove` then runs in process (`solve_box`);
+    None otherwise.
 
     Only `EXE -m ptrs.boxsolver [--limit N]` matches, with EXE this
     interpreter's path or a name `shutil.which` finds at that exact path.
@@ -430,14 +431,7 @@ def run_solver(
     timeout: float = 60.0,
     cancel: CancelToken | None = None,
 ) -> SolverResult:
-    """One-shot pipe protocol: write the script, read the full reply.
-
-    The shipped box solver on this interpreter (see `in_process_limit`) is
-    called in process instead, with the reply its child would print.
-    """
-    limit = in_process_limit(command)
-    if limit is not None:
-        return _run_box_solver(script, limit, timeout, cancel)
+    """One-shot pipe protocol: write the script, read the full reply."""
     argv = shlex.split(command)
     if not argv:
         return SolverResult("error", detail="empty solver command")
@@ -464,29 +458,49 @@ def run_solver(
     return _read_reply(out, err, proc.returncode)
 
 
-def _run_box_solver(
-    script: str, limit: int, timeout: float, cancel: CancelToken | None
+def box_form(cs: ConstraintSet) -> tuple[list[str], list[int], list[int], list]:
+    """`cs` as `boxsolver.solve_sums` takes it, with the unknowns' names:
+    (names, lo, hi, sums), where each constraint is a sum (monomials,
+    at_least) and each monomial (coefficient, positions of its unknowns).
+    Unknown names are distinct, as `encode` makes them."""
+    names = [spec.name for spec in cs.unknowns]
+    index = {name: i for i, name in enumerate(names)}
+    sums = [
+        ([(c, tuple(map(index.__getitem__, mono))) for mono, c in constraint.poly.terms.items()], constraint.at_least)
+        for constraint in cs.constraints
+    ]
+    return names, [spec.lo for spec in cs.unknowns], [spec.hi for spec in cs.unknowns], sums
+
+
+def box_points(form: tuple) -> int:
+    """The number of points the box solver compares with its budget."""
+    _, lo, hi, sums = form
+    return narrow(lo, hi, sums)[1]
+
+
+def solve_box(
+    form: tuple, limit: int, timeout: float = 60.0, cancel: CancelToken | None = None
 ) -> SolverResult:
-    """`python -m ptrs.boxsolver --limit LIMIT` without the child: its
-    stdout, stderr (of a traceback, the head line) and exit code are
-    rebuilt and read like a child's. The search stops on timeout or
-    cancel, and the outcome is the one the killed child gives."""
+    """What `run_solver` reads from `python -m ptrs.boxsolver --limit LIMIT`
+    given the constraint set's script, found in process with no script
+    written or read. The search stops on timeout or cancel, and the outcome
+    is the one the killed child gives."""
     deadline = monotonic() + timeout
 
     def stop() -> bool:
         return (cancel is not None and cancel.cancelled) or monotonic() > deadline
 
-    try:
-        out, err, returncode = "".join(line + "\n" for line in solve(script, limit, stop)), "", 0
-    except ScriptError as exc:
-        out, err, returncode = f'(error "{exc}")\n', "", 1
-    except Exception:  # the child dies with a traceback, e.g. RecursionError
-        out, err, returncode = "", "Traceback (most recent call last):\n", 1
+    names, lo, hi, sums = form
+    status, values = solve_sums(lo, hi, sums, limit, stop)
     if monotonic() > deadline:
         return SolverResult("unknown", detail=f"solver timed out after {timeout}s")
     if cancel is not None and cancel.cancelled:
         return SolverResult("unknown", detail="cancelled")
-    return _read_reply(out, err, returncode)
+    if status == "sat":
+        return SolverResult("sat", model={name: Fraction(value) for name, value in zip(names, values)})
+    if status == "unsat":
+        return SolverResult("unsat")
+    return SolverResult("unknown", detail="solver answered unknown")
 
 
 def _read_reply(out: str, err: str, returncode: int) -> SolverResult:

@@ -11,7 +11,7 @@ import pytest
 
 from ptrs.boxsolver import ScriptError, parse_script, solve
 from ptrs.interpretations import DegreeOverflow
-from ptrs.smt import DEFAULT_SHAPES, emit_smtlib, encode
+from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, emit_smtlib, encode, solve_box
 from ptrs.wst import load_system
 
 from helpers import random_ptrs
@@ -261,11 +261,14 @@ def test_search_answers_like_enumerating_the_box():
         for shape in DEFAULT_SHAPES:
             for bound in (1, 2):
                 try:
-                    text = emit_smtlib(encode(system, shape, bound).constraint_set)
+                    cs = encode(system, shape, bound).constraint_set
                 except DegreeOverflow:
                     continue
+                text = emit_smtlib(cs)
                 reply = solve(text, limit)
                 assert reply == _enumerated(text, limit), (shape, bound, text)
+                # the same answer from the constraint set, with no script
+                assert solve_box(box_form(cs), limit) == _read_reply("".join(line + "\n" for line in reply), "", 0)
                 statuses.append(reply[0])
     for _ in range(400):
         text = _hand_built_script(rng)

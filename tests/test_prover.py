@@ -14,7 +14,7 @@ from ptrs.prover import (
     prove,
     verdict_json,
 )
-from ptrs.smt import Shape, parse_shape, run_solver
+from ptrs.smt import Shape, box_form, emit_smtlib, encode, parse_shape, run_solver, solve_box
 from ptrs.wst import elaborate, load_system, parse_problem
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
@@ -146,15 +146,20 @@ def test_parallel_lanes_share_the_in_process_box_solver():
     assert verdict.shape == Shape("poly", 1)
 
 
-def _count_solver_calls(monkeypatch) -> list[str]:
-    scripts: list[str] = []
+def _count_solver_calls(monkeypatch) -> list:
+    """What each solve is given: a script for a child, a `box_form` in process."""
+    problems: list = []
 
-    def counting(script, *args, **kwargs):
-        scripts.append(script)
-        return run_solver(script, *args, **kwargs)
+    def counting(solve):
+        def spy(problem, *args, **kwargs):
+            problems.append(problem)
+            return solve(problem, *args, **kwargs)
 
-    monkeypatch.setattr(prover, "run_solver", counting)
-    return scripts
+        return spy
+
+    monkeypatch.setattr(prover, "run_solver", counting(run_solver))
+    monkeypatch.setattr(prover, "solve_box", counting(solve_box))
+    return problems
 
 
 def test_sequential_portfolio_solves_an_unsat_script_once(monkeypatch, tmp_path):
@@ -169,11 +174,13 @@ def test_sequential_portfolio_solves_an_unsat_script_once(monkeypatch, tmp_path)
         ("matrix-3", "unsat"),
     ]
     assert verdict.outcomes[0].detail == verdict.outcomes[1].detail
-    # poly-multilinear-2 encodes poly-linear's script: no second call
-    assert len(scripts) == 3 and len(set(scripts)) == 3
+    # poly-multilinear-2 encodes poly-linear's constraint set: no second solve
+    assert len(scripts) == 3 and len(set(map(repr, scripts))) == 3
+    poly_linear = encode(system, Shape("poly", 1), 1).constraint_set
+    assert scripts[0] == box_form(poly_linear)
     emitted = {path.name: path.read_text() for path in tmp_path.iterdir()}
     assert len(emitted) == 4
-    assert emitted["poly-multilinear-2.smt2"] == emitted["poly-linear.smt2"] == scripts[0]
+    assert emitted["poly-multilinear-2.smt2"] == emitted["poly-linear.smt2"] == emit_smtlib(poly_linear)
 
 
 def test_only_sequential_unsat_answers_are_reused(monkeypatch):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ptrs.boxsolver import DEFAULT_LIMIT, solve
+from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
 from ptrs.interpretations import (
     CertificateInvalid,
     DegreeOverflow,
@@ -34,6 +34,7 @@ from ptrs.smt import (
     SolverResult,
     UnknownSpec,
     _read_reply,
+    box_form,
     decode,
     emit_smtlib,
     encode,
@@ -44,6 +45,7 @@ from ptrs.smt import (
     poly_sexpr,
     rule_weights,
     run_solver,
+    solve_box,
     template as build_template,
 )
 from ptrs.wst import elaborate, load_system, parse_problem
@@ -261,6 +263,15 @@ def test_boxsolver_protocol_corner_cases():
     assert unsat.status == "unsat"
     unknown = run_solver(CORNER_UNKNOWN, BOXSOLVER, timeout=15)
     assert unknown.status == "unknown"
+    tight = f"{BOXSOLVER} --limit 10"
+    assert run_solver(CORNER_UNKNOWN.replace("16", "0"), tight, timeout=15).status == "sat"
+    assert run_solver(CORNER_SAT.replace("= x 1", "<= x 11"), tight, timeout=15).status == "unknown"
+    unsupported = run_solver("(declare-const x Int)(assert (foo x 1))(check-sat)", BOXSOLVER, timeout=15)
+    assert unsupported.detail == "no verdict in solver output ((error \"unsupported operation 'foo'\"))"
+    deep = "(declare-const x Int)(assert (>= " + "(+ 1 " * 1000 + "x" + ")" * 1000 + " 0))(check-sat)"
+    assert run_solver(deep, BOXSOLVER, timeout=15).status == "sat"
+    silent = run_solver("(declare-const x Int)", BOXSOLVER, timeout=15)
+    assert silent.detail == "no verdict in solver output (exit code 0)"
 
 
 def test_fake_solver_paths():
@@ -492,14 +503,15 @@ def test_in_process_limit_matches_only_this_interpreter(monkeypatch, tmp_path):
     assert run_solver(CORNER_SAT, f"{link} -m ptrs.boxsolver", timeout=30).model == {"x": 1}
 
 
-def _same_as_child(script: str, *flags: str) -> SolverResult:
-    # run_solver in process against a real child's reply read by the same reader
-    command = shlex.join([sys.executable, "-m", "ptrs.boxsolver", *flags])
-    assert in_process_limit(command) is not None
-    mine = run_solver(script, command, timeout=60)
+def _same_as_child(cs: ConstraintSet, *flags: str) -> SolverResult:
+    # the in-process search on the set against a real child's reply to its
+    # script, read by the same reader
+    limit = in_process_limit(shlex.join([sys.executable, "-m", "ptrs.boxsolver", *flags]))
+    assert limit is not None
+    mine = solve_box(box_form(cs), limit, timeout=60)
     child = subprocess.run(
         [sys.executable, "-m", "ptrs.boxsolver", *flags],
-        input=script, capture_output=True, text=True, timeout=60,
+        input=emit_smtlib(cs), capture_output=True, text=True, timeout=60,
     )
     assert mine == _read_reply(child.stdout, child.stderr, child.returncode)
     return mine
@@ -510,47 +522,66 @@ def test_in_process_box_solver_answers_like_its_child_on_shipped_problems(proble
     system = load_system(str(PROBLEMS / f"{problem}.wst"))
     statuses = set()
     for shape in DEFAULT_SHAPES:
-        for bound in (1, 2):
+        for bound in (0, 1, 2):
             try:
                 encoded = encode(system, shape, bound)
             except DegreeOverflow:
                 continue
-            statuses.add(_same_as_child(emit_smtlib(encoded.constraint_set)).status)
+            statuses.add(_same_as_child(encoded.constraint_set).status)
     assert statuses <= {"sat", "unsat", "unknown"}
     assert len(statuses) >= 2
 
 
+def _set(bounds: dict[str, tuple[int, int]], *constraints: tuple[dict, int]) -> ConstraintSet:
+    """Unknowns name: (lo, hi), and constraints (terms of the poly, at_least)."""
+    return ConstraintSet(
+        [UnknownSpec(name, lo, hi) for name, (lo, hi) in bounds.items()],
+        [Constraint(Poly(terms), at_least) for terms, at_least in constraints],
+        "QF_NIA",
+    )
+
+
 def test_in_process_box_solver_answers_like_its_child_on_corner_cases():
     rng = random.Random(11)
-    for _ in range(4):
-        encoded = encode(random_ptrs(rng), Shape("poly", 1), 1)
-        _same_as_child(emit_smtlib(encoded.constraint_set))
-    assert _same_as_child(CORNER_SAT).model == {"x": 1}
-    assert _same_as_child(CORNER_UNSAT).status == "unsat"
-    assert _same_as_child(CORNER_UNKNOWN).status == "unknown"
-    assert _same_as_child(CORNER_UNKNOWN.replace("16", "0"), "--limit", "10").status == "sat"
-    assert _same_as_child(CORNER_SAT.replace("= x 1", "<= x 11"), "--limit", "10").status == "unknown"
-    unsupported = _same_as_child("(declare-const x Int)(assert (foo x 1))(check-sat)")
-    assert unsupported.detail == "no verdict in solver output ((error \"unsupported operation 'foo'\"))"
-    deep = "(declare-const x Int)(assert (>= " + "(+ 1 " * 1000 + "x" + ")" * 1000 + " 0))(check-sat)"
-    nested = _same_as_child(deep)
-    assert nested.status == "sat"
-    assert _same_as_child("(declare-const x Int)").detail == "no verdict in solver output (exit code 0)"
+    statuses = []
+    for i in range(24):
+        system = random_ptrs(rng)
+        try:
+            encoded = encode(system, DEFAULT_SHAPES[i % 4], i % 3)
+        except DegreeOverflow:
+            continue
+        statuses.append(_same_as_child(encoded.constraint_set).status)
+    assert len(statuses) >= 20 and len(set(statuses)) == 3
+    eleven = {"x": (0, 10)}
+    # a bare x >= 1 raises the lower end of x: 10 points left of 11, within --limit 10
+    assert _same_as_child(_set(eleven, ({("x",): 1}, 1)), "--limit", "10").model == {"x": 1}
+    assert _same_as_child(_set(eleven, ({("x",): 1}, 1)), "--limit", "9").status == "unknown"
+    # 2*x >= 1 and x - 1 >= 0 are not bounds
+    assert _same_as_child(_set(eleven, ({("x",): 2}, 1)), "--limit", "10").status == "unknown"
+    assert _same_as_child(_set(eleven, ({("x",): 1, (): -1}, 0)), "--limit", "10").status == "unknown"
+    # an empty range is unsat before the budget, however many points the rest holds
+    empty = {"x": (1, 0), **{f"y{i}": (0, 16) for i in range(6)}}
+    assert _same_as_child(_set(empty)).status == "unsat"
+    assert _same_as_child(_set(eleven, ({("x",): 1}, 11))).status == "unsat"
+    assert _same_as_child(_set(eleven, ({}, 1))).status == "unsat"  # 0 >= 1
+    assert _same_as_child(_set(eleven, ({}, 0))).model == {"x": 0}
+    assert _same_as_child(_set({}, ({(): 2}, 1))) == SolverResult("sat", model={})
+    products = _set({"x": (0, 4), "y": (-2, 4)}, ({("x", "y"): 1, (): -3}, 0), ({("y", "y"): -1, ("x",): 5}, 0))
+    assert _same_as_child(products).model == {"x": 2, "y": 2}
+    assert _same_as_child(_set({"x": (0, 4), "y": (0, 4)}, ({("x", "y"): 1}, 17))).status == "unsat"
 
 
-# 10^6 points, every one of them failing the last assertion, which no
-# sub-box rules out before its last variable is fixed: (- v5 v5) spans
-# [-9, 9] until then
-MILLION_POINT_BOX = (
-    "".join(f"(declare-const v{i} Int)(assert (>= v{i} 0))(assert (<= v{i} 9))" for i in range(6))
-    + "(assert (< (- v5 v5) 0))(check-sat)"
+# 10^6 points, every one of them failing the constraint, which no sub-box
+# rules out before v5 is fixed: -v5*v5 + 9*v5 spans [-81, 81] until then
+# and is at most 20 at a point
+MILLION_POINT_SET = box_form(
+    _set({f"v{i}": (0, 9) for i in range(6)}, ({("v5", "v5"): -1, ("v5",): 9}, 21))
 )
-ROOMY_BOXSOLVER = f"{BOXSOLVER} --limit 2000000"
 
 
 def test_in_process_box_solver_times_out():
     start = time.monotonic()
-    result = run_solver(MILLION_POINT_BOX, ROOMY_BOXSOLVER, timeout=0.3)
+    result = solve_box(MILLION_POINT_SET, 2_000_000, timeout=0.3)
     assert result == SolverResult("unknown", detail="solver timed out after 0.3s")
     assert time.monotonic() - start < 5
 
@@ -561,7 +592,7 @@ def test_in_process_box_solver_is_cancelled():
     timer.start()
     start = time.monotonic()
     try:
-        result = run_solver(MILLION_POINT_BOX, ROOMY_BOXSOLVER, timeout=60, cancel=token)
+        result = solve_box(MILLION_POINT_SET, 2_000_000, timeout=60, cancel=token)
     finally:
         timer.cancel()
     assert result == SolverResult("unknown", detail="cancelled")
@@ -570,6 +601,7 @@ def test_in_process_box_solver_is_cancelled():
 
 def test_box_solver_asks_stop_every_1024_points():
     asked = []
-    assert solve(MILLION_POINT_BOX, 2_000_000, lambda: asked.append(1) or len(asked) == 3) == ["unknown"]
+    _, lo, hi, sums = MILLION_POINT_SET
+    assert solve_sums(lo, hi, sums, 2_000_000, lambda: asked.append(1) or len(asked) == 3) == ("unknown", None)
     assert len(asked) == 3
-    assert solve(CORNER_SAT, stop=lambda: False)[0] == "sat"
+    assert solve_sums([0], [3], [([(1, (0,))], 1)], stop=lambda: False) == ("sat", [1])
