@@ -80,8 +80,8 @@ class PolyInterpretation:
     def coefficient(self, symbol: str, key: Any) -> Coeff:
         return self.coeffs[symbol].get(_mono(key), Fraction(0))
 
-    def apply_values(self, symbol: str, args: Sequence[Fraction]) -> Fraction:
-        total = Fraction(0)
+    def apply_values(self, symbol: str, args: Sequence[Coeff]) -> Coeff:
+        total = 0
         for V, c in self.coeffs[symbol].items():
             prod = c
             for i in V:
@@ -364,10 +364,13 @@ def eval_term(
 ) -> Any:
     """Numeric evaluation; unassigned variables read as zero.
 
+    Values are exact: ints where the coefficients and the assignment are
+    ints, Fractions where a Fraction enters the arithmetic.
+
     A memo passed in collects the value of every subterm and answers later
     calls from it; reuse it only with the same interpretation and assignment.
     """
-    zero: Any = Fraction(0) if interp.kind == "poly" else (Fraction(0),) * interp.dim
+    zero: Any = 0 if interp.kind == "poly" else (0,) * interp.dim
 
     def apply(node: App, args: list[Any]) -> Any:
         return interp.apply_values(_interpreted_symbol(interp, node), args)
@@ -479,24 +482,59 @@ def check_certificate(interp: Interpretation, system: PTRS) -> Certificate:
     return Certificate(interp, tuple(margins), min(margins))
 
 
-def ranking_from_certificate(cert: Certificate) -> tuple[Callable[[Term], Fraction], Fraction]:
+def _int_coefficients(interp: Interpretation) -> Interpretation:
+    """A copy of a concrete interpretation in which every integral
+    coefficient is an int; the others stay Fractions.
+
+    Integer arithmetic is exact and much cheaper than Fraction arithmetic,
+    so values of terms under an all-integer interpretation stay ints.
+    """
+
+    def exact(c: Coeff) -> Coeff:
+        return c.numerator if c.denominator == 1 else c
+
+    if interp.kind == "poly":
+        return PolyInterpretation(
+            interp.arities,
+            {sym: {V: exact(c) for V, c in row.items()} for sym, row in interp.coeffs.items()},
+        )
+    return MatrixInterpretation(
+        interp.arities,
+        interp.dim,
+        {
+            sym: ([[[exact(c) for c in row] for row in M] for M in mats], [exact(c) for c in const])
+            for sym, (mats, const) in interp.entries.items()
+        },
+    )
+
+
+def ranking_from_certificate(
+    cert: Certificate,
+) -> tuple[Callable[[Term], int | Fraction], Fraction]:
     """The ranking function induced by a checked certificate.
 
     Terms evaluate at the zero assignment; matrix values collapse to their
     first component. Along any reduction step the expected rank drops by at
     least epsilon times the surviving mass.
 
+    Ranks are exact: a rank is an int when every coefficient its
+    evaluation uses is an integer, else a Fraction. Epsilon is always a
+    Fraction (a certificate built in code may hold an int margin), so a
+    rank divided by it is a Fraction, never a float.
+
     Each returned rank function remembers the value of every subterm it has
     evaluated, so reducts that share most of their structure with terms
     ranked before cost only their new spine, and a term ranked before costs
     one lookup.
     """
+    interp = _int_coefficients(cert.interpretation)
+    first_component = interp.kind == "matrix"
     values: dict[Term, Any] = {}
 
-    def rank(term: Term) -> Fraction:
+    def rank(term: Term) -> int | Fraction:
         value = values.get(term)
         if value is None:
-            value = eval_term(cert.interpretation, term, {}, values)
-        return value if cert.kind == "poly" else value[0]
+            value = eval_term(interp, term, {}, values)
+        return value[0] if first_component else value
 
-    return rank, cert.epsilon
+    return rank, Fraction(cert.epsilon)

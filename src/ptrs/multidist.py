@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -221,11 +222,31 @@ def convex_union(
 
 def expectation(mu: MultiDistribution[Any]) -> Fraction:
     """Expected value of a multidistribution over rational-valued objects."""
-    return sum((p * as_fraction(obj) for p, obj in mu.entries), Fraction(0))
+    return expected_value(mu, lambda value: value)
 
 
-def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational]) -> Fraction:
-    return sum((p * as_fraction(fn(obj)) for p, obj in mu.entries), Fraction(0))
+def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:
+    """The sum of p * fn(obj) over the entries of mu, as a Fraction.
+
+    The products are added over one running common denominator and reduced
+    once at the end, so an int value costs a multiplication and an addition
+    of ints; any other value goes through as_fraction.
+    """
+    total, common = 0, 1
+    for p, obj in mu.entries:
+        value = fn(obj)
+        if value.__class__ is int:
+            num, den = p.numerator * value, p.denominator
+        else:
+            value = as_fraction(value)
+            num, den = p.numerator * value.numerator, p.denominator * value.denominator
+        if den == common:
+            total += num
+        else:
+            g = gcd(common, den)
+            total = total * (den // g) + num * (common // g)
+            common = common // g * den
+    return Fraction(total, common)
 
 
 def display_key(entry: tuple[Fraction, Any]) -> tuple[str, str, Fraction]:

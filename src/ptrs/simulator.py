@@ -259,13 +259,13 @@ def drift_harness(
     for trial in range(trials):
         start = random_term(system.signature, rng, max_depth=term_depth)
         mu = MultiDistribution.point(start)
+        before = Fraction(rank(start))  # the expected rank of mu
         chooser = random_chooser(rng)
         for depth in range(max_depth):
             if not mu.entries:
                 break
             nu = step_multidist(pars, mu, chooser)
             checks += 1
-            before = expected_value(mu, rank)
             after = expected_value(nu, rank)
             if before < after + required * nu.mass():
                 return DriftReport(trial + 1, checks, DriftViolation(
@@ -273,10 +273,11 @@ def drift_harness(
                 ))
             # expected rank and mass are collapse-invariants, so merging
             # equal terms keeps the check exact while the state stays small
-            mu = collapsed(nu)
+            mu, before = collapsed(nu), after
             if len(mu.entries) > max_width:
                 heaviest = sorted(mu.entries, key=lambda e: (-e[0], display_key(e)))[:max_width]
                 mu = MultiDistribution._unchecked(
                     tuple(heaviest), sum((p for p, _ in heaviest), Fraction(0))
                 )
+                before = expected_value(mu, rank)
     return DriftReport(trials, checks, None)

@@ -21,31 +21,35 @@ def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 4) -> Fra
     return Fraction(rng.randrange(0, max_num + 1), rng.randrange(1, max_den + 1))
 
 
-def rand_poly_interp(rng: random.Random, arities: dict[str, int], degree: int) -> PolyInterpretation:
+def rand_poly_interp(
+    rng: random.Random, arities: dict[str, int], degree: int, max_den: int = 4
+) -> PolyInterpretation:
     from itertools import combinations
 
     coeffs = {}
     for sym, arity in arities.items():
-        row = {frozenset(): rand_fraction(rng)}
+        row = {frozenset(): rand_fraction(rng, max_den=max_den)}
         for i in range(1, arity + 1):
-            row[frozenset((i,))] = 1 + rand_fraction(rng)  # monotone witness
+            row[frozenset((i,))] = 1 + rand_fraction(rng, max_den=max_den)  # monotone witness
         if degree >= 2:
             for pair in combinations(range(1, arity + 1), 2):
                 if rng.random() < 0.5:
-                    row[frozenset(pair)] = rand_fraction(rng)
+                    row[frozenset(pair)] = rand_fraction(rng, max_den=max_den)
         coeffs[sym] = row
     return PolyInterpretation(arities, coeffs)
 
 
-def rand_matrix_interp(rng: random.Random, arities: dict[str, int], dim: int) -> MatrixInterpretation:
+def rand_matrix_interp(
+    rng: random.Random, arities: dict[str, int], dim: int, max_den: int = 4
+) -> MatrixInterpretation:
     entries = {}
     for sym, arity in arities.items():
         mats = []
         for _ in range(arity):
-            M = [[rand_fraction(rng) for _ in range(dim)] for _ in range(dim)]
-            M[0][0] = 1 + rand_fraction(rng)  # monotone witness
+            M = [[rand_fraction(rng, max_den=max_den) for _ in range(dim)] for _ in range(dim)]
+            M[0][0] = 1 + rand_fraction(rng, max_den=max_den)  # monotone witness
             mats.append(tuple(tuple(row) for row in M))
-        const = tuple(rand_fraction(rng) for _ in range(dim))
+        const = tuple(rand_fraction(rng, max_den=max_den) for _ in range(dim))
         entries[sym] = (tuple(mats), const)
     return MatrixInterpretation(arities, dim, entries)
 

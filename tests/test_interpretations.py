@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from helpers import (
     rand_value_distribution,
     vec_form_value,
 )
+from ptrs.certtext import load_interpretation
 from ptrs.interpretations import (
     Certificate,
     CertificateInvalid,
@@ -25,9 +27,12 @@ from ptrs.interpretations import (
     symbolic_eval,
 )
 from ptrs.multidist import FiniteDistribution
-from ptrs.rewriting import ProbRule, random_term, random_walk_ptrs
+from ptrs.rewriting import ProbRule, TermPars, random_term, random_walk_ptrs
+from ptrs.simulator import RunConfig, estimate_edh, run
 from ptrs.terms import App, Signature, Var
-from ptrs.wst import elaborate, parse_problem
+from ptrs.wst import elaborate, load_system, parse_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 H = Fraction(1, 2)
 x, y, z = Var("x"), Var("y"), Var("z")
@@ -315,3 +320,70 @@ def test_rank_memo_matches_fresh_evaluation():
     assert set(memo) == {nat(k) for k in range(4)}
     with pytest.raises(KeyError):
         eval_term(COIN_INTERP, App("h", (nat(1),)), {})
+
+
+def test_ranks_equal_fraction_evaluation():
+    # ranking_from_certificate evaluates integral coefficients as ints; the
+    # oracle is eval_term on the certificate's own Fraction interpretation.
+    rng = random.Random(61)
+    cases = []
+    for name in ("coingame", "matrix", "rw34"):
+        system = load_system(PROBLEMS / f"{name}.wst")
+        cert = check_certificate(load_interpretation(PROBLEMS / f"{name}.cert"), system)
+        cases.append((system.signature, cert, True))
+    arities = {"f": 2, "g": 1, "h": 3, "a": 0}
+    for max_den in (1, 4):  # all integral, then a mix
+        for _ in range(8):
+            for interp in (
+                rand_poly_interp(rng, arities, degree=2, max_den=max_den),
+                rand_matrix_interp(rng, arities, dim=rng.choice((2, 3)), max_den=max_den),
+            ):
+                epsilon = Fraction(rng.randrange(1, 6), rng.randrange(1, 4))
+                cert = Certificate(interp, (epsilon,), epsilon)
+                cases.append((Signature(arities), cert, max_den == 1))
+
+    def coefficients(interp):
+        if interp.kind == "poly":
+            return [c for row in interp.coeffs.values() for c in row.values()]
+        return [e for mats, _ in interp.entries.values() for M in mats for row in M for e in row]
+
+    for kind in ("poly", "matrix"):
+        drawn = [
+            c for _, cert, _ in cases[3:] if cert.kind == kind for c in coefficients(cert.interpretation)
+        ]
+        assert any(c.denominator == 1 for c in drawn) and any(c.denominator != 1 for c in drawn)
+    for signature, cert, integral in cases:
+        rank, epsilon = ranking_from_certificate(cert)
+        assert epsilon == cert.epsilon and type(epsilon) is Fraction
+        for _ in range(25):
+            term = random_term(signature, rng, max_depth=5)
+            value = eval_term(cert.interpretation, term, {})
+            expected = value if cert.kind == "poly" else value[0]
+            assert rank(term) == expected
+            if integral:
+                assert type(rank(term)) is int
+            bound = rank(term) / epsilon
+            assert type(bound) is Fraction and bound == Fraction(expected) / cert.epsilon
+
+
+def test_estimate_edh_bound_stays_a_fraction():
+    # An interpretation built in code can give an int margin, so epsilon is
+    # an int there; with int ranks, rank / epsilon would be a float.
+    system = elaborate(parse_problem("(VAR x)(RULES s(x) -> x)"))
+    cert = check_certificate(walk_interp(), system)
+    assert cert.epsilon == 1
+    pars = TermPars(system)
+    report = run(RunConfig(pars, nat(3), 5))
+    estimate = estimate_edh(pars, cert, nat(3), report)
+    assert type(estimate.bound) is Fraction and estimate.bound == 3 and estimate.holds
+    for name in ("coingame", "matrix", "rw34"):
+        system = load_system(PROBLEMS / f"{name}.wst")
+        cert = check_certificate(load_interpretation(PROBLEMS / f"{name}.cert"), system)
+        pars = TermPars(system)
+        rng = random.Random(67)
+        for _ in range(5):
+            start = random_term(system.signature, rng, max_depth=4)
+            estimate = estimate_edh(pars, cert, start, run(RunConfig(pars, start, 6)))
+            value = eval_term(cert.interpretation, start, {})
+            expected = (value if cert.kind == "poly" else value[0]) / cert.epsilon
+            assert type(estimate.bound) is Fraction and estimate.bound == expected

@@ -7,6 +7,7 @@ from ptrs.multidist import (
     FiniteDistribution,
     InvalidWeights,
     MultiDistribution,
+    as_fraction,
     canonical_order,
     convex_union,
     expectation,
@@ -95,6 +96,33 @@ def test_expectation_and_map():
     assert expectation(mu) == 1
     assert expected_value(mu, lambda n: n + 1) == Fraction(7, 4)
     assert mu.map(lambda n: n * 2) == MultiDistribution([(H, 0), (Q, 8)])
+
+
+def test_expected_value_matches_fraction_sum():
+    # The sum over one running denominator against the plain Fraction sum.
+    def oracle(mu, fn):
+        return sum((p * as_fraction(fn(obj)) for p, obj in mu.entries), Fraction(0))
+
+    rng = random.Random(71)
+    draws = {
+        "int": lambda: rng.randrange(-50, 51),
+        "fraction": lambda: Fraction(rng.randrange(-50, 51), rng.randrange(1, 13)),
+        "big int": lambda: rng.randrange(-(10**30), 10**30),
+    }
+    for _ in range(400):
+        kinds = rng.sample(sorted(draws), rng.randrange(1, 4))
+        n = rng.randrange(0, 9)
+        values = [draws[rng.choice(kinds)]() for _ in range(n)]
+        # part weights with coprime denominators, each at most 1/n
+        weights = [Fraction(rng.randrange(1, d + 1), d * n) for d in rng.choices((3, 5, 7), k=n)]
+        mu = MultiDistribution(list(zip(weights, range(n))))
+        for fn in (values.__getitem__, lambda i: -values[i], lambda i: str(values[i])):
+            result = expected_value(mu, fn)
+            assert type(result) is Fraction and result == oracle(mu, fn)
+    empty = expected_value(MultiDistribution.empty(), lambda obj: 1)
+    assert type(empty) is Fraction and empty == 0
+    assert type(expectation(MultiDistribution.empty())) is Fraction
+    assert expectation(MultiDistribution([(H, "1/3"), (Q, 2), (Q, Fraction(-2, 5))])) == Fraction(17, 30)
 
 
 def test_rendering():

@@ -11,7 +11,7 @@ from helpers import (
     walk_masses,
     walk_partial_edl,
 )
-from ptrs.certtext import parse_interpretation
+from ptrs.certtext import load_interpretation, parse_interpretation
 from ptrs.interpretations import check_certificate
 from ptrs.multidist import FiniteDistribution, MultiDistribution
 from ptrs.rewriting import (
@@ -195,6 +195,49 @@ def test_drift_harness_catches_inflated_epsilon():
         forged.violation.epsilon
     ) * forged.violation.successor.mass()
     assert "needs a drop" in str(forged.violation)
+
+
+# Seeded drift_harness runs and their reports: (problem, certificate text
+# or None for the shipped one, seed, trials, max_depth, epsilon as a factor
+# of the certified one or an explicit Fraction, max_width) -> (trials,
+# checks, str(violation)). The rw34 runs at widths 3 and 2 trim their
+# states; the last one is a violation reached only after trims, so it
+# also pins the expected rank of a trimmed state.
+DRIFT_PINS = [
+    (("coingame", None, 2, 30, 12, 1, 32), (30, 62, "None")),
+    (("matrix", None, 3, 30, 12, 1, 32), (30, 85, "None")),
+    (("rw34", None, 4, 20, 15, 1, 32), (20, 188, "None")),
+    (("rw34", None, 5, 30, 15, 2, 32), (1, 1, "trial 0 depth 0: expected rank 4 -> 7/2 "
+                                           "with surviving mass 1, needs a drop of 1")),
+    (("matrix", None, 6, 30, 15, 2, 32), (2, 2, "trial 1 depth 0: expected rank 1 -> 1/2 "
+                                             "with surviving mass 1, needs a drop of 1")),
+    (("rw34", None, 4, 20, 15, 1, 3), (20, 244, "None")),
+    (("rw34", "poly\n[0] = 0\n[s](x) = 2*x + 1\n", 1, 10, 10, F(3, 4), 2),
+     (2, 4, "trial 1 depth 2: expected rank 51/16 -> 171/64 with surviving mass 15/16, "
+            "needs a drop of 45/64")),
+]
+
+
+@pytest.mark.parametrize("run_args, pinned", DRIFT_PINS)
+def test_drift_reports_are_pinned(run_args, pinned):
+    name, cert_text, seed, trials, max_depth, epsilon, max_width = run_args
+    system = load_system(PROBLEMS / f"{name}.wst")
+    interp = (
+        load_interpretation(PROBLEMS / f"{name}.cert")
+        if cert_text is None
+        else parse_interpretation(cert_text)
+    )
+    cert = check_certificate(interp, system)
+    report = drift_harness(
+        system,
+        cert,
+        trials=trials,
+        max_depth=max_depth,
+        rng=random.Random(seed),
+        epsilon=epsilon * cert.epsilon if isinstance(epsilon, int) else epsilon,
+        max_width=max_width,
+    )
+    assert (report.trials, report.checks, str(report.violation)) == pinned
 
 
 def test_exhaustive_agrees_with_single_strategy_when_deterministic():
