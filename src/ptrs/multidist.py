@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Callable, Generic, Hashable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T", bound=Hashable)
@@ -29,7 +29,7 @@ def as_fraction(value: Rational | str) -> Fraction:
 class FiniteDistribution(Generic[T]):
     """Probability distribution with finite support, weights summing to 1."""
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_integer")
 
     def __init__(self, entries: Iterable[tuple[T, Rational]] | dict[T, Rational]):
         if isinstance(entries, dict):
@@ -47,13 +47,25 @@ class FiniteDistribution(Generic[T]):
         if total != 1:
             raise InvalidWeights(f"probabilities sum to {total}, expected 1")
         self._entries = acc
+        self._integer = None
 
     @classmethod
     def _unchecked(cls, entries: dict[T, Fraction]) -> "FiniteDistribution[T]":
         """Wrap Fraction weights already known to be positive and to sum to 1."""
         dist = cls.__new__(cls)
         dist._entries = entries
+        dist._integer = None
         return dist
+
+    def integer_weights(self) -> tuple[int, tuple[tuple[int, T], ...]]:
+        """(d, ((n, obj), ...)): every weight as n / d, where d is the lcm of
+        the weights' denominators, so the numerators sum to d. Computed once."""
+        integer = self._integer
+        if integer is None:
+            den = lcm(*(p.denominator for p in self._entries.values()))
+            pairs = tuple((p.numerator * (den // p.denominator), obj) for obj, p in self._entries.items())
+            integer = self._integer = (den, pairs)
+        return integer
 
     def probability(self, obj: T) -> Fraction:
         return self._entries.get(obj, Fraction(0))
@@ -97,12 +109,19 @@ class FiniteDistribution(Generic[T]):
 class MultiDistribution(Generic[T]):
     """Finite multiset of (probability, object) entries with total mass <= 1.
 
+    Weights are kept as positive integer numerators over one shared
+    denominator, with the numerator of the total mass alongside; a step
+    multiplies and adds integers. The form is not reduced: `entries`,
+    `mass()`, `collapse()` and the printers reduce where they read a
+    weight, and equality and hashing compare the form divided by
+    gcd(denominator, *numerators), which is canonical.
+
     The constructor checks weights that come from outside. Constructions
     inside this package derive their weights from checked ones, so they
     build through `_unchecked` and carry the mass along instead.
     """
 
-    __slots__ = ("_entries", "_mass")
+    __slots__ = ("_numerators", "_den", "_mass_num", "_entries", "_key")
 
     def __init__(self, entries: Iterable[tuple[Rational, T]]):
         kept: list[tuple[Fraction, T]] = []
@@ -117,50 +136,88 @@ class MultiDistribution(Generic[T]):
             total += p
         if total > 1:
             raise InvalidWeights(f"total mass {total} exceeds 1")
+        den = lcm(*(p.denominator for p, _ in kept))
+        self._numerators = tuple((p.numerator * (den // p.denominator), obj) for p, obj in kept)
+        self._den = den
+        self._mass_num = total.numerator * (den // total.denominator)
         self._entries = tuple(kept)
-        self._mass = total
+        self._key = None
 
     @classmethod
     def _unchecked(
-        cls, entries: tuple[tuple[Fraction, T], ...], mass: Fraction
+        cls, numerators: tuple[tuple[int, T], ...], den: int, mass_num: int
     ) -> "MultiDistribution[T]":
-        """Wrap Fraction weights already known to lie in (0, 1], with their
-        sum `mass` already known to be at most 1."""
+        """Wrap integer weights n / den already known to have every n >= 1,
+        with their sum `mass_num` already known to be at most den."""
         mu = cls.__new__(cls)
-        mu._entries = entries
-        mu._mass = mass
+        mu._numerators = numerators
+        mu._den = den
+        mu._mass_num = mass_num
+        mu._entries = None
+        mu._key = None
         return mu
 
     @classmethod
     def point(cls, obj: T) -> "MultiDistribution[T]":
-        return cls._unchecked(((Fraction(1), obj),), Fraction(1))
+        return cls._unchecked(((1, obj),), 1, 1)
 
     @classmethod
     def empty(cls) -> "MultiDistribution[T]":
-        return cls._unchecked((), Fraction(0))
+        return cls._unchecked((), 1, 0)
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution[T]) -> "MultiDistribution[T]":
-        return cls._unchecked(tuple((p, obj) for obj, p in dist.items()), Fraction(1))
+        den, pairs = dist.integer_weights()
+        return cls._unchecked(pairs, den, den)
+
+    @property
+    def numerators(self) -> tuple[tuple[int, T], ...]:
+        """The entries as (n, obj), each of weight n / `denominator`."""
+        return self._numerators
+
+    @property
+    def denominator(self) -> int:
+        return self._den
+
+    @property
+    def mass_numerator(self) -> int:
+        """The sum of the numerators: mass() is this over `denominator`."""
+        return self._mass_num
 
     @property
     def entries(self) -> tuple[tuple[Fraction, T], ...]:
-        return self._entries
+        """The entries as (Fraction, obj), reduced once and cached."""
+        entries = self._entries
+        if entries is None:
+            den = self._den
+            reduced: dict[int, Fraction] = {}
+            out = []
+            for n, obj in self._numerators:
+                p = reduced.get(n)
+                if p is None:
+                    p = reduced[n] = Fraction(n, den)
+                out.append((p, obj))
+            entries = self._entries = tuple(out)
+        return entries
 
     def mass(self) -> Fraction:
-        return self._mass
+        return Fraction(self._mass_num, self._den)
 
     def collapse(self) -> dict[T, Fraction]:
         """Merge equal objects; the result is a subdistribution as a dict."""
-        out: dict[T, Fraction] = {}
-        for p, obj in self._entries:
-            seen = out.get(obj)
-            out[obj] = p if seen is None else seen + p
+        den = self._den
+        return {obj: Fraction(n, den) for obj, n in self.merged_numerators().items()}
+
+    def merged_numerators(self) -> dict[T, int]:
+        """Equal objects merged, each with the sum of its numerators."""
+        out: dict[T, int] = {}
+        for n, obj in self._numerators:
+            out[obj] = out.get(obj, 0) + n
         return out
 
     def map(self, fn: Callable[[T], S]) -> "MultiDistribution[S]":
         return MultiDistribution._unchecked(
-            tuple((p, fn(obj)) for p, obj in self._entries), self._mass
+            tuple((n, fn(obj)) for n, obj in self._numerators), self._den, self._mass_num
         )
 
     def scale(self, factor: Rational) -> "MultiDistribution[T]":
@@ -168,43 +225,82 @@ class MultiDistribution(Generic[T]):
         if not 0 <= factor <= 1:
             # the checking constructor rejects the scaled weights unless
             # they still fit (a factor above 1 on a light multidistribution)
-            return MultiDistribution([(factor * p, obj) for p, obj in self._entries])
+            return MultiDistribution([(factor * p, obj) for p, obj in self.entries])
         if factor == 0:
             return MultiDistribution.empty()
+        a = factor.numerator
         return MultiDistribution._unchecked(
-            tuple((factor * p, obj) for p, obj in self._entries), factor * self._mass
+            tuple((a * n, obj) for n, obj in self._numerators),
+            factor.denominator * self._den,
+            a * self._mass_num,
         )
 
+    def bind(self, fn: Callable[[T], FiniteDistribution[S] | None]) -> "MultiDistribution[S]":
+        """The union of p * fn(obj) over the entries (p, obj); an entry
+        whose fn(obj) is None vanishes."""
+        parts = []
+        for n, obj in self._numerators:
+            dist = fn(obj)
+            if dist is not None:
+                den, pairs = dist.integer_weights()
+                parts.append((n, den, pairs, den))
+        return _union(parts, self._den)
+
+    def _canonical(self) -> tuple[int, frozenset]:
+        key = self._key
+        if key is None:
+            pairs = self._numerators
+            g = gcd(self._den, *(n for n, _ in pairs))
+            if g != 1:
+                pairs = [(n // g, obj) for n, obj in pairs]
+            key = self._key = (self._den // g, frozenset(Counter(pairs).items()))
+        return key
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._numerators)
 
     def __iter__(self) -> Iterator[tuple[Fraction, T]]:
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __eq__(self, other: object) -> bool:
         # Multiset equality: order-insensitive, multiplicity-sensitive.
         if not isinstance(other, MultiDistribution):
             return NotImplemented
-        return Counter(self._entries) == Counter(other._entries)
+        return self is other or self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash(frozenset(Counter(self._entries).items()))
+        return hash(self._canonical())
 
     def __str__(self) -> str:
-        inner = ", ".join(f"{p}: {obj}" for p, obj in self._entries)
+        inner = ", ".join(f"{p}: {obj}" for p, obj in self.entries)
         return "{" + inner + "}"
 
     def __repr__(self) -> str:
         return f"MultiDistribution({self})"
 
 
+def _union(
+    parts: list[tuple[int, int, tuple[tuple[int, T], ...], int]], outer: int = 1
+) -> MultiDistribution[T]:
+    """The union of the parts (a, d, pairs, mass): for every (m, obj) in
+    pairs, an entry of weight a * m / (outer * d); mass is the sum of the
+    m. One lcm of the d for the whole union, then products of ints."""
+    common = lcm(*{d for _, d, _, _ in parts})
+    numerators: list[tuple[int, T]] = []
+    mass = 0
+    for a, d, pairs, part_mass in parts:
+        factor = a * (common // d)
+        numerators.extend([(factor * m, obj) for m, obj in pairs])
+        mass += factor * part_mass
+    return MultiDistribution._unchecked(tuple(numerators), outer * common, mass)
+
+
 def convex_union(
     parts: Iterable[tuple[Rational, MultiDistribution[T]]],
 ) -> MultiDistribution[T]:
     """Weighted multiset union sum pi * mui with pi >= 0 and sum pi <= 1."""
-    entries: list[tuple[Fraction, T]] = []
+    ints = []
     total = Fraction(0)
-    mass = Fraction(0)
     for p, mu in parts:
         p = as_fraction(p)
         if p < 0:
@@ -212,12 +308,11 @@ def convex_union(
         if p == 0:
             continue
         total += p
-        mass += p * mu._mass
-        entries.extend((p * q, obj) for q, obj in mu._entries)
+        ints.append((p.numerator, p.denominator * mu._den, mu._numerators, mu._mass_num))
     if total > 1:
         raise InvalidWeights(f"part weights sum to {total}, exceeding 1")
     # every p * q lies in (0, p], so the union needs no further check
-    return MultiDistribution._unchecked(tuple(entries), mass)
+    return _union(ints)
 
 
 def expectation(mu: MultiDistribution[Any]) -> Fraction:
@@ -228,29 +323,33 @@ def expectation(mu: MultiDistribution[Any]) -> Fraction:
 def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:
     """The sum of p * fn(obj) over the entries of mu, as a Fraction.
 
-    The products are added over one running common denominator and reduced
-    once at the end, so an int value costs a multiplication and an addition
-    of ints; any other value goes through as_fraction.
+    The weights are read as numerators over mu's denominator, and the
+    products are added over one running common denominator of the values,
+    then reduced once at the end: an int value costs a multiplication and
+    an addition of ints; any other value goes through as_fraction.
     """
     total, common = 0, 1
-    for p, obj in mu.entries:
+    for n, obj in mu.numerators:
         value = fn(obj)
         if value.__class__ is int:
-            num, den = p.numerator * value, p.denominator
+            num, den = n * value, 1
         else:
             value = as_fraction(value)
-            num, den = p.numerator * value.numerator, p.denominator * value.denominator
+            num, den = n * value.numerator, value.denominator
         if den == common:
             total += num
         else:
             g = gcd(common, den)
             total = total * (den // g) + num * (common // g)
             common = common // g * den
-    return Fraction(total, common)
+    return Fraction(total, common * mu.denominator)
 
 
-def display_key(entry: tuple[Fraction, Any]) -> tuple[str, str, Fraction]:
-    """Deterministic ordering key for listings; equality never relies on it."""
+def display_key(entry: tuple[Rational, Any]) -> tuple[str, str, Rational]:
+    """Deterministic ordering key for listings; equality never relies on it.
+
+    The weight may be a Fraction or a numerator: numerators over one
+    denominator sort as their Fractions do."""
     p, obj = entry
     return (type(obj).__name__, str(obj), p)
 

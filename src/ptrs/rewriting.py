@@ -17,14 +17,14 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from typing import Callable, Hashable, Sequence
 
 from .multidist import (
     FiniteDistribution,
     MultiDistribution,
     as_fraction,
-    convex_union,
 )
 from .terms import (
     App,
@@ -296,12 +296,7 @@ def random_chooser(rng: random.Random) -> Chooser:
 
 def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> MultiDistribution:
     """One reduction step; terminal entries vanish, so mass is monotone."""
-    parts: list[tuple[Fraction, MultiDistribution]] = []
-    for p, obj in mu.entries:
-        chosen = pars.choose(obj, chooser)
-        if chosen is not None:
-            parts.append((p, MultiDistribution.from_distribution(chosen)))
-    return convex_union(parts)
+    return mu.bind(lambda obj: pars.choose(obj, chooser))
 
 
 class BudgetTracker:
@@ -322,14 +317,27 @@ def all_steps(
 
     Duplicate results (as multisets) are removed; first-seen order is kept.
     """
-    alternatives: list[list[MultiDistribution]] = []
-    for p, obj in mu.entries:
+    choices = []
+    for n, obj in mu.numerators:
         options = pars.options(obj)
-        if not options:
-            continue
-        alternatives.append([MultiDistribution.from_distribution(d).scale(p) for d in options])
-    if not alternatives:
+        if options:
+            choices.append((n, [d.integer_weights() for d in options]))
+    if not choices:
         return [MultiDistribution.empty()]
+    # every successor's weights are numerators over mu's denominator times
+    # one common denominator of all the options
+    common = lcm(*{d for _, weighted in choices for d, _ in weighted})
+    alternatives: list[list[tuple[tuple[int, Hashable], ...]]] = []
+    for n, weighted in choices:
+        opts = []
+        for d, pairs in weighted:
+            factor = n * (common // d)
+            opts.append(tuple((factor * m, image) for m, image in pairs))
+        alternatives.append(opts)
+    # each option keeps the mass of the entry it replaces, so every
+    # successor weighs the nonterminal entries of mu: at most mass(mu)
+    den = mu.denominator * common
+    mass = common * sum(n for n, _ in choices)
     seen: dict[MultiDistribution, None] = {}
     combos = 1
     for opts in alternatives:
@@ -337,11 +345,7 @@ def all_steps(
     if tracker is not None:
         tracker.spend(combos * len(alternatives))
     for combo in product(*alternatives):
-        # the parts weigh the entries of mu they came from, so their
-        # masses add up to at most mass(mu)
-        entries = tuple(entry for part in combo for entry in part.entries)
-        mass = sum((part.mass() for part in combo), Fraction(0))
-        nu = MultiDistribution._unchecked(entries, mass)
+        nu = MultiDistribution._unchecked(tuple(chain.from_iterable(combo)), den, mass)
         if nu not in seen:
             seen[nu] = None
     return list(seen)

@@ -69,12 +69,13 @@ class RunReport:
 
 def collapsed(mu: MultiDistribution) -> MultiDistribution:
     """Merge equal objects into single entries, deterministically ordered."""
-    items = sorted(((p, obj) for obj, p in mu.collapse().items()), key=display_key)
-    return MultiDistribution._unchecked(tuple(items), mu.mass())
+    # numerators over one denominator sort as the weights they stand for
+    items = sorted(((n, obj) for obj, n in mu.merged_numerators().items()), key=display_key)
+    return MultiDistribution._unchecked(tuple(items), mu.denominator, mu.mass_numerator)
 
 
 def _hits_truncation(pars: Pars, mu: MultiDistribution) -> bool:
-    return any(pars.truncates(obj) for _, obj in mu.entries)
+    return any(pars.truncates(obj) for _, obj in mu.numerators)
 
 
 def run(config: RunConfig) -> RunReport:
@@ -90,13 +91,14 @@ def run(config: RunConfig) -> RunReport:
     trace = [mu]
     truncated = _hits_truncation(pars, mu)
     for _ in range(config.steps):
-        tracker.spend(max(len(mu.entries), 1))
+        tracker.spend(max(len(mu), 1))
         mu = step_multidist(pars, mu, chooser)
         if config.collapse:
             mu = collapsed(mu)
         truncated = truncated or _hits_truncation(pars, mu)
-        masses.append(mu.mass())
-        edl.append(edl[-1] + mu.mass())
+        mass = mu.mass()
+        masses.append(mass)
+        edl.append(edl[-1] + mass)
         if config.keep_trace:
             trace.append(mu)
     return RunReport(
@@ -129,15 +131,16 @@ def _run_exhaustive(config: RunConfig, pars: Pars, tracker: BudgetTracker, start
     for _ in range(config.steps):
         successors: dict[MultiDistribution, tuple[Fraction, Fraction]] = {}
         for state, (lo, hi) in states.items():
-            for nu in all_steps(pars, state, tracker):
+            steps = all_steps(pars, state, tracker)
+            # every successor keeps the mass of the nonterminal entries of state
+            mass = steps[0].mass()
+            reached = (lo + mass, hi + mass)
+            for nu in steps:
                 if config.collapse:
                     nu = collapsed(nu)
-                mass = nu.mass()
-                interval = (lo + mass, hi + mass)
                 old = successors.get(nu)
-                if old is not None:
-                    interval = (min(old[0], interval[0]), max(old[1], interval[1]))
-                successors[nu] = interval
+                successors[nu] = reached if old is None else (
+                    min(old[0], reached[0]), max(old[1], reached[1]))
         states = successors
         mass_min.append(min(s.mass() for s in states))
         mass_max.append(max(s.mass() for s in states))
@@ -159,23 +162,6 @@ def _run_exhaustive(config: RunConfig, pars: Pars, tracker: BudgetTracker, start
         truncation_hit=truncated,
         nodes=tracker.spent,
     )
-
-
-def brute_force_reducts(
-    pars: Pars, start: Hashable, depth: int, node_budget: int = 10**6
-) -> list[list[MultiDistribution]]:
-    """All multidistributions reachable at each depth, every strategy."""
-    tracker = BudgetTracker(node_budget)
-    frontier: dict[MultiDistribution, None] = {MultiDistribution.point(start): None}
-    levels = [canonical_order(frontier)]
-    for _ in range(depth):
-        successors: dict[MultiDistribution, None] = {}
-        for state in frontier:
-            for nu in all_steps(pars, state, tracker):
-                successors[nu] = None
-        frontier = successors
-        levels.append(canonical_order(frontier))
-    return levels
 
 
 @dataclass
@@ -262,7 +248,7 @@ def drift_harness(
         before = Fraction(rank(start))  # the expected rank of mu
         chooser = random_chooser(rng)
         for depth in range(max_depth):
-            if not mu.entries:
+            if not mu.numerators:
                 break
             nu = step_multidist(pars, mu, chooser)
             checks += 1
@@ -274,10 +260,10 @@ def drift_harness(
             # expected rank and mass are collapse-invariants, so merging
             # equal terms keeps the check exact while the state stays small
             mu, before = collapsed(nu), after
-            if len(mu.entries) > max_width:
-                heaviest = sorted(mu.entries, key=lambda e: (-e[0], display_key(e)))[:max_width]
+            if len(mu) > max_width:
+                heaviest = sorted(mu.numerators, key=lambda e: (-e[0], display_key(e)))[:max_width]
                 mu = MultiDistribution._unchecked(
-                    tuple(heaviest), sum((p for p, _ in heaviest), Fraction(0))
+                    tuple(heaviest), mu.denominator, sum(n for n, _ in heaviest)
                 )
                 before = expected_value(mu, rank)
     return DriftReport(trials, checks, None)

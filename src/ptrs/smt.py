@@ -26,9 +26,9 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product as iter_product
+from itertools import combinations
 from time import monotonic
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .boxsolver import DEFAULT_LIMIT, ScriptError, narrow, parse_script, solve_sums
 from .interpretations import (
@@ -598,20 +598,3 @@ def decode(encoded: EncodedProblem, model: Mapping[str, Fraction]) -> Interpreta
         env[spec.name] = value
     return template(encoded.system, encoded.shape, lambda name, lo: env[name])
 
-
-def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[str, int]]:
-    """Exhaustive models of the constraint set within its integer box.
-
-    Independent of any solver; the test oracle for small bounds.
-    """
-    names = [spec.name for spec in cs.unknowns]
-    ranges = [range(spec.lo, spec.hi + 1) for spec in cs.unknowns]
-    count = 1
-    for r in ranges:
-        count *= len(r)
-    if limit is not None and count > limit:
-        raise ValueError(f"box holds {count} assignments, over the limit {limit}")
-    for values in iter_product(*ranges):
-        env = dict(zip(names, values))
-        if all(c.poly.evaluate(env) >= c.at_least for c in cs.constraints):
-            yield env

@@ -9,11 +9,15 @@ code paths.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product as iter_product
+from typing import Hashable, Iterator
 
 from ptrs.interpretations import MatrixInterpretation, PolyInterpretation
-from ptrs.multidist import FiniteDistribution
-from ptrs.rewriting import PTRS, ProbRule, random_term
+from ptrs.multidist import FiniteDistribution, MultiDistribution, as_fraction, canonical_order, display_key
+from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
+from ptrs.smt import ConstraintSet
 from ptrs.terms import Signature, Var, variables
 
 
@@ -161,3 +165,107 @@ def random_ptrs(rng):
             rhs = FiniteDistribution([(t, weight) for t in alternatives])
             rules.append(ProbRule(lhs, rhs))
     return PTRS(signature, tuple(rules))
+
+
+def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[str, int]]:
+    """Exhaustive models of the constraint set within its integer box.
+
+    Independent of any solver; the test oracle for small bounds.
+    """
+    names = [spec.name for spec in cs.unknowns]
+    ranges = [range(spec.lo, spec.hi + 1) for spec in cs.unknowns]
+    count = 1
+    for r in ranges:
+        count *= len(r)
+    if limit is not None and count > limit:
+        raise ValueError(f"box holds {count} assignments, over the limit {limit}")
+    for values in iter_product(*ranges):
+        env = dict(zip(names, values))
+        if all(c.poly.evaluate(env) >= c.at_least for c in cs.constraints):
+            yield env
+
+
+def brute_force_reducts(
+    pars: Pars, start: Hashable, depth: int, node_budget: int = 10**6
+) -> list[list[MultiDistribution]]:
+    """All multidistributions reachable at each depth, every strategy."""
+    tracker = BudgetTracker(node_budget)
+    frontier: dict[MultiDistribution, None] = {MultiDistribution.point(start): None}
+    levels = [canonical_order(frontier)]
+    for _ in range(depth):
+        successors: dict[MultiDistribution, None] = {}
+        for state in frontier:
+            for nu in all_steps(pars, state, tracker):
+                successors[nu] = None
+        frontier = successors
+        levels.append(canonical_order(frontier))
+    return levels
+
+
+# The Fraction-per-entry multidistribution step that the integer form
+# replaced, kept as a reference. A state is (entries, mass): entries is a
+# tuple of (Fraction, obj) in order, mass their sum.
+
+
+def reference_convex_union(parts):
+    """sum p_i * state_i over parts (p_i, state_i), every product a Fraction."""
+    entries = []
+    total = Fraction(0)
+    mass = Fraction(0)
+    for p, (part_entries, part_mass) in parts:
+        p = as_fraction(p)
+        if p < 0:
+            raise ValueError(f"negative part weight {p}")
+        if p == 0:
+            continue
+        total += p
+        mass += p * part_mass
+        entries.extend((p * q, obj) for q, obj in part_entries)
+    if total > 1:
+        raise ValueError(f"part weights sum to {total}, exceeding 1")
+    return tuple(entries), mass
+
+
+def reference_step(pars, state, chooser):
+    parts = []
+    for p, obj in state[0]:
+        chosen = pars.choose(obj, chooser)
+        if chosen is not None:
+            parts.append((p, (tuple((q, image) for image, q in chosen.items()), Fraction(1))))
+    return reference_convex_union(parts)
+
+
+def reference_collapse(entries) -> dict:
+    out = {}
+    for p, obj in entries:
+        seen = out.get(obj)
+        out[obj] = p if seen is None else seen + p
+    return out
+
+
+def reference_collapsed(state):
+    items = sorted(((p, obj) for obj, p in reference_collapse(state[0]).items()), key=display_key)
+    return tuple(items), state[1]
+
+
+def reference_all_steps(pars, state):
+    """Every successor, one option per nonterminal entry, multiset duplicates
+    dropped, first-seen order kept."""
+    alternatives = []
+    for p, obj in state[0]:
+        options = pars.options(obj)
+        if options:
+            alternatives.append([(tuple((p * q, image) for image, q in d.items()), p) for d in options])
+    if not alternatives:
+        return [((), Fraction(0))]
+    seen = {}
+    for combo in iter_product(*alternatives):
+        entries = tuple(entry for part, _ in combo for entry in part)
+        key = frozenset(Counter(entries).items())
+        if key not in seen:
+            seen[key] = (entries, sum((mass for _, mass in combo), Fraction(0)))
+    return list(seen.values())
+
+
+def reference_expected_value(entries, fn) -> Fraction:
+    return sum((p * as_fraction(fn(obj)) for p, obj in entries), Fraction(0))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import hitting_times_truncated
+from helpers import enumerate_box, hitting_times_truncated
 from ptrs.certtext import load_interpretation
 from ptrs.cli import main
 from ptrs.interpretations import check_certificate
@@ -24,7 +24,7 @@ from ptrs.multidist import MultiDistribution
 from ptrs.prover import ProverConfig, check_only, prove
 from ptrs.rewriting import NondetBranch, RandomWalk, random_walk_ptrs
 from ptrs.simulator import RunConfig, collapsed, drift_harness, estimate_edh, run
-from ptrs.smt import DEFAULT_SHAPES, Shape, encode, enumerate_box
+from ptrs.smt import DEFAULT_SHAPES, Shape, encode
 from ptrs.terms import Var
 from ptrs.wst import load_system
 

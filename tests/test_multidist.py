@@ -13,6 +13,7 @@ from ptrs.multidist import (
     expectation,
     expected_value,
 )
+from ptrs.simulator import collapsed
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -219,3 +220,65 @@ def test_scale_factor_bounds():
     assert light.scale(2).mass() == H
     assert light.scale(0) == MultiDistribution.empty()
     assert MultiDistribution.empty().scale(-1) == MultiDistribution.empty()
+
+
+def test_unreduced_forms_compare_and_hash_by_value():
+    # Weights share a denominator that is not reduced after a union or a
+    # merge; equality and hashing read the value, not the form.
+    a, b = MultiDistribution.point("a"), MultiDistribution.point("b")
+    halves = MultiDistribution([(H, "a"), (H, "b")])
+    quarters = convex_union([(Q, a), (Q, a), (Q, b), (Q, b)])
+    merged = collapsed(quarters)
+    by_hand = MultiDistribution._unchecked(((2, "b"), (2, "a")), 4, 4)
+    for unreduced in (merged, by_hand):
+        assert unreduced.denominator == 4 and halves.denominator == 2
+        assert unreduced == halves and halves == unreduced
+        assert hash(unreduced) == hash(halves)
+        assert len({unreduced, halves}) == 1
+        assert sorted(unreduced.entries, key=str) == sorted(halves.entries, key=str)
+        assert unreduced.mass() == 1 and str(unreduced.mass()) == "1"
+    # thirds over sixths: 2/3 * 1/2 and 1/3 * 1 both read 2/6
+    thirds = convex_union([(Fraction(2, 3), MultiDistribution([(H, "a")])), (Fraction(1, 3), b)])
+    assert thirds.numerators == ((2, "a"), (2, "b")) and thirds.denominator == 6
+    assert thirds == MultiDistribution([(Fraction(1, 3), "b"), (Fraction(1, 3), "a")])
+    assert hash(thirds) == hash(MultiDistribution([(Fraction(1, 3), "a"), (Fraction(1, 3), "b")]))
+    assert thirds.entries == ((Fraction(1, 3), "a"), (Fraction(1, 3), "b"))
+    assert str(thirds) == "{1/3: a, 1/3: b}"
+    # same numerators over another denominator, or another multiplicity
+    assert by_hand != MultiDistribution._unchecked(((2, "b"), (2, "a")), 8, 4)
+    assert quarters != halves
+    assert quarters == MultiDistribution._unchecked(((2, "a"), (2, "a"), (2, "b"), (2, "b")), 8, 8)
+
+
+def test_every_empty_form_is_the_empty_multidistribution():
+    point = MultiDistribution.point("a")
+    forms = [
+        MultiDistribution.empty(),
+        MultiDistribution([]),
+        MultiDistribution([(0, "a")]),
+        point.scale(0),
+        MultiDistribution([(H, "a")]).scale(Fraction(0, 7)),
+        convex_union([]),
+        convex_union([(H, MultiDistribution.empty())]),
+        convex_union([(0, point)]),
+        MultiDistribution._unchecked((), 12, 0),
+    ]
+    for mu in forms:
+        assert mu == MultiDistribution.empty()
+        assert hash(mu) == hash(MultiDistribution.empty())
+        assert mu.entries == () and len(mu) == 0 and str(mu) == "{}"
+        assert mu.mass() == 0 and mu.collapse() == {}
+        assert mu != point
+    assert len(set(forms)) == 1
+
+
+def test_integer_form_of_a_distribution():
+    # the common denominator 12 is none of the weights' denominators
+    dist = FiniteDistribution({"a": Q, "b": Fraction(1, 6), "c": Fraction(1, 3), "d": Q})
+    assert dist.integer_weights() == (12, ((3, "a"), (2, "b"), (4, "c"), (3, "d")))
+    assert dist.integer_weights() is dist.integer_weights()
+    mu = MultiDistribution.from_distribution(dist)
+    assert mu.entries == tuple((p, obj) for obj, p in dist.items())
+    assert mu.mass() == 1 and mu.mass_numerator == mu.denominator == 12
+    checked = MultiDistribution([(Fraction(1, 6), "a"), (Fraction(1, 4), "b")])
+    assert (checked.numerators, checked.denominator, checked.mass_numerator) == (((2, "a"), (3, "b")), 12, 5)

@@ -1,33 +1,43 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from helpers import (
+    brute_force_reducts,
     dp_random_walk,
     hitting_times_truncated,
     random_ptrs,
+    reference_all_steps,
+    reference_collapsed,
+    reference_expected_value,
+    reference_step,
     walk_masses,
     walk_partial_edl,
 )
 from ptrs.certtext import load_interpretation, parse_interpretation
 from ptrs.interpretations import check_certificate
-from ptrs.multidist import FiniteDistribution, MultiDistribution
+from ptrs.multidist import FiniteDistribution, MultiDistribution, expected_value
 from ptrs.rewriting import (
+    BudgetTracker,
     NodeBudgetExceeded,
     NondetBranch,
     Payout,
     RandomWalk,
     Stake,
     TermPars,
+    all_steps,
     random_chooser,
     random_term,
     random_walk_ptrs,
+    step_multidist,
 )
 from ptrs.simulator import (
+    MODES,
     RunConfig,
-    brute_force_reducts,
     collapsed,
     drift_harness,
     estimate_edh,
@@ -279,8 +289,8 @@ def test_every_multidistribution_built_is_well_formed(monkeypatch):
     built = []
     unchecked = MultiDistribution._unchecked.__func__
 
-    def recording(cls, entries, mass):
-        mu = unchecked(cls, entries, mass)
+    def recording(cls, numerators, den, mass_num):
+        mu = unchecked(cls, numerators, den, mass_num)
         built.append(mu)
         return mu
 
@@ -294,10 +304,12 @@ def test_every_multidistribution_built_is_well_formed(monkeypatch):
         (NondetBranch(), "a", 4),
         (Payout(truncate=5), Stake(0), 8),
     ]
-    for system in [rw34, coingame] + [random_ptrs(rng) for _ in range(6)]:
+    # a step builds one multidistribution, so the term systems run enough
+    # starts and steps to record well over 5000 builds
+    for system in [rw34, coingame] + [random_ptrs(rng) for _ in range(8)]:
         pars = TermPars(system)
-        for _ in range(2):
-            cases.append((pars, random_term(system.signature, rng, max_depth=3), 3))
+        for _ in range(4):
+            cases.append((pars, random_term(system.signature, rng, max_depth=3), 4))
     for pars, start, steps in cases:
         for mode in ("outermost", "innermost", "exhaustive", random_chooser(rng)):
             for collapse in (False, True):
@@ -314,3 +326,115 @@ def test_every_multidistribution_built_is_well_formed(monkeypatch):
         assert all(type(p) is Fraction and 0 < p <= 1 for p in weights), mu
         assert mu.mass() == sum(weights, Fraction(0)), mu
         assert mu.mass() <= 1, mu
+        numerators = [n for n, _ in mu.numerators]
+        assert type(mu.denominator) is int and mu.denominator >= 1, mu
+        assert all(type(n) is int and n >= 1 for n in numerators), mu
+        assert sum(numerators) == mu.mass_numerator <= mu.denominator, mu
+
+
+def _reference_cases():
+    """Systems whose weights mix denominators: random PTRSs (merged
+    right-hand sides), coingame (rule totals 2 and 1), the walk at 3/5, and
+    the nondeterministic families."""
+    rng = random.Random(59)
+    coingame = TermPars(load_system(str(PROBLEMS / "coingame.wst")))
+    cases = [
+        (RandomWalk(F(3, 5)), 4, 12),
+        (NondetBranch(), "a", 4),
+        (Payout(truncate=6), Stake(0), 10),
+        (coingame, coingame.parse_object("?(s(s(0)))"), 6),
+    ]
+    for _ in range(8):
+        system = random_ptrs(rng)
+        pars = TermPars(system)
+        cases += [(pars, random_term(system.signature, rng, max_depth=3), 4) for _ in range(3)]
+    return cases
+
+
+VALUES = (lambda obj: len(str(obj)), lambda obj: F(len(str(obj)), 7))
+
+
+def _assert_matches_reference(mu, state):
+    entries, mass = state
+    assert mu.entries == entries
+    assert mu.mass() == mass
+    assert collapsed(mu).entries == reference_collapsed(state)[0]
+    for fn in VALUES:
+        assert expected_value(mu, fn) == reference_expected_value(entries, fn)
+
+
+def test_integer_weights_match_the_fraction_reference():
+    # The integer step, collapse and expected value against the Fraction
+    # bodies they replaced, entry by entry and in order.
+    checked = 0
+    denominators = set()
+    unreduced = 0
+    for index, (pars, start, steps) in enumerate(_reference_cases()):
+        for mode in ("outermost", "innermost", "random"):
+            for collapse in (False, True):
+                if mode == "random":
+                    # one seed for both sides: they visit entries in one order
+                    chooser, reference_chooser = (random_chooser(random.Random(index)) for _ in range(2))
+                else:
+                    chooser = reference_chooser = MODES[mode]
+                mu, state = MultiDistribution.point(start), (((F(1), start),), F(1))
+                for _ in range(steps):
+                    mu = step_multidist(pars, mu, chooser)
+                    state = reference_step(pars, state, reference_chooser)
+                    if collapse:
+                        mu, state = collapsed(mu), reference_collapsed(state)
+                    _assert_matches_reference(mu, state)
+                    checked += 1
+                    denominators.add(mu.denominator)
+                    unreduced += gcd(mu.denominator, *(n for n, _ in mu.numerators)) > 1
+    assert checked > 500
+    # mixed denominators (products of 2s, 3s and 5s) and unreduced forms occur
+    assert any(d % 6 == 0 for d in denominators) and any(d % 5 == 0 for d in denominators)
+    assert unreduced > 20
+
+
+def test_exhaustive_successors_match_the_fraction_reference():
+    # all_steps against the Fraction body it replaced: the same successors
+    # in the same order, and dedup by integer equality merges exactly the
+    # states whose Fraction multisets are equal.
+    levels = 0
+    for pars, start, steps in _reference_cases():
+        for collapse in (False, True):
+            tracker = BudgetTracker(20_000)  # nested redexes multiply successors
+            frontier = [(MultiDistribution.point(start), (((F(1), start),), F(1)))]
+            for _ in range(min(steps, 4)):
+                reached: dict = {}
+                states: dict = {}
+                try:
+                    stepped = [(all_steps(pars, mu, tracker), state) for mu, state in frontier]
+                except NodeBudgetExceeded:
+                    break
+                for got, state in stepped:
+                    want = reference_all_steps(pars, state)
+                    assert len(got) == len(want)
+                    for nu, successor in zip(got, want):
+                        _assert_matches_reference(nu, successor)
+                        if collapse:
+                            nu, successor = collapsed(nu), reference_collapsed(successor)
+                        reached.setdefault(frozenset(Counter(successor[0]).items()), (nu, successor))
+                        states[nu] = None
+                assert len(states) == len(reached)
+                frontier = list(reached.values())
+                levels += 1
+    assert levels > 200
+
+
+@pytest.mark.parametrize("pars, start, steps, counts", [
+    (Payout(), Stake(0), 24,
+     [1, 2, 3, 4, 5, 5, 6, 7, 8, 9, 10, 11, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23]),
+    ("coingame", "?(s(s(0)))", 9, [1, 2, 3, 3, 3, 3, 3, 3, 3, 3]),
+])
+def test_exhaustive_state_counts_are_pinned(pars, start, steps, counts):
+    # distinct states per depth, recorded before weights became integers:
+    # equality on the unreduced form dedups exactly as Fraction equality did
+    if pars == "coingame":
+        pars = TermPars(load_system(str(PROBLEMS / "coingame.wst")))
+        start = pars.parse_object(start)
+    for collapse in (False, True):
+        report = run(RunConfig(pars, start, steps, "exhaustive", collapse, keep_trace=True))
+        assert [len(level) for level in report.trace] == counts

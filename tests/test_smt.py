@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import enumerate_box, random_ptrs
 from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
 from ptrs.interpretations import (
     CertificateInvalid,
@@ -38,7 +39,6 @@ from ptrs.smt import (
     decode,
     emit_smtlib,
     encode,
-    enumerate_box,
     in_process_limit,
     parse_model,
     parse_shape,
@@ -50,7 +50,6 @@ from ptrs.smt import (
 )
 from ptrs.wst import elaborate, load_system, parse_problem
 
-from helpers import random_ptrs
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
