@@ -131,9 +131,11 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
     shapes_text = _pick(args.shapes, config, "shapes", None)
     shapes = (
         tuple(parse_shape(s.strip()) for s in shapes_text.split(",") if s.strip())
-        if shapes_text
+        if shapes_text is not None
         else DEFAULT_SHAPES
     )
+    if not shapes:
+        raise CliError(f"--shapes names no shape: {shapes_text!r}")
     timeout = _pick(args.smt_timeout, config, "smt-timeout", 60.0, float)
     if not timeout > 0:
         raise CliError(f"--smt-timeout must be positive, got {timeout}")
@@ -188,11 +190,11 @@ def _memo_full_note(limit: int) -> None:
 def _simulate_pars(args):
     if (args.file is None) == (args.family is None):
         raise CliError("simulate needs exactly one of FILE or --family")
+    if args.p is not None and args.family != "rw":
+        raise CliError("--p only applies to --family rw")
+    if args.truncate is not None and args.family not in ("rw", "payout"):
+        raise CliError("--truncate only applies to the rw and payout families")
     if args.file is not None:
-        if args.p is not None:
-            raise CliError("--p only applies to --family rw")
-        if args.truncate is not None:
-            raise CliError("--truncate only applies to the rw and payout families")
         return TermPars(load_system(args.file), _memo_full_note if args.verbose else None)
     return make_family(args.family, Fraction(args.p) if args.p else None, args.truncate)
 

@@ -3,6 +3,9 @@
 A multidistribution is a finite multiset of weighted objects {p1: a1, ...}
 with 0 <= pi <= 1 and sum pi <= 1. Equal objects are kept as separate
 entries; collapsing to an ordinary distribution is an explicit, lossy step.
+A distribution is a multidistribution of mass 1 whose objects are distinct,
+so both keep their weights in one form: integer numerators over one
+denominator.
 """
 
 from __future__ import annotations
@@ -24,86 +27,6 @@ class InvalidWeights(ValueError):
 
 def as_fraction(value: Rational | str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-class FiniteDistribution(Generic[T]):
-    """Probability distribution with finite support, weights summing to 1."""
-
-    __slots__ = ("_entries", "_integer")
-
-    def __init__(self, entries: Iterable[tuple[T, Rational]] | dict[T, Rational]):
-        if isinstance(entries, dict):
-            entries = entries.items()
-        acc: dict[T, Fraction] = {}
-        for obj, p in entries:
-            p = as_fraction(p)
-            if p < 0:
-                raise InvalidWeights(f"negative probability {p} for {obj}")
-            if p == 0:
-                continue
-            seen = acc.get(obj)
-            acc[obj] = p if seen is None else seen + p
-        total = sum(acc.values(), Fraction(0))
-        if total != 1:
-            raise InvalidWeights(f"probabilities sum to {total}, expected 1")
-        self._entries = acc
-        self._integer = None
-
-    @classmethod
-    def _unchecked(cls, entries: dict[T, Fraction]) -> "FiniteDistribution[T]":
-        """Wrap Fraction weights already known to be positive and to sum to 1."""
-        dist = cls.__new__(cls)
-        dist._entries = entries
-        dist._integer = None
-        return dist
-
-    def integer_weights(self) -> tuple[int, tuple[tuple[int, T], ...]]:
-        """(d, ((n, obj), ...)): every weight as n / d, where d is the lcm of
-        the weights' denominators, so the numerators sum to d. Computed once."""
-        integer = self._integer
-        if integer is None:
-            den = lcm(*(p.denominator for p in self._entries.values()))
-            pairs = tuple((p.numerator * (den // p.denominator), obj) for obj, p in self._entries.items())
-            integer = self._integer = (den, pairs)
-        return integer
-
-    def probability(self, obj: T) -> Fraction:
-        return self._entries.get(obj, Fraction(0))
-
-    def support(self) -> list[T]:
-        return list(self._entries)
-
-    def items(self) -> Iterator[tuple[T, Fraction]]:
-        return iter(self._entries.items())
-
-    def map(self, fn: Callable[[T], S]) -> "FiniteDistribution[S]":
-        out: dict[S, Fraction] = {}
-        for obj, p in self._entries.items():
-            image = fn(obj)
-            seen = out.get(image)
-            out[image] = p if seen is None else seen + p
-        return FiniteDistribution._unchecked(out)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, obj: T) -> bool:
-        return obj in self._entries
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FiniteDistribution):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._entries.items()))
-
-    def __str__(self) -> str:
-        inner = ", ".join(f"{p}: {obj}" for obj, p in self._entries.items())
-        return "{" + inner + "}"
-
-    def __repr__(self) -> str:
-        return f"FiniteDistribution({self})"
 
 
 class MultiDistribution(Generic[T]):
@@ -136,10 +59,14 @@ class MultiDistribution(Generic[T]):
             total += p
         if total > 1:
             raise InvalidWeights(f"total mass {total} exceeds 1")
+        self._set_weights(kept)
+
+    def _set_weights(self, kept: list[tuple[Fraction, T]]) -> None:
+        """Store checked positive weights as numerators over their lcm."""
         den = lcm(*(p.denominator for p, _ in kept))
         self._numerators = tuple((p.numerator * (den // p.denominator), obj) for p, obj in kept)
         self._den = den
-        self._mass_num = total.numerator * (den // total.denominator)
+        self._mass_num = sum(n for n, _ in self._numerators)
         self._entries = tuple(kept)
         self._key = None
 
@@ -167,8 +94,7 @@ class MultiDistribution(Generic[T]):
 
     @classmethod
     def from_distribution(cls, dist: FiniteDistribution[T]) -> "MultiDistribution[T]":
-        den, pairs = dist.integer_weights()
-        return cls._unchecked(pairs, den, den)
+        return cls._unchecked(dist.numerators, dist.denominator, dist.denominator)
 
     @property
     def numerators(self) -> tuple[tuple[int, T], ...]:
@@ -242,8 +168,7 @@ class MultiDistribution(Generic[T]):
         for n, obj in self._numerators:
             dist = fn(obj)
             if dist is not None:
-                den, pairs = dist.integer_weights()
-                parts.append((n, den, pairs, den))
+                parts.append((n, dist._den, dist._numerators, dist._den))
         return _union(parts, self._den)
 
     def _canonical(self) -> tuple[int, frozenset]:
@@ -276,7 +201,53 @@ class MultiDistribution(Generic[T]):
         return "{" + inner + "}"
 
     def __repr__(self) -> str:
-        return f"MultiDistribution({self})"
+        return f"{type(self).__name__}({self})"
+
+
+class FiniteDistribution(MultiDistribution[T]):
+    """Probability distribution with finite support: a multidistribution
+    of mass 1 whose objects are distinct.
+
+    The constructor takes (obj, p) pairs or a dict, merges equal objects
+    and checks that the weights are nonnegative and sum to 1.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, entries: Iterable[tuple[T, Rational]] | dict[T, Rational]):
+        if isinstance(entries, dict):
+            entries = entries.items()
+        acc: dict[T, Fraction] = {}
+        for obj, p in entries:
+            p = as_fraction(p)
+            if p < 0:
+                raise InvalidWeights(f"negative probability {p} for {obj}")
+            if p == 0:
+                continue
+            seen = acc.get(obj)
+            acc[obj] = p if seen is None else seen + p
+        total = sum(acc.values(), Fraction(0))
+        if total != 1:
+            raise InvalidWeights(f"probabilities sum to {total}, expected 1")
+        self._set_weights([(p, obj) for obj, p in acc.items()])
+
+    def probability(self, obj: T) -> Fraction:
+        return self.collapse().get(obj, Fraction(0))
+
+    def support(self) -> list[T]:
+        return [obj for _, obj in self._numerators]
+
+    def items(self) -> Iterator[tuple[T, Fraction]]:
+        return ((obj, p) for p, obj in self.entries)
+
+    def map(self, fn: Callable[[T], S]) -> "FiniteDistribution[S]":
+        merged = super().map(fn).merged_numerators()
+        return FiniteDistribution._unchecked(
+            tuple((n, image) for image, n in merged.items()), self._den, self._den
+        )
+
+    def __contains__(self, obj: T) -> bool:
+        return any(seen == obj for _, seen in self._numerators)
 
 
 def _union(

@@ -134,15 +134,17 @@ class RedexStep:
             # Instantiation can merge distinct right-hand sides, so collapse
             # before plugging into the context (contexts are injective).
             # The rule's weights were checked when it was built, and merging
-            # and plugging keep them positive and summing to 1.
-            local: dict[Term, Fraction] = {}
-            for rhs_term, p in self._rule.rhs.items():
+            # and plugging keep them positive and summing to the rule's denominator.
+            rhs = self._rule.rhs
+            local: dict[Term, int] = {}
+            for n, rhs_term in rhs.numerators:
                 image = apply_substitution(rhs_term, self.substitution)
-                seen = local.get(image)
-                local[image] = p if seen is None else seen + p
+                local[image] = local.get(image, 0) + n
             position = self.position
             self._result = FiniteDistribution._unchecked(
-                {replace_at(self._term, position, image): p for image, p in local.items()}
+                tuple((n, replace_at(self._term, position, image)) for image, n in local.items()),
+                rhs.denominator,
+                rhs.denominator,
             )
         return self._result
 
@@ -178,7 +180,13 @@ def enumerate_redexes(system: PTRS, term: Term) -> list[RedexStep]:
 
 
 class Pars:
-    """One-step semantics: each object has finitely many reduct distributions."""
+    """One-step semantics: each object has finitely many reduct distributions.
+
+    `truncate` is the cutoff of a system that truncates, and None for one
+    whose `truncates` is always False, so callers can skip asking it.
+    """
+
+    truncate: int | None = None
 
     def options(self, obj: Hashable) -> list[FiniteDistribution]:
         raise NotImplementedError
@@ -321,7 +329,7 @@ def all_steps(
     for n, obj in mu.numerators:
         options = pars.options(obj)
         if options:
-            choices.append((n, [d.integer_weights() for d in options]))
+            choices.append((n, [(d.denominator, d.numerators) for d in options]))
     if not choices:
         return [MultiDistribution.empty()]
     # every successor's weights are numerators over mu's denominator times
@@ -464,15 +472,15 @@ class NondetBranch(Pars):
     """Six objects; a branches to b1/b2 fairly, both reach c, and c picks
     d1 or d2 nondeterministically. Terminal: d1, d2."""
 
-    _RULES: dict[str, tuple[dict[str, Fraction], ...]] = {
-        "a": ({"b1": Fraction(1, 2), "b2": Fraction(1, 2)},),
-        "b1": ({"c": Fraction(1)},),
-        "b2": ({"c": Fraction(1)},),
-        "c": ({"d1": Fraction(1)}, {"d2": Fraction(1)}),
+    _OPTIONS: dict[str, list[FiniteDistribution]] = {
+        "a": [FiniteDistribution({"b1": Fraction(1, 2), "b2": Fraction(1, 2)})],
+        "b1": [FiniteDistribution.point("c")],
+        "b2": [FiniteDistribution.point("c")],
+        "c": [FiniteDistribution.point("d1"), FiniteDistribution.point("d2")],
     }
 
     def options(self, obj: str) -> list[FiniteDistribution]:
-        return [FiniteDistribution(alt) for alt in self._RULES.get(obj, ())]
+        return self._OPTIONS.get(obj, [])
 
     def parse_object(self, text: str) -> str:
         if text not in {"a", "b1", "b2", "c", "d1", "d2"}:
@@ -498,18 +506,21 @@ class Payout(Pars):
 
     def __init__(self, truncate: int | None = None):
         self.truncate = truncate
+        # options per stake, built once; a countdown height is visited
+        # about once, so its point distribution is built on each visit
+        self._options: dict[Stake, list[FiniteDistribution]] = {}
 
     def options(self, obj: "Stake | int") -> list[FiniteDistribution]:
         if self.truncates(obj):
             return []
         if isinstance(obj, Stake):
-            n = obj.round
-            raise_or_bust = FiniteDistribution([(Stake(n + 1), Fraction(1, 2)), (0, Fraction(1, 2))])
-            cash = FiniteDistribution([(2**n * n, Fraction(1))])
-            return [raise_or_bust, cash]
-        if obj > 0:
-            return [FiniteDistribution([(obj - 1, Fraction(1))])]
-        return []
+            options = self._options.get(obj)
+            if options is None:
+                n = obj.round
+                raise_or_bust = FiniteDistribution([(Stake(n + 1), Fraction(1, 2)), (0, Fraction(1, 2))])
+                options = self._options[obj] = [raise_or_bust, FiniteDistribution.point(2**n * n)]
+            return options
+        return [FiniteDistribution.point(obj - 1)] if obj > 0 else []
 
     def truncates(self, obj: "Stake | int") -> bool:
         return self.truncate is not None and isinstance(obj, Stake) and obj.round >= self.truncate

@@ -75,7 +75,7 @@ def collapsed(mu: MultiDistribution) -> MultiDistribution:
 
 
 def _hits_truncation(pars: Pars, mu: MultiDistribution) -> bool:
-    return any(pars.truncates(obj) for _, obj in mu.numerators)
+    return pars.truncate is not None and any(pars.truncates(obj) for _, obj in mu.numerators)
 
 
 def run(config: RunConfig) -> RunReport:

@@ -18,7 +18,6 @@ decoded and re-validated exactly before it is believed.
 
 from __future__ import annotations
 
-import math
 import shlex
 import shutil
 import subprocess
@@ -279,12 +278,6 @@ def template(system: PTRS, shape: Shape, coefficient: Callable[[str, int], Coeff
     return MatrixInterpretation(dict(symbols), n, entries)
 
 
-def rule_weights(rule) -> int:
-    """The lcm of the rule's probability denominators: the weight total
-    that turns every probability into an integer weight."""
-    return math.lcm(*(p.denominator for _, p in rule.rhs.items()))
-
-
 def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
     """Orientation constraints for the whole system under one template.
 
@@ -303,11 +296,10 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
     cap = shape.param if shape.kind == "poly" else None
     constraints: list[Constraint] = []
     for index, rule in enumerate(system.rules, start=1):
-        # total * ([l] - sum pj [rj]), with the integer weights pj * total
-        total = rule_weights(rule)
-        diff = symbolic_eval(interp, rule.lhs, cap).scale(total)
-        for term, p in rule.rhs.items():
-            diff = diff.sub(symbolic_eval(interp, term, cap).scale((p * total).numerator))
+        # d * ([l] - sum pj [rj]) with each pj = nj / d: integer weights
+        diff = symbolic_eval(interp, rule.lhs, cap).scale(rule.rhs.denominator)
+        for n, term in rule.rhs.numerators:
+            diff = diff.sub(symbolic_eval(interp, term, cap).scale(n))
         constraints.extend(
             Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
             for where, value, strict in orientation_entries(diff)

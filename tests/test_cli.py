@@ -149,6 +149,10 @@ def test_simulate_argument_validation(capsys):
     assert code == 2 and "exactly one" in err
     code, _, err = run_cli(capsys, "simulate", RW34, "--start", "1", "--truncate", "5")
     assert code == 2 and "--truncate" in err
+    # flags a built-in family does not read are errors, as they are with FILE
+    for family, flag, value in (("nd", "--p", "1/2"), ("nd", "--truncate", "2"), ("payout", "--p", "1/2")):
+        code, out, err = run_cli(capsys, "simulate", "--family", family, flag, value, "--start", "a0")
+        assert code == 2 and out == "" and flag in err
     code, _, err = run_cli(
         capsys, "simulate", "--family", "rw", "--p", "1/2", "--start", "1",
         "--steps", "60", "--node-budget", "10",
@@ -253,6 +257,8 @@ def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
         (("prove", RW34, "--smt-timeout", "-2.5"), "--smt-timeout"),
         (("simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--steps", "-3"), "--steps"),
         (("simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--node-budget", "0"), "--node-budget"),
+        (("prove", RW34, "--shapes", ","), "--shapes"),
+        (("prove", RW34, "--shapes", ""), "--shapes"),
     ],
 )
 def test_out_of_range_values_are_errors(capsys, argv, flag):

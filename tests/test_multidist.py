@@ -275,8 +275,9 @@ def test_every_empty_form_is_the_empty_multidistribution():
 def test_integer_form_of_a_distribution():
     # the common denominator 12 is none of the weights' denominators
     dist = FiniteDistribution({"a": Q, "b": Fraction(1, 6), "c": Fraction(1, 3), "d": Q})
-    assert dist.integer_weights() == (12, ((3, "a"), (2, "b"), (4, "c"), (3, "d")))
-    assert dist.integer_weights() is dist.integer_weights()
+    assert dist.denominator == 12
+    assert dist.numerators == ((3, "a"), (2, "b"), (4, "c"), (3, "d"))
+    assert dist.mass_numerator == 12
     mu = MultiDistribution.from_distribution(dist)
     assert mu.entries == tuple((p, obj) for obj, p in dist.items())
     assert mu.mass() == 1 and mu.mass_numerator == mu.denominator == 12

@@ -84,6 +84,18 @@ def test_substitution_can_merge_alternatives():
     zero = App("0")
     steps = enumerate_redexes(system, App("f", (zero, zero)))
     assert steps[0].result == FiniteDistribution({zero: 1})
+    # f(x,y) -> 1/4 : g(x) || 3/4 : g(y) at f(a,a): both images are g(a),
+    # so the numerators merge over the rule's denominator, unreduced
+    system = elaborate(parse_problem("(VAR x y)(RULES f(x,y) -> 1 : g(x) || 3 : g(y))"))
+    a = App("a")
+    ga = App("g", (a,))
+    [step] = enumerate_redexes(system, App("f", (a, a)))
+    result, expected = step.result, FiniteDistribution({ga: 1})
+    assert (result.denominator, result.numerators) == (4, ((4, ga),))
+    assert result == expected and hash(result) == hash(expected)
+    assert str(result) == "{1: g(a)}" and repr(result) == "FiniteDistribution({1: g(a)})"
+    # a distribution is a multidistribution of mass 1
+    assert result == MultiDistribution.point(ga)
 
 
 def test_nested_redexes_give_context_closure():

@@ -43,7 +43,6 @@ from ptrs.smt import (
     parse_model,
     parse_shape,
     poly_sexpr,
-    rule_weights,
     run_solver,
     solve_box,
     template as build_template,
@@ -380,7 +379,7 @@ def _fraction_path_constraints(encoded, system):
     cap = encoded.shape.param if encoded.shape.kind == "poly" else None
     out = []
     for index, rule in enumerate(system.rules, start=1):
-        diff = rule_difference(template, rule, cap).scale(rule_weights(rule))
+        diff = rule_difference(template, rule, cap).scale(rule.rhs.denominator)
         out.extend(
             (f"rule {index}: {where}", 1 if strict else 0, FractionPoly.of(value).terms)
             for where, value, strict in orientation_entries(diff)
@@ -428,8 +427,8 @@ def test_poly_coefficients_are_ints():
 
 
 def test_weight_recovery_from_probabilities():
-    assert rule_weights(RW34.rules[0]) == 4
-    assert rule_weights(RW14.rules[0]) == 4
+    assert RW34.rules[0].rhs.denominator == 4
+    assert RW14.rules[0].rhs.denominator == 4
 
 
 def test_emit_skips_nothing_on_empty_constraints():
