@@ -117,7 +117,7 @@ def _json_out(payload: dict) -> None:
 
 
 def _mu_json(mu: MultiDistribution) -> list[list[str]]:
-    return [[str(p), str(obj)] for p, obj in mu.entries]
+    return [[p, str(obj)] for p, obj in mu.rendered()]
 
 
 def _run_prove(args, config: dict[str, str], color: bool) -> int:
@@ -194,9 +194,21 @@ def _simulate_pars(args):
         raise CliError("--p only applies to --family rw")
     if args.truncate is not None and args.family not in ("rw", "payout"):
         raise CliError("--truncate only applies to the rw and payout families")
+    if args.truncate is not None and args.truncate < 0:
+        raise CliError(f"--truncate must be at least 0, got {args.truncate}")
     if args.file is not None:
         return TermPars(load_system(args.file), _memo_full_note if args.verbose else None)
-    return make_family(args.family, Fraction(args.p) if args.p else None, args.truncate)
+    return make_family(args.family, _probability(args.p) if args.p else None, args.truncate)
+
+
+def _probability(text: str) -> Fraction:
+    try:
+        p = Fraction(text)
+        if 0 <= p <= 1:
+            return p
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise CliError(f"--p must be a fraction in [0, 1] such as 3/4, got {text!r}")
 
 
 def _run_simulate(args, config: dict[str, str], color: bool) -> int:
@@ -215,7 +227,7 @@ def _run_simulate(args, config: dict[str, str], color: bool) -> int:
         if system is None and args.family == "rw":
             from .rewriting import random_walk_ptrs
 
-            system = random_walk_ptrs(Fraction(args.p))
+            system = random_walk_ptrs(pars.p)
         if system is None:
             raise CliError("--cert needs a term-rewriting view of the system")
         cert = check_certificate(load_interpretation(args.cert), system)

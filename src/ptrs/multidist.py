@@ -132,14 +132,17 @@ class MultiDistribution(Generic[T]):
     def collapse(self) -> dict[T, Fraction]:
         """Merge equal objects; the result is a subdistribution as a dict."""
         den = self._den
-        return {obj: Fraction(n, den) for obj, n in self.merged_numerators().items()}
+        return {obj: Fraction(n, den) for n, obj in self.merged().numerators}
 
-    def merged_numerators(self) -> dict[T, int]:
-        """Equal objects merged, each with the sum of its numerators."""
-        out: dict[T, int] = {}
+    def merged(self) -> "MultiDistribution[T]":
+        """Equal objects merged into one entry each, with the sum of their
+        numerators, in first-seen order."""
+        sums: dict[T, int] = {}
         for n, obj in self._numerators:
-            out[obj] = out.get(obj, 0) + n
-        return out
+            sums[obj] = sums.get(obj, 0) + n
+        return MultiDistribution._unchecked(
+            tuple((n, obj) for obj, n in sums.items()), self._den, self._mass_num
+        )
 
     def map(self, fn: Callable[[T], S]) -> "MultiDistribution[S]":
         return MultiDistribution._unchecked(
@@ -196,9 +199,22 @@ class MultiDistribution(Generic[T]):
     def __hash__(self) -> int:
         return hash(self._canonical())
 
+    def rendered(self) -> list[tuple[str, T]]:
+        """The entries as (weight text, obj), each distinct weight rendered
+        once, as str(Fraction) would render it."""
+        den = self._den
+        texts: dict[int, str] = {}
+        out = []
+        for n, obj in self._numerators:
+            text = texts.get(n)
+            if text is None:
+                g = gcd(n, den)
+                text = texts[n] = str(n // g) if g == den else f"{n // g}/{den // g}"
+            out.append((text, obj))
+        return out
+
     def __str__(self) -> str:
-        inner = ", ".join(f"{p}: {obj}" for p, obj in self.entries)
-        return "{" + inner + "}"
+        return "{" + ", ".join(f"{p}: {obj}" for p, obj in self.rendered()) + "}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
@@ -241,10 +257,8 @@ class FiniteDistribution(MultiDistribution[T]):
         return ((obj, p) for p, obj in self.entries)
 
     def map(self, fn: Callable[[T], S]) -> "FiniteDistribution[S]":
-        merged = super().map(fn).merged_numerators()
-        return FiniteDistribution._unchecked(
-            tuple((n, image) for image, n in merged.items()), self._den, self._den
-        )
+        merged = super().map(fn).merged()
+        return FiniteDistribution._unchecked(merged.numerators, self._den, self._den)
 
     def __contains__(self, obj: T) -> bool:
         return any(seen == obj for _, seen in self._numerators)

@@ -295,6 +295,13 @@ def leftmost_innermost(pars: Pars, obj: Hashable, options: Sequence[FiniteDistri
     return 0
 
 
+# Both strategies pick by the object alone, so a step may choose once per
+# distinct object. The mark is an attribute, not membership in a set, so
+# that wrappers made with functools.wraps keep it.
+leftmost_outermost.per_object = True
+leftmost_innermost.per_object = True
+
+
 def random_chooser(rng: random.Random) -> Chooser:
     def choose(pars: Pars, obj: Hashable, options: Sequence[FiniteDistribution]) -> int:
         return rng.randrange(len(options))
@@ -303,7 +310,15 @@ def random_chooser(rng: random.Random) -> Chooser:
 
 
 def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> MultiDistribution:
-    """One reduction step; terminal entries vanish, so mass is monotone."""
+    """One reduction step; terminal entries vanish, so mass is monotone.
+
+    A chooser marked `per_object` is asked once per distinct object; any
+    other chooser once per entry, in entry order."""
+    if getattr(chooser, "per_object", False):
+        chosen = dict.fromkeys(obj for _, obj in mu.numerators)
+        for obj in chosen:
+            chosen[obj] = pars.choose(obj, chooser)
+        return mu.bind(chosen.__getitem__)
     return mu.bind(lambda obj: pars.choose(obj, chooser))
 
 
@@ -436,9 +451,11 @@ class RandomWalk(Pars):
             return []
         options = self._options.get(obj)
         if options is None:
-            options = self._options[obj] = [
-                FiniteDistribution([(obj - 1, self.p), (obj + 1, 1 - self.p)])
-            ]
+            # p = a/b in lowest terms, so a and b - a over b are the weights
+            # in lowest terms too; a zero weight is left out
+            a, b = self.p.numerator, self.p.denominator
+            pairs = tuple((n, image) for n, image in ((a, obj - 1), (b - a, obj + 1)) if n)
+            options = self._options[obj] = [FiniteDistribution._unchecked(pairs, b, b)]
         return options
 
     def truncates(self, obj: int) -> bool:

@@ -70,7 +70,7 @@ class RunReport:
 def collapsed(mu: MultiDistribution) -> MultiDistribution:
     """Merge equal objects into single entries, deterministically ordered."""
     # numerators over one denominator sort as the weights they stand for
-    items = sorted(((n, obj) for obj, n in mu.merged_numerators().items()), key=display_key)
+    items = sorted(mu.merged().numerators, key=display_key)
     return MultiDistribution._unchecked(tuple(items), mu.denominator, mu.mass_numerator)
 
 
@@ -85,7 +85,13 @@ def run(config: RunConfig) -> RunReport:
     if config.mode == "exhaustive":
         return _run_exhaustive(config, pars, tracker, start)
     chooser = MODES[config.mode] if isinstance(config.mode, str) else config.mode
-    mu = collapsed(start) if config.collapse else start
+    # display_key orders distinct objects totally, so a collapsed state
+    # lists the same however its entries were ordered before the sort. It
+    # is sorted where the order is read: in the trace, in the outcome, and
+    # on every step for a chooser that reads entry order (random draws).
+    # Otherwise equal objects merge in first-seen order.
+    sort_each_step = config.keep_trace or not getattr(chooser, "per_object", False)
+    mu = start
     masses = [mu.mass()]
     edl = [Fraction(0)]
     trace = [mu]
@@ -94,13 +100,15 @@ def run(config: RunConfig) -> RunReport:
         tracker.spend(max(len(mu), 1))
         mu = step_multidist(pars, mu, chooser)
         if config.collapse:
-            mu = collapsed(mu)
+            mu = collapsed(mu) if sort_each_step else mu.merged()
         truncated = truncated or _hits_truncation(pars, mu)
         mass = mu.mass()
         masses.append(mass)
         edl.append(edl[-1] + mass)
         if config.keep_trace:
             trace.append(mu)
+    if config.collapse and not sort_each_step:
+        mu = collapsed(mu)
     return RunReport(
         mode=config.mode if isinstance(config.mode, str) else "custom",
         masses=masses,

@@ -259,6 +259,10 @@ def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
         (("simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--node-budget", "0"), "--node-budget"),
         (("prove", RW34, "--shapes", ","), "--shapes"),
         (("prove", RW34, "--shapes", ""), "--shapes"),
+        (("simulate", "--family", "rw", "--p", "3/4", "--start", "3", "--truncate", "-1"), "--truncate"),
+        (("simulate", "--family", "rw", "--p", "1/0", "--start", "3"), "--p"),
+        (("simulate", "--family", "rw", "--p", "abc", "--start", "3"), "--p"),
+        (("simulate", "--family", "rw", "--p", "5/4", "--start", "3"), "--p"),
     ],
 )
 def test_out_of_range_values_are_errors(capsys, argv, flag):
@@ -386,6 +390,7 @@ def test_check_reports_negative_coefficients_and_squared_variables(capsys, tmp_p
 
 
 S5 = "s(" * 5 + "0" + ")" * 5
+S100 = "s(" * 100 + "0" + ")" * 100
 
 
 @pytest.mark.parametrize(
@@ -409,6 +414,16 @@ S5 = "s(" * 5 + "0" + ")" * 5
          ("--family", "payout", "--start", "a0", "--mode", "exhaustive", "--steps", "8")),
         ("233c07ab58c31e5f24b47fee89d7938294d9a1ae847d49cf3827ef02b6ed8610",
          ("--family", "nd", "--start", "a", "--mode", "exhaustive", "--steps", "4", "--trace")),
+        ("e13c07edbedb193c9905aaa7fd639107f675371496aaa1325f0afdb8e6dc7a8a",
+         (RW34, "--start", S100, "--steps", "4", "--mode", "innermost", "--collapse")),
+        ("45f468e51b135cc096bc702439dbba585838e47a676436497e21f7239c099fe7",
+         ("--family", "rw", "--p", "3/5", "--start", "5", "--steps", "20", "--collapse", "--trace")),
+        ("f371c3ccd4273800ec500b0357d06ed15a7ca95d9a92328bd3afa360f7f6f0de",
+         (RW34, "--start", S5, "--steps", "10", "--collapse", "--json")),
+        ("f767774f7426970b1f30a98e1cafd606da3dd3fdf5f573ab5fd40c71b23201b7",
+         ("--family", "rw", "--p", "1", "--start", "4", "--steps", "6")),
+        ("1e7f49cff3b30a7c2c7d772f520a261ad9f22a04dbc532cd2465fb8c8c1ee311",
+         ("--family", "rw", "--p", "0", "--start", "4", "--steps", "6", "--truncate", "9")),
     ],
 )
 def test_simulate_stdout_is_pinned(capsys, digest, argv):

@@ -283,3 +283,24 @@ def test_integer_form_of_a_distribution():
     assert mu.mass() == 1 and mu.mass_numerator == mu.denominator == 12
     checked = MultiDistribution([(Fraction(1, 6), "a"), (Fraction(1, 4), "b")])
     assert (checked.numerators, checked.denominator, checked.mass_numerator) == (((2, "a"), (3, "b")), 12, 5)
+
+
+def test_rendered_weights_read_as_their_fractions():
+    # unreduced numerators, whole weights and repeated weights render as
+    # str(Fraction) does, entry by entry
+    rng = random.Random(31)
+    for _ in range(200):
+        den = rng.choice([1, 2, 6, 12, 30, 64])
+        numerators = tuple((rng.randint(1, den), rng.choice("abc")) for _ in range(rng.randrange(0, 6)))
+        mu = MultiDistribution._unchecked(numerators, den * len(numerators) or 1, sum(n for n, _ in numerators))
+        assert mu.rendered() == [(str(p), obj) for p, obj in mu.entries]
+        assert str(mu) == "{" + ", ".join(f"{p}: {obj}" for p, obj in mu.entries) + "}"
+
+
+def test_merged_keeps_first_seen_order():
+    mu = MultiDistribution._unchecked(((1, "b"), (2, "a"), (3, "b"), (1, "c"), (2, "a")), 12, 9)
+    merged = mu.merged()
+    assert merged.numerators == ((4, "b"), (4, "a"), (1, "c"))
+    assert (merged.denominator, merged.mass_numerator) == (12, 9)
+    assert merged.collapse() == mu.collapse()
+    assert collapsed(merged).numerators == collapsed(mu).numerators == ((4, "a"), (4, "b"), (1, "c"))

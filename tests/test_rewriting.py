@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -368,3 +369,48 @@ def test_deep_term_walk_is_linear_and_recursion_free():
     # the chooser reads the redexes, not the options; building every option
     # here would rebuild a spine per redex, which is quadratic
     assert leftmost_innermost(TermPars(rw), nat(depth), ()) == depth - 1
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(3, 5)])
+def test_walk_options_match_the_checking_constructor(p):
+    # the integer form of each height's distribution, zero weights dropped,
+    # is the one the checking constructor builds from p and 1 - p
+    walk = RandomWalk(p)
+    for height in (1, 2, 7):
+        (got,) = walk.options(height)
+        want = FiniteDistribution([(height - 1, p), (height + 1, 1 - p)])
+        assert (got.numerators, got.denominator) == (want.numerators, want.denominator)
+        assert got.mass_numerator == want.mass_numerator
+        assert str(got) == str(want)
+    with pytest.raises(ValueError):
+        RandomWalk(Fraction(6, 5))
+
+
+@pytest.mark.parametrize("chooser, per_object", [
+    (leftmost_outermost, True),
+    (leftmost_innermost, True),
+    # a wrapper made with functools.wraps carries the mark along
+    (functools.wraps(leftmost_innermost)(lambda *args: leftmost_innermost(*args)), True),
+    (random_chooser(random.Random(7)), False),
+])
+def test_step_chooses_once_per_distinct_term_or_per_entry(monkeypatch, chooser, per_object):
+    calls = []
+    choose = TermPars.choose
+
+    def spy(self, term, chooser):
+        calls.append(term)
+        return choose(self, term, chooser)
+
+    monkeypatch.setattr(TermPars, "choose", spy)
+    assert getattr(chooser, "per_object", False) == per_object
+    pars = TermPars(random_walk_ptrs(Fraction(3, 4)))
+    mu = MultiDistribution.point(nat(5))
+    for _ in range(8):
+        calls.clear()
+        nu = step_multidist(pars, mu, chooser)
+        terms = [obj for _, obj in mu.numerators]
+        assert calls == (list(dict.fromkeys(terms)) if per_object else terms)
+        if per_object:
+            assert nu == mu.bind(lambda term: pars.choose(term, chooser))
+        mu = nu
+    assert len(mu) > len(set(obj for _, obj in mu.numerators))

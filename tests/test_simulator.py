@@ -393,6 +393,47 @@ def test_integer_weights_match_the_fraction_reference():
     assert unreduced > 20
 
 
+def _form(mu):
+    return mu.numerators, mu.denominator, mu.mass_numerator
+
+
+def test_run_matches_a_stepwise_loop():
+    # run merges without sorting where no one reads the order; its masses,
+    # edl, nodes, outcome and trace, entry by entry and in the same integer
+    # form, must be those of stepping and collapsing state by state
+    runs = 0
+    cases = _reference_cases()
+    for index, (pars, start, steps) in enumerate(cases):
+        for mode in ("outermost", "innermost", "random"):
+            for collapse in (False, True):
+                for keep_trace in (False, True):
+                    if mode == "random":
+                        chooser, loop_chooser = (random_chooser(random.Random(index)) for _ in range(2))
+                    else:
+                        chooser = loop_chooser = MODES[mode]
+                    report = run(RunConfig(pars, start, steps, chooser, collapse, keep_trace=keep_trace))
+                    mu = MultiDistribution.point(start)
+                    states, nodes = [mu], 0
+                    for _ in range(steps):
+                        nodes += max(len(mu), 1)
+                        mu = step_multidist(pars, mu, loop_chooser)
+                        if collapse:
+                            mu = collapsed(mu)
+                        states.append(mu)
+                    masses = [state.mass() for state in states]
+                    assert report.masses == masses
+                    assert report.edl == [sum(masses[1:k + 1], F(0)) for k in range(steps + 1)]
+                    assert report.nodes == nodes
+                    assert [_form(outcome) for outcome in report.outcomes] == [_form(mu)]
+                    assert str(report.outcomes[0]) == str(mu)
+                    if keep_trace:
+                        assert [_form(state) for state in report.trace] == [_form(s) for s in states]
+                    else:
+                        assert report.trace is None
+                    runs += 1
+    assert runs == 12 * len(cases)
+
+
 def test_exhaustive_successors_match_the_fraction_reference():
     # all_steps against the Fraction body it replaced: the same successors
     # in the same order, and dedup by integer equality merges exactly the
