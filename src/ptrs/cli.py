@@ -154,7 +154,7 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
         where = " (in process)" if in_process_limit(solver) is not None else ""
         print(f"solver: {solver}{where}", file=sys.stderr)
         print(f"shapes: {', '.join(str(s) for s in prover_config.shapes)}", file=sys.stderr)
-    verdict = prove(system, prover_config)
+    verdict = prove(system, prover_config, _box_cap_note if args.verbose else None)
     if args.json:
         payload = verdict_json(verdict, system)
         payload["command"] = "prove"
@@ -163,6 +163,13 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
     else:
         print(_colorize(format_verdict(verdict, system), color), end="")
     return _exit_code(verdict)
+
+
+def _box_cap_note(shape, floor: int, limit: int) -> None:
+    # one write per line: parallel lanes may note at once
+    sys.stderr.write(
+        f"{shape}: at least {floor} box points, over the in-process budget of {limit}; not encoded\n"
+    )
 
 
 def _run_check(args, config: dict[str, str], color: bool) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 from .certtext import CertParseError, parse_interpretation, render_certificate, render_interpretation
 from .interpretations import Certificate, CertificateInvalid, DegreeOverflow, check_certificate
@@ -23,6 +24,7 @@ from .smt import (
     ModelDecodeError,
     Shape,
     SolverResult,
+    box_floor,
     box_form,
     box_points,
     decode,
@@ -72,39 +74,32 @@ def _attempt(
     cancel: CancelToken,
     limit: int | None,
     unsat_sets: set[tuple] | None = None,
+    note: Callable[[Shape, int, int], None] | None = None,
 ) -> tuple[ShapeOutcome, Certificate | None]:
     """Encode, solve, decode and check one shape: in process with box budget
     `limit` (see `in_process_limit`), else by `config.solver` as a child.
-    A constraint set in `unsat_sets` is answered unsat without solving it,
-    and a set that comes back unsat is added to it."""
+    In process and with no script to emit, a shape whose box `box_floor`
+    already puts over `limit` gets the box solver's `unknown` without being
+    encoded, and `note(shape, floor, limit)` is told. A constraint set in
+    `unsat_sets` is answered unsat without solving it, and a set that comes
+    back unsat is added to it."""
     if cancel.cancelled:
         return ShapeOutcome(shape, "cancelled", "portfolio already finished"), None
-    try:
-        encoded = encode(system, shape, config.coeff_bound)
-    except DegreeOverflow as exc:
-        return ShapeOutcome(shape, "degree-overflow", str(exc)), None
-    except EncodingError as exc:
-        raise ProverError(f"cannot encode {shape}: {exc}") from exc
-    cs = encoded.constraint_set
-    if limit is None or config.emit_smt is not None:
-        script = emit_smtlib(cs)
-    if config.emit_smt is not None:
-        os.makedirs(config.emit_smt, exist_ok=True)
-        with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
-            handle.write(script)
-    form = box_form(cs) if limit is not None else None
-    # equal sets emit equal scripts; an over-budget box never comes back unsat
-    key = None
-    if unsat_sets is not None and (form is None or box_points(form) <= limit):
-        key = (tuple(cs.unknowns), tuple(cs.constraints))
-    if key is not None and key in unsat_sets:
-        result = SolverResult("unsat")
-    elif form is not None:
-        result = solve_box(form, limit, timeout=config.timeout, cancel=cancel)
+    floor = None
+    if limit is not None and config.emit_smt is None:
+        floor = box_floor(system, shape, config.coeff_bound)
+    if floor is not None and floor > limit:
+        if note is not None:
+            note(shape, floor, limit)
+        result = SolverResult("unknown", detail="solver answered unknown")
     else:
-        result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
-    if key is not None and result.status == "unsat":
-        unsat_sets.add(key)
+        try:
+            encoded = encode(system, shape, config.coeff_bound)
+        except DegreeOverflow as exc:
+            return ShapeOutcome(shape, "degree-overflow", str(exc)), None
+        except EncodingError as exc:
+            raise ProverError(f"cannot encode {shape}: {exc}") from exc
+        result = _solve(encoded.constraint_set, shape, config, cancel, limit, unsat_sets)
     if result.status == "sat":
         try:
             interp = decode(encoded, result.model or {})
@@ -128,15 +123,46 @@ def _attempt(
     return ShapeOutcome(shape, "solver-error", result.detail), None
 
 
-def prove(system: PTRS, config: ProverConfig = ProverConfig()) -> Verdict:
-    """Run the shape portfolio and return YES with a certificate or MAYBE."""
+def _solve(cs, shape, config, cancel, limit, unsat_sets) -> SolverResult:
+    """The answer on one encoded shape's constraint set `cs`, with its
+    script written when `config.emit_smt` asks (see `_attempt`)."""
+    if limit is None or config.emit_smt is not None:
+        script = emit_smtlib(cs)
+    if config.emit_smt is not None:
+        os.makedirs(config.emit_smt, exist_ok=True)
+        with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
+            handle.write(script)
+    form = box_form(cs) if limit is not None else None
+    # equal sets emit equal scripts; an over-budget box never comes back unsat
+    key = None
+    if unsat_sets is not None and (form is None or box_points(form) <= limit):
+        key = (tuple(cs.unknowns), tuple(cs.constraints))
+    if key is not None and key in unsat_sets:
+        return SolverResult("unsat")
+    if form is not None:
+        result = solve_box(form, limit, timeout=config.timeout, cancel=cancel)
+    else:
+        result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
+    if key is not None and result.status == "unsat":
+        unsat_sets.add(key)
+    return result
+
+
+def prove(
+    system: PTRS,
+    config: ProverConfig = ProverConfig(),
+    note: Callable[[Shape, int, int], None] | None = None,
+) -> Verdict:
+    """Run the shape portfolio and return YES with a certificate or MAYBE.
+    `note(shape, floor, limit)` is told of each shape answered unknown
+    because at least `floor` box points exceed the in-process budget `limit`."""
     cancel = CancelToken()
     limit = in_process_limit(config.solver)
     try:
         if config.parallel and len(config.shapes) > 1:
-            results = _run_parallel(system, config, cancel, limit)
+            results = _run_parallel(system, config, cancel, limit, note)
         else:
-            results = _run_sequential(system, config, cancel, limit)
+            results = _run_sequential(system, config, cancel, limit, note)
     except ProverError as exc:
         cancel.cancel()
         return Verdict("ERROR", error=str(exc))
@@ -147,22 +173,22 @@ def prove(system: PTRS, config: ProverConfig = ProverConfig()) -> Verdict:
     return Verdict("MAYBE", outcomes=outcomes)
 
 
-def _run_sequential(system, config, cancel, limit):
+def _run_sequential(system, config, cancel, limit, note):
     # Shapes can encode the same constraint set (poly-multilinear-2 is
     # poly-linear when no symbol takes two arguments); an unsat one is
     # solved once.
     results, unsat_sets = [], set()
     for shape in config.shapes:
-        outcome, cert = _attempt(system, shape, config, cancel, limit, unsat_sets)
+        outcome, cert = _attempt(system, shape, config, cancel, limit, unsat_sets, note)
         results.append((outcome, cert))
         if cert is not None:
             break
     return results
 
 
-def _run_parallel(system, config, cancel, limit):
+def _run_parallel(system, config, cancel, limit, note):
     def worker(shape: Shape):
-        outcome, cert = _attempt(system, shape, config, cancel, limit)
+        outcome, cert = _attempt(system, shape, config, cancel, limit, note=note)
         if cert is not None:
             cancel.cancel()  # first success kills the remaining solvers
         return outcome, cert

@@ -470,6 +470,28 @@ def box_points(form: tuple) -> int:
     return narrow(lo, hi, sums)[1]
 
 
+def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
+    """A lower bound on `box_points` of `encode(system, shape, bound)`'s set,
+    from the template's unknowns alone, with no constraint built; None when
+    `encode` may raise instead (no rules, or a coefficient on a product of
+    two or more arguments, which can overflow the degree cap).
+
+    `narrow` raises a lower end only to a constraint's `at_least`, and of
+    the constraints `encode` builds only each rule's margin has `at_least`
+    1, the rest 0. So at most one unknown per rule goes from 0..bound to
+    1..bound, and every template lower end is 0 or 1.
+    """
+    if not system.rules:
+        return None
+    if shape.kind == "poly" and shape.param > 1 and max(system.signature.symbols().values(), default=0) > 1:
+        return None
+    lows: list[int] = []
+    template(system, shape, lambda name, lo: lows.append(lo) or lo)
+    zeros = lows.count(0)
+    raised = min(zeros, len(system.rules))
+    return bound ** (len(lows) - zeros + raised) * (bound + 1) ** (zeros - raised)
+
+
 def solve_box(
     form: tuple, limit: int, timeout: float = 60.0, cancel: CancelToken | None = None
 ) -> SolverResult:

@@ -14,10 +14,11 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Hashable, Iterator
 
-from ptrs.interpretations import MatrixInterpretation, PolyInterpretation
+from ptrs.interpretations import DegreeOverflow, MatrixInterpretation, PolyInterpretation, check_certificate
 from ptrs.multidist import FiniteDistribution, MultiDistribution, as_fraction, canonical_order, display_key
+from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
 from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
-from ptrs.smt import ConstraintSet
+from ptrs.smt import ConstraintSet, box_form, box_points, decode, encode, in_process_limit, solve_box
 from ptrs.terms import Signature, Var, variables
 
 
@@ -183,6 +184,37 @@ def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[
         env = dict(zip(names, values))
         if all(c.poly.evaluate(env) >= c.at_least for c in cs.constraints):
             yield env
+
+
+def prove_encoding_every_shape(system: PTRS, config: ProverConfig) -> Verdict:
+    """The sequential portfolio of `prover.prove` with the in-process box
+    solver, encoding every shape: each shape is encoded, its narrowed box
+    (`box_points`) is compared with the budget, and only a box within it is
+    searched. The oracle for answering over-budget shapes unencoded."""
+    limit = in_process_limit(config.solver)
+    assert limit is not None, "the oracle runs the in-process box solver only"
+    outcomes = []
+    for shape in config.shapes:
+        try:
+            encoded = encode(system, shape, config.coeff_bound)
+        except DegreeOverflow as exc:
+            outcomes.append(ShapeOutcome(shape, "degree-overflow", str(exc)))
+            continue
+        form = box_form(encoded.constraint_set)
+        if box_points(form) > limit:
+            outcomes.append(ShapeOutcome(shape, "unknown", "solver answered unknown"))
+            continue
+        result = solve_box(form, limit, timeout=config.timeout)
+        if result.status == "sat":
+            cert = check_certificate(decode(encoded, result.model), system)
+            outcomes.append(ShapeOutcome(shape, "proved", f"epsilon = {cert.epsilon}"))
+            return Verdict("YES", cert, shape, tuple(outcomes))
+        if result.status == "unsat":
+            detail = f"no such interpretation with coefficients 0..{config.coeff_bound}"
+        else:
+            detail = result.detail
+        outcomes.append(ShapeOutcome(shape, result.status, detail))
+    return Verdict("MAYBE", outcomes=tuple(outcomes))
 
 
 def brute_force_reducts(

@@ -237,6 +237,22 @@ def test_verbose_goes_to_stderr(capsys):
     assert f"solver: {command}\n" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_verbose_names_the_shapes_over_the_box_budget(capsys, json_flag):
+    matrix = str(ROOT / "problems" / "matrix.wst")
+    code, out, err = run_cli(capsys, "prove", matrix, "--solver", BOXSOLVER, *json_flag, "-v")
+    assert code == 1
+    assert err.splitlines()[2:] == [
+        "matrix-2: at least 485735942131712 box points, over the in-process budget of 200000; not encoded",
+        "matrix-3: at least 283000561307683769879868280832 box points, over the in-process budget of 200000;"
+        " not encoded",
+    ]
+    assert run_cli(capsys, "prove", matrix, "--solver", BOXSOLVER, *json_flag) == (code, out, "")
+    # a child solver is handed every shape
+    _, _, child_err = run_cli(capsys, "prove", matrix, "--solver", f"{FAKE} --reply unknown", *json_flag, "-v")
+    assert "not encoded" not in child_err
+
+
 def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
     import ptrs.rewriting
 
@@ -453,6 +469,15 @@ def test_simulate_stdout_is_pinned(capsys, digest, argv):
         ("c2b7f0d30c7317d372ceb8ec27fb692b4e738c67e49450b732bfdd0225b6abaf", ("rw34.wst", "--coeff-bound", "1", "--json")),
         ("92823f3cf3540dac66d7a36ccbe5b8b0c352f10081749de0b9f6bbd71dfa6ad4", ("rw34.wst", "--coeff-bound", "2")),
         ("c2b7f0d30c7317d372ceb8ec27fb692b4e738c67e49450b732bfdd0225b6abaf", ("rw34.wst", "--coeff-bound", "2", "--json")),
+        # at the default bound, recorded before shapes over the box budget
+        # were answered without being encoded
+        ("d9bb744411bb650cf422e2125cebc5d996f2f996c2844fe610558aa5ef7124f6", ("coingame.wst",)),
+        ("86268270479a4eae3cf57f595740ad5bad5b534465392b8fbf6a6103becb03be", ("coingame.wst", "--json")),
+        ("d9bb744411bb650cf422e2125cebc5d996f2f996c2844fe610558aa5ef7124f6", ("coingame.wst", "--parallel")),
+        ("a12ec6f4eb7568c2fdb8d04c273a17a1049cbb7075f614052b175442410ab3c3", ("matrix.wst",)),
+        ("82aa8640df956c03aa48767624a7f6ff028a7fe65ef0252766c40679b3797617", ("matrix.wst", "--json")),
+        ("a12ec6f4eb7568c2fdb8d04c273a17a1049cbb7075f614052b175442410ab3c3", ("rw14.wst",)),
+        ("3482abfbbd06a9b17be2cc762748dec51e340f056198b2e6d328bee8b37137c2", ("rw14.wst", "--json")),
         # only poly-linear's box fits the default budget at the default
         # bound, so the parallel winner is fixed
         ("92823f3cf3540dac66d7a36ccbe5b8b0c352f10081749de0b9f6bbd71dfa6ad4",

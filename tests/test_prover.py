@@ -1,7 +1,9 @@
+import random
 import shutil
 import sys
 import time
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,8 +16,21 @@ from ptrs.prover import (
     prove,
     verdict_json,
 )
-from ptrs.smt import Shape, box_form, emit_smtlib, encode, parse_shape, run_solver, solve_box
+from ptrs.interpretations import DegreeOverflow
+from ptrs.smt import (
+    DEFAULT_SHAPES,
+    Shape,
+    box_form,
+    box_points,
+    emit_smtlib,
+    encode,
+    parse_shape,
+    run_solver,
+    solve_box,
+)
 from ptrs.wst import elaborate, load_system, parse_problem
+
+from helpers import prove_encoding_every_shape, random_ptrs
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"
@@ -97,6 +112,13 @@ def test_degree_overflow_is_an_outcome():
     )
     assert verdict.kind == "MAYBE"
     assert verdict.outcomes[0].status == "degree-overflow"
+    # in process too, although the template's box, 17^4 * 16^4 points before
+    # narrowing, is over the budget: only encoding finds the overflow
+    wide = elaborate(parse_problem("(VAR x y z)(RULES f(f(x,y),z) -> g(x,y))"))
+    verdict = prove(wide, ProverConfig(shapes=(Shape("poly", 2),), solver=BOXSOLVER))
+    assert verdict.outcomes[0].status == "degree-overflow"
+    child = prove(wide, ProverConfig(shapes=(Shape("poly", 2),), solver=f"{FAKE} --reply unsat"))
+    assert verdict.outcomes == child.outcomes
 
 
 def test_portfolio_continues_after_unsat():
@@ -192,6 +214,95 @@ def test_only_sequential_unsat_answers_are_reused(monkeypatch):
     parallel = prove(RW14, ProverConfig(shapes=both_poly, solver=BOXSOLVER, parallel=True))
     assert [o.status for o in parallel.outcomes] == ["unsat", "unsat"]
     assert len(scripts) == 4
+
+
+SHIPPED = tuple(load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34"))
+# seeded: the shipped problems and 24 random systems over f/2, g/1, s/1, a, 0
+EQUIVALENCE_SYSTEMS = SHIPPED + tuple(random_ptrs(random.Random(seed)) for seed in range(24))
+
+# a margin that is one coefficient narrows that coefficient to 1..bound
+NARROWING = tuple(
+    elaborate(parse_problem(text))
+    for text in (
+        "(VAR x)(RULES f(x) -> x)",
+        "(VAR x y)(RULES f(x,y) -> y g(x) -> x)",
+        "(VAR x)(RULES s(x) -> x p(x) -> x p(s(x)) -> 1 : x || 1 : s(x))",
+    )
+)
+
+
+def _spy_encode(monkeypatch) -> list:
+    """The shapes `prove` encodes, in call order."""
+    shapes: list = []
+
+    def spy(system, shape, bound=16):
+        shapes.append(shape)
+        return encode(system, shape, bound)
+
+    monkeypatch.setattr(prover, "encode", spy)
+    return shapes
+
+
+def _prove_like_encoding_every_shape(system, config, encoded: list) -> list:
+    """Check that `prove` answers as the oracle that encodes every shape,
+    encoding exactly the shapes it does not note as over budget; the noted
+    floors are over the budget and at most the narrowed box. Returns the
+    noted shapes."""
+    expected = prove_encoding_every_shape(system, config)
+    notes: list = []
+    encoded.clear()
+    verdict = prove(system, config, lambda shape, floor, limit: notes.append((shape, floor, limit)))
+    assert verdict.outcomes == expected.outcomes
+    assert format_verdict(verdict, system) == format_verdict(expected, system)
+    noted = [shape for shape, _, _ in notes]
+    assert encoded == [o.shape for o in verdict.outcomes if o.shape not in noted]
+    for shape, floor, limit in notes:
+        points = box_points(box_form(encode(system, shape, config.coeff_bound).constraint_set))
+        assert limit < floor <= points
+    return noted
+
+
+def test_shapes_over_budget_are_answered_without_encoding(monkeypatch):
+    encoded = _spy_encode(monkeypatch)
+    noted = []
+    for system in EQUIVALENCE_SYSTEMS + NARROWING:
+        for bound in (0, 1, 2, 16):
+            config = ProverConfig(solver=BOXSOLVER, coeff_bound=bound)
+            noted += _prove_like_encoding_every_shape(system, config, encoded)
+    assert {str(shape) for shape in noted} == {"poly-linear", "poly-multilinear-2", "matrix-2", "matrix-3"}
+
+
+def test_a_box_that_narrows_to_within_budget_is_searched(monkeypatch):
+    # a budget of exactly the narrowed box: a floor that left out the rules'
+    # margins would skip these shapes, which the box solver searches
+    encoded = _spy_encode(monkeypatch)
+    searched = 0
+    for system in NARROWING + EQUIVALENCE_SYSTEMS:
+        for bound in (1, 2, 16):
+            for shape in DEFAULT_SHAPES:
+                try:
+                    cs = encode(system, shape, bound).constraint_set
+                except DegreeOverflow:
+                    continue
+                points = box_points(box_form(cs))
+                if not 0 < points < prod(spec.hi - spec.lo + 1 for spec in cs.unknowns) or points > 5000:
+                    continue
+                config = ProverConfig(shapes=(shape,), solver=f"{BOXSOLVER} --limit {points}", coeff_bound=bound)
+                assert _prove_like_encoding_every_shape(system, config, encoded) == []
+                searched += 1
+    assert searched >= 10, searched
+
+
+def test_emit_smt_still_encodes_every_shape(tmp_path):
+    # every shape of coingame is over budget at the default bound
+    system = SHIPPED[0]
+    emitted = prove(system, ProverConfig(solver=BOXSOLVER, emit_smt=str(tmp_path)))
+    assert emitted.outcomes == prove(system, ProverConfig(solver=BOXSOLVER)).outcomes
+    assert {o.status for o in emitted.outcomes} == {"unknown"}
+    scripts = {path.name: path.read_text() for path in tmp_path.iterdir()}
+    assert scripts == {
+        f"{shape}.smt2": emit_smtlib(encode(system, shape, 16).constraint_set) for shape in DEFAULT_SHAPES
+    }
 
 
 def test_yes_certificate_reproduces_through_text(tmp_path):
