@@ -280,31 +280,6 @@ def _union(
     return MultiDistribution._unchecked(tuple(numerators), outer * common, mass)
 
 
-def convex_union(
-    parts: Iterable[tuple[Rational, MultiDistribution[T]]],
-) -> MultiDistribution[T]:
-    """Weighted multiset union sum pi * mui with pi >= 0 and sum pi <= 1."""
-    ints = []
-    total = Fraction(0)
-    for p, mu in parts:
-        p = as_fraction(p)
-        if p < 0:
-            raise InvalidWeights(f"negative part weight {p}")
-        if p == 0:
-            continue
-        total += p
-        ints.append((p.numerator, p.denominator * mu._den, mu._numerators, mu._mass_num))
-    if total > 1:
-        raise InvalidWeights(f"part weights sum to {total}, exceeding 1")
-    # every p * q lies in (0, p], so the union needs no further check
-    return _union(ints)
-
-
-def expectation(mu: MultiDistribution[Any]) -> Fraction:
-    """Expected value of a multidistribution over rational-valued objects."""
-    return expected_value(mu, lambda value: value)
-
-
 def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:
     """The sum of p * fn(obj) over the entries of mu, as a Fraction.
 

@@ -14,7 +14,6 @@ back into the surrounding context.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
@@ -28,17 +27,14 @@ from .multidist import (
 )
 from .terms import (
     App,
-    Context,
     Position,
     Signature,
     Term,
     Var,
     apply_substitution,
     check_term,
-    context_position,
     match,
-    replace_at,
-    term_size,
+    replace_at,  # not called here; bench/tracing.py counts calls at this binding
     variables,
 )
 
@@ -93,90 +89,42 @@ class PTRS:
 class RedexStep:
     """One rule applied at one position, with the resulting distribution.
 
-    The walk records only the redex's context, so the position and the
-    reduct distribution are built on first access; a step that is never
+    A step is read off its term's redex index: the position and the reduct
+    distribution are found by descent when read, so a step that is never
     chosen costs no term construction.
     """
 
-    __slots__ = (
-        "rule_index", "substitution", "_rule", "_term", "_context", "_span", "_position", "_result"
-    )
+    __slots__ = ("rule_index", "substitution", "_pars", "_top", "_index")
 
     def __init__(
-        self,
-        rule_index: int,
-        substitution: dict[str, Term],
-        rule: ProbRule,
-        term: Term,
-        context: Context,
-        span: tuple[int, int],
+        self, pars: "TermPars", top: "_Entry", index: int, rule_index: int, substitution: dict[str, Term]
     ):
         self.rule_index = rule_index
         self.substitution = substitution
-        self._rule = rule
-        self._term = term
-        self._context = context
-        # pre-order numbers of the redex node and of the first node after
-        # its subterm: later redexes below it number inside this span
-        self._span = span
-        self._position: Position | None = None
-        self._result: FiniteDistribution[Term] | None = None
+        self._pars = pars
+        self._top = top
+        self._index = index
 
     @property
     def position(self) -> Position:
-        if self._position is None:
-            self._position = context_position(self._context)
-        return self._position
+        position = []
+        entry, k = self._top, self._index
+        while k >= len(entry.matches):
+            i, entry, k = _step_down(entry, k)
+            position.append(i)
+        return tuple(position)
 
     @property
     def result(self) -> FiniteDistribution[Term]:
-        if self._result is None:
-            # Instantiation can merge distinct right-hand sides, so collapse
-            # before plugging into the context (contexts are injective).
-            # The rule's weights were checked when it was built, and merging
-            # and plugging keep them positive and summing to the rule's denominator.
-            rhs = self._rule.rhs
-            local: dict[Term, int] = {}
-            for n, rhs_term in rhs.numerators:
-                image = apply_substitution(rhs_term, self.substitution)
-                local[image] = local.get(image, 0) + n
-            position = self.position
-            self._result = FiniteDistribution._unchecked(
-                tuple((n, replace_at(self._term, position, image)) for image, n in local.items()),
-                rhs.denominator,
-                rhs.denominator,
-            )
-        return self._result
+        return self._pars._reduct(self._top, self._index)
 
     def __repr__(self) -> str:
         return f"RedexStep(position={self.position}, rule_index={self.rule_index})"
 
 
 def enumerate_redexes(system: PTRS, term: Term) -> list[RedexStep]:
-    """All redexes in pre-order position order, rule order within a position.
-
-    One walk over the term: every node carries its context down, so no
-    subterm is located or rebuilt from the root.
-    """
-    steps: list[RedexStep] = []
-    rules = list(enumerate(system.rules))
-    stack: list[tuple[Term, Context]] = [(term, None)]
-    number = 0
-    while stack:
-        node, context = stack.pop()
-        if node.__class__ is App:
-            for index, rule in rules:
-                if rule.lhs.symbol != node.symbol:
-                    continue
-                subst = match(rule.lhs, node)
-                if subst is not None:
-                    span = (number, number + term_size(node))
-                    steps.append(RedexStep(index, subst, rule, term, context, span))
-            args = node.args
-            for i in range(len(args), 0, -1):
-                stack.append((args[i - 1], (context, node, i)))
-        number += 1
-    return steps
+    """All redexes in pre-order position order, rule order within a position."""
+    return TermPars(system).redexes(term)
 
 
 class Pars:
@@ -212,42 +160,193 @@ class Pars:
 
 
 MEMO_LIMIT = 65536
-"""Most terms a TermPars keeps the redexes of. Past it the memo stops
-growing and every further term is enumerated afresh on each visit, which
-bounds memory on long exhaustive runs at the price of repeated walks. The
-memo holds its terms, so they stay interned while it lives."""
+"""Most term nodes a TermPars keeps the redex index of, with the reducts
+kept at them. Past it the memo stops growing: a node left out is matched
+afresh, and its reducts rebuilt, each time a term containing it is
+visited, which bounds memory on long exhaustive runs at the price of
+repeated work. The memo holds its nodes, so they stay interned while it
+lives."""
+
+
+class _Entry:
+    """The redex index of one interned node.
+
+    `matches` holds the (rule index, substitution) of every rule that
+    matches at the node itself, in rule order; `count` is the number of
+    redexes in the whole subterm, the node's matches first and then its
+    children's in argument order, which is pre-order. `reducts` maps the
+    number k of a redex in that order to its reduct distribution, plugged
+    into this node; it keeps those built for a term this node is the root
+    of, and those of the node's own matches.
+    """
+
+    __slots__ = ("node", "matches", "children", "count", "reducts")
+
+    def __init__(self, node: App | None, matches: tuple, children: tuple["_Entry", ...]):
+        self.node = node
+        self.matches = matches
+        self.children = children
+        count = len(matches)
+        for child in children:
+            count += child.count
+        self.count = count
+        self.reducts: dict[int, FiniteDistribution[Term]] = {}
+
+
+_LEAF = _Entry(None, (), ())  # a variable: no redex
+
+
+def _step_down(entry: _Entry, k: int) -> tuple[int, _Entry, int]:
+    """For the k-th redex below entry's node, when it is not one of the
+    node's own: the argument number of the child that holds it, the child's
+    entry, and the redex's number below the child."""
+    k -= len(entry.matches)
+    for i, child in enumerate(entry.children, 1):
+        if k < child.count:
+            return i, child, k
+        k -= child.count
+    raise IndexError("redex index out of range")
 
 
 class TermPars(Pars):
-    """The PARS a PTRS induces on terms; redexes are memoised per term up to
-    MEMO_LIMIT terms. on_memo_full, if given, is called with the limit once,
-    the first time a term is left out of the full memo."""
+    """The PARS a PTRS induces on terms.
+
+    Redexes are indexed per interned node, up to MEMO_LIMIT nodes: a term
+    built from known subterms costs `match` calls only at its new nodes,
+    and its reducts are plugged from those its subterms keep. on_memo_full,
+    if given, is called with the limit once, the first time a node is left
+    out of the full memo."""
 
     def __init__(self, system: PTRS, on_memo_full: Callable[[int], None] | None = None):
         self.system = system
-        self._memo: dict[Term, list[RedexStep]] = {}
+        self._memo: dict[Term, _Entry] = {}
         self._on_memo_full = on_memo_full
+        self._rules_at: dict[str, list[tuple[int, Term]]] = {}
+        for index, rule in enumerate(system.rules):
+            self._rules_at.setdefault(rule.lhs.symbol, []).append((index, rule.lhs))
+
+    def _entry(self, term: Term) -> _Entry:
+        """The index entry of term. Nodes not indexed yet are indexed
+        children first; past MEMO_LIMIT their entries are linked below the
+        returned one but not kept in the memo."""
+        memo = self._memo
+        entry = memo.get(term)
+        if entry is not None:
+            return entry
+        if term.__class__ is Var:
+            return _LEAF
+        made: dict[Term, _Entry] = {}  # entries left out of the full memo
+        rules_at = self._rules_at
+        stack = [term]
+        while stack:
+            node = stack[-1]
+            children = []
+            for arg in node.args:
+                child = memo.get(arg) or made.get(arg)
+                if child is None:
+                    if arg.__class__ is Var:
+                        child = _LEAF
+                    else:
+                        stack.append(arg)
+                children.append(child)
+            if stack[-1] is not node:
+                continue  # index the new children first
+            stack.pop()
+            if node in memo or node in made:
+                continue  # a shared child, pushed more than once
+            matches = []
+            for index, lhs in rules_at.get(node.symbol, ()):
+                subst = match(lhs, node)
+                if subst is not None:
+                    matches.append((index, subst))
+            entry = _Entry(node, tuple(matches), tuple(children))
+            if len(memo) < MEMO_LIMIT:
+                memo[node] = entry
+            else:
+                made[node] = entry
+                if self._on_memo_full is not None:
+                    self._on_memo_full(MEMO_LIMIT)
+                    self._on_memo_full = None
+        return memo.get(term) or made[term]
+
+    def _contract(self, node: App, rule_index: int, substitution: dict[str, Term]) -> FiniteDistribution[Term]:
+        """The reduct distribution of a redex at the root of node."""
+        # Instantiation can merge distinct right-hand sides, so collapse
+        # here; plugging into a context keeps them distinct (contexts are
+        # injective). The rule's weights were checked when it was built, and
+        # merging and plugging keep them positive and summing to the rule's
+        # denominator.
+        rhs = self.system.rules[rule_index].rhs
+        local: dict[Term, int] = {}
+        for n, rhs_term in rhs.numerators:
+            image = apply_substitution(rhs_term, substitution)
+            local[image] = local.get(image, 0) + n
+        pairs = tuple((n, image) for image, n in local.items())
+        return FiniteDistribution._unchecked(pairs, rhs.denominator, rhs.denominator)
+
+    def _reduct(self, top: _Entry, k: int) -> FiniteDistribution[Term]:
+        """The reduct distribution of the k-th redex of top's node.
+
+        Descend towards the redex to the first node that keeps the reduct
+        sought there, or to the redex itself, which then keeps its own;
+        plug back up one level at a time, and keep the result at top."""
+        spine: list[tuple[App, int]] = []
+        entry, j = top, k
+        while True:
+            dist = entry.reducts.get(j)
+            if dist is not None:
+                break
+            if j < len(entry.matches):
+                dist = entry.reducts[j] = self._contract(entry.node, *entry.matches[j])
+                break
+            i, child, j = _step_down(entry, j)
+            spine.append((entry.node, i))
+            entry = child
+        if spine:
+            pairs = dist.numerators
+            for node, i in reversed(spine):
+                symbol, args = node.symbol, node.args
+                pairs = [(n, App(symbol, args[: i - 1] + (image,) + args[i:])) for n, image in pairs]
+            dist = top.reducts[k] = FiniteDistribution._unchecked(tuple(pairs), dist.denominator, dist.denominator)
+        return dist
 
     def redexes(self, term: Term) -> list[RedexStep]:
-        steps = self._memo.get(term)
-        if steps is None:
-            steps = enumerate_redexes(self.system, term)
-            if len(self._memo) < MEMO_LIMIT:
-                self._memo[term] = steps
-            elif self._on_memo_full is not None:
-                self._on_memo_full(MEMO_LIMIT)
-                self._on_memo_full = None
+        """The steps of term, read off its index in pre-order."""
+        top = self._entry(term)
+        steps: list[RedexStep] = []
+        stack = [top]
+        while stack:
+            entry = stack.pop()
+            for rule_index, substitution in entry.matches:
+                steps.append(RedexStep(self, top, len(steps), rule_index, substitution))
+            stack.extend(child for child in reversed(entry.children) if child.count)
         return steps
 
+    def innermost(self, term: Term) -> int:
+        """The number of term's leftmost-innermost redex, 0 when it has none:
+        descend into the first child that holds a redex, and stop at a node
+        whose children hold none."""
+        entry = self._entry(term)
+        k = 0
+        while True:
+            for child in entry.children:
+                if child.count:
+                    break
+            else:
+                return k
+            k += len(entry.matches)
+            entry = child
+
     def options(self, term: Term) -> list[FiniteDistribution]:
-        return [step.result for step in self.redexes(term)]
+        top = self._entry(term)
+        return [self._reduct(top, k) for k in range(top.count)]
 
     def choose(self, term: Term, chooser: "Chooser") -> FiniteDistribution | None:
         # Only the chosen redex has its reduct distribution built.
-        steps = self.redexes(term)
-        if not steps:
+        options = _LazyReducts(self, self._entry(term))
+        if not options:
             return None
-        return steps[chooser(self, term, _LazyReducts(steps))].result
+        return options[chooser(self, term, options)]
 
     def term_view(self, obj: Hashable) -> Term | None:
         return obj if isinstance(obj, (Var, App)) else None
@@ -259,16 +358,22 @@ class TermPars(Pars):
 
 
 class _LazyReducts(Sequence):
-    """The reduct distributions of a list of redexes, each built when indexed."""
+    """The reduct distributions of a term's redexes, each built when indexed."""
 
-    def __init__(self, steps: list[RedexStep]):
-        self._steps = steps
+    def __init__(self, pars: TermPars, top: _Entry):
+        self._pars = pars
+        self._top = top
 
     def __len__(self) -> int:
-        return len(self._steps)
+        return self._top.count
 
     def __getitem__(self, index: int) -> FiniteDistribution[Term]:
-        return self._steps[index].result
+        count = self._top.count
+        if index < 0:
+            index += count
+        if not 0 <= index < count:
+            raise IndexError("redex index out of range")
+        return self._pars._reduct(self._top, index)
 
 
 Chooser = Callable[[Pars, Hashable, Sequence[FiniteDistribution]], int]
@@ -280,19 +385,7 @@ def leftmost_outermost(pars: Pars, obj: Hashable, options: Sequence[FiniteDistri
 
 
 def leftmost_innermost(pars: Pars, obj: Hashable, options: Sequence[FiniteDistribution]) -> int:
-    # Redexes come in pre-order, so one is innermost exactly when the next
-    # redex at another node does not lie below it: its pre-order number is
-    # past the end of the first one's span.
-    if isinstance(pars, TermPars):
-        steps = pars.redexes(obj)
-        first = 0
-        for index in range(1, len(steps) + 1):
-            if index < len(steps) and steps[index]._span[0] == steps[first]._span[0]:
-                continue  # another rule at the same node
-            if index == len(steps) or steps[index]._span[0] >= steps[first]._span[1]:
-                return first
-            first = index
-    return 0
+    return pars.innermost(obj) if isinstance(pars, TermPars) else 0
 
 
 # Both strategies pick by the object alone, so a step may choose once per
@@ -372,36 +465,6 @@ def all_steps(
         if nu not in seen:
             seen[nu] = None
     return list(seen)
-
-
-@dataclass
-class EmbeddingReport:
-    ok: bool
-    problems: list[str]
-
-
-def ars_embedding_check(pars: Pars, objects: Sequence[Hashable]) -> EmbeddingReport:
-    """For non-probabilistic systems the multidistribution semantics must
-    mirror plain rewriting: one-step reducts of {1: a} are exactly the point
-    masses of the successors of a, and the empty multidistribution for
-    normal forms."""
-    problems: list[str] = []
-    for obj in objects:
-        options = pars.options(obj)
-        for dist in options:
-            if len(dist) != 1:
-                problems.append(f"{obj} has a non-point reduct distribution {dist}")
-        got = all_steps(pars, MultiDistribution.point(obj))
-        if not options:
-            expected = [MultiDistribution.empty()]
-        else:
-            expected = [MultiDistribution.from_distribution(d) for d in options]
-        if Counter(got) != Counter(expected):
-            problems.append(
-                f"one-step reducts of {{1: {obj}}} are "
-                f"{[str(m) for m in got]}, expected {[str(m) for m in expected]}"
-            )
-    return EmbeddingReport(not problems, problems)
 
 
 def random_term(

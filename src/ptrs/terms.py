@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import Any, Callable, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Iterator, Mapping, Union
 
 
 class TermError(Exception):
@@ -247,9 +247,6 @@ _set_symbol, _set_args, _set_hash, _set_size, _set_str = (
 Term = Union[Var, App]
 Position = tuple[int, ...]
 Substitution = Mapping[str, Term]
-# A one-hole context as a parent-linked chain: (outer context, node, i) is
-# the node with its i-th argument (1-based) replaced by the hole.
-Context = Optional[tuple[Any, "App", int]]
 
 
 def _text(term: App) -> str:
@@ -360,19 +357,7 @@ def apply_substitution(term: Term, subst: Substitution) -> Term:
     )
 
 
-def subterm_positions(term: Term) -> list[Position]:
-    """All positions of the term in pre-order (root first, leftmost first)."""
-    out: list[Position] = []
-    stack: list[tuple[Position, Term]] = [((), term)]
-    while stack:
-        position, node = stack.pop()
-        out.append(position)
-        if node.__class__ is App:
-            for i in range(len(node.args), 0, -1):
-                stack.append(((*position, i), node.args[i - 1]))
-    return out
-
-
+# Only tests call subterm_at; it stays here because bench/tracing.py counts it.
 def subterm_at(term: Term, position: Position) -> Term:
     node = term
     for step, i in enumerate(position):
@@ -380,15 +365,6 @@ def subterm_at(term: Term, position: Position) -> Term:
             raise InvalidPosition(f"no subterm of {term} at {position[: step + 1]}")
         node = node.args[i - 1]
     return node
-
-
-def context_position(context: Context) -> Position:
-    """The position of a context's hole."""
-    steps: list[int] = []
-    while context is not None:
-        context, _, i = context
-        steps.append(i)
-    return tuple(reversed(steps))
 
 
 def replace_at(term: Term, position: Position, replacement: Term) -> Term:

@@ -10,16 +10,28 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from typing import Hashable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from ptrs.interpretations import DegreeOverflow, MatrixInterpretation, PolyInterpretation, check_certificate
-from ptrs.multidist import FiniteDistribution, MultiDistribution, as_fraction, canonical_order, display_key
+from ptrs.multidist import (
+    FiniteDistribution,
+    InvalidWeights,
+    MultiDistribution,
+    Rational,
+    T,
+    _union,
+    as_fraction,
+    canonical_order,
+    display_key,
+    expected_value,
+)
 from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
 from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
 from ptrs.smt import ConstraintSet, box_form, box_points, decode, encode, in_process_limit, solve_box
-from ptrs.terms import Signature, Var, variables
+from ptrs.terms import App, Position, Signature, Term, Var, variables
 
 
 def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 4) -> Fraction:
@@ -301,3 +313,74 @@ def reference_all_steps(pars, state):
 
 def reference_expected_value(entries, fn) -> Fraction:
     return sum((p * as_fraction(fn(obj)) for p, obj in entries), Fraction(0))
+
+
+# Functions of the package that only tests call, moved here unchanged.
+
+
+def convex_union(
+    parts: Iterable[tuple[Rational, MultiDistribution[T]]],
+) -> MultiDistribution[T]:
+    """Weighted multiset union sum pi * mui with pi >= 0 and sum pi <= 1."""
+    ints = []
+    total = Fraction(0)
+    for p, mu in parts:
+        p = as_fraction(p)
+        if p < 0:
+            raise InvalidWeights(f"negative part weight {p}")
+        if p == 0:
+            continue
+        total += p
+        ints.append((p.numerator, p.denominator * mu._den, mu._numerators, mu._mass_num))
+    if total > 1:
+        raise InvalidWeights(f"part weights sum to {total}, exceeding 1")
+    # every p * q lies in (0, p], so the union needs no further check
+    return _union(ints)
+
+
+def expectation(mu: MultiDistribution[Any]) -> Fraction:
+    """Expected value of a multidistribution over rational-valued objects."""
+    return expected_value(mu, lambda value: value)
+
+
+@dataclass
+class EmbeddingReport:
+    ok: bool
+    problems: list[str]
+
+
+def ars_embedding_check(pars: Pars, objects: Sequence[Hashable]) -> EmbeddingReport:
+    """For non-probabilistic systems the multidistribution semantics must
+    mirror plain rewriting: one-step reducts of {1: a} are exactly the point
+    masses of the successors of a, and the empty multidistribution for
+    normal forms."""
+    problems: list[str] = []
+    for obj in objects:
+        options = pars.options(obj)
+        for dist in options:
+            if len(dist) != 1:
+                problems.append(f"{obj} has a non-point reduct distribution {dist}")
+        got = all_steps(pars, MultiDistribution.point(obj))
+        if not options:
+            expected = [MultiDistribution.empty()]
+        else:
+            expected = [MultiDistribution.from_distribution(d) for d in options]
+        if Counter(got) != Counter(expected):
+            problems.append(
+                f"one-step reducts of {{1: {obj}}} are "
+                f"{[str(m) for m in got]}, expected {[str(m) for m in expected]}"
+            )
+    return EmbeddingReport(not problems, problems)
+
+
+def subterm_positions(term: Term) -> list[Position]:
+    """All positions of the term in pre-order (root first, leftmost first)."""
+    out: list[Position] = []
+    stack: list[tuple[Position, Term]] = [((), term)]
+    while stack:
+        position, node = stack.pop()
+        out.append(position)
+        if node.__class__ is App:
+            for i in range(len(node.args), 0, -1):
+                stack.append(((*position, i), node.args[i - 1]))
+    return out

@@ -262,7 +262,7 @@ def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
     monkeypatch.setattr(ptrs.rewriting, "MEMO_LIMIT", 3)
     code, out, err = run_cli(capsys, *argv, "-v")
     assert code == 0 and out == quiet_out
-    assert err == "note: redex memo full at 3 terms; further terms are walked afresh on every visit\n"
+    assert err == "note: redex memo full at 3 nodes; further nodes are matched afresh on every visit\n"
     assert run_cli(capsys, *argv) == (0, quiet_out, "")
 
 @pytest.mark.parametrize(

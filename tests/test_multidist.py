@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import convex_union, expectation
 from ptrs.multidist import (
     FiniteDistribution,
     InvalidWeights,
     MultiDistribution,
     as_fraction,
     canonical_order,
-    convex_union,
-    expectation,
     expected_value,
 )
 from ptrs.simulator import collapsed

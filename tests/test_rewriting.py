@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_ptrs
+import ptrs.rewriting
+from helpers import ars_embedding_check, random_ptrs, subterm_positions
 from ptrs.multidist import FiniteDistribution, MultiDistribution
 from ptrs.rewriting import (
     BudgetTracker,
@@ -20,7 +21,6 @@ from ptrs.rewriting import (
     Stake,
     TermPars,
     all_steps,
-    ars_embedding_check,
     enumerate_redexes,
     leftmost_innermost,
     leftmost_outermost,
@@ -38,7 +38,6 @@ from ptrs.terms import (
     match,
     replace_at,
     subterm_at,
-    subterm_positions,
     variables,
 )
 from ptrs.wst import elaborate, load_system, parse_problem
@@ -341,13 +340,30 @@ def test_innermost_skips_rules_at_the_same_node():
     assert leftmost_innermost(pars, term, pars.options(term)) == 0
 
 
-def test_single_strategy_step_builds_only_the_chosen_reduct():
+def spy_on(monkeypatch, owner, name):
+    """Record the arguments of every call to owner.name, then call it."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_single_strategy_step_builds_only_the_chosen_reduct(monkeypatch):
+    contracted = spy_on(monkeypatch, TermPars, "_contract")
     pars = TermPars(random_walk_ptrs(Fraction(3, 4)))
     term = nat(50)
     nu = step_multidist(pars, MultiDistribution.point(term), leftmost_innermost)
+    # the one redex contracted is the innermost one, at s(0)
+    assert [node for _, node, _, _ in contracted] == [nat(1)]
     steps = pars.redexes(term)
     assert nu == MultiDistribution.from_distribution(steps[-1].result)
-    assert [st._result is None for st in steps] == [True] * 49 + [False]
+    # reading the chosen step's result again builds nothing new
+    assert len(contracted) == 1
 
 
 def test_choose_default_goes_through_options():
@@ -414,3 +430,72 @@ def test_step_chooses_once_per_distinct_term_or_per_entry(monkeypatch, chooser, 
             assert nu == mu.bind(lambda term: pars.choose(term, chooser))
         mu = nu
     assert len(mu) > len(set(obj for _, obj in mu.numerators))
+
+
+@pytest.mark.parametrize("memo_limit", [None, 3])
+def test_index_agrees_with_naive_walk(monkeypatch, memo_limit):
+    """Counts, options and the three strategies' picks, read off the index,
+    against the walk that locates and matches every subterm from the root;
+    with a tiny memo most nodes are indexed afresh on every visit."""
+    if memo_limit is not None:
+        monkeypatch.setattr(ptrs.rewriting, "MEMO_LIMIT", memo_limit)
+    rng = random.Random(37)
+    checked = 0
+    for system in systems_under_test():
+        full = []
+        pars = TermPars(system, full.append)
+        for _ in range(60):
+            term = random_term(system.signature, rng, max_depth=rng.randint(2, 6))
+            expected = naive_redexes(system, term)
+            dists = [dist for *_, dist in expected]
+            lengths = []
+
+            def first(pars, obj, options):
+                lengths.append(len(options))
+                return 0
+
+            seed = rng.randrange(1 << 30)
+            picked = [pars.choose(term, chooser) for chooser in (
+                first, leftmost_outermost, leftmost_innermost, random_chooser(random.Random(seed)))]
+            if not expected:
+                assert lengths == [] and picked == [None] * 4
+                assert pars.options(term) == []
+                continue
+            inner = quadratic_innermost([pos for pos, *_ in expected])
+            drawn = random.Random(seed).randrange(len(expected))
+            assert lengths == [len(expected)]
+            assert picked == [dists[0], dists[0], dists[inner], dists[drawn]]
+            assert pars.options(term) == dists
+            steps = pars.redexes(term)
+            assert [(st.position, st.rule_index, st.substitution, st.result) for st in steps] == expected
+            checked += len(expected)
+        assert full == ([] if memo_limit is None else [memo_limit])
+    assert checked > 1000
+
+
+def test_new_spine_costs_match_calls_only_at_its_new_nodes(monkeypatch):
+    rw = random_walk_ptrs(Fraction(3, 4))
+    calls = spy_on(monkeypatch, ptrs.rewriting, "match")
+    pars = TermPars(rw)
+    assert pars.choose(nat(1000), leftmost_outermost) is not None
+    assert len(calls) == 1000  # one per s node: s/1 has one rule
+    for n, new_nodes in ((1001, 1), (999, 0), (1003, 2)):
+        calls.clear()
+        dist = pars.choose(nat(n), leftmost_innermost)
+        assert len(calls) <= len(rw.rules) * new_nodes
+        assert dist == FiniteDistribution({nat(n - 1): Fraction(3, 4), nat(n + 1): Fraction(1, 4)})
+
+
+def test_deep_innermost_step_is_linear_and_recursion_free(monkeypatch):
+    # s^3000(0) is deeper than the interpreter's recursion limit
+    rw = random_walk_ptrs(Fraction(3, 4))
+    depth = 3000
+    calls = spy_on(monkeypatch, ptrs.rewriting, "match")
+    contracted = spy_on(monkeypatch, TermPars, "_contract")
+    pars = TermPars(rw)
+    dist = pars.choose(nat(depth), leftmost_innermost)
+    assert dist == FiniteDistribution({nat(depth - 1): Fraction(3, 4), nat(depth + 1): Fraction(1, 4)})
+    assert len(calls) == depth and len(contracted) == 1
+    # kept: the redex's own reduct at s(0), and the plugged one at the root
+    assert [(entry.node, list(entry.reducts)) for entry in pars._memo.values() if entry.reducts] == [
+        (nat(1), [0]), (nat(depth), [depth - 1])]

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from helpers import subterm_positions
 from ptrs import terms
 from ptrs.terms import (
     App,
@@ -20,7 +21,6 @@ from ptrs.terms import (
     match,
     replace_at,
     subterm_at,
-    subterm_positions,
     term_size,
     variables,
 )
