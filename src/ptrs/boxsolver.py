@@ -5,27 +5,29 @@ asserted per-variable bounds, and answers like a real solver would: `sat`
 with a checked model, `unsat` only after ruling out every point of a fully
 bounded box (or when the bounds themselves are contradictory), `unknown`
 when a variable has no asserted bounds or the box holds more points than the
-assignment budget. The budget counts the box's points, however few of them
-the search visits.
+assignment budget, however few of them the search would visit.
 
-The search is depth first: it fixes the declared variables in declaration
-order, each to ascending values, so it meets the points of the box in
-lexicographic order and its first model is the first model of the box. At
-each node it evaluates the assertions over the remaining sub-box with exact
-integer interval arithmetic (three-valued for the connectives) and cuts the
-subtree as soon as one assertion is definitely false. A caller of `solve`
-may pass `stop`, which is asked at the root and then every 1024 search nodes
-whether to give up; a search given up answers `unknown`.
+The fragment is a conjunction of polynomial inequalities. Int terms are
+numerals, declared names and + - * of Int terms; Bool terms are chained
+comparisons >= <= > < = of Int terms and `and` of Bool terms. Each
+assertion is read into the one constraint form the search knows,
+Σ coefficient · Π variables >= at_least: each adjacent pair of a
+comparison gives one (`=` two), and `and` the union of its parts. The
+bounds are the assertions, top-level or directly under a top-level `and`,
+that compare a declared name with a literal; an open side is 0 below and
+16 above. `or`, `not`, `=` on Bools and a product of two factors of two
+or more monomials each raise ScriptError, as does any unknown, ill-sorted
+or malformed term, before the search. Refusing those products keeps a
+term's polynomial no longer than the term has leaves.
 
-Arithmetic understood: + - * and the predicates >= <= > < = plus and/or/not.
-Every script is checked before the search; an unsupported, ill-sorted or
-malformed term raises ScriptError. Useful wherever a real SMT solver is not
-installed; the default coefficient boxes of the encoder stay within reach
-for linear shapes.
-
-`solve_sums` gives the same answer for the constraints the encoder would
-emit, handed over as sums of products with no script: it narrows the box,
-compares it with the budget, and only then builds the programs it searches.
+The search fixes the declared variables depth first, in declaration order
+and ascending values, so its first model is the box's first in
+lexicographic order. Each node evaluates the constraints over the
+remaining sub-box in exact integer interval arithmetic and cuts the
+subtree once one is definitely false. `stop`, when given, is asked at the
+root and then every 1024 nodes whether to give up, which answers
+`unknown`. `solve_sums` answers as `solve` would, given the constraints in
+that form with no script.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import argparse
 import re
 import sys
 from collections.abc import Callable
+from functools import partial
 from math import prod
-from operator import eq, ge, gt, itemgetter, le, lt
 
 DEFAULT_LIMIT = 200_000
 
@@ -67,19 +69,156 @@ def parse_script(text: str) -> list:
     return out
 
 
-# Every operation has two readings. On a point of the box an Int term is an
-# int and a Bool term a bool. On a sub-box an Int term is the interval
-# (lo, hi) of the values it takes there, and a Bool term is True or False
-# when it takes one value there and None when it may take both.
+# An Int term reads as a polynomial: a dict from monomials, sorted tuples of
+# variable positions (() for the constant), to nonzero coefficients. A Bool
+# term reads as a list of constraints (monomials, at_least): Σ coefficient ·
+# Π variables >= at_least over its monomials (coefficient, positions).
 
 
-def _minus(args):
-    return -args[0] if len(args) == 1 else args[0] - sum(args[1:])
+def _atom(node: str, index: dict[str, int]) -> dict:
+    position = index.get(node)
+    if position is not None:
+        return {(position,): 1}
+    try:
+        value = int(node)
+    except ValueError:
+        raise ScriptError(f"unknown atom {node!r}") from None
+    return {(): value} if value else {}
 
 
-def _points_chain(test):
-    """A chained predicate on points: every adjacent pair passes `test`."""
-    return lambda args: all(map(test, args, args[1:]))
+def _add_into(total: dict, poly: dict, sign: int = 1) -> None:
+    for monomial, coefficient in poly.items():
+        coefficient = total.get(monomial, 0) + sign * coefficient
+        if coefficient:
+            total[monomial] = coefficient
+        else:
+            del total[monomial]
+
+
+def _merged(parts: list, merge: Callable) -> dict | list:
+    """The parts merged into the largest of them, which is reused: a part
+    is read once, so nested sums move each monomial once per doubling."""
+    whole = max(parts, key=len, default=[])
+    for part in parts:
+        if part is not whole:
+            merge(whole, part)
+    return whole
+
+
+def _minus(args: list) -> dict:
+    first, rest = (args[0], args[1:]) if len(args) > 1 else ({}, args)  # (- x) is 0 - x
+    return _merged([first, *({m: -c for m, c in poly.items()} for poly in rest)], _add_into)
+
+
+def _times(args: list) -> dict:
+    product = args[0]
+    for factor in args[1:]:
+        if len(factor) > 1 < len(product):
+            raise ScriptError("* takes at most one factor of two or more monomials")
+        # one side is zero or one monomial, so distinct monomials stay distinct
+        product = {tuple(sorted(m + n)): c * d for m, c in product.items() for n, d in factor.items()}
+    return product
+
+
+def _compared(ways: list, args: list) -> list:
+    """The constraints of a chained comparison: for each adjacent pair x, y
+    and each (sign, margin) of `ways`, sign · (x - y) >= margin."""
+    constraints = []
+    for x, y in zip(args, args[1:]):
+        difference = dict(x)
+        _add_into(difference, y, -1)
+        constant = difference.pop((), 0)
+        for sign, margin in ways:
+            constraints.append(([(sign * c, m) for m, c in difference.items()], margin - sign * constant))
+    return constraints
+
+
+# op: (fewest arguments, the type their readings must have, reading); a
+# comparison gives sign · (x - y) >= margin for each (sign, margin) listed
+_READINGS = {
+    "+": (1, dict, partial(_merged, merge=_add_into)),
+    "-": (1, dict, _minus),
+    "*": (1, dict, _times),
+    ">=": (2, dict, partial(_compared, [(1, 0)])),
+    ">": (2, dict, partial(_compared, [(1, 1)])),
+    "<=": (2, dict, partial(_compared, [(-1, 0)])),
+    "<": (2, dict, partial(_compared, [(-1, 1)])),
+    "=": (2, dict, partial(_compared, [(1, 0), (-1, 0)])),
+    "and": (0, list, partial(_merged, merge=list.extend)),
+}
+
+
+def _read(term, index: dict[str, int]) -> list:
+    """The constraints one asserted term stands for, read by an iterative
+    walk, so nesting depth is no limit. ScriptError for an unknown atom or
+    operation, too few arguments, an argument of the wrong sort, a product
+    of two sums, and a term that is not Bool."""
+    values: list = []  # the readings of the terms read so far
+    todo = [term]  # terms to visit, and (term,) once its arguments are read
+    while todo:
+        node = todo.pop()
+        if type(node) is str:
+            values.append(_atom(node, index))
+        elif type(node) is list:
+            if not node:
+                raise ScriptError("empty expression")
+            todo.append((node,))
+            todo.extend(node[:0:-1])
+        else:
+            op, n = node[0][0], len(node[0]) - 1
+            args = values[len(values) - n :]
+            del values[len(values) - n :]
+            if not isinstance(op, str):
+                raise ScriptError("unsupported operation: a term in operator position")
+            if op not in _READINGS:
+                raise ScriptError(f"unsupported operation {op!r}")
+            fewest, wanted, reading = _READINGS[op]
+            if n < fewest:
+                raise ScriptError(f"{op} needs {'two arguments' if fewest == 2 else 'an argument'}")
+            if any(type(arg) is not wanted for arg in args):
+                raise ScriptError(f"{op} needs {'Int' if wanted is dict else 'Bool'} arguments")
+            values.append(reading(args))
+    if type(values[0]) is not list:
+        raise ScriptError("an assertion must be a Bool term")
+    return values[0]
+
+
+def _literal(node) -> int | None:
+    sign = 1
+    while isinstance(node, list):
+        if len(node) != 2 or node[0] != "-":
+            return None
+        sign, node = -sign, node[1]
+    try:
+        return sign * int(node)
+    except ValueError:
+        return None
+
+
+_FLIPPED = {">=": "<=", "<=": ">=", ">": "<", "<": ">", "=": "="}
+
+
+def _bound(node, index: dict[str, int]) -> tuple[str, int | None, int | None] | None:
+    """(name, lowest, highest) when the term `node`, which has been read,
+    compares a declared name with a literal, either way round; None for a
+    side it leaves open."""
+    if len(node) != 3 or node[0] not in _FLIPPED:
+        return None
+    op, a, b = node
+    if isinstance(a, str) and a in index and (k := _literal(b)) is not None:
+        name = a
+    elif isinstance(b, str) and b in index and (k := _literal(a)) is not None:
+        name, op = b, _FLIPPED[op]
+    else:
+        return None
+    lowest = k + (op == ">") if op in (">=", ">", "=") else None
+    highest = k - (op == "<") if op in ("<=", "<", "=") else None
+    return name, lowest, highest
+
+
+# A program has two readings. On a point of the box a term is an int and a
+# constraint a bool. On a sub-box a term is the interval (lo, hi) of its
+# values there, and a constraint True or False, or None if it may be both.
 
 
 def _add(args):
@@ -87,16 +226,6 @@ def _add(args):
     for a, b in args:
         lo += a
         hi += b
-    return lo, hi
-
-
-def _sub(args):
-    lo, hi = args[0]
-    if len(args) == 1:
-        return -hi, -lo
-    for a, b in args[1:]:
-        lo -= b
-        hi -= a
     return lo, hi
 
 
@@ -113,132 +242,13 @@ def _mul(args):
     return lo, hi
 
 
-def _boxes_chain(definitely, possibly):
-    """A chained predicate on sub-boxes, from its two tests on a pair."""
-
-    def apply(args):
-        result = True
-        for x, y in zip(args, args[1:]):
-            if not possibly(x, y):
-                return False
-            if result and not definitely(x, y):
-                result = None
-        return result
-
-    return apply
+def _at_least(args):
+    return args[0] >= args[1]
 
 
-def _and(args):
-    return False if False in args else None if None in args else True
-
-
-def _or(args):
-    return True if True in args else None if None in args else False
-
-
-def _not(args):
-    return None if args[0] is None else not args[0]
-
-
-INT, BOOL = "Int", "Bool"
-
-
-def _comparison(test, definitely, possibly):
-    """A chained comparison of Ints, from `test` on a pair of ints and its
-    two readings on a pair of intervals."""
-    return _points_chain(test), _boxes_chain(definitely, possibly), 2, None, INT, BOOL
-
-
-# op: (on points, on sub-boxes, fewest and most arguments, argument sort, result sort)
-_OPERATIONS = {
-    "+": (sum, _add, 1, None, INT, INT),
-    "-": (_minus, _sub, 1, None, INT, INT),
-    "*": (prod, _mul, 1, None, INT, INT),
-    ">=": _comparison(ge, lambda x, y: x[0] >= y[1], lambda x, y: x[1] >= y[0]),
-    "<=": _comparison(le, lambda x, y: x[1] <= y[0], lambda x, y: x[0] <= y[1]),
-    ">": _comparison(gt, lambda x, y: x[0] > y[1], lambda x, y: x[1] > y[0]),
-    "<": _comparison(lt, lambda x, y: x[1] < y[0], lambda x, y: x[0] < y[1]),
-    "=": _comparison(eq, lambda x, y: x[0] == x[1] == y[0] == y[1], lambda x, y: x[0] <= y[1] and y[0] <= x[1]),
-    "and": (all, _and, 0, None, BOOL, BOOL),
-    "or": (any, _or, 0, None, BOOL, BOOL),
-    "not": (lambda args: not args[0], _not, 1, 1, BOOL, BOOL),
-}
-# `=` on Bools, chosen by the sort of the first argument
-_BOOL_EQUAL = (
-    _points_chain(eq),
-    _boxes_chain(lambda x, y: x is not None and x == y, lambda x, y: x is None or y is None or x == y),
-    2, None, BOOL, BOOL,
-)
-
-
-def _program(term, index: dict[str, int]) -> tuple[list, list, set[int]]:
-    """Check one asserted term and translate it into two postfix programs,
-    one for points and one for sub-boxes, plus the positions of the
-    variables it reads.
-
-    The walk is iterative, so nesting depth is no limit. It raises
-    ScriptError for an unknown atom or operation, an operation with too few
-    or too many arguments, an argument of the wrong sort, and a term that is
-    not Bool. An instruction is (-1, position) for a variable, (0, value)
-    for a constant, and (n, function) for an operation on the last n values.
-    """
-    point_code: list = []
-    box_code: list = []
-    positions: set[int] = set()
-    sorts: list[str] = []
-    todo = [term]  # terms to visit, and (term,) once its arguments are done
-    while todo:
-        node = todo.pop()
-        if type(node) is str:
-            position = index.get(node)
-            if position is not None:
-                point_code.append((-1, position))
-                box_code.append((-1, position))
-                positions.add(position)
-            else:
-                try:
-                    value = int(node)
-                except ValueError:
-                    raise ScriptError(f"unknown atom {node!r}") from None
-                point_code.append((0, value))
-                box_code.append((0, (value, value)))
-            sorts.append(INT)
-            continue
-        if type(node) is list:
-            if not node:
-                raise ScriptError("empty expression")
-            todo.append((node,))
-            todo.extend(node[:0:-1])
-            continue
-        node = node[0]
-        op, n = node[0], len(node) - 1
-        args = sorts[len(sorts) - n :]
-        del sorts[len(sorts) - n :]
-        if not isinstance(op, str):
-            raise ScriptError("unsupported operation: a term in operator position")
-        if op not in _OPERATIONS:
-            raise ScriptError(f"unsupported operation {op!r}")
-        entry = _BOOL_EQUAL if op == "=" and args[:1] == [BOOL] else _OPERATIONS[op]
-        at_point, on_box, fewest, most, wanted, result = entry
-        if n < fewest:
-            raise ScriptError(f"{op} needs {'two arguments' if fewest == 2 else 'an argument'}")
-        if most is not None and n > most:
-            raise ScriptError(f"{op} takes one argument")
-        if args.count(wanted) != n:
-            raise ScriptError(f"{op} needs {wanted} arguments")
-        operands = point_code[len(point_code) - n :]
-        if not any(map(itemgetter(0), operands)):  # an operation on constants is a constant
-            value = at_point([constant for _, constant in operands])
-            del point_code[len(point_code) - n :], box_code[len(box_code) - n :]
-            point_code.append((0, value))
-            box_code.append((0, (value, value) if result == INT else value))
-        else:
-            point_code.append((n, at_point))
-            box_code.append((n, on_box))
-        sorts.append(result)
-    if sorts != [BOOL]:
-        raise ScriptError("an assertion must be a Bool term")
-    return point_code, box_code, positions
+def _at_least_over(args):
+    (lo, hi), (at_least, _) = args
+    return True if lo >= at_least else None if hi >= at_least else False
 
 
 def _run(program: list, variables: list):
@@ -256,53 +266,6 @@ def _run(program: list, variables: list):
             del stack[-n:]
             push(arg(args))
     return stack[0]
-
-
-def _literal(node) -> int | None:
-    sign = 1
-    while isinstance(node, list):
-        if len(node) != 2 or node[0] != "-":
-            return None
-        sign, node = -sign, node[1]
-    try:
-        return sign * int(node)
-    except ValueError:
-        return None
-
-
-class Box:
-    def __init__(self) -> None:
-        self.lo: dict[str, int] = {}
-        self.hi: dict[str, int] = {}
-
-    def tighten(self, name: str, lo: int | None = None, hi: int | None = None) -> None:
-        if lo is not None:
-            self.lo[name] = max(lo, self.lo.get(name, lo))
-        if hi is not None:
-            self.hi[name] = min(hi, self.hi.get(name, hi))
-
-
-def _extract_bounds(node, declared: dict[str, int], box: Box) -> None:
-    """Recognize (>= x 3), (<= 3 x), (= x 3) and alike on declared names."""
-    if not isinstance(node, list) or len(node) != 3:
-        return
-    op, a, b = node
-    if isinstance(a, str) and a in declared and (value := _literal(b)) is not None:
-        name, k, flipped = a, value, False
-    elif isinstance(b, str) and b in declared and (value := _literal(a)) is not None:
-        name, k, flipped = b, value, True
-    else:
-        return
-    if op == "=":
-        box.tighten(name, lo=k, hi=k)
-    elif (op, flipped) in ((">=", False), ("<=", True)):
-        box.tighten(name, lo=k)
-    elif (op, flipped) in (("<=", False), (">=", True)):
-        box.tighten(name, hi=k)
-    elif (op, flipped) in ((">", False), ("<", True)):
-        box.tighten(name, lo=k + 1)
-    elif (op, flipped) in (("<", False), (">", True)):
-        box.tighten(name, hi=k - 1)
 
 
 _STOPPED = object()
@@ -368,14 +331,11 @@ def _search(programs: list, lo: list[int], hi: list[int], stop: Callable[[], boo
             d += 1
 
 
-# Σ monomials >= at_least: the one predicate of the sum-of-products form
-_AT_LEAST = _OPERATIONS[">="]
-
-
 def _sum_program(monomials: list, at_least: int) -> tuple[list, list, set[int]]:
-    """The point and box programs, and the variables read, of one constraint
-    of the sum-of-products form: the programs `_program` builds from the
-    assertion `emit_smtlib` writes for it, read off the monomials directly."""
+    """The point and box programs, and the positions read, of one constraint
+    (see `solve_sums`). An instruction is (-1, position) for a variable,
+    (0, value) for a constant, and (n, function) for an operation on the
+    last n values."""
     point_code: list = []
     box_code: list = []
     positions: set[int] = set()
@@ -399,23 +359,38 @@ def _sum_program(monomials: list, at_least: int) -> tuple[list, list, set[int]]:
     elif n > 1:
         point_code.append((n, sum))
         box_code.append((n, _add))
-    point_code += (0, at_least), (2, _AT_LEAST[0])
-    box_code += (0, (at_least, at_least)), (2, _AT_LEAST[1])
+    point_code += (0, at_least), (2, _at_least)
+    box_code += (0, (at_least, at_least)), (2, _at_least_over)
     return point_code, box_code, positions
 
 
 def narrow(lo: list[int], hi: list[int], constraints: list) -> tuple[list[int], int]:
-    """The box `solve_sums` searches, given as its lower ends and its number
-    of points (0 when it is empty). Each constraint that is one variable
-    with coefficient 1 raises that variable's lower end: those are the only
-    bounds `_extract_bounds` finds among the assertions `emit_smtlib`
-    writes for the constraints."""
+    """The box `solve_sums` searches: its lower ends and its number of points
+    (0 when it is empty). A constraint that is one variable with coefficient
+    1 raises that variable's lower end, as the bound `solve` reads off the
+    assertion `emit_smtlib` writes for it (`_bound`)."""
     lo = list(lo)
     for monomials, at_least in constraints:
         match monomials:
             case [(1, [position])]:
                 lo[position] = max(lo[position], at_least)
     return lo, prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+
+
+def _budgeted_search(lo: list[int], hi: list[int], constraints: list, limit: int, stop):
+    """("sat", first model), ("unsat", None) or ("unknown", None) for the
+    constraints over the box lo..hi: an empty box is unsat and one over
+    `limit` points unknown, and no program is built before that."""
+    count = prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+    if not count:
+        return "unsat", None
+    if count > limit:
+        return "unknown", None
+    programs = [_sum_program(monomials, at_least) for monomials, at_least in constraints]
+    found = _search(programs, lo, hi, stop)
+    if found is _STOPPED:
+        return "unknown", None
+    return ("unsat", None) if found is None else ("sat", found)
 
 
 def solve_sums(
@@ -427,27 +402,11 @@ def solve_sums(
 ) -> tuple[str, list[int] | None]:
     """The answer of `solve` to the script of a constraint set, found
     without one: ("sat", first model), ("unsat", None) or ("unknown", None).
-
-    Variable i ranges over lo[i]..hi[i]. Each constraint is a pair
-    (monomials, at_least), meaning Σ coefficient · Π variables >= at_least
-    over its monomials (coefficient, positions of the variables). The box
-    is narrowed first (`narrow`); an empty box is unsat and one over `limit`
-    points unknown, and no program is built before that. `stop` is asked
-    at the root and then every 1024 search nodes whether to give up; a
-    stopped search answers unknown.
-    """
-    lo, count = narrow(lo, hi, constraints)
-    if not count:
-        return "unsat", None
-    if count > limit:
-        return "unknown", None
-    programs = [_sum_program(monomials, at_least) for monomials, at_least in constraints]
-    found = _search(programs, lo, hi, stop)
-    if found is _STOPPED:
-        return "unknown", None
-    if found is None:
-        return "unsat", None
-    return "sat", found
+    Variable i ranges over lo[i]..hi[i], narrowed first (`narrow`), and
+    each constraint is a pair (monomials, at_least), meaning Σ coefficient
+    · Π variables >= at_least over its monomials (coefficient, positions
+    of the variables)."""
+    return _budgeted_search(narrow(lo, hi, constraints)[0], hi, constraints, limit, stop)
 
 
 def solve(text: str, limit: int = DEFAULT_LIMIT, stop: Callable[[], bool] | None = None) -> list[str]:
@@ -488,24 +447,23 @@ def solve(text: str, limit: int = DEFAULT_LIMIT, stop: Callable[[], bool] | None
 
     # a name declared twice reads as its last declaration
     index = {name: i for i, name in enumerate(declared)}
-    programs = [_program(node, index) for node in asserts]
-    box = Box()
-    for node in asserts:
-        _extract_bounds(node, index, box)
-    if any(name in box.lo and name in box.hi and box.lo[name] > box.hi[name] for name in declared):
+    constraints = [constraint for node in asserts for constraint in _read(node, index)]
+    lows: dict[str, int] = {}
+    highs: dict[str, int] = {}
+    for name, lowest, highest in filter(None, (_bound(node, index) for node in asserts)):
+        if lowest is not None:
+            lows[name] = max(lowest, lows.get(name, lowest))
+        if highest is not None:
+            highs[name] = min(highest, highs.get(name, highest))
+    if any(lows[name] > highs[name] for name in lows.keys() & highs.keys()):
         return ["unsat"]
-    lo = [box.lo.get(name, 0) for name in declared]
-    hi = [box.hi.get(name, 16) for name in declared]
-    count = prod(max(0, h - l + 1) for l, h in zip(lo, hi))
-    if count > limit:
+    lo = [lows.get(name, 0) for name in declared]
+    hi = [highs.get(name, 16) for name in declared]
+    status, found = _budgeted_search(lo, hi, constraints, limit, stop)
+    if status == "unsat" and not all(name in lows and name in highs for name in declared):
         return ["unknown"]
-
-    found = _search(programs, lo, hi, stop) if count else None
-    if found is _STOPPED:
-        return ["unknown"]
-    if found is None:
-        fully_bounded = all(name in box.lo and name in box.hi for name in declared)
-        return ["unsat"] if fully_bounded else ["unknown"]
+    if status != "sat":
+        return [status]
     lines = ["sat"]
     if wants_model:
         lines.append("(")

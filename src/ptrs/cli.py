@@ -22,6 +22,9 @@ from .smt import DEFAULT_SHAPES, in_process_limit, parse_shape
 from .wst import WstError, load_system
 
 DEFAULT_SOLVER = "z3 -in"
+# the longest a solver child can be waited for: `Popen.communicate` polls
+# with a timeout that is a C int of milliseconds
+MAX_SMT_TIMEOUT = 2_147_483.647
 
 
 class CliError(Exception):
@@ -63,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     prove_p.add_argument("--solver", help=f"solver command (default: {DEFAULT_SOLVER})")
     prove_p.add_argument("--shapes", help="comma-separated shape list, e.g. poly-linear,matrix-2")
     prove_p.add_argument("--coeff-bound", type=int, help="coefficient box 0..B (default 16)")
-    prove_p.add_argument("--smt-timeout", type=float, help="seconds per solver call (default 60)")
-    prove_p.add_argument("--parallel", action="store_true", help="run the shapes concurrently")
+    prove_p.add_argument("--smt-timeout", type=float, help="seconds per solver call (default 60, at most 2147483.647)")
+    prove_p.add_argument("--parallel", action="store_true", help="run the shapes concurrently (in order in process)")
     prove_p.add_argument("--emit-smt", metavar="DIR", help="write one .smt2 script per shape")
     _common_flags(prove_p)
 
@@ -137,8 +140,8 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
     if not shapes:
         raise CliError(f"--shapes names no shape: {shapes_text!r}")
     timeout = _pick(args.smt_timeout, config, "smt-timeout", 60.0, float)
-    if not timeout > 0:
-        raise CliError(f"--smt-timeout must be positive, got {timeout}")
+    if not 0 < timeout <= MAX_SMT_TIMEOUT:
+        raise CliError(f"--smt-timeout must be positive and at most {MAX_SMT_TIMEOUT} seconds, got {timeout}")
     coeff_bound = _pick(args.coeff_bound, config, "coeff-bound", 16, int)
     if coeff_bound < 0:
         raise CliError(f"--coeff-bound must be at least 0, got {coeff_bound}")
@@ -166,7 +169,6 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
 
 
 def _box_cap_note(shape, floor: int, limit: int) -> None:
-    # one write per line: parallel lanes may note at once
     sys.stderr.write(
         f"{shape}: at least {floor} box points, over the in-process budget of {limit}; not encoded\n"
     )

@@ -159,8 +159,9 @@ def prove(
     cancel = CancelToken()
     limit = in_process_limit(config.solver)
     try:
-        if config.parallel and len(config.shapes) > 1:
-            results = _run_parallel(system, config, cancel, limit, note)
+        # in-process lanes would take turns on one interpreter: they run in order
+        if config.parallel and len(config.shapes) > 1 and limit is None:
+            results = _run_parallel(system, config, cancel)
         else:
             results = _run_sequential(system, config, cancel, limit, note)
     except ProverError as exc:
@@ -186,9 +187,10 @@ def _run_sequential(system, config, cancel, limit, note):
     return results
 
 
-def _run_parallel(system, config, cancel, limit, note):
+def _run_parallel(system, config, cancel):
+    # one child solver per lane
     def worker(shape: Shape):
-        outcome, cert = _attempt(system, shape, config, cancel, limit, note=note)
+        outcome, cert = _attempt(system, shape, config, cancel, None)
         if cert is not None:
             cancel.cancel()  # first success kills the remaining solvers
         return outcome, cert

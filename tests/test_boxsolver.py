@@ -2,14 +2,16 @@
 SMT-LIB tokens before the one-pattern reader, and the exhaustive
 enumeration the pruned search replaced."""
 
+import io
 import random
+import sys
 from itertools import product
 from math import prod
 from pathlib import Path
 
 import pytest
 
-from ptrs.boxsolver import ScriptError, parse_script, solve
+from ptrs.boxsolver import ScriptError, main, parse_script, solve
 from ptrs.interpretations import DegreeOverflow
 from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, emit_smtlib, encode, solve_box
 from ptrs.wst import load_system
@@ -209,9 +211,13 @@ def _int_term(rng: random.Random, names: list[str], depth: int) -> str:
     kind = rng.random() if depth else 0
     if kind < 0.5:
         return rng.choice(names) if rng.random() < 0.7 else _literal(rng, rng.randint(-4, 4))
-    args = [_int_term(rng, names, depth - 1) for _ in range(rng.randint(1, 3))]
-    op = "*" if kind < 0.65 else rng.choice("+-")
-    return f"({op} {' '.join(args)})"
+    n = rng.randint(1, 3)
+    if kind >= 0.65:
+        return f"({rng.choice('+-')} {' '.join(_int_term(rng, names, depth - 1) for _ in range(n))})"
+    # a product of two sums is not read: one factor may be any term, the rest are atoms
+    args = [_int_term(rng, names, depth - 1), *(_int_term(rng, names, 0) for _ in range(n - 1))]
+    rng.shuffle(args)
+    return f"(* {' '.join(args)})"
 
 
 def _bool_term(rng: random.Random, names: list[str], depth: int) -> str:
@@ -220,17 +226,13 @@ def _bool_term(rng: random.Random, names: list[str], depth: int) -> str:
         op = rng.choice([">=", "<=", ">", "<", "="])
         args = [_int_term(rng, names, 2) for _ in range(rng.choice([2, 2, 3]))]
         return f"({op} {' '.join(args)})"
-    if kind < 0.65:
-        return f"(not {_bool_term(rng, names, depth - 1)})"
-    if kind < 0.75:
-        return f"(= {_bool_term(rng, names, depth - 1)} {_bool_term(rng, names, depth - 1)})"
     args = [_bool_term(rng, names, depth - 1) for _ in range(rng.randint(0, 3))]
-    return f"({rng.choice(['and', 'or'])}{''.join(' ' + a for a in args)})"
+    return f"(and{''.join(' ' + a for a in args)})"
 
 
 def _hand_built_script(rng: random.Random) -> str:
     """Negative bounds, bounds on one side or none, bounds written either
-    way round, and every connective."""
+    way round, and nested conjunctions."""
     names = [f"v{i}" for i in range(rng.randint(1, 4))]
     lines = [f"(declare-const {name} Int)" for name in names]
     for name in names:
@@ -298,16 +300,22 @@ def test_an_empty_range_ends_the_search_at_once():
 @pytest.mark.parametrize(
     "term, detail",
     [
-        ("(not)", "not needs an argument"),
-        ("(not (> x 0) (< x 3))", "not takes one argument"),
+        ("(not)", "unsupported operation 'not'"),
+        ("(not (> x 0) (< x 3))", "unsupported operation 'not'"),
+        ("(not (> x 0))", "unsupported operation 'not'"),
+        ("(or (> x 0) (< x 3))", "unsupported operation 'or'"),
         ("(> (+) 0)", "+ needs an argument"),
         ("(= x)", "= needs two arguments"),
         ("(>= x)", ">= needs two arguments"),
         ("(= x (> x 0))", "= needs Int arguments"),
-        ("(= (> x 0) x)", "= needs Bool arguments"),
+        ("(= (> x 0) x)", "= needs Int arguments"),
+        ("(= (> x 0) (< x 3))", "= needs Int arguments"),
+        ("(> (* (+ x 1) (- x 2)) 0)", "* takes at most one factor of two or more monomials"),
+        ("(> (* 2 (+ x 1) x (- x 2)) 0)", "* takes at most one factor of two or more monomials"),
+        ("(> x (and x))", "and needs Bool arguments"),
         ("(+ x 1)", "an assertion must be a Bool term"),
         ("x", "an assertion must be a Bool term"),
-        ("(or x)", "or needs Bool arguments"),
+        ("(or x)", "unsupported operation 'or'"),
         ("(< (> x 0) 1)", "< needs Int arguments"),
         ("(foo x 1)", "unsupported operation 'foo'"),
         ("((> x 0) 1)", "unsupported operation: a term in operator position"),
@@ -351,11 +359,14 @@ def _mutated(rng: random.Random, text: str) -> str:
 DEEP = 5000
 DEEP_SCRIPTS = {
     "(declare-const x Int)(assert (>= " + "(+ 1 " * DEEP + "x" + ")" * DEEP + " 0))(check-sat)": ["sat"],
-    "(declare-const x Int)(assert " + "(not " * DEEP + "(= x 1)" + ")" * DEEP + ")(check-sat)(get-model)":
+    "(declare-const x Int)(assert (= " + "(- " * DEEP + "x" + ")" * DEEP + " 1))(check-sat)(get-model)":
         ["sat", "(", "  (define-fun x () Int 1)", ")"],
     "(declare-const x Int)(assert (>= x " + "(- " * DEEP + "3" + ")" * DEEP + "))(check-sat)(get-model)":
         ["sat", "(", "  (define-fun x () Int 3)", ")"],
     "(declare-const x Int)(assert (and (> x 0) " + "(and " * DEEP + ")" * DEEP + "))(check-sat)": ["sat"],
+    # each sum is added into the larger part, so reading this takes linear time
+    "".join(f"(declare-const v{i} Int)" for i in range(DEEP))
+    + "(assert (>= " + "".join(f"(+ v{i} " for i in range(DEEP)) + "0" + ")" * DEEP + " 0))(check-sat)": ["unknown"],
 }
 
 
@@ -381,8 +392,14 @@ def test_box_solver_raises_only_script_errors():
     for text, reply in DEEP_SCRIPTS.items():
         assert solve(text) == reply
     for text in ("(assert " + "(" * DEEP + ")" * DEEP + ")(check-sat)",
+                 "(declare-const x Int)(assert " + "(not " * DEEP + "(= x 1)" + ")" * DEEP + ")(check-sat)",
                  "(check-sat)(assert " + "(" * DEEP,
                  "(declare-const x Int)(assert ((" + "(" * DEEP + ")" * DEEP + " x) 1))(check-sat)"):
         with pytest.raises(ScriptError):
             solve(text)
 
+
+def test_main_replies_with_an_error_to_a_dropped_construct(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("(declare-const x Int)(assert (or (> x 0) (< x 3)))(check-sat)"))
+    assert main([]) == 1
+    assert capsys.readouterr().out == "(error \"unsupported operation 'or'\")\n"

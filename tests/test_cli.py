@@ -279,6 +279,8 @@ def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
         (("simulate", "--family", "rw", "--p", "1/0", "--start", "3"), "--p"),
         (("simulate", "--family", "rw", "--p", "abc", "--start", "3"), "--p"),
         (("simulate", "--family", "rw", "--p", "5/4", "--start", "3"), "--p"),
+        (("prove", RW34, "--smt-timeout", "inf"), "--smt-timeout"),
+        (("prove", RW34, "--smt-timeout", "1e7"), "--smt-timeout"),
     ],
 )
 def test_out_of_range_values_are_errors(capsys, argv, flag):
@@ -292,6 +294,16 @@ def test_out_of_range_config_values_are_errors(capsys, tmp_path):
     config.write_text("coeff-bound = -1\n")
     code, _, err = run_cli(capsys, "prove", RW34, "--config", str(config))
     assert code == 2 and "--coeff-bound" in err
+    # a child solver cannot be waited for longer, in process or not
+    config.write_text("smt-timeout = 1e7\n")
+    code, _, err = run_cli(capsys, "prove", RW34, "--config", str(config))
+    assert code == 2 and "--smt-timeout" in err
+
+
+def test_the_longest_smt_timeout_reaches_a_child_solver(capsys):
+    code, out, _ = run_cli(capsys, "prove", RW34, "--coeff-bound", "1", "--smt-timeout", "2147483.647",
+                           "--solver", f"{sys.executable} -u -m ptrs.boxsolver")
+    assert code == 0 and out.startswith("YES\n")
 
 
 def test_unexpected_failures_exit_two(capsys, monkeypatch):

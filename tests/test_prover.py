@@ -2,6 +2,7 @@ import random
 import shutil
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -139,7 +140,7 @@ def test_parallel_portfolio_and_cancellation():
     slow = f"{FAKE} --reply sat --sleep 20"
     config = ProverConfig(
         shapes=(Shape("poly", 1), Shape("poly", 2)),
-        solver=BOXSOLVER,
+        solver=f"{sys.executable} -u -m ptrs.boxsolver",  # a child per lane: in process the lanes run in order
         timeout=30,
         parallel=True,
     )
@@ -155,8 +156,6 @@ def test_parallel_portfolio_and_cancellation():
 
 
 def test_parallel_lanes_share_the_in_process_box_solver():
-    # at the default bound only poly-linear's box fits the box solver's
-    # budget, so the winner does not depend on which thread runs first
     config = ProverConfig(
         shapes=(Shape("poly", 1), Shape("matrix", 2), Shape("matrix", 3)),
         solver=BOXSOLVER,
@@ -166,6 +165,8 @@ def test_parallel_lanes_share_the_in_process_box_solver():
     verdict = prove(RW34, config)
     assert verdict.kind == "YES"
     assert verdict.shape == Shape("poly", 1)
+    # in process the lanes run in shape order: the attempts are the sequential ones
+    assert verdict.outcomes == prove(RW34, replace(config, parallel=False)).outcomes
 
 
 def _count_solver_calls(monkeypatch) -> list:
@@ -211,9 +212,15 @@ def test_only_sequential_unsat_answers_are_reused(monkeypatch):
     unknown = prove(RW14, ProverConfig(shapes=both_poly, solver=f"{FAKE} --reply unknown"))
     assert [o.status for o in unknown.outcomes] == ["unknown", "unknown"]
     assert len(scripts) == 2
-    parallel = prove(RW14, ProverConfig(shapes=both_poly, solver=BOXSOLVER, parallel=True))
-    assert [o.status for o in parallel.outcomes] == ["unsat", "unsat"]
+    # child lanes run at once, so each solves its own copy of the set
+    lanes = prove(RW14, ProverConfig(shapes=both_poly, solver=f"{sys.executable} -u -m ptrs.boxsolver",
+                                     coeff_bound=1, parallel=True))
+    assert [o.status for o in lanes.outcomes] == ["unsat", "unsat"]
     assert len(scripts) == 4
+    # in-process lanes run one after another, as the sequential portfolio does
+    in_process = prove(RW14, ProverConfig(shapes=both_poly, solver=BOXSOLVER, parallel=True))
+    assert [o.status for o in in_process.outcomes] == ["unsat", "unsat"]
+    assert len(scripts) == 5
 
 
 SHIPPED = tuple(load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34"))
