@@ -7,6 +7,7 @@ errors. The first stdout line of prove and check is always the verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -92,12 +93,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pick(flag, config: dict[str, str], key: str, default, convert=str):
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process, built on the first `main` call; parsing
+    leaves no state in it, and help is formatted afresh (reading COLUMNS)
+    on every call."""
+    return build_parser()
+
+
+def _pick(args, config: dict[str, str], key: str, default, convert=str):
+    """The flag for `key`, else the config value, else `default`."""
+    flag = getattr(args, key.replace("-", "_"))
     if flag is not None:
         return flag
-    if key in config:
+    if key not in config:
+        return default
+    try:
         return convert(config[key])
-    return default
+    except ValueError:
+        raise CliError(f"--{key} in {args.config}: invalid {convert.__name__} value: {config[key]!r}") from None
 
 
 def _colorize(text: str, enabled: bool) -> str:
@@ -125,13 +139,13 @@ def _mu_json(mu: MultiDistribution) -> list[list[str]]:
 
 def _run_prove(args, config: dict[str, str], color: bool) -> int:
     system = load_system(args.file)
-    solver = (
-        args.solver
-        or os.environ.get("PTRS_SOLVER")
-        or config.get("solver")
-        or DEFAULT_SOLVER
-    )
-    shapes_text = _pick(args.shapes, config, "shapes", None)
+    solver = args.solver
+    if solver is None:
+        # an empty PTRS_SOLVER counts as unset
+        solver = os.environ.get("PTRS_SOLVER") or config.get("solver", DEFAULT_SOLVER)
+    if not solver.strip():
+        raise CliError(f"--solver names no command: {solver!r}")
+    shapes_text = _pick(args, config, "shapes", None)
     shapes = (
         tuple(parse_shape(s.strip()) for s in shapes_text.split(",") if s.strip())
         if shapes_text is not None
@@ -139,10 +153,10 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
     )
     if not shapes:
         raise CliError(f"--shapes names no shape: {shapes_text!r}")
-    timeout = _pick(args.smt_timeout, config, "smt-timeout", 60.0, float)
+    timeout = _pick(args, config, "smt-timeout", 60.0, float)
     if not 0 < timeout <= MAX_SMT_TIMEOUT:
         raise CliError(f"--smt-timeout must be positive and at most {MAX_SMT_TIMEOUT} seconds, got {timeout}")
-    coeff_bound = _pick(args.coeff_bound, config, "coeff-bound", 16, int)
+    coeff_bound = _pick(args, config, "coeff-bound", 16, int)
     if coeff_bound < 0:
         raise CliError(f"--coeff-bound must be at least 0, got {coeff_bound}")
     prover_config = ProverConfig(
@@ -321,7 +335,7 @@ def _print_simulation(args, report, cert, estimate) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     color = sys.stdout.isatty() and not args.no_color
     try:
         config = load_config(args.config) if args.config else {}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import ptrs.cli
 from ptrs.cli import load_config, main
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
@@ -187,6 +189,10 @@ def test_solver_precedence(capsys, tmp_path, monkeypatch):
     args = ("prove", RW34, "--shapes", "poly-linear", "--json", "--config", str(config))
     _, out, _ = run_cli(capsys, *args)
     assert json.loads(out)["attempts"][0]["status"] == "unsat"
+    # an empty PTRS_SOLVER counts as unset
+    monkeypatch.setenv("PTRS_SOLVER", "")
+    _, out, _ = run_cli(capsys, *args)
+    assert json.loads(out)["attempts"][0]["status"] == "unsat"
     monkeypatch.setenv("PTRS_SOLVER", f"{FAKE} --reply unknown")
     _, out, _ = run_cli(capsys, *args)
     assert json.loads(out)["attempts"][0]["status"] == "unknown"
@@ -220,6 +226,84 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.splitlines()[0] == "YES"
+
+
+def run_exiting(capsys, *argv):
+    """Like run_cli, but an argparse exit gives its code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    env = dict(os.environ, COLUMNS="80")
+    env.pop("PTRS_SOLVER", None)
+    result = subprocess.run(
+        [sys.executable, "-m", "ptrs", *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_the_parser_is_built_once_and_reused_without_residue(capsys, monkeypatch):
+    # a tty width would change how usage and help wrap
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PTRS_SOLVER", raising=False)
+    built = []
+    build_parser = ptrs.cli.build_parser
+
+    def spy():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(ptrs.cli, "build_parser", spy)
+    ptrs.cli._parser.cache_clear()
+    sequence = [
+        ("prove", RW34, "--solver", BOXSOLVER, "--shapes", "poly-linear"),
+        ("prove", "--coeff-bound", "x"),
+        ("simulate", "--family", "rw", "--p", "3/4", "--start", "3", "--steps", "4"),
+        ("check", RW34, "--certificate", RW34_CERT),
+        ("check",),
+        ("prove", "--help"),
+    ]
+    first = [run_exiting(capsys, *argv) for argv in sequence]
+    second = [run_exiting(capsys, *argv) for argv in sequence]
+    assert first == second
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 2, 0]
+    assert first == [run_module(*argv) for argv in sequence]
+    assert len(built) == 1
+
+
+def test_help_reads_the_width_on_every_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "60")
+    narrow = run_exiting(capsys, "prove", "--help")
+    monkeypatch.setenv("COLUMNS", "200")
+    wide = run_exiting(capsys, "prove", "--help")
+    assert narrow[0] == wide[0] == 0
+    assert max(map(len, narrow[1].splitlines())) <= 60 < max(map(len, wide[1].splitlines()))
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a parser built at import would count in every process's set-up time
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = spy\n"
+        "import ptrs.cli\n"
+        "print(len(built))\n"
+        "ptrs.cli.build_parser()\n"
+        "print(len(built))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    # the probe does see builds: the program parser and its 3 subparsers
+    assert result.stdout.split() == ["0", "4"]
 
 
 def test_verbose_goes_to_stderr(capsys):
@@ -281,6 +365,8 @@ def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
         (("simulate", "--family", "rw", "--p", "5/4", "--start", "3"), "--p"),
         (("prove", RW34, "--smt-timeout", "inf"), "--smt-timeout"),
         (("prove", RW34, "--smt-timeout", "1e7"), "--smt-timeout"),
+        (("prove", RW34, "--solver", ""), "--solver"),
+        (("prove", RW34, "--solver", "  "), "--solver"),
     ],
 )
 def test_out_of_range_values_are_errors(capsys, argv, flag):
@@ -298,6 +384,16 @@ def test_out_of_range_config_values_are_errors(capsys, tmp_path):
     config.write_text("smt-timeout = 1e7\n")
     code, _, err = run_cli(capsys, "prove", RW34, "--config", str(config))
     assert code == 2 and "--smt-timeout" in err
+    # an empty solver names no command; it does not fall back to the default
+    for text in ("solver =\n", "solver =   \n"):
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "prove", RW34, "--config", str(config))
+        assert (code, out) == (2, "") and err == "error: --solver names no command: ''\n"
+    # a value that is not a number names its key and the file
+    for text, flag in (("coeff-bound = abc\n", "--coeff-bound"), ("smt-timeout = soon\n", "--smt-timeout")):
+        config.write_text(text)
+        code, out, err = run_cli(capsys, "prove", RW34, "--config", str(config))
+        assert (code, out) == (2, "") and flag in err and str(config) in err
 
 
 def test_the_longest_smt_timeout_reaches_a_child_solver(capsys):
