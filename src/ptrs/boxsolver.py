@@ -216,92 +216,77 @@ def _bound(node, index: dict[str, int]) -> tuple[str, int | None, int | None] | 
     return name, lowest, highest
 
 
-# A program has two readings. On a point of the box a term is an int and a
-# constraint a bool. On a sub-box a term is the interval (lo, hi) of its
-# values there, and a constraint True or False, or None if it may be both.
+def _holds_at(monomials: list, at_least: int, point: list[int]) -> bool:
+    """Whether Σ coefficient · Π variables >= at_least at the point."""
+    total = 0
+    for coefficient, positions in monomials:
+        value = coefficient
+        for position in positions:
+            value *= point[position]
+        total += value
+    return total >= at_least
 
 
-def _add(args):
-    lo = hi = 0
-    for a, b in args:
-        lo += a
-        hi += b
-    return lo, hi
-
-
-def _mul(args):
-    lo, hi = args[0]
-    for a, b in args[1:]:
-        if a >= 0 and lo >= 0:
-            lo, hi = lo * a, hi * b
-        elif a >= 0:
-            lo, hi = lo * b, (hi * a if hi <= 0 else hi * b)
-        else:
-            ends = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(ends), max(ends)
-    return lo, hi
-
-
-def _at_least(args):
-    return args[0] >= args[1]
-
-
-def _at_least_over(args):
-    (lo, hi), (at_least, _) = args
-    return True if lo >= at_least else None if hi >= at_least else False
-
-
-def _run(program: list, variables: list):
-    """The program's value, with variable i read as variables[i]: its value
-    at a point, or its interval over a sub-box."""
-    stack: list = []
-    push = stack.append
-    for n, arg in program:
-        if n < 0:
-            push(variables[arg])
-        elif n == 0:
-            push(arg)
-        else:
-            args = stack[-n:]
-            del stack[-n:]
-            push(arg(args))
-    return stack[0]
+def _holds_over(monomials: list, at_least: int, box: list) -> bool | None:
+    """Whether Σ coefficient · Π variables >= at_least over the box, a list
+    of (lo, hi) per variable: True at every point, False at none, None when
+    it may hold at some. Each monomial's exact range starts at its
+    coefficient and takes in one variable at a time; the ranges are added,
+    all in integers."""
+    total_lo = total_hi = 0
+    for coefficient, positions in monomials:
+        lo = hi = coefficient
+        for position in positions:
+            a, b = box[position]
+            if a >= 0 and lo >= 0:
+                lo, hi = lo * a, hi * b
+            elif a >= 0:
+                lo, hi = lo * b, (hi * a if hi <= 0 else hi * b)
+            else:
+                ends = (lo * a, lo * b, hi * a, hi * b)
+                lo, hi = min(ends), max(ends)
+        total_lo += lo
+        total_hi += hi
+    return True if total_lo >= at_least else None if total_hi >= at_least else False
 
 
 _STOPPED = object()
 
 
-def _search(programs: list, lo: list[int], hi: list[int], stop: Callable[[], bool] | None):
+def _search(constraints: list, lo: list[int], hi: list[int], stop: Callable[[], bool] | None):
     """The first point of the box lo..hi, in lexicographic order, on which
-    every program is true; None when there is none, _STOPPED when `stop`,
+    every constraint holds; None when there is none, _STOPPED when `stop`,
     asked at the root and then every 1024 nodes, says to give up.
 
-    A node fixes one more variable. Only the programs that read it can
+    A node fixes one more variable. Only the constraints that read it can
     change value there, so only those are evaluated: at the point when it
-    is the last variable they read, else over the sub-box. A program true
-    over a sub-box stays true below it and is not evaluated there again.
+    is the last variable they read, else over the sub-box. A constraint
+    true over a sub-box stays true below it and is not evaluated there
+    again.
     """
     if stop is not None and stop():
         return _STOPPED
     depth = len(lo)
     whole = list(zip(lo, hi))
-    settled = []  # per program, the depth of the node it is known true below
-    for _, box_code, _ in programs:
-        value = _run(box_code, whole)
+    settled = []  # per constraint, the depth of the node it is known true below
+    for monomials, at_least in constraints:
+        value = _holds_over(monomials, at_least, whole)
         if value is False:
             return None
         settled.append(-1 if value else depth)
     if not depth:
         return []
-    readers: list[list] = [[] for _ in range(depth)]
-    for i, (point_code, box_code, positions) in enumerate(programs):
-        if positions:
-            last = max(positions)
-            readers[last].insert(0, (i, point_code, True))
-            for position in positions - {last}:
-                readers[position].append((i, box_code, False))
     point = list(lo)  # the values fixed so far, and the next value to try at depth d
     box = list(whole)  # the sub-box below the node
+    # per variable, the constraints to evaluate once it is fixed, and how
+    readers: list[list] = [[] for _ in range(depth)]
+    for i, (monomials, at_least) in enumerate(constraints):
+        positions = {position for _, variables in monomials for position in variables}
+        if positions:
+            last = max(positions)
+            readers[last].insert(0, (i, _holds_at, monomials, at_least, point))
+            for position in positions - {last}:
+                readers[position].append((i, _holds_over, monomials, at_least, box))
     d = 0
     nodes = 0
     while True:
@@ -317,10 +302,10 @@ def _search(programs: list, lo: list[int], hi: list[int], stop: Callable[[], boo
         if stop is not None and not nodes % 1024 and stop():
             return _STOPPED
         box[d] = (value, value)
-        for i, program, at_point in readers[d]:
+        for i, holds, monomials, at_least, values in readers[d]:
             if settled[i] < d:
                 continue
-            result = _run(program, point if at_point else box)
+            result = holds(monomials, at_least, values)
             if result is False:
                 point[d] = value + 1
                 break
@@ -329,39 +314,6 @@ def _search(programs: list, lo: list[int], hi: list[int], stop: Callable[[], boo
             if d == depth - 1:
                 return point
             d += 1
-
-
-def _sum_program(monomials: list, at_least: int) -> tuple[list, list, set[int]]:
-    """The point and box programs, and the positions read, of one constraint
-    (see `solve_sums`). An instruction is (-1, position) for a variable,
-    (0, value) for a constant, and (n, function) for an operation on the
-    last n values."""
-    point_code: list = []
-    box_code: list = []
-    positions: set[int] = set()
-    for coefficient, variables in monomials:
-        n = len(variables)
-        if coefficient != 1 or not n:
-            point_code.append((0, coefficient))
-            box_code.append((0, (coefficient, coefficient)))
-            n += 1
-        for position in variables:
-            point_code.append((-1, position))
-            box_code.append((-1, position))
-        if n > 1:
-            point_code.append((n, prod))
-            box_code.append((n, _mul))
-        positions.update(variables)
-    n = len(monomials)
-    if not n:  # the zero polynomial
-        point_code.append((0, 0))
-        box_code.append((0, (0, 0)))
-    elif n > 1:
-        point_code.append((n, sum))
-        box_code.append((n, _add))
-    point_code += (0, at_least), (2, _at_least)
-    box_code += (0, (at_least, at_least)), (2, _at_least_over)
-    return point_code, box_code, positions
 
 
 def narrow(lo: list[int], hi: list[int], constraints: list) -> tuple[list[int], int]:
@@ -380,14 +332,13 @@ def narrow(lo: list[int], hi: list[int], constraints: list) -> tuple[list[int], 
 def _budgeted_search(lo: list[int], hi: list[int], constraints: list, limit: int, stop):
     """("sat", first model), ("unsat", None) or ("unknown", None) for the
     constraints over the box lo..hi: an empty box is unsat and one over
-    `limit` points unknown, and no program is built before that."""
+    `limit` points unknown, and no constraint is evaluated before that."""
     count = prod(max(0, h - l + 1) for l, h in zip(lo, hi))
     if not count:
         return "unsat", None
     if count > limit:
         return "unknown", None
-    programs = [_sum_program(monomials, at_least) for monomials, at_least in constraints]
-    found = _search(programs, lo, hi, stop)
+    found = _search(constraints, lo, hi, stop)
     if found is _STOPPED:
         return "unknown", None
     return ("unsat", None) if found is None else ("sat", found)

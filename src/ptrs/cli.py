@@ -32,8 +32,13 @@ class CliError(Exception):
     pass
 
 
-def load_config(path: str) -> dict[str, str]:
-    """key = value lines; blank lines and # comments are skipped."""
+# the config keys each command reads
+CONFIG_KEYS = {"prove": ("solver", "shapes", "coeff-bound", "smt-timeout"), "check": (), "simulate": ()}
+
+
+def load_config(path: str, command: str | None = None) -> dict[str, str]:
+    """key = value lines; blank lines and # comments are skipped. With a
+    command, a key it does not read is an error naming the line."""
     out: dict[str, str] = {}
     with open(path) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -43,7 +48,11 @@ def load_config(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise CliError(f"{path}:{lineno}: expected key = value, got {line!r}")
             key, _, value = line.partition("=")
-            out[key.strip().replace("_", "-")] = value.strip()
+            key = key.strip()
+            if command is not None and key.replace("_", "-") not in CONFIG_KEYS[command]:
+                reads = ", ".join(CONFIG_KEYS[command]) or "none"
+                raise CliError(f"{path}:{lineno}: {command} does not read config key {key!r} (keys it reads: {reads})")
+            out[key.replace("_", "-")] = value.strip()
     return out
 
 
@@ -338,12 +347,20 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     color = sys.stdout.isatty() and not args.no_color
     try:
-        config = load_config(args.config) if args.config else {}
-        if args.command == "prove":
-            return _run_prove(args, config, color)
-        if args.command == "check":
-            return _run_check(args, config, color)
-        return _run_simulate(args, config, color)
+        config = load_config(args.config, args.command) if args.config else {}
+        command = {"prove": _run_prove, "check": _run_check, "simulate": _run_simulate}[args.command]
+        code = command(args, config, color)
+        sys.stdout.flush()  # so a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away: the run is cut off, which is not
+        # an error to report. Python flushes sys.stdout again at exit, so
+        # the real stdout is pointed at /dev/null to keep that quiet too.
+        if sys.stdout is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 2
     except (
         CliError,
         WstError,

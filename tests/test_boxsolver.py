@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from ptrs.boxsolver import ScriptError, main, parse_script, solve
+from ptrs.boxsolver import ScriptError, _holds_at, _holds_over, main, parse_script, solve, solve_sums
 from ptrs.interpretations import DegreeOverflow
-from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, emit_smtlib, encode, solve_box
+from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, box_points, emit_smtlib, encode, parse_shape, solve_box
 from ptrs.wst import load_system
 
 from helpers import random_ptrs
@@ -287,6 +287,54 @@ def test_search_prunes_the_box():
     visited = []
     assert solve(text, stop=lambda: visited.append(1) or False) == ["unsat"]
     assert len(visited) == 1  # the root: fewer than 1024 nodes
+
+
+@pytest.mark.parametrize(
+    "name, shape, status, model, asked",
+    [
+        ("rw14", "matrix-3", "unsat", None, 31),
+        ("coingame", "poly-linear", "sat", [0, 2, 1, 3, 2, 0, 1, 0, 1, 1, 1], 17),
+        ("matrix", "matrix-2", "sat", [1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 0], 2),
+    ],
+)
+def test_the_search_visits_as_many_nodes_as_before(name, shape, status, model, asked):
+    # boxes of 10^13 points and more at bound 16, searched with the budget
+    # lifted; `stop` is asked at the root and every 1024 nodes, so looser
+    # pruning shows as more calls
+    form = box_form(encode(load_system(str(PROBLEMS / f"{name}.wst")), parse_shape(shape), 16).constraint_set)
+    calls = []
+    assert solve_sums(*form[1:], box_points(form), lambda: calls.append(1) or False) == (status, model)
+    assert len(calls) == asked
+
+
+def test_a_sum_over_a_box_bounds_its_values_at_the_points():
+    # negative ranges and repeated variables; True over a box means the sum
+    # holds at every point, False at none, and for one monomial over
+    # distinct variables the bounds are exact, so None means at some only
+    rng = random.Random(31)
+    for _ in range(1500):
+        n = rng.randint(1, 3)
+        box = []
+        for _ in range(n):
+            lo = rng.randint(-4, 3)
+            box.append((lo, lo + rng.randint(0, 4)))
+        monomials = [
+            (rng.randint(-5, 5), tuple(sorted(rng.choices(range(n), k=rng.randint(0, 3)))))
+            for _ in range(rng.randint(0, 3))
+        ]
+        values = []
+        for point in product(*(range(lo, hi + 1) for lo, hi in box)):
+            point = list(point)
+            values.append(sum(c * prod(point[p] for p in positions) for c, positions in monomials))
+            assert all(_holds_at(monomials, k, point) == (values[-1] >= k) for k in (values[-1], values[-1] + 1))
+        exact = len(monomials) == 1 and len(set(monomials[0][1])) == len(monomials[0][1])
+        for at_least in range(min(values) - 1, max(values) + 2):
+            over = _holds_over(monomials, at_least, box)
+            holding = [value >= at_least for value in values]
+            if over is not None:
+                assert all(hold == over for hold in holding), (monomials, box, at_least)
+            elif exact:
+                assert any(holding) and not all(holding), (monomials, box, at_least)
 
 
 def test_an_empty_range_ends_the_search_at_once():

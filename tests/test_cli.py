@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -214,6 +215,57 @@ def test_config_file_options(capsys, tmp_path):
     code, _, err = run_cli(capsys, "prove", RW34, "--config", str(broken))
     assert code == 2
     assert "key = value" in err
+
+
+def test_config_keys_the_command_does_not_read_are_errors(capsys, tmp_path):
+    config = tmp_path / "ptrs.conf"
+    simulate = ("simulate", "--family", "rw", "--p", "1/2", "--start", "1")
+    check = ("check", RW34, "--certificate", RW34_CERT)
+    config.write_text("# defaults\n\nsteps = 3\n")
+    for argv in (simulate, check):
+        code, out, err = run_cli(capsys, *argv, "--config", str(config))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {config}:3: {argv[0]} ") and "'steps'" in err
+    # a misspelt key is not passed over
+    config.write_text(f"solver = {BOXSOLVER}\ncoef-bound = 1\n")
+    code, out, err = run_cli(capsys, "prove", RW34, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {config}:2: prove ") and "'coef-bound'" in err
+    # comments and blank lines alone are valid for every command
+    config.write_text("# nothing set\n\n   # indented\n")
+    prove = ("prove", RW34, "--solver", BOXSOLVER, "--shapes", "poly-linear", "--coeff-bound", "1")
+    for argv in (simulate, check, prove):
+        assert run_cli(capsys, *argv, "--config", str(config)) == run_cli(capsys, *argv)
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    # about 880 KB of output, more than a pipe holds, so the run is still
+    # writing when the reader stops after two lines
+    argv = ["simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--steps", "1000", "--collapse",
+            "--node-budget", "100000000"]
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "ptrs", *argv], stdout=subprocess.PIPE, stderr=err)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert lines == [b"start 1, steps 1000, mode outermost\n", b"step 0: mass 1, edl 0\n"]
+    # a cut-off run is not a completed one, and nothing is reported
+    assert code == 2
+    assert (tmp_path / "err").read_bytes() == b""
+
+
+def test_a_closed_stdout_in_process_leaves_the_streams_alone(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    redirected = []
+    monkeypatch.setattr(ptrs.cli.os, "dup2", lambda *fds: redirected.append(fds))
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["simulate", "--family", "rw", "--p", "1/2", "--start", "1", "--steps", "3"]) == 2
+    assert redirected == []
+    assert capsys.readouterr().err == ""
 
 
 def test_module_entry_point():
