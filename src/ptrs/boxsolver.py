@@ -36,6 +36,7 @@ import argparse
 import re
 import sys
 from collections.abc import Callable
+from contextlib import contextmanager
 from functools import partial
 from math import prod
 
@@ -44,6 +45,22 @@ DEFAULT_LIMIT = 200_000
 
 class ScriptError(ValueError):
     pass
+
+
+@contextmanager
+def any_digits():
+    """Lift CPython's cap on the digits of an int<->str conversion while
+    the block, or each call of the function it decorates, runs, and restore
+    it after: exact numbers may be of any size. Pythons without the cap
+    (before 3.10.7) have no setter either."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 # a parenthesis, a `;` comment up to the end of its line, or an atom
@@ -426,6 +443,7 @@ def solve(text: str, limit: int = DEFAULT_LIMIT, stop: Callable[[], bool] | None
     return lines
 
 
+@any_digits()
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="ptrs.boxsolver")
     parser.add_argument("--limit", type=int, default=DEFAULT_LIMIT, help="assignment budget")

@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
+from .boxsolver import any_digits
 from .certtext import CertParseError
 from .interpretations import CertificateInvalid
 from .multidist import MultiDistribution
@@ -343,6 +344,7 @@ def _print_simulation(args, report, cert, estimate) -> None:
         print(f"bound respected: {'yes' if estimate.holds else 'NO'}")
 
 
+@any_digits()
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     color = sys.stdout.isatty() and not args.no_color

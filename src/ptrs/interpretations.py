@@ -290,9 +290,6 @@ class PolyForm:
     def coefficient(self, V: frozenset[str]) -> Coeff:
         return self.coeffs.get(V, Fraction(0))
 
-    def constant_part(self) -> Coeff:
-        return self.coeffs.get(frozenset(), Fraction(0))
-
     def monomials(self) -> list[frozenset[str]]:
         return sorted(self.coeffs, key=lambda V: (len(V), sorted(V)))
 

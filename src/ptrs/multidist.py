@@ -92,10 +92,6 @@ class MultiDistribution(Generic[T]):
     def empty(cls) -> "MultiDistribution[T]":
         return cls._unchecked((), 1, 0)
 
-    @classmethod
-    def from_distribution(cls, dist: FiniteDistribution[T]) -> "MultiDistribution[T]":
-        return cls._unchecked(dist.numerators, dist.denominator, dist.denominator)
-
     @property
     def numerators(self) -> tuple[tuple[int, T], ...]:
         """The entries as (n, obj), each of weight n / `denominator`."""

@@ -26,7 +26,6 @@ from .smt import (
     SolverResult,
     box_floor,
     box_form,
-    box_points,
     decode,
     emit_smtlib,
     encode,
@@ -133,10 +132,8 @@ def _solve(cs, shape, config, cancel, limit, unsat_sets) -> SolverResult:
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
     form = box_form(cs) if limit is not None else None
-    # equal sets emit equal scripts; an over-budget box never comes back unsat
-    key = None
-    if unsat_sets is not None and (form is None or box_points(form) <= limit):
-        key = (tuple(cs.unknowns), tuple(cs.constraints))
+    # equal sets emit equal scripts
+    key = (tuple(cs.unknowns), tuple(cs.constraints)) if unsat_sets is not None else None
     if key is not None and key in unsat_sets:
         return SolverResult("unsat")
     if form is not None:

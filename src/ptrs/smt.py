@@ -29,7 +29,7 @@ from itertools import combinations
 from time import monotonic
 from typing import Callable, Mapping, Sequence
 
-from .boxsolver import DEFAULT_LIMIT, ScriptError, narrow, parse_script, solve_sums
+from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve_sums
 from .interpretations import (
     Coeff,
     DegreeOverflow,
@@ -464,14 +464,9 @@ def box_form(cs: ConstraintSet) -> tuple[list[str], list[int], list[int], list]:
     return names, [spec.lo for spec in cs.unknowns], [spec.hi for spec in cs.unknowns], sums
 
 
-def box_points(form: tuple) -> int:
-    """The number of points the box solver compares with its budget."""
-    _, lo, hi, sums = form
-    return narrow(lo, hi, sums)[1]
-
-
 def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
-    """A lower bound on `box_points` of `encode(system, shape, bound)`'s set,
+    """A lower bound on the points of the box the box solver compares with
+    its budget (`boxsolver.narrow`) for `encode(system, shape, bound)`'s set,
     from the template's unknowns alone, with no constraint built; None when
     `encode` may raise instead (no rules, or a coefficient on a product of
     two or more arguments, which can overflow the degree cap).

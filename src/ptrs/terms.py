@@ -345,11 +345,6 @@ def variables(term: Term) -> set[str]:
     return out
 
 
-def term_size(term: Term) -> int:
-    """Number of nodes, read from the annotation made at construction."""
-    return term._size
-
-
 def apply_substitution(term: Term, subst: Substitution) -> Term:
     """Capture is not a concern for first-order terms: plain replacement."""
     return fold_term(

@@ -1,4 +1,4 @@
-"""Reader and writer for rule files in WST block syntax.
+"""Reader for rule files in WST block syntax.
 
 The probabilistic extension writes a rule as
 
@@ -12,14 +12,14 @@ first use wins.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .multidist import FiniteDistribution
 from .rewriting import PTRS, ProbRule, RuleError
 from .terms import App, Signature, Term, Var
-
-_DELIMS = set(" \t\r\n(),:;|")
 
 
 class WstError(Exception):
@@ -45,71 +45,34 @@ class ElaborationError(WstError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # LPAREN RPAREN COMMA COLON ARROW BAR IDENT
     text: str
     line: int
     col: int
 
 
+# Every character falls in exactly one alternative, so `finditer` skips
+# nothing. An identifier is a run of the other characters, and takes a
+# '-' only when no '>' follows it.
+_TOKEN = re.compile(
+    r"(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|;[^\n]*)|(?P<ARROW>->)|(?P<BAR>\|\|)|(?P<STRAY>\|)"
+    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)|(?P<IDENT>(?:[^ \t\r\n(),:;|-]|-(?!>))+)"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def push(kind: str, lexeme: str) -> None:
-        tokens.append(Token(kind, lexeme, line, col))
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "NEWLINE":
             line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
-            push("LPAREN", ch)
-        elif ch == ")":
-            push("RPAREN", ch)
-        elif ch == ",":
-            push("COMMA", ch)
-        elif ch == ":":
-            push("COLON", ch)
-        elif ch == "|":
-            if i + 1 < n and text[i + 1] == "|":
-                push("BAR", "||")
-                i += 2
-                col += 2
-                continue
-            raise ParseError("stray '|' (alternatives are separated by '||')", line, col)
-        elif ch == "-" and i + 1 < n and text[i + 1] == ">":
-            push("ARROW", "->")
-            i += 2
-            col += 2
-            continue
-        else:
-            j = i
-            while j < n and text[j] not in _DELIMS:
-                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
-                    break
-                j += 1
-            if j == i:
-                raise ParseError(f"unexpected character {ch!r}", line, col)
-            push("IDENT", text[i:j])
-            col += j - i
-            i = j
-            continue
-        i += 1
-        col += 1
+            line_start = m.end()
+        elif kind == "STRAY":
+            raise ParseError("stray '|' (alternatives are separated by '||')", line, m.start() - line_start + 1)
+        elif kind != "SKIP":
+            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
     return tokens
 
 
@@ -287,22 +250,6 @@ def _read_alternative(cur: _Cursor, reader: _TermReader) -> tuple[int, Term]:
                 raise ParseError("weights must be positive integers", tok.line, tok.col)
             return weight, reader.read(cur)
     return 1, reader.read(cur)
-
-
-def render_problem(problem: ProblemFile) -> str:
-    """Canonical text form; parse(render(parse(t))) == parse(t)."""
-    lines: list[str] = []
-    if problem.variables:
-        lines.append("(VAR " + " ".join(problem.variables) + ")")
-    lines.append("(RULES")
-    for rule in problem.rules:
-        if len(rule.alternatives) == 1 and rule.alternatives[0][0] == 1:
-            lines.append(f"  {rule.lhs} -> {rule.alternatives[0][1]}")
-        else:
-            alts = " || ".join(f"{w} : {r}" for w, r in rule.alternatives)
-            lines.append(f"  {rule.lhs} -> {alts}")
-    lines.append(")")
-    return "\n".join(lines) + "\n"
 
 
 def elaborate(problem: ProblemFile) -> PTRS:

@@ -15,7 +15,15 @@ from fractions import Fraction
 from itertools import product as iter_product
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
-from ptrs.interpretations import DegreeOverflow, MatrixInterpretation, PolyInterpretation, check_certificate
+from ptrs.boxsolver import narrow
+from ptrs.interpretations import (
+    Coeff,
+    DegreeOverflow,
+    MatrixInterpretation,
+    PolyForm,
+    PolyInterpretation,
+    check_certificate,
+)
 from ptrs.multidist import (
     FiniteDistribution,
     InvalidWeights,
@@ -30,8 +38,9 @@ from ptrs.multidist import (
 )
 from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
 from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
-from ptrs.smt import ConstraintSet, box_form, box_points, decode, encode, in_process_limit, solve_box
+from ptrs.smt import ConstraintSet, box_form, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, variables
+from ptrs.wst import ProblemFile
 
 
 def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 4) -> Fraction:
@@ -364,7 +373,7 @@ def ars_embedding_check(pars: Pars, objects: Sequence[Hashable]) -> EmbeddingRep
         if not options:
             expected = [MultiDistribution.empty()]
         else:
-            expected = [MultiDistribution.from_distribution(d) for d in options]
+            expected = [from_distribution(d) for d in options]
         if Counter(got) != Counter(expected):
             problems.append(
                 f"one-step reducts of {{1: {obj}}} are "
@@ -384,3 +393,38 @@ def subterm_positions(term: Term) -> list[Position]:
             for i in range(len(node.args), 0, -1):
                 stack.append(((*position, i), node.args[i - 1]))
     return out
+
+
+def box_points(form: tuple) -> int:
+    """The number of points the box solver compares with its budget."""
+    _, lo, hi, sums = form
+    return narrow(lo, hi, sums)[1]
+
+
+def render_problem(problem: ProblemFile) -> str:
+    """Canonical text form; parse(render(parse(t))) == parse(t)."""
+    lines: list[str] = []
+    if problem.variables:
+        lines.append("(VAR " + " ".join(problem.variables) + ")")
+    lines.append("(RULES")
+    for rule in problem.rules:
+        if len(rule.alternatives) == 1 and rule.alternatives[0][0] == 1:
+            lines.append(f"  {rule.lhs} -> {rule.alternatives[0][1]}")
+        else:
+            alts = " || ".join(f"{w} : {r}" for w, r in rule.alternatives)
+            lines.append(f"  {rule.lhs} -> {alts}")
+    lines.append(")")
+    return "\n".join(lines) + "\n"
+
+
+def term_size(term: Term) -> int:
+    """Number of nodes, read from the annotation made at construction."""
+    return term._size
+
+
+def constant_part(form: PolyForm) -> Coeff:
+    return form.coeffs.get(frozenset(), Fraction(0))
+
+
+def from_distribution(dist: FiniteDistribution[T]) -> MultiDistribution[T]:
+    return MultiDistribution._unchecked(dist.numerators, dist.denominator, dist.denominator)

@@ -13,10 +13,10 @@ import pytest
 
 from ptrs.boxsolver import ScriptError, _holds_at, _holds_over, main, parse_script, solve, solve_sums
 from ptrs.interpretations import DegreeOverflow
-from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, box_points, emit_smtlib, encode, parse_shape, solve_box
+from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, emit_smtlib, encode, parse_shape, solve_box
 from ptrs.wst import load_system
 
-from helpers import random_ptrs
+from helpers import box_points, random_ptrs
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -451,3 +451,15 @@ def test_main_replies_with_an_error_to_a_dropped_construct(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("(declare-const x Int)(assert (or (> x 0) (< x 3)))(check-sat)"))
     assert main([]) == 1
     assert capsys.readouterr().out == "(error \"unsupported operation 'or'\")\n"
+
+
+def test_main_reads_numerals_past_the_digit_cap(capsys, monkeypatch, digit_cap):
+    big = "7" * 5000
+    script = f"(declare-const x Int)(assert (>= x 0))(assert (<= x 1))(assert (>= (* {big} x) {big}))(check-sat)(get-model)"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(script))
+    assert main([]) == 0
+    assert capsys.readouterr().out == "sat\n(\n  (define-fun x () Int 1)\n)\n"
+    assert sys.get_int_max_str_digits() == digit_cap
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"(assert (or (> {big} 0)))(check-sat)"))
+    assert main([]) == 1
+    assert sys.get_int_max_str_digits() == digit_cap

@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import ptrs.cli
+from ptrs.boxsolver import any_digits
 from ptrs.cli import load_config, main
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
@@ -652,3 +654,47 @@ def test_prove_stdout_is_pinned(capsys, monkeypatch, digest, argv):
     code, out, _ = run_cli(capsys, "prove", argv[0], "--solver", BOXSOLVER, *argv[1:])
     assert code in (0, 1)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+NINES = "9" * 3000
+
+
+def test_simulate_reports_numbers_past_the_digit_cap_in_full(capsys, tmp_path, digit_cap):
+    # a weight total of 10^3000: after three steps the weights pass 9000 digits
+    system = tmp_path / "nines.wst"
+    system.write_text(f"(VAR x)\n(RULES\n  s(x) -> 1 : x || {NINES} : s(s(x))\n)\n")
+    argv = ("simulate", str(system), "--start", "s(0)", "--steps", "3")
+    mass = f"{NINES}/1{'0' * 3000}"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 6 and lines[5].startswith("outcome: {") and lines[5].endswith("}")
+    assert [line.split(",")[0] for line in lines[1:5]] == [
+        "step 0: mass 1", "step 1: mass 1", f"step 2: mass {mass}", f"step 3: mass {mass}"]
+    assert sys.get_int_max_str_digits() == digit_cap
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["masses"] == ["1", "1", mass, mass]
+    with any_digits():
+        assert sum(Fraction(weight) for weight, _ in report["outcomes"][0]) == Fraction(mass)
+    assert sys.get_int_max_str_digits() == digit_cap
+
+
+def test_prove_reads_weights_past_the_digit_cap(capsys, tmp_path, digit_cap):
+    big = tmp_path / "big.wst"
+    big.write_text(f"(VAR x)\n(RULES\n  s(x) -> {'7' * 5000} : x || 1 : s(s(x))\n)\n")
+    code, out, err = run_cli(capsys, "prove", str(big), "--solver", BOXSOLVER, "--coeff-bound", "1")
+    assert (code, out.splitlines()[:2], err) == (0, ["YES", "shape: poly-linear"], "")
+    code, out, _ = run_cli(capsys, "prove", str(big), "--solver", BOXSOLVER, "--coeff-bound", "1", "--json")
+    assert code == 0 and json.loads(out)["verdict"] == "YES"
+    nines = tmp_path / "nines.wst"
+    nines.write_text(f"(VAR x)\n(RULES\n  s(x) -> 1 : x || {NINES} : s(s(x))\n)\n")
+    code, out, _ = run_cli(capsys, "prove", str(nines), "--solver", BOXSOLVER)
+    assert (code, out.splitlines()[0]) == (1, "MAYBE")
+    assert sys.get_int_max_str_digits() == digit_cap
+    # and after an error exit and a usage error
+    assert run_cli(capsys, "prove", str(tmp_path / "missing.wst"))[0] == 2
+    with pytest.raises(SystemExit):
+        main(["prove"])
+    assert sys.get_int_max_str_digits() == digit_cap

@@ -1,8 +1,8 @@
 """The trusted path computes with ints and Fractions only.
 
-Every module that builds, steps, ranks or checks weights, or searches for
-certificate coefficients, is parsed, and any float literal or use of the
-name `float` in it is reported.
+Every module that builds, steps, ranks or checks weights, or encodes,
+searches for or decodes certificate coefficients, is parsed, and any float
+literal or use of the name `float` in it is reported.
 """
 
 import ast
@@ -12,12 +12,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ptrs"
 
-TRUSTED = ("multidist", "rewriting", "simulator", "interpretations", "terms", "certtext", "wst", "boxsolver")
+TRUSTED = ("multidist", "rewriting", "simulator", "interpretations", "terms", "certtext", "wst", "boxsolver", "smt")
 
 # Functions whose floats never meet a weight, a rank or a certificate value.
 EXEMPT = {
     # draws random start terms: `rng.random() < 0.25` picks a leaf
     ("rewriting", "random_term"),
+    # a solver call's time limit in seconds, `timeout: float = 60.0`
+    ("smt", "run_solver"),
+    ("smt", "solve_box"),
 }
 
 

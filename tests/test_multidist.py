@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import convex_union, expectation
+from helpers import convex_union, expectation, from_distribution
 from ptrs.multidist import (
     FiniteDistribution,
     InvalidWeights,
@@ -277,7 +277,7 @@ def test_integer_form_of_a_distribution():
     assert dist.denominator == 12
     assert dist.numerators == ((3, "a"), (2, "b"), (4, "c"), (3, "d"))
     assert dist.mass_numerator == 12
-    mu = MultiDistribution.from_distribution(dist)
+    mu = from_distribution(dist)
     assert mu.entries == tuple((p, obj) for obj, p in dist.items())
     assert mu.mass() == 1 and mu.mass_numerator == mu.denominator == 12
     checked = MultiDistribution([(Fraction(1, 6), "a"), (Fraction(1, 4), "b")])

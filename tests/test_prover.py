@@ -22,7 +22,6 @@ from ptrs.smt import (
     DEFAULT_SHAPES,
     Shape,
     box_form,
-    box_points,
     emit_smtlib,
     encode,
     parse_shape,
@@ -31,7 +30,7 @@ from ptrs.smt import (
 )
 from ptrs.wst import elaborate, load_system, parse_problem
 
-from helpers import prove_encoding_every_shape, random_ptrs
+from helpers import box_points, prove_encoding_every_shape, random_ptrs
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import ptrs.rewriting
-from helpers import ars_embedding_check, random_ptrs, subterm_positions
+from helpers import ars_embedding_check, from_distribution, random_ptrs, subterm_positions
 from ptrs.multidist import FiniteDistribution, MultiDistribution
 from ptrs.rewriting import (
     BudgetTracker,
@@ -361,7 +361,7 @@ def test_single_strategy_step_builds_only_the_chosen_reduct(monkeypatch):
     # the one redex contracted is the innermost one, at s(0)
     assert [node for _, node, _, _ in contracted] == [nat(1)]
     steps = pars.redexes(term)
-    assert nu == MultiDistribution.from_distribution(steps[-1].result)
+    assert nu == from_distribution(steps[-1].result)
     # reading the chosen step's result again builds nothing new
     assert len(contracted) == 1
 

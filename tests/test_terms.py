@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import subterm_positions
+from helpers import subterm_positions, term_size
 from ptrs import terms
 from ptrs.terms import (
     App,
@@ -21,7 +21,6 @@ from ptrs.terms import (
     match,
     replace_at,
     subterm_at,
-    term_size,
     variables,
 )
 

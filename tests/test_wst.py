@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +9,16 @@ from ptrs.terms import App, Var
 from ptrs.wst import (
     ElaborationError,
     ParseError,
+    Token,
     elaborate,
     parse_problem,
     parse_term_text,
-    render_problem,
+    tokenize,
 )
+
+from helpers import render_problem
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 RW34 = """\
 (VAR x)
@@ -193,3 +200,97 @@ def test_symbols_are_noted_as_their_terms_complete():
         parse_term_text("f(a,)", set())
     with pytest.raises(ParseError):
         parse_term_text("f(a", set())
+
+
+# The character loop `tokenize` was before it read with one pattern, kept
+# verbatim as the reference for tokens, errors and their positions.
+_DELIMS = set(" \t\r\n(),:;|")
+
+
+def _loop_tokens(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+
+    def push(kind: str, lexeme: str) -> None:
+        tokens.append(Token(kind, lexeme, line, col))
+
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch == "(":
+            push("LPAREN", ch)
+        elif ch == ")":
+            push("RPAREN", ch)
+        elif ch == ",":
+            push("COMMA", ch)
+        elif ch == ":":
+            push("COLON", ch)
+        elif ch == "|":
+            if i + 1 < n and text[i + 1] == "|":
+                push("BAR", "||")
+                i += 2
+                col += 2
+                continue
+            raise ParseError("stray '|' (alternatives are separated by '||')", line, col)
+        elif ch == "-" and i + 1 < n and text[i + 1] == ">":
+            push("ARROW", "->")
+            i += 2
+            col += 2
+            continue
+        else:
+            j = i
+            while j < n and text[j] not in _DELIMS:
+                if text[j] == "-" and j + 1 < n and text[j + 1] == ">":
+                    break
+                j += 1
+            if j == i:
+                raise ParseError(f"unexpected character {ch!r}", line, col)
+            push("IDENT", text[i:j])
+            col += j - i
+            i = j
+            continue
+        i += 1
+        col += 1
+    return tokens
+
+
+def _read(tokens, text):
+    try:
+        return [tuple(tok) for tok in tokens(text)]
+    except ParseError as exc:
+        return ("error", exc.message, exc.line, exc.col)
+
+
+def test_tokens_and_errors_match_the_character_loop():
+    alphabet = "-->>||;;\r\n\n\x0b\xa0\u00e9()),:  \tab01"
+    rng = random.Random(20261018)
+    texts = ["".join(rng.choices(alphabet, k=rng.randrange(24))) for _ in range(20000)]
+    texts += [path.read_text() for path in sorted(PROBLEMS.glob("*.wst"))]
+    texts.append("s(" * 5000 + "0" + ")" * 5000)
+    assert len(texts) == 20005
+    for text in texts:
+        assert _read(tokenize, text) == _read(_loop_tokens, text), repr(text)
+
+
+def test_token_positions_count_code_points_and_lines():
+    for text, line, col in (("f\t| x", 1, 3), ("f\r\n|", 2, 1), ("a\r\n \t|", 2, 3), ("\u00e9\xa0\r|", 1, 4)):
+        with pytest.raises(ParseError) as err:
+            tokenize(text)
+        assert (err.value.message, err.value.line, err.value.col) == (
+            "stray '|' (alternatives are separated by '||')", line, col)
+    assert tokenize("a->b") == [("IDENT", "a", 1, 1), ("ARROW", "->", 1, 2), ("IDENT", "b", 1, 4)]
+    assert tokenize("-->") == [("IDENT", "-", 1, 1), ("ARROW", "->", 1, 2)]
+    assert tokenize("x- ; c\n->") == [("IDENT", "x-", 1, 1), ("ARROW", "->", 2, 1)]
