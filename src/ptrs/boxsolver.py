@@ -9,16 +9,19 @@ assignment budget, however few of them the search would visit.
 
 The fragment is a conjunction of polynomial inequalities. Int terms are
 numerals, declared names and + - * of Int terms; Bool terms are chained
-comparisons >= <= > < = of Int terms and `and` of Bool terms. Each
-assertion is read into the one constraint form the search knows,
-Σ coefficient · Π variables >= at_least: each adjacent pair of a
-comparison gives one (`=` two), and `and` the union of its parts. The
-bounds are the assertions, top-level or directly under a top-level `and`,
-that compare a declared name with a literal; an open side is 0 below and
-16 above. `or`, `not`, `=` on Bools and a product of two factors of two
-or more monomials each raise ScriptError, as does any unknown, ill-sorted
-or malformed term, before the search. Refusing those products keeps a
-term's polynomial no longer than the term has leaves.
+comparisons >= <= > < = of Int terms and `and` of Bool terms. A
+polynomial is a dict from monomials, sorted tuples of variable positions
+in declaration order (() for the constant), to nonzero int coefficients:
+the form `smt.Poly` keeps its terms in. Each assertion is read into the
+one constraint form the search knows, (polynomial, at_least), meaning
+polynomial >= at_least: each adjacent pair of a comparison gives one (`=`
+two), and `and` the union of its parts. The bounds are the assertions,
+top-level or directly under a top-level `and`, that compare a declared
+name with a literal; an open side is 0 below and 16 above. `or`, `not`,
+`=` on Bools and a product of two factors of two or more monomials each
+raise ScriptError, as does any unknown, ill-sorted or malformed term,
+before the search. Refusing those products keeps a term's polynomial no
+longer than the term has leaves.
 
 The search fixes the declared variables depth first, in declaration order
 and ascending values, so its first model is the box's first in
@@ -27,7 +30,8 @@ remaining sub-box in exact integer interval arithmetic and cuts the
 subtree once one is definitely false. `stop`, when given, is asked at the
 root and then every 1024 nodes whether to give up, which answers
 `unknown`. `solve_sums` answers as `solve` would, given the constraints in
-that form with no script.
+that form with no script: `prove` passes the encoder's polynomials as they
+are.
 """
 
 from __future__ import annotations
@@ -88,8 +92,8 @@ def parse_script(text: str) -> list:
 
 # An Int term reads as a polynomial: a dict from monomials, sorted tuples of
 # variable positions (() for the constant), to nonzero coefficients. A Bool
-# term reads as a list of constraints (monomials, at_least): Σ coefficient ·
-# Π variables >= at_least over its monomials (coefficient, positions).
+# term reads as a list of constraints (polynomial, at_least), each meaning
+# polynomial >= at_least.
 
 
 def _atom(node: str, index: dict[str, int]) -> dict:
@@ -146,7 +150,7 @@ def _compared(ways: list, args: list) -> list:
         _add_into(difference, y, -1)
         constant = difference.pop((), 0)
         for sign, margin in ways:
-            constraints.append(([(sign * c, m) for m, c in difference.items()], margin - sign * constant))
+            constraints.append(({m: sign * c for m, c in difference.items()}, margin - sign * constant))
     return constraints
 
 
@@ -233,10 +237,10 @@ def _bound(node, index: dict[str, int]) -> tuple[str, int | None, int | None] | 
     return name, lowest, highest
 
 
-def _holds_at(monomials: list, at_least: int, point: list[int]) -> bool:
-    """Whether Σ coefficient · Π variables >= at_least at the point."""
+def _holds_at(poly: dict, at_least: int, point: list[int]) -> bool:
+    """Whether poly >= at_least at the point."""
     total = 0
-    for coefficient, positions in monomials:
+    for positions, coefficient in poly.items():
         value = coefficient
         for position in positions:
             value *= point[position]
@@ -244,14 +248,13 @@ def _holds_at(monomials: list, at_least: int, point: list[int]) -> bool:
     return total >= at_least
 
 
-def _holds_over(monomials: list, at_least: int, box: list) -> bool | None:
-    """Whether Σ coefficient · Π variables >= at_least over the box, a list
-    of (lo, hi) per variable: True at every point, False at none, None when
-    it may hold at some. Each monomial's exact range starts at its
-    coefficient and takes in one variable at a time; the ranges are added,
-    all in integers."""
+def _holds_over(poly: dict, at_least: int, box: list) -> bool | None:
+    """Whether poly >= at_least over the box, a list of (lo, hi) per
+    variable: True at every point, False at none, None when it may hold at
+    some. Each monomial's exact range starts at its coefficient and takes
+    in one variable at a time; the ranges are added, all in integers."""
     total_lo = total_hi = 0
-    for coefficient, positions in monomials:
+    for positions, coefficient in poly.items():
         lo = hi = coefficient
         for position in positions:
             a, b = box[position]
@@ -286,8 +289,8 @@ def _search(constraints: list, lo: list[int], hi: list[int], stop: Callable[[], 
     depth = len(lo)
     whole = list(zip(lo, hi))
     settled = []  # per constraint, the depth of the node it is known true below
-    for monomials, at_least in constraints:
-        value = _holds_over(monomials, at_least, whole)
+    for poly, at_least in constraints:
+        value = _holds_over(poly, at_least, whole)
         if value is False:
             return None
         settled.append(-1 if value else depth)
@@ -297,13 +300,13 @@ def _search(constraints: list, lo: list[int], hi: list[int], stop: Callable[[], 
     box = list(whole)  # the sub-box below the node
     # per variable, the constraints to evaluate once it is fixed, and how
     readers: list[list] = [[] for _ in range(depth)]
-    for i, (monomials, at_least) in enumerate(constraints):
-        positions = {position for _, variables in monomials for position in variables}
+    for i, (poly, at_least) in enumerate(constraints):
+        positions = {position for monomial in poly for position in monomial}
         if positions:
             last = max(positions)
-            readers[last].insert(0, (i, _holds_at, monomials, at_least, point))
+            readers[last].insert(0, (i, _holds_at, poly, at_least, point))
             for position in positions - {last}:
-                readers[position].append((i, _holds_over, monomials, at_least, box))
+                readers[position].append((i, _holds_over, poly, at_least, box))
     d = 0
     nodes = 0
     while True:
@@ -319,10 +322,10 @@ def _search(constraints: list, lo: list[int], hi: list[int], stop: Callable[[], 
         if stop is not None and not nodes % 1024 and stop():
             return _STOPPED
         box[d] = (value, value)
-        for i, holds, monomials, at_least, values in readers[d]:
+        for i, holds, poly, at_least, values in readers[d]:
             if settled[i] < d:
                 continue
-            result = holds(monomials, at_least, values)
+            result = holds(poly, at_least, values)
             if result is False:
                 point[d] = value + 1
                 break
@@ -333,17 +336,17 @@ def _search(constraints: list, lo: list[int], hi: list[int], stop: Callable[[], 
             d += 1
 
 
-def narrow(lo: list[int], hi: list[int], constraints: list) -> tuple[list[int], int]:
-    """The box `solve_sums` searches: its lower ends and its number of points
-    (0 when it is empty). A constraint that is one variable with coefficient
-    1 raises that variable's lower end, as the bound `solve` reads off the
-    assertion `emit_smtlib` writes for it (`_bound`)."""
+def narrow(lo: list[int], constraints: list) -> list[int]:
+    """The lower ends of the box `solve_sums` searches. A constraint that is
+    one variable with coefficient 1 raises that variable's lower end, as the
+    bound `solve` reads off the assertion `emit_smtlib` writes for it
+    (`_bound`)."""
     lo = list(lo)
-    for monomials, at_least in constraints:
-        match monomials:
-            case [(1, [position])]:
+    for poly, at_least in constraints:
+        match [*poly.items()]:
+            case [((position,), 1)]:
                 lo[position] = max(lo[position], at_least)
-    return lo, prod(max(0, h - l + 1) for l, h in zip(lo, hi))
+    return lo
 
 
 def _budgeted_search(lo: list[int], hi: list[int], constraints: list, limit: int, stop):
@@ -371,10 +374,9 @@ def solve_sums(
     """The answer of `solve` to the script of a constraint set, found
     without one: ("sat", first model), ("unsat", None) or ("unknown", None).
     Variable i ranges over lo[i]..hi[i], narrowed first (`narrow`), and
-    each constraint is a pair (monomials, at_least), meaning Σ coefficient
-    · Π variables >= at_least over its monomials (coefficient, positions
-    of the variables)."""
-    return _budgeted_search(narrow(lo, hi, constraints)[0], hi, constraints, limit, stop)
+    each constraint is a pair (polynomial, at_least), in the form `solve`
+    reads an assertion into."""
+    return _budgeted_search(narrow(lo, constraints), hi, constraints, limit, stop)
 
 
 def solve(text: str, limit: int = DEFAULT_LIMIT, stop: Callable[[], bool] | None = None) -> list[str]:

@@ -6,12 +6,14 @@
 
 The first line picks the kind. Argument variables are named in the header
 of each equation; coefficients are nonnegative integers or fractions like
-1/2. Lines starting with '#', 'rule' or 'epsilon' are ignored, so the full
-output of a prover run can be fed back in as a certificate.
+1/2. Lines starting with '#', 'rule', 'epsilon' or 'shape:', and a line
+'YES', are ignored, so the full output of a prover run can be fed back in
+as a certificate.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -141,16 +143,23 @@ def _parse_matrix(text: str, line: int) -> Matrix:
     return tuple(_parse_vector(row, line) for row in rows)
 
 
+# an equation's symbol name: a WST name may hold `]` and `=` but no `(` or
+# space, so it ends at the last `]` before `(` or `=`
+_SYMBOL = re.compile(r"\[(.*)\](?=\(|\s*=)")
+
+
 def _parse_equation(text: str, line: int) -> tuple[str, list[str], str]:
     if not text.startswith("["):
         raise CertParseError("expected an equation like [f](x) = ...", line)
-    close = text.find("]")
-    if close < 0:
-        raise CertParseError("missing ']' after symbol name", line)
-    sym = text[1:close]
+    symbol = _SYMBOL.match(text)
+    if symbol is None:
+        if "]" not in text:
+            raise CertParseError("missing ']' after symbol name", line)
+        raise CertParseError("expected '=' in equation", line)
+    sym = symbol.group(1)
     if not sym:
         raise CertParseError("empty symbol name", line)
-    rest = text[close + 1 :].strip()
+    rest = text[symbol.end() :].strip()
     args: list[str] = []
     if rest.startswith("("):
         close = rest.find(")")
@@ -158,6 +167,8 @@ def _parse_equation(text: str, line: int) -> tuple[str, list[str], str]:
             raise CertParseError("missing ')' after argument list", line)
         inner = rest[1:close].strip()
         args = [a.strip() for a in inner.split(",")] if inner else []
+        if not all(args) or len(set(args)) < len(args):
+            raise CertParseError(f"argument names must be distinct and nonempty: ({inner})", line)
         rest = rest[close + 1 :].strip()
     if not rest.startswith("="):
         raise CertParseError("expected '=' in equation", line)
@@ -218,9 +229,9 @@ def parse_interpretation(text: str) -> Interpretation:
     kind: str | None = None
     dim = 0
     equations: list[tuple[int, str, list[str], str]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("rule ") or line.startswith("epsilon"):
+        if not line or line == "YES" or line.startswith(("#", "rule ", "epsilon", "shape:")):
             continue
         if kind is None:
             words = line.split()

@@ -25,7 +25,6 @@ from .smt import (
     Shape,
     SolverResult,
     box_floor,
-    box_form,
     decode,
     emit_smtlib,
     encode,
@@ -131,13 +130,12 @@ def _solve(cs, shape, config, cancel, limit, unsat_sets) -> SolverResult:
         os.makedirs(config.emit_smt, exist_ok=True)
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
-    form = box_form(cs) if limit is not None else None
     # equal sets emit equal scripts
     key = (tuple(cs.unknowns), tuple(cs.constraints)) if unsat_sets is not None else None
     if key is not None and key in unsat_sets:
         return SolverResult("unsat")
-    if form is not None:
-        result = solve_box(form, limit, timeout=config.timeout, cancel=cancel)
+    if limit is not None:
+        result = solve_box(cs, limit, timeout=config.timeout, cancel=cancel)
     else:
         result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
     if key is not None and result.status == "unsat":

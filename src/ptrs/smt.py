@@ -10,6 +10,11 @@ more, and its constant margin at 1 or more, which makes the rational margin
 at least 1/w. Unknown coefficients range over a bounded integer box,
 0..bound.
 
+A polynomial over the unknowns (`Poly`) has one form from the encoder to
+the search: a dict from monomials, sorted tuples of unknown positions in
+declaration order, to nonzero `int` coefficients, as `boxsolver` reads a
+script into. Only `emit_smtlib` maps positions to names.
+
 Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe;
 the shipped box solver may instead search the constraint set in process,
 with the answer its child gives on the emitted script. Every model is
@@ -29,7 +34,7 @@ from itertools import combinations
 from time import monotonic
 from typing import Callable, Mapping, Sequence
 
-from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve_sums
+from .boxsolver import DEFAULT_LIMIT, ScriptError, _add_into, parse_script, solve_sums
 from .interpretations import (
     Coeff,
     DegreeOverflow,
@@ -51,25 +56,25 @@ class ModelDecodeError(Exception):
 
 
 class Poly:
-    """Polynomial in named integer unknowns with `int` coefficients.
+    """Polynomial in integer unknowns with `int` coefficients.
 
-    Monomials are sorted tuples of unknown names, repeats meaning powers;
-    the empty tuple is the constant term. No stored coefficient is zero, and
-    a coefficient that is not an `int` is a TypeError: the encoder clears
-    every denominator before it builds a polynomial.
+    Monomials are sorted tuples of unknown positions, repeats meaning
+    powers; the empty tuple is the constant term. No stored coefficient is
+    zero, and a coefficient that is not an `int` is a TypeError: the encoder
+    clears every denominator before it builds a polynomial.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[str, ...], int] | None = None):
-        cleaned: dict[tuple[str, ...], int] = {}
+    def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
+        cleaned: dict[tuple[int, ...], int] = {}
         for mono, c in (terms or {}).items():
             mono = tuple(sorted(mono))
             cleaned[mono] = cleaned.get(mono, 0) + _integer(c)
         self.terms = {m: c for m, c in cleaned.items() if c}
 
     @classmethod
-    def _of(cls, terms: dict[tuple[str, ...], int]) -> "Poly":
+    def _of(cls, terms: dict[tuple[int, ...], int]) -> "Poly":
         """Wrap terms that are already sorted, merged and nonzero."""
         poly = cls.__new__(cls)
         poly.terms = terms
@@ -80,32 +85,22 @@ class Poly:
         return cls._of({(): value} if _integer(value) else {})
 
     @classmethod
-    def unknown(cls, name: str) -> "Poly":
-        return cls._of({(name,): 1})
+    def unknown(cls, position: int) -> "Poly":
+        return cls._of({(position,): 1})
 
     def __add__(self, other: "Poly | int") -> "Poly":
         other = _as_poly(other)
         if len(self.terms) < len(other.terms):
             self, other = other, self
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            c += out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
+        _add_into(out, other.terms)
         return Poly._of(out)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         out = dict(self.terms)
-        for m, c in _as_poly(other).terms.items():
-            c = out.get(m, 0) - c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
+        _add_into(out, _as_poly(other).terms, -1)
         return Poly._of(out)
 
     def __rsub__(self, other: "Poly | int") -> "Poly":
@@ -116,7 +111,7 @@ class Poly:
             if _integer(other) == 1:
                 return self
             return Poly._of({m: c * other for m, c in self.terms.items()} if other else {})
-        out: dict[tuple[str, ...], int] = {}
+        out: dict[tuple[int, ...], int] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
@@ -128,15 +123,13 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
-    def evaluate(self, env: Mapping[str, Fraction | int]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, point: Sequence[int]) -> int:
+        """The value with unknown i at point[i]."""
+        total = 0
         for mono, c in self.terms.items():
             value = c
-            for name in mono:
-                value = value * env[name]
+            for position in mono:
+                value *= point[position]
             total += value
         return total
 
@@ -150,21 +143,8 @@ class Poly:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono in sorted(self.terms, key=lambda m: (len(m), m)):
-            c = self.terms[mono]
-            if not mono:
-                bits.append(str(c))
-            elif c == 1:
-                bits.append("*".join(mono))
-            else:
-                bits.append(f"{c}*" + "*".join(mono))
-        return " + ".join(bits)
-
-    __repr__ = __str__
+    def __repr__(self) -> str:
+        return f"Poly({self.terms!r})"
 
 
 def _integer(value: int) -> int:
@@ -195,9 +175,11 @@ class Constraint:
 
 @dataclass
 class ConstraintSet:
+    """Constraints over the unknowns, each polynomial reading unknown i as
+    unknowns[i]."""
+
     unknowns: list[UnknownSpec]
     constraints: list[Constraint]
-    logic: str
 
 
 @dataclass(frozen=True)
@@ -290,7 +272,7 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
 
     def unknown(name: str, lo: int) -> Poly:
         unknowns.append(UnknownSpec(name, lo, bound))
-        return Poly.unknown(name)
+        return Poly.unknown(len(unknowns) - 1)
 
     interp = template(system, shape, unknown)
     cap = shape.param if shape.kind == "poly" else None
@@ -304,16 +286,14 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
             Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
             for where, value, strict in orientation_entries(diff)
         )
-    logic = "QF_NIA" if any(c.poly.degree() > 1 for c in constraints) else "QF_LIA"
-    return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints, logic))
+    return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints))
 
 
 # ---------------------------------------------------------------------------
 # SMT-LIB emission
 
 
-def _mono_sexpr(mono: tuple[str, ...], k: int) -> str:
-    parts = list(mono)
+def _mono_sexpr(parts: list[str], k: int) -> str:
     if k != 1 or not parts:
         parts = [str(k) if k >= 0 else f"(- {-k})"] + parts
     if len(parts) == 1:
@@ -321,13 +301,13 @@ def _mono_sexpr(mono: tuple[str, ...], k: int) -> str:
     return "(* " + " ".join(parts) + ")"
 
 
-def poly_sexpr(poly: Poly) -> str:
+def poly_sexpr(poly: Poly, names: Sequence[str]) -> str:
+    """`poly` with unknown i named names[i]: monomials by degree and then by
+    their sorted names."""
     if not poly.terms:
         return "0"
-    bits = [
-        _mono_sexpr(mono, poly.terms[mono])
-        for mono in sorted(poly.terms, key=lambda m: (len(m), m))
-    ]
+    monomials = sorted([(len(m), sorted([names[p] for p in m]), c) for m, c in poly.terms.items()])
+    bits = [_mono_sexpr(mono, c) for _, mono, c in monomials]
     if len(bits) == 1:
         return bits[0]
     return "(+ " + " ".join(bits) + ")"
@@ -335,14 +315,16 @@ def poly_sexpr(poly: Poly) -> str:
 
 def emit_smtlib(cs: ConstraintSet) -> str:
     """Deterministic rendering: identical input gives identical bytes."""
-    lines = [f"(set-logic {cs.logic})"]
+    nonlinear = any(len(m) > 1 for c in cs.constraints for m in c.poly.terms)
+    lines = [f"(set-logic {'QF_NIA' if nonlinear else 'QF_LIA'})"]
     for spec in cs.unknowns:
         lines.append(f"(declare-const {spec.name} Int)")
     for spec in cs.unknowns:
         lines.append(f"(assert (>= {spec.name} {spec.lo}))")
         lines.append(f"(assert (<= {spec.name} {spec.hi}))")
+    names = [spec.name for spec in cs.unknowns]
     for constraint in cs.constraints:
-        lines.append(f"(assert (>= {poly_sexpr(constraint.poly)} {constraint.at_least}))")
+        lines.append(f"(assert (>= {poly_sexpr(constraint.poly, names)} {constraint.at_least}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"
@@ -450,20 +432,6 @@ def run_solver(
     return _read_reply(out, err, proc.returncode)
 
 
-def box_form(cs: ConstraintSet) -> tuple[list[str], list[int], list[int], list]:
-    """`cs` as `boxsolver.solve_sums` takes it, with the unknowns' names:
-    (names, lo, hi, sums), where each constraint is a sum (monomials,
-    at_least) and each monomial (coefficient, positions of its unknowns).
-    Unknown names are distinct, as `encode` makes them."""
-    names = [spec.name for spec in cs.unknowns]
-    index = {name: i for i, name in enumerate(names)}
-    sums = [
-        ([(c, tuple(map(index.__getitem__, mono))) for mono, c in constraint.poly.terms.items()], constraint.at_least)
-        for constraint in cs.constraints
-    ]
-    return names, [spec.lo for spec in cs.unknowns], [spec.hi for spec in cs.unknowns], sums
-
-
 def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
     """A lower bound on the points of the box the box solver compares with
     its budget (`boxsolver.narrow`) for `encode(system, shape, bound)`'s set,
@@ -488,7 +456,7 @@ def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
 
 
 def solve_box(
-    form: tuple, limit: int, timeout: float = 60.0, cancel: CancelToken | None = None
+    cs: ConstraintSet, limit: int, timeout: float = 60.0, cancel: CancelToken | None = None
 ) -> SolverResult:
     """What `run_solver` reads from `python -m ptrs.boxsolver --limit LIMIT`
     given the constraint set's script, found in process with no script
@@ -499,14 +467,15 @@ def solve_box(
     def stop() -> bool:
         return (cancel is not None and cancel.cancelled) or monotonic() > deadline
 
-    names, lo, hi, sums = form
-    status, values = solve_sums(lo, hi, sums, limit, stop)
+    lo = [spec.lo for spec in cs.unknowns]
+    hi = [spec.hi for spec in cs.unknowns]
+    status, values = solve_sums(lo, hi, [(c.poly.terms, c.at_least) for c in cs.constraints], limit, stop)
     if monotonic() > deadline:
         return SolverResult("unknown", detail=f"solver timed out after {timeout}s")
     if cancel is not None and cancel.cancelled:
         return SolverResult("unknown", detail="cancelled")
     if status == "sat":
-        return SolverResult("sat", model={name: Fraction(value) for name, value in zip(names, values)})
+        return SolverResult("sat", model={spec.name: Fraction(value) for spec, value in zip(cs.unknowns, values)})
     if status == "unsat":
         return SolverResult("unsat")
     return SolverResult("unknown", detail="solver answered unknown")

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from math import prod
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from ptrs.boxsolver import narrow
@@ -38,7 +39,7 @@ from ptrs.multidist import (
 )
 from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
 from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
-from ptrs.smt import ConstraintSet, box_form, decode, encode, in_process_limit, solve_box
+from ptrs.smt import ConstraintSet, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ProblemFile
 
@@ -202,9 +203,8 @@ def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[
     if limit is not None and count > limit:
         raise ValueError(f"box holds {count} assignments, over the limit {limit}")
     for values in iter_product(*ranges):
-        env = dict(zip(names, values))
-        if all(c.poly.evaluate(env) >= c.at_least for c in cs.constraints):
-            yield env
+        if all(c.poly.evaluate(values) >= c.at_least for c in cs.constraints):
+            yield dict(zip(names, values))
 
 
 def prove_encoding_every_shape(system: PTRS, config: ProverConfig) -> Verdict:
@@ -221,11 +221,10 @@ def prove_encoding_every_shape(system: PTRS, config: ProverConfig) -> Verdict:
         except DegreeOverflow as exc:
             outcomes.append(ShapeOutcome(shape, "degree-overflow", str(exc)))
             continue
-        form = box_form(encoded.constraint_set)
-        if box_points(form) > limit:
+        if box_points(encoded.constraint_set) > limit:
             outcomes.append(ShapeOutcome(shape, "unknown", "solver answered unknown"))
             continue
-        result = solve_box(form, limit, timeout=config.timeout)
+        result = solve_box(encoded.constraint_set, limit, timeout=config.timeout)
         if result.status == "sat":
             cert = check_certificate(decode(encoded, result.model), system)
             outcomes.append(ShapeOutcome(shape, "proved", f"epsilon = {cert.epsilon}"))
@@ -395,10 +394,17 @@ def subterm_positions(term: Term) -> list[Position]:
     return out
 
 
-def box_points(form: tuple) -> int:
+def search_args(cs: ConstraintSet) -> tuple[list[int], list[int], list]:
+    """`cs` as `boxsolver.solve_sums` takes it: (lo, hi, constraints)."""
+    lo = [spec.lo for spec in cs.unknowns]
+    hi = [spec.hi for spec in cs.unknowns]
+    return lo, hi, [(c.poly.terms, c.at_least) for c in cs.constraints]
+
+
+def box_points(cs: ConstraintSet) -> int:
     """The number of points the box solver compares with its budget."""
-    _, lo, hi, sums = form
-    return narrow(lo, hi, sums)[1]
+    lo, hi, constraints = search_args(cs)
+    return prod(max(0, h - l + 1) for l, h in zip(narrow(lo, constraints), hi))
 
 
 def render_problem(problem: ProblemFile) -> str:

@@ -12,11 +12,12 @@ from pathlib import Path
 import pytest
 
 from ptrs.boxsolver import ScriptError, _holds_at, _holds_over, main, parse_script, solve, solve_sums
+from ptrs.boxsolver import _read as read_assertion
 from ptrs.interpretations import DegreeOverflow
-from ptrs.smt import DEFAULT_SHAPES, _read_reply, box_form, emit_smtlib, encode, parse_shape, solve_box
+from ptrs.smt import DEFAULT_SHAPES, _read_reply, emit_smtlib, encode, parse_shape, solve_box
 from ptrs.wst import load_system
 
-from helpers import box_points, random_ptrs
+from helpers import box_points, random_ptrs, search_args
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -270,7 +271,7 @@ def test_search_answers_like_enumerating_the_box():
                 reply = solve(text, limit)
                 assert reply == _enumerated(text, limit), (shape, bound, text)
                 # the same answer from the constraint set, with no script
-                assert solve_box(box_form(cs), limit) == _read_reply("".join(line + "\n" for line in reply), "", 0)
+                assert solve_box(cs, limit) == _read_reply("".join(line + "\n" for line in reply), "", 0)
                 statuses.append(reply[0])
     for _ in range(400):
         text = _hand_built_script(rng)
@@ -278,6 +279,27 @@ def test_search_answers_like_enumerating_the_box():
         assert reply == _enumerated(text, limit), text
         statuses.append(reply[0])
     assert min(statuses.count(status) for status in ("sat", "unsat", "unknown")) > 100
+
+
+def test_a_script_reads_into_the_polynomials_it_was_emitted_from():
+    # one form on both paths: a child reads the emitted constraints into
+    # the polynomials `prove` hands the search in process, with the
+    # constant moved to the right
+    rng = random.Random(8)
+    systems = [load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34")]
+    systems += [random_ptrs(rng) for _ in range(20)]
+    for system in systems:
+        for shape in DEFAULT_SHAPES:
+            try:
+                cs = encode(system, shape, 2).constraint_set
+            except DegreeOverflow:
+                continue
+            index = {spec.name: i for i, spec in enumerate(cs.unknowns)}
+            asserts = [node[1] for node in parse_script(emit_smtlib(cs)) if node[0] == "assert"]
+            # the first two assertions of each unknown are its bounds
+            read = [constraint for node in asserts[2 * len(index) :] for constraint in read_assertion(node, index)]
+            in_process = search_args(cs)[2]
+            assert read == [({m: c for m, c in poly.items() if m}, k - poly.get((), 0)) for poly, k in in_process]
 
 
 def test_search_prunes_the_box():
@@ -301,9 +323,9 @@ def test_the_search_visits_as_many_nodes_as_before(name, shape, status, model, a
     # boxes of 10^13 points and more at bound 16, searched with the budget
     # lifted; `stop` is asked at the root and every 1024 nodes, so looser
     # pruning shows as more calls
-    form = box_form(encode(load_system(str(PROBLEMS / f"{name}.wst")), parse_shape(shape), 16).constraint_set)
+    cs = encode(load_system(str(PROBLEMS / f"{name}.wst")), parse_shape(shape), 16).constraint_set
     calls = []
-    assert solve_sums(*form[1:], box_points(form), lambda: calls.append(1) or False) == (status, model)
+    assert solve_sums(*search_args(cs), box_points(cs), lambda: calls.append(1) or False) == (status, model)
     assert len(calls) == asked
 
 
@@ -318,23 +340,24 @@ def test_a_sum_over_a_box_bounds_its_values_at_the_points():
         for _ in range(n):
             lo = rng.randint(-4, 3)
             box.append((lo, lo + rng.randint(0, 4)))
-        monomials = [
-            (rng.randint(-5, 5), tuple(sorted(rng.choices(range(n), k=rng.randint(0, 3)))))
-            for _ in range(rng.randint(0, 3))
-        ]
+        poly: dict = {}
+        for _ in range(rng.randint(0, 3)):
+            c, positions = rng.randint(-5, 5), tuple(sorted(rng.choices(range(n), k=rng.randint(0, 3))))
+            poly[positions] = poly.get(positions, 0) + c
+        poly = {positions: c for positions, c in poly.items() if c}
         values = []
         for point in product(*(range(lo, hi + 1) for lo, hi in box)):
             point = list(point)
-            values.append(sum(c * prod(point[p] for p in positions) for c, positions in monomials))
-            assert all(_holds_at(monomials, k, point) == (values[-1] >= k) for k in (values[-1], values[-1] + 1))
-        exact = len(monomials) == 1 and len(set(monomials[0][1])) == len(monomials[0][1])
+            values.append(sum(c * prod(point[p] for p in positions) for positions, c in poly.items()))
+            assert all(_holds_at(poly, k, point) == (values[-1] >= k) for k in (values[-1], values[-1] + 1))
+        exact = len(poly) == 1 and all(len(set(positions)) == len(positions) for positions in poly)
         for at_least in range(min(values) - 1, max(values) + 2):
-            over = _holds_over(monomials, at_least, box)
+            over = _holds_over(poly, at_least, box)
             holding = [value >= at_least for value in values]
             if over is not None:
-                assert all(hold == over for hold in holding), (monomials, box, at_least)
+                assert all(hold == over for hold in holding), (poly, box, at_least)
             elif exact:
-                assert any(holding) and not all(holding), (monomials, box, at_least)
+                assert any(holding) and not all(holding), (poly, box, at_least)
 
 
 def test_an_empty_range_ends_the_search_at_once():

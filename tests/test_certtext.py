@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,30 @@ def test_parse_errors():
         parse_interpretation("matrix 2\n[a](x) = [[1, 0]]*x + [0, 0]\n")
     with pytest.raises(CertParseError):
         parse_interpretation("matrix 0\n[a] = [0]\n")
+    # an argument named twice, or not at all
+    for header in ("[f](x, x)", "[f](x,)", "[f](, x)"):
+        with pytest.raises(CertParseError):
+            parse_interpretation(f"poly\n{header} = x + 1\n")
+
+
+def test_symbol_names_round_trip():
+    # a symbol may be any WST identifier: `[ ] = * +` included, and line
+    # breaks other than "\n" and "\r"
+    rng = random.Random(22)
+    alphabet = "fg01[]=*+-#$?!.\x0c\x85"
+    for _ in range(300):
+        arities: dict[str, int] = {}
+        while len(arities) < 3:
+            arities["".join(rng.choices(alphabet, k=rng.randint(1, 5)))] = rng.randint(0, 2)
+        poly = PolyInterpretation(
+            arities, {sym: {frozenset(): 1, **{frozenset((i,)): 2 for i in range(1, n + 1)}} for sym, n in arities.items()}
+        )
+        matrix = MatrixInterpretation(arities, 1, {sym: ([((1,),)] * n, (0,)) for sym, n in arities.items()})
+        for interp in (poly, matrix):
+            text = render_interpretation(interp)
+            again = parse_interpretation(text)
+            assert again.arities == arities, text
+            assert render_interpretation(again) == text
 
 
 def test_comments_ignored():

@@ -567,6 +567,41 @@ def test_check_reports_negative_coefficients_and_squared_variables(capsys, tmp_p
         "6f5c5c7d29f957fb52c5c7253e7a42841703f12a9beedc6df711a070413deef6"
 
 
+@pytest.mark.parametrize(
+    "problem, solver, flags",
+    [
+        ("rw34", BOXSOLVER, ["--coeff-bound", "1"]),
+        ("matrix", BOXSOLVER, ["--coeff-bound", "1"]),
+        ("coingame", f"{BOXSOLVER} --limit 100000000", ["--coeff-bound", "4", "--shapes", "poly-linear"]),
+    ],
+    ids=["rw34", "matrix", "coingame"],
+)
+def test_prove_output_is_a_certificate_for_check(capsys, tmp_path, problem, solver, flags):
+    wst = str(ROOT / "problems" / f"{problem}.wst")
+    code, proved, _ = run_cli(capsys, "prove", wst, "--solver", solver, *flags)
+    assert code == 0
+    cert = tmp_path / "proved.cert"
+    cert.write_text(proved)
+    code, checked, _ = run_cli(capsys, "check", wst, "--certificate", str(cert))
+    assert code == 0
+    # the report of `check` is that of `prove` without the shape line
+    shape_line = proved.splitlines()[1] + "\n"
+    assert shape_line.startswith("shape: ")
+    assert checked == proved.replace(shape_line, "", 1)
+
+
+def test_a_symbol_with_a_bracket_is_proved_and_checked(capsys, tmp_path):
+    problem = tmp_path / "bracket.wst"
+    problem.write_text("(VAR x)\n(RULES\n  a]b(x) -> 3 : x || 1 : a]b(a]b(x))\n)\n")
+    code, proved, _ = run_cli(capsys, "prove", str(problem), "--solver", BOXSOLVER, "--coeff-bound", "2")
+    assert code == 0
+    assert "[a]b](x) = x + 1" in proved.splitlines()
+    cert = tmp_path / "bracket.cert"
+    cert.write_text(proved)
+    code, checked, _ = run_cli(capsys, "check", str(problem), "--certificate", str(cert))
+    assert (code, checked.splitlines()[:3]) == (0, ["YES", "poly", "[a]b](x) = x + 1"])
+
+
 S5 = "s(" * 5 + "0" + ")" * 5
 S100 = "s(" * 100 + "0" + ")" * 100
 

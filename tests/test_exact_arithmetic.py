@@ -2,7 +2,9 @@
 
 Every module that builds, steps, ranks or checks weights, or encodes,
 searches for or decodes certificate coefficients, is parsed, and any float
-literal or use of the name `float` in it is reported.
+literal, use of the name `float`, or true division `/` in it is reported:
+`int / int` is a float. A division is allowed only where an operand is a
+`Fraction` (`DIVIDES`).
 """
 
 import ast
@@ -23,6 +25,14 @@ EXEMPT = {
     ("smt", "solve_box"),
 }
 
+# Functions whose `/` has a Fraction operand.
+DIVIDES = {
+    # `rank(term) / epsilon`, with epsilon a Fraction
+    ("simulator", "estimate_edh"),
+    # `values.pop() / divisor`, both read as Fractions
+    ("smt", "_model_value"),
+}
+
 
 def float_uses(tree: ast.AST, module: str) -> list[str]:
     found = []
@@ -35,6 +45,8 @@ def float_uses(tree: ast.AST, module: str) -> list[str]:
                 found.append(f"{module}.py:{node.lineno}: float literal {node.value!r}")
             elif isinstance(node, ast.Name) and node.id == "float":
                 found.append(f"{module}.py:{node.lineno}: name float")
+        if (module, function) not in DIVIDES and isinstance(getattr(node, "op", None), ast.Div):
+            found.append(f"{module}.py:{node.lineno}: true division")
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
@@ -56,3 +68,11 @@ def test_the_guard_sees_literals_and_the_name():
     exempt = ast.parse("def random_term(rng):\n    return rng.random() < 0.25\n")
     assert float_uses(exempt, "rewriting") == []
     assert float_uses(exempt, "simulator") == ["simulator.py:2: float literal 0.25"]
+
+
+def test_the_guard_sees_true_division():
+    tree = ast.parse("def margin(value, d):\n    value /= d\n    return value / d + value // d\n")
+    assert float_uses(tree, "m") == ["m.py:2: true division", "m.py:3: true division"]
+    allowed = ast.parse("def estimate_edh(rank, epsilon):\n    return rank / epsilon\n")
+    assert float_uses(allowed, "simulator") == []
+    assert float_uses(allowed, "smt") == ["smt.py:2: true division"]

@@ -21,7 +21,6 @@ from ptrs.interpretations import DegreeOverflow
 from ptrs.smt import (
     DEFAULT_SHAPES,
     Shape,
-    box_form,
     emit_smtlib,
     encode,
     parse_shape,
@@ -169,7 +168,7 @@ def test_parallel_lanes_share_the_in_process_box_solver():
 
 
 def _count_solver_calls(monkeypatch) -> list:
-    """What each solve is given: a script for a child, a `box_form` in process."""
+    """What each solve is given: a script for a child, the constraint set in process."""
     problems: list = []
 
     def counting(solve):
@@ -199,7 +198,7 @@ def test_sequential_portfolio_solves_an_unsat_script_once(monkeypatch, tmp_path)
     # poly-multilinear-2 encodes poly-linear's constraint set: no second solve
     assert len(scripts) == 3 and len(set(map(repr, scripts))) == 3
     poly_linear = encode(system, Shape("poly", 1), 1).constraint_set
-    assert scripts[0] == box_form(poly_linear)
+    assert scripts[0] == poly_linear
     emitted = {path.name: path.read_text() for path in tmp_path.iterdir()}
     assert len(emitted) == 4
     assert emitted["poly-multilinear-2.smt2"] == emitted["poly-linear.smt2"] == emit_smtlib(poly_linear)
@@ -263,7 +262,7 @@ def _prove_like_encoding_every_shape(system, config, encoded: list) -> list:
     noted = [shape for shape, _, _ in notes]
     assert encoded == [o.shape for o in verdict.outcomes if o.shape not in noted]
     for shape, floor, limit in notes:
-        points = box_points(box_form(encode(system, shape, config.coeff_bound).constraint_set))
+        points = box_points(encode(system, shape, config.coeff_bound).constraint_set)
         assert limit < floor <= points
     return noted
 
@@ -290,7 +289,7 @@ def test_a_box_that_narrows_to_within_budget_is_searched(monkeypatch):
                     cs = encode(system, shape, bound).constraint_set
                 except DegreeOverflow:
                     continue
-                points = box_points(box_form(cs))
+                points = box_points(cs)
                 if not 0 < points < prod(spec.hi - spec.lo + 1 for spec in cs.unknowns) or points > 5000:
                     continue
                 config = ProverConfig(shapes=(shape,), solver=f"{BOXSOLVER} --limit {points}", coeff_bound=bound)
