@@ -144,8 +144,8 @@ def _parse_matrix(text: str, line: int) -> Matrix:
 
 
 # an equation's symbol name: a WST name may hold `]` and `=` but no `(` or
-# space, so it ends at the last `]` before `(` or `=`
-_SYMBOL = re.compile(r"\[(.*)\](?=\(|\s*=)")
+# space, so it ends at the last `]` before spaces and then `(` or `=`
+_SYMBOL = re.compile(r"\[(.*)\](?=\s*[(=])")
 
 
 def _parse_equation(text: str, line: int) -> tuple[str, list[str], str]:

@@ -34,7 +34,7 @@ from itertools import combinations
 from time import monotonic
 from typing import Callable, Mapping, Sequence
 
-from .boxsolver import DEFAULT_LIMIT, ScriptError, _add_into, parse_script, solve_sums
+from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve_sums
 from .interpretations import (
     Coeff,
     DegreeOverflow,
@@ -93,14 +93,24 @@ class Poly:
         if len(self.terms) < len(other.terms):
             self, other = other, self
         out = dict(self.terms)
-        _add_into(out, other.terms)
+        for m, c in other.terms.items():
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
         return Poly._of(out)
 
     __radd__ = __add__
 
     def __sub__(self, other: "Poly | int") -> "Poly":
         out = dict(self.terms)
-        _add_into(out, _as_poly(other).terms, -1)
+        for m, c in _as_poly(other).terms.items():
+            c = out.get(m, 0) - c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
         return Poly._of(out)
 
     def __rsub__(self, other: "Poly | int") -> "Poly":
@@ -122,16 +132,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def evaluate(self, point: Sequence[int]) -> int:
-        """The value with unknown i at point[i]."""
-        total = 0
-        for mono, c in self.terms.items():
-            value = c
-            for position in mono:
-                value *= point[position]
-            total += value
-        return total
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -180,6 +180,12 @@ class ConstraintSet:
 
     unknowns: list[UnknownSpec]
     constraints: list[Constraint]
+
+    def search_args(self) -> tuple[list[int], list[int], list]:
+        """The set as `boxsolver.solve_sums` takes it: (lo, hi, constraints)."""
+        lo = [spec.lo for spec in self.unknowns]
+        hi = [spec.hi for spec in self.unknowns]
+        return lo, hi, [(c.poly.terms, c.at_least) for c in self.constraints]
 
 
 @dataclass(frozen=True)
@@ -467,9 +473,7 @@ def solve_box(
     def stop() -> bool:
         return (cancel is not None and cancel.cancelled) or monotonic() > deadline
 
-    lo = [spec.lo for spec in cs.unknowns]
-    hi = [spec.hi for spec in cs.unknowns]
-    status, values = solve_sums(lo, hi, [(c.poly.terms, c.at_least) for c in cs.constraints], limit, stop)
+    status, values = solve_sums(*cs.search_args(), limit, stop)
     if monotonic() > deadline:
         return SolverResult("unknown", detail=f"solver timed out after {timeout}s")
     if cancel is not None and cancel.cancelled:

@@ -39,7 +39,7 @@ from ptrs.multidist import (
 )
 from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
 from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
-from ptrs.smt import ConstraintSet, decode, encode, in_process_limit, solve_box
+from ptrs.smt import ConstraintSet, Poly, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ProblemFile
 
@@ -190,6 +190,17 @@ def random_ptrs(rng):
     return PTRS(signature, tuple(rules))
 
 
+def evaluate(poly: Poly, point: Sequence[int]) -> int:
+    """The polynomial's value with unknown i at point[i]."""
+    total = 0
+    for mono, c in poly.terms.items():
+        value = c
+        for position in mono:
+            value *= point[position]
+        total += value
+    return total
+
+
 def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[str, int]]:
     """Exhaustive models of the constraint set within its integer box.
 
@@ -203,7 +214,7 @@ def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[
     if limit is not None and count > limit:
         raise ValueError(f"box holds {count} assignments, over the limit {limit}")
     for values in iter_product(*ranges):
-        if all(c.poly.evaluate(values) >= c.at_least for c in cs.constraints):
+        if all(evaluate(c.poly, values) >= c.at_least for c in cs.constraints):
             yield dict(zip(names, values))
 
 
@@ -394,16 +405,9 @@ def subterm_positions(term: Term) -> list[Position]:
     return out
 
 
-def search_args(cs: ConstraintSet) -> tuple[list[int], list[int], list]:
-    """`cs` as `boxsolver.solve_sums` takes it: (lo, hi, constraints)."""
-    lo = [spec.lo for spec in cs.unknowns]
-    hi = [spec.hi for spec in cs.unknowns]
-    return lo, hi, [(c.poly.terms, c.at_least) for c in cs.constraints]
-
-
 def box_points(cs: ConstraintSet) -> int:
     """The number of points the box solver compares with its budget."""
-    lo, hi, constraints = search_args(cs)
+    lo, hi, constraints = cs.search_args()
     return prod(max(0, h - l + 1) for l, h in zip(narrow(lo, constraints), hi))
 
 

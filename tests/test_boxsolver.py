@@ -17,7 +17,7 @@ from ptrs.interpretations import DegreeOverflow
 from ptrs.smt import DEFAULT_SHAPES, _read_reply, emit_smtlib, encode, parse_shape, solve_box
 from ptrs.wst import load_system
 
-from helpers import box_points, random_ptrs, search_args
+from helpers import box_points, random_ptrs
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -298,7 +298,7 @@ def test_a_script_reads_into_the_polynomials_it_was_emitted_from():
             asserts = [node[1] for node in parse_script(emit_smtlib(cs)) if node[0] == "assert"]
             # the first two assertions of each unknown are its bounds
             read = [constraint for node in asserts[2 * len(index) :] for constraint in read_assertion(node, index)]
-            in_process = search_args(cs)[2]
+            in_process = cs.search_args()[2]
             assert read == [({m: c for m, c in poly.items() if m}, k - poly.get((), 0)) for poly, k in in_process]
 
 
@@ -325,7 +325,7 @@ def test_the_search_visits_as_many_nodes_as_before(name, shape, status, model, a
     # pruning shows as more calls
     cs = encode(load_system(str(PROBLEMS / f"{name}.wst")), parse_shape(shape), 16).constraint_set
     calls = []
-    assert solve_sums(*search_args(cs), box_points(cs), lambda: calls.append(1) or False) == (status, model)
+    assert solve_sums(*cs.search_args(), box_points(cs), lambda: calls.append(1) or False) == (status, model)
     assert len(calls) == asked
 
 

@@ -108,6 +108,8 @@ def test_parse_errors():
         parse_interpretation("matrix 2\n[a](x) = [[1, 0]]*x + [0, 0]\n")
     with pytest.raises(CertParseError):
         parse_interpretation("matrix 0\n[a] = [0]\n")
+    # spaces may stand between the symbol and its arguments
+    assert render_interpretation(parse_interpretation("poly\n[f] (x) = x + 1\n")) == "poly\n[f](x) = x + 1\n"
     # an argument named twice, or not at all
     for header in ("[f](x, x)", "[f](x,)", "[f](, x)"):
         with pytest.raises(CertParseError):
