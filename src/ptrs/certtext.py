@@ -169,6 +169,14 @@ def _parse_equation(text: str, line: int) -> tuple[str, list[str], str]:
         args = [a.strip() for a in inner.split(",")] if inner else []
         if not all(args) or len(set(args)) < len(args):
             raise CertParseError(f"argument names must be distinct and nonempty: ({inner})", line)
+        for name in args:
+            # a right-hand side reads a factor as an argument first, so a
+            # numeral as a name would shadow the number
+            try:
+                Fraction(name)
+            except (ValueError, ZeroDivisionError):
+                continue
+            raise CertParseError(f"argument name {name!r} reads as a number", line)
         rest = rest[close + 1 :].strip()
     if not rest.startswith("="):
         raise CertParseError("expected '=' in equation", line)

@@ -160,15 +160,19 @@ class MultiDistribution(Generic[T]):
             a * self._mass_num,
         )
 
-    def bind(self, fn: Callable[[T], FiniteDistribution[S] | None]) -> "MultiDistribution[S]":
+    def bind(
+        self, fn: Callable[[T], FiniteDistribution[S] | None], merge: bool = False
+    ) -> "MultiDistribution[S]":
         """The union of p * fn(obj) over the entries (p, obj); an entry
-        whose fn(obj) is None vanishes."""
+        whose fn(obj) is None vanishes. With `merge`, equal images are
+        folded into one entry each as they are added, in first-seen order:
+        the result is `bind(fn).merged()` without the unmerged tuple."""
         parts = []
         for n, obj in self._numerators:
             dist = fn(obj)
             if dist is not None:
                 parts.append((n, dist._den, dist._numerators, dist._den))
-        return _union(parts, self._den)
+        return _union(parts, self._den, merge)
 
     def _canonical(self) -> tuple[int, frozenset]:
         key = self._key
@@ -261,18 +265,27 @@ class FiniteDistribution(MultiDistribution[T]):
 
 
 def _union(
-    parts: list[tuple[int, int, tuple[tuple[int, T], ...], int]], outer: int = 1
+    parts: list[tuple[int, int, tuple[tuple[int, T], ...], int]], outer: int = 1, merge: bool = False
 ) -> MultiDistribution[T]:
     """The union of the parts (a, d, pairs, mass): for every (m, obj) in
     pairs, an entry of weight a * m / (outer * d); mass is the sum of the
-    m. One lcm of the d for the whole union, then products of ints."""
+    m. One lcm of the d for the whole union, then products of ints. With
+    `merge`, the numerators of equal objects are added up in first-seen
+    order, as `merged()` would add them."""
     common = lcm(*{d for _, d, _, _ in parts})
     numerators: list[tuple[int, T]] = []
+    sums: dict[T, int] = {}
     mass = 0
     for a, d, pairs, part_mass in parts:
         factor = a * (common // d)
-        numerators.extend([(factor * m, obj) for m, obj in pairs])
+        if merge:
+            for m, obj in pairs:
+                sums[obj] = sums.get(obj, 0) + factor * m
+        else:
+            numerators.extend([(factor * m, obj) for m, obj in pairs])
         mass += factor * part_mass
+    if merge:
+        numerators = [(n, obj) for obj, n in sums.items()]
     return MultiDistribution._unchecked(tuple(numerators), outer * common, mass)
 
 

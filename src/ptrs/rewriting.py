@@ -402,17 +402,29 @@ def random_chooser(rng: random.Random) -> Chooser:
     return choose
 
 
-def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> MultiDistribution:
+def step_multidist(
+    pars: Pars,
+    mu: MultiDistribution,
+    chooser: Chooser,
+    picks: dict[Hashable, FiniteDistribution | None] | None = None,
+    merge: bool = False,
+) -> MultiDistribution:
     """One reduction step; terminal entries vanish, so mass is monotone.
 
-    A chooser marked `per_object` is asked once per distinct object; any
-    other chooser once per entry, in entry order."""
+    A chooser marked `per_object` is asked once per distinct object that
+    `picks` does not hold yet, in first-seen order, and each answer is
+    added to `picks`: a caller that keeps the dict across steps asks once
+    per object per run (a fresh dict per step when None). Any other
+    chooser is asked once per entry, in entry order. With `merge`, equal
+    reducts are folded as they are bound (`MultiDistribution.bind`)."""
     if getattr(chooser, "per_object", False):
-        chosen = dict.fromkeys(obj for _, obj in mu.numerators)
-        for obj in chosen:
-            chosen[obj] = pars.choose(obj, chooser)
-        return mu.bind(chosen.__getitem__)
-    return mu.bind(lambda obj: pars.choose(obj, chooser))
+        if picks is None:
+            picks = {}
+        for _, obj in mu.numerators:
+            if obj not in picks:
+                picks[obj] = pars.choose(obj, chooser)
+        return mu.bind(picks.__getitem__, merge)
+    return mu.bind(lambda obj: pars.choose(obj, chooser), merge)
 
 
 class BudgetTracker:

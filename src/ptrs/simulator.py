@@ -15,6 +15,7 @@ import random
 
 from .interpretations import Certificate, ranking_from_certificate
 from .multidist import MultiDistribution, canonical_order, display_key, expected_value
+from . import rewriting
 from .rewriting import (
     BudgetTracker,
     Chooser,
@@ -89,8 +90,13 @@ def run(config: RunConfig) -> RunReport:
     # lists the same however its entries were ordered before the sort. It
     # is sorted where the order is read: in the trace, in the outcome, and
     # on every step for a chooser that reads entry order (random draws).
-    # Otherwise equal objects merge in first-seen order.
+    # Otherwise equal objects merge in first-seen order while they bind,
+    # and the chooser, which picks by the object alone, is asked once per
+    # object per run: `picks` starts afresh before a step could take it
+    # past MEMO_LIMIT entries.
     sort_each_step = config.keep_trace or not getattr(chooser, "per_object", False)
+    fold = config.collapse and not sort_each_step
+    picks: dict = {}
     mu = start
     masses = [mu.mass()]
     edl = [Fraction(0)]
@@ -98,16 +104,21 @@ def run(config: RunConfig) -> RunReport:
     truncated = _hits_truncation(pars, mu)
     for _ in range(config.steps):
         tracker.spend(max(len(mu), 1))
-        mu = step_multidist(pars, mu, chooser)
-        if config.collapse:
-            mu = collapsed(mu) if sort_each_step else mu.merged()
+        if fold:
+            if len(picks) + len(mu) > rewriting.MEMO_LIMIT:
+                picks = {}
+            mu = step_multidist(pars, mu, chooser, picks, merge=True)
+        else:
+            mu = step_multidist(pars, mu, chooser)
+            if config.collapse:
+                mu = collapsed(mu)
         truncated = truncated or _hits_truncation(pars, mu)
         mass = mu.mass()
         masses.append(mass)
         edl.append(edl[-1] + mass)
         if config.keep_trace:
             trace.append(mu)
-    if config.collapse and not sort_each_step:
+    if fold:
         mu = collapsed(mu)
     return RunReport(
         mode=config.mode if isinstance(config.mode, str) else "custom",

@@ -38,7 +38,7 @@ from ptrs.multidist import (
     expected_value,
 )
 from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
-from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term
+from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term, step_multidist
 from ptrs.smt import ConstraintSet, Poly, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ProblemFile
@@ -328,6 +328,18 @@ def reference_all_steps(pars, state):
         if key not in seen:
             seen[key] = (entries, sum((mass for _, mass in combo), Fraction(0)))
     return list(seen.values())
+
+
+def reference_merged_steps(pars, start, steps, chooser) -> list[MultiDistribution]:
+    """The states of a collapsed single-strategy run as they were built
+    before bind folded equal reducts: each step unmerged, then `merged()`,
+    with the chooser asked afresh on every step."""
+    mu = MultiDistribution.point(start)
+    states = []
+    for _ in range(steps):
+        mu = step_multidist(pars, mu, chooser).merged()
+        states.append(mu)
+    return states
 
 
 def reference_expected_value(entries, fn) -> Fraction:

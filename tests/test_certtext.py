@@ -116,6 +116,27 @@ def test_parse_errors():
             parse_interpretation(f"poly\n{header} = x + 1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "poly\n[f](1) = 1\n",
+    "poly\n[f](2) = 2*2 + 1\n",
+    "poly\n[s](x) = x + 1\n[f](x, 1/2) = x + 1/2\n",
+    "poly\n[f](1.5) = 1\n",
+    "matrix 1\n[f](1) = [[1]]*1 + [0]\n",
+])
+def test_argument_named_by_a_number_is_rejected(text):
+    # the number would otherwise read as the argument: `[f](1) = 1` as
+    # `[f](x) = x`
+    last = text.rstrip("\n").count("\n") + 1
+    with pytest.raises(CertParseError, match=f"^line {last}: argument name .* reads as a number$"):
+        parse_interpretation(text)
+
+
+def test_argument_name_that_reads_as_no_number_is_kept():
+    # 1/0 is no number (a factor 1/0 is a parse error), so it may name an
+    # argument
+    assert parse_interpretation("poly\n[f](1/0) = 1/0 + 3\n").coefficient("f", (1,)) == 1
+
+
 def test_symbol_names_round_trip():
     # a symbol may be any WST identifier: `[ ] = * +` included, and line
     # breaks other than "\n" and "\r"

@@ -648,6 +648,59 @@ def test_simulate_stdout_is_pinned(capsys, digest, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, text_digest, json_digest",
+    [
+        (("--family", "rw", "--p", "3/4", "--start", "5", "--steps", "40"),
+         "452141eb15094d23b4a09cd52280573d85409d64d7397055ddac4050ab0d6e6a",
+         "45420cc99fd0b09336edb888ec6f3d63f6cfe0a4aa47532e9a5e1f3a0573110e"),
+        (("--family", "rw", "--p", "1/2", "--start", "3", "--steps", "30", "--truncate", "8"),
+         "f16849d28ffe9346fe57b0913495164f7768a414fbcb738db5d68bfed63fa5b5",
+         "b0fac835c2fe98d924665684b0a5891b50e4d32a6195e7fa5e5fd5655f537197"),
+        (("--family", "rw", "--p", "2/3", "--start", "7", "--steps", "25", "--truncate", "12"),
+         "d26764ce3f539486f6d4d54e6f070b1fc4f69d0ab04bceba0d2abc52efafd3ab",
+         "3e77f58965de4efe303d935643c7c15b671b604a63c8b8f2e3f33a67dad01b39"),
+        (("--family", "rw", "--p", "1", "--start", "4", "--steps", "6"),
+         "f767774f7426970b1f30a98e1cafd606da3dd3fdf5f573ab5fd40c71b23201b7",
+         "e412f6b4a232c7c043d95b9614db009a82f79de3203e9d977d5965e553b7bcad"),
+        (("--family", "rw", "--p", "0", "--start", "4", "--steps", "6", "--truncate", "9"),
+         "1e7f49cff3b30a7c2c7d772f520a261ad9f22a04dbc532cd2465fb8c8c1ee311",
+         "906596c6ec82fc48b549851cd86dcf122fb9d6e4ad945000c87389d6268ea72a"),
+        (("--family", "nd", "--start", "a", "--steps", "4"),
+         "5bb761a5f2ea791356c9e94475613d6c1b462e3609d07968ff1dad6b8a4b0539",
+         "fa290a2c8f0302d3cfc34518706955038a0fd8bebc2a1cf324a5fd689dd5dd90"),
+        (("--family", "nd", "--start", "a", "--steps", "3", "--mode", "innermost"),
+         "c66758e0827e5c4abbaf7380265243a94b6ef39e5fe32a854327b99c52f9e0d4",
+         "b3066eef6381ef44f06d2a183910274a2620e66ae15521c887d70ead274e469c"),
+        (("--family", "payout", "--start", "a0", "--steps", "12", "--truncate", "4"),
+         "8bbc5c8462eefcc7366d4d88001602487be68ec1088befad2e09c2bcfc9a0ef8",
+         "9d7e9f1d83f15ed23c4b8558762f90d147a780b36e45b4e075b3393944789e44"),
+        (("--family", "payout", "--start", "a1", "--steps", "30"),
+         "b8cacac2a8b5133a0d5a7243384f5a0dd44e737d86746c983518b944b125d122",
+         "4cfbe0437ed44ecc3f5133990cdb98aceb153281fccb4e25031bd0eabbf02ef7"),
+        ((COINGAME, "--start", "?(0)", "--steps", "10"),
+         "7ac9f3c6ba914eb9375867a7a855a4a58e1d0b3943058e69ffab4dddf7baa176",
+         "252fcb76a455054a4670e16e2db4e5a5ac2005ce5e4ec0b44d156cac7b18935c"),
+        ((COINGAME, "--start", "?(s(0))", "--steps", "10", "--mode", "innermost"),
+         "607c9bbef0cab4b8e2477138a9a53632108da7a19489b36f31e801e9f6f66255",
+         "bcbedeeb4d189c9edce8f01658c124658c090bcfe1376002f2ad35f0344fe765"),
+        ((RW34, "--start", S5, "--steps", "12"),
+         "2232ff6d09459995aaf79abf3303777fa644a0d4de38576882b2488886651cf4",
+         "7c636af7b70d09fa52bf0e24f3590d2173c365840f3789eb76b13eb6ffcaeed9"),
+        ((RW34, "--start", S5, "--steps", "12", "--mode", "innermost"),
+         "8e31069f57235d91a4a81e601e0cadaaea9042ba2b48fa7c65dc64e8485147c3",
+         "36cd118a037be36367024d58e1a8089a2dee776e9362902065c99e4eeebeb207"),
+    ],
+)
+def test_collapsed_simulate_stdout_is_pinned(capsys, argv, text_digest, json_digest):
+    # sha256 of the whole stdout of collapsed single-strategy runs, text and
+    # --json, recorded before the collapsed step merged while it binds
+    for extra, digest in (((), text_digest), (("--json",), json_digest)):
+        code, out, _ = run_cli(capsys, "simulate", *argv, "--collapse", *extra)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, extra
+
+
+@pytest.mark.parametrize(
     "digest, argv",
     [
         ("d1fbe4d7057ad0d45aaaa90640a4592cdc39b3e2134df7502691601c81340891", ("coingame.wst", "--coeff-bound", "1")),

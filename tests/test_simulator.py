@@ -14,10 +14,12 @@ from helpers import (
     reference_all_steps,
     reference_collapsed,
     reference_expected_value,
+    reference_merged_steps,
     reference_step,
     walk_masses,
     walk_partial_edl,
 )
+from ptrs import rewriting, simulator
 from ptrs.certtext import load_interpretation, parse_interpretation
 from ptrs.interpretations import check_certificate
 from ptrs.multidist import FiniteDistribution, MultiDistribution, expected_value
@@ -25,6 +27,7 @@ from ptrs.rewriting import (
     BudgetTracker,
     NodeBudgetExceeded,
     NondetBranch,
+    Pars,
     Payout,
     RandomWalk,
     Stake,
@@ -479,3 +482,116 @@ def test_exhaustive_state_counts_are_pinned(pars, start, steps, counts):
     for collapse in (False, True):
         report = run(RunConfig(pars, start, steps, "exhaustive", collapse, keep_trace=True))
         assert [len(level) for level in report.trace] == counts
+
+
+def _fold_cases():
+    """Collapsed single-strategy runs as (make, start, steps): `make` builds
+    a fresh system, so the run and its oracle share no memo. The walk at
+    several p, with and without a cutoff, the nondeterministic families,
+    coingame and rw34; starts and lengths drawn from one seed."""
+    rng = random.Random(2323)
+    cases = []
+    for p in (F(1, 2), F(3, 4), F(2, 3), F(3, 5), F(1, 3), F(1), F(0)):
+        for truncate in (None, rng.randint(6, 12)):
+            cases.append((lambda p=p, t=truncate: RandomWalk(p, t), str(rng.randint(1, 8)), rng.randint(20, 60)))
+    cases += [
+        (NondetBranch, rng.choice(("a", "b1", "c")), 5),
+        (Payout, "a0", rng.randint(20, 40)),
+        (lambda: Payout(truncate=5), "a1", 30),
+    ]
+    for name, starts in (("coingame", ("?(0)", "?(s(s(0)))", "$(s(s(0)))")), ("rw34", ("s(0)", "s(s(s(s(s(0)))))"))):
+        system = load_system(str(PROBLEMS / f"{name}.wst"))
+        cases += [(lambda system=system: TermPars(system), start, rng.randint(8, 14)) for start in starts]
+    return cases
+
+
+def _recording_steps(monkeypatch):
+    """Every step run takes, as (mu, picks, nu); picks is None where the
+    step kept none."""
+    steps = []
+
+    def recording(pars, mu, chooser, picks=None, merge=False):
+        nu = step_multidist(pars, mu, chooser, picks, merge)
+        steps.append((mu, picks, nu))
+        return nu
+
+    monkeypatch.setattr(simulator, "step_multidist", recording)
+    return steps
+
+
+def test_fused_collapsed_steps_match_an_unmerged_step_then_merged(monkeypatch):
+    # run folds equal reducts while it binds and keeps one chooser's picks
+    # for the whole run; every state it builds must be, entry by entry, in
+    # order and in the same unreduced form, the unmerged step of the old
+    # path merged afterwards with the chooser asked afresh on every step
+    steps = _recording_steps(monkeypatch)
+    runs = folded = 0
+    for make, start, length in _fold_cases():
+        for mode in ("outermost", "innermost"):
+            steps.clear()
+            pars = make()
+            report = run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True))
+            oracle = make()
+            want = reference_merged_steps(oracle, oracle.parse_object(start), length, MODES[mode])
+            assert [_form(nu) for _, _, nu in steps] == [_form(mu) for mu in want]
+            assert _form(report.outcomes[0]) == _form(collapsed(want[-1]))
+            assert report.masses[1:] == [mu.mass() for mu in want]
+            folded += sum(len(step_multidist(oracle, mu, MODES[mode])) > len(nu) for mu, _, nu in steps)
+            runs += 1
+    assert runs == 2 * len(_fold_cases())
+    assert folded > 500  # the steps do merge equal reducts
+
+
+@pytest.mark.parametrize("make, start, length", [
+    (lambda: RandomWalk(F(3, 4)), "5", 110),
+    (lambda: RandomWalk(F(1, 2), truncate=9), "3", 40),
+    (lambda: Payout(truncate=6), "a0", 20),
+    (lambda: TermPars(load_system(str(PROBLEMS / "rw34.wst"))), "s(s(s(s(s(0)))))", 12),
+    (lambda: TermPars(load_system(str(PROBLEMS / "coingame.wst"))), "?(s(0))", 12),
+])
+@pytest.mark.parametrize("mode", ["outermost", "innermost"])
+def test_per_object_chooser_is_asked_once_per_object_per_run(monkeypatch, make, start, length, mode):
+    oracle = make()
+    first = oracle.parse_object(start)
+    states = [MultiDistribution.point(first)] + reference_merged_steps(oracle, first, length - 1, MODES[mode])
+    calls = []
+    for cls in (Pars, TermPars):
+        def spy(self, obj, chooser, choose=cls.choose):
+            calls.append(obj)
+            return choose(self, obj, chooser)
+
+        monkeypatch.setattr(cls, "choose", spy)
+    pars = make()
+    run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True))
+    # each object once, in the order the run first meets it
+    assert calls == list(dict.fromkeys(obj for mu in states for _, obj in mu.numerators))
+
+
+def test_picks_start_afresh_at_the_memo_limit(monkeypatch):
+    # with room for 3 picks the run starts a fresh dict before a step that
+    # could take it past 3, so a dict outgrows the limit only when one step
+    # alone holds more objects; the results do not change
+    cases = [(make, start, length, mode) for make, start, length in _fold_cases()
+             for mode in ("outermost", "innermost")]
+    wants = []
+    for make, start, length, mode in cases:
+        pars = make()
+        wants.append(run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True)))
+    steps = _recording_steps(monkeypatch)
+    monkeypatch.setattr(rewriting, "MEMO_LIMIT", 3)
+    narrow = wide = fresh = 0
+    for (make, start, length, mode), want in zip(cases, wants):
+        steps.clear()
+        pars = make()
+        got = run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True))
+        assert (got.masses, got.edl, got.nodes, got.truncation_hit) == (
+            want.masses, want.edl, want.nodes, want.truncation_hit)
+        assert [_form(mu) for mu in got.outcomes] == [_form(mu) for mu in want.outcomes]
+        assert str(got.outcomes[0]) == str(want.outcomes[0])
+        for mu, picks, _ in steps:
+            assert len(picks) <= max(3, len(mu))
+            narrow += len(mu) <= 3
+            wide += len(mu) > 3
+        fresh += len({id(picks) for _, picks, _ in steps}) - 1
+    # both kinds of step occur, and dicts are started afresh
+    assert narrow > 400 and wide > 400 and fresh > 400
