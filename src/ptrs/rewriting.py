@@ -165,7 +165,8 @@ kept at them. Past it the memo stops growing: a node left out is matched
 afresh, and its reducts rebuilt, each time a term containing it is
 visited, which bounds memory on long exhaustive runs at the price of
 repeated work. The memo holds its nodes, so they stay interned while it
-lives."""
+lives. `simulator.run` also keeps at most this many per-object picks
+before it starts a fresh dict."""
 
 
 class _Entry:
@@ -415,8 +416,9 @@ def step_multidist(
     `picks` does not hold yet, in first-seen order, and each answer is
     added to `picks`: a caller that keeps the dict across steps asks once
     per object per run (a fresh dict per step when None). Any other
-    chooser is asked once per entry, in entry order. With `merge`, equal
-    reducts are folded as they are bound (`MultiDistribution.bind`)."""
+    chooser is asked once per entry, in entry order, and leaves `picks`
+    alone. With `merge`, equal reducts are folded as they are bound
+    (`MultiDistribution.bind`)."""
     if getattr(chooser, "per_object", False):
         if picks is None:
             picks = {}

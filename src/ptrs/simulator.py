@@ -90,12 +90,11 @@ def run(config: RunConfig) -> RunReport:
     # lists the same however its entries were ordered before the sort. It
     # is sorted where the order is read: in the trace, in the outcome, and
     # on every step for a chooser that reads entry order (random draws).
-    # Otherwise equal objects merge in first-seen order while they bind,
-    # and the chooser, which picks by the object alone, is asked once per
-    # object per run: `picks` starts afresh before a step could take it
-    # past MEMO_LIMIT entries.
+    # Each collapsed step merges equal objects in first-seen order while
+    # it binds; the sort waits for the final state otherwise. A per-object chooser picks by the object alone, so it is asked once
+    # per object per run: `picks` starts afresh before a step could take
+    # it past MEMO_LIMIT entries (other choosers never read it).
     sort_each_step = config.keep_trace or not getattr(chooser, "per_object", False)
-    fold = config.collapse and not sort_each_step
     picks: dict = {}
     mu = start
     masses = [mu.mass()]
@@ -104,21 +103,18 @@ def run(config: RunConfig) -> RunReport:
     truncated = _hits_truncation(pars, mu)
     for _ in range(config.steps):
         tracker.spend(max(len(mu), 1))
-        if fold:
-            if len(picks) + len(mu) > rewriting.MEMO_LIMIT:
-                picks = {}
-            mu = step_multidist(pars, mu, chooser, picks, merge=True)
-        else:
-            mu = step_multidist(pars, mu, chooser)
-            if config.collapse:
-                mu = collapsed(mu)
+        if len(picks) + len(mu) > rewriting.MEMO_LIMIT:
+            picks = {}
+        mu = step_multidist(pars, mu, chooser, picks, merge=config.collapse)
+        if config.collapse and sort_each_step:
+            mu = collapsed(mu)
         truncated = truncated or _hits_truncation(pars, mu)
         mass = mu.mass()
         masses.append(mass)
         edl.append(edl[-1] + mass)
         if config.keep_trace:
             trace.append(mu)
-    if fold:
+    if config.collapse and not sort_each_step:
         mu = collapsed(mu)
     return RunReport(
         mode=config.mode if isinstance(config.mode, str) else "custom",

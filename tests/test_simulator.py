@@ -506,8 +506,7 @@ def _fold_cases():
 
 
 def _recording_steps(monkeypatch):
-    """Every step run takes, as (mu, picks, nu); picks is None where the
-    step kept none."""
+    """Every step run takes, as (mu, picks, nu)."""
     steps = []
 
     def recording(pars, mu, chooser, picks=None, merge=False):
