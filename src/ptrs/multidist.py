@@ -289,13 +289,14 @@ def _union(
     return MultiDistribution._unchecked(tuple(numerators), outer * common, mass)
 
 
-def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:
-    """The sum of p * fn(obj) over the entries of mu, as a Fraction.
+def expected_numerator(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> tuple[int, int]:
+    """The sum of p * fn(obj) over the entries of mu, as an unreduced pair
+    (numerator, denominator) of ints with a positive denominator.
 
     The weights are read as numerators over mu's denominator, and the
-    products are added over one running common denominator of the values,
-    then reduced once at the end: an int value costs a multiplication and
-    an addition of ints; any other value goes through as_fraction.
+    products are added over one running common denominator of the values:
+    an int value costs a multiplication and an addition of ints; any other
+    value goes through as_fraction.
     """
     total, common = 0, 1
     for n, obj in mu.numerators:
@@ -311,7 +312,12 @@ def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) 
             g = gcd(common, den)
             total = total * (den // g) + num * (common // g)
             common = common // g * den
-    return Fraction(total, common * mu.denominator)
+    return total, common * mu.denominator
+
+
+def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:
+    """The sum of p * fn(obj) over the entries of mu, as a Fraction."""
+    return Fraction(*expected_numerator(mu, fn))
 
 
 def display_key(entry: tuple[Rational, Any]) -> tuple[str, str, Rational]:

@@ -344,9 +344,10 @@ class TermPars(Pars):
 
     def choose(self, term: Term, chooser: "Chooser") -> FiniteDistribution | None:
         # Only the chosen redex has its reduct distribution built.
-        options = _LazyReducts(self, self._entry(term))
-        if not options:
+        top = self._entry(term)
+        if not top.count:
             return None
+        options = _LazyReducts(self, top)
         return options[chooser(self, term, options)]
 
     def term_view(self, obj: Hashable) -> Term | None:
@@ -360,6 +361,8 @@ class TermPars(Pars):
 
 class _LazyReducts(Sequence):
     """The reduct distributions of a term's redexes, each built when indexed."""
+
+    __slots__ = ("_pars", "_top")
 
     def __init__(self, pars: TermPars, top: _Entry):
         self._pars = pars

@@ -14,7 +14,15 @@ from typing import Hashable
 import random
 
 from .interpretations import Certificate, ranking_from_certificate
-from .multidist import MultiDistribution, canonical_order, display_key, expected_value
+from .multidist import (
+    MultiDistribution,
+    Rational,
+    as_fraction,
+    canonical_order,
+    display_key,
+    expected_numerator,
+    expected_value,
+)
 from . import rewriting
 from .rewriting import (
     BudgetTracker,
@@ -70,8 +78,14 @@ class RunReport:
 
 def collapsed(mu: MultiDistribution) -> MultiDistribution:
     """Merge equal objects into single entries, deterministically ordered."""
+    return _sorted(mu.merged())
+
+
+def _sorted(mu: MultiDistribution) -> MultiDistribution:
+    """mu with its entries in display_key order; for merged mu, whose
+    objects are distinct, that order is total."""
     # numerators over one denominator sort as the weights they stand for
-    items = sorted(mu.merged().numerators, key=display_key)
+    items = sorted(mu.numerators, key=display_key)
     return MultiDistribution._unchecked(tuple(items), mu.denominator, mu.mass_numerator)
 
 
@@ -107,7 +121,7 @@ def run(config: RunConfig) -> RunReport:
             picks = {}
         mu = step_multidist(pars, mu, chooser, picks, merge=config.collapse)
         if config.collapse and sort_each_step:
-            mu = collapsed(mu)
+            mu = _sorted(mu)
         truncated = truncated or _hits_truncation(pars, mu)
         mass = mu.mass()
         masses.append(mass)
@@ -115,7 +129,7 @@ def run(config: RunConfig) -> RunReport:
         if config.keep_trace:
             trace.append(mu)
     if config.collapse and not sort_each_step:
-        mu = collapsed(mu)
+        mu = _sorted(mu)
     return RunReport(
         mode=config.mode if isinstance(config.mode, str) else "custom",
         masses=masses,
@@ -203,6 +217,10 @@ def estimate_edh(pars: Pars, cert: Certificate, start: Hashable, report: RunRepo
 
 @dataclass
 class DriftViolation:
+    """A step that lost too little expected rank. `successor` is the step's
+    merged successor, equal objects folded into one entry each and sorted;
+    merging keeps its mass and expected rank."""
+
     trial: int
     depth: int
     state: MultiDistribution
@@ -237,7 +255,7 @@ def drift_harness(
     trials: int = 100,
     max_depth: int = 20,
     rng: random.Random,
-    epsilon: Fraction | None = None,
+    epsilon: Rational | str | None = None,
     term_depth: int = 4,
     max_width: int = 32,
 ) -> DriftReport:
@@ -245,7 +263,15 @@ def drift_harness(
 
     Every step under every strategy must lose at least epsilon times the
     surviving mass in expected rank. Passing epsilon explicitly (say twice
-    the certified one) lets tests confirm the harness can catch forgeries.
+    the certified one) lets tests confirm the harness can catch forgeries;
+    it is read exactly, as multidist.as_fraction reads it.
+
+    Each step merges equal reducts as it binds and sorts the result, so a
+    state lists each object once and its rank is computed once. Expected
+    rank and mass are sums over the entries, so merging keeps the check
+    exact. The check compares integer cross-products of the unreduced
+    expected ranks; Fraction ranks are computed only for a reported
+    violation.
 
     States wider than max_width are trimmed to their heaviest entries.
     The inequality is a sum of per-entry inequalities, so it must hold for
@@ -254,31 +280,33 @@ def drift_harness(
     """
     pars = TermPars(system)
     rank, certified = ranking_from_certificate(cert)
-    required = certified if epsilon is None else epsilon
+    required = certified if epsilon is None else as_fraction(epsilon)
+    e_num, e_den = required.numerator, required.denominator
 
     checks = 0
     for trial in range(trials):
         start = random_term(system.signature, rng, max_depth=term_depth)
         mu = MultiDistribution.point(start)
-        before = Fraction(rank(start))  # the expected rank of mu
+        before = expected_numerator(mu, rank)  # (num, den) of mu's expected rank
         chooser = random_chooser(rng)
         for depth in range(max_depth):
             if not mu.numerators:
                 break
-            nu = step_multidist(pars, mu, chooser)
+            nu = _sorted(step_multidist(pars, mu, chooser, merge=True))
             checks += 1
-            after = expected_value(nu, rank)
-            if before < after + required * nu.mass():
+            after = expected_numerator(nu, rank)
+            # before < after + required * mass, times the positive denominators
+            (b, b_den), (a, a_den) = before, after
+            den = e_den * nu.denominator
+            if b * a_den * den < (a * den + e_num * nu.mass_numerator * a_den) * b_den:
                 return DriftReport(trial + 1, checks, DriftViolation(
-                    trial, depth, mu, nu, before, after, required
+                    trial, depth, mu, nu, expected_value(mu, rank), expected_value(nu, rank), required
                 ))
-            # expected rank and mass are collapse-invariants, so merging
-            # equal terms keeps the check exact while the state stays small
-            mu, before = collapsed(nu), after
+            mu, before = nu, after
             if len(mu) > max_width:
                 heaviest = sorted(mu.numerators, key=lambda e: (-e[0], display_key(e)))[:max_width]
                 mu = MultiDistribution._unchecked(
                     tuple(heaviest), mu.denominator, sum(n for n, _ in heaviest)
                 )
-                before = expected_value(mu, rank)
+                before = expected_numerator(mu, rank)
     return DriftReport(trials, checks, None)

@@ -24,6 +24,7 @@ from ptrs.interpretations import (
     PolyForm,
     PolyInterpretation,
     check_certificate,
+    ranking_from_certificate,
 )
 from ptrs.multidist import (
     FiniteDistribution,
@@ -38,7 +39,18 @@ from ptrs.multidist import (
     expected_value,
 )
 from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
-from ptrs.rewriting import PTRS, BudgetTracker, Pars, ProbRule, all_steps, random_term, step_multidist
+from ptrs.rewriting import (
+    PTRS,
+    BudgetTracker,
+    Pars,
+    ProbRule,
+    TermPars,
+    all_steps,
+    random_chooser,
+    random_term,
+    step_multidist,
+)
+from ptrs.simulator import DriftReport, DriftViolation, collapsed
 from ptrs.smt import ConstraintSet, Poly, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ProblemFile
@@ -344,6 +356,49 @@ def reference_merged_steps(pars, start, steps, chooser) -> list[MultiDistributio
 
 def reference_expected_value(entries, fn) -> Fraction:
     return sum((p * as_fraction(fn(obj)) for p, obj in entries), Fraction(0))
+
+
+def reference_drift_harness(
+    system: PTRS,
+    cert,
+    *,
+    trials: int,
+    max_depth: int,
+    rng: random.Random,
+    epsilon: Fraction,
+    term_depth: int = 4,
+    max_width: int = 32,
+) -> DriftReport:
+    """The drift harness as it was before steps merged while they bind:
+    each step unmerged, its expected rank a Fraction over every entry, the
+    inequality in Fractions, then `collapsed` for the next state. The
+    reported successor is the unmerged one."""
+    pars = TermPars(system)
+    rank, _ = ranking_from_certificate(cert)
+    checks = 0
+    for trial in range(trials):
+        start = random_term(system.signature, rng, max_depth=term_depth)
+        mu = MultiDistribution.point(start)
+        before = Fraction(rank(start))
+        chooser = random_chooser(rng)
+        for depth in range(max_depth):
+            if not mu.numerators:
+                break
+            nu = step_multidist(pars, mu, chooser)
+            checks += 1
+            after = expected_value(nu, rank)
+            if before < after + epsilon * nu.mass():
+                return DriftReport(trial + 1, checks, DriftViolation(
+                    trial, depth, mu, nu, before, after, epsilon
+                ))
+            mu, before = collapsed(nu), after
+            if len(mu) > max_width:
+                heaviest = sorted(mu.numerators, key=lambda e: (-e[0], display_key(e)))[:max_width]
+                mu = MultiDistribution._unchecked(
+                    tuple(heaviest), mu.denominator, sum(n for n, _ in heaviest)
+                )
+                before = expected_value(mu, rank)
+    return DriftReport(trials, checks, None)
 
 
 # Functions of the package that only tests call, moved here unchanged.

@@ -10,6 +10,7 @@ from ptrs.multidist import (
     MultiDistribution,
     as_fraction,
     canonical_order,
+    expected_numerator,
     expected_value,
 )
 from ptrs.simulator import collapsed
@@ -119,6 +120,9 @@ def test_expected_value_matches_fraction_sum():
         for fn in (values.__getitem__, lambda i: -values[i], lambda i: str(values[i])):
             result = expected_value(mu, fn)
             assert type(result) is Fraction and result == oracle(mu, fn)
+            num, den = expected_numerator(mu, fn)
+            assert type(num) is int and type(den) is int and den > 0
+            assert Fraction(num, den) == result
     empty = expected_value(MultiDistribution.empty(), lambda obj: 1)
     assert type(empty) is Fraction and empty == 0
     assert type(expectation(MultiDistribution.empty())) is Fraction

@@ -13,6 +13,7 @@ from helpers import (
     random_ptrs,
     reference_all_steps,
     reference_collapsed,
+    reference_drift_harness,
     reference_expected_value,
     reference_merged_steps,
     reference_step,
@@ -210,6 +211,8 @@ def test_drift_harness_catches_inflated_epsilon():
     assert "needs a drop" in str(forged.violation)
 
 
+HALVES = "poly\n[0] = 1/2\n[s](x) = x + 3/2\n"  # an rw34 certificate with Fraction ranks
+
 # Seeded drift_harness runs and their reports: (problem, certificate text
 # or None for the shipped one, seed, trials, max_depth, epsilon as a factor
 # of the certified one or an explicit Fraction, max_width) -> (trials,
@@ -228,6 +231,14 @@ DRIFT_PINS = [
     (("rw34", "poly\n[0] = 0\n[s](x) = 2*x + 1\n", 1, 10, 10, F(3, 4), 2),
      (2, 4, "trial 1 depth 2: expected rank 51/16 -> 171/64 with surviving mass 15/16, "
             "needs a drop of 45/64")),
+    # fractional ranks (certified epsilon 3/4)
+    (("rw34", HALVES, 4, 20, 15, 1, 32), (20, 188, "None")),
+    (("rw34", HALVES, 4, 20, 15, 2, 32), (2, 2, "trial 1 depth 0: expected rank 3/2 -> 3/4 "
+                                                "with surviving mass 1, needs a drop of 3/2")),
+    (("rw34", HALVES, 4, 20, 15, 1, 2), (20, 230, "None")),
+    (("rw34", "poly\n[0] = 1/2\n[s](x) = 2*x + 3/2\n", 1, 10, 10, F(3, 4), 2),
+     (2, 6, "trial 1 depth 4: expected rank 405/256 -> 2673/2048 with surviving mass 27/64, "
+            "needs a drop of 81/256")),
 ]
 
 
@@ -251,6 +262,75 @@ def test_drift_reports_are_pinned(run_args, pinned):
         max_width=max_width,
     )
     assert (report.trials, report.checks, str(report.violation)) == pinned
+
+
+def _shipped(name):
+    system = load_system(PROBLEMS / f"{name}.wst")
+    return system, check_certificate(load_interpretation(PROBLEMS / f"{name}.cert"), system)
+
+
+def test_drift_harness_matches_the_unmerged_reference():
+    # Merging while binding and the integer comparison change how the
+    # check is computed, not what it finds: the reference steps unmerged,
+    # sums Fractions and collapses afterwards.
+    reports = Counter()
+    for name in ("coingame", "matrix", "rw34"):
+        system, cert = _shipped(name)
+        for max_width in (32, 3, 2):
+            for factor in (1, 2):
+                for seed in range(3):
+                    args = dict(trials=12, max_depth=10, epsilon=factor * cert.epsilon,
+                                max_width=max_width)
+                    got = drift_harness(system, cert, rng=random.Random(seed), **args)
+                    want = reference_drift_harness(system, cert, rng=random.Random(seed), **args)
+                    assert (got.trials, got.checks) == (want.trials, want.checks)
+                    reports[got.ok] += 1
+                    if want.ok:
+                        assert got.ok
+                        continue
+                    v, w = got.violation, want.violation
+                    assert (v.trial, v.depth, v.rank_before, v.rank_after, v.epsilon) == (
+                        w.trial, w.depth, w.rank_before, w.rank_after, w.epsilon)
+                    assert v.state.numerators == w.state.numerators
+                    assert v.state.denominator == w.state.denominator
+                    assert v.successor.mass() == w.successor.mass()
+                    assert v.successor.numerators == collapsed(w.successor).numerators
+                    assert str(v) == str(w)
+    assert reports[True] and reports[False]
+
+
+def test_drift_epsilon_is_read_exactly():
+    system, cert = _shipped("rw34")
+
+    def report(epsilon):
+        got = drift_harness(system, cert, trials=20, max_depth=15, rng=random.Random(5),
+                            epsilon=epsilon)
+        assert got.violation is None or type(got.violation.epsilon) is Fraction
+        return got.trials, got.checks, str(got.violation)
+
+    assert "needs a drop of 3/2" in report(1.5)[2]
+    assert report(1.5) == report("3/2") == report(F(3, 2))
+    assert report(1) == report(F(1))
+
+
+def test_drift_harness_merges_only_while_binding(monkeypatch):
+    # Each step folds equal reducts as it binds; no state is merged again.
+    def no_merge(mu):
+        raise AssertionError("drift_harness called merged()")
+
+    merges = []
+    bind = MultiDistribution.bind
+
+    def spy(mu, fn, merge=False):
+        merges.append(merge)
+        return bind(mu, fn, merge)
+
+    system, cert = _shipped("rw34")
+    monkeypatch.setattr(MultiDistribution, "merged", no_merge)
+    monkeypatch.setattr(MultiDistribution, "bind", spy)
+    report = drift_harness(system, cert, trials=10, max_depth=10, rng=random.Random(1), max_width=3)
+    assert report.ok
+    assert len(merges) == report.checks and all(merges)
 
 
 def test_exhaustive_agrees_with_single_strategy_when_deterministic():
