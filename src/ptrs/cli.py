@@ -41,7 +41,7 @@ def load_config(path: str, command: str | None = None) -> dict[str, str]:
     """key = value lines; blank lines and # comments are skipped. With a
     command, a key it does not read is an error naming the line."""
     out: dict[str, str] = {}
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -200,7 +200,7 @@ def _box_cap_note(shape, floor: int, limit: int) -> None:
 
 def _run_check(args, config: dict[str, str], color: bool) -> int:
     system = load_system(args.file)
-    with open(args.certificate) as handle:
+    with open(args.certificate, encoding="utf-8") as handle:
         text = handle.read()
     verdict = check_only(system, text)
     if args.json:

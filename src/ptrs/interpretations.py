@@ -126,15 +126,22 @@ Matrix = tuple[tuple[Coeff, ...], ...]
 Vector = tuple[Coeff, ...]
 
 
+def _dot(u: Sequence[Coeff], v: Sequence[Coeff]) -> Coeff:
+    """The sum of the products, started from the first one, so no sum
+    begins at the int 0 (a `Poly` would have to absorb it)."""
+    total = u[0] * v[0]
+    for j in range(1, len(v)):
+        total = total + u[j] * v[j]
+    return total
+
+
 def _mat_vec(M: Matrix, v: Vector) -> Vector:
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), 0) for row in M)
+    return tuple(_dot(row, v) for row in M)
 
 
 def _mat_mat(A: Matrix, B: Matrix) -> Matrix:
-    n = len(B[0])
-    return tuple(
-        tuple(sum((row[k] * B[k][j] for k in range(len(B))), 0) for j in range(n)) for row in A
-    )
+    columns = tuple(zip(*B))
+    return tuple(tuple(_dot(row, column) for column in columns) for row in A)
 
 
 def _mat_add(A: Matrix, B: Matrix) -> Matrix:
@@ -335,11 +342,20 @@ class VecForm:
 Form = PolyForm | VecForm
 
 
-def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) -> Form:
+def symbolic_eval(
+    interp: Interpretation,
+    term: Term,
+    cap: int | None = None,
+    memo: dict[Term, Form] | None = None,
+) -> Form:
     """Interpret a term as a form over its variables.
 
     The cap bounds monomial degree during encoding; checking concrete
     certificates runs uncapped (only squaring is fatal there).
+
+    A memo passed in collects the form of every subterm and answers later
+    calls from it; reuse it only with the same interpretation and cap. A
+    subterm whose evaluation raises leaves no entry.
     """
 
     def variable(var: Var) -> Form:
@@ -350,7 +366,7 @@ def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) ->
     def apply(node: App, args: list[Form]) -> Form:
         return interp.apply_form(_interpreted_symbol(interp, node), args, cap)
 
-    return fold_term(term, variable, apply)
+    return fold_term(term, variable, apply, memo)
 
 
 def eval_term(
@@ -381,15 +397,20 @@ def _interpreted_symbol(interp: Interpretation, node: App) -> str:
     return node.symbol
 
 
-def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
-    """Interpretation of the left-hand side minus the expected interpretation
-    of the right-hand side."""
-    lhs = symbolic_eval(interp, rule.lhs, cap)
-    expected: Form | None = None
-    for term, p in rule.rhs.items():
-        part = symbolic_eval(interp, term, cap).scale(p)
-        expected = part if expected is None else expected.add(part)
-    return lhs.sub(expected)
+def weighted_difference(
+    interp: Interpretation, rule: ProbRule, memo: dict[Term, Form], cap: int | None = None
+) -> Form:
+    """d * [l] - (n1 * [r1] + ... + nk * [rk]) for l -> {n1/d: r1, ..., nk/d: rk}:
+    the interpretation of the left-hand side minus the expected
+    interpretation of the right-hand side, in the rule's integer weights.
+
+    Every term is read through `symbolic_eval` with the caller's memo, so
+    the rules of one system evaluate each distinct subterm once.
+    """
+    diff = symbolic_eval(interp, rule.lhs, cap, memo).scale(rule.rhs.denominator)
+    for n, term in rule.rhs.numerators:
+        diff = diff.sub(symbolic_eval(interp, term, cap, memo).scale(n))
+    return diff
 
 
 def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:
@@ -422,21 +443,28 @@ def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:
     return entries
 
 
-def orientation_margin(interp: Interpretation, rule: ProbRule) -> Fraction:
+def orientation_margin(
+    interp: Interpretation, rule: ProbRule, memo: dict[Term, Form] | None = None
+) -> Fraction:
     """The rule's constant margin, or NotOriented with the offending entry.
 
     Soundness rests on absolute positiveness: every non-constant coefficient
     of the difference is nonnegative, so the difference is minimized at the
     zero assignment, where it equals the returned constant.
+
+    The signs are read off `weighted_difference`, which is the difference
+    times the rule's denominator d > 0; each value reported is divided back
+    by d. `memo` is passed on to it.
     """
-    entries = orientation_entries(rule_difference(interp, rule))
+    d = rule.rhs.denominator
+    entries = orientation_entries(weighted_difference(interp, rule, {} if memo is None else memo))
     for where, value, strict in entries:
         if not strict and value < 0:
-            raise NotOriented(f"{where} is {value}, negative")
+            raise NotOriented(f"{where} is {Fraction(value, d)}, negative")
     [(where, margin)] = [(where, value) for where, value, strict in entries if strict]
     if margin <= 0:
-        raise NotOriented(f"{where} is {margin}, not strictly positive")
-    return margin
+        raise NotOriented(f"{where} is {Fraction(margin, d)}, not strictly positive")
+    return Fraction(margin, d)
 
 
 @dataclass(frozen=True)
@@ -467,9 +495,13 @@ def check_certificate(interp: Interpretation, system: PTRS) -> Certificate:
         problems.extend(interp.validate())
     margins: list[Fraction] = []
     if not problems:
+        # integral coefficients as ints and one memo for all the rules: the
+        # values are the same, and the Certificate keeps `interp` as given
+        exact = _int_coefficients(interp)
+        memo: dict[Term, Form] = {}
         for index, rule in enumerate(system.rules, start=1):
             try:
-                margins.append(orientation_margin(interp, rule))
+                margins.append(orientation_margin(exact, rule, memo))
             except NotOriented as reason:
                 problems.append(f"rule {index} ({rule}) is not oriented: {reason}")
             except DegreeOverflow as reason:

@@ -5,6 +5,7 @@ clearing denominators: with weights wj = pj * w,
 
     w * [l]  -  (w1 * [r1] + ... + wn * [rn])
 
+(`interpretations.weighted_difference`, with w the rule's denominator)
 must keep every entry `interpretations.orientation_entries` lists at 0 or
 more, and its constant margin at 1 or more, which makes the rational margin
 at least 1/w. Unknown coefficients range over a bounded integer box,
@@ -30,6 +31,7 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from time import monotonic
 from typing import Callable, Mapping, Sequence
@@ -42,7 +44,7 @@ from .interpretations import (
     MatrixInterpretation,
     PolyInterpretation,
     orientation_entries,
-    symbolic_eval,
+    weighted_difference,
 )
 from .rewriting import PTRS
 
@@ -283,14 +285,11 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
     interp = template(system, shape, unknown)
     cap = shape.param if shape.kind == "poly" else None
     constraints: list[Constraint] = []
+    memo: dict = {}  # each distinct subterm's form, shared by all the rules
     for index, rule in enumerate(system.rules, start=1):
-        # d * ([l] - sum pj [rj]) with each pj = nj / d: integer weights
-        diff = symbolic_eval(interp, rule.lhs, cap).scale(rule.rhs.denominator)
-        for n, term in rule.rhs.numerators:
-            diff = diff.sub(symbolic_eval(interp, term, cap).scale(n))
         constraints.extend(
             Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
-            for where, value, strict in orientation_entries(diff)
+            for where, value, strict in orientation_entries(weighted_difference(interp, rule, memo, cap))
         )
     return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints))
 
@@ -379,6 +378,14 @@ class SolverResult:
     detail: str = ""
 
 
+@lru_cache(maxsize=32)
+def _split(command: str) -> tuple[str, ...]:
+    """`shlex.split(command)`, split once per distinct command string; a
+    string that does not split (unbalanced quotes) raises its ValueError
+    again on every call."""
+    return tuple(shlex.split(command))
+
+
 def in_process_limit(command: str) -> int | None:
     """The box budget when `command` runs ptrs's own box solver on this very
     interpreter, whose search `prove` then runs in process (`solve_box`);
@@ -390,10 +397,10 @@ def in_process_limit(command: str) -> int | None:
     other site-packages, so it gets a child process like any other command.
     """
     try:
-        argv = shlex.split(command)
+        argv = _split(command)
     except ValueError:
         return None
-    if len(argv) not in (3, 5) or argv[1:3] != ["-m", "ptrs.boxsolver"]:
+    if len(argv) not in (3, 5) or argv[1:3] != ("-m", "ptrs.boxsolver"):
         return None
     exe = argv[0]
     if not sys.executable or (exe != sys.executable and shutil.which(exe) != sys.executable):
@@ -412,7 +419,7 @@ def run_solver(
     cancel: CancelToken | None = None,
 ) -> SolverResult:
     """One-shot pipe protocol: write the script, read the full reply."""
-    argv = shlex.split(command)
+    argv = _split(command)
     if not argv:
         return SolverResult("error", detail="empty solver command")
     try:

@@ -20,11 +20,15 @@ from ptrs.boxsolver import narrow
 from ptrs.interpretations import (
     Coeff,
     DegreeOverflow,
+    Form,
+    Interpretation,
     MatrixInterpretation,
     PolyForm,
     PolyInterpretation,
     check_certificate,
+    orientation_entries,
     ranking_from_certificate,
+    symbolic_eval,
 )
 from ptrs.multidist import (
     FiniteDistribution,
@@ -54,6 +58,40 @@ from ptrs.simulator import DriftReport, DriftViolation, collapsed
 from ptrs.smt import ConstraintSet, Poly, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ProblemFile
+
+
+def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
+    """Interpretation of the left-hand side minus the expected interpretation
+    of the right-hand side: each term evaluated afresh, each scaled by its
+    Fraction probability. The per-term oracle for `weighted_difference`."""
+    lhs = symbolic_eval(interp, rule.lhs, cap)
+    expected: Form | None = None
+    for term, p in rule.rhs.items():
+        part = symbolic_eval(interp, term, cap).scale(p)
+        expected = part if expected is None else expected.add(part)
+    return lhs.sub(expected)
+
+
+def reference_orientation(interp: Interpretation, system: PTRS) -> list[Fraction | str]:
+    """Per rule, in rule order, the margin `check_certificate` reports or
+    its problem string, from `rule_difference` on `interp` as given: a fresh
+    evaluation of every term and Fraction arithmetic throughout."""
+    out: list[Fraction | str] = []
+    for index, rule in enumerate(system.rules, start=1):
+        try:
+            entries = orientation_entries(rule_difference(interp, rule))
+        except DegreeOverflow as reason:
+            out.append(f"rule {index} ({rule}): {reason}")
+            continue
+        negative = [(where, value) for where, value, strict in entries if not strict and value < 0]
+        [(where, margin)] = [(where, value) for where, value, strict in entries if strict]
+        if negative:
+            out.append(f"rule {index} ({rule}) is not oriented: {negative[0][0]} is {negative[0][1]}, negative")
+        elif margin <= 0:
+            out.append(f"rule {index} ({rule}) is not oriented: {where} is {margin}, not strictly positive")
+        else:
+            out.append(Fraction(margin))
+    return out
 
 
 def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 4) -> Fraction:
@@ -200,6 +238,28 @@ def random_ptrs(rng):
             rhs = FiniteDistribution([(t, weight) for t in alternatives])
             rules.append(ProbRule(lhs, rhs))
     return PTRS(signature, tuple(rules))
+
+
+def looping_ptrs(rng):
+    """`random_ptrs` with one more alternative C[l] in every rule: its
+    left-hand side wrapped in one or two random symbols whose other
+    arguments are small terms over its variables. Weights are random."""
+    base = random_ptrs(rng)
+    functions = [(s, a) for s, a in sorted(base.signature.symbols().items()) if a > 0]
+    rules = []
+    for rule in base.rules:
+        pool = sorted(variables(rule.lhs))
+        wrapped = rule.lhs
+        for _ in range(rng.randint(1, 2)):
+            symbol, arity = rng.choice(functions)
+            args = [random_term(base.signature, rng, max_depth=1, variable_pool=pool) for _ in range(arity)]
+            args[rng.randrange(arity)] = wrapped
+            wrapped = App(symbol, tuple(args))
+        alternatives = [(rng.randint(1, 3), t) for t in (*rule.rhs.support(), wrapped)]
+        total = sum(n for n, _ in alternatives)
+        rhs = FiniteDistribution([(t, Fraction(n, total)) for n, t in alternatives])
+        rules.append(ProbRule(rule.lhs, rhs))
+    return PTRS(base.signature, tuple(rules))
 
 
 def evaluate(poly: Poly, point: Sequence[int]) -> int:

@@ -590,6 +590,33 @@ def test_prove_output_is_a_certificate_for_check(capsys, tmp_path, problem, solv
     assert checked == proved.replace(shape_line, "", 1)
 
 
+def test_check_reads_the_certificate_and_config_as_utf8_in_an_ascii_locale(capsys, tmp_path):
+    problem = tmp_path / "accent.wst"
+    problem.write_text("(VAR x)(RULES é(x) -> x)\n", encoding="utf-8")
+    code, proved, _ = run_cli(capsys, "prove", str(problem), "--solver", BOXSOLVER)
+    assert code == 0
+    cert = tmp_path / "accent.cert"
+    cert.write_text(proved, encoding="utf-8")
+    config = tmp_path / "accent.conf"
+    config.write_text("# café\n", encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    # --json: its stdout is ASCII, which this locale's stdout can write
+    result = subprocess.run(
+        [sys.executable, "-m", "ptrs", "check", str(problem), "--certificate", str(cert),
+         "--config", str(config), "--json"],
+        capture_output=True, timeout=60, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    payload = json.loads(result.stdout)
+    assert (payload["verdict"], payload["certificate"]) == ("YES", "poly\n[é](x) = x + 1\n")
+
+
+def test_a_solver_command_with_unbalanced_quotes_is_an_error_every_time(capsys):
+    for _ in range(2):
+        code, out, err = run_cli(capsys, "prove", RW34, "--solver", "'z3 -in")
+        assert (code, out, err) == (2, "", "error: No closing quotation\n")
+
+
 def test_a_symbol_with_a_bracket_is_proved_and_checked(capsys, tmp_path):
     problem = tmp_path / "bracket.wst"
     problem.write_text("(VAR x)\n(RULES\n  a]b(x) -> 3 : x || 1 : a]b(a]b(x))\n)\n")

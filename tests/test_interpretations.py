@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,9 @@ from helpers import (
     rand_matrix_interp,
     rand_poly_interp,
     rand_value_distribution,
+    random_ptrs,
+    reference_orientation,
+    rule_difference,
     vec_form_value,
 )
 from ptrs.certtext import load_interpretation
@@ -30,7 +35,7 @@ from ptrs.interpretations import (
 from ptrs.multidist import FiniteDistribution
 from ptrs.rewriting import ProbRule, TermPars, random_term, random_walk_ptrs
 from ptrs.simulator import RunConfig, estimate_edh, run
-from ptrs.terms import App, Signature, Var
+from ptrs.terms import App, Signature, Var, variables
 from ptrs.wst import elaborate, load_system, parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -233,6 +238,125 @@ def test_check_certificate_coverage_and_witnesses():
     with pytest.raises(CertificateInvalid) as err:
         check_certificate(wrong_arity, system)
     assert any("arity" in p for p in err.value.problems)
+
+
+def _symbols(term) -> set[str]:
+    out, stack = set(), [term]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            out.add(node.symbol)
+            stack.extend(node.args)
+    return out
+
+
+def _shift_root_constant(interp, symbol, delta):
+    """`interp` with `delta` added to the constant (the first component of
+    the constant vector) of `symbol`."""
+    if interp.kind == "poly":
+        coeffs = {sym: dict(row) for sym, row in interp.coeffs.items()}
+        coeffs[symbol][frozenset()] = coeffs[symbol].get(frozenset(), 0) + delta
+        return PolyInterpretation(interp.arities, coeffs)
+    entries = dict(interp.entries)
+    mats, const = entries[symbol]
+    entries[symbol] = (mats, (const[0] + delta,) + const[1:])
+    return MatrixInterpretation(interp.arities, interp.dim, entries)
+
+
+def _near_zero(interp, system, rng):
+    """`interp` with one rule's margin moved to just above, at or just below
+    0, where the rule's root symbol occurs nowhere else in it: its constant
+    then moves the margin one for one. Integral coefficients stay integral."""
+    index = rng.randrange(len(system.rules))
+    rule = system.rules[index]
+    root = rule.lhs.symbol
+    if any(root in _symbols(t) for t in (*rule.lhs.args, *rule.rhs.support())):
+        return interp
+    try:
+        diff = rule_difference(interp, rule)
+    except DegreeOverflow:
+        return interp
+    margin = diff.coefficient(frozenset()) if interp.kind == "poly" else diff.const[0]
+    integral = all(Fraction(c).denominator == 1 for c in _coefficients(interp))
+    if integral:
+        delta = -math.floor(margin) - rng.randrange(2)
+    else:
+        delta = -margin + rng.choice((Fraction(1, 60), Fraction(0), Fraction(-1, 60)))
+    shifted = _shift_root_constant(interp, root, delta)
+    return shifted if not shifted.validate() else interp
+
+
+def _coefficients(interp):
+    if interp.kind == "poly":
+        return [c for row in interp.coeffs.values() for c in row.values()]
+    return [c for mats, const in interp.entries.values() for M in mats for row in M for c in row] + \
+        [c for _, const in interp.entries.values() for c in const]
+
+
+def _point(rng, interp, term):
+    """A nonnegative rational value (vector, for a matrix interpretation)
+    for every variable of `term`."""
+    def value():
+        return Fraction(rng.randrange(0, 13), rng.randrange(1, 4))
+
+    return {
+        name: value() if interp.kind == "poly" else tuple(value() for _ in range(interp.dim))
+        for name in sorted(variables(term))
+    }
+
+
+def _drop(interp, rule, assignment):
+    """[l] - sum p [r] at the assignment, by numeric evaluation (the first
+    component for a matrix interpretation)."""
+    def value(term):
+        v = eval_term(interp, term, assignment)
+        return v if interp.kind == "poly" else v[0]
+
+    return value(rule.lhs) - sum((p * value(r) for r, p in rule.rhs.items()), Fraction(0))
+
+
+def test_check_certificate_matches_the_per_rule_fraction_route():
+    rng = random.Random(2026)
+    seen = Counter()
+    for case in range(480):
+        system = random_ptrs(rng)
+        arities = system.signature.symbols()
+        max_den = 1 if case % 4 < 2 else 4
+        if case % 2:
+            interp = rand_poly_interp(rng, arities, degree=1 + (case % 3 > 0), max_den=max_den)
+        else:
+            interp = rand_matrix_interp(rng, arities, dim=1 + case % 3, max_den=max_den)
+        for _ in range(2):
+            interp = _near_zero(interp, system, rng)
+        expected = reference_orientation(interp, system)
+        problems = [e for e in expected if isinstance(e, str)]
+        if problems:
+            with pytest.raises(CertificateInvalid) as err:
+                check_certificate(interp, system)
+            assert err.value.problems == problems
+        else:
+            cert = check_certificate(interp, system)
+            assert cert.interpretation is interp
+            assert cert.margins == tuple(expected) and cert.epsilon == min(expected)
+            assert all(type(m) is Fraction for m in cert.margins)
+            # and, apart from symbolic forms, the drop at points: the margin
+            # at the zero assignment, at least epsilon everywhere
+            points = random.Random(case)
+            for rule, margin in zip(system.rules, cert.margins):
+                assert _drop(interp, rule, {}) == margin
+                for _ in range(3):
+                    assert _drop(interp, rule, _point(points, interp, rule.lhs)) >= cert.epsilon
+            seen["certified"] += 1
+        for e in expected:
+            if isinstance(e, Fraction):
+                seen["margin <= 1"] += e <= 1
+            else:
+                seen["not strictly positive"] += "not strictly positive" in e
+                seen["margin 0"] += " margin is 0, " in e
+                seen["negative"] += e.endswith(", negative")
+                seen["squared"] += "would be squared" in e
+    assert min(seen[k] for k in ("margin <= 1", "margin 0", "negative")) >= 30, seen
+    assert seen["certified"] >= 40 and seen["not strictly positive"] >= 100 and seen["squared"] >= 3, seen
 
 
 def test_matrix_validate():

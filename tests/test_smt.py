@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import enumerate_box, evaluate, random_ptrs
+from helpers import enumerate_box, evaluate, looping_ptrs, random_ptrs, rule_difference
 from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
 from ptrs.interpretations import (
     CertificateInvalid,
@@ -21,7 +21,6 @@ from ptrs.interpretations import (
     PolyInterpretation,
     check_certificate,
     orientation_entries,
-    rule_difference,
 )
 from ptrs.rewriting import random_walk_ptrs
 from ptrs.smt import (
@@ -110,6 +109,51 @@ def test_encode_degree_overflow():
     with pytest.raises(DegreeOverflow):
         encode(system, Shape("poly", 2))
     encode(system, Shape("poly", 1))  # linear template composes fine
+
+
+SHARED = elaborate(parse_problem(
+    "(VAR x)(RULES f(g(x)) -> 1 : h(f(g(x))) || 1 : g(x)  h(f(g(x))) -> g(x))"
+))
+
+
+def test_each_distinct_subterm_is_evaluated_once(monkeypatch):
+    # g(x), f(g(x)) and h(f(g(x))): three applications per shape or check,
+    # where one fresh evaluation per term would make ten
+    calls = []
+
+    def counted(real):
+        return lambda self, symbol, *rest: calls.append(symbol) or real(self, symbol, *rest)
+
+    for cls in (PolyInterpretation, MatrixInterpretation):
+        monkeypatch.setattr(cls, "apply_form", counted(cls.apply_form))
+    for shape in (*DEFAULT_SHAPES, Shape("matrix", 1)):
+        calls.clear()
+        encoded = encode(SHARED, shape, 1)
+        assert sorted(calls) == ["f", "g", "h"], shape
+        ones = decode(encoded, {spec.name: Fraction(1) for spec in encoded.constraint_set.unknowns})
+        calls.clear()
+        with pytest.raises(CertificateInvalid):
+            check_certificate(ones, SHARED)
+        assert sorted(calls) == ["f", "g", "h"], shape
+
+
+def test_a_squared_shared_subterm_is_one_problem_per_rule():
+    system = elaborate(parse_problem(
+        "(VAR x y)(RULES g(f(x,x)) -> x  h(f(x,x), y) -> 1 : g(f(x,x)) || 1 : y)"
+    ))
+    interp = PolyInterpretation(
+        {"f": 2, "g": 1, "h": 2},
+        {"f": {(1, 2): 1, (1,): 1, (2,): 1, (): 1}, "g": {(1,): 1, (): 2}, "h": {(1,): 1, (2,): 1, (): 3}},
+    )
+    squared = "variable x would be squared; multilinear forms cannot express it"
+    with pytest.raises(CertificateInvalid) as err:
+        check_certificate(interp, system)
+    assert err.value.problems == [
+        f"rule 1 (g(f(x,x)) -> {{1: x}}): {squared}",
+        f"rule 2 (h(f(x,x),y) -> {{1/2: g(f(x,x)), 1/2: y}}): {squared}",
+    ]
+    with pytest.raises(DegreeOverflow, match=f"^{squared}$"):
+        encode(system, Shape("poly", 2), 1)
 
 
 def test_encode_matrix_shape():
@@ -397,6 +441,8 @@ def test_encode_matches_the_fraction_path():
     rng = random.Random(2005)
     systems = [load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34")]
     systems += [random_ptrs(rng) for _ in range(50)]
+    # l -> C[l]: every right-hand side repeats its left-hand side
+    systems += [looping_ptrs(rng) for _ in range(12)]
     encoded_count = 0
     for system in systems:
         for shape in DEFAULT_SHAPES:
@@ -522,6 +568,28 @@ def test_in_process_limit_matches_only_this_interpreter(monkeypatch, tmp_path):
     monkeypatch.setenv("PATH", str(tmp_path))
     assert in_process_limit("python -m ptrs.boxsolver") is None
     assert run_solver(CORNER_SAT, f"{link} -m ptrs.boxsolver", timeout=30).model == {"x": 1}
+
+
+def test_a_solver_command_is_split_once_and_looked_up_every_time(monkeypatch, tmp_path):
+    splits = []
+    real_split = shlex.split
+    monkeypatch.setattr(shlex, "split", lambda text: splits.append(text) or real_split(text))
+    name = os.path.basename(sys.executable)
+    command = f"{name} -m ptrs.boxsolver --limit 4321"
+    monkeypatch.setenv("PATH", os.path.dirname(sys.executable))
+    assert [in_process_limit(command) for _ in range(3)] == [4321] * 3
+    assert splits == [command]
+    # PATH is read again on every call
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert in_process_limit(command) is None
+    assert splits == [command]
+    # a command that does not split is split, and refused, every time
+    unbalanced = "'z3 -in -m ptrs.boxsolver"
+    for _ in range(2):
+        assert in_process_limit(unbalanced) is None
+        with pytest.raises(ValueError, match="No closing quotation"):
+            run_solver(CORNER_SAT, unbalanced)
+    assert splits == [command] + [unbalanced] * 4
 
 
 def _same_as_child(cs: ConstraintSet, *flags: str) -> SolverResult:
