@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -135,11 +134,24 @@ def _colorize(text: str, enabled: bool) -> str:
     return f"\x1b[{code}m{head}\x1b[0m\n{rest}"
 
 
+def _out(text: str) -> None:
+    """Write report text to stdout. Text the locale's encoding cannot hold
+    (a non-ASCII symbol under LC_ALL=C) goes out in UTF-8, the encoding
+    inputs are read in, so the locale cannot fail a report."""
+    try:
+        sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+
+
 def _exit_code(verdict: Verdict) -> int:
     return {"YES": 0, "MAYBE": 1}.get(verdict.kind, 2)
 
 
 def _json_out(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -188,7 +200,7 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
         payload["file"] = args.file
         _json_out(payload)
     else:
-        print(_colorize(format_verdict(verdict, system), color), end="")
+        _out(_colorize(format_verdict(verdict, system), color))
     return _exit_code(verdict)
 
 
@@ -209,7 +221,7 @@ def _run_check(args, config: dict[str, str], color: bool) -> int:
         payload["file"] = args.file
         _json_out(payload)
     else:
-        print(_colorize(format_verdict(verdict, system), color), end="")
+        _out(_colorize(format_verdict(verdict, system), color))
     return _exit_code(verdict)
 
 
@@ -316,32 +328,32 @@ def _trace_json(report):
 
 
 def _print_simulation(args, report, cert, estimate) -> None:
-    print(f"start {args.start}, steps {args.steps}, mode {report.mode}")
+    _out(f"start {args.start}, steps {args.steps}, mode {report.mode}\n")
     if report.masses is not None:
         for depth, (mass, edl) in enumerate(zip(report.masses, report.edl)):
             line = f"step {depth}: mass {mass}, edl {edl}"
             if args.trace:
                 line += f", state {report.trace[depth]}"
-            print(line)
-        print(f"outcome: {report.outcomes[0]}")
+            _out(line + "\n")
+        _out(f"outcome: {report.outcomes[0]}\n")
     else:
         for depth in range(len(report.mass_min)):
-            print(
+            _out(
                 f"step {depth}: mass {report.mass_min[depth]} .. {report.mass_max[depth]}, "
-                f"edl {report.edl_min[depth]} .. {report.edl_max[depth]}"
+                f"edl {report.edl_min[depth]} .. {report.edl_max[depth]}\n"
             )
             if args.trace:
                 for mu in report.trace[depth]:
-                    print(f"  state {mu}")
-        print(f"outcomes ({len(report.outcomes)}):")
+                    _out(f"  state {mu}\n")
+        _out(f"outcomes ({len(report.outcomes)}):\n")
         for mu in report.outcomes:
-            print(f"  {mu}")
+            _out(f"  {mu}\n")
     if report.truncation_hit:
-        print("note: the cutoff truncated some branches; masses are lower bounds")
+        _out("note: the cutoff truncated some branches; masses are lower bounds\n")
     if estimate is not None:
-        print(f"certificate epsilon = {cert.epsilon}")
-        print(f"edl bound from certificate: {estimate.bound}")
-        print(f"bound respected: {'yes' if estimate.holds else 'NO'}")
+        _out(f"certificate epsilon = {cert.epsilon}\n")
+        _out(f"edl bound from certificate: {estimate.bound}\n")
+        _out(f"bound respected: {'yes' if estimate.holds else 'NO'}\n")
 
 
 @any_digits()

@@ -16,9 +16,8 @@ checking concrete certificates, polynomials in solver unknowns for encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .rewriting import PTRS, ProbRule
 from .terms import App, Term, Var, fold_term
@@ -467,8 +466,7 @@ def orientation_margin(
     return Fraction(margin, d)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     interpretation: Interpretation
     margins: tuple[Fraction, ...]
     epsilon: Fraction

@@ -10,9 +10,7 @@ The prover never answers NO: failure to find a certificate proves nothing.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .certtext import CertParseError, parse_interpretation, render_certificate, render_interpretation
 from .interpretations import Certificate, CertificateInvalid, DegreeOverflow, check_certificate
@@ -38,8 +36,7 @@ class ProverError(Exception):
     """Internal inconsistency, e.g. a decoded model that fails validation."""
 
 
-@dataclass(frozen=True)
-class ProverConfig:
+class ProverConfig(NamedTuple):
     shapes: tuple[Shape, ...] = DEFAULT_SHAPES
     solver: str = "z3 -in"
     timeout: float = 60.0
@@ -48,15 +45,13 @@ class ProverConfig:
     emit_smt: str | None = None  # directory that receives one <shape>.smt2 per attempt
 
 
-@dataclass(frozen=True)
-class ShapeOutcome:
+class ShapeOutcome(NamedTuple):
     shape: Shape
     status: str  # proved | unsat | unknown | degree-overflow | solver-error | cancelled
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # YES | MAYBE | ERROR
     certificate: Certificate | None = None
     shape: Shape | None = None
@@ -183,6 +178,8 @@ def _run_sequential(system, config, cancel, limit, note):
 
 
 def _run_parallel(system, config, cancel):
+    from concurrent.futures import ThreadPoolExecutor
+
     # one child solver per lane
     def worker(shape: Shape):
         outcome, cert = _attempt(system, shape, config, cancel, None)

@@ -14,11 +14,10 @@ back into the surrounding context.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .multidist import (
     FiniteDistribution,
@@ -51,39 +50,39 @@ class NodeBudgetExceeded(RuntimeError):
     """Exhaustive exploration grew past the configured node budget."""
 
 
-@dataclass(frozen=True)
 class ProbRule:
     """l -> {p1: r1, ..., pn: rn} with vars(ri) contained in vars(l)."""
 
-    lhs: Term
-    rhs: FiniteDistribution[Term]
+    __slots__ = ("lhs", "rhs")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.lhs, Var):
-            raise RuleError(f"left-hand side is the bare variable {self.lhs}", "variable-lhs")
-        bound = variables(self.lhs)
-        for term in self.rhs.support():
+    def __init__(self, lhs: Term, rhs: FiniteDistribution[Term]):
+        if isinstance(lhs, Var):
+            raise RuleError(f"left-hand side is the bare variable {lhs}", "variable-lhs")
+        bound = variables(lhs)
+        for term in rhs.support():
             extra = variables(term) - bound
             if extra:
                 raise RuleError(
                     f"right-hand side uses variable {sorted(extra)[0]!r} not bound on the left",
                     "free-variable-on-rhs",
                 )
+        self.lhs = lhs
+        self.rhs = rhs
 
     def __str__(self) -> str:
         return f"{self.lhs} -> {self.rhs}"
 
 
-@dataclass(frozen=True)
 class PTRS:
-    signature: Signature
-    rules: tuple[ProbRule, ...]
+    __slots__ = ("signature", "rules")
 
-    def __post_init__(self) -> None:
-        for rule in self.rules:
-            check_term(rule.lhs, self.signature)
+    def __init__(self, signature: Signature, rules: tuple[ProbRule, ...]):
+        for rule in rules:
+            check_term(rule.lhs, signature)
             for term in rule.rhs.support():
-                check_term(term, self.signature)
+                check_term(term, signature)
+        self.signature = signature
+        self.rules = rules
 
 
 class RedexStep:
@@ -585,8 +584,7 @@ class NondetBranch(Pars):
         return text
 
 
-@dataclass(frozen=True)
-class Stake:
+class Stake(NamedTuple):
     """Pending stake in the payout family, rendered a0, a1, ..."""
 
     round: int

@@ -7,9 +7,8 @@ one strategy or exhaustively over all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 import random
 
@@ -41,8 +40,7 @@ from .rewriting import (
 MODES = {"outermost": leftmost_outermost, "innermost": leftmost_innermost}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     pars: Pars
     start: Hashable
     steps: int
@@ -52,8 +50,7 @@ class RunConfig:
     keep_trace: bool = False
 
 
-@dataclass
-class RunReport:
+class RunReport(NamedTuple):
     """Masses and expected-derivation-length prefixes, indexed by depth.
 
     edl[k] is the partial sum mass(mu_1) + ... + mass(mu_k), the portion of
@@ -193,8 +190,7 @@ def _run_exhaustive(config: RunConfig, pars: Pars, tracker: BudgetTracker, start
     )
 
 
-@dataclass
-class EdhEstimate:
+class EdhEstimate(NamedTuple):
     bound: Fraction  # rank(start) / epsilon
     holds: bool  # every edl prefix stayed at or under the bound
     final_edl: Fraction
@@ -215,8 +211,7 @@ def estimate_edh(pars: Pars, cert: Certificate, start: Hashable, report: RunRepo
     return EdhEstimate(bound=bound, holds=holds, final_edl=report.edl_max[-1])
 
 
-@dataclass
-class DriftViolation:
+class DriftViolation(NamedTuple):
     """A step that lost too little expected rank. `successor` is the step's
     merged successor, equal objects folded into one entry each and sorted;
     merging keeps its mass and expected rank."""
@@ -237,8 +232,7 @@ class DriftViolation:
         )
 
 
-@dataclass
-class DriftReport:
+class DriftReport(NamedTuple):
     trials: int
     checks: int
     violation: DriftViolation | None

@@ -24,17 +24,14 @@ decoded and re-validated exactly before it is believed.
 
 from __future__ import annotations
 
-import shlex
 import shutil
-import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from time import monotonic
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve_sums
 from .interpretations import (
@@ -159,24 +156,33 @@ def _as_poly(value: "Poly | int") -> Poly:
     return value if isinstance(value, Poly) else Poly.constant(value)
 
 
-@dataclass(frozen=True)
-class UnknownSpec:
+class UnknownSpec(NamedTuple):
     name: str
     lo: int = 0
     hi: int = 16
 
 
-@dataclass(frozen=True)
 class Constraint:
-    """poly >= at_least over the integers."""
+    """poly >= at_least over the integers. `label` says where it comes
+    from; equality and hashing ignore it."""
 
-    poly: Poly
-    at_least: int
-    label: str = field(compare=False, default="")
+    __slots__ = ("poly", "at_least", "label")
+
+    def __init__(self, poly: Poly, at_least: int, label: str = ""):
+        self.poly = poly
+        self.at_least = at_least
+        self.label = label
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self.poly == other.poly and self.at_least == other.at_least
+
+    def __hash__(self) -> int:
+        return hash((self.poly, self.at_least))
 
 
-@dataclass
-class ConstraintSet:
+class ConstraintSet(NamedTuple):
     """Constraints over the unknowns, each polynomial reading unknown i as
     unknowns[i]."""
 
@@ -190,8 +196,7 @@ class ConstraintSet:
         return lo, hi, [(c.poly.terms, c.at_least) for c in self.constraints]
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     kind: str  # "poly" | "matrix"
     param: int  # degree for poly, dimension for matrix
 
@@ -220,8 +225,7 @@ def parse_shape(text: str) -> Shape:
 DEFAULT_SHAPES = (Shape("poly", 1), Shape("poly", 2), Shape("matrix", 2), Shape("matrix", 3))
 
 
-@dataclass
-class EncodedProblem:
+class EncodedProblem(NamedTuple):
     system: PTRS
     shape: Shape
     constraint_set: ConstraintSet
@@ -371,8 +375,7 @@ class CancelToken:
             pass
 
 
-@dataclass
-class SolverResult:
+class SolverResult(NamedTuple):
     status: str  # sat | unsat | unknown | error
     model: dict[str, Fraction] | None = None
     detail: str = ""
@@ -383,6 +386,8 @@ def _split(command: str) -> tuple[str, ...]:
     """`shlex.split(command)`, split once per distinct command string; a
     string that does not split (unbalanced quotes) raises its ValueError
     again on every call."""
+    import shlex
+
     return tuple(shlex.split(command))
 
 
@@ -419,6 +424,8 @@ def run_solver(
     cancel: CancelToken | None = None,
 ) -> SolverResult:
     """One-shot pipe protocol: write the script, read the full reply."""
+    import subprocess
+
     argv = _split(command)
     if not argv:
         return SolverResult("error", detail="empty solver command")

@@ -13,7 +13,6 @@ first use wins.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -76,16 +75,28 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
 class RawRule:
-    lhs: Term
-    alternatives: tuple[tuple[int, Term], ...]
-    line: int = field(compare=False, default=0)
-    col: int = field(compare=False, default=0)
+    """A rule as written: weighted alternatives, at the line and column
+    where it starts. Equality and hashing ignore the position."""
+
+    __slots__ = ("lhs", "alternatives", "line", "col")
+
+    def __init__(self, lhs: Term, alternatives: tuple[tuple[int, Term], ...], line: int = 0, col: int = 0):
+        self.lhs = lhs
+        self.alternatives = alternatives
+        self.line = line
+        self.col = col
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RawRule:
+            return NotImplemented
+        return self.lhs == other.lhs and self.alternatives == other.alternatives
+
+    def __hash__(self) -> int:
+        return hash((self.lhs, self.alternatives))
 
 
-@dataclass(frozen=True)
-class ProblemFile:
+class ProblemFile(NamedTuple):
     variables: tuple[str, ...]
     rules: tuple[RawRule, ...]
     signature: Signature

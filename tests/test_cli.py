@@ -12,7 +12,7 @@ import pytest
 
 import ptrs.cli
 from ptrs.boxsolver import any_digits
-from ptrs.cli import load_config, main
+from ptrs.cli import _colorize, load_config, main
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"
@@ -360,6 +360,34 @@ def test_importing_the_cli_builds_no_parser():
     assert result.stdout.split() == ["0", "4"]
 
 
+def _loaded_modules(*imports):
+    probe = "".join(f"import {name}\n" for name in ("sys", *imports)) + "print(*sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_importing_the_cli_loads_only_what_every_command_needs():
+    # each of these serves one option or path (--parallel, a child solver,
+    # --json), which imports it where it runs; site may load some of them
+    # itself, so what a bare interpreter loads is the baseline
+    on_demand = {"dataclasses", "concurrent.futures", "subprocess", "json", "shlex"}
+    bare = _loaded_modules()
+    for module in ("ptrs.cli", "ptrs.simulator"):
+        assert (_loaded_modules(module) - bare) & on_demand == set(), module
+    # the benchmark's tracer wraps functions in these modules after importing ptrs.cli
+    traced = {"prover", "smt", "interpretations", "certtext", "wst", "rewriting", "simulator", "multidist", "terms"}
+    assert {f"ptrs.{name}" for name in traced} <= _loaded_modules("ptrs.cli")
+
+
+def test_color_marks_only_a_verdict_head_line():
+    for head, code in (("YES", "32"), ("MAYBE", "33"), ("ERROR", "31")):
+        assert _colorize(f"{head}\nepsilon = 1\n", True) == f"\x1b[{code}m{head}\x1b[0m\nepsilon = 1\n"
+        assert _colorize(f"{head}\nepsilon = 1\n", False) == f"{head}\nepsilon = 1\n"
+    for text in ("start 1, steps 3, mode outermost\n", "YES, and more\n", "poly\nYES\n", ""):
+        assert _colorize(text, True) == text
+
+
 def test_verbose_goes_to_stderr(capsys):
     code, out, err = run_cli(
         capsys, "prove", RW34, "--solver", BOXSOLVER, "--shapes", "poly-linear", "-v"
@@ -590,25 +618,32 @@ def test_prove_output_is_a_certificate_for_check(capsys, tmp_path, problem, solv
     assert checked == proved.replace(shape_line, "", 1)
 
 
-def test_check_reads_the_certificate_and_config_as_utf8_in_an_ascii_locale(capsys, tmp_path):
+def test_prove_and_check_read_and_write_utf8_in_an_ascii_locale(capsys, tmp_path):
     problem = tmp_path / "accent.wst"
     problem.write_text("(VAR x)(RULES é(x) -> x)\n", encoding="utf-8")
-    code, proved, _ = run_cli(capsys, "prove", str(problem), "--solver", BOXSOLVER)
+    code, proved, _ = run_cli(capsys, "prove", str(problem), "--solver", BOXSOLVER, "--coeff-bound", "1")
     assert code == 0
     cert = tmp_path / "accent.cert"
     cert.write_text(proved, encoding="utf-8")
     config = tmp_path / "accent.conf"
     config.write_text("# café\n", encoding="utf-8")
     env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
-    # --json: its stdout is ASCII, which this locale's stdout can write
-    result = subprocess.run(
-        [sys.executable, "-m", "ptrs", "check", str(problem), "--certificate", str(cert),
-         "--config", str(config), "--json"],
-        capture_output=True, timeout=60, env=env,
-    )
-    assert result.returncode == 0, result.stderr
-    payload = json.loads(result.stdout)
-    assert (payload["verdict"], payload["certificate"]) == ("YES", "poly\n[é](x) = x + 1\n")
+    prove_argv = ["prove", str(problem), "--solver", BOXSOLVER, "--coeff-bound", "1"]
+    check_argv = ["check", str(problem), "--certificate", str(cert), "--config", str(config)]
+    for argv in (prove_argv, check_argv):
+        for extra in ([], ["--json"]):
+            result = subprocess.run(
+                [sys.executable, "-m", "ptrs", *argv, *extra], capture_output=True, timeout=60, env=env
+            )
+            assert (result.returncode, result.stderr) == (0, b""), argv + extra
+            if extra:
+                # --json escapes every non-ASCII character
+                payload = json.loads(result.stdout)
+                assert (payload["verdict"], payload["certificate"]) == ("YES", "poly\n[é](x) = x + 1\n")
+            else:
+                # the report a UTF-8 locale prints, in UTF-8
+                expected = proved if argv is prove_argv else proved.replace("shape: poly-linear\n", "", 1)
+                assert result.stdout == expected.encode("utf-8")
 
 
 def test_a_solver_command_with_unbalanced_quotes_is_an_error_every_time(capsys):

@@ -2,7 +2,6 @@ import random
 import shutil
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -164,7 +163,7 @@ def test_parallel_lanes_share_the_in_process_box_solver():
     assert verdict.kind == "YES"
     assert verdict.shape == Shape("poly", 1)
     # in process the lanes run in shape order: the attempts are the sequential ones
-    assert verdict.outcomes == prove(RW34, replace(config, parallel=False)).outcomes
+    assert verdict.outcomes == prove(RW34, config._replace(parallel=False)).outcomes
 
 
 def _count_solver_calls(monkeypatch) -> list:

@@ -33,6 +33,7 @@ from ptrs.rewriting import (
 from ptrs.terms import (
     App,
     Signature,
+    TermError,
     Var,
     apply_substitution,
     match,
@@ -62,6 +63,14 @@ def test_rule_validation():
         ProbRule(x, FiniteDistribution({x: 1}))
     with pytest.raises(RuleError):
         ProbRule(s(x), FiniteDistribution({Var("y"): 1}))
+    # a system checks every rule's terms against its signature
+    rule = ProbRule(s(x), FiniteDistribution({x: 1}))
+    assert PTRS(Signature({"s": 1}), (rule,)).rules == (rule,)
+    for signature in (Signature({"s": 2}), Signature({"0": 0})):
+        with pytest.raises(TermError):
+            PTRS(signature, (rule,))
+    with pytest.raises(TermError):
+        PTRS(Signature({"s": 1}), (ProbRule(s(x), FiniteDistribution({App("0"): 1})),))
 
 
 def test_enumerate_redexes_positions_and_order():
@@ -233,6 +242,7 @@ def test_payout_family_rules():
     assert game.options(5) == [FiniteDistribution({4: 1})]
     assert game.options(0) == []
     assert str(Stake(3)) == "a3"
+
 
 
 def test_truncation_marks_terminal():

@@ -132,6 +132,15 @@ def test_exhaustive_envelopes_split_for_payout():
     assert report.edl_min[-1] < report.edl_max[-1]
 
 
+def test_stakes_are_values_in_a_payout_run():
+    # stakes built afresh by the run equal, hash and print like new ones
+    report = run(RunConfig(Payout(), Stake(0), 3, mode="exhaustive", keep_trace=True))
+    stakes = {obj for level in report.trace for mu in level for _, obj in mu.entries if isinstance(obj, Stake)}
+    assert stakes == {Stake(0), Stake(1), Stake(2), Stake(3)}
+    assert Stake(2) != Stake(3) and Stake(2) != 2
+    assert sorted(map(str, stakes)) == ["a0", "a1", "a2", "a3"]
+
+
 def test_payout_cash_at_n_edl():
     # Cash at round n: survival 2^-n, then a countdown of 2^n * n steps,
     # contributing a full n to the edl; over all n this is unbounded even

@@ -71,6 +71,11 @@ def test_shape_parsing():
     assert parse_shape("poly-multilinear-2") == Shape("poly", 2)
     assert parse_shape("matrix-3") == Shape("matrix", 3)
     assert str(Shape("poly", 2)) == "poly-multilinear-2"
+    # shapes are values: equal by kind and parameter, usable as dict keys
+    by_shape = {shape: str(shape) for shape in DEFAULT_SHAPES}
+    assert by_shape[parse_shape("matrix-2")] == "matrix-2"
+    assert Shape("matrix", 2) != Shape("matrix", 3) and Shape("poly", 2) != Shape("matrix", 2)
+    assert len({Shape("poly", 1), parse_shape("poly-linear")}) == 1
     for bad in ("poly", "matrix-0", "poly-multilinear-1", "cubic"):
         with pytest.raises(ValueError):
             parse_shape(bad)
@@ -481,6 +486,15 @@ def test_poly_coefficients_are_ints():
 def test_weight_recovery_from_probabilities():
     assert RW34.rules[0].rhs.denominator == 4
     assert RW14.rules[0].rhs.denominator == 4
+
+
+def test_constraint_equality_ignores_the_label():
+    poly = Poly.unknown(0) + 1
+    one, other = Constraint(poly, 1, "rule 1: constant margin"), Constraint(Poly.unknown(0) + 1, 1, "rule 2")
+    assert one == other and hash(one) == hash(other)
+    assert one == Constraint(poly, 1) and one.label == "rule 1: constant margin"
+    assert one != Constraint(poly, 0, one.label) and one != Constraint(Poly.unknown(1) + 1, 1, one.label)
+    assert len({one, other}) == 1
 
 
 def test_emit_skips_nothing_on_empty_constraints():

@@ -48,6 +48,25 @@ def test_parse_weighted_rule():
     assert pf.signature.arity("s") == 1
 
 
+def test_raw_rule_equality_ignores_the_position():
+    near = parse_problem("(VAR x)(RULES f(x) -> x)").rules[0]
+    far = parse_problem("(VAR x)\n\n(RULES\n    f(x) -> x)").rules[0]
+    assert (near.line, near.col) != (far.line, far.col)
+    assert near == far and hash(near) == hash(far)
+    assert near != parse_problem("(VAR x)(RULES f(x) -> 2 : x)").rules[0]
+
+
+def test_empty_parentheses_spell_a_constant():
+    spelled = parse_problem("(VAR x)(RULES f(a()) -> a())")
+    assert spelled.rules == parse_problem("(VAR x)(RULES f(a) -> a)").rules
+    assert spelled.rules[0].lhs == App("f", (App("a"),))
+    assert spelled.signature.symbols() == {"a": 0, "f": 1}
+    # a declared variable takes no parentheses, empty or not
+    with pytest.raises(ParseError) as err:
+        parse_problem("(VAR x)\n(RULES f(x) ->\n  x())")
+    assert (err.value.message, err.value.line, err.value.col) == ("variable 'x' used with arguments", 3, 3)
+
+
 def test_parse_sugar_single_alternative():
     pf = parse_problem("(VAR x)(RULES f(x) -> x)")
     assert pf.rules[0].alternatives == ((1, Var("x")),)
