@@ -5,17 +5,16 @@
     [0] = 0                           [b](x) = [[1, 0], [0, 0]]*x + [0, 0]
 
 The first line picks the kind. Argument variables are named in the header
-of each equation; coefficients are nonnegative integers or fractions like
-1/2. Lines starting with '#', 'rule', 'epsilon' or 'shape:', and a line
-'YES', are ignored, so the full output of a prover run can be fed back in
-as a certificate.
+of each equation; coefficients are numbers as `Fraction` reads them, like 2,
+1/2 or 1.5. Lines starting with '#', 'rule', 'epsilon' or 'shape:', and a
+line 'YES', are ignored, so the full output of a prover run can be fed back
+in as a certificate. An error names the line and column where reading stopped.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
 
 from .interpretations import (
     Certificate,
@@ -31,9 +30,9 @@ _ARG_NAMES = ("x", "y", "z")
 
 
 class CertParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    def __init__(self, message: str, line: int, col: int):
+        super().__init__(f"line {line}, column {col}: {message}")
+        self.line, self.col = line, col
 
 
 def _arg_names(arity: int) -> list[str]:
@@ -99,187 +98,174 @@ def render_certificate(cert: Certificate, system: PTRS | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_top_level(text: str, sep: str, line: int) -> list[str]:
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth < 0:
-                raise CertParseError("unbalanced ']'", line)
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise CertParseError("unbalanced '['", line)
-    parts.append("".join(current))
-    return parts
-
-
-def _parse_scalar(text: str, line: int) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise CertParseError(f"cannot read number {text.strip()!r}", line) from None
-
-
-def _parse_vector(text: str, line: int) -> Vector:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise CertParseError(f"expected a vector like [0, 1], got {text!r}", line)
-    return tuple(_parse_scalar(p, line) for p in _split_top_level(text[1:-1], ",", line))
-
-
-def _parse_matrix(text: str, line: int) -> Matrix:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise CertParseError(f"expected a matrix like [[1, 0], [0, 1]], got {text!r}", line)
-    rows = _split_top_level(text[1:-1], ",", line)
-    return tuple(_parse_vector(row, line) for row in rows)
-
-
 # an equation's symbol name: a WST name may hold `]` and `=` but no `(` or
 # space, so it ends at the last `]` before spaces and then `(` or `=`
 _SYMBOL = re.compile(r"\[(.*)\](?=\s*[(=])")
+# the rest of the line: punctuation, or a word (a number or an argument
+# name) that holds none and so is no substring of _PUNCTUATION
+_PUNCTUATION = "[](),*+="
+_TOKEN = re.compile(r"[\[\](),*+=]|[^\[\](),*+=\s]+")
+_HEADER = re.compile(r"\s*(?:poly|matrix\s+(\d+))\s*")
 
 
-def _parse_equation(text: str, line: int) -> tuple[str, list[str], str]:
-    if not text.startswith("["):
-        raise CertParseError("expected an equation like [f](x) = ...", line)
-    symbol = _SYMBOL.match(text)
-    if symbol is None:
-        if "]" not in text:
-            raise CertParseError("missing ']' after symbol name", line)
-        raise CertParseError("expected '=' in equation", line)
-    sym = symbol.group(1)
-    if not sym:
-        raise CertParseError("empty symbol name", line)
-    rest = text[symbol.end() :].strip()
-    args: list[str] = []
-    if rest.startswith("("):
-        close = rest.find(")")
-        if close < 0:
-            raise CertParseError("missing ')' after argument list", line)
-        inner = rest[1:close].strip()
-        args = [a.strip() for a in inner.split(",")] if inner else []
-        if not all(args) or len(set(args)) < len(args):
-            raise CertParseError(f"argument names must be distinct and nonempty: ({inner})", line)
-        for name in args:
-            # a right-hand side reads a factor as an argument first, so a
-            # numeral as a name would shadow the number
-            try:
-                Fraction(name)
-            except (ValueError, ZeroDivisionError):
-                continue
-            raise CertParseError(f"argument name {name!r} reads as a number", line)
-        rest = rest[close + 1 :].strip()
-    if not rest.startswith("="):
-        raise CertParseError("expected '=' in equation", line)
-    return sym, args, rest[1:].strip()
+class _Equation:
+    """Reads an equation from its tokens after the symbol: (text, column)
+    pairs that end in two ('', the column past the end of the line)."""
 
+    def __init__(self, line: str, start: int, number: int):
+        self.tokens = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line, start)]
+        self.tokens += [("", len(line.rstrip()) + 1)] * 2
+        self.pos = 0
+        self.line = number
 
-def _parse_poly_rhs(expr: str, args: list[str], line: int) -> dict[frozenset[int], Fraction]:
-    index = {name: i for i, name in enumerate(args, start=1)}
-    coeffs: dict[frozenset[int], Fraction] = {}
-    for raw_term in expr.split("+"):
-        factors = [f.strip() for f in raw_term.split("*")]
-        coeff = Fraction(1)
-        mono: set[int] = set()
-        saw_number = False
-        for factor in factors:
-            if not factor:
-                raise CertParseError(f"empty factor in {raw_term.strip()!r}", line)
-            if factor in index:
-                if index[factor] in mono:
-                    raise CertParseError(f"variable {factor!r} repeats in one monomial", line)
-                mono.add(index[factor])
+    def peek(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead][0]
+
+    def fail(self, message: str, col: int | None = None) -> CertParseError:
+        return CertParseError(message, self.line, self.tokens[self.pos][1] if col is None else col)
+
+    def accept(self, punctuation: str) -> bool:
+        if self.peek() != punctuation:
+            return False
+        self.pos += 1
+        return True
+
+    def next(self, expected: str) -> tuple[str, int]:
+        """Step over the punctuation `expected`, or over a word where
+        `expected` describes one."""
+        text, col = self.tokens[self.pos]
+        punctuation = expected in _PUNCTUATION
+        if (text != expected) if punctuation else (text in _PUNCTUATION):
+            what = repr(expected) if punctuation else expected
+            raise self.fail(f"expected {what}, found {repr(text) if text else 'end of line'}")
+        self.pos += 1
+        return text, col
+
+    def number(self, expected: str = "a number") -> Fraction:
+        text, col = self.next(expected)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise self.fail(f"cannot read number {text!r}", col) from None
+
+    def args(self) -> list[str]:
+        """The argument list, if any, and the '=' after it."""
+        args: list[str] = []
+        if self.accept("("):
+            while not self.accept(")"):
+                if args:
+                    self.next(",")
+                name, col = self.next("an argument name")
+                if name in args:
+                    raise self.fail(f"argument {name!r} named twice", col)
+                try:
+                    Fraction(name)
+                except (ValueError, ZeroDivisionError):
+                    args.append(name)
+                    continue
+                # a right-hand side reads a factor as an argument first, so
+                # a numeral as a name would shadow the number
+                raise self.fail(f"argument name {name!r} reads as a number", col)
+        self.next("=")
+        return args
+
+    def poly(self, args: list[str]) -> dict[frozenset[int], Fraction]:
+        index = {name: i for i, name in enumerate(args, start=1)}
+        coeffs: dict[frozenset[int], Fraction] = {}
+        coeff, mono = Fraction(1), set()
+        while True:
+            if self.peek() in index:
+                name, col = self.next("an argument name")
+                if index[name] in mono:
+                    raise self.fail(f"variable {name!r} repeats in one monomial", col)
+                mono.add(index[name])
             else:
-                coeff *= _parse_scalar(factor, line)
-                saw_number = True
-        if not mono and not saw_number:
-            raise CertParseError(f"cannot read term {raw_term.strip()!r}", line)
-        key = frozenset(mono)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + coeff
-    return coeffs
+                coeff *= self.number("a number or an argument name")
+            if self.accept("*"):
+                continue
+            key = frozenset(mono)
+            coeffs[key] = coeffs.get(key, Fraction(0)) + coeff
+            if not self.accept("+"):
+                return coeffs
+            coeff, mono = Fraction(1), set()
 
+    def bracketed(self, item, dim: int) -> tuple:
+        """`[item, ..., item]` with `dim` items. A matrix is a list of
+        vectors and nothing nests deeper, so deep brackets cost no recursion."""
+        _, col = self.next("[")
+        items = [item()]
+        while self.accept(","):
+            items.append(item())
+        self.next("]")
+        if len(items) != dim:
+            raise self.fail(f"expected a list of {dim} entries, found {len(items)}", col)
+        return tuple(items)
 
-def _parse_matrix_rhs(
-    expr: str, args: list[str], dim: int, line: int
-) -> tuple[list[Matrix], Vector]:
-    index = {name: i for i, name in enumerate(args)}
-    mats: list[Matrix | None] = [None] * len(args)
-    const: Vector | None = None
-    for raw_term in _split_top_level(expr, "+", line):
-        term = raw_term.strip()
-        if "*" in term:
-            mat_text, _, name = term.rpartition("*")
-            name = name.strip()
-            if name not in index:
-                raise CertParseError(f"unknown argument {name!r}", line)
-            if mats[index[name]] is not None:
-                raise CertParseError(f"argument {name!r} appears twice", line)
-            mats[index[name]] = _parse_matrix(mat_text, line)
-        else:
-            if const is not None:
-                raise CertParseError("two constant vectors in one equation", line)
-            const = _parse_vector(term, line)
-    filled = [M if M is not None else tuple((Fraction(0),) * dim for _ in range(dim)) for M in mats]
-    return filled, const if const is not None else (Fraction(0),) * dim
+    def affine(self, args: list[str], dim: int) -> tuple[list[Matrix], Vector]:
+        index = {name: i for i, name in enumerate(args)}
+        mats: list[Matrix | None] = [None] * len(args)
+        const: Vector | None = None
+        while True:
+            if self.peek(1) == "[":
+                M = self.bracketed(lambda: self.bracketed(self.number, dim), dim)
+                self.next("*")
+                name, col = self.next("an argument name")
+                if name not in index:
+                    raise self.fail(f"unknown argument {name!r}", col)
+                if mats[index[name]] is not None:
+                    raise self.fail(f"argument {name!r} appears twice", col)
+                mats[index[name]] = M
+            elif const is not None:
+                raise self.fail("two constant vectors in one equation")
+            else:
+                const = self.bracketed(self.number, dim)
+            if not self.accept("+"):
+                break
+        # a list of `dim` entries has been read, so these are no larger
+        zero = (Fraction(0),) * dim
+        return [(zero,) * dim if M is None else M for M in mats], zero if const is None else const
 
 
 def parse_interpretation(text: str) -> Interpretation:
-    """Read a certificate; inverse of render_interpretation."""
-    kind: str | None = None
-    dim = 0
-    equations: list[tuple[int, str, list[str], str]] = []
+    """Read a certificate; inverse of render_interpretation. Each equation
+    is read whole on its line, so an error names the first bad line."""
+    dim: int | None = None  # 0 for poly
+    arities: dict[str, int] = {}
+    rows: dict = {}
     for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line == "YES" or line.startswith(("#", "rule ", "epsilon", "shape:")):
             continue
-        if kind is None:
-            words = line.split()
-            if words[0] == "poly" and len(words) == 1:
-                kind = "poly"
-            elif words[0] == "matrix" and len(words) == 2 and words[1].isdigit():
-                kind = "matrix"
-                dim = int(words[1])
-                if dim < 1:
-                    raise CertParseError("matrix dimension must be at least 1", number)
-            else:
-                raise CertParseError(
-                    f"expected 'poly' or 'matrix N' on the first line, got {line!r}", number
-                )
+        col = len(raw) - len(raw.lstrip()) + 1
+        if dim is None:
+            header = _HEADER.fullmatch(raw)
+            if header is None:
+                raise CertParseError(f"expected 'poly' or 'matrix N' on the first line, got {line!r}", number, col)
+            dim = int(header.group(1) or 0)
+            if header.group(1) and dim < 1:
+                raise CertParseError("matrix dimension must be at least 1", number, header.start(1) + 1)
             continue
-        sym, args, expr = _parse_equation(line, number)
-        equations.append((number, sym, args, expr))
-    if kind is None:
-        raise CertParseError("empty certificate", 1)
-    if not equations:
-        raise CertParseError("certificate interprets no symbols", 1)
-    arities: dict[str, int] = {}
-    for number, sym, args, _ in equations:
+        head = _SYMBOL.match(raw, col - 1)
+        if head is None:
+            raise CertParseError("expected an equation like [f](x) = ...", number, col)
+        sym = head.group(1)
+        if not sym:
+            raise CertParseError("empty symbol name", number, col + 1)
         if sym in arities:
-            raise CertParseError(f"symbol {sym!r} interpreted twice", number)
+            raise CertParseError(f"symbol {sym!r} interpreted twice", number, col + 1)
+        equation = _Equation(raw, head.end(), number)
+        args = equation.args()
+        rows[sym] = equation.affine(args, dim) if dim else equation.poly(args)
+        if equation.peek():
+            raise equation.fail(f"expected '+' or the end of the line, found {equation.peek()!r}")
         arities[sym] = len(args)
-    if kind == "poly":
-        coeffs = {}
-        for number, sym, args, expr in equations:
-            coeffs[sym] = _parse_poly_rhs(expr, args, number)
-        return PolyInterpretation(arities, coeffs)
-    entries = {}
-    for number, sym, args, expr in equations:
-        mats, const = _parse_matrix_rhs(expr, args, dim, number)
-        if len(const) != dim or any(len(M) != dim or any(len(r) != dim for r in M) for M in mats):
-            raise CertParseError(f"entries of [{sym}] do not match dimension {dim}", number)
-        entries[sym] = (mats, const)
-    return MatrixInterpretation(arities, dim, entries)
+    if not arities:
+        raise CertParseError("certificate interprets no symbols", 1, 1)
+    if dim:
+        return MatrixInterpretation(arities, dim, rows)
+    return PolyInterpretation(arities, rows)
 
 
 def load_interpretation(path: str) -> Interpretation:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_interpretation(handle.read())

@@ -40,7 +40,7 @@ def load_config(path: str, command: str | None = None) -> dict[str, str]:
     """key = value lines; blank lines and # comments are skipped. With a
     command, a key it does not read is an error naming the line."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -212,7 +212,7 @@ def _box_cap_note(shape, floor: int, limit: int) -> None:
 
 def _run_check(args, config: dict[str, str], color: bool) -> int:
     system = load_system(args.file)
-    with open(args.certificate, encoding="utf-8") as handle:
+    with open(args.certificate, encoding="utf-8-sig") as handle:
         text = handle.read()
     verdict = check_only(system, text)
     if args.json:
@@ -256,7 +256,19 @@ def _probability(text: str) -> Fraction:
     raise CliError(f"--p must be a fraction in [0, 1] such as 3/4, got {text!r}")
 
 
+def _start_text(text: str) -> str:
+    """--start, with the bytes the locale could not decode (UTF-8 under
+    LC_ALL=C), which it left as surrogate escapes, read as UTF-8."""
+    if text.isascii() or not any("\udc80" <= ch <= "\udcff" for ch in text):
+        return text
+    try:
+        return text.encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeError:
+        raise CliError(f"--start is not UTF-8 text: {text!r}") from None
+
+
 def _run_simulate(args, config: dict[str, str], color: bool) -> int:
+    args.start = _start_text(args.start)
     if args.steps < 0:
         raise CliError(f"--steps must be at least 0, got {args.steps}")
     if args.node_budget < 1:

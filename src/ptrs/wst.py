@@ -283,7 +283,7 @@ def elaborate(problem: ProblemFile) -> PTRS:
 
 
 def load_problem(path: str) -> ProblemFile:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_problem(handle.read())
 
 

@@ -9,6 +9,7 @@ code paths.
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,9 +23,11 @@ from ptrs.interpretations import (
     DegreeOverflow,
     Form,
     Interpretation,
+    Matrix,
     MatrixInterpretation,
     PolyForm,
     PolyInterpretation,
+    Vector,
     check_certificate,
     orientation_entries,
     ranking_from_certificate,
@@ -565,3 +568,253 @@ def constant_part(form: PolyForm) -> Coeff:
 
 def from_distribution(dist: FiniteDistribution[T]) -> MultiDistribution[T]:
     return MultiDistribution._unchecked(dist.numerators, dist.denominator, dist.denominator)
+
+
+# The certificate reader as it was before certtext read one token stream:
+# string surgery on each line, every head read before any right-hand side.
+# It is the oracle of the differential test of `certtext.parse_interpretation`.
+
+
+class ReferenceCertParseError(Exception):
+    def __init__(self, message: str, line: int):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def _split_top_level(text: str, sep: str, line: int) -> list[str]:
+    parts: list[str] = []
+    depth = 0
+    current: list[str] = []
+    for ch in text:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth < 0:
+                raise ReferenceCertParseError("unbalanced ']'", line)
+        if ch == sep and depth == 0:
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(ch)
+    if depth != 0:
+        raise ReferenceCertParseError("unbalanced '['", line)
+    parts.append("".join(current))
+    return parts
+
+
+def _parse_scalar(text: str, line: int) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ReferenceCertParseError(f"cannot read number {text.strip()!r}", line) from None
+
+
+def _parse_vector(text: str, line: int) -> Vector:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ReferenceCertParseError(f"expected a vector like [0, 1], got {text!r}", line)
+    return tuple(_parse_scalar(p, line) for p in _split_top_level(text[1:-1], ",", line))
+
+
+def _parse_matrix(text: str, line: int) -> Matrix:
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ReferenceCertParseError(f"expected a matrix like [[1, 0], [0, 1]], got {text!r}", line)
+    rows = _split_top_level(text[1:-1], ",", line)
+    return tuple(_parse_vector(row, line) for row in rows)
+
+
+# an equation's symbol name: a WST name may hold `]` and `=` but no `(` or
+# space, so it ends at the last `]` before spaces and then `(` or `=`
+_SYMBOL = re.compile(r"\[(.*)\](?=\s*[(=])")
+
+
+def _parse_equation(text: str, line: int) -> tuple[str, list[str], str]:
+    if not text.startswith("["):
+        raise ReferenceCertParseError("expected an equation like [f](x) = ...", line)
+    symbol = _SYMBOL.match(text)
+    if symbol is None:
+        if "]" not in text:
+            raise ReferenceCertParseError("missing ']' after symbol name", line)
+        raise ReferenceCertParseError("expected '=' in equation", line)
+    sym = symbol.group(1)
+    if not sym:
+        raise ReferenceCertParseError("empty symbol name", line)
+    rest = text[symbol.end() :].strip()
+    args: list[str] = []
+    if rest.startswith("("):
+        close = rest.find(")")
+        if close < 0:
+            raise ReferenceCertParseError("missing ')' after argument list", line)
+        inner = rest[1:close].strip()
+        args = [a.strip() for a in inner.split(",")] if inner else []
+        if not all(args) or len(set(args)) < len(args):
+            raise ReferenceCertParseError(f"argument names must be distinct and nonempty: ({inner})", line)
+        for name in args:
+            # a right-hand side reads a factor as an argument first, so a
+            # numeral as a name would shadow the number
+            try:
+                Fraction(name)
+            except (ValueError, ZeroDivisionError):
+                continue
+            raise ReferenceCertParseError(f"argument name {name!r} reads as a number", line)
+        rest = rest[close + 1 :].strip()
+    if not rest.startswith("="):
+        raise ReferenceCertParseError("expected '=' in equation", line)
+    return sym, args, rest[1:].strip()
+
+
+def _parse_poly_rhs(expr: str, args: list[str], line: int) -> dict[frozenset[int], Fraction]:
+    index = {name: i for i, name in enumerate(args, start=1)}
+    coeffs: dict[frozenset[int], Fraction] = {}
+    for raw_term in expr.split("+"):
+        factors = [f.strip() for f in raw_term.split("*")]
+        coeff = Fraction(1)
+        mono: set[int] = set()
+        saw_number = False
+        for factor in factors:
+            if not factor:
+                raise ReferenceCertParseError(f"empty factor in {raw_term.strip()!r}", line)
+            if factor in index:
+                if index[factor] in mono:
+                    raise ReferenceCertParseError(f"variable {factor!r} repeats in one monomial", line)
+                mono.add(index[factor])
+            else:
+                coeff *= _parse_scalar(factor, line)
+                saw_number = True
+        if not mono and not saw_number:
+            raise ReferenceCertParseError(f"cannot read term {raw_term.strip()!r}", line)
+        key = frozenset(mono)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + coeff
+    return coeffs
+
+
+def _parse_matrix_rhs(
+    expr: str, args: list[str], dim: int, line: int
+) -> tuple[list[Matrix], Vector]:
+    index = {name: i for i, name in enumerate(args)}
+    mats: list[Matrix | None] = [None] * len(args)
+    const: Vector | None = None
+    for raw_term in _split_top_level(expr, "+", line):
+        term = raw_term.strip()
+        if "*" in term:
+            mat_text, _, name = term.rpartition("*")
+            name = name.strip()
+            if name not in index:
+                raise ReferenceCertParseError(f"unknown argument {name!r}", line)
+            if mats[index[name]] is not None:
+                raise ReferenceCertParseError(f"argument {name!r} appears twice", line)
+            mats[index[name]] = _parse_matrix(mat_text, line)
+        else:
+            if const is not None:
+                raise ReferenceCertParseError("two constant vectors in one equation", line)
+            const = _parse_vector(term, line)
+    filled = [M if M is not None else tuple((Fraction(0),) * dim for _ in range(dim)) for M in mats]
+    return filled, const if const is not None else (Fraction(0),) * dim
+
+
+def reference_parse_interpretation(text: str) -> Interpretation:
+    """Read a certificate; inverse of render_interpretation."""
+    kind: str | None = None
+    dim = 0
+    equations: list[tuple[int, str, list[str], str]] = []
+    for number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line == "YES" or line.startswith(("#", "rule ", "epsilon", "shape:")):
+            continue
+        if kind is None:
+            words = line.split()
+            if words[0] == "poly" and len(words) == 1:
+                kind = "poly"
+            elif words[0] == "matrix" and len(words) == 2 and words[1].isdigit():
+                kind = "matrix"
+                dim = int(words[1])
+                if dim < 1:
+                    raise ReferenceCertParseError("matrix dimension must be at least 1", number)
+            else:
+                raise ReferenceCertParseError(
+                    f"expected 'poly' or 'matrix N' on the first line, got {line!r}", number
+                )
+            continue
+        sym, args, expr = _parse_equation(line, number)
+        equations.append((number, sym, args, expr))
+    if kind is None:
+        raise ReferenceCertParseError("empty certificate", 1)
+    if not equations:
+        raise ReferenceCertParseError("certificate interprets no symbols", 1)
+    arities: dict[str, int] = {}
+    for number, sym, args, _ in equations:
+        if sym in arities:
+            raise ReferenceCertParseError(f"symbol {sym!r} interpreted twice", number)
+        arities[sym] = len(args)
+    if kind == "poly":
+        coeffs = {}
+        for number, sym, args, expr in equations:
+            coeffs[sym] = _parse_poly_rhs(expr, args, number)
+        return PolyInterpretation(arities, coeffs)
+    entries = {}
+    for number, sym, args, expr in equations:
+        mats, const = _parse_matrix_rhs(expr, args, dim, number)
+        if len(const) != dim or any(len(M) != dim or any(len(r) != dim for r in M) for M in mats):
+            raise ReferenceCertParseError(f"entries of [{sym}] do not match dimension {dim}", number)
+        entries[sym] = (mats, const)
+    return MatrixInterpretation(arities, dim, entries)
+
+
+SYMBOL_ALPHABET = "fg01[]=*+-#$?!.\x0c\x85"
+
+
+def random_certificate_text(rng: random.Random) -> str:
+    """A rendered random poly or matrix certificate: one to three symbols
+    over SYMBOL_ALPHABET, arities 0-4, Fraction coefficients."""
+    from ptrs.certtext import render_interpretation
+
+    arities: dict[str, int] = {}
+    while len(arities) < rng.randint(1, 3):
+        arities["".join(rng.choices(SYMBOL_ALPHABET, k=rng.randint(1, 4)))] = rng.randint(0, 4)
+    if rng.random() < 0.5:
+        interp: Interpretation = rand_poly_interp(rng, arities, rng.randint(1, 2))
+    else:
+        interp = rand_matrix_interp(rng, arities, rng.randint(1, 3))
+    return render_interpretation(interp)
+
+
+def garbled(rng: random.Random, text: str) -> str:
+    """`text` with one character deleted, doubled, or swapped with the next."""
+    i = rng.randrange(len(text) - 1)
+    how = rng.randrange(3)
+    if how == 0:
+        return text[:i] + text[i + 1 :]
+    if how == 1:
+        return text[:i] + text[i] + text[i:]
+    return text[:i] + text[i + 1] + text[i] + text[i + 2 :]
+
+
+def certificate_corpus(seed: int, count: int) -> list[str]:
+    """`count` rendered random certificates, each followed by three garbled
+    copies of itself, some garbled twice."""
+    rng = random.Random(seed)
+    texts: list[str] = []
+    for _ in range(count):
+        text = random_certificate_text(rng)
+        texts.append(text)
+        for _ in range(3):
+            bad = garbled(rng, text)
+            texts.append(garbled(rng, bad) if rng.random() < 0.3 else bad)
+    return texts
+
+
+def lenient_argument_names(text: str) -> bool:
+    """Whether the reference reader takes an argument name in `text` that
+    holds whitespace or one of `[](),*+=`: `[g]((x)`, `[f](x y)`, `[f](]x)`."""
+    for number, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line.startswith("["):
+            try:
+                _, args, _ = _parse_equation(line, number)
+            except ReferenceCertParseError:
+                continue
+            if any(re.search(r"[\s\[\](),*+=]", name) for name in args):
+                return True
+    return False

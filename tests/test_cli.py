@@ -2,6 +2,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,8 +13,9 @@ import jsonschema
 import pytest
 
 import ptrs.cli
+from helpers import certificate_corpus, garbled
 from ptrs.boxsolver import any_digits
-from ptrs.cli import _colorize, load_config, main
+from ptrs.cli import _colorize, _start_text, load_config, main
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"
@@ -644,6 +647,71 @@ def test_prove_and_check_read_and_write_utf8_in_an_ascii_locale(capsys, tmp_path
                 # the report a UTF-8 locale prints, in UTF-8
                 expected = proved if argv is prove_argv else proved.replace("shape: poly-linear\n", "", 1)
                 assert result.stdout == expected.encode("utf-8")
+
+
+def test_a_utf8_start_term_reads_in_an_ascii_locale(tmp_path):
+    problem = tmp_path / "accent.wst"
+    problem.write_text("(VAR x)(RULES é(x) -> x)\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "ptrs", "simulate", str(problem), "--start", "é(0)".encode(), "--steps", "2"]
+    ascii_env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    utf8 = subprocess.run(argv, capture_output=True, timeout=60, env=dict(os.environ, LC_ALL="C.UTF-8"))
+    assert (utf8.returncode, utf8.stderr) == (0, b"")
+    assert utf8.stdout.startswith("start é(0), steps 2".encode())
+    ascii = subprocess.run(argv, capture_output=True, timeout=60, env=ascii_env)
+    assert (ascii.returncode, ascii.stdout, ascii.stderr) == (0, utf8.stdout, b"")
+    # bytes that are no UTF-8 are an error that names the flag
+    argv[6] = b"\xff(0)"
+    bad = subprocess.run(argv, capture_output=True, timeout=60, env=ascii_env)
+    assert (bad.returncode, bad.stdout, bad.stderr) == (2, b"", b"error: --start is not UTF-8 text: '\\udcff(0)'\n")
+    # a latin-1 locale decodes every byte, and its reading stands
+    assert _start_text("Ã©(0)") == "Ã©(0)"
+
+
+def test_a_byte_order_mark_starts_no_input_file(capsys, tmp_path):
+    problem = tmp_path / "bom.wst"
+    problem.write_text("\ufeff" + Path(RW34).read_text(), encoding="utf-8")
+    cert = tmp_path / "bom.cert"
+    cert.write_text("\ufeff" + Path(RW34_CERT).read_text(), encoding="utf-8")
+    config = tmp_path / "bom.conf"
+    config.write_text(f"\ufeffcoeff-bound = 1\nsolver = {BOXSOLVER}\nshapes = poly-linear\n", encoding="utf-8")
+    plain = run_cli(capsys, "check", RW34, "--certificate", RW34_CERT)
+    assert plain[0] == 0
+    assert run_cli(capsys, "check", str(problem), "--certificate", str(cert)) == plain
+    code, out, err = run_cli(capsys, "prove", RW34, "--config", str(config))
+    assert (code, out.splitlines()[:2], err) == (0, ["YES", "shape: poly-linear"], "")
+
+
+def test_check_and_simulate_answer_garbled_certificates_by_the_protocol(capsys, tmp_path):
+    # the shipped certificates and random ones, each also garbled: check
+    # answers a verdict line with its exit code and names the line and
+    # column of an unreadable certificate; simulate --cert exits 0 or 2
+    # with at most one line on stderr
+    rng = random.Random(29)
+    texts = [(RW34, "s(s(0))", text) for text in certificate_corpus(29, 8)]
+    for problem, start in ((RW34, "s(s(0))"), (COINGAME, "?(0)"), (str(ROOT / "problems" / "matrix.wst"), "a(a(0))")):
+        text = Path(problem).with_suffix(".cert").read_text()
+        texts += [(problem, start, text)] + [(problem, start, garbled(rng, text)) for _ in range(20)]
+    check_schema = schema("check.schema.json")
+    verdicts = {0: "YES", 1: "MAYBE", 2: "ERROR"}
+    cert = tmp_path / "garbled.cert"
+    seen = set()
+    for problem, start, text in texts:
+        cert.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "check", problem, "--certificate", str(cert))
+        assert (out.split("\n", 1)[0], err) == (verdicts.get(code), ""), text
+        seen.add(code)
+        code_json, out, err = run_cli(capsys, "check", problem, "--certificate", str(cert), "--json")
+        payload = json.loads(out)
+        jsonschema.validate(payload, check_schema)
+        assert (code_json, payload["verdict"], err) == (code, verdicts[code], ""), text
+        if code == 2:
+            assert re.match(r"certificate unreadable: line \d+, column \d+: ", payload["error"]), text
+        code, out, err = run_cli(capsys, "simulate", problem, "--start", start, "--steps", "2", "--cert", str(cert))
+        if code == 0:
+            assert err == "", text
+        else:
+            assert (code, out, err.count("\n")) == (2, "", 1) and err.startswith("error: "), text
+    assert seen == {0, 1, 2}
 
 
 def test_a_solver_command_with_unbalanced_quotes_is_an_error_every_time(capsys):
