@@ -20,6 +20,7 @@ from .prover import ProverConfig, Verdict, check_only, format_verdict, prove, ve
 from .rewriting import FAMILY_NAMES, NodeBudgetExceeded, TermPars, make_family
 from .simulator import RunConfig, estimate_edh, run
 from .smt import DEFAULT_SHAPES, in_process_limit, parse_shape
+from .terms import Signature, TermError, check_term
 from .wst import WstError, load_system
 
 DEFAULT_SOLVER = "z3 -in"
@@ -288,6 +289,10 @@ def _run_simulate(args, config: dict[str, str], color: bool) -> int:
         if system is None:
             raise CliError("--cert needs a term-rewriting view of the system")
         cert = check_certificate(load_interpretation(args.cert), system)
+        try:
+            check_term(pars.term_view(start), Signature(cert.interpretation.arities))
+        except TermError as exc:
+            raise CliError(f"the certificate does not interpret the start term: {exc}") from None
     report = run(
         RunConfig(
             pars=pars,

@@ -166,13 +166,43 @@ class MultiDistribution(Generic[T]):
         """The union of p * fn(obj) over the entries (p, obj); an entry
         whose fn(obj) is None vanishes. With `merge`, equal images are
         folded into one entry each as they are added, in first-seen order:
-        the result is `bind(fn).merged()` without the unmerged tuple."""
-        parts = []
+        the result is `bind(fn).merged()` without the unmerged tuple.
+
+        Each image is added as it is read, its numerators scaled to the
+        running lcm `common` of the images' denominators; an image whose
+        denominator does not divide it rescales what is gathered so far.
+        An image has mass 1, so the result weighs the entries kept."""
+        numerators: list[tuple[int, S]] = []
+        append = numerators.append
+        sums: dict[S, int] = {}
+        get = sums.get
+        common, kept = 1, 0
         for n, obj in self._numerators:
             dist = fn(obj)
-            if dist is not None:
-                parts.append((n, dist._den, dist._numerators, dist._den))
-        return _union(parts, self._den, merge)
+            if dist is None:
+                continue
+            kept += n
+            d = dist._den
+            if common % d:
+                r = d // gcd(common, d)
+                if merge:
+                    sums = {image: r * m for image, m in sums.items()}
+                    get = sums.get
+                else:
+                    numerators = [(r * m, image) for m, image in numerators]
+                    append = numerators.append
+                common *= r
+            if d != common:
+                n *= common // d
+            if merge:
+                for m, image in dist._numerators:
+                    sums[image] = get(image, 0) + n * m
+            else:
+                for m, image in dist._numerators:
+                    append((n * m, image))
+        if merge:
+            numerators = [(m, image) for image, m in sums.items()]
+        return MultiDistribution._unchecked(tuple(numerators), self._den * common, kept * common)
 
     def _canonical(self) -> tuple[int, frozenset]:
         key = self._key
@@ -208,16 +238,30 @@ class MultiDistribution(Generic[T]):
         for n, obj in self._numerators:
             text = texts.get(n)
             if text is None:
-                g = gcd(n, den)
-                text = texts[n] = str(n // g) if g == den else f"{n // g}/{den // g}"
+                text = texts[n] = _weight_text(n, den)
             out.append((text, obj))
         return out
 
     def __str__(self) -> str:
-        return "{" + ", ".join(f"{p}: {obj}" for p, obj in self.rendered()) + "}"
+        # one pass: each distinct weight's "p: " built once, then each entry
+        den = self._den
+        heads: dict[int, str] = {}
+        parts = []
+        for n, obj in self._numerators:
+            head = heads.get(n)
+            if head is None:
+                head = heads[n] = _weight_text(n, den) + ": "
+            parts.append(head + str(obj))
+        return "{" + ", ".join(parts) + "}"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
+
+
+def _weight_text(n: int, den: int) -> str:
+    """n / den as str(Fraction(n, den)) renders it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 class FiniteDistribution(MultiDistribution[T]):
@@ -262,31 +306,6 @@ class FiniteDistribution(MultiDistribution[T]):
 
     def __contains__(self, obj: T) -> bool:
         return any(seen == obj for _, seen in self._numerators)
-
-
-def _union(
-    parts: list[tuple[int, int, tuple[tuple[int, T], ...], int]], outer: int = 1, merge: bool = False
-) -> MultiDistribution[T]:
-    """The union of the parts (a, d, pairs, mass): for every (m, obj) in
-    pairs, an entry of weight a * m / (outer * d); mass is the sum of the
-    m. One lcm of the d for the whole union, then products of ints. With
-    `merge`, the numerators of equal objects are added up in first-seen
-    order, as `merged()` would add them."""
-    common = lcm(*{d for _, d, _, _ in parts})
-    numerators: list[tuple[int, T]] = []
-    sums: dict[T, int] = {}
-    mass = 0
-    for a, d, pairs, part_mass in parts:
-        factor = a * (common // d)
-        if merge:
-            for m, obj in pairs:
-                sums[obj] = sums.get(obj, 0) + factor * m
-        else:
-            numerators.extend([(factor * m, obj) for m, obj in pairs])
-        mass += factor * part_mass
-    if merge:
-        numerators = [(n, obj) for obj, n in sums.items()]
-    return MultiDistribution._unchecked(tuple(numerators), outer * common, mass)
 
 
 def expected_numerator(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> tuple[int, int]:

@@ -174,22 +174,29 @@ class _Entry:
     `matches` holds the (rule index, substitution) of every rule that
     matches at the node itself, in rule order; `count` is the number of
     redexes in the whole subterm, the node's matches first and then its
-    children's in argument order, which is pre-order. `reducts` maps the
-    number k of a redex in that order to its reduct distribution, plugged
-    into this node; it keeps those built for a term this node is the root
-    of, and those of the node's own matches.
+    children's in argument order, which is pre-order. `innermost` is the
+    number of the leftmost-innermost redex: the first child's that holds
+    a redex, else the node's first match (0 when there is none).
+    `reducts` maps the number k of a redex in that order to its reduct
+    distribution, plugged into this node; it keeps those built for a term
+    this node is the root of or that a strategy's descent passed through,
+    and those of the node's own matches.
     """
 
-    __slots__ = ("node", "matches", "children", "count", "reducts")
+    __slots__ = ("node", "matches", "children", "count", "innermost", "reducts")
 
     def __init__(self, node: App | None, matches: tuple, children: tuple["_Entry", ...]):
         self.node = node
         self.matches = matches
         self.children = children
         count = len(matches)
+        innermost = None
         for child in children:
+            if innermost is None and child.count:
+                innermost = count + child.innermost
             count += child.count
         self.count = count
+        self.innermost = innermost or 0
         self.reducts: dict[int, FiniteDistribution[Term]] = {}
 
 
@@ -284,13 +291,16 @@ class TermPars(Pars):
         pairs = tuple((n, image) for image, n in local.items())
         return FiniteDistribution._unchecked(pairs, rhs.denominator, rhs.denominator)
 
-    def _reduct(self, top: _Entry, k: int) -> FiniteDistribution[Term]:
+    def _reduct(self, top: _Entry, k: int, keep_spine: bool = False) -> FiniteDistribution[Term]:
         """The reduct distribution of the k-th redex of top's node.
 
         Descend towards the redex to the first node that keeps the reduct
         sought there, or to the redex itself, which then keeps its own;
-        plug back up one level at a time, and keep the result at top."""
-        spine: list[tuple[App, int]] = []
+        plug back up one level at a time, and keep the result at top. With
+        `keep_spine`, every node passed on the way keeps the result plugged
+        into it, under its own number of the redex, so a later term that
+        shares the subterm plugs only its new levels."""
+        spine: list[tuple[_Entry, int, int]] = []
         entry, j = top, k
         while True:
             dist = entry.reducts.get(j)
@@ -299,15 +309,16 @@ class TermPars(Pars):
             if j < len(entry.matches):
                 dist = entry.reducts[j] = self._contract(entry.node, *entry.matches[j])
                 break
-            i, child, j = _step_down(entry, j)
-            spine.append((entry.node, i))
-            entry = child
-        if spine:
-            pairs = dist.numerators
-            for node, i in reversed(spine):
-                symbol, args = node.symbol, node.args
-                pairs = [(n, App(symbol, args[: i - 1] + (image,) + args[i:])) for n, image in pairs]
-            dist = top.reducts[k] = FiniteDistribution._unchecked(tuple(pairs), dist.denominator, dist.denominator)
+            i, child, j_below = _step_down(entry, j)
+            spine.append((entry, i, j))
+            entry, j = child, j_below
+        pairs = dist.numerators
+        den = dist.denominator
+        for entry, i, j in reversed(spine):  # the last one is top's
+            symbol, args = entry.node.symbol, entry.node.args
+            pairs = [(n, App(symbol, args[: i - 1] + (image,) + args[i:])) for n, image in pairs]
+            if keep_spine or entry is top:
+                dist = entry.reducts[j] = FiniteDistribution._unchecked(tuple(pairs), den, den)
         return dist
 
     def redexes(self, term: Term) -> list[RedexStep]:
@@ -323,19 +334,8 @@ class TermPars(Pars):
         return steps
 
     def innermost(self, term: Term) -> int:
-        """The number of term's leftmost-innermost redex, 0 when it has none:
-        descend into the first child that holds a redex, and stop at a node
-        whose children hold none."""
-        entry = self._entry(term)
-        k = 0
-        while True:
-            for child in entry.children:
-                if child.count:
-                    break
-            else:
-                return k
-            k += len(entry.matches)
-            entry = child
+        """The number of term's leftmost-innermost redex, 0 when it has none."""
+        return self._entry(term).innermost
 
     def options(self, term: Term) -> list[FiniteDistribution]:
         top = self._entry(term)
@@ -376,7 +376,7 @@ class _LazyReducts(Sequence):
             index += count
         if not 0 <= index < count:
             raise IndexError("redex index out of range")
-        return self._pars._reduct(self._top, index)
+        return self._pars._reduct(self._top, index, keep_spine=True)
 
 
 Chooser = Callable[[Pars, Hashable, Sequence[FiniteDistribution]], int]

@@ -106,10 +106,15 @@ def run(config: RunConfig) -> RunReport:
     # per object per run: `picks` starts afresh before a step could take
     # it past MEMO_LIMIT entries (other choosers never read it).
     sort_each_step = config.keep_trace or not getattr(chooser, "per_object", False)
+    # Mass and edl are kept as numerators over the step's denominator. A
+    # step's denominator is a multiple of the one before (bind multiplies
+    # it by the lcm of the chosen reducts'), so the running edl numerator
+    # is scaled up to it and the mass numerator added; the Fractions are
+    # built once, after the loop.
     picks: dict = {}
     mu = start
-    masses = [mu.mass()]
-    edl = [Fraction(0)]
+    edl_num = 0
+    sums = [(1, 0, 1)]  # (mass numerator, edl numerator, denominator) per depth
     trace = [mu]
     truncated = _hits_truncation(pars, mu)
     for _ in range(config.steps):
@@ -120,13 +125,15 @@ def run(config: RunConfig) -> RunReport:
         if config.collapse and sort_each_step:
             mu = _sorted(mu)
         truncated = truncated or _hits_truncation(pars, mu)
-        mass = mu.mass()
-        masses.append(mass)
-        edl.append(edl[-1] + mass)
+        den = mu.denominator
+        edl_num = edl_num * (den // sums[-1][2]) + mu.mass_numerator
+        sums.append((mu.mass_numerator, edl_num, den))
         if config.keep_trace:
             trace.append(mu)
     if config.collapse and not sort_each_step:
         mu = _sorted(mu)
+    masses = [Fraction(m, den) for m, _, den in sums]
+    edl = [Fraction(e, den) for _, e, den in sums]
     return RunReport(
         mode=config.mode if isinstance(config.mode, str) else "custom",
         masses=masses,

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import prod
+from math import lcm, prod
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from ptrs.boxsolver import narrow
@@ -39,7 +39,6 @@ from ptrs.multidist import (
     MultiDistribution,
     Rational,
     T,
-    _union,
     as_fraction,
     canonical_order,
     display_key,
@@ -485,6 +484,45 @@ def convex_union(
         raise InvalidWeights(f"part weights sum to {total}, exceeding 1")
     # every p * q lies in (0, p], so the union needs no further check
     return _union(ints)
+
+
+def _union(
+    parts: list[tuple[int, int, tuple[tuple[int, T], ...], int]], outer: int = 1, merge: bool = False
+) -> MultiDistribution[T]:
+    """The union of the parts (a, d, pairs, mass): for every (m, obj) in
+    pairs, an entry of weight a * m / (outer * d); mass is the sum of the
+    m. One lcm of the d for the whole union, then products of ints. With
+    `merge`, the numerators of equal objects are added up in first-seen
+    order, as `merged()` would add them.
+
+    `MultiDistribution.bind` was this union over a list of parts built
+    first; the tests keep it as the oracle of the one-pass bind."""
+    common = lcm(*{d for _, d, _, _ in parts})
+    numerators: list[tuple[int, T]] = []
+    sums: dict[T, int] = {}
+    mass = 0
+    for a, d, pairs, part_mass in parts:
+        factor = a * (common // d)
+        if merge:
+            for m, obj in pairs:
+                sums[obj] = sums.get(obj, 0) + factor * m
+        else:
+            numerators.extend([(factor * m, obj) for m, obj in pairs])
+        mass += factor * part_mass
+    if merge:
+        numerators = [(n, obj) for obj, n in sums.items()]
+    return MultiDistribution._unchecked(tuple(numerators), outer * common, mass)
+
+
+def reference_bind(mu: MultiDistribution[T], fn, merge: bool = False) -> MultiDistribution:
+    """mu.bind(fn, merge) as it was built before it was one pass: the parts
+    gathered first, then their union over one lcm."""
+    parts = []
+    for n, obj in mu.numerators:
+        dist = fn(obj)
+        if dist is not None:
+            parts.append((n, dist.denominator, dist.numerators, dist.denominator))
+    return _union(parts, mu.denominator, merge)
 
 
 def expectation(mu: MultiDistribution[Any]) -> Fraction:

@@ -500,10 +500,22 @@ def test_unexpected_failures_exit_two(capsys, monkeypatch):
 
 
 def test_uninterpreted_start_symbol_is_an_error(capsys):
-    code, _, err = run_cli(capsys, "simulate", str(ROOT / "problems" / "matrix.wst"),
-                           "--start", "a(a(0))", "--steps", "1",
-                           "--cert", str(ROOT / "problems" / "matrix.cert"))
-    assert code == 2 and err.startswith("error: KeyError: ")
+    # checked before the run, so -v prints no traceback and nothing is simulated
+    code, out, err = run_cli(capsys, "simulate", str(ROOT / "problems" / "matrix.wst"),
+                             "--start", "a(a(0))", "--steps", "1", "-v",
+                             "--cert", str(ROOT / "problems" / "matrix.cert"))
+    assert (code, out) == (2, "")
+    assert err == "error: the certificate does not interpret the start term: unknown symbol '0'\n"
+
+
+def test_start_symbol_at_another_arity_than_interpreted_is_an_error(capsys, tmp_path):
+    cert = tmp_path / "extra.cert"
+    cert.write_text((ROOT / "problems" / "matrix.cert").read_text() + "[c](x) = [[1, 0], [0, 0]]*x\n")
+    code, out, err = run_cli(capsys, "simulate", str(ROOT / "problems" / "matrix.wst"),
+                             "--start", "a(a(c))", "--steps", "1", "--cert", str(cert))
+    assert (code, out) == (2, "")
+    assert err == ("error: the certificate does not interpret the start term: "
+                   "symbol 'c' used with 0 arguments, declared arity is 1\n")
 
 
 def test_deep_starts_simulate(capsys):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from helpers import convex_union, expectation, from_distribution
+from helpers import convex_union, expectation, from_distribution, reference_bind
 from ptrs.multidist import (
     FiniteDistribution,
     InvalidWeights,
@@ -307,3 +308,40 @@ def test_merged_keeps_first_seen_order():
     assert (merged.denominator, merged.mass_numerator) == (12, 9)
     assert merged.collapse() == mu.collapse()
     assert collapsed(merged).numerators == collapsed(mu).numerators == ((4, "a"), (4, "b"), (1, "c"))
+
+
+def _random_image(rng: random.Random) -> FiniteDistribution | None:
+    """None, or a distribution over distinct objects whose numerators sum
+    to a denominator drawn from 2, 3, 4, 6 and 12, reduced or not."""
+    if rng.random() < 0.2:
+        return None
+    den = rng.choice((2, 3, 4, 6, 12))
+    cuts = sorted(rng.sample(range(1, den), rng.randint(0, min(3, den - 1))))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [den])]
+    objects = rng.sample("uvwxyz", len(weights))
+    return FiniteDistribution._unchecked(tuple(zip(weights, objects)), den, den)
+
+
+def test_bind_in_one_pass_matches_the_union_of_its_parts():
+    # the one-pass bind against the gather-then-union body it replaced, in
+    # the exact integer form and order, not by value; the running lcm must
+    # rescale what it has gathered when a denominator does not divide it
+    rng = random.Random(30)
+    rescaled = 0
+    for _ in range(400):
+        images = {obj: _random_image(rng) for obj in "abcde"}
+        den = rng.choice((1, 6, 8, 30, 60))
+        pairs, room = [], den
+        while room and rng.random() < 0.9:
+            n = rng.randint(1, max(1, room // 3))
+            pairs.append((n, rng.choice("abcde")))  # objects repeat
+            room -= n
+        mu = MultiDistribution._unchecked(tuple(pairs), den, den - room)
+        for merge in (False, True):
+            got = mu.bind(images.__getitem__, merge)
+            want = reference_bind(mu, images.__getitem__, merge)
+            assert (got.numerators, got.denominator, got.mass_numerator) == (
+                want.numerators, want.denominator, want.mass_numerator)
+        dens = [images[obj].denominator for _, obj in pairs if images[obj] is not None]
+        rescaled += any(lcm(*dens[:i]) % dens[i] for i in range(1, len(dens)))
+    assert rescaled > 100

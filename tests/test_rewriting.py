@@ -30,6 +30,7 @@ from ptrs.rewriting import (
     random_walk_ptrs,
     step_multidist,
 )
+from ptrs.simulator import RunConfig, run
 from ptrs.terms import (
     App,
     Signature,
@@ -506,6 +507,56 @@ def test_deep_innermost_step_is_linear_and_recursion_free(monkeypatch):
     dist = pars.choose(nat(depth), leftmost_innermost)
     assert dist == FiniteDistribution({nat(depth - 1): Fraction(3, 4), nat(depth + 1): Fraction(1, 4)})
     assert len(calls) == depth and len(contracted) == 1
-    # kept: the redex's own reduct at s(0), and the plugged one at the root
-    assert [(entry.node, list(entry.reducts)) for entry in pars._memo.values() if entry.reducts] == [
-        (nat(1), [0]), (nat(depth), [depth - 1])]
+    # kept: the reduct plugged into every node on the way down. nat(k) has
+    # k redexes, one per s, numbered from its root, and its innermost one
+    # (at s(0)) is its last, number k - 1
+    expected, node = [], App("0")
+    for k in range(1, depth + 1):
+        node = s(node)
+        expected.append((node, [k - 1]))
+    assert [(entry.node, list(entry.reducts)) for entry in pars._memo.values() if entry.reducts] == expected
+
+
+def test_a_term_sharing_a_chosen_spine_plugs_only_its_new_levels(monkeypatch):
+    pars = TermPars(random_walk_ptrs(Fraction(3, 4)))
+    pars.choose(nat(1000), leftmost_innermost)
+    descents = spy_on(monkeypatch, ptrs.rewriting, "_step_down")
+    for n, new_levels in ((999, 0), (1003, 3), (1004, 1), (500, 0)):
+        descents.clear()
+        dist = pars.choose(nat(n), leftmost_innermost)
+        assert len(descents) == new_levels
+        assert dist == FiniteDistribution({nat(n - 1): Fraction(3, 4), nat(n + 1): Fraction(1, 4)})
+
+
+def test_options_keep_linearly_many_reducts():
+    # every redex of nat(n) is kept plugged into the root (n) and at the
+    # node it sits at (n - 1 more: the root's is one of those n); nodes on
+    # the way down keep nothing, or nat(n) would keep n^2 / 2
+    n = 300
+    pars = TermPars(random_walk_ptrs(Fraction(3, 4)))
+    options = pars.options(nat(n))
+    assert len(options) == n
+    assert options[-1] == FiniteDistribution({nat(n - 1): Fraction(3, 4), nat(n + 1): Fraction(1, 4)})
+    assert sum(len(entry.reducts) for entry in pars._memo.values()) == 2 * n - 1
+
+
+def _coingame_starts(pars):
+    return [pars.parse_object(text) for text in ("?(s(s(s(0))))", "?(g(s(0)))", "?(f(s(s(0))))")]
+
+
+@pytest.mark.parametrize("mode", ["innermost", "outermost"])
+def test_a_collapsed_run_keeps_one_reduct_per_node_beyond_its_matches(mode):
+    # a leftmost strategy's pick inside a node on the chosen spine is that
+    # node's own pick, so a node keeps at most one reduct other than those
+    # of its own matches
+    walk = TermPars(random_walk_ptrs(Fraction(3, 4)))
+    coingame = TermPars(load_system(str(Path(__file__).resolve().parent.parent / "problems" / "coingame.wst")))
+    runs = [(walk, nat(300))] + [(coingame, start) for start in _coingame_starts(coingame)]
+    for pars, start in runs:
+        run(RunConfig(pars, start, 40, mode, collapse=True))
+    kept = 0
+    for pars in (walk, coingame):
+        for entry in pars._memo.values():
+            assert len([k for k in entry.reducts if k >= len(entry.matches)]) <= 1
+            kept += bool(entry.reducts)
+    assert kept > 150

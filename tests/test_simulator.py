@@ -47,7 +47,8 @@ from ptrs.simulator import (
     estimate_edh,
     run,
 )
-from ptrs.wst import load_system
+from ptrs.terms import App
+from ptrs.wst import elaborate, load_system, parse_problem
 
 F = Fraction
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -524,6 +525,50 @@ def test_run_matches_a_stepwise_loop():
                         assert report.trace is None
                     runs += 1
     assert runs == 12 * len(cases)
+
+
+# rules over denominators 2, 3, 1 and 5; h(h(0)) reaches the terminal 0
+MIXED_DENOMINATORS = """(VAR x)
+(RULES
+  f(x) -> 1 : g(x) || 1 : x
+  g(x) -> 1 : f(x) || 2 : h(x)
+  h(x) -> x
+  k(x) -> 1 : x || 4 : k(f(x))
+)"""
+
+
+def test_integer_mass_and_edl_are_fraction_prefix_sums():
+    # run keeps mass and edl as integer numerators over each step's
+    # denominator: they must read as the Fraction masses of the traced
+    # states and the prefix sums of those, traced or not
+    system = elaborate(parse_problem(MIXED_DENOMINATORS))
+    rng = random.Random(30)
+    h = lambda t: App("h", (t,))
+    starts = [h(h(App("0"))), App("k", (App("g", (App("0"),)),))]
+    starts += [random_term(system.signature, rng, max_depth=4) for _ in range(6)]
+    emptied = mixed = 0
+    for index, start in enumerate(starts):
+        for mode in ("outermost", "innermost", "random"):
+            for collapse in (False, True):
+                for steps in (0, 1, 8):
+                    reports = []
+                    for keep_trace in (True, False):
+                        chooser = random_chooser(random.Random(index)) if mode == "random" else mode
+                        config = RunConfig(TermPars(system), start, steps, chooser, collapse, keep_trace=keep_trace)
+                        reports.append(run(config))
+                    traced, untraced = reports
+                    masses = [state.mass() for state in traced.trace]
+                    edl = [F(0)]
+                    for mass in masses[1:]:
+                        edl.append(edl[-1] + mass)
+                    for report in reports:
+                        assert report.masses == masses and report.edl == edl
+                        assert all(type(value) is F for value in report.masses + report.edl)
+                        assert report.mass_min == report.mass_max == masses
+                        assert report.edl_min == report.edl_max == edl
+                    emptied += steps > 0 and masses[-1] == 0
+                    mixed += any(state.denominator % 6 == 0 for state in traced.trace)
+    assert emptied >= 6 and mixed > 20
 
 
 def test_exhaustive_successors_match_the_fraction_reference():
