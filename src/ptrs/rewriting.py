@@ -547,7 +547,10 @@ class RandomWalk(Pars):
         return term
 
     def parse_object(self, text: str) -> int:
-        value = int(text)
+        try:
+            value = int(text)
+        except ValueError:
+            raise ValueError(f"cannot read start object {text!r} (expected a natural)") from None
         if value < 0:
             raise ValueError("start object must be a natural number")
         return value
@@ -621,9 +624,9 @@ class Payout(Pars):
         return self.truncate is not None and isinstance(obj, Stake) and obj.round >= self.truncate
 
     def parse_object(self, text: str) -> "Stake | int":
-        if text.startswith("a") and text[1:].isdigit():
+        if text.startswith("a") and text[1:].isdecimal():
             return Stake(int(text[1:]))
-        if text.isdigit():
+        if text.isdecimal():
             return int(text)
         raise ValueError(f"cannot read start object {text!r} (expected aN or a natural)")
 

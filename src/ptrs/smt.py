@@ -209,11 +209,11 @@ class Shape(NamedTuple):
 def parse_shape(text: str) -> Shape:
     if text == "poly-linear":
         return Shape("poly", 1)
-    if text.startswith("poly-multilinear-") and text.rsplit("-", 1)[1].isdigit():
+    if text.startswith("poly-multilinear-") and text.rsplit("-", 1)[1].isdecimal():
         degree = int(text.rsplit("-", 1)[1])
         if degree >= 2:
             return Shape("poly", degree)
-    if text.startswith("matrix-") and text.split("-", 1)[1].isdigit():
+    if text.startswith("matrix-") and text.split("-", 1)[1].isdecimal():
         dim = int(text.split("-", 1)[1])
         if dim >= 1:
             return Shape("matrix", dim)
@@ -455,24 +455,27 @@ def run_solver(
 def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
     """A lower bound on the points of the box the box solver compares with
     its budget (`boxsolver.narrow`) for `encode(system, shape, bound)`'s set,
-    from the template's unknowns alone, with no constraint built; None when
-    `encode` may raise instead (no rules, or a coefficient on a product of
-    two or more arguments, which can overflow the degree cap).
+    counted from the arities with no template or constraint built; None
+    when `encode` may raise instead (no rules, or a coefficient on a product
+    of two or more arguments, which can overflow the degree cap).
 
-    `narrow` raises a lower end only to a constraint's `at_least`, and of
-    the constraints `encode` builds only each rule's margin has `at_least`
-    1, the rest 0. So at most one unknown per rule goes from 0..bound to
-    1..bound, and every template lower end is 0 or 1.
+    `template` gives a symbol of arity a 1 + a coefficients under
+    `poly-linear`, as under any poly shape when a <= 1, and a*n*n + n under
+    `matrix-n`. The a linear or top-left ones have lower end 1, the other
+    1 or a*(n*n - 1) + n have 0.
+    `narrow` raises a lower end only to a constraint's `at_least`, and only
+    each rule's margin has `at_least` 1. So at most one unknown per rule
+    goes from 0..bound to 1..bound.
     """
     if not system.rules:
         return None
-    if shape.kind == "poly" and shape.param > 1 and max(system.signature.symbols().values(), default=0) > 1:
+    arities = system.signature.symbols().values()
+    n, ones = shape.param, sum(arities)
+    if shape.kind == "poly" and n > 1 and max(arities, default=0) > 1:
         return None
-    lows: list[int] = []
-    template(system, shape, lambda name, lo: lows.append(lo) or lo)
-    zeros = lows.count(0)
+    zeros = len(arities) if shape.kind == "poly" else (n * n - 1) * ones + n * len(arities)
     raised = min(zeros, len(system.rules))
-    return bound ** (len(lows) - zeros + raised) * (bound + 1) ** (zeros - raised)
+    return bound ** (ones + raised) * (bound + 1) ** (zeros - raised)
 
 
 def solve_box(

@@ -4,17 +4,19 @@ The probabilistic extension writes a rule as
 
     l -> w1 : r1 || w2 : r2 || ... || wn : rn
 
-with positive integer weights; alternative j fires with probability wj over
-the weight total. A rule without weights, `l -> r`, abbreviates `l -> 1 : r`.
-Comments run from `;` to end of line. Symbol arities are inferred from use,
-first use wins.
+with positive integer weights written in decimal digits; alternative j fires
+with probability wj over the weight total. A rule without weights, `l -> r`,
+abbreviates `l -> 1 : r`. Comments run from `;` to end of line. Symbol
+arities are inferred from use, first use wins. The reader works on token
+texts alone, as one `findall` gives them.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
-from typing import NamedTuple
+from functools import partial
+from math import gcd
+from typing import Callable, NamedTuple
 
 from .multidist import FiniteDistribution
 from .rewriting import PTRS, ProbRule, RuleError
@@ -51,41 +53,49 @@ class Token(NamedTuple):
     col: int
 
 
-# Every character falls in exactly one alternative, so `finditer` skips
-# nothing. An identifier is a run of the other characters, and takes a
-# '-' only when no '>' follows it.
-_TOKEN = re.compile(
-    r"(?P<NEWLINE>\n)|(?P<SKIP>[ \t\r]+|;[^\n]*)|(?P<ARROW>->)|(?P<BAR>\|\|)|(?P<STRAY>\|)"
-    r"|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<COLON>:)|(?P<IDENT>(?:[^ \t\r\n(),:;|-]|-(?!>))+)"
-)
+# Every character falls in exactly one alternative, so `findall` skips
+# nothing; whitespace and comments match outside the group and come out as
+# ''. An identifier is a run of the other characters, and takes a '-' only
+# when no '>' follows it. A lone '|' is read only to be reported.
+_TOKEN = re.compile(r"[ \t\r\n]+|;[^\n]*|(->|\|\|?|[(),:]|(?:[^ \t\r\n(),:;|-]|-(?!>))+)")
+_PUNCTUATION = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ":": "COLON", "->": "ARROW", "||": "BAR"}
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-        elif kind == "STRAY":
+        tok = m.group(1)
+        if tok is None:
+            if "\n" in m.group():
+                line += m.group().count("\n")
+                line_start = m.start() + m.group().rindex("\n") + 1
+        elif tok == "|":
             raise ParseError("stray '|' (alternatives are separated by '||')", line, m.start() - line_start + 1)
-        elif kind != "SKIP":
-            tokens.append(Token(kind, m.group(), line, m.start() - line_start + 1))
+        else:
+            tokens.append(Token(_PUNCTUATION.get(tok, "IDENT"), tok, line, m.start() - line_start + 1))
     return tokens
 
 
 class RawRule:
     """A rule as written: weighted alternatives, at the line and column
-    where it starts. Equality and hashing ignore the position."""
+    where it starts. Equality and hashing ignore the position, which a
+    parsed rule works out when it is first read."""
 
-    __slots__ = ("lhs", "alternatives", "line", "col")
+    __slots__ = ("lhs", "alternatives", "_at")
 
     def __init__(self, lhs: Term, alternatives: tuple[tuple[int, Term], ...], line: int = 0, col: int = 0):
         self.lhs = lhs
         self.alternatives = alternatives
-        self.line = line
-        self.col = col
+        self._at: tuple[int, int] | Callable[[], tuple[int, int]] = (line, col)
+
+    def _where(self) -> tuple[int, int]:
+        if callable(self._at):
+            self._at = self._at()
+        return self._at
+
+    line = property(lambda self: self._where()[0])
+    col = property(lambda self: self._where()[1])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not RawRule:
@@ -102,179 +112,166 @@ class ProblemFile(NamedTuple):
     signature: Signature
 
 
-class _Cursor:
-    def __init__(self, tokens: list[Token], end_line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_line = end_line
+class _Reader:
+    """Reads terms from `toks`, the token texts of `text`, while inferring
+    arities, first use winning. A '' in `toks` ends the input. A token's
+    line and column are worked out only for an error or a rule's position."""
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    __slots__ = ("text", "toks", "end_line", "variables", "arities", "_tokens")
 
-    def next(self, expected: str | None = None) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_line, 1)
-        if expected is not None and tok.kind != expected:
-            raise ParseError(f"expected {expected}, found {tok.text!r}", tok.line, tok.col)
-        self.pos += 1
-        return tok
+    def __init__(self, text: str, end_line: int, variables: set[str]):
+        self.toks = list(filter(None, _TOKEN.findall(text)))
+        if "|" in self.toks:
+            tokenize(text)  # raises the stray-bar error at the first '|'
+        self.text, self.end_line, self.variables = text, end_line, variables
+        # each symbol's arity and the index of its first use; None for a declared symbol
+        self.arities: dict[str, tuple[int, int | None]] = {}
+        self._tokens: list[Token] | None = None
 
+    def position(self, index: int) -> tuple[int, int]:
+        # the i-th token text is the i-th token of `tokenize`
+        if self._tokens is None:
+            self._tokens = tokenize(self.text)
+        return self._tokens[index][2:]
 
-class _TermReader:
-    """Parses terms while inferring arities, first use winning."""
+    def error(self, index: int, message: str) -> ParseError:
+        return ParseError(message, *self.position(index))
 
-    def __init__(self, variables: set[str]):
-        self.variables = variables
-        # each symbol's arity and its first use; None for a declared symbol
-        self.arities: dict[str, tuple[int, Token | None]] = {}
+    def expected(self, index: int, kind: str) -> ParseError:
+        if not self.toks[index]:
+            return ParseError("unexpected end of input", self.end_line, 1)
+        return self.error(index, f"expected {kind}, found {self.toks[index]!r}")
 
-    def read(self, cur: _Cursor) -> Term:
+    def term(self, i: int) -> tuple[Term, int]:
+        """The term that starts at token i, and the index after it."""
         # Open applications wait on a stack, so nesting depth costs no
         # recursion. Symbols are noted in post-order, as they complete.
-        pending: list[tuple[Token, list[Term]]] = []
+        toks, variables, arities = self.toks, self.variables, self.arities
+        pending: list[tuple[str, int, list[Term]]] = []
         while True:
-            head = cur.next("IDENT")
-            nxt = cur.peek()
-            if nxt is not None and nxt.kind == "LPAREN":
-                if head.text in self.variables:
-                    raise ParseError(f"variable {head.text!r} used with arguments", head.line, head.col)
-                cur.next("LPAREN")
-                if cur.peek() is not None and cur.peek().kind != "RPAREN":
-                    pending.append((head, []))
-                    continue
-                cur.next("RPAREN")
-                self._note(head, 0)
-                term: Term = App(head.text, ())
-            elif head.text in self.variables:
-                term = Var(head.text)
+            head = toks[i]
+            if not head or head in _PUNCTUATION:
+                raise self.expected(i, "IDENT")
+            at = i
+            i += 1
+            if toks[i] != "(" and head in variables:
+                term: Term = Var(head)
             else:
-                self._note(head, 0)
-                term = App(head.text, ())
+                if toks[i] == "(":
+                    if head in variables:
+                        raise self.error(at, f"variable {head!r} used with arguments")
+                    i += 1
+                    if toks[i] != ")":
+                        if not toks[i]:
+                            raise self.expected(i, "RPAREN")
+                        pending.append((head, at, []))
+                        continue
+                    i += 1
+                if arities.setdefault(head, (0, at))[0]:
+                    raise self._arity_error(head, 0, at)
+                term = App(head, ())
             while pending:
-                head, args = pending[-1]
+                head, at, args = pending[-1]
                 args.append(term)
-                if cur.peek() is not None and cur.peek().kind == "COMMA":
-                    cur.next("COMMA")
+                if toks[i] == ",":
+                    i += 1
                     break
-                cur.next("RPAREN")
+                if toks[i] != ")":
+                    raise self.expected(i, "RPAREN")
+                i += 1
                 pending.pop()
-                self._note(head, len(args))
-                term = App(head.text, tuple(args))
+                if arities.setdefault(head, (len(args), at))[0] != len(args):
+                    raise self._arity_error(head, len(args), at)
+                term = App(head, tuple(args))
             else:
-                return term
+                return term, i
 
-    def _note(self, tok: Token, arity: int) -> None:
-        seen = self.arities.get(tok.text)
-        if seen is None:
-            self.arities[tok.text] = (arity, tok)
-        elif seen[0] != arity:
-            first = seen[1]
-            if first is None:
-                earlier = f"the system declares it with {seen[0]}"
-            else:
-                earlier = f"with {seen[0]} at line {first.line}, column {first.col}"
-            raise ParseError(
-                f"symbol {tok.text!r} used with {arity} arguments here but {earlier}",
-                tok.line,
-                tok.col,
-            )
-
-
-def _split_blocks(tokens: list[Token]) -> list[tuple[Token, list[Token]]]:
-    blocks: list[tuple[Token, list[Token]]] = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i].kind != "LPAREN":
-            raise ParseError(f"expected '(', found {tokens[i].text!r}", tokens[i].line, tokens[i].col)
-        if i + 1 >= len(tokens) or tokens[i + 1].kind != "IDENT":
-            tok = tokens[i + 1] if i + 1 < len(tokens) else tokens[i]
-            raise ParseError("expected a block name after '('", tok.line, tok.col)
-        name = tokens[i + 1]
-        depth = 1
-        j = i + 2
-        while j < len(tokens) and depth > 0:
-            if tokens[j].kind == "LPAREN":
-                depth += 1
-            elif tokens[j].kind == "RPAREN":
-                depth -= 1
-            j += 1
-        if depth != 0:
-            raise ParseError(f"unclosed block {name.text!r}", name.line, name.col)
-        blocks.append((name, tokens[i + 2 : j - 1]))
-        i = j
-    return blocks
+    def _arity_error(self, sym: str, arity: int, at: int) -> ParseError:
+        declared, first = self.arities[sym]
+        if first is None:
+            earlier = f"the system declares it with {declared}"
+        else:
+            earlier = "with {} at line {}, column {}".format(declared, *self.position(first))
+        return self.error(at, f"symbol {sym!r} used with {arity} arguments here but {earlier}")
 
 
 def parse_problem(text: str) -> ProblemFile:
-    tokens = tokenize(text)
-    end_line = text.count("\n") + 1
-    if not tokens:
+    reader = _Reader(text, text.count("\n") + 1, set())
+    toks = reader.toks
+    if not toks:
         raise ParseError("empty problem file", 1, 1)
-    blocks = _split_blocks(tokens)
+    blocks: list[tuple[int, int]] = []  # each block's name and closing ')', by index
+    i, n = 0, len(toks)
+    while i < n:
+        if toks[i] != "(":
+            raise reader.error(i, f"expected '(', found {toks[i]!r}")
+        if i + 1 == n or toks[i + 1] in _PUNCTUATION:
+            raise reader.error(min(i + 1, n - 1), "expected a block name after '('")
+        depth, j = 1, i + 2
+        while j < n and depth:
+            depth += (toks[j] == "(") - (toks[j] == ")")
+            j += 1
+        if depth:
+            raise reader.error(i + 1, f"unclosed block {toks[i + 1]!r}")
+        blocks.append((i + 1, j - 1))
+        i = j
+    for _, close in blocks:
+        toks[close] = ""  # the end of the reader's input
 
     variables: list[str] = []
-    for name, body in blocks:
-        if name.text == "VAR":
-            for tok in body:
-                if tok.kind != "IDENT":
-                    raise ParseError(f"unexpected {tok.text!r} in VAR block", tok.line, tok.col)
-                if tok.text not in variables:
-                    variables.append(tok.text)
+    for name, close in blocks:
+        for k in range(name + 1, close) if toks[name] == "VAR" else ():
+            if toks[k] in _PUNCTUATION:
+                raise reader.error(k, f"unexpected {toks[k]!r} in VAR block")
+            if toks[k] not in variables:
+                variables.append(toks[k])
 
-    reader = _TermReader(set(variables))
+    reader.variables = set(variables)
     rules: list[RawRule] = []
-    for name, body in blocks:
-        if name.text == "VAR":
+    for name, close in blocks:
+        if toks[name] == "VAR":
             continue
-        if name.text != "RULES":
-            raise ParseError(f"unknown block {name.text!r}", name.line, name.col)
-        cur = _Cursor(body, end_line)
-        while cur.peek() is not None:
-            rules.append(_read_rule(cur, reader))
+        if toks[name] != "RULES":
+            raise reader.error(name, f"unknown block {toks[name]!r}")
+        i = name + 1
+        while i < close:
+            start = i
+            lhs, i = reader.term(i)
+            if toks[i] != "->":
+                raise reader.expected(i, "ARROW")
+            alternatives: list[tuple[int, Term]] = []
+            while not alternatives or toks[i] == "||":  # i is at '->' or '||'
+                weight = 1
+                if toks[i + 1].isdecimal() and toks[i + 2] == ":":
+                    weight = int(toks[i + 1])
+                    if weight <= 0:
+                        raise reader.error(i + 1, "weights must be positive integers")
+                    i += 2
+                term, i = reader.term(i + 1)
+                alternatives.append((weight, term))
+            rule = RawRule(lhs, tuple(alternatives))
+            rule._at = partial(reader.position, start)
+            rules.append(rule)
     if not rules:
-        raise ParseError("no rules found", end_line, 1)
+        raise ParseError("no rules found", reader.end_line, 1)
     return ProblemFile(tuple(variables), tuple(rules), Signature({s: a for s, (a, _) in reader.arities.items()}))
-
-
-def _read_rule(cur: _Cursor, reader: _TermReader) -> RawRule:
-    start = cur.peek()
-    lhs = reader.read(cur)
-    cur.next("ARROW")
-    alternatives: list[tuple[int, Term]] = []
-    alternatives.append(_read_alternative(cur, reader))
-    while cur.peek() is not None and cur.peek().kind == "BAR":
-        cur.next("BAR")
-        alternatives.append(_read_alternative(cur, reader))
-    return RawRule(lhs, tuple(alternatives), start.line, start.col)
-
-
-def _read_alternative(cur: _Cursor, reader: _TermReader) -> tuple[int, Term]:
-    tok = cur.peek()
-    if tok is not None and tok.kind == "IDENT" and tok.text.isdigit():
-        after = cur.tokens[cur.pos + 1] if cur.pos + 1 < len(cur.tokens) else None
-        if after is not None and after.kind == "COLON":
-            cur.next("IDENT")
-            cur.next("COLON")
-            weight = int(tok.text)
-            if weight <= 0:
-                raise ParseError("weights must be positive integers", tok.line, tok.col)
-            return weight, reader.read(cur)
-    return 1, reader.read(cur)
 
 
 def elaborate(problem: ProblemFile) -> PTRS:
     """Turn raw weighted rules into probability-carrying rewrite rules.
 
-    Duplicate alternatives merge by summing their weights.
+    Duplicate alternatives merge by summing their weights. Divided by
+    their gcd g, the weights over their total are in the least terms that
+    `FiniteDistribution` gives: lcm(total/gcd(w_i, total)) = total/g.
     """
     rules: list[ProbRule] = []
     for raw in problem.rules:
         merged: dict[Term, int] = {}
         for weight, term in raw.alternatives:
             merged[term] = merged.get(term, 0) + weight
-        total = sum(merged.values())
-        dist = FiniteDistribution({term: Fraction(w, total) for term, w in merged.items()})
+        g = gcd(*merged.values())
+        total = sum(merged.values()) // g
+        dist = FiniteDistribution._unchecked(tuple((w // g, term) for term, w in merged.items()), total, total)
         try:
             rules.append(ProbRule(raw.lhs, dist))
         except RuleError as exc:
@@ -300,25 +297,22 @@ def parse_term_text(text: str, variables: set[str], signature: Signature | None 
     `s^5000`. Without a signature every symbol is accepted at the arity it
     is first used with.
     """
-    tokens = tokenize(text)
-    if not tokens:
+    reader = _Reader(text, 1, set(variables))
+    toks = reader.toks
+    if not toks:
         raise ParseError("empty term", 1, 1)
-    reader = _TermReader(set(variables))
+    toks.append("")
     if signature is not None:
-        for sym, arity in signature.symbols().items():
-            reader.arities[sym] = (arity, None)
-    cur = _Cursor(tokens, 1)
-    term = reader.read(cur)
-    leftover = cur.peek()
-    if leftover is not None:
-        raise ParseError(f"unexpected trailing {leftover.text!r}", leftover.line, leftover.col)
+        reader.arities = {sym: (arity, None) for sym, arity in signature.symbols().items()}
+    term, i = reader.term(0)
+    if toks[i]:
+        raise reader.error(i, f"unexpected trailing {toks[i]!r}")
     if signature is not None:
         for sym, (arity, first) in reader.arities.items():
             if first is not None and arity > 0:
-                raise ParseError(
+                raise reader.error(
+                    first,
                     f"symbol {sym!r} is applied to arguments but the system does not "
                     "declare it; new symbols may only be constants",
-                    first.line,
-                    first.col,
                 )
     return term

@@ -50,6 +50,7 @@ from ptrs.rewriting import (
     BudgetTracker,
     Pars,
     ProbRule,
+    RuleError,
     TermPars,
     all_steps,
     random_chooser,
@@ -57,9 +58,9 @@ from ptrs.rewriting import (
     step_multidist,
 )
 from ptrs.simulator import DriftReport, DriftViolation, collapsed
-from ptrs.smt import ConstraintSet, Poly, decode, encode, in_process_limit, solve_box
+from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box, template
 from ptrs.terms import App, Position, Signature, Term, Var, variables
-from ptrs.wst import ProblemFile
+from ptrs.wst import ElaborationError, ParseError, ProblemFile, RawRule, Token, tokenize
 
 
 def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
@@ -595,6 +596,13 @@ def render_problem(problem: ProblemFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def problem_of(system: PTRS) -> ProblemFile:
+    """The system as rules written with its integer weights, for `render_problem`."""
+    rules = tuple(RawRule(rule.lhs, rule.rhs.numerators) for rule in system.rules)
+    names = sorted(set().union(*(variables(rule.lhs) for rule in system.rules)))
+    return ProblemFile(tuple(names), rules, system.signature)
+
+
 def term_size(term: Term) -> int:
     """Number of nodes, read from the annotation made at construction."""
     return term._size
@@ -856,3 +864,225 @@ def lenient_argument_names(text: str) -> bool:
             if any(re.search(r"[\s\[\](),*+=]", name) for name in args):
                 return True
     return False
+
+
+# The WST reader as it was before it read plain string tokens: a cursor over
+# `Token` records with the position of every token worked out up front, and
+# the weight total divided out in `Fraction`s. It is the oracle of the
+# differential tests of `wst.parse_problem`, `wst.parse_term_text` and
+# `wst.elaborate`.
+
+
+class _Cursor:
+    def __init__(self, tokens: list[Token], end_line: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.end_line = end_line
+
+    def peek(self) -> Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self, expected: str | None = None) -> Token:
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input", self.end_line, 1)
+        if expected is not None and tok.kind != expected:
+            raise ParseError(f"expected {expected}, found {tok.text!r}", tok.line, tok.col)
+        self.pos += 1
+        return tok
+
+
+class _TermReader:
+    """Parses terms while inferring arities, first use winning."""
+
+    def __init__(self, variables: set[str]):
+        self.variables = variables
+        # each symbol's arity and its first use; None for a declared symbol
+        self.arities: dict[str, tuple[int, Token | None]] = {}
+
+    def read(self, cur: _Cursor) -> Term:
+        # Open applications wait on a stack, so nesting depth costs no
+        # recursion. Symbols are noted in post-order, as they complete.
+        pending: list[tuple[Token, list[Term]]] = []
+        while True:
+            head = cur.next("IDENT")
+            nxt = cur.peek()
+            if nxt is not None and nxt.kind == "LPAREN":
+                if head.text in self.variables:
+                    raise ParseError(f"variable {head.text!r} used with arguments", head.line, head.col)
+                cur.next("LPAREN")
+                if cur.peek() is not None and cur.peek().kind != "RPAREN":
+                    pending.append((head, []))
+                    continue
+                cur.next("RPAREN")
+                self._note(head, 0)
+                term: Term = App(head.text, ())
+            elif head.text in self.variables:
+                term = Var(head.text)
+            else:
+                self._note(head, 0)
+                term = App(head.text, ())
+            while pending:
+                head, args = pending[-1]
+                args.append(term)
+                if cur.peek() is not None and cur.peek().kind == "COMMA":
+                    cur.next("COMMA")
+                    break
+                cur.next("RPAREN")
+                pending.pop()
+                self._note(head, len(args))
+                term = App(head.text, tuple(args))
+            else:
+                return term
+
+    def _note(self, tok: Token, arity: int) -> None:
+        seen = self.arities.get(tok.text)
+        if seen is None:
+            self.arities[tok.text] = (arity, tok)
+        elif seen[0] != arity:
+            first = seen[1]
+            if first is None:
+                earlier = f"the system declares it with {seen[0]}"
+            else:
+                earlier = f"with {seen[0]} at line {first.line}, column {first.col}"
+            raise ParseError(
+                f"symbol {tok.text!r} used with {arity} arguments here but {earlier}",
+                tok.line,
+                tok.col,
+            )
+
+
+def _split_blocks(tokens: list[Token]) -> list[tuple[Token, list[Token]]]:
+    blocks: list[tuple[Token, list[Token]]] = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i].kind != "LPAREN":
+            raise ParseError(f"expected '(', found {tokens[i].text!r}", tokens[i].line, tokens[i].col)
+        if i + 1 >= len(tokens) or tokens[i + 1].kind != "IDENT":
+            tok = tokens[i + 1] if i + 1 < len(tokens) else tokens[i]
+            raise ParseError("expected a block name after '('", tok.line, tok.col)
+        name = tokens[i + 1]
+        depth = 1
+        j = i + 2
+        while j < len(tokens) and depth > 0:
+            if tokens[j].kind == "LPAREN":
+                depth += 1
+            elif tokens[j].kind == "RPAREN":
+                depth -= 1
+            j += 1
+        if depth != 0:
+            raise ParseError(f"unclosed block {name.text!r}", name.line, name.col)
+        blocks.append((name, tokens[i + 2 : j - 1]))
+        i = j
+    return blocks
+
+
+def reference_parse_problem(text: str) -> ProblemFile:
+    tokens = tokenize(text)
+    end_line = text.count("\n") + 1
+    if not tokens:
+        raise ParseError("empty problem file", 1, 1)
+    blocks = _split_blocks(tokens)
+
+    variables: list[str] = []
+    for name, body in blocks:
+        if name.text == "VAR":
+            for tok in body:
+                if tok.kind != "IDENT":
+                    raise ParseError(f"unexpected {tok.text!r} in VAR block", tok.line, tok.col)
+                if tok.text not in variables:
+                    variables.append(tok.text)
+
+    reader = _TermReader(set(variables))
+    rules: list[RawRule] = []
+    for name, body in blocks:
+        if name.text == "VAR":
+            continue
+        if name.text != "RULES":
+            raise ParseError(f"unknown block {name.text!r}", name.line, name.col)
+        cur = _Cursor(body, end_line)
+        while cur.peek() is not None:
+            rules.append(_read_rule(cur, reader))
+    if not rules:
+        raise ParseError("no rules found", end_line, 1)
+    return ProblemFile(tuple(variables), tuple(rules), Signature({s: a for s, (a, _) in reader.arities.items()}))
+
+
+def _read_rule(cur: _Cursor, reader: _TermReader) -> RawRule:
+    start = cur.peek()
+    lhs = reader.read(cur)
+    cur.next("ARROW")
+    alternatives: list[tuple[int, Term]] = []
+    alternatives.append(_read_alternative(cur, reader))
+    while cur.peek() is not None and cur.peek().kind == "BAR":
+        cur.next("BAR")
+        alternatives.append(_read_alternative(cur, reader))
+    return RawRule(lhs, tuple(alternatives), start.line, start.col)
+
+
+def _read_alternative(cur: _Cursor, reader: _TermReader) -> tuple[int, Term]:
+    tok = cur.peek()
+    if tok is not None and tok.kind == "IDENT" and tok.text.isdigit():
+        after = cur.tokens[cur.pos + 1] if cur.pos + 1 < len(cur.tokens) else None
+        if after is not None and after.kind == "COLON":
+            cur.next("IDENT")
+            cur.next("COLON")
+            weight = int(tok.text)
+            if weight <= 0:
+                raise ParseError("weights must be positive integers", tok.line, tok.col)
+            return weight, reader.read(cur)
+    return 1, reader.read(cur)
+
+
+def reference_elaborate(problem: ProblemFile) -> PTRS:
+    rules: list[ProbRule] = []
+    for raw in problem.rules:
+        merged: dict[Term, int] = {}
+        for weight, term in raw.alternatives:
+            merged[term] = merged.get(term, 0) + weight
+        total = sum(merged.values())
+        dist = FiniteDistribution({term: Fraction(w, total) for term, w in merged.items()})
+        try:
+            rules.append(ProbRule(raw.lhs, dist))
+        except RuleError as exc:
+            raise ElaborationError(str(exc), raw.line, raw.col, exc.reason) from None
+    return PTRS(problem.signature, tuple(rules))
+
+
+def reference_parse_term_text(text: str, variables: set[str], signature: Signature | None = None) -> Term:
+    tokens = tokenize(text)
+    if not tokens:
+        raise ParseError("empty term", 1, 1)
+    reader = _TermReader(set(variables))
+    if signature is not None:
+        for sym, arity in signature.symbols().items():
+            reader.arities[sym] = (arity, None)
+    cur = _Cursor(tokens, 1)
+    term = reader.read(cur)
+    leftover = cur.peek()
+    if leftover is not None:
+        raise ParseError(f"unexpected trailing {leftover.text!r}", leftover.line, leftover.col)
+    if signature is not None:
+        for sym, (arity, first) in reader.arities.items():
+            if first is not None and arity > 0:
+                raise ParseError(
+                    f"symbol {sym!r} is applied to arguments but the system does not "
+                    "declare it; new symbols may only be constants",
+                    first.line,
+                    first.col,
+                )
+    return term
+
+
+def reference_box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
+    """`smt.box_floor` as it was: the lower ends counted off a template
+    interpretation built for the purpose."""
+    if not system.rules:
+        return None
+    if shape.kind == "poly" and shape.param > 1 and max(system.signature.symbols().values(), default=0) > 1:
+        return None
+    lows: list[int] = []
+    template(system, shape, lambda name, lo: lows.append(lo) or lo)
+    zeros = lows.count(0)
+    raised = min(zeros, len(system.rules))
+    return bound ** (len(lows) - zeros + raised) * (bound + 1) ** (zeros - raised)

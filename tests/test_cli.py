@@ -928,3 +928,22 @@ def test_prove_reads_weights_past_the_digit_cap(capsys, tmp_path, digit_cap):
     with pytest.raises(SystemExit):
         main(["prove"])
     assert sys.get_int_max_str_digits() == digit_cap
+
+
+def test_digits_int_cannot_read_are_reported_where_they_stand(capsys, tmp_path):
+    # '²' passes str.isdigit() but not int(); each case once ended in
+    # "invalid literal for int() with base 10: '²'"
+    system = tmp_path / "f.wst"
+    system.write_text("(VAR x)\n(RULES f(x) -> ² : x || 1 : f(x))\n", encoding="utf-8")
+    cases = [
+        (("prove", str(system)), "error: line 2, column 18: expected IDENT, found ':'"),
+        (("prove", RW34, "--shapes", "matrix-²"),
+         "error: unknown shape 'matrix-²' (expected poly-linear, poly-multilinear-K or matrix-N)"),
+        (("simulate", "--family", "payout", "--start", "a²"),
+         "error: cannot read start object 'a²' (expected aN or a natural)"),
+        (("simulate", "--family", "rw", "--p", "3/4", "--start", "²"),
+         "error: cannot read start object '²' (expected a natural)"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", message + "\n"), argv

@@ -17,11 +17,10 @@ import json
 import random
 import sys
 
-from helpers import looping_ptrs, random_ptrs, render_problem
+from helpers import looping_ptrs, problem_of, random_ptrs, render_problem
 from ptrs.cli import main
 from ptrs.rewriting import random_term
-from ptrs.terms import variables
-from ptrs.wst import ProblemFile, RawRule, parse_problem
+from ptrs.wst import parse_problem
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 
@@ -33,17 +32,11 @@ DIGESTS = {
 }
 
 
-def as_problem(system) -> ProblemFile:
-    rules = tuple(RawRule(rule.lhs, tuple(rule.rhs.numerators)) for rule in system.rules)
-    names = sorted(set().union(*(variables(rule.lhs) for rule in system.rules)))
-    return ProblemFile(tuple(names), rules, system.signature)
-
-
 def corpus(seed: int = 20261019, count: int = 40):
     rng = random.Random(seed)
     for index in range(count):
         system = (random_ptrs if index % 2 == 0 else looping_ptrs)(rng)
-        text = render_problem(as_problem(system))
+        text = render_problem(problem_of(system))
         signature = parse_problem(text).signature
         starts = [random_term(signature, rng, max_depth=3, variable_pool=()) for _ in range(2)]
         yield f"sys-{index:02d}.wst", text, starts

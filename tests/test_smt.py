@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import enumerate_box, evaluate, looping_ptrs, random_ptrs, rule_difference
+import ptrs.smt
+
+from helpers import enumerate_box, evaluate, looping_ptrs, random_ptrs, reference_box_floor, rule_difference
 from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
 from ptrs.interpretations import (
     CertificateInvalid,
@@ -22,7 +24,8 @@ from ptrs.interpretations import (
     check_certificate,
     orientation_entries,
 )
-from ptrs.rewriting import random_walk_ptrs
+from ptrs.prover import ProverConfig, _attempt
+from ptrs.rewriting import PTRS, random_walk_ptrs
 from ptrs.smt import (
     CancelToken,
     Constraint,
@@ -34,6 +37,7 @@ from ptrs.smt import (
     SolverResult,
     UnknownSpec,
     _read_reply,
+    box_floor,
     decode,
     emit_smtlib,
     encode,
@@ -76,9 +80,11 @@ def test_shape_parsing():
     assert by_shape[parse_shape("matrix-2")] == "matrix-2"
     assert Shape("matrix", 2) != Shape("matrix", 3) and Shape("poly", 2) != Shape("matrix", 2)
     assert len({Shape("poly", 1), parse_shape("poly-linear")}) == 1
-    for bad in ("poly", "matrix-0", "poly-multilinear-1", "cubic"):
-        with pytest.raises(ValueError):
+    for bad in ("poly", "matrix-0", "poly-multilinear-1", "cubic", "matrix-\u00b2", "poly-multilinear-\u00b2"):
+        with pytest.raises(ValueError, match="^unknown shape"):
             parse_shape(bad)
+    # a digit int() reads is read; one it cannot ('\u00b2' is a digit but not decimal) is not
+    assert parse_shape("matrix-\u0663") == Shape("matrix", 3)
     assert [str(s) for s in DEFAULT_SHAPES] == [
         "poly-linear",
         "poly-multilinear-2",
@@ -706,3 +712,45 @@ def test_box_solver_asks_stop_every_1024_points():
     assert solve_sums(lo, hi, sums, 2_000_000, lambda: asked.append(1) or len(asked) == 3) == ("unknown", None)
     assert len(asked) == 3
     assert solve_sums([0], [3], [({(0,): 1}, 1)], stop=lambda: False) == ("sat", [1])
+
+
+FLOOR_SHAPES = [parse_shape(name) for name in (
+    "poly-linear", "poly-multilinear-2", "poly-multilinear-3", "matrix-1", "matrix-2", "matrix-3")]
+
+
+def test_box_floor_counts_what_the_template_holds():
+    rng = random.Random(31)
+    systems = [random_ptrs(rng) for _ in range(40)] + [looping_ptrs(rng) for _ in range(40)]
+    systems += [load_system(str(path)) for path in sorted(PROBLEMS.glob("*.wst"))]
+    systems += [RW34, random_walk_ptrs(Fraction(1, 3)), PTRS(RW34.signature, ())]
+    nones = 0
+    for system in systems:
+        for shape in FLOOR_SHAPES:
+            for bound in (0, 1, 2, 16):
+                floor = box_floor(system, shape, bound)
+                assert floor == reference_box_floor(system, shape, bound), (shape, bound)
+                nones += floor is None
+    assert 0 < nones < len(systems) * len(FLOOR_SHAPES) * 4
+
+
+def test_box_floor_builds_no_template(monkeypatch):
+    calls = []
+    real = ptrs.smt.template
+
+    def spy(system, shape, coefficient):
+        calls.append(shape)
+        return real(system, shape, coefficient)
+
+    monkeypatch.setattr(ptrs.smt, "template", spy)
+    for shape in FLOOR_SHAPES:
+        box_floor(RW34, shape, 16)
+    assert calls == []
+    # an in-process attempt builds the template once to encode, and once
+    # more to decode a model
+    config = ProverConfig(solver=BOXSOLVER, coeff_bound=1)
+    limit = in_process_limit(BOXSOLVER)
+    outcome, cert = _attempt(RW34, Shape("poly", 1), config, CancelToken(), limit)
+    assert (outcome.status, cert is not None, calls) == ("proved", True, [Shape("poly", 1)] * 2)
+    calls.clear()
+    outcome, cert = _attempt(RW14, Shape("poly", 1), config, CancelToken(), limit)
+    assert (outcome.status, cert, calls) == ("unsat", None, [Shape("poly", 1)])

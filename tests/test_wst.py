@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 from ptrs.multidist import FiniteDistribution
-from ptrs.terms import App, Var
+from ptrs.terms import App, Signature, Var
 from ptrs.wst import (
     ElaborationError,
     ParseError,
+    ProblemFile,
+    RawRule,
     Token,
     elaborate,
     parse_problem,
@@ -16,7 +18,15 @@ from ptrs.wst import (
     tokenize,
 )
 
-from helpers import render_problem
+from helpers import (
+    looping_ptrs,
+    problem_of,
+    random_ptrs,
+    reference_elaborate,
+    reference_parse_problem,
+    reference_parse_term_text,
+    render_problem,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -313,3 +323,119 @@ def test_token_positions_count_code_points_and_lines():
     assert tokenize("a->b") == [("IDENT", "a", 1, 1), ("ARROW", "->", 1, 2), ("IDENT", "b", 1, 4)]
     assert tokenize("-->") == [("IDENT", "-", 1, 1), ("ARROW", "->", 1, 2)]
     assert tokenize("x- ; c\n->") == [("IDENT", "x-", 1, 1), ("ARROW", "->", 2, 1)]
+
+
+def _problem_outcome(parse, text):
+    try:
+        pf = parse(text)
+    except ParseError as exc:
+        return ("error", type(exc), exc.message, exc.line, exc.col)
+    rules = [(r.lhs, r.alternatives, r.line, r.col) for r in pf.rules]
+    return pf.variables, rules, list(pf.signature.symbols().items())
+
+
+def _elaboration_outcome(elab, pf):
+    try:
+        system = elab(pf)
+    except ElaborationError as exc:
+        return ("error", exc.reason, exc.message, exc.line, exc.col)
+    return [(rule.lhs, rule.rhs.numerators, rule.rhs.denominator) for rule in system.rules]
+
+
+def _term_outcome(parse, text, variables, signature):
+    try:
+        return parse(text, variables, signature)
+    except ParseError as exc:
+        return ("error", type(exc), exc.message, exc.line, exc.col)
+
+
+def _mutants(rng, text, count):
+    """Token-level mutations of `text`: drop, duplicate or swap a token, or
+    insert a token that often breaks a rule."""
+    toks = [tok.text for tok in tokenize(text)]
+    for _ in range(count):
+        out = list(toks)
+        k = rng.randrange(len(out))
+        move = rng.randrange(4)
+        if move == 0:
+            del out[k]
+        elif move == 1:
+            out.insert(k, out[k])
+        elif move == 2:
+            j = rng.randrange(len(out))
+            out[k], out[j] = out[j], out[k]
+        else:
+            out.insert(k, rng.choice(["|", "||", ":", "->", "3", "0", "()", "(", ")", ",", "x"]))
+        yield rng.choice([" ", "\n", " ;c\n "]).join(out)
+
+
+def test_reader_matches_the_token_cursor_reader():
+    rng = random.Random(20261019)
+    alphabet = "-->>||;;\r\n\n\x0b\xa0é()),:  \tab01"
+    fuzz = ["".join(rng.choices(alphabet, k=rng.randrange(24))) for _ in range(20000)]
+    shipped = [path.read_text() for path in sorted(PROBLEMS.glob("*.wst"))]
+    generated = []
+    for index in range(60):
+        generated.append(render_problem(problem_of((random_ptrs if index % 2 else looping_ptrs)(rng))))
+    blocks = ["(VAR x y)(RULES f(x,y) -> 2 : x || 4 : y)(VAR z)(RULES g(z) -> z)", "(RULES a -> b)(FOO)"]
+    mutated = [m for text in shipped + generated + blocks for m in _mutants(rng, text, 40)]
+    errors = 0
+    for text in fuzz + shipped + generated + blocks + mutated:
+        new, old = _problem_outcome(parse_problem, text), _problem_outcome(reference_parse_problem, text)
+        assert new == old, repr(text)
+        if new[0] == "error":
+            errors += 1
+        else:
+            pf, ref = parse_problem(text), reference_parse_problem(text)
+            assert _elaboration_outcome(elaborate, pf) == _elaboration_outcome(reference_elaborate, ref), repr(text)
+    assert 0 < errors < len(fuzz) + len(mutated)
+
+    coingame = parse_problem(COINGAME)
+    starts = ["s(" * 5000 + "0" + ")" * 5000, "s^5000(0)", "?(s(0))", "s(0,0)", "f(a,)", "f(a", "x(0)",
+              "?(x)", "g(y, x)", "a b", "", " ; only a comment"]
+    starts += [m for text in ("?(s(s(0)))", "f(g(x), h(a, b))") for m in _mutants(rng, text, 60)]
+    for text in fuzz[:2000] + starts:
+        for names, signature in ((set(), None), ({"x"}, None), ({"x"}, coingame.signature)):
+            new = _term_outcome(parse_term_text, text, names, signature)
+            assert new == _term_outcome(reference_parse_term_text, text, names, signature), repr(text)
+
+
+def test_elaboration_gives_the_weights_a_fraction_per_alternative_gives():
+    rng = random.Random(7)
+    x = Var("x")
+    terms = [x, App("g", (x,)), App("g", (App("g", (x,)),)), App("a"), App("h", (x, x))]
+    for _ in range(500):
+        factor = rng.choice([1, 2, 6, 12, 35, 10**20])
+        alternatives = tuple((factor * rng.randint(1, 9), rng.choice(terms)) for _ in range(rng.randint(1, 6)))
+        if rng.random() < 0.1:
+            alternatives = alternatives[:1]
+        problem = ProblemFile(("x",), (RawRule(App("f", (x,)), alternatives),), Signature({"f": 1, "g": 1, "h": 2, "a": 0}))
+        rhs = elaborate(problem).rules[0].rhs
+        merged = {}
+        for weight, term in alternatives:
+            merged[term] = merged.get(term, 0) + weight
+        total = sum(merged.values())
+        expected = FiniteDistribution({t: Fraction(w, total) for t, w in merged.items()})
+        assert (rhs.numerators, rhs.denominator) == (expected.numerators, expected.denominator)
+
+
+def test_rule_positions_are_read_on_demand_and_kept():
+    text = "(VAR x)\n(RULES\n  f(x) -> x\n\n     g(x) -> 2 : x || 1 : f(x))\n"
+    rules = parse_problem(text).rules
+    assert [(r.line, r.col) for r in rules] == [(3, 3), (5, 6)]
+    assert [(r.line, r.col) for r in rules] == [(3, 3), (5, 6)]
+    assert (RawRule(Var("x"), ()).line, RawRule(Var("x"), (), 4, 2).col) == (0, 2)
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_problem("(VAR x y)\n(RULES\n  f(x) -> x\n   g(x) -> y)"))
+    assert (err.value.reason, err.value.line, err.value.col) == ("free-variable-on-rhs", 4, 4)
+
+
+def test_weights_are_decimal_digits():
+    # '²' passes str.isdigit() but int() cannot read it: it is a name, and
+    # the ':' after it a positioned error
+    with pytest.raises(ParseError) as err:
+        parse_problem("(VAR x)\n(RULES f(x) -> ² : x || 1 : f(x))")
+    assert (err.value.message, err.value.line, err.value.col) == ("expected IDENT, found ':'", 2, 18)
+    # a digit that int() reads is a weight
+    rule = parse_problem("(VAR x)(RULES f(x) -> ٣ : x || 1 : f(x))").rules[0]
+    assert rule.alternatives == ((3, Var("x")), (1, App("f", (Var("x"),))))
