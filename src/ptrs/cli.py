@@ -233,6 +233,13 @@ def _memo_full_note(limit: int) -> None:
     )
 
 
+def _table_full_note(limit: int) -> None:
+    print(
+        f"note: step table full at {limit} objects; the run starts it afresh from the live objects",
+        file=sys.stderr,
+    )
+
+
 def _simulate_pars(args):
     if (args.file is None) == (args.family is None):
         raise CliError("simulate needs exactly one of FILE or --family")
@@ -302,6 +309,7 @@ def _run_simulate(args, config: dict[str, str], color: bool) -> int:
             collapse=args.collapse,
             node_budget=args.node_budget,
             keep_trace=args.trace,
+            on_table_full=_table_full_note if args.verbose else None,
         )
     )
     estimate = estimate_edh(pars, cert, start, report) if cert is not None else None

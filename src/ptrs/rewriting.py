@@ -164,8 +164,8 @@ kept at them. Past it the memo stops growing: a node left out is matched
 afresh, and its reducts rebuilt, each time a term containing it is
 visited, which bounds memory on long exhaustive runs at the price of
 repeated work. The memo holds its nodes, so they stay interned while it
-lives. `simulator.run` also keeps at most this many per-object picks
-before it starts a fresh dict."""
+lives. `simulator.run` starts its step table afresh before a step could
+take it past this many objects."""
 
 
 class _Entry:
@@ -391,7 +391,7 @@ def leftmost_innermost(pars: Pars, obj: Hashable, options: Sequence[FiniteDistri
     return pars.innermost(obj) if isinstance(pars, TermPars) else 0
 
 
-# Both strategies pick by the object alone, so a step may choose once per
+# Both strategies pick by the object alone, so a run may choose once per
 # distinct object. The mark is an attribute, not membership in a set, so
 # that wrappers made with functools.wraps keep it.
 leftmost_outermost.per_object = True
@@ -406,28 +406,14 @@ def random_chooser(rng: random.Random) -> Chooser:
 
 
 def step_multidist(
-    pars: Pars,
-    mu: MultiDistribution,
-    chooser: Chooser,
-    picks: dict[Hashable, FiniteDistribution | None] | None = None,
-    merge: bool = False,
+    pars: Pars, mu: MultiDistribution, chooser: Chooser, merge: bool = False
 ) -> MultiDistribution:
     """One reduction step; terminal entries vanish, so mass is monotone.
 
-    A chooser marked `per_object` is asked once per distinct object that
-    `picks` does not hold yet, in first-seen order, and each answer is
-    added to `picks`: a caller that keeps the dict across steps asks once
-    per object per run (a fresh dict per step when None). Any other
-    chooser is asked once per entry, in entry order, and leaves `picks`
-    alone. With `merge`, equal reducts are folded as they are bound
-    (`MultiDistribution.bind`)."""
-    if getattr(chooser, "per_object", False):
-        if picks is None:
-            picks = {}
-        for _, obj in mu.numerators:
-            if obj not in picks:
-                picks[obj] = pars.choose(obj, chooser)
-        return mu.bind(picks.__getitem__, merge)
+    The chooser is asked once per entry, in entry order. With `merge`,
+    equal reducts are folded as they are bound (`MultiDistribution.bind`).
+    `simulator.run` steps single-strategy runs in its own loop, which asks
+    a per-object chooser once per object per run."""
     return mu.bind(lambda obj: pars.choose(obj, chooser), merge)
 
 
@@ -547,13 +533,9 @@ class RandomWalk(Pars):
         return term
 
     def parse_object(self, text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise ValueError(f"cannot read start object {text!r} (expected a natural)") from None
-        if value < 0:
-            raise ValueError("start object must be a natural number")
-        return value
+        if not text.isdecimal():
+            raise ValueError(f"cannot read start object {text!r} (expected a natural)")
+        return int(text)
 
 
 def random_walk_ptrs(p: Fraction | int | str) -> PTRS:

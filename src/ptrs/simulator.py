@@ -8,7 +8,8 @@ one strategy or exhaustively over all of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, NamedTuple
+from math import gcd
+from typing import Callable, Hashable, NamedTuple
 
 import random
 
@@ -48,6 +49,8 @@ class RunConfig(NamedTuple):
     collapse: bool = False
     node_budget: int = 10**6
     keep_trace: bool = False
+    # called with the limit the first time run's step table starts afresh
+    on_table_full: Callable[[int], None] | None = None
 
 
 class RunReport(NamedTuple):
@@ -97,43 +100,125 @@ def run(config: RunConfig) -> RunReport:
     if config.mode == "exhaustive":
         return _run_exhaustive(config, pars, tracker, start)
     chooser = MODES[config.mode] if isinstance(config.mode, str) else config.mode
-    # display_key orders distinct objects totally, so a collapsed state
-    # lists the same however its entries were ordered before the sort. It
-    # is sorted where the order is read: in the trace, in the outcome, and
-    # on every step for a chooser that reads entry order (random draws).
-    # Each collapsed step merges equal objects in first-seen order while
-    # it binds; the sort waits for the final state otherwise. A per-object chooser picks by the object alone, so it is asked once
-    # per object per run: `picks` starts afresh before a step could take
-    # it past MEMO_LIMIT entries (other choosers never read it).
-    sort_each_step = config.keep_trace or not getattr(chooser, "per_object", False)
-    # Mass and edl are kept as numerators over the step's denominator. A
-    # step's denominator is a multiple of the one before (bind multiplies
-    # it by the lcm of the chosen reducts'), so the running edl numerator
+    collapse, keep_trace = config.collapse, config.keep_trace
+    # Objects are stepped by their index in a table: `index` maps each
+    # object met to its number, `objs` lists them, and `rows[j]` is False
+    # until objs[j] is stepped, then None when it is terminal, else its
+    # chosen reduct as (denominator, [(numerator, image index), ...]). A
+    # per-object chooser picks by the object alone, so its row is kept and
+    # it is asked once per object per run, in first-seen order; any other
+    # chooser is asked once per entry, in entry order. Before a step could
+    # take the table past MEMO_LIMIT objects it starts afresh from the
+    # live objects.
+    per_object = getattr(chooser, "per_object", False)
+    limit = rewriting.MEMO_LIMIT
+    on_full = config.on_table_full
+    index, objs, rows = _fresh_table((config.start,))
+    # A state is a list of (numerator, index) over the denominator `den`.
+    # A collapsed step sums into the dense `acc`, indexed like objs and 0
+    # between steps, and lists each image in `out` when first touched,
+    # which merges equal reducts in first-seen order as bind does.
+    # display_key orders distinct objects totally, so a collapsed state is
+    # sorted where its order is read: in the trace, in the outcome, and on
+    # every step for a chooser that reads entry order.
+    sort_each_step = collapse and (keep_trace or not per_object)
+    acc = [0]
+    state = [(1, 0)]
+    den = 1
+
+    def by_display(entry: tuple[int, int]) -> tuple:
+        return display_key((entry[0], objs[entry[1]]))
+
+    def as_mu(mass: int) -> MultiDistribution:
+        return MultiDistribution._unchecked(tuple((n, objs[j]) for n, j in state), den, mass)
+
+    truncates = pars.truncates if pars.truncate is not None else None
+    truncated = truncates is not None and truncates(config.start)
+    # Mass and edl are kept as numerators over the step's denominator,
+    # which is a multiple of the one before, so the running edl numerator
     # is scaled up to it and the mass numerator added; the Fractions are
     # built once, after the loop.
-    picks: dict = {}
-    mu = start
     edl_num = 0
     sums = [(1, 0, 1)]  # (mass numerator, edl numerator, denominator) per depth
-    trace = [mu]
-    truncated = _hits_truncation(pars, mu)
+    trace = [start]
     for _ in range(config.steps):
-        tracker.spend(max(len(mu), 1))
-        if len(picks) + len(mu) > rewriting.MEMO_LIMIT:
-            picks = {}
-        mu = step_multidist(pars, mu, chooser, picks, merge=config.collapse)
-        if config.collapse and sort_each_step:
-            mu = _sorted(mu)
-        truncated = truncated or _hits_truncation(pars, mu)
-        den = mu.denominator
-        edl_num = edl_num * (den // sums[-1][2]) + mu.mass_numerator
-        sums.append((mu.mass_numerator, edl_num, den))
-        if config.keep_trace:
-            trace.append(mu)
-    if config.collapse and not sort_each_step:
-        mu = _sorted(mu)
-    masses = [Fraction(m, den) for m, _, den in sums]
-    edl = [Fraction(e, den) for _, e, den in sums]
+        tracker.spend(max(len(state), 1))
+        if len(objs) + len(state) > limit:
+            old = objs
+            index, objs, rows = _fresh_table(dict.fromkeys(old[j] for _, j in state))
+            acc = [0] * len(objs)
+            state = [(n, index[old[j]]) for n, j in state]
+            if on_full is not None:
+                on_full(limit)
+                on_full = None
+        # bind's rule, so each state's unreduced form is bind's: rows are
+        # scaled to the running lcm `common` of their denominators
+        out = []
+        common, kept = 1, 0
+        for n, j in state:
+            row = rows[j]
+            if row is False:
+                dist = pars.choose(objs[j], chooser)
+                if dist is not None:
+                    pairs = []
+                    for m, image in dist.numerators:
+                        k = index.get(image)
+                        if k is None:
+                            k = index[image] = len(objs)
+                            objs.append(image)
+                            rows.append(False)
+                            acc.append(0)
+                        pairs.append((m, k))
+                    row = (dist.denominator, pairs)
+                else:
+                    row = None
+                if per_object:
+                    rows[j] = row
+            if row is None:
+                continue
+            kept += n
+            d, pairs = row
+            if common % d:
+                r = d // gcd(common, d)
+                if collapse:
+                    for k in out:
+                        acc[k] *= r
+                else:
+                    out = [(r * m, k) for m, k in out]
+                common *= r
+            if d != common:
+                n *= common // d
+            if collapse:
+                for m, k in pairs:
+                    v = acc[k]
+                    if v:
+                        acc[k] = v + n * m
+                    else:
+                        acc[k] = n * m
+                        out.append(k)
+            else:
+                for m, k in pairs:
+                    out.append((n * m, k))
+        if collapse:
+            state = [(acc[k], k) for k in out]
+            for k in out:
+                acc[k] = 0
+            if sort_each_step:
+                state.sort(key=by_display)
+        else:
+            state = out
+        den *= common
+        mass = kept * common
+        if truncates is not None and not truncated:
+            truncated = any(truncates(objs[j]) for _, j in state)
+        edl_num = edl_num * common + mass
+        sums.append((mass, edl_num, den))
+        if keep_trace:
+            trace.append(as_mu(mass))
+    if collapse and not sort_each_step:
+        state.sort(key=by_display)
+    masses = [Fraction(m, d) for m, _, d in sums]
+    edl = [Fraction(e, d) for _, e, d in sums]
     return RunReport(
         mode=config.mode if isinstance(config.mode, str) else "custom",
         masses=masses,
@@ -142,11 +227,18 @@ def run(config: RunConfig) -> RunReport:
         mass_max=masses,
         edl_min=edl,
         edl_max=edl,
-        outcomes=(mu,),
-        trace=trace if config.keep_trace else None,
+        outcomes=(as_mu(sums[-1][0]),),
+        trace=trace if keep_trace else None,
         truncation_hit=truncated,
         nodes=tracker.spent,
     )
+
+
+def _fresh_table(objects) -> tuple[dict, list, list]:
+    """A step table that holds just `objects`, distinct and in order, with
+    no row built."""
+    objs = list(objects)
+    return {obj: j for j, obj in enumerate(objs)}, objs, [False] * len(objs)
 
 
 def _run_exhaustive(config: RunConfig, pars: Pars, tracker: BudgetTracker, start) -> RunReport:

@@ -57,7 +57,17 @@ from ptrs.rewriting import (
     random_term,
     step_multidist,
 )
-from ptrs.simulator import DriftReport, DriftViolation, collapsed
+from ptrs import rewriting
+from ptrs.simulator import (
+    MODES,
+    DriftReport,
+    DriftViolation,
+    RunConfig,
+    RunReport,
+    _hits_truncation,
+    _sorted,
+    collapsed,
+)
 from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box, template
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ElaborationError, ParseError, ProblemFile, RawRule, Token, tokenize
@@ -415,6 +425,74 @@ def reference_merged_steps(pars, start, steps, chooser) -> list[MultiDistributio
         mu = step_multidist(pars, mu, chooser).merged()
         states.append(mu)
     return states
+
+
+# A single-strategy run as `simulator.run` took it before it stepped over
+# integer indices: every step through `MultiDistribution.bind`, a
+# per-object chooser's answers kept in a `picks` dict for the whole run
+# and started afresh before they could pass MEMO_LIMIT. It is the oracle of
+# the differential tests of `run`.
+
+
+def picking_step(
+    pars: Pars, mu: MultiDistribution, chooser, picks: dict | None = None, merge: bool = False
+) -> MultiDistribution:
+    """One step. A chooser marked `per_object` is asked once per distinct
+    object that `picks` does not hold yet, in first-seen order, and each
+    answer is added to `picks`; any other chooser is asked once per entry,
+    in entry order, and leaves `picks` alone."""
+    if getattr(chooser, "per_object", False):
+        if picks is None:
+            picks = {}
+        for _, obj in mu.numerators:
+            if obj not in picks:
+                picks[obj] = pars.choose(obj, chooser)
+        return mu.bind(picks.__getitem__, merge)
+    return mu.bind(lambda obj: pars.choose(obj, chooser), merge)
+
+
+def reference_run(config: RunConfig) -> RunReport:
+    """`run` for every mode but exhaustive, stepping with `picking_step`."""
+    pars = config.pars
+    tracker = BudgetTracker(config.node_budget)
+    chooser = MODES[config.mode] if isinstance(config.mode, str) else config.mode
+    sort_each_step = config.keep_trace or not getattr(chooser, "per_object", False)
+    picks: dict = {}
+    mu = MultiDistribution.point(config.start)
+    edl_num = 0
+    sums = [(1, 0, 1)]
+    trace = [mu]
+    truncated = _hits_truncation(pars, mu)
+    for _ in range(config.steps):
+        tracker.spend(max(len(mu), 1))
+        if len(picks) + len(mu) > rewriting.MEMO_LIMIT:
+            picks = {}
+        mu = picking_step(pars, mu, chooser, picks, merge=config.collapse)
+        if config.collapse and sort_each_step:
+            mu = _sorted(mu)
+        truncated = truncated or _hits_truncation(pars, mu)
+        den = mu.denominator
+        edl_num = edl_num * (den // sums[-1][2]) + mu.mass_numerator
+        sums.append((mu.mass_numerator, edl_num, den))
+        if config.keep_trace:
+            trace.append(mu)
+    if config.collapse and not sort_each_step:
+        mu = _sorted(mu)
+    masses = [Fraction(m, den) for m, _, den in sums]
+    edl = [Fraction(e, den) for _, e, den in sums]
+    return RunReport(
+        mode=config.mode if isinstance(config.mode, str) else "custom",
+        masses=masses,
+        edl=edl,
+        mass_min=masses,
+        mass_max=masses,
+        edl_min=edl,
+        edl_max=edl,
+        outcomes=(mu,),
+        trace=trace if config.keep_trace else None,
+        truncation_hit=truncated,
+        nodes=tracker.spent,
+    )
 
 
 def reference_expected_value(entries, fn) -> Fraction:

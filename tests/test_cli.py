@@ -431,8 +431,31 @@ def test_verbose_simulate_notes_a_full_redex_memo_once(capsys, monkeypatch):
     monkeypatch.setattr(ptrs.rewriting, "MEMO_LIMIT", 3)
     code, out, err = run_cli(capsys, *argv, "-v")
     assert code == 0 and out == quiet_out
-    assert err == "note: redex memo full at 3 nodes; further nodes are matched afresh on every visit\n"
+    # the run's step table shares the limit, and says so once too
+    assert err == (
+        "note: redex memo full at 3 nodes; further nodes are matched afresh on every visit\n"
+        f"{TABLE_NOTE}\n"
+    )
     assert run_cli(capsys, *argv) == (0, quiet_out, "")
+
+
+TABLE_NOTE = "note: step table full at 3 objects; the run starts it afresh from the live objects"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "rw", "--p", "3/4", "--start", "5", "--steps", "12", "--collapse"),
+    ("--family", "payout", "--start", "a0", "--steps", "9", "--trace"),
+])
+def test_verbose_simulate_notes_a_restarted_step_table_once(capsys, monkeypatch, argv):
+    import ptrs.rewriting
+
+    _, quiet_out, quiet_err = run_cli(capsys, "simulate", *argv, "-v")
+    assert quiet_err == ""
+    monkeypatch.setattr(ptrs.rewriting, "MEMO_LIMIT", 3)
+    assert run_cli(capsys, "simulate", *argv, "-v") == (0, quiet_out, TABLE_NOTE + "\n")
+    assert run_cli(capsys, "simulate", *argv) == (0, quiet_out, "")
+    code, out, err = run_cli(capsys, "simulate", *argv, "-v", "--json")
+    assert code == 0 and err == TABLE_NOTE + "\n" and json.loads(out)["command"] == "simulate"
 
 @pytest.mark.parametrize(
     "argv, flag",
@@ -947,3 +970,11 @@ def test_digits_int_cannot_read_are_reported_where_they_stand(capsys, tmp_path):
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", message + "\n"), argv
+
+
+@pytest.mark.parametrize("start", ["1_0", " +2", "-3", "2 "])
+def test_walk_start_is_decimal_digits_only(capsys, start):
+    # int() once read these, and the walk went from 10 and 2
+    argv = ("simulate", "--family", "rw", "--p", "3/4", "--start", start, "--steps", "1")
+    message = f"error: cannot read start object {start!r} (expected a natural)\n"
+    assert run_cli(capsys, *argv) == (2, "", message)

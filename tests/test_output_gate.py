@@ -6,9 +6,12 @@ so that file names read the same in every checkout:
 - `prove` with the box solver at bounds 1 and 2, in text and `--json`;
 - `check` of every certificate those runs print;
 - `simulate` from seeded `random_term` starts, outermost and innermost,
-  collapsed or not.
-Each class's stdout, in order and with each run's exit code, is hashed to
-one sha256. A change that alters a digest on purpose names the class and
+  collapsed or not;
+- `simulate --family` over the built-in walk, payout and nondeterministic
+  systems, in every single-strategy mode, output form and a few lengths.
+Each class's stdout, in order and with each run's argv and exit code, is
+hashed to one sha256. The argv is recorded with the box solver's command,
+which names the running interpreter, written as the token `BOXSOLVER`. A change that alters a digest on purpose names the class and
 the reason in CHANGES.md.
 """
 
@@ -16,6 +19,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import chain, product
 
 from helpers import looping_ptrs, problem_of, random_ptrs, render_problem
 from ptrs.cli import main
@@ -25,10 +29,11 @@ from ptrs.wst import parse_problem
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 
 DIGESTS = {
-    "prove": "9de104825ebc01b343cbe32a400b61da1a00a1dd583dfbba7723d6f6fed140a0",
-    "prove-json": "c3b9bc2a30208de15963d13c6e48e557c39f6de1c7b040b218208f2b607dc1c7",
+    "prove": "14e0c7f60895db0439c6f8b2b7f224dda0e078d8ae93198856531644b953afd9",
+    "prove-json": "d425b92c36cb262f506b2ddbcb560ec65d0a60e5339a6d2b7f7fca827294f7ed",
     "check": "96eb5b201562bf06ce2eebf02af74ceb5b1b77b2ee0bf5b564ac075bce8aa01e",
     "simulate": "10060ab6af175c542d330f73bf8d84944226ec72c92ebf113f1a01d9a26581e9",
+    "family": "48b2c96e978b6386920bcc172e5d54b300235435a7f22602a2ee2faff313aa83",
 }
 
 
@@ -42,6 +47,16 @@ def corpus(seed: int = 20261019, count: int = 40):
         yield f"sys-{index:02d}.wst", text, starts
 
 
+def family_systems():
+    """(argv prefix, starts) of every built-in family setting run."""
+    for truncate in ((), ("--truncate", "4")):
+        for p in ("3/4", "1/2", "1"):
+            yield ("--family", "rw", "--p", p, *truncate), ("0", "3")
+    for truncate in ((), ("--truncate", "2")):
+        yield ("--family", "payout", *truncate), ("a0", "a2", "5")
+    yield ("--family", "nd"), ("a", "c")
+
+
 def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
     monkeypatch.chdir(tmp_path)
     outs: dict[str, list[str]] = {name: [] for name in DIGESTS}
@@ -49,7 +64,8 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
     def run(cls: str, *argv: str) -> str:
         code = main(list(argv))
         out = capsys.readouterr().out
-        outs[cls].append(f"{' '.join(argv)}\n{code}\n{out}")
+        shown = " ".join("BOXSOLVER" if arg == BOXSOLVER else arg for arg in argv)
+        outs[cls].append(f"{shown}\n{code}\n{out}")
         return out
 
     certificates = 0
@@ -71,6 +87,13 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
                     run("simulate", "simulate", name, "--start", str(start), "--steps", "3",
                         "--mode", mode, "--trace", *collapse)
     assert certificates > 0
+    for family, starts in family_systems():
+        for start in starts:
+            for mode in ("outermost", "innermost"):
+                for flags in product(((), ("--collapse",)), ((), ("--trace",)), ((), ("--json",))):
+                    for steps in ("0", "1", "6"):
+                        run("family", "simulate", *family, "--start", start, "--steps", steps,
+                            "--mode", mode, *chain.from_iterable(flags))
     return {cls: hashlib.sha256("".join(texts).encode()).hexdigest() for cls, texts in outs.items()}
 
 

@@ -421,6 +421,9 @@ def test_walk_options_match_the_checking_constructor(p):
     (random_chooser(random.Random(7)), False),
 ])
 def test_step_chooses_once_per_distinct_term_or_per_entry(monkeypatch, chooser, per_object):
+    # a run asks a per-object chooser once per distinct term, in the order
+    # it first meets them, and any other chooser once per entry of every
+    # state; step_multidist asks every chooser once per entry
     calls = []
     choose = TermPars.choose
 
@@ -428,19 +431,22 @@ def test_step_chooses_once_per_distinct_term_or_per_entry(monkeypatch, chooser, 
         calls.append(term)
         return choose(self, term, chooser)
 
-    monkeypatch.setattr(TermPars, "choose", spy)
     assert getattr(chooser, "per_object", False) == per_object
     pars = TermPars(random_walk_ptrs(Fraction(3, 4)))
     mu = MultiDistribution.point(nat(5))
+    states = [mu]
     for _ in range(8):
-        calls.clear()
-        nu = step_multidist(pars, mu, chooser)
-        terms = [obj for _, obj in mu.numerators]
-        assert calls == (list(dict.fromkeys(terms)) if per_object else terms)
-        if per_object:
-            assert nu == mu.bind(lambda term: pars.choose(term, chooser))
-        mu = nu
+        mu = mu.bind(lambda term: pars.choose(term, leftmost_outermost))
+        states.append(mu)
     assert len(mu) > len(set(obj for _, obj in mu.numerators))
+    monkeypatch.setattr(TermPars, "choose", spy)
+    run(RunConfig(TermPars(pars.system), nat(5), 8, chooser))
+    terms = [obj for state in states[:-1] for _, obj in state.numerators]
+    assert calls == (list(dict.fromkeys(terms)) if per_object else terms)
+    for state in states[:-1]:
+        calls.clear()
+        step_multidist(pars, state, chooser)
+        assert calls == [obj for _, obj in state.numerators]
 
 
 @pytest.mark.parametrize("memo_limit", [None, 3])

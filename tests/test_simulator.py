@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -10,12 +10,14 @@ from helpers import (
     brute_force_reducts,
     dp_random_walk,
     hitting_times_truncated,
+    looping_ptrs,
     random_ptrs,
     reference_all_steps,
     reference_collapsed,
     reference_drift_harness,
     reference_expected_value,
     reference_merged_steps,
+    reference_run,
     reference_step,
     walk_masses,
     walk_partial_edl,
@@ -639,37 +641,29 @@ def _fold_cases():
     return cases
 
 
-def _recording_steps(monkeypatch):
-    """Every step run takes, as (mu, picks, nu)."""
-    steps = []
-
-    def recording(pars, mu, chooser, picks=None, merge=False):
-        nu = step_multidist(pars, mu, chooser, picks, merge)
-        steps.append((mu, picks, nu))
-        return nu
-
-    monkeypatch.setattr(simulator, "step_multidist", recording)
-    return steps
-
-
-def test_fused_collapsed_steps_match_an_unmerged_step_then_merged(monkeypatch):
-    # run folds equal reducts while it binds and keeps one chooser's picks
-    # for the whole run; every state it builds must be, entry by entry, in
-    # order and in the same unreduced form, the unmerged step of the old
-    # path merged afterwards with the chooser asked afresh on every step
-    steps = _recording_steps(monkeypatch)
+def test_fused_collapsed_steps_match_an_unmerged_step_then_merged():
+    # run folds equal reducts while it steps and keeps each object's chosen
+    # reduct for the whole run; every collapsed state it traces must be,
+    # entry by entry and in the same unreduced form, the unmerged step of
+    # the state before, with the chooser asked afresh, merged and sorted;
+    # untraced, its masses and outcome must be those of the unmerged steps
+    # merged afterwards
     runs = folded = 0
     for make, start, length in _fold_cases():
         for mode in ("outermost", "innermost"):
-            steps.clear()
-            pars = make()
+            pars, oracle = make(), make()
+            first = pars.parse_object(start)
+            traced = run(RunConfig(pars, first, length, mode, collapse=True, keep_trace=True))
+            for mu, nu in zip(traced.trace, traced.trace[1:]):
+                unmerged = step_multidist(oracle, mu, MODES[mode])
+                assert _form(nu) == _form(collapsed(unmerged))
+                folded += len(unmerged) > len(nu)
+            pars, oracle = make(), make()
             report = run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True))
-            oracle = make()
             want = reference_merged_steps(oracle, oracle.parse_object(start), length, MODES[mode])
-            assert [_form(nu) for _, _, nu in steps] == [_form(mu) for mu in want]
             assert _form(report.outcomes[0]) == _form(collapsed(want[-1]))
+            assert _form(report.outcomes[0]) == _form(traced.outcomes[0])
             assert report.masses[1:] == [mu.mass() for mu in want]
-            folded += sum(len(step_multidist(oracle, mu, MODES[mode])) > len(nu) for mu, _, nu in steps)
             runs += 1
     assert runs == 2 * len(_fold_cases())
     assert folded > 500  # the steps do merge equal reducts
@@ -701,30 +695,145 @@ def test_per_object_chooser_is_asked_once_per_object_per_run(monkeypatch, make, 
 
 
 def test_picks_start_afresh_at_the_memo_limit(monkeypatch):
-    # with room for 3 picks the run starts a fresh dict before a step that
-    # could take it past 3, so a dict outgrows the limit only when one step
-    # alone holds more objects; the results do not change
+    # with room for 3 objects the run starts its step table afresh, from
+    # the live objects alone, only when a step could take it past 3, so a
+    # table picks reducts for more than 3 objects only when it starts with
+    # more; the results do not change
     cases = [(make, start, length, mode) for make, start, length in _fold_cases()
              for mode in ("outermost", "innermost")]
     wants = []
     for make, start, length, mode in cases:
         pars = make()
         wants.append(run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True)))
-    steps = _recording_steps(monkeypatch)
+    tables = []  # (objects it started with, table) per table of a run
+    fresh_table = simulator._fresh_table
+
+    def spy(objects):
+        table = fresh_table(objects)
+        tables.append((len(table[1]), table))
+        return table
+
+    monkeypatch.setattr(simulator, "_fresh_table", spy)
     monkeypatch.setattr(rewriting, "MEMO_LIMIT", 3)
     narrow = wide = fresh = 0
     for (make, start, length, mode), want in zip(cases, wants):
-        steps.clear()
+        tables.clear()
         pars = make()
-        got = run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True))
+        first = pars.parse_object(start)
+        full = []
+        got = run(RunConfig(pars, first, length, mode, collapse=True, on_table_full=full.append))
         assert (got.masses, got.edl, got.nodes, got.truncation_hit) == (
             want.masses, want.edl, want.nodes, want.truncation_hit)
         assert [_form(mu) for mu in got.outcomes] == [_form(mu) for mu in want.outcomes]
         assert str(got.outcomes[0]) == str(want.outcomes[0])
-        for mu, picks, _ in steps:
-            assert len(picks) <= max(3, len(mu))
-            narrow += len(mu) <= 3
-            wide += len(mu) > 3
-        fresh += len({id(picks) for _, picks, _ in steps}) - 1
-    # both kinds of step occur, and dicts are started afresh
-    assert narrow > 400 and wide > 400 and fresh > 400
+        assert tables[0][0] == 1 and tables[0][1][1][0] == first
+        assert full == ([3] if len(tables) > 1 else [])
+        for (started, (index, objs, rows)), after in zip(tables, tables[1:] + [None]):
+            # a table is left only when its objects and the live ones, each
+            # listed once in a collapsed state, could pass 3
+            if after is not None:
+                assert len(objs) + after[0] > 3
+            assert index == {obj: j for j, obj in enumerate(objs)}
+            assert sum(row is not False for row in rows) <= max(3, started)
+        for started, _ in tables[1:]:
+            narrow += started <= 3
+            wide += started > 3
+        fresh += len(tables) - 1
+    # tables start afresh from narrow and wide states alike
+    assert narrow > 150 and wide > 400 and fresh > 400
+
+
+def _oracle_cases():
+    """Single-strategy runs as (make, start, steps), `make` building a
+    fresh system: seeded random_ptrs systems (rule totals 1 to 4) and
+    looping_ptrs systems from random starts, and the three families."""
+    rng = random.Random(3301)
+    cases = []
+    for generate in (random_ptrs, looping_ptrs) * 4:
+        system = generate(rng)
+        cases += [(lambda system=system: TermPars(system),
+                   random_term(system.signature, rng, max_depth=4, variable_pool=()), 5) for _ in range(2)]
+    return cases + [
+        (lambda: RandomWalk(F(3, 4)), 4, 10),
+        (lambda: RandomWalk(F(2, 3), truncate=7), 3, 10),
+        (lambda: Payout(truncate=4), Stake(0), 16),
+        (Payout, 7, 9),
+        (NondetBranch, "a", 4),
+    ]
+
+
+def _choosers(mode, seed):
+    """Two choosers that answer alike, one for each side of a comparison."""
+    if mode == "custom":
+        return [random_chooser(random.Random(seed)) for _ in range(2)]
+    return [MODES[mode]] * 2
+
+
+def _rescales(pars, trace, chooser) -> int:
+    """Chosen reducts of a traced run whose denominator does not divide
+    the lcm of those gathered before them in their step."""
+    count = 0
+    for mu in trace[:-1]:
+        common = 1
+        for _, obj in mu.numerators:
+            dist = pars.choose(obj, chooser)
+            if dist is not None:
+                count += common > 1 and common % dist.denominator != 0
+                common = lcm(common, dist.denominator)
+    return count
+
+
+@pytest.mark.parametrize("memo_limit", [None, 3])
+def test_run_matches_the_picking_oracle(monkeypatch, memo_limit):
+    # run steps over integer indices; every report field, each state in its
+    # exact unreduced form and its text, must be those of the loop it
+    # replaced, for per-object and per-entry choosers, collapsed or not,
+    # traced or not, and with a table that starts afresh on most steps
+    if memo_limit is not None:
+        monkeypatch.setattr(rewriting, "MEMO_LIMIT", memo_limit)
+    spends = []
+    spend = BudgetTracker.spend
+
+    def recording(self, amount):
+        spends.append(amount)
+        spend(self, amount)
+
+    monkeypatch.setattr(BudgetTracker, "spend", recording)
+    runs = rescaled = stopped = 0
+    for seed, (make, start, steps) in enumerate(_oracle_cases()):
+        for mode in ("outermost", "innermost", "custom"):
+            for collapse in (False, True):
+                for keep_trace in (False, True):
+                    chooser, oracle_chooser = _choosers(mode, seed)
+                    got = run(RunConfig(make(), start, steps, chooser, collapse, keep_trace=keep_trace))
+                    want = reference_run(RunConfig(make(), start, steps, oracle_chooser, collapse,
+                                                   keep_trace=keep_trace))
+                    assert got.mode == want.mode
+                    assert (got.masses, got.edl, got.nodes, got.truncation_hit) == (
+                        want.masses, want.edl, want.nodes, want.truncation_hit)
+                    assert [_form(mu) for mu in got.outcomes] == [_form(mu) for mu in want.outcomes]
+                    assert str(got.outcomes[0]) == str(want.outcomes[0])
+                    if keep_trace:
+                        assert [_form(mu) for mu in got.trace] == [_form(mu) for mu in want.trace]
+                        assert [str(mu) for mu in got.trace] == [str(mu) for mu in want.trace]
+                        if mode != "custom" and memo_limit is None:
+                            rescaled += _rescales(make(), want.trace, chooser)
+                    else:
+                        assert got.trace is None
+                    runs += 1
+                # a node budget that runs out mid-run stops both at one step
+                budget = want.nodes // 2
+                if budget < 1:
+                    continue
+                sides = []
+                for chooser, loop in zip(_choosers(mode, seed), (run, reference_run)):
+                    spends.clear()
+                    with pytest.raises(NodeBudgetExceeded):
+                        loop(RunConfig(make(), start, steps, chooser, collapse, node_budget=budget))
+                    sides.append(list(spends))
+                assert sides[0] == sides[1] and len(sides[0]) <= steps
+                stopped += 1
+    assert runs == 12 * len(_oracle_cases())
+    assert stopped > 50
+    if memo_limit is None:
+        assert rescaled > 20  # mixed denominators reach the rescale
