@@ -5,6 +5,9 @@ Seeded `random_ptrs` and `looping_ptrs` systems are written to files with
 so that file names read the same in every checkout:
 - `prove` with the box solver at bounds 1 and 2, in text and `--json`;
 - `check` of every certificate those runs print;
+- `drift_harness` on every certificate those runs print, at the
+  certified epsilon and at twice it, at widths 32 and 3: each report's
+  trials, checks and violation text;
 - `simulate` from seeded `random_term` starts, outermost and innermost,
   collapsed or not;
 - `simulate --family` over the built-in walk, payout and nondeterministic
@@ -22,9 +25,12 @@ import sys
 from itertools import chain, product
 
 from helpers import looping_ptrs, problem_of, random_ptrs, render_problem
+from ptrs.certtext import parse_interpretation
 from ptrs.cli import main
+from ptrs.interpretations import check_certificate
 from ptrs.rewriting import random_term
-from ptrs.wst import parse_problem
+from ptrs.simulator import drift_harness
+from ptrs.wst import elaborate, parse_problem
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 
@@ -34,6 +40,7 @@ DIGESTS = {
     "check": "96eb5b201562bf06ce2eebf02af74ceb5b1b77b2ee0bf5b564ac075bce8aa01e",
     "simulate": "10060ab6af175c542d330f73bf8d84944226ec72c92ebf113f1a01d9a26581e9",
     "family": "48b2c96e978b6386920bcc172e5d54b300235435a7f22602a2ee2faff313aa83",
+    "drift": "a83aef7410ddada575b54888ffb0aafa066bb276f56e9d4bb67feca5b3697714",
 }
 
 
@@ -45,6 +52,19 @@ def corpus(seed: int = 20261019, count: int = 40):
         signature = parse_problem(text).signature
         starts = [random_term(signature, rng, max_depth=3, variable_pool=()) for _ in range(2)]
         yield f"sys-{index:02d}.wst", text, starts
+
+
+def drift_reports(text: str, certificate: str, seed: int) -> str:
+    """The drift reports of one certificate, one line per setting."""
+    system = elaborate(parse_problem(text))
+    cert = check_certificate(parse_interpretation(certificate), system)
+    lines = []
+    for factor in (1, 2):
+        for width in (32, 3):
+            report = drift_harness(system, cert, trials=20, max_depth=12, rng=random.Random(seed),
+                                   epsilon=factor * cert.epsilon, max_width=width)
+            lines.append(f"x{factor} width {width}: {report.trials} {report.checks} {report.violation}\n")
+    return "".join(lines)
 
 
 def family_systems():
@@ -80,6 +100,8 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
                 (tmp_path / cert).write_text(report["certificate"])
                 run("check", "check", name, "--certificate", cert)
                 run("check", "check", name, "--certificate", cert, "--json")
+                drift = drift_reports(text, report["certificate"], seed=certificates)
+                outs["drift"].append(f"{cert}\n{drift}")
                 certificates += 1
         for start in starts:
             for mode in ("outermost", "innermost"):
