@@ -17,6 +17,8 @@ checking concrete certificates, polynomials in solver unknowns for encoding.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from operator import mul
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .rewriting import PTRS, ProbRule
@@ -544,24 +546,81 @@ def ranking_from_certificate(
     first component. Along any reduction step the expected rank drops by at
     least epsilon times the surviving mass.
 
-    Ranks are exact: a rank is an int when every coefficient its
-    evaluation uses is an integer, else a Fraction. Epsilon is always a
-    Fraction (a certificate built in code may hold an int margin), so a
-    rank divided by it is a Fraction, never a float.
+    Ranks are exact and equal `eval_term`'s values: a rank is an int when
+    every coefficient its evaluation uses is an integer, else a Fraction.
+    Epsilon is always a Fraction (a certificate built in code may hold an
+    int margin), so a rank divided by it is a Fraction, never a float.
 
-    Each returned rank function remembers the value of every subterm it has
-    evaluated, so reducts that share most of their structure with terms
-    ranked before cost only their new spine, and a term ranked before costs
-    one lookup.
+    Each symbol is read once into a table: (coefficient, argument indices)
+    per monomial, or the constant vector and each row of the argument
+    matrices side by side. The returned rank function walks a term without
+    recursion and remembers the value of every subterm it has evaluated,
+    so a reduct that shares most of its structure with terms ranked before
+    costs only its new spine, and a term ranked before costs one lookup.
     """
     interp = _int_coefficients(cert.interpretation)
-    first_component = interp.kind == "matrix"
+    if interp.kind == "poly":
+        tables = {
+            sym: tuple((c, tuple(i - 1 for i in sorted(V))) for V, c in row.items())
+            for sym, row in interp.coeffs.items()
+        }
+        zero: Any = 0
+
+        def apply(monomials: tuple, args: list) -> Any:
+            total = 0
+            for c, indices in monomials:
+                for i in indices:
+                    c = c * args[i]
+                total = total + c
+            return total
+
+    else:
+        tables = {
+            sym: (const, tuple(tuple(chain.from_iterable(M[r] for M in mats)) for r in range(interp.dim)))
+            for sym, (mats, const) in interp.entries.items()
+        }
+        zero = (0,) * interp.dim
+
+        def apply(table: tuple, args: list) -> Any:
+            const, rows = table
+            if not args:
+                return const
+            flat = args[0] if len(args) == 1 else tuple(chain.from_iterable(args))
+            return tuple([c + sum(map(mul, row, flat)) for c, row in zip(const, rows)])
+
     values: dict[Term, Any] = {}
+    lookup = values.get
+
+    def value_of(term: Term) -> Any:
+        if term.__class__ is Var:
+            return zero
+        stack = [term]
+        while stack:
+            node = stack[-1]
+            args = []
+            for arg in node.args:
+                value = lookup(arg)
+                if value is None:
+                    if arg.__class__ is Var:
+                        value = zero
+                    else:
+                        stack.append(arg)
+                args.append(value)
+            if stack[-1] is not node:
+                continue  # evaluate the new arguments first
+            stack.pop()
+            table = tables.get(node.symbol)
+            if table is None:
+                raise KeyError(f"no interpretation for symbol {node.symbol!r}")
+            values[node] = apply(table, args)
+        return values[term]
+
+    first_component = interp.kind == "matrix"
 
     def rank(term: Term) -> int | Fraction:
-        value = values.get(term)
+        value = lookup(term)
         if value is None:
-            value = eval_term(interp, term, {}, values)
+            value = value_of(term)
         return value[0] if first_component else value
 
     return rank, Fraction(cert.epsilon)

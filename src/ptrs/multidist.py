@@ -308,35 +308,10 @@ class FiniteDistribution(MultiDistribution[T]):
         return any(seen == obj for _, seen in self._numerators)
 
 
-def expected_numerator(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> tuple[int, int]:
-    """The sum of p * fn(obj) over the entries of mu, as an unreduced pair
-    (numerator, denominator) of ints with a positive denominator.
-
-    The weights are read as numerators over mu's denominator, and the
-    products are added over one running common denominator of the values:
-    an int value costs a multiplication and an addition of ints; any other
-    value goes through as_fraction.
-    """
-    total, common = 0, 1
-    for n, obj in mu.numerators:
-        value = fn(obj)
-        if value.__class__ is int:
-            num, den = n * value, 1
-        else:
-            value = as_fraction(value)
-            num, den = n * value.numerator, value.denominator
-        if den == common:
-            total += num
-        else:
-            g = gcd(common, den)
-            total = total * (den // g) + num * (common // g)
-            common = common // g * den
-    return total, common * mu.denominator
-
-
 def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:
     """The sum of p * fn(obj) over the entries of mu, as a Fraction."""
-    return Fraction(*expected_numerator(mu, fn))
+    total = sum((n * as_fraction(fn(obj)) for n, obj in mu.numerators), Fraction(0))
+    return Fraction(total.numerator, total.denominator * mu.denominator)
 
 
 def display_key(entry: tuple[Rational, Any]) -> tuple[str, str, Rational]:

@@ -30,7 +30,7 @@ from .terms import (
     Signature,
     Term,
     Var,
-    apply_substitution,
+    apply_substitution,  # not called here; bench/tracing.py counts calls at this binding
     check_term,
     match,
     replace_at,  # not called here; bench/tracing.py counts calls at this binding
@@ -215,6 +215,56 @@ def _step_down(entry: _Entry, k: int) -> tuple[int, _Entry, int]:
     raise IndexError("redex index out of range")
 
 
+def _compile_rule(rule: ProbRule) -> tuple[int, tuple, tuple]:
+    """The plan that instantiates the rule's right-hand sides at a node its
+    left-hand side matches: the rule's denominator; reads (slot, i), each
+    of which adds a slot that holds argument i of the subject in an earlier
+    slot, slot 0 being the node; and, per right-hand side in order, its
+    numerator and a post-order list of steps. A step (None, slot) pushes
+    that slot's subject, and (symbol, arity) pops that many values and
+    pushes them as the arguments of symbol. A right-hand subterm that is a
+    left-hand one, every variable among them, is read off the subject and
+    not rebuilt. Every part is linear in the size of the rule."""
+    parent: dict[Term, tuple[Term, int]] = {}
+    stack = [rule.lhs]
+    while stack:
+        term = stack.pop()
+        if term.__class__ is App:
+            for i, arg in enumerate(term.args):
+                if arg not in parent:
+                    parent[arg] = (term, i)
+                    stack.append(arg)
+    slots: dict[Term, int] = {rule.lhs: 0}
+    reads: list[tuple[int, int]] = []
+
+    def slot(term: Term) -> int:
+        unread, up = [], term
+        while up not in slots:
+            unread.append(up)
+            up = parent[up][0]
+        for below in reversed(unread):
+            up, i = parent[below]
+            slots[below] = len(slots)
+            reads.append((slots[up], i))
+        return slots[term]
+
+    alternatives = []
+    for n, rhs_term in rule.rhs.numerators:
+        plan: list[tuple] = []
+        todo: list[tuple[Term, bool]] = [(rhs_term, False)]
+        while todo:
+            term, built = todo.pop()
+            if built:
+                plan.append((term.symbol, len(term.args)))
+            elif term in slots or term in parent:
+                plan.append((None, slot(term)))
+            else:
+                todo.append((term, True))
+                todo.extend((arg, False) for arg in reversed(term.args))
+        alternatives.append((n, tuple(plan)))
+    return rule.rhs.denominator, tuple(reads), tuple(alternatives)
+
+
 class TermPars(Pars):
     """The PARS a PTRS induces on terms.
 
@@ -231,6 +281,7 @@ class TermPars(Pars):
         self._rules_at: dict[str, list[tuple[int, Term]]] = {}
         for index, rule in enumerate(system.rules):
             self._rules_at.setdefault(rule.lhs.symbol, []).append((index, rule.lhs))
+        self._plans: list[tuple | None] = [None] * len(system.rules)
 
     def _entry(self, term: Term) -> _Entry:
         """The index entry of term. Nodes not indexed yet are indexed
@@ -277,19 +328,38 @@ class TermPars(Pars):
         return memo.get(term) or made[term]
 
     def _contract(self, node: App, rule_index: int, substitution: dict[str, Term]) -> FiniteDistribution[Term]:
-        """The reduct distribution of a redex at the root of node."""
+        """The reduct distribution of a redex at the root of node. The
+        rule's plan reads the substitution's values off node itself."""
         # Instantiation can merge distinct right-hand sides, so collapse
         # here; plugging into a context keeps them distinct (contexts are
         # injective). The rule's weights were checked when it was built, and
         # merging and plugging keep them positive and summing to the rule's
         # denominator.
-        rhs = self.system.rules[rule_index].rhs
+        plan = self._plans[rule_index]
+        if plan is None:
+            plan = self._plans[rule_index] = _compile_rule(self.system.rules[rule_index])
+        den, reads, alternatives = plan
+        slots = [node]
+        for j, i in reads:
+            slots.append(slots[j].args[i])
         local: dict[Term, int] = {}
-        for n, rhs_term in rhs.numerators:
-            image = apply_substitution(rhs_term, substitution)
+        for n, steps in alternatives:
+            values: list[Term] = []
+            for symbol, operand in steps:
+                if symbol is None:
+                    values.append(slots[operand])
+                elif operand == 1:
+                    values[-1] = App(symbol, (values[-1],))
+                elif operand:
+                    args = tuple(values[-operand:])
+                    del values[-operand:]
+                    values.append(App(symbol, args))
+                else:
+                    values.append(App(symbol, ()))
+            image = values[0]
             local[image] = local.get(image, 0) + n
         pairs = tuple((n, image) for image, n in local.items())
-        return FiniteDistribution._unchecked(pairs, rhs.denominator, rhs.denominator)
+        return FiniteDistribution._unchecked(pairs, den, den)
 
     def _reduct(self, top: _Entry, k: int, keep_spine: bool = False) -> FiniteDistribution[Term]:
         """The reduct distribution of the k-th redex of top's node.

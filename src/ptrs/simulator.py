@@ -20,8 +20,7 @@ from .multidist import (
     as_fraction,
     canonical_order,
     display_key,
-    expected_numerator,
-    expected_value,
+    expected_value,  # not called here; bench/tracing.py wraps it at this binding
 )
 from . import rewriting
 from .rewriting import (
@@ -33,9 +32,8 @@ from .rewriting import (
     all_steps,
     leftmost_innermost,
     leftmost_outermost,
-    random_chooser,
     random_term,
-    step_multidist,
+    step_multidist,  # not called here; bench/tracing.py wraps it at this binding
 )
 
 MODES = {"outermost": leftmost_outermost, "innermost": leftmost_innermost}
@@ -359,12 +357,13 @@ def drift_harness(
     the certified one) lets tests confirm the harness can catch forgeries;
     it is read exactly, as multidist.as_fraction reads it.
 
-    Each step merges equal reducts as it binds and sorts the result, so a
-    state lists each object once and its rank is computed once. Expected
+    Each step picks one redex per entry at random, merges equal reducts as
+    it binds, as `MultiDistribution.bind` with `merge` does, and sorts the
+    result in display order, so a state lists each object once. Expected
     rank and mass are sums over the entries, so merging keeps the check
     exact. The check compares integer cross-products of the unreduced
-    expected ranks; Fraction ranks are computed only for a reported
-    violation.
+    expected ranks; Fraction ranks and multidistributions are built only
+    for a reported violation.
 
     States wider than max_width are trimmed to their heaviest entries.
     The inequality is a sum of per-entry inequalities, so it must hold for
@@ -375,31 +374,120 @@ def drift_harness(
     rank, certified = ranking_from_certificate(cert)
     required = certified if epsilon is None else as_fraction(epsilon)
     e_num, e_den = required.numerator, required.denominator
+    randrange = rng.randrange
+    last = max_depth - 1
+
+    # Objects are stepped by their number in a table filled as it is read:
+    # `index` maps each object met to its number and `objs` lists them.
+    # Per object, `ranks` holds its rank as (numerator, denominator),
+    # `keys` its display_key as (type name, text) once it is sorted, and
+    # `steps` False until it is stepped, then None when it is terminal,
+    # else its redex index entry and a dict from redex number to reduct as
+    # (denominator, [(numerator, image number), ...]). `acc` is all 0
+    # between steps. Past MEMO_LIMIT objects the table starts afresh
+    # before the next trial.
+    def number(obj: Hashable) -> int:
+        k = index.get(obj)
+        if k is None:
+            k = index[obj] = len(objs)
+            objs.append(obj)
+            value = rank(obj)
+            ranks.append((value, 1) if value.__class__ is int else (value.numerator, value.denominator))
+            keys.append(None)
+            steps.append(False)
+            acc.append(0)
+        return k
+
+    def expected(state: list[tuple[int, int]], den: int) -> tuple[int, int]:
+        """The expected rank of a state over den, as (numerator, denominator)."""
+        num, common = 0, 1
+        for n, k in state:
+            v, d = ranks[k]
+            if d == common:
+                num += n * v
+            else:
+                g = gcd(common, d)
+                num = num * (d // g) + n * v * (common // g)
+                common = common // g * d
+        return num, common * den
+
+    def display_sort(state: list[tuple[int, int]]) -> None:
+        for _, k in state:
+            if keys[k] is None:
+                obj = objs[k]
+                keys[k] = (type(obj).__name__, str(obj))
+        state.sort(key=lambda e: (keys[e[1]], e[0]))
 
     checks = 0
     for trial in range(trials):
-        start = random_term(system.signature, rng, max_depth=term_depth)
-        mu = MultiDistribution.point(start)
-        before = expected_numerator(mu, rank)  # (num, den) of mu's expected rank
-        chooser = random_chooser(rng)
+        if not trial or len(objs) > rewriting.MEMO_LIMIT:
+            index, objs, ranks, keys, steps, acc = {}, [], [], [], [], []
+        # A state is a list of (numerator, number) over `den`, of mass
+        # `mass` over den; its expected rank is b / b_den.
+        state = [(1, number(random_term(system.signature, rng, max_depth=term_depth)))]
+        den = mass = 1
+        b, b_den = ranks[state[0][1]]
         for depth in range(max_depth):
-            if not mu.numerators:
+            if not state:
                 break
-            nu = _sorted(step_multidist(pars, mu, chooser, merge=True))
+            # bind's rule, so each state's unreduced form is bind's: rows
+            # are scaled to the running lcm `common` of their denominators
+            out = []
+            common, kept = 1, 0
+            for n, j in state:
+                step = steps[j]
+                if step is False:
+                    top = pars._entry(objs[j])
+                    step = steps[j] = (top, {}) if top.count else None
+                if step is None:
+                    continue
+                top, rows = step
+                r = randrange(top.count)
+                row = rows.get(r)
+                if row is None:
+                    dist = pars._reduct(top, r, keep_spine=True)
+                    row = rows[r] = (dist.denominator, [(m, number(image)) for m, image in dist.numerators])
+                d, pairs = row
+                kept += n
+                if common % d:
+                    f = d // gcd(common, d)
+                    for k in out:
+                        acc[k] *= f
+                    common *= f
+                if d != common:
+                    n *= common // d
+                for m, k in pairs:
+                    w = acc[k]
+                    if w:
+                        acc[k] = w + n * m
+                    else:
+                        acc[k] = n * m
+                        out.append(k)
+            successor = [(acc[k], k) for k in out]
+            for k in out:
+                acc[k] = 0
             checks += 1
-            after = expected_numerator(nu, rank)
+            s_den, s_mass = den * common, kept * common
+            a, a_den = expected(successor, s_den)
             # before < after + required * mass, times the positive denominators
-            (b, b_den), (a, a_den) = before, after
-            den = e_den * nu.denominator
-            if b * a_den * den < (a * den + e_num * nu.mass_numerator * a_den) * b_den:
+            e = e_den * s_den
+            if b * a_den * e < (a * e + e_num * s_mass * a_den) * b_den:
+                display_sort(successor)
                 return DriftReport(trial + 1, checks, DriftViolation(
-                    trial, depth, mu, nu, expected_value(mu, rank), expected_value(nu, rank), required
+                    trial, depth, _as_mu(state, objs, den, mass), _as_mu(successor, objs, s_den, s_mass),
+                    Fraction(b, b_den), Fraction(a, a_den), required,
                 ))
-            mu, before = nu, after
-            if len(mu) > max_width:
-                heaviest = sorted(mu.numerators, key=lambda e: (-e[0], display_key(e)))[:max_width]
-                mu = MultiDistribution._unchecked(
-                    tuple(heaviest), mu.denominator, sum(n for n, _ in heaviest)
-                )
-                before = expected_numerator(mu, rank)
+            if depth == last:
+                break  # the state is not read again
+            display_sort(successor)
+            state, den, mass, b, b_den = successor, s_den, s_mass, a, a_den
+            if len(state) > max_width:
+                state.sort(key=lambda e: (-e[0], keys[e[1]]))
+                del state[max_width:]
+                mass = sum(n for n, _ in state)
+                b, b_den = expected(state, den)
     return DriftReport(trials, checks, None)
+
+
+def _as_mu(state: list[tuple[int, int]], objs: list, den: int, mass: int) -> MultiDistribution:
+    return MultiDistribution._unchecked(tuple((n, objs[k]) for n, k in state), den, mass)

@@ -168,8 +168,9 @@ class App(_Frozen):
     __slots__ = ("symbol", "args", "_hash", "_size", "_str", "__weakref__")
 
     def __new__(cls, symbol: str, args: "tuple[Term, ...]" = ()) -> "App":
-        args = tuple(args)
-        key = (symbol, *map(id, args))
+        if args.__class__ is not tuple:
+            args = tuple(args)
+        key = (symbol, id(args[0])) if len(args) == 1 else (symbol, *map(id, args))
         ref = _lookup(key)
         if ref is not None:
             node = ref()

@@ -8,13 +8,15 @@ code paths.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from ptrs.boxsolver import narrow
@@ -44,7 +46,7 @@ from ptrs.multidist import (
     display_key,
     expected_value,
 )
-from ptrs.prover import ProverConfig, ShapeOutcome, Verdict
+from ptrs.prover import ProverConfig, ShapeOutcome, Verdict, prove, verdict_json
 from ptrs.rewriting import (
     PTRS,
     BudgetTracker,
@@ -71,6 +73,8 @@ from ptrs.simulator import (
 from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box, template
 from ptrs.terms import App, Position, Signature, Term, Var, variables
 from ptrs.wst import ElaborationError, ParseError, ProblemFile, RawRule, Token, tokenize
+
+BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"  # the shipped box solver, run in process
 
 
 def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
@@ -542,7 +546,95 @@ def reference_drift_harness(
     return DriftReport(trials, checks, None)
 
 
+def stepping_drift_harness(
+    system: PTRS,
+    cert,
+    *,
+    trials: int = 100,
+    max_depth: int = 20,
+    rng: random.Random,
+    epsilon: Rational | str | None = None,
+    term_depth: int = 4,
+    max_width: int = 32,
+) -> DriftReport:
+    """The drift harness as it was before it stepped over integer indices:
+    each step a merged `step_multidist`, sorted with `_sorted`, and each
+    expected rank an `expected_numerator` over every entry."""
+    pars = TermPars(system)
+    rank, certified = ranking_from_certificate(cert)
+    required = certified if epsilon is None else as_fraction(epsilon)
+    e_num, e_den = required.numerator, required.denominator
+    checks = 0
+    for trial in range(trials):
+        start = random_term(system.signature, rng, max_depth=term_depth)
+        mu = MultiDistribution.point(start)
+        before = expected_numerator(mu, rank)
+        chooser = random_chooser(rng)
+        for depth in range(max_depth):
+            if not mu.numerators:
+                break
+            nu = _sorted(step_multidist(pars, mu, chooser, merge=True))
+            checks += 1
+            after = expected_numerator(nu, rank)
+            (b, b_den), (a, a_den) = before, after
+            den = e_den * nu.denominator
+            if b * a_den * den < (a * den + e_num * nu.mass_numerator * a_den) * b_den:
+                return DriftReport(trial + 1, checks, DriftViolation(
+                    trial, depth, mu, nu, expected_value(mu, rank), expected_value(nu, rank), required
+                ))
+            mu, before = nu, after
+            if len(mu) > max_width:
+                heaviest = sorted(mu.numerators, key=lambda e: (-e[0], display_key(e)))[:max_width]
+                mu = MultiDistribution._unchecked(
+                    tuple(heaviest), mu.denominator, sum(n for n, _ in heaviest)
+                )
+                before = expected_numerator(mu, rank)
+    return DriftReport(trials, checks, None)
+
+
+@functools.lru_cache(maxsize=None)
+def proved_certificates(seed: int = 20261019, count: int = 40) -> tuple[tuple[PTRS, str], ...]:
+    """(system, certificate text) of every YES that `prove` with the box
+    solver, at coefficient bounds 1 and 2, gives on seeded `random_ptrs`
+    systems; the text is the certificate `prove --json` prints."""
+    rng = random.Random(seed)
+    proved = []
+    for _ in range(count):
+        system = random_ptrs(rng)
+        for bound in (1, 2):
+            verdict = prove(system, ProverConfig(solver=BOXSOLVER, coeff_bound=bound))
+            if verdict.kind == "YES":
+                proved.append((system, verdict_json(verdict, system)["certificate"]))
+    return tuple(proved)
+
+
 # Functions of the package that only tests call, moved here unchanged.
+
+
+def expected_numerator(mu: MultiDistribution[T], fn) -> tuple[int, int]:
+    """The sum of p * fn(obj) over the entries of mu, as an unreduced pair
+    (numerator, denominator) of ints with a positive denominator.
+
+    The weights are read as numerators over mu's denominator, and the
+    products are added over one running common denominator of the values:
+    an int value costs a multiplication and an addition of ints; any other
+    value goes through as_fraction.
+    """
+    total, common = 0, 1
+    for n, obj in mu.numerators:
+        value = fn(obj)
+        if value.__class__ is int:
+            num, den = n * value, 1
+        else:
+            value = as_fraction(value)
+            num, den = n * value.numerator, value.denominator
+        if den == common:
+            total += num
+        else:
+            g = gcd(common, den)
+            total = total * (den // g) + num * (common // g)
+            common = common // g * den
+    return total, common * mu.denominator
 
 
 def convex_union(

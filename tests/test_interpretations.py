@@ -491,6 +491,52 @@ def test_ranks_equal_fraction_evaluation():
             assert type(bound) is Fraction and bound == Fraction(expected) / cert.epsilon
 
 
+def test_rank_evaluator_agrees_with_eval_term():
+    # The table evaluator against eval_term, which folds apply_values over
+    # the term: seeded interpretations with int and Fraction coefficients,
+    # multilinear degree-2 polynomials (the poly-multilinear-2 shape) and
+    # matrices, on random terms; 5000-deep terms under interpretations
+    # whose values grow linearly; and the same KeyError for a symbol the
+    # certificate does not interpret.
+    rng = random.Random(83)
+    arities = {"f": 2, "g": 1, "h": 3, "a": 0, "b": 0}
+    signature = Signature(arities)
+    interps = []
+    for max_den in (1, 3):
+        for _ in range(6):
+            interps.append(rand_poly_interp(rng, arities, degree=2, max_den=max_den))
+            interps.append(rand_matrix_interp(rng, arities, dim=rng.choice((1, 2, 3)), max_den=max_den))
+    third = Fraction(1, 3)
+    linear = PolyInterpretation(arities, {
+        "f": {(): third, (1,): 1, (2,): 2}, "g": {(): 1, (1,): 1},
+        "h": {(1,): 1, (2,): 1, (3,): 1, (1, 3): 1}, "a": {(): 0}, "b": {(): 2},
+    })
+    identity = ((1, 0), (0, 1))
+    square = MatrixInterpretation(arities, 2, {
+        "f": ((identity, ((1, 1), (0, 0))), (third, 1)), "g": ((((1, 0), (1, 0)),), (1, 0)),
+        "h": ((identity, identity, ((0, 0), (0, third))), (0, 0)), "a": ((), (0, 0)), "b": ((), (1, 2)),
+    })
+    deep = []
+    for wrap in (lambda t: App("g", (t,)), lambda t: App("f", (t, App("b"))),
+                 lambda t: App("h", (App("b"), t, x))):
+        term = App("a")
+        for _ in range(5000):
+            term = wrap(term)
+        deep.append(term)
+    for interp in interps + [linear, square]:
+        rank, _ = ranking_from_certificate(Certificate(interp, (H,), H))
+        terms = [random_term(signature, rng, max_depth=5) for _ in range(30)]
+        if interp in (linear, square):
+            terms += deep
+        memo = {}
+        for term in terms + terms[::-1]:
+            value = eval_term(interp, term, {}, memo)
+            assert rank(term) == (value if interp.kind == "poly" else value[0])
+        with pytest.raises(KeyError) as raised:
+            rank(App("g", (App("k", (x,)),)))
+        assert raised.value.args == ("no interpretation for symbol 'k'",)
+
+
 def test_estimate_edh_bound_stays_a_fraction():
     # An interpretation built in code can give an int margin, so epsilon is
     # an int there; with int ranks, rank / epsilon would be a float.

@@ -4,14 +4,13 @@ from math import lcm
 
 import pytest
 
-from helpers import convex_union, expectation, from_distribution, reference_bind
+from helpers import convex_union, expectation, expected_numerator, from_distribution, reference_bind
 from ptrs.multidist import (
     FiniteDistribution,
     InvalidWeights,
     MultiDistribution,
     as_fraction,
     canonical_order,
-    expected_numerator,
     expected_value,
 )
 from ptrs.simulator import collapsed

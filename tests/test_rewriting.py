@@ -324,6 +324,54 @@ def systems_under_test():
     return shipped + [random_ptrs(rng) for _ in range(25)]
 
 
+def test_contraction_reads_the_subject_and_stays_linear():
+    # A compiled contraction takes every right-hand subterm that is a
+    # left-hand one from the matched node, rebuilds the rest, and merges
+    # equal instances in order; its plan is linear in the rule even for a
+    # left-hand side deeper than the interpreter's recursion limit.
+    y = Var("y")
+
+    def tower(n, t):
+        for _ in range(n):
+            t = s(t)
+        return t
+
+    lhs = App("f", (tower(2000, x), y))
+    third = Fraction(1, 3)
+    rules = (
+        ProbRule(lhs, FiniteDistribution([(s(tower(2000, x)), third), (App("f", (y, tower(1000, x))), third),
+                                          (y, third)])),
+        ProbRule(App("f", (x, x)), FiniteDistribution([(App("g", (x,)), H), (App("f", (App("0"), x)), H)])),
+        ProbRule(App("g", (App("f", (x, App("0"))),)),
+                 FiniteDistribution([(x, H), (App("f", (x, App("0"))), Fraction(1, 4)), (App("0"), Fraction(1, 4))])),
+        # instances of g(x) and g(y) are equal when x and y are bound alike
+        ProbRule(App("f", (x, y)), FiniteDistribution([(App("g", (x,)), H), (App("g", (y,)), H)])),
+    )
+    system = PTRS(Signature({"f": 2, "g": 1, "s": 1, "0": 0}), rules)
+    pars = TermPars(system)
+    subjects = [App("f", (tower(2000, nat(3)), nat(7))), App("f", (nat(4), nat(4))),
+                App("g", (App("f", (nat(2), App("0"))),)), App("f", (tower(2000, x), tower(2000, x)))]
+    contracted = merged = 0
+    for subject in subjects:
+        for index, rule in enumerate(rules):
+            subst = match(rule.lhs, subject)
+            if subst is None:
+                continue
+            local = {}
+            for n, rhs_term in rule.rhs.numerators:
+                image = apply_substitution(rhs_term, subst)
+                local[image] = local.get(image, 0) + n
+            got = pars._contract(subject, index, subst)
+            assert got.numerators == tuple((n, image) for image, n in local.items())
+            assert got.denominator == rule.rhs.denominator
+            contracted += 1
+            merged += len(got.numerators) < len(rule.rhs.numerators)
+    assert (contracted, merged) == (8, 2)
+    den, reads, alternatives = ptrs.rewriting._compile_rule(rules[0])
+    assert len(reads) == 1002  # y and s^2000(x) down to s^1000(x), each once
+    assert [len(steps) for _, steps in alternatives] == [2, 3, 1]
+
+
 def test_walk_agrees_with_naive_enumeration():
     rng = random.Random(31)
     checked = 0

@@ -14,17 +14,20 @@ from helpers import (
     random_ptrs,
     reference_all_steps,
     reference_collapsed,
+    proved_certificates,
     reference_drift_harness,
     reference_expected_value,
     reference_merged_steps,
     reference_run,
     reference_step,
+    stepping_drift_harness,
     walk_masses,
     walk_partial_edl,
 )
 from ptrs import rewriting, simulator
 from ptrs.certtext import load_interpretation, parse_interpretation
 from ptrs.interpretations import check_certificate
+from ptrs.prover import check_only
 from ptrs.multidist import FiniteDistribution, MultiDistribution, expected_value
 from ptrs.rewriting import (
     BudgetTracker,
@@ -325,24 +328,106 @@ def test_drift_epsilon_is_read_exactly():
     assert report(1) == report(F(1))
 
 
-def test_drift_harness_merges_only_while_binding(monkeypatch):
-    # Each step folds equal reducts as it binds; no state is merged again.
-    def no_merge(mu):
-        raise AssertionError("drift_harness called merged()")
+def test_drift_harness_steps_each_object_and_redex_once(monkeypatch):
+    # Steps run over the harness's own table: no multidistribution is
+    # bound or merged, a redex's reduct is asked for once per object and
+    # redex number, and each object is ranked once.
+    def refuse(*args, **kwargs):
+        raise AssertionError("drift_harness stepped a multidistribution")
 
-    merges = []
-    bind = MultiDistribution.bind
+    for target in (MultiDistribution, FiniteDistribution):
+        monkeypatch.setattr(target, "merged", refuse)
+        monkeypatch.setattr(target, "bind", refuse)
+    monkeypatch.setattr(rewriting, "step_multidist", refuse)
+    monkeypatch.setattr(simulator, "step_multidist", refuse)
+    reducts, ranked = Counter(), Counter()
+    reduct = TermPars._reduct
 
-    def spy(mu, fn, merge=False):
-        merges.append(merge)
-        return bind(mu, fn, merge)
+    def counted_reduct(pars, top, k, keep_spine=False):
+        reducts[top.node, k] += 1
+        return reduct(pars, top, k, keep_spine)
 
-    system, cert = _shipped("rw34")
-    monkeypatch.setattr(MultiDistribution, "merged", no_merge)
-    monkeypatch.setattr(MultiDistribution, "bind", spy)
-    report = drift_harness(system, cert, trials=10, max_depth=10, rng=random.Random(1), max_width=3)
-    assert report.ok
-    assert len(merges) == report.checks and all(merges)
+    ranking = simulator.ranking_from_certificate
+
+    def counted_ranking(cert):
+        rank, epsilon = ranking(cert)
+
+        def counted_rank(term):
+            ranked[term] += 1
+            return rank(term)
+
+        return counted_rank, epsilon
+
+    monkeypatch.setattr(TermPars, "_reduct", counted_reduct)
+    monkeypatch.setattr(simulator, "ranking_from_certificate", counted_ranking)
+    for name, max_width, factor in (("rw34", 3, 1), ("matrix", 32, 1), ("coingame", 32, 1), ("rw34", 32, 2)):
+        system, cert = _shipped(name)
+        reducts.clear()
+        ranked.clear()
+        report = drift_harness(system, cert, trials=20, max_depth=10, rng=random.Random(1),
+                               epsilon=factor * cert.epsilon, max_width=max_width)
+        assert report.ok == (factor == 1)
+        assert reducts and max(reducts.values()) == 1
+        assert ranked and max(ranked.values()) == 1
+
+
+def _drift_cases():
+    """(label, system, certificate) for the differential drift tests: the
+    shipped certificates, HALVES, and the certificates `prove` prints for
+    seeded generated systems."""
+    for name in ("coingame", "matrix", "rw34"):
+        yield (name, *_shipped(name))
+    rw34, _ = _shipped("rw34")
+    yield "rw34-halves", rw34, check_certificate(parse_interpretation(HALVES), rw34)
+    for number, (system, text) in enumerate(proved_certificates()):
+        yield f"proved-{number}", system, check_certificate(parse_interpretation(text), system)
+
+
+def _same_drift_report(got, want):
+    assert (got.trials, got.checks) == (want.trials, want.checks)
+    if want.violation is None:
+        assert got.violation is None
+        return
+    v, w = got.violation, want.violation
+    assert (v.trial, v.depth, v.rank_before, v.rank_after, v.epsilon) == (
+        w.trial, w.depth, w.rank_before, w.rank_after, w.epsilon)
+    for mine, theirs in ((v.state, w.state), (v.successor, w.successor)):
+        assert mine.numerators == theirs.numerators
+        assert (mine.denominator, mine.mass_numerator) == (theirs.denominator, theirs.mass_numerator)
+    assert str(v) == str(w)
+
+
+@pytest.mark.parametrize("memo_limit", [rewriting.MEMO_LIMIT, 3])
+def test_drift_harness_matches_the_stepping_oracle(monkeypatch, memo_limit):
+    # The index kernel must find what merged steps over multidistributions
+    # find, state for state; at a limit of 3 its table starts afresh at
+    # almost every trial.
+    monkeypatch.setattr(rewriting, "MEMO_LIMIT", memo_limit)
+    reports = Counter()
+    for label, system, cert in _drift_cases():
+        shipped = not label.startswith("proved")
+        for max_width in (32, 3, 2):
+            for epsilon in (cert.epsilon, 2 * cert.epsilon, F(1, 3)):
+                for seed in range(2 if shipped else 1):
+                    args = dict(trials=12, max_depth=10, epsilon=epsilon, max_width=max_width)
+                    got = drift_harness(system, cert, rng=random.Random(seed), **args)
+                    want = stepping_drift_harness(system, cert, rng=random.Random(seed), **args)
+                    _same_drift_report(got, want)
+                    reports[got.ok] += 1
+    assert reports[True] and reports[False]
+
+
+def test_proved_certificates_pass_check_and_drift():
+    # Every YES certificate printed for a generated system is accepted by
+    # `check` and holds the drift inequality at its own epsilon.
+    proved = proved_certificates()
+    assert len(proved) >= 10
+    for seed, (system, text) in enumerate(proved):
+        verdict = check_only(system, text)
+        assert verdict.kind == "YES", verdict.problems
+        report = drift_harness(system, verdict.certificate, trials=20, max_depth=12,
+                               rng=random.Random(seed), max_width=8)
+        assert report.ok, report.violation
 
 
 def test_exhaustive_agrees_with_single_strategy_when_deterministic():
