@@ -160,13 +160,9 @@ class MultiDistribution(Generic[T]):
             a * self._mass_num,
         )
 
-    def bind(
-        self, fn: Callable[[T], FiniteDistribution[S] | None], merge: bool = False
-    ) -> "MultiDistribution[S]":
+    def bind(self, fn: Callable[[T], FiniteDistribution[S] | None]) -> "MultiDistribution[S]":
         """The union of p * fn(obj) over the entries (p, obj); an entry
-        whose fn(obj) is None vanishes. With `merge`, equal images are
-        folded into one entry each as they are added, in first-seen order:
-        the result is `bind(fn).merged()` without the unmerged tuple.
+        whose fn(obj) is None vanishes.
 
         Each image is added as it is read, its numerators scaled to the
         running lcm `common` of the images' denominators; an image whose
@@ -174,8 +170,6 @@ class MultiDistribution(Generic[T]):
         An image has mass 1, so the result weighs the entries kept."""
         numerators: list[tuple[int, S]] = []
         append = numerators.append
-        sums: dict[S, int] = {}
-        get = sums.get
         common, kept = 1, 0
         for n, obj in self._numerators:
             dist = fn(obj)
@@ -185,23 +179,13 @@ class MultiDistribution(Generic[T]):
             d = dist._den
             if common % d:
                 r = d // gcd(common, d)
-                if merge:
-                    sums = {image: r * m for image, m in sums.items()}
-                    get = sums.get
-                else:
-                    numerators = [(r * m, image) for m, image in numerators]
-                    append = numerators.append
+                numerators = [(r * m, image) for m, image in numerators]
+                append = numerators.append
                 common *= r
             if d != common:
                 n *= common // d
-            if merge:
-                for m, image in dist._numerators:
-                    sums[image] = get(image, 0) + n * m
-            else:
-                for m, image in dist._numerators:
-                    append((n * m, image))
-        if merge:
-            numerators = [(m, image) for image, m in sums.items()]
+            for m, image in dist._numerators:
+                append((n * m, image))
         return MultiDistribution._unchecked(tuple(numerators), self._den * common, kept * common)
 
     def _canonical(self) -> tuple[int, frozenset]:

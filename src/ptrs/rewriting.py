@@ -475,16 +475,14 @@ def random_chooser(rng: random.Random) -> Chooser:
     return choose
 
 
-def step_multidist(
-    pars: Pars, mu: MultiDistribution, chooser: Chooser, merge: bool = False
-) -> MultiDistribution:
+def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> MultiDistribution:
     """One reduction step; terminal entries vanish, so mass is monotone.
 
-    The chooser is asked once per entry, in entry order. With `merge`,
-    equal reducts are folded as they are bound (`MultiDistribution.bind`).
-    `simulator.run` steps single-strategy runs in its own loop, which asks
-    a per-object chooser once per object per run."""
-    return mu.bind(lambda obj: pars.choose(obj, chooser), merge)
+    The chooser is asked once per entry, in entry order. Nothing in the
+    package steps through here: `simulator.run` and
+    `simulator.drift_harness` step over integer indices in their own
+    loops. It stays as the one-step semantics for tests and the tracer."""
+    return mu.bind(lambda obj: pars.choose(obj, chooser))
 
 
 class BudgetTracker:

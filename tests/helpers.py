@@ -451,8 +451,10 @@ def picking_step(
         for _, obj in mu.numerators:
             if obj not in picks:
                 picks[obj] = pars.choose(obj, chooser)
-        return mu.bind(picks.__getitem__, merge)
-    return mu.bind(lambda obj: pars.choose(obj, chooser), merge)
+        nu = mu.bind(picks.__getitem__)
+    else:
+        nu = mu.bind(lambda obj: pars.choose(obj, chooser))
+    return nu.merged() if merge else nu
 
 
 def reference_run(config: RunConfig) -> RunReport:
@@ -573,7 +575,7 @@ def stepping_drift_harness(
         for depth in range(max_depth):
             if not mu.numerators:
                 break
-            nu = _sorted(step_multidist(pars, mu, chooser, merge=True))
+            nu = _sorted(step_multidist(pars, mu, chooser).merged())
             checks += 1
             after = expected_numerator(nu, rank)
             (b, b_den), (a, a_den) = before, after
@@ -686,8 +688,9 @@ def _union(
 
 
 def reference_bind(mu: MultiDistribution[T], fn, merge: bool = False) -> MultiDistribution:
-    """mu.bind(fn, merge) as it was built before it was one pass: the parts
-    gathered first, then their union over one lcm."""
+    """mu.bind(fn), and with `merge` mu.bind(fn).merged(), as bind was
+    built before it was one pass: the parts gathered first, then their
+    union over one lcm."""
     parts = []
     for n, obj in mu.numerators:
         dist = fn(obj)
