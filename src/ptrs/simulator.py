@@ -115,7 +115,7 @@ def run(config: RunConfig) -> RunReport:
     # A state is a list of (numerator, index) over the denominator `den`.
     # A collapsed step sums into the dense `acc`, indexed like objs and 0
     # between steps, and lists each image in `out` when first touched,
-    # which merges equal reducts in first-seen order as bind does.
+    # which merges equal reducts in first-seen order as merged() does.
     # display_key orders distinct objects totally, so a collapsed state is
     # sorted where its order is read: in the trace, in the outcome, and on
     # every step for a chooser that reads entry order.
@@ -357,8 +357,8 @@ def drift_harness(
     the certified one) lets tests confirm the harness can catch forgeries;
     it is read exactly, as multidist.as_fraction reads it.
 
-    Each step picks one redex per entry at random, merges equal reducts as
-    it binds, as `MultiDistribution.bind` with `merge` does, and sorts the
+    Each step picks one redex per entry at random, folds equal reducts as
+    it adds them, in first-seen order as `merged()` does, and sorts the
     result in display order, so a state lists each object once. Expected
     rank and mass are sums over the entries, so merging keeps the check
     exact. The check compares integer cross-products of the unreduced
@@ -430,8 +430,9 @@ def drift_harness(
         for depth in range(max_depth):
             if not state:
                 break
-            # bind's rule, so each state's unreduced form is bind's: rows
-            # are scaled to the running lcm `common` of their denominators
+            # bind's rule, so each state's unreduced form is that of bind
+            # then merged(): rows are scaled to the running lcm `common` of
+            # their denominators
             out = []
             common, kept = 1, 0
             for n, j in state:

@@ -369,6 +369,12 @@ def test_drift_harness_steps_each_object_and_redex_once(monkeypatch):
         assert report.ok == (factor == 1)
         assert reducts and max(reducts.values()) == 1
         assert ranked and max(ranked.values()) == 1
+    # past MEMO_LIMIT objects the table starts afresh, so objects are
+    # ranked again in later trials
+    monkeypatch.setattr(rewriting, "MEMO_LIMIT", 3)
+    ranked.clear()
+    assert drift_harness(system, cert, trials=20, max_depth=10, rng=random.Random(1)).ok
+    assert max(ranked.values()) > 1
 
 
 def _drift_cases():
