@@ -11,10 +11,10 @@ from helpers import (
     dp_random_walk,
     hitting_times_truncated,
     looping_ptrs,
+    proved_certificates,
     random_ptrs,
     reference_all_steps,
     reference_collapsed,
-    proved_certificates,
     reference_drift_harness,
     reference_expected_value,
     reference_merged_steps,
@@ -27,8 +27,8 @@ from helpers import (
 from ptrs import rewriting, simulator
 from ptrs.certtext import load_interpretation, parse_interpretation
 from ptrs.interpretations import check_certificate
-from ptrs.prover import check_only
 from ptrs.multidist import FiniteDistribution, MultiDistribution, expected_value
+from ptrs.prover import check_only
 from ptrs.rewriting import (
     BudgetTracker,
     NodeBudgetExceeded,
