@@ -10,21 +10,27 @@ coefficients everywhere else, its value at the zero assignment is that
 margin. The minimum margin over all rules bounds the expected derivation
 length from above via the induced ranking function.
 
-Symbolic evaluation is generic in the coefficient type: exact Fractions for
-checking concrete certificates, polynomials in solver unknowns for encoding.
+One evaluator, `Differences`, computes rule differences for both the
+checker and the encoder, over plain dicts. It reads each symbol from a
+coefficient table: a polynomial's (argument indices, coefficient) pairs
+by monomial size, or a matrix interpretation's argument grids and
+constant vector. A coefficient is a number when a concrete certificate
+is checked (`NUMBERS`), and the position of a solver unknown when a
+shape is encoded (`UNKNOWNS`); there, values are polynomials over the
+unknowns, dicts from sorted tuples of positions to nonzero ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import add, mul
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .rewriting import PTRS, ProbRule
 from .terms import App, Term, Var, fold_term
 
-Coeff = Any  # Fraction | int | smt.Poly, via duck typing
+Coeff = Any  # Fraction | int
 
 
 class DegreeOverflow(ArithmeticError):
@@ -41,16 +47,14 @@ class CertificateInvalid(Exception):
         self.problems = problems
 
 
-def _is_zero(c: Coeff) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
-
-
 def _mono(key: Any) -> frozenset[int]:
     if isinstance(key, int):
         return frozenset((key,))
     return frozenset(key)
+
+
+def _by_size(V: frozenset) -> tuple:
+    return len(V), sorted(V)
 
 
 class PolyInterpretation:
@@ -67,7 +71,7 @@ class PolyInterpretation:
                 V = _mono(key)
                 if not V <= set(range(1, arity + 1)):
                     raise ValueError(f"monomial {sorted(V)} outside the arguments of {sym}/{arity}")
-                if not _is_zero(value):
+                if value != 0:
                     row[V] = value
             table[sym] = row
         self.coeffs = table
@@ -90,22 +94,11 @@ class PolyInterpretation:
             total = total + prod
         return total
 
-    def apply_form(self, symbol: str, args: Sequence["PolyForm"], cap: int | None) -> "PolyForm":
-        total = PolyForm.constant(self.coeffs[symbol].get(frozenset(), 0), cap)
-        for V, c in sorted(self.coeffs[symbol].items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
-            if not V:
-                continue
-            prod: PolyForm | None = None
-            for i in sorted(V):
-                prod = args[i - 1] if prod is None else prod.mul(args[i - 1])
-            total = total.add(prod.scale(c))
-        return total
-
     def validate(self) -> list[str]:
         """Nonnegative coefficients plus the monotonicity witnesses c_{i} >= 1."""
         problems: list[str] = []
         for sym in self.symbols():
-            for V, c in sorted(self.coeffs[sym].items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+            for V, c in sorted(self.coeffs[sym].items(), key=lambda kv: _by_size(kv[0])):
                 if c < 0:
                     problems.append(f"[{sym}] has negative coefficient {c} on {_mono_name(V)}")
             for i in range(1, self.arities[sym] + 1):
@@ -128,41 +121,10 @@ Vector = tuple[Coeff, ...]
 
 
 def _dot(u: Sequence[Coeff], v: Sequence[Coeff]) -> Coeff:
-    """The sum of the products, started from the first one, so no sum
-    begins at the int 0 (a `Poly` would have to absorb it)."""
     total = u[0] * v[0]
     for j in range(1, len(v)):
         total = total + u[j] * v[j]
     return total
-
-
-def _mat_vec(M: Matrix, v: Vector) -> Vector:
-    return tuple(_dot(row, v) for row in M)
-
-
-def _mat_mat(A: Matrix, B: Matrix) -> Matrix:
-    columns = tuple(zip(*B))
-    return tuple(tuple(_dot(row, column) for column in columns) for row in A)
-
-
-def _mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def _vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def _scale_mat(c: Coeff, M: Matrix) -> Matrix:
-    return tuple(tuple(c * e for e in row) for row in M)
-
-
-def _scale_vec(c: Coeff, v: Vector) -> Vector:
-    return tuple(c * e for e in v)
-
-
-def _zero_mat(dim: int) -> Matrix:
-    return tuple((0,) * dim for _ in range(dim))
 
 
 class MatrixInterpretation:
@@ -211,15 +173,7 @@ class MatrixInterpretation:
         mats, const = self.entries[symbol]
         out = const
         for M, v in zip(mats, args):
-            out = _vec_add(out, _mat_vec(M, v))
-        return out
-
-    def apply_form(self, symbol: str, args: Sequence["VecForm"], cap: int | None) -> "VecForm":
-        mats, const = self.entries[symbol]
-        out = VecForm({}, const, self.dim)
-        for M, form in zip(mats, args):
-            coeffs = {v: _mat_mat(M, B) for v, B in form.coeffs.items()}
-            out = out.add(VecForm(coeffs, _mat_vec(M, form.const), self.dim))
+            out = tuple(a + _dot(row, v) for a, row in zip(out, M))
         return out
 
     def validate(self) -> list[str]:
@@ -246,130 +200,6 @@ class MatrixInterpretation:
 Interpretation = PolyInterpretation | MatrixInterpretation
 
 
-class PolyForm:
-    """Multilinear polynomial in term variables; coefficients stay generic."""
-
-    __slots__ = ("coeffs", "cap")
-
-    def __init__(self, coeffs: Mapping[frozenset[str], Coeff], cap: int | None):
-        self.coeffs = {V: c for V, c in coeffs.items() if not _is_zero(c)}
-        self.cap = cap
-
-    @classmethod
-    def constant(cls, c: Coeff, cap: int | None) -> "PolyForm":
-        return cls({frozenset(): c}, cap)
-
-    @classmethod
-    def variable(cls, name: str, cap: int | None) -> "PolyForm":
-        return cls({frozenset((name,)): 1}, cap)
-
-    def add(self, other: "PolyForm") -> "PolyForm":
-        out = dict(self.coeffs)
-        for V, c in other.coeffs.items():
-            out[V] = out.get(V, 0) + c
-        return PolyForm(out, self.cap)
-
-    def sub(self, other: "PolyForm") -> "PolyForm":
-        out = dict(self.coeffs)
-        for V, c in other.coeffs.items():
-            out[V] = out.get(V, 0) - c
-        return PolyForm(out, self.cap)
-
-    def scale(self, c: Coeff) -> "PolyForm":
-        return PolyForm({V: c * value for V, value in self.coeffs.items()}, self.cap)
-
-    def mul(self, other: "PolyForm") -> "PolyForm":
-        out: dict[frozenset[str], Coeff] = {}
-        for V1, c1 in self.coeffs.items():
-            for V2, c2 in other.coeffs.items():
-                if V1 & V2:
-                    squared = sorted(V1 & V2)[0]
-                    raise DegreeOverflow(
-                        f"variable {squared} would be squared; multilinear forms cannot express it"
-                    )
-                V = V1 | V2
-                if self.cap is not None and len(V) > self.cap:
-                    raise DegreeOverflow(
-                        f"monomial {'*'.join(sorted(V))} exceeds the degree cap {self.cap}"
-                    )
-                out[V] = out.get(V, 0) + c1 * c2
-        return PolyForm(out, self.cap)
-
-    def coefficient(self, V: frozenset[str]) -> Coeff:
-        return self.coeffs.get(V, Fraction(0))
-
-    def monomials(self) -> list[frozenset[str]]:
-        return sorted(self.coeffs, key=lambda V: (len(V), sorted(V)))
-
-
-class VecForm:
-    """Affine form over vector-valued term variables."""
-
-    __slots__ = ("coeffs", "const", "dim")
-
-    def __init__(self, coeffs: Mapping[str, Matrix], const: Vector, dim: int):
-        self.coeffs = {v: M for v, M in coeffs.items() if any(not _is_zero(e) for row in M for e in row)}
-        self.const = tuple(const)
-        self.dim = dim
-
-    @classmethod
-    def variable(cls, name: str, dim: int) -> "VecForm":
-        identity = tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-        return cls({name: identity}, (0,) * dim, dim)
-
-    def add(self, other: "VecForm") -> "VecForm":
-        out = dict(self.coeffs)
-        for v, M in other.coeffs.items():
-            out[v] = _mat_add(out[v], M) if v in out else M
-        return VecForm(out, _vec_add(self.const, other.const), self.dim)
-
-    def sub(self, other: "VecForm") -> "VecForm":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: Coeff) -> "VecForm":
-        return VecForm(
-            {v: _scale_mat(c, M) for v, M in self.coeffs.items()},
-            _scale_vec(c, self.const),
-            self.dim,
-        )
-
-    def matrix(self, name: str) -> Matrix:
-        return self.coeffs.get(name, _zero_mat(self.dim))
-
-    def variables(self) -> list[str]:
-        return sorted(self.coeffs)
-
-
-Form = PolyForm | VecForm
-
-
-def symbolic_eval(
-    interp: Interpretation,
-    term: Term,
-    cap: int | None = None,
-    memo: dict[Term, Form] | None = None,
-) -> Form:
-    """Interpret a term as a form over its variables.
-
-    The cap bounds monomial degree during encoding; checking concrete
-    certificates runs uncapped (only squaring is fatal there).
-
-    A memo passed in collects the form of every subterm and answers later
-    calls from it; reuse it only with the same interpretation and cap. A
-    subterm whose evaluation raises leaves no entry.
-    """
-
-    def variable(var: Var) -> Form:
-        if interp.kind == "poly":
-            return PolyForm.variable(var.name, cap)
-        return VecForm.variable(var.name, interp.dim)
-
-    def apply(node: App, args: list[Form]) -> Form:
-        return interp.apply_form(_interpreted_symbol(interp, node), args, cap)
-
-    return fold_term(term, variable, apply, memo)
-
-
 def eval_term(
     interp: Interpretation,
     term: Term,
@@ -387,78 +217,261 @@ def eval_term(
     zero: Any = 0 if interp.kind == "poly" else (0,) * interp.dim
 
     def apply(node: App, args: list[Any]) -> Any:
-        return interp.apply_values(_interpreted_symbol(interp, node), args)
+        return interp.apply_values(_interpreted_symbol(interp.arities, node), args)
 
     return fold_term(term, lambda var: assignment.get(var.name, zero), apply, memo)
 
 
-def _interpreted_symbol(interp: Interpretation, node: App) -> str:
-    if node.symbol not in interp.arities:
+def _interpreted_symbol(symbols: Mapping[str, Any], node: App) -> str:
+    if node.symbol not in symbols:
         raise KeyError(f"no interpretation for symbol {node.symbol!r}")
     return node.symbol
 
 
-def weighted_difference(
-    interp: Interpretation, rule: ProbRule, memo: dict[Term, Form], cap: int | None = None
-) -> Form:
-    """d * [l] - (n1 * [r1] + ... + nk * [rk]) for l -> {n1/d: r1, ..., nk/d: rk}:
-    the interpretation of the left-hand side minus the expected
-    interpretation of the right-hand side, in the rule's integer weights.
+# ---------------------------------------------------------------------------
+# Rule differences over plain dicts
 
-    Every term is read through `symbolic_eval` with the caller's memo, so
-    the rules of one system evaluate each distinct subterm once.
+
+class Ring(NamedTuple):
+    """What a coefficient of a table is, and how the values of forms
+    combine. `add` and `scaled` may update their first argument, which is
+    always a value the evaluator made itself."""
+
+    zero: Any
+    one: Any
+    lift: Callable[[Any], Any]  # a coefficient as a value
+    times: Callable[[Any, Any], Any]  # coefficient * value
+    dot: Callable[[Sequence, Sequence], Any]  # sum of coefficient * value
+    mul: Callable[[Any, Any], Any]  # value * value
+    add: Callable[[Any, Any], Any]
+    scaled: Callable[[Any, Any, int], Any]  # acc + value * k, acc None for 0
+
+
+def _scaled_number(acc: Any, value: Any, k: int) -> Any:
+    return value * k if acc is None else acc + value * k
+
+
+NUMBERS = Ring(0, 1, lambda c: c, mul, lambda cs, vs: sum(map(mul, cs, vs)), mul, add, _scaled_number)
+
+
+# A monomial times unknown p: p goes last unless a position in it is larger.
+
+
+def _times_unknown(p: int, poly: dict) -> dict:
+    return {(m + (p,) if not m or m[-1] <= p else tuple(sorted(m + (p,)))): c for m, c in poly.items()}
+
+
+def _dot_unknowns(ps: Sequence[int], polys: Sequence[dict]) -> dict:
+    out: dict = {}
+    for p, poly in zip(ps, polys):
+        for m, c in poly.items():
+            m = m + (p,) if not m or m[-1] <= p else tuple(sorted(m + (p,)))
+            out[m] = out.get(m, 0) + c
+    return out
+
+
+def _mul_polys(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _add_polys(a: dict, b: dict) -> dict:
+    for m, c in b.items():
+        a[m] = a.get(m, 0) + c
+    return a
+
+
+def _scaled_poly(acc: dict | None, poly: dict, k: int) -> dict:
+    if acc is None:
+        return {m: c * k for m, c in poly.items()}
+    for m, c in poly.items():
+        c = acc.get(m, 0) + c * k
+        if c:
+            acc[m] = c
+        else:
+            del acc[m]
+    return acc
+
+
+# Evaluation with unknowns has no cancellation: every unknown enters
+# with coefficient 1 and is multiplied and added only, so `_mul_polys`,
+# `_add_polys` and `_dot_unknowns` drop no zeros. Only the difference can
+# cancel, in `_scaled_poly`.
+UNKNOWNS = Ring({}, {(): 1}, lambda p: {(p,): 1}, _times_unknown, _dot_unknowns, _mul_polys, _add_polys, _scaled_poly)
+
+_CONSTANT: frozenset[str] = frozenset()
+
+
+def numbers_table(interp: Interpretation) -> dict[str, Any]:
+    """The coefficient table of a concrete interpretation, with integral
+    coefficients as ints: per symbol, a polynomial's (argument indices,
+    coefficient) pairs by monomial size, constant first, or a matrix
+    interpretation's argument grids and constant vector."""
+    if interp.kind == "poly":
+        return {
+            sym: tuple((tuple(i - 1 for i in sorted(V)), _exact(row[V])) for V in sorted(row, key=_by_size))
+            for sym, row in interp.coeffs.items()
+        }
+    return {
+        sym: (tuple(tuple(tuple(map(_exact, row)) for row in M) for M in mats), tuple(map(_exact, const)))
+        for sym, (mats, const) in interp.entries.items()
+    }
+
+
+class Differences:
+    """Forms of terms and differences of rules under one coefficient table.
+
+    A poly form maps each monomial over term variables, a frozenset of
+    names, to its value; a matrix form is a grid per variable and a
+    constant vector. `cap` bounds a poly monomial's degree while encoding;
+    a checked certificate runs uncapped, where only squaring is fatal.
+    Every distinct subterm is evaluated once per instance: a subterm whose
+    evaluation raises leaves no entry.
     """
-    diff = symbolic_eval(interp, rule.lhs, cap, memo).scale(rule.rhs.denominator)
-    for n, term in rule.rhs.numerators:
-        diff = diff.sub(symbolic_eval(interp, term, cap, memo).scale(n))
-    return diff
 
+    def __init__(self, kind: str, dim: int, table: Mapping[str, Any], ring: Ring, cap: int | None = None):
+        self.kind, self.dim, self.ring = kind, dim, ring
+        self._memo: dict[Term, Any] = {}
+        if kind == "poly":
+            one = ring.one
+            self._variable = lambda var: {frozenset((var.name,)): one}
+            self._apply = _poly_apply(table, ring, cap)
+        else:
+            grid = tuple(tuple(ring.one if r == c else ring.zero for c in range(dim)) for r in range(dim))
+            zeros = (ring.zero,) * dim
+            self._variable = lambda var: ({var.name: grid}, zeros)
+            self._apply = _matrix_apply(table, ring)
 
-def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:
-    """The entries of a rule difference that absolute positiveness bounds,
-    as (where, value, strict): every non-strict value must be >= 0 and the
-    one strict value, the constant margin, must be > 0.
+    @classmethod
+    def checking(cls, interp: Interpretation) -> "Differences":
+        return cls(interp.kind, getattr(interp, "dim", 1), numbers_table(interp), NUMBERS)
 
-    Polynomials list their monomials by degree, the constant first, or last
-    with value 0 when the difference has none. Matrices list each variable's
-    matrix row by row, then the constant vector, whose first component is
-    the margin. The encoder and the checker both read this list.
-    """
-    if isinstance(diff, PolyForm):
+    def form(self, term: Term) -> Any:
+        return fold_term(term, self._variable, self._apply, self._memo)
+
+    def entries(self, rule: ProbRule) -> list[tuple[str, Any, bool]]:
+        """The entries of d * [l] - (n1 * [r1] + ... + nk * [rk]) for
+        l -> {n1/d: r1, ..., nk/d: rk} that absolute positiveness bounds,
+        as (where, value, strict): every non-strict value must be >= 0 and
+        the one strict value, the constant margin, must be > 0.
+
+        Polynomials list their nonzero monomials by degree, the constant
+        first, or last with value zero when it cancels. Matrices list each
+        variable's nonzero grid row by row, then the constant vector, whose
+        first component is the margin.
+        """
+        scaled = self.ring.scaled
+        parts = [(rule.rhs.denominator, self.form(rule.lhs))]
+        parts += [(-n, self.form(term)) for n, term in rule.rhs.numerators]
+        if self.kind == "poly":
+            diff: dict = {}
+            for k, form in parts:
+                for V, value in form.items():
+                    diff[V] = scaled(diff.get(V), value, k)
+            entries = [
+                (f"coefficient of {'*'.join(sorted(V))}" if V else "constant margin", diff[V], not V)
+                for V in sorted((V for V, value in diff.items() if value), key=_by_size)
+            ]
+            if not diff.get(_CONSTANT):
+                entries.append(("constant margin", self.ring.zero, True))
+            return entries
+        dim = range(self.dim)
+        grids: dict[str, list[list]] = {}
+        vector: list = [None] * self.dim
+        for k, (form_grids, form_vector) in parts:
+            for name, B in form_grids.items():
+                G = grids.get(name)
+                if G is None:
+                    G = grids[name] = [[None] * self.dim for _ in dim]
+                for G_row, B_row in zip(G, B):
+                    for c in dim:
+                        G_row[c] = scaled(G_row[c], B_row[c], k)
+            for r in dim:
+                vector[r] = scaled(vector[r], form_vector[r], k)
         entries = [
-            (f"coefficient of {'*'.join(sorted(V))}" if V else "constant margin", diff.coeffs[V], not V)
-            for V in diff.monomials()
+            (f"coefficient of {name} at entry ({r},{c})", value, False)
+            for name in sorted(grids)
+            if any(value for row in grids[name] for value in row)
+            for r, row in enumerate(grids[name], start=1)
+            for c, value in enumerate(row, start=1)
         ]
-        if frozenset() not in diff.coeffs:
-            entries.append(("constant margin", 0, True))
+        for r, value in enumerate(vector, start=1):
+            where = "first-component margin" if r == 1 else f"constant difference at component {r}"
+            entries.append((where, value, r == 1))
         return entries
-    entries = [
-        (f"coefficient of {name} at entry ({r},{c})", value, False)
-        for name in diff.variables()
-        for r, row in enumerate(diff.matrix(name), start=1)
-        for c, value in enumerate(row, start=1)
-    ]
-    for r, value in enumerate(diff.const, start=1):
-        where = "first-component margin" if r == 1 else f"constant difference at component {r}"
-        entries.append((where, value, r == 1))
-    return entries
 
 
-def orientation_margin(
-    interp: Interpretation, rule: ProbRule, memo: dict[Term, Form] | None = None
-) -> Fraction:
-    """The rule's constant margin, or NotOriented with the offending entry.
+def _poly_apply(table: Mapping[str, Any], ring: Ring, cap: int | None) -> Callable[[App, list], dict]:
+    lift, times, mul, add = ring.lift, ring.times, ring.mul, ring.add
 
-    Soundness rests on absolute positiveness: every non-constant coefficient
-    of the difference is nonnegative, so the difference is minimized at the
-    zero assignment, where it equals the returned constant.
+    def product(f: dict, g: dict) -> dict:
+        out: dict = {}
+        for V1, c1 in f.items():
+            for V2, c2 in g.items():
+                if not V1.isdisjoint(V2):
+                    raise DegreeOverflow(
+                        f"variable {min(V1 & V2)} would be squared; multilinear forms cannot express it"
+                    )
+                V = V1 | V2
+                if cap is not None and len(V) > cap:
+                    raise DegreeOverflow(f"monomial {'*'.join(sorted(V))} exceeds the degree cap {cap}")
+                value = mul(c1, c2)
+                old = out.get(V)
+                out[V] = value if old is None else add(old, value)
+        # only the negative coefficients of an unchecked interpretation cancel
+        return {V: value for V, value in out.items() if value}
 
-    The signs are read off `weighted_difference`, which is the difference
-    times the rule's denominator d > 0; each value reported is divided back
-    by d. `memo` is passed on to it.
-    """
-    d = rule.rhs.denominator
-    entries = orientation_entries(weighted_difference(interp, rule, {} if memo is None else memo))
+    def apply(node: App, args: list) -> dict:
+        total: dict = {}
+        for indices, coefficient in table[_interpreted_symbol(table, node)]:
+            if not indices:
+                total[_CONSTANT] = lift(coefficient)
+                continue
+            form = args[indices[0]]
+            for i in indices[1:]:
+                form = product(form, args[i])
+            for V, value in form.items():
+                value = times(coefficient, value)
+                old = total.get(V)
+                if old is not None:
+                    value = add(old, value)
+                    if not value:
+                        del total[V]
+                        continue
+                total[V] = value
+        return total
+
+    return apply
+
+
+def _matrix_apply(table: Mapping[str, Any], ring: Ring) -> Callable[[App, list], tuple]:
+    lift, dot, add = ring.lift, ring.dot, ring.add
+
+    def apply(node: App, args: list) -> tuple:
+        mats, const = table[_interpreted_symbol(table, node)]
+        grids: dict = {}
+        vector = [lift(c) for c in const]
+        for M, (arg_grids, arg_vector) in zip(mats, args):
+            for name, B in arg_grids.items():
+                columns = tuple(zip(*B))
+                grid = [[dot(row, column) for column in columns] for row in M]
+                old = grids.get(name)
+                if old is not None:
+                    grid = [[add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(old, grid)]
+                grids[name] = grid
+            vector = [add(a, dot(row, arg_vector)) for a, row in zip(vector, M)]
+        return grids, vector
+
+    return apply
+
+
+def _margin(entries: list[tuple[str, Any, bool]], d: int) -> Fraction:
+    """The margin of a difference taken d > 0 times, or NotOriented with
+    the first offending entry; each value reported is divided back by d."""
     for where, value, strict in entries:
         if not strict and value < 0:
             raise NotOriented(f"{where} is {Fraction(value, d)}, negative")
@@ -466,6 +479,19 @@ def orientation_margin(
     if margin <= 0:
         raise NotOriented(f"{where} is {Fraction(margin, d)}, not strictly positive")
     return Fraction(margin, d)
+
+
+def orientation_margin(interp: Interpretation, rule: ProbRule) -> Fraction:
+    """The rule's constant margin, or NotOriented with the offending entry.
+
+    Soundness rests on absolute positiveness: every non-constant coefficient
+    of the difference is nonnegative, so the difference is minimized at the
+    zero assignment, where it equals the returned constant.
+
+    The signs are read off the difference times the rule's denominator
+    d > 0 (`Differences.entries`); each value reported is divided back by d.
+    """
+    return _margin(Differences.checking(interp).entries(rule), rule.rhs.denominator)
 
 
 class Certificate(NamedTuple):
@@ -495,13 +521,11 @@ def check_certificate(interp: Interpretation, system: PTRS) -> Certificate:
         problems.extend(interp.validate())
     margins: list[Fraction] = []
     if not problems:
-        # integral coefficients as ints and one memo for all the rules: the
-        # values are the same, and the Certificate keeps `interp` as given
-        exact = _int_coefficients(interp)
-        memo: dict[Term, Form] = {}
+        # one evaluator for all the rules; the Certificate keeps `interp` as given
+        differences = Differences.checking(interp)
         for index, rule in enumerate(system.rules, start=1):
             try:
-                margins.append(orientation_margin(exact, rule, memo))
+                margins.append(_margin(differences.entries(rule), rule.rhs.denominator))
             except NotOriented as reason:
                 problems.append(f"rule {index} ({rule}) is not oriented: {reason}")
             except DegreeOverflow as reason:
@@ -511,27 +535,27 @@ def check_certificate(interp: Interpretation, system: PTRS) -> Certificate:
     return Certificate(interp, tuple(margins), min(margins))
 
 
-def _int_coefficients(interp: Interpretation) -> Interpretation:
-    """A copy of a concrete interpretation in which every integral
-    coefficient is an int; the others stay Fractions.
+def _exact(c: Coeff) -> Coeff:
+    """An integral coefficient as an int; others stay as they are.
 
     Integer arithmetic is exact and much cheaper than Fraction arithmetic,
     so values of terms under an all-integer interpretation stay ints.
     """
+    return c.numerator if c.denominator == 1 else c
 
-    def exact(c: Coeff) -> Coeff:
-        return c.numerator if c.denominator == 1 else c
 
+def _int_coefficients(interp: Interpretation) -> Interpretation:
+    """A copy of a concrete interpretation with every coefficient `_exact`."""
     if interp.kind == "poly":
         return PolyInterpretation(
             interp.arities,
-            {sym: {V: exact(c) for V, c in row.items()} for sym, row in interp.coeffs.items()},
+            {sym: {V: _exact(c) for V, c in row.items()} for sym, row in interp.coeffs.items()},
         )
     return MatrixInterpretation(
         interp.arities,
         interp.dim,
         {
-            sym: ([[[exact(c) for c in row] for row in M] for M in mats], [exact(c) for c in const])
+            sym: ([[[_exact(c) for c in row] for row in M] for M in mats], [_exact(c) for c in const])
             for sym, (mats, const) in interp.entries.items()
         },
     )

@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from itertools import chain, product
 from math import lcm
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .multidist import (
     FiniteDistribution,
@@ -56,11 +56,23 @@ class ProbRule:
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Term, rhs: FiniteDistribution[Term]):
+        self._set(lhs, rhs, variables(lhs), map(variables, rhs.support()))
+
+    @classmethod
+    def _read(cls, lhs: Term, rhs: FiniteDistribution[Term], bound: set[str], used: Iterable[set[str]]):
+        """The rule with the same checks, made from the variables a reader
+        collected as it built the terms: `bound` of the left-hand side, and
+        `used` of each right-hand side in the order of `rhs.support()`,
+        where a term may come more than once."""
+        rule = cls.__new__(cls)
+        rule._set(lhs, rhs, bound, used)
+        return rule
+
+    def _set(self, lhs: Term, rhs: FiniteDistribution[Term], bound: set[str], used: Iterable[set[str]]) -> None:
         if isinstance(lhs, Var):
             raise RuleError(f"left-hand side is the bare variable {lhs}", "variable-lhs")
-        bound = variables(lhs)
-        for term in rhs.support():
-            extra = variables(term) - bound
+        for names in used:
+            extra = names - bound
             if extra:
                 raise RuleError(
                     f"right-hand side uses variable {sorted(extra)[0]!r} not bound on the left",
@@ -83,6 +95,14 @@ class PTRS:
                 check_term(term, signature)
         self.signature = signature
         self.rules = rules
+
+    @classmethod
+    def _read(cls, signature: Signature, rules: tuple[ProbRule, ...]) -> "PTRS":
+        """The system of rules whose terms a reader built with the arities
+        it gave `signature`, so no term is checked against it again."""
+        system = cls.__new__(cls)
+        system.signature, system.rules = signature, rules
+        return system
 
 
 class RedexStep:

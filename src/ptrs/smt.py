@@ -5,16 +5,18 @@ clearing denominators: with weights wj = pj * w,
 
     w * [l]  -  (w1 * [r1] + ... + wn * [rn])
 
-(`interpretations.weighted_difference`, with w the rule's denominator)
-must keep every entry `interpretations.orientation_entries` lists at 0 or
-more, and its constant margin at 1 or more, which makes the rational margin
-at least 1/w. Unknown coefficients range over a bounded integer box,
-0..bound.
+with w the rule's denominator, must keep every entry that
+`interpretations.Differences.entries` lists at 0 or more, and its constant
+margin at 1 or more, which makes the rational margin at least 1/w. Each
+coefficient of the shape is an unknown over a bounded integer box,
+0..bound; `coefficient_table` lays them out once per encoding, and
+`decode` fills the same table with a model's values.
 
-A polynomial over the unknowns (`Poly`) has one form from the encoder to
-the search: a dict from monomials, sorted tuples of unknown positions in
+A polynomial over the unknowns has one form from the encoder to the
+search: a dict from monomials, sorted tuples of unknown positions in
 declaration order, to nonzero `int` coefficients, as `boxsolver` reads a
-script into. Only `emit_smtlib` maps positions to names.
+script into. `Poly` wraps it in a constraint. Only `emit_smtlib` maps
+positions to names.
 
 Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe;
 the shipped box solver may instead search the constraint set in process,
@@ -31,17 +33,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from time import monotonic
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve_sums
 from .interpretations import (
-    Coeff,
-    DegreeOverflow,
+    UNKNOWNS,
+    Differences,
     Interpretation,
     MatrixInterpretation,
     PolyInterpretation,
-    orientation_entries,
-    weighted_difference,
 )
 from .rewriting import PTRS
 
@@ -55,105 +55,27 @@ class ModelDecodeError(Exception):
 
 
 class Poly:
-    """Polynomial in integer unknowns with `int` coefficients.
-
-    Monomials are sorted tuples of unknown positions, repeats meaning
-    powers; the empty tuple is the constant term. No stored coefficient is
-    zero, and a coefficient that is not an `int` is a TypeError: the encoder
-    clears every denominator before it builds a polynomial.
-    """
+    """A polynomial over the unknowns with `int` coefficients: `terms` maps
+    each monomial, a sorted tuple of unknown positions (repeats meaning
+    powers, the empty tuple the constant term), to its nonzero coefficient.
+    The encoder builds the dict and a `Poly` wraps it, so that constraints
+    compare and hash by value."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
-        cleaned: dict[tuple[int, ...], int] = {}
-        for mono, c in (terms or {}).items():
-            mono = tuple(sorted(mono))
-            cleaned[mono] = cleaned.get(mono, 0) + _integer(c)
-        self.terms = {m: c for m, c in cleaned.items() if c}
-
-    @classmethod
-    def _of(cls, terms: dict[tuple[int, ...], int]) -> "Poly":
-        """Wrap terms that are already sorted, merged and nonzero."""
-        poly = cls.__new__(cls)
-        poly.terms = terms
-        return poly
-
-    @classmethod
-    def constant(cls, value: int) -> "Poly":
-        return cls._of({(): value} if _integer(value) else {})
-
-    @classmethod
-    def unknown(cls, position: int) -> "Poly":
-        return cls._of({(position,): 1})
-
-    def __add__(self, other: "Poly | int") -> "Poly":
-        other = _as_poly(other)
-        if len(self.terms) < len(other.terms):
-            self, other = other, self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            c += out.get(m, 0)
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return Poly._of(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Poly | int") -> "Poly":
-        out = dict(self.terms)
-        for m, c in _as_poly(other).terms.items():
-            c = out.get(m, 0) - c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return Poly._of(out)
-
-    def __rsub__(self, other: "Poly | int") -> "Poly":
-        return _as_poly(other) - self
-
-    def __mul__(self, other: "Poly | int") -> "Poly":
-        if not isinstance(other, Poly):
-            if _integer(other) == 1:
-                return self
-            return Poly._of({m: c * other for m, c in self.terms.items()} if other else {})
-        out: dict[tuple[int, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
-                out[mono] = out.get(mono, 0) + c1 * c2
-        return Poly._of({m: c for m, c in out.items() if c})
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __init__(self, terms: dict[tuple[int, ...], int]):
+        self.terms = terms
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): other} if other else {})
-        if isinstance(other, Poly):
-            return self.terms == other.terms
-        return NotImplemented
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"Poly({self.terms!r})"
-
-
-def _integer(value: int) -> int:
-    if not isinstance(value, int):
-        raise TypeError(f"Poly coefficients are int, not {type(value).__name__} {value}")
-    return value
-
-
-def _as_poly(value: "Poly | int") -> Poly:
-    return value if isinstance(value, Poly) else Poly.constant(value)
 
 
 class UnknownSpec(NamedTuple):
@@ -229,6 +151,7 @@ class EncodedProblem(NamedTuple):
     system: PTRS
     shape: Shape
     constraint_set: ConstraintSet
+    table: dict  # `coefficient_table`'s, which `decode` fills from a model
 
 
 def _subsets(indices: Sequence[int], max_size: int) -> list[tuple[int, ...]]:
@@ -238,64 +161,57 @@ def _subsets(indices: Sequence[int], max_size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def template(system: PTRS, shape: Shape, coefficient: Callable[[str, int], Coeff]) -> Interpretation:
-    """The shape's interpretation of every symbol, taking each coefficient
-    from `coefficient(name, lo)` with `lo` its lower bound. The calls come
-    in declaration order: symbols by name, then a polynomial's monomials by
-    size, or a matrix's argument matrices row by row and its constant."""
-    symbols = sorted(system.signature.symbols().items())
+def coefficient_table(system: PTRS, shape: Shape, bound: int) -> tuple[list[UnknownSpec], dict]:
+    """The shape's coefficients, each a new unknown over lo..bound, and the
+    table of `interpretations.Differences` that reads them: per symbol, a
+    polynomial's (argument indices, position) pairs by monomial size, or a
+    matrix's argument grids and constant vector of positions. Unknowns are
+    declared in this order: symbols by name, then a polynomial's monomials
+    by size, or a matrix's argument matrices row by row and its constant."""
+    unknowns: list[UnknownSpec] = []
+
+    def unknown(name: str, lo: int) -> int:
+        unknowns.append(UnknownSpec(name, lo, bound))
+        return len(unknowns) - 1
+
     n = shape.param
-    if shape.kind == "poly":
-        coeffs: dict[str, dict[frozenset[int], Coeff]] = {}
-        for index, (sym, arity) in enumerate(symbols):
-            row: dict[frozenset[int], Coeff] = {}
-            for V in _subsets(range(1, arity + 1), n):
-                tag = "k" if not V else "_".join(str(i) for i in V)
-                lo = 1 if len(V) == 1 else 0  # monotonicity witness folded into the box
-                row[frozenset(V)] = coefficient(f"c{index}_{tag}", lo)
-            coeffs[sym] = row
-        return PolyInterpretation(dict(symbols), coeffs)
-    entries: dict[str, tuple[list, list]] = {}
-    for index, (sym, arity) in enumerate(symbols):
-        mats = []
-        for arg in range(1, arity + 1):
-            rows = []
-            for r in range(1, n + 1):
-                row = []
-                for c in range(1, n + 1):
-                    lo = 1 if r == 1 and c == 1 else 0
-                    row.append(coefficient(f"m{index}_a{arg}_{r}_{c}", lo))
-                rows.append(row)
-            mats.append(rows)
-        const = [coefficient(f"m{index}_k_{r}", 0) for r in range(1, n + 1)]
-        entries[sym] = (mats, const)
-    return MatrixInterpretation(dict(symbols), n, entries)
+    table: dict = {}
+    for index, (sym, arity) in enumerate(sorted(system.signature.symbols().items())):
+        if shape.kind == "poly":
+            # the monotonicity witnesses, the linear coefficients, start at 1
+            table[sym] = tuple(
+                (tuple(i - 1 for i in V), unknown(f"c{index}_{'_'.join(map(str, V)) or 'k'}", int(len(V) == 1)))
+                for V in _subsets(range(1, arity + 1), n)
+            )
+            continue
+        grids = tuple(
+            tuple(tuple(unknown(f"m{index}_a{arg}_{r}_{c}", int(r == c == 1)) for c in range(1, n + 1))
+                  for r in range(1, n + 1))
+            for arg in range(1, arity + 1)
+        )
+        table[sym] = (grids, tuple(unknown(f"m{index}_k_{r}", 0) for r in range(1, n + 1)))
+    return unknowns, table
 
 
 def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
-    """Orientation constraints for the whole system under one template.
+    """Orientation constraints for the whole system under the shape's
+    coefficient table: one per entry of each rule's difference.
 
     Raises DegreeOverflow when nesting leaves the shape's multilinear
     fragment, and EncodingError for shapes that cannot start at all.
     """
     if not system.rules:
         raise EncodingError("system has no rules")
-    unknowns: list[UnknownSpec] = []
-
-    def unknown(name: str, lo: int) -> Poly:
-        unknowns.append(UnknownSpec(name, lo, bound))
-        return Poly.unknown(len(unknowns) - 1)
-
-    interp = template(system, shape, unknown)
+    unknowns, table = coefficient_table(system, shape, bound)
     cap = shape.param if shape.kind == "poly" else None
+    differences = Differences(shape.kind, shape.param, table, UNKNOWNS, cap)
     constraints: list[Constraint] = []
-    memo: dict = {}  # each distinct subterm's form, shared by all the rules
     for index, rule in enumerate(system.rules, start=1):
         constraints.extend(
-            Constraint(_as_poly(value), 1 if strict else 0, f"rule {index}: {where}")
-            for where, value, strict in orientation_entries(weighted_difference(interp, rule, memo, cap))
+            Constraint(Poly(value), 1 if strict else 0, f"rule {index}: {where}")
+            for where, value, strict in differences.entries(rule)
         )
-    return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints))
+    return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints), table)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +293,7 @@ class CancelToken:
 
 class SolverResult(NamedTuple):
     status: str  # sat | unsat | unknown | error
-    model: dict[str, Fraction] | None = None
+    model: dict[str, int | Fraction] | None = None  # ints from the in-process search
     detail: str = ""
 
 
@@ -455,11 +371,11 @@ def run_solver(
 def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
     """A lower bound on the points of the box the box solver compares with
     its budget (`boxsolver.narrow`) for `encode(system, shape, bound)`'s set,
-    counted from the arities with no template or constraint built; None
+    counted from the arities with no table or constraint built; None
     when `encode` may raise instead (no rules, or a coefficient on a product
     of two or more arguments, which can overflow the degree cap).
 
-    `template` gives a symbol of arity a 1 + a coefficients under
+    `coefficient_table` gives a symbol of arity a 1 + a coefficients under
     `poly-linear`, as under any poly shape when a <= 1, and a*n*n + n under
     `matrix-n`. The a linear or top-left ones have lower end 1, the other
     1 or a*(n*n - 1) + n have 0.
@@ -496,7 +412,7 @@ def solve_box(
     if cancel is not None and cancel.cancelled:
         return SolverResult("unknown", detail="cancelled")
     if status == "sat":
-        return SolverResult("sat", model={spec.name: Fraction(value) for spec, value in zip(cs.unknowns, values)})
+        return SolverResult("sat", model={spec.name: value for spec, value in zip(cs.unknowns, values)})
     if status == "unsat":
         return SolverResult("unsat")
     return SolverResult("unknown", detail="solver answered unknown")
@@ -583,17 +499,32 @@ def parse_model(text: str) -> dict[str, Fraction]:
     return model
 
 
-def decode(encoded: EncodedProblem, model: Mapping[str, Fraction]) -> Interpretation:
-    """Substitute the model into the template; reject anything off the box."""
-    env: dict[str, Fraction] = {}
+def decode(encoded: EncodedProblem, model: Mapping[str, int | Fraction]) -> Interpretation:
+    """The shape's interpretation with every unknown at its model value;
+    a value that is missing, not an integer or off the box is rejected."""
+    values: list[int] = []
     for spec in encoded.constraint_set.unknowns:
         if spec.name not in model:
             raise ModelDecodeError(f"model misses unknown {spec.name}")
-        value = Fraction(model[spec.name])
-        if value.denominator != 1:
-            raise ModelDecodeError(f"{spec.name} = {value} is not an integer")
+        value = model[spec.name]
+        if value.__class__ is not int:
+            value = Fraction(value)
+            if value.denominator != 1:
+                raise ModelDecodeError(f"{spec.name} = {value} is not an integer")
+            value = value.numerator
         if not spec.lo <= value <= spec.hi:
             raise ModelDecodeError(f"{spec.name} = {value} outside box {spec.lo}..{spec.hi}")
-        env[spec.name] = value
-    return template(encoded.system, encoded.shape, lambda name, lo: env[name])
-
+        values.append(value)
+    arities = {sym: encoded.system.signature.arity(sym) for sym in encoded.table}
+    if encoded.shape.kind == "poly":
+        return PolyInterpretation(
+            arities, {sym: {tuple(i + 1 for i in V): values[p] for V, p in row} for sym, row in encoded.table.items()}
+        )
+    return MatrixInterpretation(
+        arities,
+        encoded.shape.param,
+        {
+            sym: ([[[values[p] for p in row] for row in grid] for grid in grids], [values[p] for p in const])
+            for sym, (grids, const) in encoded.table.items()
+        },
+    )

@@ -82,12 +82,15 @@ class RawRule:
     where it starts. Equality and hashing ignore the position, which a
     parsed rule works out when it is first read."""
 
-    __slots__ = ("lhs", "alternatives", "_at")
+    __slots__ = ("lhs", "alternatives", "_at", "_read")
 
     def __init__(self, lhs: Term, alternatives: tuple[tuple[int, Term], ...], line: int = 0, col: int = 0):
         self.lhs = lhs
         self.alternatives = alternatives
         self._at: tuple[int, int] | Callable[[], tuple[int, int]] = (line, col)
+        # (signature, variables of lhs, variables of each alternative) when
+        # `parse_problem` read the rule, which `elaborate` checks instead of the terms
+        self._read: tuple[Signature, set[str], list[set[str]]] | None = None
 
     def _where(self) -> tuple[int, int]:
         if callable(self._at):
@@ -117,7 +120,7 @@ class _Reader:
     arities, first use winning. A '' in `toks` ends the input. A token's
     line and column are worked out only for an error or a rule's position."""
 
-    __slots__ = ("text", "toks", "end_line", "variables", "arities", "_tokens")
+    __slots__ = ("text", "toks", "end_line", "variables", "arities", "found", "_tokens")
 
     def __init__(self, text: str, end_line: int, variables: set[str]):
         self.toks = list(filter(None, _TOKEN.findall(text)))
@@ -126,6 +129,7 @@ class _Reader:
         self.text, self.end_line, self.variables = text, end_line, variables
         # each symbol's arity and the index of its first use; None for a declared symbol
         self.arities: dict[str, tuple[int, int | None]] = {}
+        self.found: set[str] = set()  # the variables `term` reads, as it reads them
         self._tokens: list[Token] | None = None
 
     def position(self, index: int) -> tuple[int, int]:
@@ -146,7 +150,7 @@ class _Reader:
         """The term that starts at token i, and the index after it."""
         # Open applications wait on a stack, so nesting depth costs no
         # recursion. Symbols are noted in post-order, as they complete.
-        toks, variables, arities = self.toks, self.variables, self.arities
+        toks, variables, arities, found = self.toks, self.variables, self.arities, self.found
         pending: list[tuple[str, int, list[Term]]] = []
         while True:
             head = toks[i]
@@ -156,6 +160,7 @@ class _Reader:
             i += 1
             if toks[i] != "(" and head in variables:
                 term: Term = Var(head)
+                found.add(head)
             else:
                 if toks[i] == "(":
                     if head in variables:
@@ -228,6 +233,7 @@ def parse_problem(text: str) -> ProblemFile:
 
     reader.variables = set(variables)
     rules: list[RawRule] = []
+    found: list[tuple[set[str], list[set[str]]]] = []
     for name, close in blocks:
         if toks[name] == "VAR":
             continue
@@ -236,10 +242,12 @@ def parse_problem(text: str) -> ProblemFile:
         i = name + 1
         while i < close:
             start = i
+            reader.found = bound = set()
             lhs, i = reader.term(i)
             if toks[i] != "->":
                 raise reader.expected(i, "ARROW")
             alternatives: list[tuple[int, Term]] = []
+            used: list[set[str]] = []
             while not alternatives or toks[i] == "||":  # i is at '->' or '||'
                 weight = 1
                 if toks[i + 1].isdecimal() and toks[i + 2] == ":":
@@ -247,14 +255,20 @@ def parse_problem(text: str) -> ProblemFile:
                     if weight <= 0:
                         raise reader.error(i + 1, "weights must be positive integers")
                     i += 2
+                reader.found = names = set()
                 term, i = reader.term(i + 1)
                 alternatives.append((weight, term))
+                used.append(names)
             rule = RawRule(lhs, tuple(alternatives))
             rule._at = partial(reader.position, start)
             rules.append(rule)
+            found.append((bound, used))
     if not rules:
         raise ParseError("no rules found", reader.end_line, 1)
-    return ProblemFile(tuple(variables), tuple(rules), Signature({s: a for s, (a, _) in reader.arities.items()}))
+    signature = Signature({s: a for s, (a, _) in reader.arities.items()})
+    for rule, (bound, used) in zip(rules, found):
+        rule._read = (signature, bound, used)
+    return ProblemFile(tuple(variables), tuple(rules), signature)
 
 
 def elaborate(problem: ProblemFile) -> PTRS:
@@ -264,6 +278,9 @@ def elaborate(problem: ProblemFile) -> PTRS:
     their gcd g, the weights over their total are in the least terms that
     `FiniteDistribution` gives: lcm(total/gcd(w_i, total)) = total/g.
     """
+    # rules `parse_problem` read with this signature carry their variables,
+    # and their terms use its arities
+    read = all(raw._read is not None and raw._read[0] is problem.signature for raw in problem.rules)
     rules: list[ProbRule] = []
     for raw in problem.rules:
         merged: dict[Term, int] = {}
@@ -273,10 +290,10 @@ def elaborate(problem: ProblemFile) -> PTRS:
         total = sum(merged.values()) // g
         dist = FiniteDistribution._unchecked(tuple((w // g, term) for term, w in merged.items()), total, total)
         try:
-            rules.append(ProbRule(raw.lhs, dist))
+            rules.append(ProbRule._read(raw.lhs, dist, *raw._read[1:]) if read else ProbRule(raw.lhs, dist))
         except RuleError as exc:
             raise ElaborationError(str(exc), raw.line, raw.col, exc.reason) from None
-    return PTRS(problem.signature, tuple(rules))
+    return (PTRS._read if read else PTRS)(problem.signature, tuple(rules))
 
 
 def load_problem(path: str) -> ProblemFile:

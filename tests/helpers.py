@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import combinations, product as iter_product
 from math import gcd, lcm, prod
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
@@ -23,17 +23,13 @@ from ptrs.boxsolver import narrow
 from ptrs.interpretations import (
     Coeff,
     DegreeOverflow,
-    Form,
     Interpretation,
     Matrix,
     MatrixInterpretation,
-    PolyForm,
     PolyInterpretation,
     Vector,
     check_certificate,
-    orientation_entries,
     ranking_from_certificate,
-    symbolic_eval,
 )
 from ptrs.multidist import (
     FiniteDistribution,
@@ -70,17 +66,228 @@ from ptrs.simulator import (
     _sorted,
     collapsed,
 )
-from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box, template
-from ptrs.terms import App, Position, Signature, Term, Var, variables
+from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box
+from ptrs.terms import App, Position, Signature, Term, Var, fold_term, variables
 from ptrs.wst import ElaborationError, ParseError, ProblemFile, RawRule, Token, tokenize
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"  # the shipped box solver, run in process
 
 
+# Symbolic evaluation as the package did it before it computed rule
+# differences over plain dicts (`interpretations.Differences`): generic
+# coefficients (Fractions, or polynomials over the unknowns) in `PolyForm`
+# and `VecForm` objects, built and filtered at every node, read off a
+# template interpretation laid out by callback. It shares no arithmetic
+# with the package, and is the oracle of the differential tests of
+# `smt.encode` and `check_certificate`.
+
+
+def _is_zero(c: Coeff) -> bool:
+    if hasattr(c, "is_zero"):
+        return c.is_zero()
+    return c == 0
+
+
+def _dot(u: Sequence[Coeff], v: Sequence[Coeff]) -> Coeff:
+    total = u[0] * v[0]
+    for j in range(1, len(v)):
+        total = total + u[j] * v[j]
+    return total
+
+
+def _mat_vec(M: Matrix, v: Vector) -> Vector:
+    return tuple(_dot(row, v) for row in M)
+
+
+def _mat_mat(A: Matrix, B: Matrix) -> Matrix:
+    columns = tuple(zip(*B))
+    return tuple(tuple(_dot(row, column) for column in columns) for row in A)
+
+
+def _mat_add(A: Matrix, B: Matrix) -> Matrix:
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def _vec_add(u: Vector, v: Vector) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+class PolyForm:
+    """Multilinear polynomial in term variables; coefficients stay generic."""
+
+    __slots__ = ("coeffs", "cap")
+
+    def __init__(self, coeffs, cap: int | None):
+        self.coeffs = {V: c for V, c in coeffs.items() if not _is_zero(c)}
+        self.cap = cap
+
+    def add(self, other: "PolyForm") -> "PolyForm":
+        out = dict(self.coeffs)
+        for V, c in other.coeffs.items():
+            out[V] = out.get(V, 0) + c
+        return PolyForm(out, self.cap)
+
+    def sub(self, other: "PolyForm") -> "PolyForm":
+        out = dict(self.coeffs)
+        for V, c in other.coeffs.items():
+            out[V] = out.get(V, 0) - c
+        return PolyForm(out, self.cap)
+
+    def scale(self, c: Coeff) -> "PolyForm":
+        return PolyForm({V: c * value for V, value in self.coeffs.items()}, self.cap)
+
+    def mul(self, other: "PolyForm") -> "PolyForm":
+        out: dict = {}
+        for V1, c1 in self.coeffs.items():
+            for V2, c2 in other.coeffs.items():
+                if V1 & V2:
+                    squared = sorted(V1 & V2)[0]
+                    raise DegreeOverflow(
+                        f"variable {squared} would be squared; multilinear forms cannot express it"
+                    )
+                V = V1 | V2
+                if self.cap is not None and len(V) > self.cap:
+                    raise DegreeOverflow(
+                        f"monomial {'*'.join(sorted(V))} exceeds the degree cap {self.cap}"
+                    )
+                out[V] = out.get(V, 0) + c1 * c2
+        return PolyForm(out, self.cap)
+
+    def coefficient(self, V: frozenset[str]) -> Coeff:
+        return self.coeffs.get(V, Fraction(0))
+
+    def monomials(self) -> list[frozenset[str]]:
+        return sorted(self.coeffs, key=lambda V: (len(V), sorted(V)))
+
+
+class VecForm:
+    """Affine form over vector-valued term variables."""
+
+    __slots__ = ("coeffs", "const", "dim")
+
+    def __init__(self, coeffs, const: Vector, dim: int):
+        self.coeffs = {v: M for v, M in coeffs.items() if any(not _is_zero(e) for row in M for e in row)}
+        self.const = tuple(const)
+        self.dim = dim
+
+    def add(self, other: "VecForm") -> "VecForm":
+        out = dict(self.coeffs)
+        for v, M in other.coeffs.items():
+            out[v] = _mat_add(out[v], M) if v in out else M
+        return VecForm(out, _vec_add(self.const, other.const), self.dim)
+
+    def sub(self, other: "VecForm") -> "VecForm":
+        return self.add(other.scale(-1))
+
+    def scale(self, c: Coeff) -> "VecForm":
+        return VecForm(
+            {v: tuple(tuple(c * e for e in row) for row in M) for v, M in self.coeffs.items()},
+            tuple(c * e for e in self.const),
+            self.dim,
+        )
+
+    def matrix(self, name: str) -> Matrix:
+        return self.coeffs.get(name, tuple((0,) * self.dim for _ in range(self.dim)))
+
+    def variables(self) -> list[str]:
+        return sorted(self.coeffs)
+
+
+Form = PolyForm | VecForm
+
+
+def apply_form(interp: Interpretation, symbol: str, args: Sequence[Form], cap: int | None) -> Form:
+    if interp.kind == "poly":
+        row = interp.coeffs[symbol]
+        total = PolyForm({frozenset(): row.get(frozenset(), 0)}, cap)
+        for V, c in sorted(row.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
+            if not V:
+                continue
+            prod: PolyForm | None = None
+            for i in sorted(V):
+                prod = args[i - 1] if prod is None else prod.mul(args[i - 1])
+            total = total.add(prod.scale(c))
+        return total
+    mats, const = interp.entries[symbol]
+    out = VecForm({}, const, interp.dim)
+    for M, form in zip(mats, args):
+        coeffs = {v: _mat_mat(M, B) for v, B in form.coeffs.items()}
+        out = out.add(VecForm(coeffs, _mat_vec(M, form.const), interp.dim))
+    return out
+
+
+def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) -> Form:
+    """A term as a form over its variables; the cap bounds monomial degree."""
+
+    def variable(var: Var) -> Form:
+        if interp.kind == "poly":
+            return PolyForm({frozenset((var.name,)): 1}, cap)
+        identity = tuple(tuple(1 if i == j else 0 for j in range(interp.dim)) for i in range(interp.dim))
+        return VecForm({var.name: identity}, (0,) * interp.dim, interp.dim)
+
+    def apply(node: App, args: list[Form]) -> Form:
+        if node.symbol not in interp.arities:
+            raise KeyError(f"no interpretation for symbol {node.symbol!r}")
+        return apply_form(interp, node.symbol, args, cap)
+
+    return fold_term(term, variable, apply)
+
+
+def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:
+    """The entries of a rule difference that absolute positiveness bounds,
+    as (where, value, strict), in the order the package lists them."""
+    if isinstance(diff, PolyForm):
+        entries = [
+            (f"coefficient of {'*'.join(sorted(V))}" if V else "constant margin", diff.coeffs[V], not V)
+            for V in diff.monomials()
+        ]
+        if frozenset() not in diff.coeffs:
+            entries.append(("constant margin", 0, True))
+        return entries
+    entries = [
+        (f"coefficient of {name} at entry ({r},{c})", value, False)
+        for name in diff.variables()
+        for r, row in enumerate(diff.matrix(name), start=1)
+        for c, value in enumerate(row, start=1)
+    ]
+    for r, value in enumerate(diff.const, start=1):
+        where = "first-component margin" if r == 1 else f"constant difference at component {r}"
+        entries.append((where, value, r == 1))
+    return entries
+
+
+def template(system: PTRS, shape: Shape, coefficient) -> Interpretation:
+    """The shape's interpretation of every symbol, taking each coefficient
+    from `coefficient(name, lo)` with `lo` its lower bound. The calls come
+    in declaration order: symbols by name, then a polynomial's monomials by
+    size, or a matrix's argument matrices row by row and its constant."""
+    symbols = sorted(system.signature.symbols().items())
+    n = shape.param
+    if shape.kind == "poly":
+        coeffs: dict = {}
+        for index, (sym, arity) in enumerate(symbols):
+            row: dict = {}
+            subsets = [()] + [V for size in range(1, n + 1) for V in combinations(range(1, arity + 1), size)]
+            for V in subsets:
+                tag = "k" if not V else "_".join(str(i) for i in V)
+                row[frozenset(V)] = coefficient(f"c{index}_{tag}", 1 if len(V) == 1 else 0)
+            coeffs[sym] = row
+        return PolyInterpretation(dict(symbols), coeffs)
+    entries: dict = {}
+    for index, (sym, arity) in enumerate(symbols):
+        mats = [
+            [[coefficient(f"m{index}_a{arg}_{r}_{c}", 1 if r == c == 1 else 0) for c in range(1, n + 1)]
+             for r in range(1, n + 1)]
+            for arg in range(1, arity + 1)
+        ]
+        entries[sym] = (mats, [coefficient(f"m{index}_k_{r}", 0) for r in range(1, n + 1)])
+    return MatrixInterpretation(dict(symbols), n, entries)
+
+
 def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
     """Interpretation of the left-hand side minus the expected interpretation
     of the right-hand side: each term evaluated afresh, each scaled by its
-    Fraction probability. The per-term oracle for `weighted_difference`."""
+    Fraction probability."""
     lhs = symbolic_eval(interp, rule.lhs, cap)
     expected: Form | None = None
     for term, p in rule.rhs.items():
@@ -118,17 +325,15 @@ def rand_fraction(rng: random.Random, max_num: int = 8, max_den: int = 4) -> Fra
 def rand_poly_interp(
     rng: random.Random, arities: dict[str, int], degree: int, max_den: int = 4
 ) -> PolyInterpretation:
-    from itertools import combinations
-
     coeffs = {}
     for sym, arity in arities.items():
         row = {frozenset(): rand_fraction(rng, max_den=max_den)}
         for i in range(1, arity + 1):
             row[frozenset((i,))] = 1 + rand_fraction(rng, max_den=max_den)  # monotone witness
-        if degree >= 2:
-            for pair in combinations(range(1, arity + 1), 2):
+        for size in range(2, degree + 1):
+            for V in combinations(range(1, arity + 1), size):
                 if rng.random() < 0.5:
-                    row[frozenset(pair)] = rand_fraction(rng, max_den=max_den)
+                    row[frozenset(V)] = rand_fraction(rng, max_den=max_den)
         coeffs[sym] = row
     return PolyInterpretation(arities, coeffs)
 
@@ -161,10 +366,11 @@ def rand_value_distribution(rng: random.Random, values: list) -> FiniteDistribut
     return FiniteDistribution(pairs)
 
 
-def poly_form_value(form, assignment: dict[str, Fraction]) -> Fraction:
-    """Evaluate a PolyForm numerically, independent of eval_term."""
+def poly_form_value(form: dict, assignment: dict[str, Fraction]) -> Fraction:
+    """Evaluate a poly form of `interpretations.Differences` numerically,
+    independent of eval_term."""
     total = Fraction(0)
-    for V, c in form.coeffs.items():
+    for V, c in form.items():
         value = Fraction(c)
         for name in V:
             value *= assignment[name]
@@ -172,12 +378,13 @@ def poly_form_value(form, assignment: dict[str, Fraction]) -> Fraction:
     return total
 
 
-def vec_form_value(form, assignment: dict[str, tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
-    out = [Fraction(v) for v in form.const]
-    for name, M in form.coeffs.items():
+def vec_form_value(form: tuple, assignment: dict[str, tuple[Fraction, ...]]) -> tuple[Fraction, ...]:
+    grids, vector = form
+    out = [Fraction(v) for v in vector]
+    for name, M in grids.items():
         vec = assignment[name]
-        for r in range(form.dim):
-            out[r] += sum(Fraction(M[r][j]) * vec[j] for j in range(form.dim))
+        for r in range(len(out)):
+            out[r] += sum(Fraction(M[r][j]) * vec[j] for j in range(len(out)))
     return tuple(out)
 
 
@@ -235,10 +442,13 @@ def hitting_times_truncated(p: Fraction, height: int) -> list[Fraction]:
     return [Fraction(0)] + sol + [Fraction(0)]
 
 
-def random_ptrs(rng):
-    """A small PTRS over f/2, g/1, s/1, a/0 and 0/0; right-hand sides reuse
-    left-hand variables, sometimes twice, so instantiation can merge them."""
-    signature = Signature({"f": 2, "g": 1, "s": 1, "a": 0, "0": 0})
+RANDOM_SIGNATURE = Signature({"f": 2, "g": 1, "s": 1, "a": 0, "0": 0})
+
+
+def random_ptrs(rng, signature: Signature = RANDOM_SIGNATURE):
+    """A small PTRS, by default over f/2, g/1, s/1, a/0 and 0/0; right-hand
+    sides reuse left-hand variables, sometimes twice, so instantiation can
+    merge them."""
     rules = []
     wanted = rng.randint(1, 4)
     while len(rules) < wanted:
@@ -779,10 +989,6 @@ def problem_of(system: PTRS) -> ProblemFile:
 def term_size(term: Term) -> int:
     """Number of nodes, read from the annotation made at construction."""
     return term._size
-
-
-def constant_part(form: PolyForm) -> Coeff:
-    return form.coeffs.get(frozenset(), Fraction(0))
 
 
 def from_distribution(dist: FiniteDistribution[T]) -> MultiDistribution[T]:

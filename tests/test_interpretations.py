@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from helpers import (
-    constant_part,
     poly_form_value,
     rand_matrix_interp,
     rand_poly_interp,
@@ -23,14 +22,15 @@ from ptrs.interpretations import (
     CertificateInvalid,
     DegreeOverflow,
     MatrixInterpretation,
+    NUMBERS,
+    Differences,
     NotOriented,
-    PolyForm,
     PolyInterpretation,
     check_certificate,
     eval_term,
+    numbers_table,
     orientation_margin,
     ranking_from_certificate,
-    symbolic_eval,
 )
 from ptrs.multidist import FiniteDistribution
 from ptrs.rewriting import ProbRule, TermPars, random_term, random_walk_ptrs
@@ -104,20 +104,26 @@ def test_eval_term_matrix():
     assert eval_term(MATRIX_INTERP, aa_x, {}) == (Fraction(1), Fraction(1))
 
 
+def symbolic_eval(interp, term, cap=None):
+    """The form of `term` under a concrete interpretation."""
+    return Differences(interp.kind, getattr(interp, "dim", 1), numbers_table(interp), NUMBERS, cap).form(term)
+
+
 def test_symbolic_eval_poly_forms():
     interp = walk_interp()
     form = symbolic_eval(interp, App("s", (App("s", (x,)),)))
-    assert form.coefficient(frozenset(("x",))) == 1
-    assert constant_part(form) == 2
+    assert form == {frozenset(): 2, frozenset(("x",)): 1}
     coin = symbolic_eval(COIN_INTERP, App("$", (App("g", (x,)),)))
-    assert coin.coefficient(frozenset(("x",))) == 4
-    assert constant_part(coin) == 3
+    assert coin == {frozenset(): 3, frozenset(("x",)): 4}
+    # integral Fraction coefficients are read as ints
+    rw34 = load_interpretation(PROBLEMS / "rw34.cert")
+    assert all(type(c) is int for c in symbolic_eval(rw34, App("s", (x,))).values())
 
 
 def test_symbolic_eval_matrix_form():
-    form = symbolic_eval(MATRIX_INTERP, App("a", (App("a", (x,)),)))
-    assert form.matrix("x") == ((1, 1), (0, 0))
-    assert form.const == (1, 1)
+    grids, vector = symbolic_eval(MATRIX_INTERP, App("a", (App("a", (x,)),)))
+    assert grids == {"x": [[1, 1], [0, 0]]}
+    assert vector == [1, 1]
 
 
 def test_symbolic_matches_numeric_poly():
@@ -199,7 +205,7 @@ def test_degree_cap_only_binds_when_set():
     interp = PolyInterpretation({"f": 2, "c": 0}, {"f": {(1,): 1, (2,): 1, (1, 2): 1}, "c": {}})
     nested = App("f", (App("f", (x, y)), z))
     form = symbolic_eval(interp, nested)  # uncapped: x*y*z is fine
-    assert form.coefficient(frozenset(("x", "y", "z"))) == 1
+    assert form[frozenset(("x", "y", "z"))] == 1
     with pytest.raises(DegreeOverflow):
         symbolic_eval(interp, nested, cap=2)
 
@@ -315,20 +321,33 @@ def _drop(interp, rule, assignment):
     return value(rule.lhs) - sum((p * value(r) for r, p in rule.rhs.items()), Fraction(0))
 
 
+# with a ternary symbol, so that degree-3 monomials occur
+TERNARY = Signature({"h": 3, "f": 2, "g": 1, "a": 0})
+
+
 def test_check_certificate_matches_the_per_rule_fraction_route():
     rng = random.Random(2026)
     seen = Counter()
     for case in range(480):
-        system = random_ptrs(rng)
+        system = random_ptrs(rng, TERNARY) if case % 4 == 1 else random_ptrs(rng)
         arities = system.signature.symbols()
         max_den = 1 if case % 4 < 2 else 4
         if case % 2:
-            interp = rand_poly_interp(rng, arities, degree=1 + (case % 3 > 0), max_den=max_den)
+            interp = rand_poly_interp(rng, arities, degree=1 + case // 2 % 3, max_den=max_den)
         else:
-            interp = rand_matrix_interp(rng, arities, dim=1 + case % 3, max_den=max_den)
+            interp = rand_matrix_interp(rng, arities, dim=1 + case // 2 % 3, max_den=max_den)
         for _ in range(2):
             interp = _near_zero(interp, system, rng)
         expected = reference_orientation(interp, system)
+        # each rule alone, in every third case: the margin, or the text of
+        # NotOriented or DegreeOverflow
+        for index, (rule, outcome) in enumerate(zip(system.rules, expected if case % 3 == 0 else ()), start=1):
+            try:
+                assert orientation_margin(interp, rule) == outcome
+            except NotOriented as reason:
+                assert f"rule {index} ({rule}) is not oriented: {reason}" == outcome
+            except DegreeOverflow as reason:
+                assert f"rule {index} ({rule}): {reason}" == outcome
         problems = [e for e in expected if isinstance(e, str)]
         if problems:
             with pytest.raises(CertificateInvalid) as err:
@@ -355,8 +374,10 @@ def test_check_certificate_matches_the_per_rule_fraction_route():
                 seen["margin 0"] += " margin is 0, " in e
                 seen["negative"] += e.endswith(", negative")
                 seen["squared"] += "would be squared" in e
+        seen["degree 3"] += any(len(V) == 3 for row in getattr(interp, "coeffs", {}).values() for V in row)
     assert min(seen[k] for k in ("margin <= 1", "margin 0", "negative")) >= 30, seen
     assert seen["certified"] >= 40 and seen["not strictly positive"] >= 100 and seen["squared"] >= 3, seen
+    assert seen["degree 3"] >= 15, seen
 
 
 def test_matrix_validate():
@@ -423,7 +444,7 @@ def test_deep_terms_evaluate_without_recursion():
     for _ in range(depth):
         open_term = App("s", (open_term,))
     form = symbolic_eval(interp, open_term)
-    assert form.coefficient(frozenset({"x"})) == 1 and constant_part(form) == depth
+    assert form == {frozenset(): depth, frozenset({"x"}): 1}
     cert = check_certificate(MATRIX_INTERP, MATRIX_SYSTEM)
     rank, _ = ranking_from_certificate(cert)
     tower = App("b", (x,))

@@ -6,24 +6,29 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import count, product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
 
+import ptrs.interpretations
 import ptrs.smt
 
-from helpers import enumerate_box, evaluate, looping_ptrs, random_ptrs, reference_box_floor, rule_difference
-from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
-from ptrs.interpretations import (
-    CertificateInvalid,
-    DegreeOverflow,
-    MatrixInterpretation,
-    PolyInterpretation,
-    check_certificate,
+from helpers import (
+    enumerate_box,
+    evaluate,
+    looping_ptrs,
     orientation_entries,
+    random_ptrs,
+    reference_box_floor,
+    rule_difference,
+    template,
 )
+from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
+from ptrs.certtext import render_interpretation
+from ptrs.interpretations import UNKNOWNS, CertificateInvalid, DegreeOverflow, PolyInterpretation, check_certificate
 from ptrs.prover import ProverConfig, _attempt
 from ptrs.rewriting import PTRS, random_walk_ptrs
 from ptrs.smt import (
@@ -47,7 +52,6 @@ from ptrs.smt import (
     poly_sexpr,
     run_solver,
     solve_box,
-    template as build_template,
 )
 from ptrs.wst import elaborate, load_system, parse_problem
 
@@ -60,14 +64,24 @@ FAKE = f"{sys.executable} -m ptrs.fake_solver"
 RW34 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 3 : x || 1 : s(s(x)))"))
 RW14 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 1 : x || 3 : s(s(x)))"))
 
+SIX_SHAPES = [parse_shape(name) for name in (
+    "poly-linear", "poly-multilinear-2", "poly-multilinear-3", "matrix-1", "matrix-2", "matrix-3")]
+
 
 def test_poly_algebra():
-    a, b = Poly.unknown(0), Poly.unknown(1)
-    p = (a + 1) * (b + 2) - b
-    assert evaluate(p, [3, 5]) == 4 * 7 - 5
-    assert (a - a).is_zero()
-    assert (2 * a).terms == {(0,): 2}
-    assert (b * a * a - 1).terms == {(0, 0, 1): 1, (): -1}  # sorted positions
+    # the encoder's arithmetic: dicts from sorted tuples of unknown
+    # positions to ints, a table coefficient being an unknown's position
+    # (`add` and `scaled` may update their first argument)
+    a, b = UNKNOWNS.lift(0), UNKNOWNS.lift(1)
+    p = UNKNOWNS.mul(UNKNOWNS.add({(): 1}, a), UNKNOWNS.add({(): 2}, b))
+    p = UNKNOWNS.scaled(UNKNOWNS.scaled(None, p, 1), b, -1)
+    assert evaluate(Poly(p), [3, 5]) == 4 * 7 - 5
+    assert (a, b) == ({(0,): 1}, {(1,): 1})
+    assert UNKNOWNS.scaled(UNKNOWNS.scaled(None, a, 1), a, -1) == {}
+    assert UNKNOWNS.scaled(None, a, 2) == {(0,): 2}
+    assert UNKNOWNS.times(1, UNKNOWNS.times(0, a)) == {(0, 0, 1): 1}
+    assert UNKNOWNS.times(0, {(1,): 2, (): 3}) == {(0, 1): 2, (0,): 3}  # sorted positions
+    assert UNKNOWNS.dot((1, 0), ({(): 2}, {(1,): 1})) == {(1,): 2, (0, 1): 1}
 
 
 def test_shape_parsing():
@@ -99,13 +113,12 @@ def test_encode_walk_linear():
     assert [u.name for u in cs.unknowns] == ["c0_k", "c0_1"]
     assert cs.unknowns[1].lo == 1  # monotonicity witness
     assert emit_smtlib(cs).startswith("(set-logic QF_NIA)\n")  # s nests on the right-hand side
-    # 4*[s(x)] - (3*[x] + [s(s(x))]) = (4a - 3 - a^2) x + (3b - ab)
-    a, b = Poly.unknown(1), Poly.unknown(0)
+    # 4*[s(x)] - (3*[x] + [s(s(x))]) = (4a - 3 - a^2) x + (3b - ab), a at 1 and b at 0
     slope = next(c for c in cs.constraints if c.label == "rule 1: coefficient of x")
     const = next(c for c in cs.constraints if "constant margin" in c.label)
-    assert slope.poly == 4 * a - 3 - a * a
+    assert slope.poly == Poly({(1,): 4, (): -3, (1, 1): -1})
     assert slope.at_least == 0
-    assert const.poly == 3 * b - a * b
+    assert const.poly == Poly({(0,): 3, (0, 1): -1})
     assert const.at_least == 1
 
 
@@ -129,14 +142,15 @@ SHARED = elaborate(parse_problem(
 
 def test_each_distinct_subterm_is_evaluated_once(monkeypatch):
     # g(x), f(g(x)) and h(f(g(x))): three applications per shape or check,
-    # where one fresh evaluation per term would make ten
+    # where one fresh evaluation per term would make ten. Every application
+    # the evaluator makes goes through the fold it hands its terms to.
     calls = []
+    fold = ptrs.interpretations.fold_term
 
-    def counted(real):
-        return lambda self, symbol, *rest: calls.append(symbol) or real(self, symbol, *rest)
+    def counted(term, on_var, on_app, memo=None):
+        return fold(term, on_var, lambda node, args: calls.append(node.symbol) or on_app(node, args), memo)
 
-    for cls in (PolyInterpretation, MatrixInterpretation):
-        monkeypatch.setattr(cls, "apply_form", counted(cls.apply_form))
+    monkeypatch.setattr(ptrs.interpretations, "fold_term", counted)
     for shape in (*DEFAULT_SHAPES, Shape("matrix", 1)):
         calls.clear()
         encoded = encode(SHARED, shape, 1)
@@ -148,23 +162,23 @@ def test_each_distinct_subterm_is_evaluated_once(monkeypatch):
         assert sorted(calls) == ["f", "g", "h"], shape
 
 
+SQUARED = elaborate(parse_problem("(VAR x y)(RULES g(f(x,x)) -> x  h(f(x,x), y) -> 1 : g(f(x,x)) || 1 : y)"))
+
+
 def test_a_squared_shared_subterm_is_one_problem_per_rule():
-    system = elaborate(parse_problem(
-        "(VAR x y)(RULES g(f(x,x)) -> x  h(f(x,x), y) -> 1 : g(f(x,x)) || 1 : y)"
-    ))
     interp = PolyInterpretation(
         {"f": 2, "g": 1, "h": 2},
         {"f": {(1, 2): 1, (1,): 1, (2,): 1, (): 1}, "g": {(1,): 1, (): 2}, "h": {(1,): 1, (2,): 1, (): 3}},
     )
     squared = "variable x would be squared; multilinear forms cannot express it"
     with pytest.raises(CertificateInvalid) as err:
-        check_certificate(interp, system)
+        check_certificate(interp, SQUARED)
     assert err.value.problems == [
         f"rule 1 (g(f(x,x)) -> {{1: x}}): {squared}",
         f"rule 2 (h(f(x,x),y) -> {{1/2: g(f(x,x)), 1/2: y}}): {squared}",
     ]
     with pytest.raises(DegreeOverflow, match=f"^{squared}$"):
-        encode(system, Shape("poly", 2), 1)
+        encode(SQUARED, Shape("poly", 2), 1)
 
 
 def test_encode_matrix_shape():
@@ -187,12 +201,11 @@ def test_emit_deterministic_and_readable():
 
 
 def test_poly_sexpr_forms():
-    a, b, c = Poly.unknown(0), Poly.unknown(1), Poly.unknown(2)
-    assert poly_sexpr(Poly(), []) == "0"
-    assert poly_sexpr(Poly.constant(-3), []) == "(- 3)"
-    assert poly_sexpr(4 * a - 3 - a * a, ["a"]) == "(+ (- 3) (* 4 a) (* (- 1) a a))"
+    assert poly_sexpr(Poly({}), []) == "0"
+    assert poly_sexpr(Poly({(): -3}), []) == "(- 3)"
+    assert poly_sexpr(Poly({(0,): 4, (): -3, (0, 0): -1}), ["a"]) == "(+ (- 3) (* 4 a) (* (- 1) a a))"
     # monomials by degree and then by their sorted names, not by position
-    assert poly_sexpr(a * b + c * a + b + c, ["z", "y", "x"]) == "(+ x y (* x z) (* y z))"
+    assert poly_sexpr(Poly({(0, 1): 1, (0, 2): 1, (1,): 1, (2,): 1}), ["z", "y", "x"]) == "(+ x y (* x z) (* y z))"
 
 
 def test_enumerate_box_walk():
@@ -369,23 +382,19 @@ def test_cancel_token_kills_solver():
 
 class FractionPoly:
     """The encoder's polynomial before its coefficients became ints: a
-    Fraction per monomial, renormalised after every operation."""
+    Fraction per monomial, sorted tuples of unknown positions as keys."""
 
-    def __init__(self, terms=None):
-        cleaned: dict = {}
-        for mono, c in (terms or {}).items():
-            mono = tuple(sorted(mono))
-            cleaned[mono] = cleaned.get(mono, Fraction(0)) + Fraction(c)
-        self.terms = {m: c for m, c in cleaned.items() if c != 0}
+    def __init__(self, terms: dict):
+        self.terms = {m: c for m, c in terms.items() if c}
 
     @staticmethod
     def of(value) -> "FractionPoly":
-        return value if isinstance(value, FractionPoly) else FractionPoly({(): value})
+        return value if isinstance(value, FractionPoly) else FractionPoly({(): Fraction(value)})
 
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in FractionPoly.of(other).terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return FractionPoly(out)
 
     __radd__ = __add__
@@ -400,11 +409,13 @@ class FractionPoly:
         return FractionPoly.of(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, FractionPoly):
+            return FractionPoly({m: c * Fraction(other) for m, c in self.terms.items()})
         out: dict = {}
         for m1, c1 in self.terms.items():
-            for m2, c2 in FractionPoly.of(other).terms.items():
+            for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+                out[mono] = out.get(mono, 0) + c1 * c2
         return FractionPoly(out)
 
     __rmul__ = __mul__
@@ -413,80 +424,85 @@ class FractionPoly:
         return not self.terms
 
 
-def _fraction_template(template):
-    if isinstance(template, PolyInterpretation):
-        coeffs = {sym: {V: FractionPoly(p.terms) for V, p in row.items()} for sym, row in template.coeffs.items()}
-        return PolyInterpretation(template.arities, coeffs)
-    entries = {
-        sym: (
-            [[[FractionPoly(e.terms) for e in row] for row in M] for M in template.matrices(sym)],
-            [FractionPoly(e.terms) for e in template.constant(sym)],
-        )
-        for sym in template.symbols()
-    }
-    return MatrixInterpretation(template.arities, template.dim, entries)
+def _fraction_path(system, shape):
+    """What `encode` gives for the shape at any bound, by the Fraction path:
+    the template laid out by callback with one `FractionPoly` per unknown,
+    each rule difference [l] - sum pj [rj] from a fresh evaluation of every
+    term, scaled by the weight total. Returns the (name, lo) of each unknown
+    and the (label, at_least, terms) of each constraint, or the message of
+    the DegreeOverflow that encoding raises instead."""
+    unknowns = []
 
+    def unknown(name, lo):
+        unknowns.append((name, lo))
+        return FractionPoly({(len(unknowns) - 1,): Fraction(1)})
 
-def _unknowns_in_order(system, shape):
-    """The template with the unknowns `encode` declares, by position."""
-    positions = count()
-    return _fraction_template(build_template(system, shape, lambda name, lo: Poly.unknown(next(positions))))
-
-
-def _fraction_path_constraints(encoded, system):
-    """What encode emitted when it scaled the Fraction difference
-    [l] - sum pj [rj] by the weight total: (label, at_least, terms)."""
-    template = _unknowns_in_order(encoded.system, encoded.shape)
-    cap = encoded.shape.param if encoded.shape.kind == "poly" else None
-    out = []
+    interp = template(system, shape, unknown)
+    cap = shape.param if shape.kind == "poly" else None
+    constraints = []
     for index, rule in enumerate(system.rules, start=1):
-        diff = rule_difference(template, rule, cap).scale(rule.rhs.denominator)
-        out.extend(
+        try:
+            diff = rule_difference(interp, rule, cap).scale(rule.rhs.denominator)
+        except DegreeOverflow as exc:
+            return unknowns, str(exc)
+        constraints.extend(
             (f"rule {index}: {where}", 1 if strict else 0, FractionPoly.of(value).terms)
             for where, value, strict in orientation_entries(diff)
         )
-    return out
+    return unknowns, constraints
 
 
 def test_encode_matches_the_fraction_path():
     rng = random.Random(2005)
     systems = [load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34")]
-    systems += [random_ptrs(rng) for _ in range(50)]
+    systems += [random_ptrs(rng) for _ in range(24)]
     # l -> C[l]: every right-hand side repeats its left-hand side
-    systems += [looping_ptrs(rng) for _ in range(12)]
-    encoded_count = 0
+    systems += [looping_ptrs(rng) for _ in range(8)]
+    systems += [SQUARED, elaborate(parse_problem("(VAR x y z)(RULES f(f(x,y),z) -> x  h(x,y,z) -> h(y,z,x))"))]
+    seen = Counter()
     for system in systems:
-        for shape in DEFAULT_SHAPES:
-            try:
-                encoded = encode(system, shape, 1)
-            except DegreeOverflow:
-                template = _unknowns_in_order(system, shape)
-                with pytest.raises(DegreeOverflow):
-                    for rule in system.rules:
-                        rule_difference(template, rule, shape.param)
+        for shape in SIX_SHAPES:
+            unknowns, expected = _fraction_path(system, shape)
+            for bound in (1, 2, 16):
+                try:
+                    encoded = encode(system, shape, bound)
+                except DegreeOverflow as exc:
+                    assert str(exc) == expected
+                    seen["overflow"] += 1
+                    continue
+                cs = encoded.constraint_set
+                assert cs.unknowns == [UnknownSpec(name, lo, bound) for name, lo in unknowns]
+                assert [(c.label, c.at_least, c.poly.terms) for c in cs.constraints] == expected
+                # every emitted coefficient is an int, never an integral Fraction
+                assert all(type(k) is int for c in cs.constraints for k in c.poly.terms.values())
+                seen["encoded"] += 1
+            if isinstance(expected, str):
                 continue
-            constraints = encoded.constraint_set.constraints
-            assert [(c.label, c.at_least, c.poly.terms) for c in constraints] == \
-                _fraction_path_constraints(encoded, system)
-            # every emitted coefficient is an int, never an integral Fraction
-            assert all(type(k) is int for c in constraints for k in c.poly.terms.values())
-            encoded_count += 1
-    assert encoded_count > 150
+            # a model decodes to the template with its values; one over the box is refused
+            values = {name: lo + i % (3 - lo) for i, (name, lo) in enumerate(unknowns)}
+            decoded = decode(encoded, {name: Fraction(value) for name, value in values.items()})
+            assert render_interpretation(decoded) == render_interpretation(
+                template(system, shape, lambda name, lo: values[name])
+            )
+            name, lo = unknowns[-1]
+            with pytest.raises(ModelDecodeError, match=f"^{name} = 17 outside box {lo}..16$"):
+                decode(encoded, {**values, name: 17})
+    assert seen["encoded"] > 600 and seen["overflow"] > 15, seen
 
 
 def test_poly_coefficients_are_ints():
-    a = Poly.unknown(0)
-    for build in (
-        lambda: Poly.constant(Fraction(1, 2)),
-        lambda: Poly.constant(Fraction(2)),
-        lambda: Poly({(0,): Fraction(1)}),
-        lambda: a * Fraction(1, 2),
-        lambda: a + Fraction(3),
-        lambda: Fraction(1, 3) - a,
-    ):
-        with pytest.raises(TypeError):
-            build()
-    assert (a * 3 - 1).terms == {(0,): 3, (): -1}
+    # weights enter as a rule's integer numerators and denominator, so no
+    # Fraction reaches a constraint, and a model decodes to ints
+    system = elaborate(parse_problem("(VAR x)(RULES f(x) -> 2 : g(x) || 1 : x  g(s(x)) -> 3 : f(x) || 5 : s(x))"))
+    for shape in SIX_SHAPES:
+        encoded = encode(system, shape, 2)
+        assert all(type(k) is int for c in encoded.constraint_set.constraints for k in c.poly.terms.values())
+        decoded = decode(encoded, {spec.name: Fraction(spec.hi) for spec in encoded.constraint_set.unknowns})
+        if decoded.kind == "poly":
+            coefficients = [c for row in decoded.coeffs.values() for c in row.values()]
+        else:
+            coefficients = [c for mats, const in decoded.entries.values() for c in chain(*chain(*mats), const)]
+        assert coefficients and all(type(c) is int for c in coefficients), shape
 
 
 def test_weight_recovery_from_probabilities():
@@ -495,16 +511,16 @@ def test_weight_recovery_from_probabilities():
 
 
 def test_constraint_equality_ignores_the_label():
-    poly = Poly.unknown(0) + 1
-    one, other = Constraint(poly, 1, "rule 1: constant margin"), Constraint(Poly.unknown(0) + 1, 1, "rule 2")
+    poly = Poly({(0,): 1, (): 1})
+    one, other = Constraint(poly, 1, "rule 1: constant margin"), Constraint(Poly({(): 1, (0,): 1}), 1, "rule 2")
     assert one == other and hash(one) == hash(other)
     assert one == Constraint(poly, 1) and one.label == "rule 1: constant margin"
-    assert one != Constraint(poly, 0, one.label) and one != Constraint(Poly.unknown(1) + 1, 1, one.label)
+    assert one != Constraint(poly, 0, one.label) and one != Constraint(Poly({(1,): 1, (): 1}), 1, one.label)
     assert len({one, other}) == 1
 
 
 def test_emit_skips_nothing_on_empty_constraints():
-    cs = ConstraintSet([UnknownSpec("u", 0, 1)], [Constraint(Poly.unknown(0), 1)])
+    cs = ConstraintSet([UnknownSpec("u", 0, 1)], [Constraint(Poly({(0,): 1}), 1)])
     text = emit_smtlib(cs)
     assert "(assert (>= u 1))" in text
 
@@ -714,10 +730,6 @@ def test_box_solver_asks_stop_every_1024_points():
     assert solve_sums([0], [3], [({(0,): 1}, 1)], stop=lambda: False) == ("sat", [1])
 
 
-FLOOR_SHAPES = [parse_shape(name) for name in (
-    "poly-linear", "poly-multilinear-2", "poly-multilinear-3", "matrix-1", "matrix-2", "matrix-3")]
-
-
 def test_box_floor_counts_what_the_template_holds():
     rng = random.Random(31)
     systems = [random_ptrs(rng) for _ in range(40)] + [looping_ptrs(rng) for _ in range(40)]
@@ -725,32 +737,33 @@ def test_box_floor_counts_what_the_template_holds():
     systems += [RW34, random_walk_ptrs(Fraction(1, 3)), PTRS(RW34.signature, ())]
     nones = 0
     for system in systems:
-        for shape in FLOOR_SHAPES:
+        for shape in SIX_SHAPES:
             for bound in (0, 1, 2, 16):
                 floor = box_floor(system, shape, bound)
                 assert floor == reference_box_floor(system, shape, bound), (shape, bound)
                 nones += floor is None
-    assert 0 < nones < len(systems) * len(FLOOR_SHAPES) * 4
+    assert 0 < nones < len(systems) * len(SIX_SHAPES) * 4
 
 
-def test_box_floor_builds_no_template(monkeypatch):
+def test_one_coefficient_table_per_shape_attempt(monkeypatch):
     calls = []
-    real = ptrs.smt.template
+    real = ptrs.smt.coefficient_table
 
-    def spy(system, shape, coefficient):
+    def spy(system, shape, bound):
         calls.append(shape)
-        return real(system, shape, coefficient)
+        return real(system, shape, bound)
 
-    monkeypatch.setattr(ptrs.smt, "template", spy)
-    for shape in FLOOR_SHAPES:
+    monkeypatch.setattr(ptrs.smt, "coefficient_table", spy)
+    for shape in SIX_SHAPES:
         box_floor(RW34, shape, 16)
     assert calls == []
-    # an in-process attempt builds the template once to encode, and once
-    # more to decode a model
+    # an attempt builds the table once to encode, and decodes a model into
+    # that same table: in process, and with the solver as a child
     config = ProverConfig(solver=BOXSOLVER, coeff_bound=1)
-    limit = in_process_limit(BOXSOLVER)
-    outcome, cert = _attempt(RW34, Shape("poly", 1), config, CancelToken(), limit)
-    assert (outcome.status, cert is not None, calls) == ("proved", True, [Shape("poly", 1)] * 2)
+    for limit in (in_process_limit(BOXSOLVER), None):
+        calls.clear()
+        outcome, cert = _attempt(RW34, Shape("poly", 1), config, CancelToken(), limit)
+        assert (outcome.status, cert is not None, calls) == ("proved", True, [Shape("poly", 1)])
     calls.clear()
-    outcome, cert = _attempt(RW14, Shape("poly", 1), config, CancelToken(), limit)
+    outcome, cert = _attempt(RW14, Shape("poly", 1), config, CancelToken(), in_process_limit(BOXSOLVER))
     assert (outcome.status, cert, calls) == ("unsat", None, [Shape("poly", 1)])

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from ptrs.multidist import FiniteDistribution
-from ptrs.terms import App, Signature, Var
+from ptrs.terms import App, Signature, TermError, Var
 from ptrs.wst import (
     ElaborationError,
     ParseError,
@@ -428,6 +428,32 @@ def test_rule_positions_are_read_on_demand_and_kept():
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_problem("(VAR x y)\n(RULES\n  f(x) -> x\n   g(x) -> y)"))
     assert (err.value.reason, err.value.line, err.value.col) == ("free-variable-on-rhs", 4, 4)
+
+
+def test_elaborate_reads_the_variables_the_reader_collected():
+    # a free right-hand variable, behind a good alternative and repeated:
+    # the same error at the rule's line and column as the term walk gave
+    text = "(VAR x y)\n(RULES\n  f(x) -> x\n    f(g(x)) -> 1 : x || 2 : g(y) || 1 : g(y))"
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_problem(text))
+    assert (err.value.message, err.value.reason, err.value.line, err.value.col) == (
+        "right-hand side uses variable 'y' not bound on the left", "free-variable-on-rhs", 4, 5)
+    with pytest.raises(ElaborationError) as err:
+        elaborate(parse_problem("(VAR x)\n(RULES f(x) -> x\n x -> f(x))"))
+    assert (err.value.reason, err.value.line, err.value.col) == ("variable-lhs", 3, 2)
+    # an arity clash is the reader's error, before anything is elaborated
+    with pytest.raises(ParseError) as err:
+        parse_problem("(VAR x)(RULES f(x) -> f(x,x))")
+    assert (err.value.message, err.value.col) == (
+        "symbol 'f' used with 2 arguments here but with 1 at line 1, column 15", 23)
+    # rules read under another signature, or built in code, are checked in full
+    problem = parse_problem("(VAR x)(RULES f(x) -> x)")
+    with pytest.raises(TermError):
+        elaborate(ProblemFile(problem.variables, problem.rules, Signature({"f": 2})))
+    free = RawRule(App("f", (Var("x"),)), ((1, Var("y")),), 7, 3)
+    with pytest.raises(ElaborationError) as err:
+        elaborate(ProblemFile(("x", "y"), (free,), problem.signature))
+    assert (err.value.reason, err.value.line, err.value.col) == ("free-variable-on-rhs", 7, 3)
 
 
 def test_weights_are_decimal_digits():
