@@ -455,7 +455,7 @@ def _fraction_path(system, shape):
 def test_encode_matches_the_fraction_path():
     rng = random.Random(2005)
     systems = [load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34")]
-    systems += [random_ptrs(rng) for _ in range(24)]
+    systems += [random_ptrs(rng) for _ in range(20)]
     # l -> C[l]: every right-hand side repeats its left-hand side
     systems += [looping_ptrs(rng) for _ in range(8)]
     systems += [SQUARED, elaborate(parse_problem("(VAR x y z)(RULES f(f(x,y),z) -> x  h(x,y,z) -> h(y,z,x))"))]
@@ -487,7 +487,7 @@ def test_encode_matches_the_fraction_path():
             name, lo = unknowns[-1]
             with pytest.raises(ModelDecodeError, match=f"^{name} = 17 outside box {lo}..16$"):
                 decode(encoded, {**values, name: 17})
-    assert seen["encoded"] > 600 and seen["overflow"] > 15, seen
+    assert seen["encoded"] > 550 and seen["overflow"] > 15, seen
 
 
 def test_poly_coefficients_are_ints():
