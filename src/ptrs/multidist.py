@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Generic, Hashable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 S = TypeVar("S", bound=Hashable)
@@ -35,9 +35,9 @@ class MultiDistribution(Generic[T]):
     Weights are kept as positive integer numerators over one shared
     denominator, with the numerator of the total mass alongside; a step
     multiplies and adds integers. The form is not reduced: `entries`,
-    `mass()`, `collapse()` and the printers reduce where they read a
-    weight, and equality and hashing compare the form divided by
-    gcd(denominator, *numerators), which is canonical.
+    `mass()` and the printers reduce where they read a weight, and
+    equality and hashing compare the form divided by gcd(denominator,
+    *numerators), which is canonical.
 
     The constructor checks weights that come from outside. Constructions
     inside this package derive their weights from checked ones, so they
@@ -125,11 +125,6 @@ class MultiDistribution(Generic[T]):
     def mass(self) -> Fraction:
         return Fraction(self._mass_num, self._den)
 
-    def collapse(self) -> dict[T, Fraction]:
-        """Merge equal objects; the result is a subdistribution as a dict."""
-        den = self._den
-        return {obj: Fraction(n, den) for n, obj in self.merged().numerators}
-
     def merged(self) -> "MultiDistribution[T]":
         """Equal objects merged into one entry each, with the sum of their
         numerators, in first-seen order."""
@@ -138,26 +133,6 @@ class MultiDistribution(Generic[T]):
             sums[obj] = sums.get(obj, 0) + n
         return MultiDistribution._unchecked(
             tuple((n, obj) for obj, n in sums.items()), self._den, self._mass_num
-        )
-
-    def map(self, fn: Callable[[T], S]) -> "MultiDistribution[S]":
-        return MultiDistribution._unchecked(
-            tuple((n, fn(obj)) for n, obj in self._numerators), self._den, self._mass_num
-        )
-
-    def scale(self, factor: Rational) -> "MultiDistribution[T]":
-        factor = as_fraction(factor)
-        if not 0 <= factor <= 1:
-            # the checking constructor rejects the scaled weights unless
-            # they still fit (a factor above 1 on a light multidistribution)
-            return MultiDistribution([(factor * p, obj) for p, obj in self.entries])
-        if factor == 0:
-            return MultiDistribution.empty()
-        a = factor.numerator
-        return MultiDistribution._unchecked(
-            tuple((a * n, obj) for n, obj in self._numerators),
-            factor.denominator * self._den,
-            a * self._mass_num,
         )
 
     def bind(self, fn: Callable[[T], FiniteDistribution[S] | None]) -> "MultiDistribution[S]":
@@ -200,9 +175,6 @@ class MultiDistribution(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._numerators)
-
-    def __iter__(self) -> Iterator[tuple[Fraction, T]]:
-        return iter(self.entries)
 
     def __eq__(self, other: object) -> bool:
         # Multiset equality: order-insensitive, multiplicity-sensitive.
@@ -275,21 +247,8 @@ class FiniteDistribution(MultiDistribution[T]):
             raise InvalidWeights(f"probabilities sum to {total}, expected 1")
         self._set_weights([(p, obj) for obj, p in acc.items()])
 
-    def probability(self, obj: T) -> Fraction:
-        return self.collapse().get(obj, Fraction(0))
-
     def support(self) -> list[T]:
         return [obj for _, obj in self._numerators]
-
-    def items(self) -> Iterator[tuple[T, Fraction]]:
-        return ((obj, p) for p, obj in self.entries)
-
-    def map(self, fn: Callable[[T], S]) -> "FiniteDistribution[S]":
-        merged = super().map(fn).merged()
-        return FiniteDistribution._unchecked(merged.numerators, self._den, self._den)
-
-    def __contains__(self, obj: T) -> bool:
-        return any(seen == obj for _, seen in self._numerators)
 
 
 def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:

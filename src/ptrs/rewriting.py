@@ -86,7 +86,14 @@ class ProbRule:
 
 
 class PTRS:
-    __slots__ = ("signature", "rules")
+    """A probabilistic term rewrite system.
+
+    `_drift` holds what `simulator.drift_harness` keeps between its calls
+    on the system: at most one state, for the certificate it last checked.
+    It is a list, so that a call takes the state with one atomic `pop` and
+    a concurrent call finds it empty and builds its own."""
+
+    __slots__ = ("signature", "rules", "_drift")
 
     def __init__(self, signature: Signature, rules: tuple[ProbRule, ...]):
         for rule in rules:
@@ -95,13 +102,14 @@ class PTRS:
                 check_term(term, signature)
         self.signature = signature
         self.rules = rules
+        self._drift: list = []
 
     @classmethod
     def _read(cls, signature: Signature, rules: tuple[ProbRule, ...]) -> "PTRS":
         """The system of rules whose terms a reader built with the arities
         it gave `signature`, so no term is checked against it again."""
         system = cls.__new__(cls)
-        system.signature, system.rules = signature, rules
+        system.signature, system.rules, system._drift = signature, rules, []
         return system
 
 
@@ -185,7 +193,11 @@ afresh, and its reducts rebuilt, each time a term containing it is
 visited, which bounds memory on long exhaustive runs at the price of
 repeated work. The memo holds its nodes, so they stay interned while it
 lives. `simulator.run` starts its step table afresh before a step could
-take it past this many objects."""
+take it past this many objects. `simulator.drift_harness` keeps its
+TermPars, rank function and step table on the system between calls, for
+as long as the system lives and is checked against the same certificate;
+before a trial, once the table holds more than this many objects or the
+memo this many nodes, all three start afresh."""
 
 
 class _Entry:
@@ -292,7 +304,9 @@ class TermPars(Pars):
     built from known subterms costs `match` calls only at its new nodes,
     and its reducts are plugged from those its subterms keep. on_memo_full,
     if given, is called with the limit once, the first time a node is left
-    out of the full memo."""
+    out of the full memo. A TermPars lives as long as its caller keeps it:
+    one `simulate` run, or, in the drift harness, the system's held state
+    until it starts afresh (see MEMO_LIMIT)."""
 
     def __init__(self, system: PTRS, on_memo_full: Callable[[int], None] | None = None):
         self.system = system
@@ -565,19 +579,30 @@ def random_term(
     variable_pool: Sequence[str] = ("x", "y"),
 ) -> Term:
     """Random well-formed term; leaves are variables or nullary symbols."""
+    return term_sampler(signature, variable_pool)(rng, max_depth)
+
+
+def term_sampler(
+    signature: Signature, variable_pool: Sequence[str] = ("x", "y")
+) -> Callable[[random.Random, int], Term]:
+    """random_term over one signature and variable pool, as a function of
+    the rng and max_depth; the symbol and leaf lists are built once."""
     symbols = sorted(signature.symbols().items())
     leaves: list[Term] = [App(s, ()) for s, a in symbols if a == 0]
     leaves.extend(Var(name) for name in variable_pool)
     if not leaves:
         raise ValueError("need a nullary symbol or a variable pool to close terms")
 
-    def build(depth: int) -> Term:
-        if depth >= max_depth or rng.random() < 0.25:
-            return rng.choice(leaves)
-        sym, arity = rng.choice(symbols)
-        return App(sym, tuple(build(depth + 1) for _ in range(arity)))
+    def draw(rng: random.Random, max_depth: int) -> Term:
+        def build(depth: int) -> Term:
+            if depth >= max_depth or rng.random() < 0.25:
+                return rng.choice(leaves)
+            sym, arity = rng.choice(symbols)
+            return App(sym, tuple(build(depth + 1) for _ in range(arity)))
 
-    return build(0)
+        return build(0)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .rewriting import (
     all_steps,
     leftmost_innermost,
     leftmost_outermost,
-    random_term,
     step_multidist,  # not called here; bench/tracing.py wraps it at this binding
+    term_sampler,
 )
 
 MODES = {"outermost": leftmost_outermost, "innermost": leftmost_innermost}
@@ -369,23 +369,41 @@ def drift_harness(
     The inequality is a sum of per-entry inequalities, so it must hold for
     every sub-multiset as well; trimming keeps systems whose distinct
     reducts multiply (nested redexes) from going exponential.
+
+    The system keeps what a call learns, for the certificate it was last
+    checked against: each object met is matched, ranked, rendered and has
+    each drawn redex contracted once for as long as the system lives, not
+    once per call. A call on another certificate replaces that state. The
+    state starts afresh before a trial once it passes MEMO_LIMIT objects
+    or redex-index nodes, so it holds at most about that many of each plus
+    one trial's. Reports do not depend on it.
     """
-    pars = TermPars(system)
-    rank, certified = ranking_from_certificate(cert)
+    # The state a system keeps for its last certificate: (cert, certified
+    # epsilon, start-term sampler, TermPars, rank function, table). Objects
+    # are stepped by their number in the table, filled as it is read:
+    # `index` maps each object met to its number and `objs` lists them.
+    # Per object, `ranks` holds its rank as (numerator, denominator),
+    # `keys` its display_key as (type name, text) once it is sorted, and
+    # `steps` False until it is stepped, then None when it is terminal,
+    # else its redex index entry, whose `reducts` keep the reduct of each
+    # redex drawn there; a step looks up the number of each image. `acc`
+    # is all 0 between steps. The call takes the state off the system and
+    # puts it back when it returns, so no two calls share one. Before a
+    # trial, and so also at a call's start, past MEMO_LIMIT objects or
+    # redex-index nodes the TermPars, the rank function and the table
+    # start afresh.
+    try:
+        held = system._drift.pop()
+    except IndexError:  # none kept, or another call has it
+        held = None
+    if held is None or held[0] is not cert:
+        held = _fresh_drift(system, cert)
+    _, certified, draw, pars, rank, (index, objs, ranks, keys, steps, acc) = held
     required = certified if epsilon is None else as_fraction(epsilon)
     e_num, e_den = required.numerator, required.denominator
     randrange = rng.randrange
     last = max_depth - 1
 
-    # Objects are stepped by their number in a table filled as it is read:
-    # `index` maps each object met to its number and `objs` lists them.
-    # Per object, `ranks` holds its rank as (numerator, denominator),
-    # `keys` its display_key as (type name, text) once it is sorted, and
-    # `steps` False until it is stepped, then None when it is terminal,
-    # else its redex index entry and a dict from redex number to reduct as
-    # (denominator, [(numerator, image number), ...]). `acc` is all 0
-    # between steps. Past MEMO_LIMIT objects the table starts afresh
-    # before the next trial.
     def number(obj: Hashable) -> int:
         k = index.get(obj)
         if k is None:
@@ -420,11 +438,12 @@ def drift_harness(
 
     checks = 0
     for trial in range(trials):
-        if not trial or len(objs) > rewriting.MEMO_LIMIT:
-            index, objs, ranks, keys, steps, acc = {}, [], [], [], [], []
+        if len(objs) > rewriting.MEMO_LIMIT or len(pars._memo) >= rewriting.MEMO_LIMIT:
+            held = _fresh_drift(system, cert)
+            _, _, _, pars, rank, (index, objs, ranks, keys, steps, acc) = held
         # A state is a list of (numerator, number) over `den`, of mass
         # `mass` over den; its expected rank is b / b_den.
-        state = [(1, number(random_term(system.signature, rng, max_depth=term_depth)))]
+        state = [(1, number(draw(rng, term_depth)))]
         den = mass = 1
         b, b_den = ranks[state[0][1]]
         for depth in range(max_depth):
@@ -436,19 +455,17 @@ def drift_harness(
             out = []
             common, kept = 1, 0
             for n, j in state:
-                step = steps[j]
-                if step is False:
+                top = steps[j]
+                if top is False:
                     top = pars._entry(objs[j])
-                    step = steps[j] = (top, {}) if top.count else None
-                if step is None:
+                    top = steps[j] = top if top.count else None
+                if top is None:
                     continue
-                top, rows = step
                 r = randrange(top.count)
-                row = rows.get(r)
-                if row is None:
-                    dist = pars._reduct(top, r, keep_spine=True)
-                    row = rows[r] = (dist.denominator, [(m, number(image)) for m, image in dist.numerators])
-                d, pairs = row
+                dist = top.reducts.get(r)
+                if dist is None:
+                    dist = pars._reduct(top, r)
+                d = dist.denominator
                 kept += n
                 if common % d:
                     f = d // gcd(common, d)
@@ -457,7 +474,10 @@ def drift_harness(
                     common *= f
                 if d != common:
                     n *= common // d
-                for m, k in pairs:
+                for m, image in dist.numerators:
+                    k = index.get(image)
+                    if k is None:
+                        k = number(image)
                     w = acc[k]
                     if w:
                         acc[k] = w + n * m
@@ -474,6 +494,7 @@ def drift_harness(
             e = e_den * s_den
             if b * a_den * e < (a * e + e_num * s_mass * a_den) * b_den:
                 display_sort(successor)
+                system._drift[:] = (held,)
                 return DriftReport(trial + 1, checks, DriftViolation(
                     trial, depth, _as_mu(state, objs, den, mass), _as_mu(successor, objs, s_den, s_mass),
                     Fraction(b, b_den), Fraction(a, a_den), required,
@@ -487,7 +508,14 @@ def drift_harness(
                 del state[max_width:]
                 mass = sum(n for n, _ in state)
                 b, b_den = expected(state, den)
+    system._drift[:] = (held,)
     return DriftReport(trials, checks, None)
+
+
+def _fresh_drift(system: PTRS, cert: Certificate) -> tuple:
+    """drift_harness's state for system and cert, with an empty table."""
+    rank, certified = ranking_from_certificate(cert)
+    return cert, certified, term_sampler(system.signature), TermPars(system), rank, ({}, [], [], [], [], [])
 
 
 def _as_mu(state: list[tuple[int, int]], objs: list, den: int, mass: int) -> MultiDistribution:

@@ -290,7 +290,7 @@ def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = No
     Fraction probability."""
     lhs = symbolic_eval(interp, rule.lhs, cap)
     expected: Form | None = None
-    for term, p in rule.rhs.items():
+    for term, p in items(rule.rhs):
         part = symbolic_eval(interp, term, cap).scale(p)
         expected = part if expected is None else expected.add(part)
     return lhs.sub(expected)
@@ -593,7 +593,7 @@ def reference_step(pars, state, chooser):
     for p, obj in state[0]:
         chosen = pars.choose(obj, chooser)
         if chosen is not None:
-            parts.append((p, (tuple((q, image) for image, q in chosen.items()), Fraction(1))))
+            parts.append((p, (tuple((q, image) for image, q in items(chosen)), Fraction(1))))
     return reference_convex_union(parts)
 
 
@@ -617,7 +617,7 @@ def reference_all_steps(pars, state):
     for p, obj in state[0]:
         options = pars.options(obj)
         if options:
-            alternatives.append([(tuple((p * q, image) for image, q in d.items()), p) for d in options])
+            alternatives.append([(tuple((p * q, image) for image, q in items(d)), p) for d in options])
     if not alternatives:
         return [((), Fraction(0))]
     seen = {}
@@ -823,6 +823,30 @@ def proved_certificates(seed: int = 20261019, count: int = 40) -> tuple[tuple[PT
 # Functions of the package that only tests call, moved here unchanged.
 
 
+def reference_random_term(
+    signature: Signature,
+    rng: random.Random,
+    *,
+    max_depth: int = 4,
+    variable_pool: Sequence[str] = ("x", "y"),
+) -> Term:
+    """`rewriting.random_term` as it was before `term_sampler` built its
+    symbol and leaf lists once per sampler: both lists on every call."""
+    symbols = sorted(signature.symbols().items())
+    leaves: list[Term] = [App(s, ()) for s, a in symbols if a == 0]
+    leaves.extend(Var(name) for name in variable_pool)
+    if not leaves:
+        raise ValueError("need a nullary symbol or a variable pool to close terms")
+
+    def build(depth: int) -> Term:
+        if depth >= max_depth or rng.random() < 0.25:
+            return rng.choice(leaves)
+        sym, arity = rng.choice(symbols)
+        return App(sym, tuple(build(depth + 1) for _ in range(arity)))
+
+    return build(0)
+
+
 def expected_numerator(mu: MultiDistribution[T], fn) -> tuple[int, int]:
     """The sum of p * fn(obj) over the entries of mu, as an unreduced pair
     (numerator, denominator) of ints with a positive denominator.
@@ -907,6 +931,47 @@ def reference_bind(mu: MultiDistribution[T], fn, merge: bool = False) -> MultiDi
         if dist is not None:
             parts.append((n, dist.denominator, dist.numerators, dist.denominator))
     return _union(parts, mu.denominator, merge)
+
+
+def collapse(mu: MultiDistribution[T]) -> dict[T, Fraction]:
+    """Merge equal objects; the result is a subdistribution as a dict."""
+    den = mu.denominator
+    return {obj: Fraction(n, den) for n, obj in mu.merged().numerators}
+
+
+def mapped(mu: MultiDistribution[T], fn) -> MultiDistribution:
+    """mu with fn applied to every object. A FiniteDistribution's equal
+    images are merged, so the result is one too."""
+    out = MultiDistribution._unchecked(
+        tuple((n, fn(obj)) for n, obj in mu.numerators), mu.denominator, mu.mass_numerator
+    )
+    if isinstance(mu, FiniteDistribution):
+        return FiniteDistribution._unchecked(out.merged().numerators, mu.denominator, mu.denominator)
+    return out
+
+
+def scale(mu: MultiDistribution[T], factor: Rational) -> MultiDistribution[T]:
+    factor = as_fraction(factor)
+    if not 0 <= factor <= 1:
+        # the checking constructor rejects the scaled weights unless
+        # they still fit (a factor above 1 on a light multidistribution)
+        return MultiDistribution([(factor * p, obj) for p, obj in mu.entries])
+    if factor == 0:
+        return MultiDistribution.empty()
+    a = factor.numerator
+    return MultiDistribution._unchecked(
+        tuple((a * n, obj) for n, obj in mu.numerators),
+        factor.denominator * mu.denominator,
+        a * mu.mass_numerator,
+    )
+
+
+def probability(dist: FiniteDistribution[T], obj: T) -> Fraction:
+    return collapse(dist).get(obj, Fraction(0))
+
+
+def items(dist: FiniteDistribution[T]) -> Iterator[tuple[T, Fraction]]:
+    return ((obj, p) for p, obj in dist.entries)
 
 
 def expectation(mu: MultiDistribution[Any]) -> Fraction:

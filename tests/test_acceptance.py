@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import enumerate_box, hitting_times_truncated
+from helpers import enumerate_box, hitting_times_truncated, items
 from ptrs.certtext import load_interpretation
 from ptrs.cli import main
 from ptrs.interpretations import check_certificate
@@ -66,7 +66,7 @@ def test_criterion_01_coin_game_certificate_margins():
         return const + slope * ev(term.args[0], v)
 
     for rule, expected in zip(system.rules, [F(1, 2), F(8), F(2), F(2)]):
-        drop = lambda v: ev(rule.lhs, v) - sum(p * ev(r, v) for r, p in rule.rhs.items())
+        drop = lambda v: ev(rule.lhs, v) - sum(p * ev(r, v) for r, p in items(rule.rhs))
         assert drop(0) == expected  # constant part of the difference
         assert drop(1) - drop(0) >= 0  # slope stays nonnegative
     assert time.monotonic() - started < 1.0
@@ -216,11 +216,11 @@ def test_criterion_08_affinity_and_monotonicity():
         args = [rng.randint(0, 5) + F(rng.randint(0, 3), 4) for _ in range(arity)]
         slot = rng.randrange(arity)
         dist = rand_value_distribution(rng, [F(k) for k in range(4)])
-        mean = sum(p * v for v, p in dist.items())
+        mean = sum(p * v for v, p in items(dist))
         direct = interp.apply_values("f", [*args[:slot], mean, *args[slot + 1:]])
         mixed = sum(
             p * interp.apply_values("f", [*args[:slot], v, *args[slot + 1:]])
-            for v, p in dist.items()
+            for v, p in items(dist)
         )
         assert direct == mixed  # affine in every argument slot
         bumped = interp.apply_values(
@@ -236,11 +236,11 @@ def test_criterion_08_affinity_and_monotonicity():
         vectors = [tuple(F(rng.randint(0, 3)) for _ in range(dim)) for _ in range(3)]
         dist = rand_value_distribution(rng, vectors)
         mean = tuple(
-            sum((p * v[r] for v, p in dist.items()), F(0)) for r in range(dim)
+            sum((p * v[r] for v, p in items(dist)), F(0)) for r in range(dim)
         )
         direct = interp.apply_values("f", [*args[:slot], mean, *args[slot + 1:]])
         mixed = [F(0)] * dim
-        for v, p in dist.items():
+        for v, p in items(dist):
             value = interp.apply_values("f", [*args[:slot], v, *args[slot + 1:]])
             mixed = [m + p * c for m, c in zip(mixed, value)]
         assert list(direct) == mixed

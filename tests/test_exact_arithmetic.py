@@ -28,7 +28,7 @@ TRUSTED = sorted(path.stem for path in SRC.glob("*.py") if path.stem not in UNTR
 # Functions whose floats never meet a weight, a rank or a certificate value.
 EXEMPT = {
     # draws random start terms: `rng.random() < 0.25` picks a leaf
-    ("rewriting", "random_term"),
+    ("rewriting", "term_sampler"),
     # a solver call's time limit in seconds, `timeout: float = 60.0`
     ("smt", "run_solver"),
     ("smt", "solve_box"),
@@ -79,7 +79,7 @@ def test_the_guard_sees_literals_and_the_name():
     assert float_uses(tree, "m") == [
         "m.py:2: float literal 0.5", "m.py:2: name float", "m.py:2: float literal 1j"
     ]
-    exempt = ast.parse("def random_term(rng):\n    return rng.random() < 0.25\n")
+    exempt = ast.parse("def term_sampler(rng):\n    return rng.random() < 0.25\n")
     assert float_uses(exempt, "rewriting") == []
     assert float_uses(exempt, "simulator") == ["simulator.py:2: float literal 0.25"]
 

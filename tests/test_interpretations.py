@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    items,
     poly_form_value,
     rand_matrix_interp,
     rand_poly_interp,
@@ -318,7 +319,7 @@ def _drop(interp, rule, assignment):
         v = eval_term(interp, term, assignment)
         return v if interp.kind == "poly" else v[0]
 
-    return value(rule.lhs) - sum((p * value(r) for r, p in rule.rhs.items()), Fraction(0))
+    return value(rule.lhs) - sum((p * value(r) for r, p in items(rule.rhs)), Fraction(0))
 
 
 # with a ternary symbol, so that degree-3 monomials occur
@@ -419,12 +420,12 @@ def test_expected_interpretation_is_affine():
         d1 = rand_value_distribution(rng, values)
         d2 = rand_value_distribution(rng, values)
         lhs = interp.apply_values("f", [
-            sum((p * v for v, p in d1.items()), Fraction(0)),
-            sum((p * v for v, p in d2.items()), Fraction(0)),
+            sum((p * v for v, p in items(d1)), Fraction(0)),
+            sum((p * v for v, p in items(d2)), Fraction(0)),
         ])
         direct = Fraction(0)
-        for v1, p1 in d1.items():
-            for v2, p2 in d2.items():
+        for v1, p1 in items(d1):
+            for v2, p2 in items(d2):
                 direct += p1 * p2 * interp.apply_values("f", [v1, v2])
         # Multilinearity makes the expectation factor through each argument,
         # even for the mixed monomial, because the draws are independent.

@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 
 import ptrs.rewriting
-from helpers import ars_embedding_check, from_distribution, random_ptrs, subterm_positions
+from helpers import (
+    RANDOM_SIGNATURE,
+    ars_embedding_check,
+    from_distribution,
+    items,
+    mapped,
+    random_ptrs,
+    reference_random_term,
+    subterm_positions,
+)
 from ptrs.multidist import FiniteDistribution, MultiDistribution
 from ptrs.rewriting import (
     BudgetTracker,
@@ -29,6 +38,7 @@ from ptrs.rewriting import (
     random_term,
     random_walk_ptrs,
     step_multidist,
+    term_sampler,
 )
 from ptrs.simulator import RunConfig, run
 from ptrs.terms import (
@@ -163,7 +173,7 @@ def test_term_walk_agrees_with_abstract_walk():
     for _ in range(6):
         mu_abs = step_multidist(walk, mu_abs, leftmost_outermost)
         mu_term = step_multidist(pars, mu_term, leftmost_outermost)
-        assert mu_term.map(lambda t: str(t).count("s(")) == mu_abs
+        assert mapped(mu_term, lambda t: str(t).count("s(")) == mu_abs
     assert rng  # rng reserved for future extension of this check
 
 
@@ -302,7 +312,7 @@ def naive_redexes(system, term):
             if subst is None:
                 continue
             local = {}
-            for rhs_term, p in rule.rhs.items():
+            for rhs_term, p in items(rule.rhs):
                 image = apply_substitution(rhs_term, subst)
                 local[image] = local.get(image, Fraction(0)) + p
             dist = FiniteDistribution({replace_at(term, position, image): p for image, p in local.items()})
@@ -614,3 +624,26 @@ def test_a_collapsed_run_keeps_one_reduct_per_node_beyond_its_matches(mode):
             assert len([k for k in entry.reducts if k >= len(entry.matches)]) <= 1
             kept += bool(entry.reducts)
     assert kept > 150
+
+
+def test_term_sampler_draws_what_random_term_drew():
+    # A sampler builds the symbol and leaf lists once; every draw, through
+    # it or through random_term, makes the same rng calls and builds the
+    # same term as the body random_term had before.
+    signatures = [RANDOM_SIGNATURE, Signature({"f": 2}), Signature({"c": 0})]
+    signatures += [load_system(PROBLEMS / f"{name}.wst").signature for name in ("coingame", "matrix", "rw34")]
+    for signature in signatures:
+        for pool in (("x", "y"), ("z",), ()):
+            if not pool and not any(a == 0 for a in signature.symbols().values()):
+                for draw in (random_term, reference_random_term):
+                    with pytest.raises(ValueError, match="nullary symbol"):
+                        draw(signature, random.Random(0), variable_pool=pool)
+                continue
+            sampler = term_sampler(signature, pool)
+            for seed in range(10):
+                for depth in (0, 1, 3, 5):
+                    rngs = [random.Random(seed) for _ in range(3)]
+                    want = reference_random_term(signature, rngs[0], max_depth=depth, variable_pool=pool)
+                    assert random_term(signature, rngs[1], max_depth=depth, variable_pool=pool) == want
+                    assert sampler(rngs[2], depth) == want
+                    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,9 +10,11 @@ import pytest
 
 from helpers import (
     brute_force_reducts,
+    collapse,
     dp_random_walk,
     hitting_times_truncated,
     looping_ptrs,
+    mapped,
     proved_certificates,
     random_ptrs,
     reference_all_steps,
@@ -81,7 +85,7 @@ def test_walk_against_independent_dp():
         report = run(RunConfig(RandomWalk(p), start, steps, collapse=True, keep_trace=True))
         table = dp_random_walk(p, start, steps)
         for depth, state in enumerate(report.trace):
-            assert state.collapse() == table[depth]
+            assert collapse(state) == table[depth]
         assert report.masses == walk_masses(p, start, steps)
         assert report.edl == walk_partial_edl(p, start, steps)
 
@@ -101,7 +105,7 @@ def test_term_walk_matches_abstract_walk():
     term_report = run(RunConfig(pars, pars.parse_object("s(s(0))"), 6, keep_trace=True))
     wanted = run(RunConfig(walk, 2, 6, keep_trace=True))
     for term_state, walk_state in zip(term_report.trace, wanted.trace):
-        assert term_state.map(str) == walk_state.map(lambda n: str(walk.term_view(n)))
+        assert mapped(term_state, str) == mapped(walk_state, lambda n: str(walk.term_view(n)))
     assert term_report.masses == wanted.masses
 
 
@@ -364,11 +368,21 @@ def test_drift_harness_steps_each_object_and_redex_once(monkeypatch):
         system, cert = _shipped(name)
         reducts.clear()
         ranked.clear()
-        report = drift_harness(system, cert, trials=20, max_depth=10, rng=random.Random(1),
-                               epsilon=factor * cert.epsilon, max_width=max_width)
+        args = dict(trials=20, max_depth=10, epsilon=factor * cert.epsilon, max_width=max_width)
+        report = drift_harness(system, cert, rng=random.Random(1), **args)
         assert report.ok == (factor == 1)
         assert reducts and max(reducts.values()) == 1
         assert ranked and max(ranked.values()) == 1
+        # the system keeps the table: a second call on the same pair
+        # builds no reduct and ranks no object that the first call held
+        held_reducts, held_ranked = set(reducts), set(ranked)
+        reducts.clear()
+        ranked.clear()
+        _same_drift_report(drift_harness(system, cert, rng=random.Random(1), **args), report)
+        assert not reducts and not ranked
+        drift_harness(system, cert, rng=random.Random(2), **args)
+        assert not held_reducts & set(reducts) and not held_ranked & set(ranked)
+        assert max(reducts.values(), default=1) == 1 and max(ranked.values(), default=1) == 1
     # past MEMO_LIMIT objects the table starts afresh, so objects are
     # ranked again in later trials
     monkeypatch.setattr(rewriting, "MEMO_LIMIT", 3)
@@ -423,6 +437,118 @@ def test_drift_harness_matches_the_stepping_oracle(monkeypatch, memo_limit):
     assert reports[True] and reports[False]
 
 
+@pytest.mark.parametrize("memo_limit", [rewriting.MEMO_LIMIT, 30])
+def test_drift_reports_do_not_depend_on_the_held_state(monkeypatch, memo_limit):
+    # Calls on one system, which keeps its table between them, report what
+    # each call reports on a freshly loaded copy: valid and forged epsilon,
+    # trimmed states, a switch of certificate and back, and, at a limit of
+    # 30, tables that start afresh at the start of a call.
+    monkeypatch.setattr(rewriting, "MEMO_LIMIT", memo_limit)
+    held = {name: _shipped(name) for name in ("coingame", "matrix", "rw34")}
+    rw34, shipped_rw34 = held["rw34"]
+    halves = check_certificate(parse_interpretation(HALVES), rw34)
+    calls = [(name, cert) for name, (_, cert) in held.items()] + [("rw34", halves), ("rw34", shipped_rw34)]
+    rng = random.Random(7)
+    reports, restarts = Counter(), 0
+    for _ in range(3):
+        for name, cert in calls:
+            system = held[name][0]
+            for max_width in (32, 2):
+                for factor in (1, 2):
+                    seed = rng.randrange(1000)
+                    args = dict(trials=8, max_depth=10, epsilon=factor * cert.epsilon, max_width=max_width)
+                    before = system._drift[0] if system._drift else None
+                    restarts += before is not None and before[0] is cert and len(before[-1][1]) > memo_limit
+                    got = drift_harness(system, cert, rng=random.Random(seed), **args)
+                    fresh = load_system(PROBLEMS / f"{name}.wst")
+                    _same_drift_report(got, drift_harness(fresh, cert, rng=random.Random(seed), **args))
+                    assert system._drift[0][0] is cert
+                    reports[got.ok] += 1
+    assert reports[True] and reports[False]
+    assert bool(restarts) == (memo_limit == 30)
+
+
+def test_a_drift_call_that_raises_drops_the_held_state():
+    # A call cut short mid-step leaves the system without a state, and the
+    # next call builds a fresh one.
+    system, cert = _shipped("rw34")
+    args = dict(trials=20, max_depth=12)
+    drift_harness(system, cert, rng=random.Random(0), **args)
+
+    class Broken(random.Random):
+        def randrange(self, *bounds):
+            raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        drift_harness(system, cert, rng=Broken(1), **args)
+    assert not system._drift
+    fresh = load_system(PROBLEMS / "rw34.wst")
+    _same_drift_report(drift_harness(system, cert, rng=random.Random(1), **args),
+                       drift_harness(fresh, cert, rng=random.Random(1), **args))
+
+
+def test_drift_harness_runs_from_several_threads():
+    # Threads run the harness on one (system, cert). First, one call is
+    # held inside its run while a second thread makes a whole call, which
+    # finds no state to take and builds its own. Then three threads make
+    # calls freely, switching often. Every report is what a fresh copy reports, and the
+    # state left on the system serves later calls.
+    system, cert = _shipped("coingame")
+    args = dict(trials=20, max_depth=12)
+
+    def fresh(seed):
+        return drift_harness(load_system(PROBLEMS / "coingame.wst"), cert, rng=random.Random(seed), **args)
+
+    inside, done = threading.Event(), threading.Event()
+
+    class Paused(random.Random):
+        def randrange(self, *bounds):
+            if not inside.is_set():
+                inside.set()
+                done.wait(30)
+            return super().randrange(*bounds)
+
+    got, errors = {}, []
+
+    def calls(runs):
+        try:
+            for seed, rng in runs:
+                got[seed] = drift_harness(system, cert, rng=rng, **args)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+        finally:
+            done.set()
+
+    drift_harness(system, cert, rng=random.Random(0), **args)  # the system now keeps a state
+    first = threading.Thread(target=calls, args=([(1, Paused(1))],), daemon=True)
+    first.start()
+    assert inside.wait(30)
+    assert not system._drift  # the first call has taken the state
+    second = threading.Thread(target=calls, args=([(2, random.Random(2))],), daemon=True)
+    second.start()
+    for thread in (second, first):
+        thread.join(60)
+        assert not thread.is_alive()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=calls, args=([(seed, random.Random(seed)) for seed in seeds],),
+                                    daemon=True) for seeds in (range(3, 10), range(10, 17), range(17, 24))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == list(range(1, 24))
+    for seed, report in got.items():
+        _same_drift_report(report, fresh(seed))
+    assert len(system._drift) == 1
+    _same_drift_report(drift_harness(system, cert, rng=random.Random(24), **args), fresh(24))
+
+
 def test_proved_certificates_pass_check_and_drift():
     # Every YES certificate printed for a generated system is accepted by
     # `check` and holds the drift inequality at its own epsilon.
@@ -454,9 +580,9 @@ def test_innermost_and_outermost_differ_on_nested_redexes():
     start = pars.parse_object("s(s(0))")
     outer = run(RunConfig(pars, start, 1, mode="outermost", keep_trace=True))
     inner = run(RunConfig(pars, start, 1, mode="innermost", keep_trace=True))
-    assert outer.trace[1].map(str) == MultiDistribution(
+    assert mapped(outer.trace[1], str) == mapped(MultiDistribution(
         [(F(1, 2), "s(0)"), (F(1, 2), "s(s(s(0)))")]
-    ).map(str)
+    ), str)
     # both redexes of s(s(0)) rewrite the same way here, so the states agree,
     # but the contracted position differs: innermost keeps the outer s
     assert inner.trace[1] == outer.trace[1]

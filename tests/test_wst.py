@@ -20,6 +20,7 @@ from ptrs.wst import (
 
 from helpers import (
     looping_ptrs,
+    probability,
     problem_of,
     random_ptrs,
     reference_elaborate,
@@ -162,7 +163,7 @@ def test_elaborate_merges_duplicate_alternatives():
     ptrs = elaborate(parse_problem("(VAR x)(RULES f(x) -> 1 : x || 1 : x)"))
     assert ptrs.rules[0].rhs == FiniteDistribution({Var("x"): 1})
     ptrs2 = elaborate(parse_problem("(VAR x)(RULES f(x) -> 1 : x || 1 : g(x) || 1 : x)"))
-    assert ptrs2.rules[0].rhs.probability(Var("x")) == Fraction(2, 3)
+    assert probability(ptrs2.rules[0].rhs, Var("x")) == Fraction(2, 3)
 
 
 def test_elaborate_rejections():
