@@ -11,7 +11,10 @@ so that file names read the same in every checkout:
 - `simulate` from seeded `random_term` starts, outermost and innermost,
   collapsed or not;
 - `simulate --family` over the built-in walk, payout and nondeterministic
-  systems, in every single-strategy mode, output form and a few lengths.
+  systems, in every single-strategy mode, output form and a few lengths;
+- `simulate --mode exhaustive` from the same starts and families, collapsed
+  or not, with `--trace` and `--json`; the generated systems run at a node
+  budget that some of them pass, which exits 2 with no output.
 Each class's stdout, in order and with each run's argv and exit code, is
 hashed to one sha256. The argv is recorded with the box solver's command,
 which names the running interpreter, written as the token `BOXSOLVER`. A change that alters a digest on purpose names the class and
@@ -41,7 +44,11 @@ DIGESTS = {
     "simulate": "10060ab6af175c542d330f73bf8d84944226ec72c92ebf113f1a01d9a26581e9",
     "family": "48b2c96e978b6386920bcc172e5d54b300235435a7f22602a2ee2faff313aa83",
     "drift": "a83aef7410ddada575b54888ffb0aafa066bb276f56e9d4bb67feca5b3697714",
+    "exhaustive": "89ee1c30679595c0c62d9a1620cee7cb2b720cc3c615c35452914b387b05c552",
 }
+
+# output forms of the exhaustive runs; all but the first keep a trace
+EXHAUSTIVE_FLAGS = ((), ("--collapse", "--trace"), ("--trace", "--json"), ("--collapse", "--trace", "--json"))
 
 
 def corpus(seed: int = 20261019, count: int = 40):
@@ -108,6 +115,9 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
                 for collapse in ((), ("--collapse",)):
                     run("simulate", "simulate", name, "--start", str(start), "--steps", "3",
                         "--mode", mode, "--trace", *collapse)
+            for flags in EXHAUSTIVE_FLAGS:
+                run("exhaustive", "simulate", name, "--start", str(start), "--steps", "3",
+                    "--mode", "exhaustive", "--node-budget", "300", *flags)
     assert certificates > 0
     for family, starts in family_systems():
         for start in starts:
@@ -116,6 +126,10 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
                     for steps in ("0", "1", "6"):
                         run("family", "simulate", *family, "--start", start, "--steps", steps,
                             "--mode", mode, *chain.from_iterable(flags))
+            for flags in EXHAUSTIVE_FLAGS:
+                for steps in ("0", "1", "6"):
+                    run("exhaustive", "simulate", *family, "--start", start, "--steps", steps,
+                        "--mode", "exhaustive", *flags)
     return {cls: hashlib.sha256("".join(texts).encode()).hexdigest() for cls, texts in outs.items()}
 
 
