@@ -192,21 +192,22 @@ kept at them. Past it the memo stops growing: a node left out is matched
 afresh, and its reducts rebuilt, each time a term containing it is
 visited, which bounds memory on long exhaustive runs at the price of
 repeated work. The memo holds its nodes, so they stay interned while it
-lives. `simulator.run` starts its step table afresh before a step could
-take it past this many objects. `simulator.drift_harness` keeps its
-TermPars, rank function and step table on the system between calls, for
-as long as the system lives and is checked against the same certificate;
-before a trial, once the table holds more than this many objects or the
-memo this many nodes, all three start afresh."""
+lives. `simulator.run` starts a single-strategy step table afresh before
+a step could take it past this many objects, and keeps an exhaustive one
+whole. `simulator.drift_harness` keeps its TermPars, rank function and
+step table on the system between calls, while the system lives and is
+checked against the same certificate; before a trial, once the table
+holds more than this many objects or the memo this many nodes, all three
+start afresh."""
 
 
 class _Entry:
     """The redex index of one interned node.
 
-    `matches` holds the (rule index, substitution) of every rule that
-    matches at the node itself, in rule order; `count` is the number of
-    redexes in the whole subterm, the node's matches first and then its
-    children's in argument order, which is pre-order. `innermost` is the
+    `matches` holds the index of every rule that matches at the node
+    itself, in rule order; `count` is the number of redexes in the whole
+    subterm, the node's matches first and then its children's in argument
+    order, which is pre-order. `innermost` is the
     number of the leftmost-innermost redex: the first child's that holds
     a redex, else the node's first match (0 when there is none).
     `reducts` maps the number k of a redex in that order to its reduct
@@ -348,9 +349,8 @@ class TermPars(Pars):
                 continue  # a shared child, pushed more than once
             matches = []
             for index, lhs in rules_at.get(node.symbol, ()):
-                subst = match(lhs, node)
-                if subst is not None:
-                    matches.append((index, subst))
+                if match(lhs, node) is not None:
+                    matches.append(index)
             entry = _Entry(node, tuple(matches), tuple(children))
             if len(memo) < MEMO_LIMIT:
                 memo[node] = entry
@@ -361,9 +361,9 @@ class TermPars(Pars):
                     self._on_memo_full = None
         return memo.get(term) or made[term]
 
-    def _contract(self, node: App, rule_index: int, substitution: dict[str, Term]) -> FiniteDistribution[Term]:
-        """The reduct distribution of a redex at the root of node. The
-        rule's plan reads the substitution's values off node itself."""
+    def _contract(self, node: App, rule_index: int) -> FiniteDistribution[Term]:
+        """The reduct distribution of a redex of the rule at the root of
+        node. The rule's plan reads what its variables match off node."""
         # Instantiation can merge distinct right-hand sides, so collapse
         # here; plugging into a context keeps them distinct (contexts are
         # injective). The rule's weights were checked when it was built, and
@@ -411,7 +411,7 @@ class TermPars(Pars):
             if dist is not None:
                 break
             if j < len(entry.matches):
-                dist = entry.reducts[j] = self._contract(entry.node, *entry.matches[j])
+                dist = entry.reducts[j] = self._contract(entry.node, entry.matches[j])
                 break
             i, child, j_below = _step_down(entry, j)
             spine.append((entry, i, j))
@@ -426,13 +426,14 @@ class TermPars(Pars):
         return dist
 
     def redexes(self, term: Term) -> list[RedexStep]:
-        """The steps of term, read off its index in pre-order."""
+        """The steps of term in pre-order, each rule matched again for its substitution."""
         top = self._entry(term)
         steps: list[RedexStep] = []
         stack = [top]
         while stack:
             entry = stack.pop()
-            for rule_index, substitution in entry.matches:
+            for rule_index in entry.matches:
+                substitution = match(self.system.rules[rule_index].lhs, entry.node)
                 steps.append(RedexStep(self, top, len(steps), rule_index, substitution))
             stack.extend(child for child in reversed(entry.children) if child.count)
         return steps

@@ -8,8 +8,9 @@ one strategy or exhaustively over all of them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Hashable, NamedTuple
+from itertools import product
+from math import gcd, prod
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 import random
 
@@ -29,7 +30,7 @@ from .rewriting import (
     Pars,
     PTRS,
     TermPars,
-    all_steps,
+    all_steps,  # not called here; bench/tracing.py wraps it at this binding
     leftmost_innermost,
     leftmost_outermost,
     step_multidist,  # not called here; bench/tracing.py wraps it at this binding
@@ -75,61 +76,85 @@ class RunReport(NamedTuple):
 
 
 def collapsed(mu: MultiDistribution) -> MultiDistribution:
-    """Merge equal objects into single entries, deterministically ordered."""
-    return _sorted(mu.merged())
+    """Merge equal objects into single entries, in display_key order: total
+    on distinct objects, with numerators sorting as the weights they are."""
+    mu = mu.merged()
+    items = tuple(sorted(mu.numerators, key=display_key))
+    return MultiDistribution._unchecked(items, mu.denominator, mu.mass_numerator)
 
 
-def _sorted(mu: MultiDistribution) -> MultiDistribution:
-    """mu with its entries in display_key order; for merged mu, whose
-    objects are distinct, that order is total."""
-    # numerators over one denominator sort as the weights they stand for
-    items = sorted(mu.numerators, key=display_key)
-    return MultiDistribution._unchecked(tuple(items), mu.denominator, mu.mass_numerator)
-
-
-def _hits_truncation(pars: Pars, mu: MultiDistribution) -> bool:
-    return pars.truncate is not None and any(pars.truncates(obj) for _, obj in mu.numerators)
+def _step(state: list, rows: Sequence, acc: list[int], collapse: bool) -> tuple[list, int, int]:
+    """(successor, common, kept) for `state`, a list of (numerator, j), by
+    bind's rule: each entry is replaced by rows[j], a row (d, [(m, k), ...])
+    of weights m / d on objects k, or dropped when that is None. Rows are
+    scaled to their running lcm `common`, and `kept` sums the numerators
+    kept. A collapsed step sums into `acc`, all 0 before and after, and
+    lists each image when first touched, merging as merged() does."""
+    out = []
+    common, kept = 1, 0
+    for n, j in state:
+        row = rows[j]
+        if row is None:
+            continue
+        kept += n
+        d, pairs = row
+        if common % d:
+            r = d // gcd(common, d)
+            if collapse:
+                for k in out:
+                    acc[k] *= r
+            else:
+                out = [(r * m, k) for m, k in out]
+            common *= r
+        if d != common:
+            n *= common // d
+        if collapse:
+            for m, k in pairs:
+                v = acc[k]
+                if v:
+                    acc[k] = v + n * m
+                else:
+                    acc[k] = n * m
+                    out.append(k)
+        else:
+            for m, k in pairs:
+                out.append((n * m, k))
+    if collapse:
+        out, touched = [(acc[k], k) for k in out], out
+        for k in touched:
+            acc[k] = 0
+    return out, common, kept
 
 
 def run(config: RunConfig) -> RunReport:
     pars = config.pars
     tracker = BudgetTracker(config.node_budget)
-    start = MultiDistribution.point(config.start)
     if config.mode == "exhaustive":
-        return _run_exhaustive(config, pars, tracker, start)
+        return _run_exhaustive(config, tracker)
     chooser = MODES[config.mode] if isinstance(config.mode, str) else config.mode
     collapse, keep_trace = config.collapse, config.keep_trace
-    # Objects are stepped by their index in a table: `index` maps each
-    # object met to its number, `objs` lists them, and `rows[j]` is False
-    # until objs[j] is stepped, then None when it is terminal, else its
-    # chosen reduct as (denominator, [(numerator, image index), ...]). A
-    # per-object chooser picks by the object alone, so its row is kept and
-    # it is asked once per object per run, in first-seen order; any other
-    # chooser is asked once per entry, in entry order. Before a step could
-    # take the table past MEMO_LIMIT objects it starts afresh from the
-    # live objects.
+    # Objects are stepped by number in a _table. A per-object chooser picks
+    # by the object alone, so rows[j] keeps the row of objs[j]'s chosen
+    # reduct, None when it is terminal, and the chooser is asked once per
+    # object per run, in first-seen order; any other chooser is asked once
+    # per entry, in entry order. Before a step could take the table past
+    # MEMO_LIMIT objects it starts afresh from the live ones.
     per_object = getattr(chooser, "per_object", False)
     limit = rewriting.MEMO_LIMIT
     on_full = config.on_table_full
-    index, objs, rows = _fresh_table((config.start,))
+    number, objs, rows, keys, acc = _table()
+
+    def chosen(j: int) -> tuple[int, list[tuple[int, int]]] | None:
+        dist = pars.choose(objs[j], chooser)
+        return None if dist is None else (dist.denominator, [(m, number(image)) for m, image in dist.numerators])
+
     # A state is a list of (numerator, index) over the denominator `den`.
-    # A collapsed step sums into the dense `acc`, indexed like objs and 0
-    # between steps, and lists each image in `out` when first touched,
-    # which merges equal reducts in first-seen order as merged() does.
     # display_key orders distinct objects totally, so a collapsed state is
     # sorted where its order is read: in the trace, in the outcome, and on
     # every step for a chooser that reads entry order.
     sort_each_step = collapse and (keep_trace or not per_object)
-    acc = [0]
-    state = [(1, 0)]
+    state = [(1, number(config.start))]
     den = 1
-
-    def by_display(entry: tuple[int, int]) -> tuple:
-        return display_key((entry[0], objs[entry[1]]))
-
-    def as_mu(mass: int) -> MultiDistribution:
-        return MultiDistribution._unchecked(tuple((n, objs[j]) for n, j in state), den, mass)
-
     truncates = pars.truncates if pars.truncate is not None else None
     truncated = truncates is not None and truncates(config.start)
     # Mass and edl are kept as numerators over the step's denominator,
@@ -138,73 +163,25 @@ def run(config: RunConfig) -> RunReport:
     # built once, after the loop.
     edl_num = 0
     sums = [(1, 0, 1)]  # (mass numerator, edl numerator, denominator) per depth
-    trace = [start]
+    trace = [MultiDistribution.point(config.start)]
     for _ in range(config.steps):
         tracker.spend(max(len(state), 1))
         if len(objs) + len(state) > limit:
-            old = objs
-            index, objs, rows = _fresh_table(dict.fromkeys(old[j] for _, j in state))
-            acc = [0] * len(objs)
-            state = [(n, index[old[j]]) for n, j in state]
+            live = [(n, objs[j]) for n, j in state]
+            number, objs, rows, keys, acc = _table()
+            state = [(n, number(obj)) for n, obj in live]
             if on_full is not None:
                 on_full(limit)
                 on_full = None
-        # bind's rule, so each state's unreduced form is bind's: rows are
-        # scaled to the running lcm `common` of their denominators
-        out = []
-        common, kept = 1, 0
-        for n, j in state:
-            row = rows[j]
-            if row is False:
-                dist = pars.choose(objs[j], chooser)
-                if dist is not None:
-                    pairs = []
-                    for m, image in dist.numerators:
-                        k = index.get(image)
-                        if k is None:
-                            k = index[image] = len(objs)
-                            objs.append(image)
-                            rows.append(False)
-                            acc.append(0)
-                        pairs.append((m, k))
-                    row = (dist.denominator, pairs)
-                else:
-                    row = None
-                if per_object:
-                    rows[j] = row
-            if row is None:
-                continue
-            kept += n
-            d, pairs = row
-            if common % d:
-                r = d // gcd(common, d)
-                if collapse:
-                    for k in out:
-                        acc[k] *= r
-                else:
-                    out = [(r * m, k) for m, k in out]
-                common *= r
-            if d != common:
-                n *= common // d
-            if collapse:
-                for m, k in pairs:
-                    v = acc[k]
-                    if v:
-                        acc[k] = v + n * m
-                    else:
-                        acc[k] = n * m
-                        out.append(k)
-            else:
-                for m, k in pairs:
-                    out.append((n * m, k))
-        if collapse:
-            state = [(acc[k], k) for k in out]
-            for k in out:
-                acc[k] = 0
-            if sort_each_step:
-                state.sort(key=by_display)
-        else:
-            state = out
+        if per_object:
+            for j in range(len(rows), len(objs)):
+                rows.append(chosen(j))
+            state, common, kept = _step(state, rows, acc, collapse)
+        else:  # entry i takes the i-th row chosen
+            picked = [chosen(j) for _, j in state]
+            state, common, kept = _step([(n, i) for i, (n, _) in enumerate(state)], picked, acc, collapse)
+        if sort_each_step:
+            _display_sort(state, objs, keys)
         den *= common
         mass = kept * common
         if truncates is not None and not truncated:
@@ -212,78 +189,77 @@ def run(config: RunConfig) -> RunReport:
         edl_num = edl_num * common + mass
         sums.append((mass, edl_num, den))
         if keep_trace:
-            trace.append(as_mu(mass))
+            trace.append(_as_mu(state, objs, den, mass))
     if collapse and not sort_each_step:
-        state.sort(key=by_display)
+        _display_sort(state, objs, keys)
     masses = [Fraction(m, d) for m, _, d in sums]
     edl = [Fraction(e, d) for _, e, d in sums]
     return RunReport(
-        mode=config.mode if isinstance(config.mode, str) else "custom",
-        masses=masses,
-        edl=edl,
-        mass_min=masses,
-        mass_max=masses,
-        edl_min=edl,
-        edl_max=edl,
-        outcomes=(as_mu(sums[-1][0]),),
-        trace=trace if keep_trace else None,
-        truncation_hit=truncated,
-        nodes=tracker.spent,
+        mode=config.mode if isinstance(config.mode, str) else "custom", masses=masses, edl=edl,
+        mass_min=masses, mass_max=masses, edl_min=edl, edl_max=edl,
+        outcomes=(_as_mu(state, objs, den, sums[-1][0]),), trace=trace if keep_trace else None,
+        truncation_hit=truncated, nodes=tracker.spent,
     )
 
 
-def _fresh_table(objects) -> tuple[dict, list, list]:
-    """A step table that holds just `objects`, distinct and in order, with
-    no row built."""
-    objs = list(objects)
-    return {obj: j for j, obj in enumerate(objs)}, objs, [False] * len(objs)
+def _run_exhaustive(config: RunConfig, tracker: BudgetTracker) -> RunReport:
+    """Every strategy at once: a state steps to one successor per choice of
+    an option row for each nonterminal entry, as in all_steps. A state is a
+    list of (numerator, number) over a denominator, kept as first met (a
+    collapsed one in display order) and keyed by its form divided by the
+    gcd, pairs sorted. rows[j] lists the option rows of objs[j]. States
+    name objects by number, so the table never starts afresh; the node
+    budget bounds it."""
+    pars, collapse = config.pars, config.collapse
+    number, objs, rows, keys, acc = _table()
 
+    def levels() -> tuple[MultiDistribution, ...]:
+        return tuple(canonical_order(_as_mu(state, objs, den, sum(n for n, _ in state))
+                                     for state, den, _, _ in states.values()))
 
-def _run_exhaustive(config: RunConfig, pars: Pars, tracker: BudgetTracker, start) -> RunReport:
-    if config.collapse:
-        start = collapsed(start)
-    states: dict[MultiDistribution, tuple[Fraction, Fraction]] = {
-        start: (Fraction(0), Fraction(0))
-    }
-    mass_min = [start.mass()]
-    mass_max = [start.mass()]
-    edl_min = [Fraction(0)]
-    edl_max = [Fraction(0)]
-    trace: list = [tuple(canonical_order(states))]
-    truncated = _hits_truncation(pars, start)
+    start = [(1, number(config.start))]
+    states = {(1, tuple(start)): [start, 1, Fraction(0), Fraction(0)]}  # key: [state, den, least, greatest edl]
+    envelopes = [(Fraction(1), Fraction(1), Fraction(0), Fraction(0))]  # least, greatest mass and edl per depth
+    trace = [levels()] if config.keep_trace else None
     for _ in range(config.steps):
-        successors: dict[MultiDistribution, tuple[Fraction, Fraction]] = {}
-        for state, (lo, hi) in states.items():
-            steps = all_steps(pars, state, tracker)
-            # every successor keeps the mass of the nonterminal entries of state
-            mass = steps[0].mass()
-            reached = (lo + mass, hi + mass)
-            for nu in steps:
-                if config.collapse:
-                    nu = collapsed(nu)
-                old = successors.get(nu)
-                successors[nu] = reached if old is None else (
-                    min(old[0], reached[0]), max(old[1], reached[1]))
+        for j in range(len(rows), len(objs)):
+            rows.append([(dist.denominator, [(m, number(image)) for m, image in dist.numerators])
+                         for dist in pars.options(objs[j])])
+        successors: dict[tuple, list] = {}
+        for state, den, lo, hi in states.values():
+            live = [(n, j) for n, j in state if rows[j]]
+            choices = [rows[j] for _, j in live]
+            tracker.spend(prod(map(len, choices)) * len(choices))
+            # every successor keeps the mass of the nonterminal entries; a
+            # state with none steps to the one empty state
+            mass = Fraction(sum(n for n, _ in live), den)
+            lo, hi = lo + mass, hi + mass
+            reached: dict[tuple, list] = {}  # successors met from state, by their unreduced form
+            entries = [(n, i) for i, (n, _) in enumerate(live)]  # entry i takes combo[i]
+            for combo in product(*choices):
+                successor, common, _ = _step(entries, combo, acc, collapse)
+                reached.setdefault((den * common, tuple(sorted(successor))), successor)
+            for (d, pairs), successor in reached.items():
+                g = gcd(d, *[n for n, _ in pairs])
+                key = (d // g, tuple((n // g, k) for n, k in pairs))
+                seen = successors.get(key)
+                if seen is None:
+                    if collapse:
+                        _display_sort(successor, objs, keys)
+                    successors[key] = [successor, d, lo, hi]
+                else:
+                    seen[2], seen[3] = min(seen[2], lo), max(seen[3], hi)
         states = successors
-        mass_min.append(min(s.mass() for s in states))
-        mass_max.append(max(s.mass() for s in states))
-        edl_min.append(min(lo for lo, _ in states.values()))
-        edl_max.append(max(hi for _, hi in states.values()))
-        truncated = truncated or any(_hits_truncation(pars, s) for s in states)
-        if config.keep_trace:
-            trace.append(tuple(canonical_order(states)))
+        masses, los, his = zip(*((Fraction(sum(n for n, _ in s), d), lo, hi) for s, d, lo, hi in states.values()))
+        envelopes.append((min(masses), max(masses), min(los), max(his)))
+        if trace is not None:
+            trace.append(levels())
+    mass_min, mass_max, edl_min, edl_max = map(list, zip(*envelopes))
     return RunReport(
-        mode="exhaustive",
-        masses=None,
-        edl=None,
-        mass_min=mass_min,
-        mass_max=mass_max,
-        edl_min=edl_min,
-        edl_max=edl_max,
-        outcomes=tuple(canonical_order(states)),
-        trace=trace if config.keep_trace else None,
-        truncation_hit=truncated,
-        nodes=tracker.spent,
+        mode="exhaustive", masses=None, edl=None,
+        mass_min=mass_min, mass_max=mass_max, edl_min=edl_min, edl_max=edl_max,
+        outcomes=levels(), trace=trace, nodes=tracker.spent,
+        truncation_hit=pars.truncate is not None and any(map(pars.truncates, objs)),
     )
 
 
@@ -387,11 +363,7 @@ def drift_harness(
     # `steps` False until it is stepped, then None when it is terminal,
     # else its redex index entry, whose `reducts` keep the reduct of each
     # redex drawn there; a step looks up the number of each image. `acc`
-    # is all 0 between steps. The call takes the state off the system and
-    # puts it back when it returns, so no two calls share one. Before a
-    # trial, and so also at a call's start, past MEMO_LIMIT objects or
-    # redex-index nodes the TermPars, the rank function and the table
-    # start afresh.
+    # is all 0 between steps.
     try:
         held = system._drift.pop()
     except IndexError:  # none kept, or another call has it
@@ -429,13 +401,6 @@ def drift_harness(
                 common = common // g * d
         return num, common * den
 
-    def display_sort(state: list[tuple[int, int]]) -> None:
-        for _, k in state:
-            if keys[k] is None:
-                obj = objs[k]
-                keys[k] = (type(obj).__name__, str(obj))
-        state.sort(key=lambda e: (keys[e[1]], e[0]))
-
     checks = 0
     for trial in range(trials):
         if len(objs) > rewriting.MEMO_LIMIT or len(pars._memo) >= rewriting.MEMO_LIMIT:
@@ -449,9 +414,9 @@ def drift_harness(
         for depth in range(max_depth):
             if not state:
                 break
-            # bind's rule, so each state's unreduced form is that of bind
-            # then merged(): rows are scaled to the running lcm `common` of
-            # their denominators
+            # _step's rule, written out to read each drawn reduct off its
+            # redex index entry: compiled rows would keep every draw's images
+            # for as long as the system keeps the table
             out = []
             common, kept = 1, 0
             for n, j in state:
@@ -493,7 +458,7 @@ def drift_harness(
             # before < after + required * mass, times the positive denominators
             e = e_den * s_den
             if b * a_den * e < (a * e + e_num * s_mass * a_den) * b_den:
-                display_sort(successor)
+                _display_sort(successor, objs, keys)
                 system._drift[:] = (held,)
                 return DriftReport(trial + 1, checks, DriftViolation(
                     trial, depth, _as_mu(state, objs, den, mass), _as_mu(successor, objs, s_den, s_mass),
@@ -501,7 +466,7 @@ def drift_harness(
                 ))
             if depth == last:
                 break  # the state is not read again
-            display_sort(successor)
+            _display_sort(successor, objs, keys)
             state, den, mass, b, b_den = successor, s_den, s_mass, a, a_den
             if len(state) > max_width:
                 state.sort(key=lambda e: (-e[0], keys[e[1]]))
@@ -518,5 +483,34 @@ def _fresh_drift(system: PTRS, cert: Certificate) -> tuple:
     return cert, certified, term_sampler(system.signature), TermPars(system), rank, ({}, [], [], [], [], [])
 
 
+def _table() -> tuple:
+    """An empty step table (number, objs, rows, keys, acc): number(obj)
+    numbers objects in the order met, adding new ones to objs; keys[j] is
+    None until objs[j] is sorted. Every row's images are in the next state,
+    so rows, one per object stepped, are compiled for the objects from
+    len(rows) on before each step."""
+    index, objs, rows, keys, acc = {}, [], [], [], []
+
+    def number(obj: Hashable) -> int:
+        k = index.get(obj)
+        if k is None:
+            k = index[obj] = len(objs)
+            objs.append(obj)
+            keys.append(None)
+            acc.append(0)
+        return k
+
+    return number, objs, rows, keys, acc
+
+
 def _as_mu(state: list[tuple[int, int]], objs: list, den: int, mass: int) -> MultiDistribution:
     return MultiDistribution._unchecked(tuple((n, objs[k]) for n, k in state), den, mass)
+
+
+def _display_sort(state: list[tuple[int, int]], objs: list, keys: list) -> None:
+    """Sort state, a list of (numerator, number), in display_key order;
+    keys[k] holds the (type name, text) of objs[k] once it is first read."""
+    for _, k in state:
+        if keys[k] is None:
+            keys[k] = (type(objs[k]).__name__, str(objs[k]))
+    state.sort(key=lambda e: (keys[e[1]], e[0]))

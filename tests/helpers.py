@@ -62,8 +62,6 @@ from ptrs.simulator import (
     DriftViolation,
     RunConfig,
     RunReport,
-    _hits_truncation,
-    _sorted,
     collapsed,
 )
 from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box
@@ -562,6 +560,72 @@ def brute_force_reducts(
         frontier = successors
         levels.append(canonical_order(frontier))
     return levels
+
+
+def _sorted(mu: MultiDistribution) -> MultiDistribution:
+    """mu with its entries in display_key order; for merged mu, whose
+    objects are distinct, that order is total."""
+    # numerators over one denominator sort as the weights they stand for
+    items = sorted(mu.numerators, key=display_key)
+    return MultiDistribution._unchecked(tuple(items), mu.denominator, mu.mass_numerator)
+
+
+def _hits_truncation(pars: Pars, mu: MultiDistribution) -> bool:
+    return pars.truncate is not None and any(pars.truncates(obj) for _, obj in mu.numerators)
+
+
+def reference_exhaustive(config: RunConfig) -> RunReport:
+    """Exhaustive mode as `simulator.run` took it before it stepped over
+    integer indices: states are multidistributions, hashed by their
+    canonical form, each stepped by `all_steps` and, collapsed, by
+    `collapsed`; each state keeps the first form met. The oracle of the
+    differential test of exhaustive mode."""
+    pars = config.pars
+    tracker = BudgetTracker(config.node_budget)
+    start = MultiDistribution.point(config.start)
+    if config.collapse:
+        start = collapsed(start)
+    states: dict[MultiDistribution, tuple[Fraction, Fraction]] = {start: (Fraction(0), Fraction(0))}
+    mass_min = [start.mass()]
+    mass_max = [start.mass()]
+    edl_min = [Fraction(0)]
+    edl_max = [Fraction(0)]
+    trace: list = [tuple(canonical_order(states))]
+    truncated = _hits_truncation(pars, start)
+    for _ in range(config.steps):
+        successors: dict[MultiDistribution, tuple[Fraction, Fraction]] = {}
+        for state, (lo, hi) in states.items():
+            steps = all_steps(pars, state, tracker)
+            # every successor keeps the mass of the nonterminal entries of state
+            mass = steps[0].mass()
+            reached = (lo + mass, hi + mass)
+            for nu in steps:
+                if config.collapse:
+                    nu = collapsed(nu)
+                old = successors.get(nu)
+                successors[nu] = reached if old is None else (
+                    min(old[0], reached[0]), max(old[1], reached[1]))
+        states = successors
+        mass_min.append(min(s.mass() for s in states))
+        mass_max.append(max(s.mass() for s in states))
+        edl_min.append(min(lo for lo, _ in states.values()))
+        edl_max.append(max(hi for _, hi in states.values()))
+        truncated = truncated or any(_hits_truncation(pars, s) for s in states)
+        if config.keep_trace:
+            trace.append(tuple(canonical_order(states)))
+    return RunReport(
+        mode="exhaustive",
+        masses=None,
+        edl=None,
+        mass_min=mass_min,
+        mass_max=mass_max,
+        edl_min=edl_min,
+        edl_max=edl_max,
+        outcomes=tuple(canonical_order(states)),
+        trace=trace if config.keep_trace else None,
+        truncation_hit=truncated,
+        nodes=tracker.spent,
+    )
 
 
 # The Fraction-per-entry multidistribution step that the integer form

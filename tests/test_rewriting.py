@@ -371,7 +371,7 @@ def test_contraction_reads_the_subject_and_stays_linear():
             for n, rhs_term in rule.rhs.numerators:
                 image = apply_substitution(rhs_term, subst)
                 local[image] = local.get(image, 0) + n
-            got = pars._contract(subject, index, subst)
+            got = pars._contract(subject, index)
             assert got.numerators == tuple((n, image) for image, n in local.items())
             assert got.denominator == rule.rhs.denominator
             contracted += 1
@@ -428,7 +428,7 @@ def test_single_strategy_step_builds_only_the_chosen_reduct(monkeypatch):
     term = nat(50)
     nu = step_multidist(pars, MultiDistribution.point(term), leftmost_innermost)
     # the one redex contracted is the innermost one, at s(0)
-    assert [node for _, node, _, _ in contracted] == [nat(1)]
+    assert [node for _, node, _ in contracted] == [nat(1)]
     steps = pars.redexes(term)
     assert nu == from_distribution(steps[-1].result)
     # reading the chosen step's result again builds nothing new

@@ -3,6 +3,7 @@ import sys
 import threading
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from helpers import (
     reference_all_steps,
     reference_collapsed,
     reference_drift_harness,
+    reference_exhaustive,
     reference_expected_value,
     reference_merged_steps,
     reference_run,
@@ -616,16 +618,17 @@ def test_every_multidistribution_built_is_well_formed(monkeypatch):
         (NondetBranch(), "a", 4),
         (Payout(truncate=5), Stake(0), 8),
     ]
-    # a step builds one multidistribution, so the term systems run enough
-    # starts and steps to record well over 5000 builds
+    # a traced step builds one multidistribution per state, an untraced
+    # run only its outcomes, so the term systems run enough starts and
+    # steps, traced and not, to record well over 5000 builds
     for system in [rw34, coingame] + [random_ptrs(rng) for _ in range(8)]:
         pars = TermPars(system)
         for _ in range(4):
-            cases.append((pars, random_term(system.signature, rng, max_depth=3), 4))
+            cases.append((pars, random_term(system.signature, rng, max_depth=3), 6))
     for pars, start, steps in cases:
         for mode in ("outermost", "innermost", "exhaustive", random_chooser(rng)):
-            for collapse in (False, True):
-                config = RunConfig(pars, start, steps, mode, collapse, node_budget=10**5)
+            for collapse, keep_trace in product((False, True), repeat=2):
+                config = RunConfig(pars, start, steps, mode, collapse, node_budget=10**5, keep_trace=keep_trace)
                 try:
                     run(config)
                 except NodeBudgetExceeded:
@@ -837,6 +840,89 @@ def test_exhaustive_state_counts_are_pinned(pars, start, steps, counts):
         assert [len(level) for level in report.trace] == counts
 
 
+def _exhaustive_cases():
+    """Exhaustive runs as (make, start, steps), `make` building a fresh
+    system, so a run and its oracle share no memo: seeded random_ptrs and
+    looping_ptrs systems from random starts, the three families, with and
+    without a cutoff, rw34 and coingame."""
+    rng = random.Random(4207)
+    cases = []
+    for generate in (random_ptrs, looping_ptrs) * 6:
+        system = generate(rng)
+        cases += [(lambda system=system: TermPars(system),
+                   random_term(system.signature, rng, max_depth=4, variable_pool=()), 3) for _ in range(3)]
+    for name, start, steps in (("rw34", "s(s(s(0)))", 6), ("coingame", "?(s(s(0)))", 7)):
+        system = load_system(str(PROBLEMS / f"{name}.wst"))
+        cases.append((lambda system=system: TermPars(system), TermPars(system).parse_object(start), steps))
+    return cases + [
+        (NondetBranch, "a", 4),
+        (NondetBranch, "c", 2),
+        (Payout, Stake(0), 8),
+        (lambda: Payout(truncate=3), Stake(0), 8),
+        (Payout, 6, 3),
+        (lambda: RandomWalk(F(3, 5)), 4, 6),
+        (lambda: RandomWalk(F(1, 2), truncate=5), 2, 8),
+    ]
+
+
+def _exhaustive_or_budget_depth(runner, make, start, steps, collapse, budget):
+    """runner's traced report, or, when the run passes the node budget, the
+    fewest steps at which it does."""
+    def attempt(depth):
+        return runner(RunConfig(make(), start, depth, "exhaustive", collapse, budget, keep_trace=True))
+
+    try:
+        return attempt(steps)
+    except NodeBudgetExceeded:
+        pass
+    for depth in range(steps + 1):
+        try:
+            attempt(depth)
+        except NodeBudgetExceeded:
+            return depth
+
+
+def test_exhaustive_mode_matches_the_multidistribution_reference():
+    # The integer exhaustive run against the loop over multidistributions
+    # it replaced: every report field, and the text of every traced and
+    # outcome state, which pins each state's entry order; or the depth at
+    # which both pass the node budget.
+    done = stopped = 0
+    for make, start, steps in _exhaustive_cases():
+        for collapse in (False, True):
+            for budget in (1000, 60):
+                got, want = (_exhaustive_or_budget_depth(runner, make, start, steps, collapse, budget)
+                             for runner in (run, reference_exhaustive))
+                if isinstance(want, int):
+                    assert got == want
+                    stopped += 1
+                    continue
+                assert got == want
+                assert [list(map(str, level)) for level in got.trace] == [
+                    list(map(str, level)) for level in want.trace]
+                assert list(map(str, got.outcomes)) == list(map(str, want.outcomes))
+                done += 1
+    assert done > 120 and stopped > 25
+
+
+def test_exhaustive_mode_hashes_no_multidistribution(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("exhaustive mode stepped a multidistribution")
+
+    monkeypatch.setattr(MultiDistribution, "_canonical", forbidden)
+    monkeypatch.setattr(rewriting, "all_steps", forbidden)
+    monkeypatch.setattr(simulator, "all_steps", forbidden)
+    done = 0
+    for make, start, steps in _exhaustive_cases():
+        for collapse in (False, True):
+            try:
+                run(RunConfig(make(), start, steps, "exhaustive", collapse, 2000, keep_trace=True))
+            except NodeBudgetExceeded:
+                continue
+            done += 1
+    assert done > 60
+
+
 def _fold_cases():
     """Collapsed single-strategy runs as (make, start, steps): `make` builds
     a fresh system, so the run and its oracle share no memo. The walk at
@@ -922,15 +1008,20 @@ def test_picks_start_afresh_at_the_memo_limit(monkeypatch):
     for make, start, length, mode in cases:
         pars = make()
         wants.append(run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True)))
-    tables = []  # (objects it started with, table) per table of a run
-    fresh_table = simulator._fresh_table
+    # Each table has its own `acc`, as long as its object list, so a spy on
+    # _step tells the tables apart by it: per table, [acc, the objects it
+    # started with, which are those of its first state, that state, and the
+    # objects it built a row for, which are those it stepped].
+    tables = []
+    step = simulator._step
 
-    def spy(objects):
-        table = fresh_table(objects)
-        tables.append((len(table[1]), table))
-        return table
+    def spy(state, rows, acc, collapse):
+        if not tables or tables[-1][0] is not acc:
+            tables.append([acc, len(state), list(state), set()])
+        tables[-1][3].update(j for _, j in state)
+        return step(state, rows, acc, collapse)
 
-    monkeypatch.setattr(simulator, "_fresh_table", spy)
+    monkeypatch.setattr(simulator, "_step", spy)
     monkeypatch.setattr(rewriting, "MEMO_LIMIT", 3)
     narrow = wide = fresh = 0
     for (make, start, length, mode), want in zip(cases, wants):
@@ -943,16 +1034,17 @@ def test_picks_start_afresh_at_the_memo_limit(monkeypatch):
             want.masses, want.edl, want.nodes, want.truncation_hit)
         assert [_form(mu) for mu in got.outcomes] == [_form(mu) for mu in want.outcomes]
         assert str(got.outcomes[0]) == str(want.outcomes[0])
-        assert tables[0][0] == 1 and tables[0][1][1][0] == first
+        assert tables[0][1:3] == [1, [(1, 0)]]
         assert full == ([3] if len(tables) > 1 else [])
-        for (started, (index, objs, rows)), after in zip(tables, tables[1:] + [None]):
+        for (acc, started, state, stepped), after in zip(tables, tables[1:] + [None]):
             # a table is left only when its objects and the live ones, each
             # listed once in a collapsed state, could pass 3
             if after is not None:
-                assert len(objs) + after[0] > 3
-            assert index == {obj: j for j, obj in enumerate(objs)}
-            assert sum(row is not False for row in rows) <= max(3, started)
-        for started, _ in tables[1:]:
+                assert len(acc) + after[1] > 3
+            # it numbers the live objects first, in state order
+            assert [j for _, j in state] == list(range(started))
+            assert len(stepped) <= max(3, started)
+        for _, started, _, _ in tables[1:]:
             narrow += started <= 3
             wide += started > 3
         fresh += len(tables) - 1
