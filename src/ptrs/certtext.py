@@ -42,15 +42,14 @@ def _arg_names(arity: int) -> list[str]:
 
 
 def _render_poly_rhs(interp: PolyInterpretation, sym: str) -> str:
+    """The largest monomials first, each size in the table's order."""
     names = _arg_names(interp.arity(sym))
-    row = interp.coeffs[sym]
     bits: list[str] = []
-    for V in sorted(row, key=lambda V: (-len(V), sorted(V))):
-        c = row[V]
-        if not V:
+    for indices, c in sorted(interp.table[sym], key=lambda entry: -len(entry[0])):
+        if not indices:
             bits.append(str(c))
             continue
-        vars_part = "*".join(names[i - 1] for i in sorted(V))
+        vars_part = "*".join(names[i] for i in indices)
         bits.append(vars_part if c == 1 else f"{c}*{vars_part}")
     return " + ".join(bits) if bits else "0"
 
@@ -80,10 +79,9 @@ def render_interpretation(interp: Interpretation) -> str:
             head = f"[{sym}]"
             if names:
                 head += "(" + ", ".join(names) + ")"
-            parts = [
-                f"{_render_matrix(M)}*{name}" for M, name in zip(interp.matrices(sym), names)
-            ]
-            parts.append(_render_vector(interp.constant(sym)))
+            mats, const = interp.table[sym]
+            parts = [f"{_render_matrix(M)}*{name}" for M, name in zip(mats, names)]
+            parts.append(_render_vector(const))
             lines.append(f"{head} = {' + '.join(parts)}")
     return "\n".join(lines) + "\n"
 

@@ -10,20 +10,24 @@ coefficients everywhere else, its value at the zero assignment is that
 margin. The minimum margin over all rules bounds the expected derivation
 length from above via the induced ranking function.
 
+An interpretation is its coefficient table, `table`: per symbol, a
+polynomial's nonzero (argument indices from 0, coefficient) pairs by
+monomial size, or a matrix interpretation's argument grids and constant
+vector, with integral coefficients as ints. The constructors check their
+input and build it; `smt.decode` fills a shape's table from a model.
+
 One evaluator, `Differences`, computes rule differences for both the
-checker and the encoder, over plain dicts. It reads each symbol from a
-coefficient table: a polynomial's (argument indices, coefficient) pairs
-by monomial size, or a matrix interpretation's argument grids and
-constant vector. A coefficient is a number when a concrete certificate
-is checked (`NUMBERS`), and the position of a solver unknown when a
-shape is encoded (`UNKNOWNS`); there, values are polynomials over the
-unknowns, dicts from sorted tuples of positions to nonzero ints.
+checker and the encoder, over plain dicts, reading each symbol from such
+a table. A coefficient is a number when a concrete certificate is checked
+(`NUMBERS`: the interpretation's own table), and the position of a solver
+unknown when a shape is encoded (`UNKNOWNS`); there, values are
+polynomials over the unknowns, dicts from sorted tuples of positions to
+nonzero ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from operator import add, mul
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -31,6 +35,8 @@ from .rewriting import PTRS, ProbRule
 from .terms import App, Term, Var, fold_term
 
 Coeff = Any  # Fraction | int
+Matrix = tuple[tuple[Coeff, ...], ...]
+Vector = tuple[Coeff, ...]
 
 
 class DegreeOverflow(ArithmeticError):
@@ -57,14 +63,46 @@ def _by_size(V: frozenset) -> tuple:
     return len(V), sorted(V)
 
 
+def _exact(c: Coeff) -> Coeff:
+    """An integral coefficient as an int; others stay as they are.
+
+    Integer arithmetic is exact and much cheaper than Fraction arithmetic,
+    so values of terms under an all-integer interpretation stay ints.
+    """
+    return c.numerator if c.denominator == 1 else c
+
+
+def _poly_value(monomials: tuple, args: Sequence[Coeff]) -> Coeff:
+    """A polynomial's value from its table row and its argument values."""
+    total = 0
+    for indices, c in monomials:
+        for i in indices:
+            c = c * args[i]
+        total = total + c
+    return total
+
+
+def _matrix_value(entry: tuple, args: Sequence[Vector]) -> Vector:
+    """An affine function's value from its argument matrices, its constant
+    vector and its argument vectors."""
+    mats, out = entry
+    for M, v in zip(mats, args):
+        out = tuple([a + sum(map(mul, row, v)) for a, row in zip(out, M)])
+    return out
+
+
 class PolyInterpretation:
-    """Multilinear polynomial per symbol: sum over V of c_V * prod_{i in V} x_i."""
+    """Multilinear polynomial per symbol: sum over V of c_V * prod_{i in V} x_i.
+
+    `table` maps each symbol to its nonzero (argument indices from 0,
+    coefficient) pairs by monomial size, the constant first, with
+    integral coefficients as ints."""
 
     kind = "poly"
 
     def __init__(self, arities: Mapping[str, int], coeffs: Mapping[str, Mapping[Any, Coeff]]):
         self.arities = dict(arities)
-        table: dict[str, dict[frozenset[int], Coeff]] = {}
+        self.table: dict[str, tuple] = {}
         for sym, arity in self.arities.items():
             row: dict[frozenset[int], Coeff] = {}
             for key, value in coeffs.get(sym, {}).items():
@@ -72,9 +110,18 @@ class PolyInterpretation:
                 if not V <= set(range(1, arity + 1)):
                     raise ValueError(f"monomial {sorted(V)} outside the arguments of {sym}/{arity}")
                 if value != 0:
-                    row[V] = value
-            table[sym] = row
-        self.coeffs = table
+                    row[V] = _exact(value)
+            self.table[sym] = tuple(
+                (tuple(i - 1 for i in sorted(V)), row[V]) for V in sorted(row, key=_by_size)
+            )
+
+    @classmethod
+    def _from_table(cls, arities: dict[str, int], table: dict[str, tuple]) -> "PolyInterpretation":
+        """Wrap a table already in the stored form: every monomial within
+        its symbol's arguments, every coefficient a nonzero int or Fraction."""
+        interp = cls.__new__(cls)
+        interp.arities, interp.table = arities, table
+        return interp
 
     def arity(self, symbol: str) -> int:
         return self.arities[symbol]
@@ -82,53 +129,33 @@ class PolyInterpretation:
     def symbols(self) -> list[str]:
         return sorted(self.arities)
 
-    def coefficient(self, symbol: str, key: Any) -> Coeff:
-        return self.coeffs[symbol].get(_mono(key), Fraction(0))
-
     def apply_values(self, symbol: str, args: Sequence[Coeff]) -> Coeff:
-        total = 0
-        for V, c in self.coeffs[symbol].items():
-            prod = c
-            for i in V:
-                prod = prod * args[i - 1]
-            total = total + prod
-        return total
+        return _poly_value(self.table[symbol], args)
 
     def validate(self) -> list[str]:
         """Nonnegative coefficients plus the monotonicity witnesses c_{i} >= 1."""
         problems: list[str] = []
         for sym in self.symbols():
-            for V, c in sorted(self.coeffs[sym].items(), key=lambda kv: _by_size(kv[0])):
+            linear = {}
+            for indices, c in self.table[sym]:
                 if c < 0:
-                    problems.append(f"[{sym}] has negative coefficient {c} on {_mono_name(V)}")
-            for i in range(1, self.arities[sym] + 1):
-                if self.coefficient(sym, (i,)) < 1:
+                    monomial = "*".join(f"x{i + 1}" for i in indices) or "the constant"
+                    problems.append(f"[{sym}] has negative coefficient {c} on {monomial}")
+                if len(indices) == 1:
+                    linear[indices[0]] = c
+            for i in range(self.arities[sym]):
+                if linear.get(i, 0) < 1:
                     problems.append(
-                        f"[{sym}] is not monotone in argument {i}: "
-                        f"coefficient {self.coefficient(sym, (i,))} < 1"
+                        f"[{sym}] is not monotone in argument {i + 1}: coefficient {linear.get(i, 0)} < 1"
                     )
         return problems
 
 
-def _mono_name(V: frozenset[int]) -> str:
-    if not V:
-        return "the constant"
-    return "*".join(f"x{i}" for i in sorted(V))
-
-
-Matrix = tuple[tuple[Coeff, ...], ...]
-Vector = tuple[Coeff, ...]
-
-
-def _dot(u: Sequence[Coeff], v: Sequence[Coeff]) -> Coeff:
-    total = u[0] * v[0]
-    for j in range(1, len(v)):
-        total = total + u[j] * v[j]
-    return total
-
-
 class MatrixInterpretation:
-    """Affine vector function per symbol: sum of C_i x_i plus a constant."""
+    """Affine vector function per symbol: sum of C_i x_i plus a constant.
+
+    `table` maps each symbol to its argument matrices and constant vector,
+    as tuples, with integral entries as ints."""
 
     kind = "matrix"
 
@@ -142,11 +169,11 @@ class MatrixInterpretation:
             raise ValueError("matrix dimension must be at least 1")
         self.arities = dict(arities)
         self.dim = dim
-        table: dict[str, tuple[tuple[Matrix, ...], Vector]] = {}
+        self.table: dict[str, tuple[tuple[Matrix, ...], Vector]] = {}
         for sym, arity in self.arities.items():
             mats, const = entries[sym]
-            mats = tuple(tuple(tuple(row) for row in M) for M in mats)
-            const = tuple(const)
+            mats = tuple(tuple(tuple(map(_exact, row)) for row in M) for M in mats)
+            const = tuple(map(_exact, const))
             if len(mats) != arity:
                 raise ValueError(f"[{sym}] needs {arity} argument matrices, got {len(mats)}")
             for M in mats:
@@ -154,8 +181,15 @@ class MatrixInterpretation:
                     raise ValueError(f"[{sym}] has a matrix that is not {dim}x{dim}")
             if len(const) != dim:
                 raise ValueError(f"[{sym}] constant vector is not of length {dim}")
-            table[sym] = (mats, const)
-        self.entries = table
+            self.table[sym] = (mats, const)
+
+    @classmethod
+    def _from_table(cls, arities: dict[str, int], dim: int, table: dict[str, tuple]) -> "MatrixInterpretation":
+        """Wrap a table already in the stored form: per symbol, one dim x dim
+        matrix per argument and a constant vector of length dim."""
+        interp = cls.__new__(cls)
+        interp.arities, interp.dim, interp.table = arities, dim, table
+        return interp
 
     def arity(self, symbol: str) -> int:
         return self.arities[symbol]
@@ -163,23 +197,13 @@ class MatrixInterpretation:
     def symbols(self) -> list[str]:
         return sorted(self.arities)
 
-    def matrices(self, symbol: str) -> tuple[Matrix, ...]:
-        return self.entries[symbol][0]
-
-    def constant(self, symbol: str) -> Vector:
-        return self.entries[symbol][1]
-
     def apply_values(self, symbol: str, args: Sequence[Vector]) -> Vector:
-        mats, const = self.entries[symbol]
-        out = const
-        for M, v in zip(mats, args):
-            out = tuple(a + _dot(row, v) for a, row in zip(out, M))
-        return out
+        return _matrix_value(self.table[symbol], args)
 
     def validate(self) -> list[str]:
         problems: list[str] = []
         for sym in self.symbols():
-            mats, const = self.entries[sym]
+            mats, const = self.table[sym]
             for i, M in enumerate(mats, start=1):
                 for r, row in enumerate(M, start=1):
                     for c, value in enumerate(row, start=1):
@@ -306,22 +330,6 @@ UNKNOWNS = Ring({}, {(): 1}, lambda p: {(p,): 1}, _times_unknown, _dot_unknowns,
 _CONSTANT: frozenset[str] = frozenset()
 
 
-def numbers_table(interp: Interpretation) -> dict[str, Any]:
-    """The coefficient table of a concrete interpretation, with integral
-    coefficients as ints: per symbol, a polynomial's (argument indices,
-    coefficient) pairs by monomial size, constant first, or a matrix
-    interpretation's argument grids and constant vector."""
-    if interp.kind == "poly":
-        return {
-            sym: tuple((tuple(i - 1 for i in sorted(V)), _exact(row[V])) for V in sorted(row, key=_by_size))
-            for sym, row in interp.coeffs.items()
-        }
-    return {
-        sym: (tuple(tuple(tuple(map(_exact, row)) for row in M) for M in mats), tuple(map(_exact, const)))
-        for sym, (mats, const) in interp.entries.items()
-    }
-
-
 class Differences:
     """Forms of terms and differences of rules under one coefficient table.
 
@@ -348,7 +356,7 @@ class Differences:
 
     @classmethod
     def checking(cls, interp: Interpretation) -> "Differences":
-        return cls(interp.kind, getattr(interp, "dim", 1), numbers_table(interp), NUMBERS)
+        return cls(interp.kind, getattr(interp, "dim", 1), interp.table, NUMBERS)
 
     def form(self, term: Term) -> Any:
         return fold_term(term, self._variable, self._apply, self._memo)
@@ -481,19 +489,6 @@ def _margin(entries: list[tuple[str, Any, bool]], d: int) -> Fraction:
     return Fraction(margin, d)
 
 
-def orientation_margin(interp: Interpretation, rule: ProbRule) -> Fraction:
-    """The rule's constant margin, or NotOriented with the offending entry.
-
-    Soundness rests on absolute positiveness: every non-constant coefficient
-    of the difference is nonnegative, so the difference is minimized at the
-    zero assignment, where it equals the returned constant.
-
-    The signs are read off the difference times the rule's denominator
-    d > 0 (`Differences.entries`); each value reported is divided back by d.
-    """
-    return _margin(Differences.checking(interp).entries(rule), rule.rhs.denominator)
-
-
 class Certificate(NamedTuple):
     interpretation: Interpretation
     margins: tuple[Fraction, ...]
@@ -535,32 +530,6 @@ def check_certificate(interp: Interpretation, system: PTRS) -> Certificate:
     return Certificate(interp, tuple(margins), min(margins))
 
 
-def _exact(c: Coeff) -> Coeff:
-    """An integral coefficient as an int; others stay as they are.
-
-    Integer arithmetic is exact and much cheaper than Fraction arithmetic,
-    so values of terms under an all-integer interpretation stay ints.
-    """
-    return c.numerator if c.denominator == 1 else c
-
-
-def _int_coefficients(interp: Interpretation) -> Interpretation:
-    """A copy of a concrete interpretation with every coefficient `_exact`."""
-    if interp.kind == "poly":
-        return PolyInterpretation(
-            interp.arities,
-            {sym: {V: _exact(c) for V, c in row.items()} for sym, row in interp.coeffs.items()},
-        )
-    return MatrixInterpretation(
-        interp.arities,
-        interp.dim,
-        {
-            sym: ([[[_exact(c) for c in row] for row in M] for M in mats], [_exact(c) for c in const])
-            for sym, (mats, const) in interp.entries.items()
-        },
-    )
-
-
 def ranking_from_certificate(
     cert: Certificate,
 ) -> tuple[Callable[[Term], int | Fraction], Fraction]:
@@ -575,42 +544,20 @@ def ranking_from_certificate(
     Epsilon is always a Fraction (a certificate built in code may hold an
     int margin), so a rank divided by it is a Fraction, never a float.
 
-    Each symbol is read once into a table: (coefficient, argument indices)
-    per monomial, or the constant vector and each row of the argument
-    matrices side by side. The returned rank function walks a term without
-    recursion and remembers the value of every subterm it has evaluated,
-    so a reduct that shares most of its structure with terms ranked before
-    costs only its new spine, and a term ranked before costs one lookup.
+    The rank reads the interpretation's table, whose integral coefficients
+    are ints. It walks a term without recursion and remembers the value of
+    every subterm it has evaluated, so a reduct that shares most of its
+    structure with terms ranked before costs only its new spine, and a
+    term ranked before costs one lookup.
     """
-    interp = _int_coefficients(cert.interpretation)
+    interp = cert.interpretation
+    tables = interp.table
     if interp.kind == "poly":
-        tables = {
-            sym: tuple((c, tuple(i - 1 for i in sorted(V))) for V, c in row.items())
-            for sym, row in interp.coeffs.items()
-        }
         zero: Any = 0
-
-        def apply(monomials: tuple, args: list) -> Any:
-            total = 0
-            for c, indices in monomials:
-                for i in indices:
-                    c = c * args[i]
-                total = total + c
-            return total
-
+        apply = _poly_value
     else:
-        tables = {
-            sym: (const, tuple(tuple(chain.from_iterable(M[r] for M in mats)) for r in range(interp.dim)))
-            for sym, (mats, const) in interp.entries.items()
-        }
         zero = (0,) * interp.dim
-
-        def apply(table: tuple, args: list) -> Any:
-            const, rows = table
-            if not args:
-                return const
-            flat = args[0] if len(args) == 1 else tuple(chain.from_iterable(args))
-            return tuple([c + sum(map(mul, row, flat)) for c, row in zip(const, rows)])
+        apply = _matrix_value
 
     values: dict[Term, Any] = {}
     lookup = values.get

@@ -71,6 +71,11 @@ def _attempt(
 ) -> tuple[ShapeOutcome, Certificate | None]:
     """Encode, solve, decode and check one shape: in process with box budget
     `limit` (see `in_process_limit`), else by `config.solver` as a child.
+    The encoding takes no bound; the set is searched or emitted, and a
+    model decoded, with every coefficient at most `config.coeff_bound`.
+    `decode` fills the encoding's coefficient table with the model, and
+    that table is the interpretation `check_certificate` reads: no
+    constructor runs and no coefficient is copied.
     In process and with no script to emit, a shape whose box `box_floor`
     already puts over `limit` gets the box solver's `unknown` without being
     encoded, and `note(shape, floor, limit)` is told. A constraint set in
@@ -87,7 +92,7 @@ def _attempt(
         result = SolverResult("unknown", detail="solver answered unknown")
     else:
         try:
-            encoded = encode(system, shape, config.coeff_bound)
+            encoded = encode(system, shape)
         except DegreeOverflow as exc:
             return ShapeOutcome(shape, "degree-overflow", str(exc)), None
         except EncodingError as exc:
@@ -95,7 +100,7 @@ def _attempt(
         result = _solve(encoded.constraint_set, shape, config, cancel, limit, unsat_sets)
     if result.status == "sat":
         try:
-            interp = decode(encoded, result.model or {})
+            interp = decode(encoded, result.model or {}, config.coeff_bound)
         except ModelDecodeError as exc:
             return ShapeOutcome(shape, "solver-error", f"unusable model: {exc}"), None
         try:
@@ -120,17 +125,18 @@ def _solve(cs, shape, config, cancel, limit, unsat_sets) -> SolverResult:
     """The answer on one encoded shape's constraint set `cs`, with its
     script written when `config.emit_smt` asks (see `_attempt`)."""
     if limit is None or config.emit_smt is not None:
-        script = emit_smtlib(cs)
+        script = emit_smtlib(cs, config.coeff_bound)
     if config.emit_smt is not None:
         os.makedirs(config.emit_smt, exist_ok=True)
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
-    # equal sets emit equal scripts
+    # equal sets emit equal scripts at one bound; `unsat_sets` lives for one
+    # `prove` call, whose attempts all search at `config.coeff_bound`
     key = (tuple(cs.unknowns), tuple(cs.constraints)) if unsat_sets is not None else None
     if key is not None and key in unsat_sets:
         return SolverResult("unsat")
     if limit is not None:
-        result = solve_box(cs, limit, timeout=config.timeout, cancel=cancel)
+        result = solve_box(cs, config.coeff_bound, limit, timeout=config.timeout, cancel=cancel)
     else:
         result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
     if key is not None and result.status == "unsat":

@@ -8,9 +8,13 @@ clearing denominators: with weights wj = pj * w,
 with w the rule's denominator, must keep every entry that
 `interpretations.Differences.entries` lists at 0 or more, and its constant
 margin at 1 or more, which makes the rational margin at least 1/w. Each
-coefficient of the shape is an unknown over a bounded integer box,
-0..bound; `coefficient_table` lays them out once per encoding, and
-`decode` fills the same table with a model's values.
+coefficient of the shape is an integer unknown with a lower end, 0 or 1;
+`coefficient_table` lays them out once per encoding, and `decode` fills
+the same table with a model's values, which is then the interpretation.
+The upper end of every unknown, the coefficient bound, is no part of the
+encoding: it is given when a set is searched (`ConstraintSet.search_args`,
+`solve_box`), emitted (`emit_smtlib`) or a model decoded (`decode`), so
+one encoding serves every bound.
 
 A polynomial over the unknowns has one form from the encoder to the
 search: a dict from monomials, sorted tuples of unknown positions in
@@ -81,7 +85,6 @@ class Poly:
 class UnknownSpec(NamedTuple):
     name: str
     lo: int = 0
-    hi: int = 16
 
 
 class Constraint:
@@ -111,11 +114,11 @@ class ConstraintSet(NamedTuple):
     unknowns: list[UnknownSpec]
     constraints: list[Constraint]
 
-    def search_args(self) -> tuple[list[int], list[int], list]:
-        """The set as `boxsolver.solve_sums` takes it: (lo, hi, constraints)."""
+    def search_args(self, bound: int) -> tuple[list[int], list[int], list]:
+        """The set with every unknown at most `bound`, as
+        `boxsolver.solve_sums` takes it: (lo, hi, constraints)."""
         lo = [spec.lo for spec in self.unknowns]
-        hi = [spec.hi for spec in self.unknowns]
-        return lo, hi, [(c.poly.terms, c.at_least) for c in self.constraints]
+        return lo, [bound] * len(lo), [(c.poly.terms, c.at_least) for c in self.constraints]
 
 
 class Shape(NamedTuple):
@@ -161,9 +164,9 @@ def _subsets(indices: Sequence[int], max_size: int) -> list[tuple[int, ...]]:
     return out
 
 
-def coefficient_table(system: PTRS, shape: Shape, bound: int) -> tuple[list[UnknownSpec], dict]:
-    """The shape's coefficients, each a new unknown over lo..bound, and the
-    table of `interpretations.Differences` that reads them: per symbol, a
+def coefficient_table(system: PTRS, shape: Shape) -> tuple[list[UnknownSpec], dict]:
+    """The shape's coefficients, each a new unknown with its lower end, and
+    the table of `interpretations.Differences` that reads them: per symbol, a
     polynomial's (argument indices, position) pairs by monomial size, or a
     matrix's argument grids and constant vector of positions. Unknowns are
     declared in this order: symbols by name, then a polynomial's monomials
@@ -171,7 +174,7 @@ def coefficient_table(system: PTRS, shape: Shape, bound: int) -> tuple[list[Unkn
     unknowns: list[UnknownSpec] = []
 
     def unknown(name: str, lo: int) -> int:
-        unknowns.append(UnknownSpec(name, lo, bound))
+        unknowns.append(UnknownSpec(name, lo))
         return len(unknowns) - 1
 
     n = shape.param
@@ -193,7 +196,7 @@ def coefficient_table(system: PTRS, shape: Shape, bound: int) -> tuple[list[Unkn
     return unknowns, table
 
 
-def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
+def encode(system: PTRS, shape: Shape) -> EncodedProblem:
     """Orientation constraints for the whole system under the shape's
     coefficient table: one per entry of each rule's difference.
 
@@ -202,7 +205,7 @@ def encode(system: PTRS, shape: Shape, bound: int = 16) -> EncodedProblem:
     """
     if not system.rules:
         raise EncodingError("system has no rules")
-    unknowns, table = coefficient_table(system, shape, bound)
+    unknowns, table = coefficient_table(system, shape)
     cap = shape.param if shape.kind == "poly" else None
     differences = Differences(shape.kind, shape.param, table, UNKNOWNS, cap)
     constraints: list[Constraint] = []
@@ -238,15 +241,16 @@ def poly_sexpr(poly: Poly, names: Sequence[str]) -> str:
     return "(+ " + " ".join(bits) + ")"
 
 
-def emit_smtlib(cs: ConstraintSet) -> str:
-    """Deterministic rendering: identical input gives identical bytes."""
+def emit_smtlib(cs: ConstraintSet, bound: int) -> str:
+    """The set with every unknown at most `bound`. Deterministic rendering:
+    identical input gives identical bytes."""
     nonlinear = any(len(m) > 1 for c in cs.constraints for m in c.poly.terms)
     lines = [f"(set-logic {'QF_NIA' if nonlinear else 'QF_LIA'})"]
     for spec in cs.unknowns:
         lines.append(f"(declare-const {spec.name} Int)")
     for spec in cs.unknowns:
         lines.append(f"(assert (>= {spec.name} {spec.lo}))")
-        lines.append(f"(assert (<= {spec.name} {spec.hi}))")
+        lines.append(f"(assert (<= {spec.name} {bound}))")
     names = [spec.name for spec in cs.unknowns]
     for constraint in cs.constraints:
         lines.append(f"(assert (>= {poly_sexpr(constraint.poly, names)} {constraint.at_least}))")
@@ -370,7 +374,7 @@ def run_solver(
 
 def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
     """A lower bound on the points of the box the box solver compares with
-    its budget (`boxsolver.narrow`) for `encode(system, shape, bound)`'s set,
+    its budget (`boxsolver.narrow`) for `encode(system, shape)`'s set at `bound`,
     counted from the arities with no table or constraint built; None
     when `encode` may raise instead (no rules, or a coefficient on a product
     of two or more arguments, which can overflow the degree cap).
@@ -395,10 +399,10 @@ def box_floor(system: PTRS, shape: Shape, bound: int) -> int | None:
 
 
 def solve_box(
-    cs: ConstraintSet, limit: int, timeout: float = 60.0, cancel: CancelToken | None = None
+    cs: ConstraintSet, bound: int, limit: int, timeout: float = 60.0, cancel: CancelToken | None = None
 ) -> SolverResult:
     """What `run_solver` reads from `python -m ptrs.boxsolver --limit LIMIT`
-    given the constraint set's script, found in process with no script
+    given `emit_smtlib(cs, bound)`, found in process with no script
     written or read. The search stops on timeout or cancel, and the outcome
     is the one the killed child gives."""
     deadline = monotonic() + timeout
@@ -406,7 +410,7 @@ def solve_box(
     def stop() -> bool:
         return (cancel is not None and cancel.cancelled) or monotonic() > deadline
 
-    status, values = solve_sums(*cs.search_args(), limit, stop)
+    status, values = solve_sums(*cs.search_args(bound), limit, stop)
     if monotonic() > deadline:
         return SolverResult("unknown", detail=f"solver timed out after {timeout}s")
     if cancel is not None and cancel.cancelled:
@@ -499,9 +503,11 @@ def parse_model(text: str) -> dict[str, Fraction]:
     return model
 
 
-def decode(encoded: EncodedProblem, model: Mapping[str, int | Fraction]) -> Interpretation:
-    """The shape's interpretation with every unknown at its model value;
-    a value that is missing, not an integer or off the box is rejected."""
+def decode(encoded: EncodedProblem, model: Mapping[str, int | Fraction], bound: int) -> Interpretation:
+    """The shape's interpretation: its table with every unknown at its model
+    value, a polynomial's zeros dropped. A value that is missing, not an
+    integer or off the box lo..bound is rejected. The table is in the form
+    the constructors store, so it is wrapped without their checks."""
     values: list[int] = []
     for spec in encoded.constraint_set.unknowns:
         if spec.name not in model:
@@ -512,19 +518,18 @@ def decode(encoded: EncodedProblem, model: Mapping[str, int | Fraction]) -> Inte
             if value.denominator != 1:
                 raise ModelDecodeError(f"{spec.name} = {value} is not an integer")
             value = value.numerator
-        if not spec.lo <= value <= spec.hi:
-            raise ModelDecodeError(f"{spec.name} = {value} outside box {spec.lo}..{spec.hi}")
+        if not spec.lo <= value <= bound:
+            raise ModelDecodeError(f"{spec.name} = {value} outside box {spec.lo}..{bound}")
         values.append(value)
     arities = {sym: encoded.system.signature.arity(sym) for sym in encoded.table}
     if encoded.shape.kind == "poly":
-        return PolyInterpretation(
-            arities, {sym: {tuple(i + 1 for i in V): values[p] for V, p in row} for sym, row in encoded.table.items()}
+        table = {sym: tuple((V, values[p]) for V, p in row if values[p]) for sym, row in encoded.table.items()}
+        return PolyInterpretation._from_table(arities, table)
+    table = {
+        sym: (
+            tuple(tuple(tuple(values[p] for p in row) for row in grid) for grid in grids),
+            tuple(values[p] for p in const),
         )
-    return MatrixInterpretation(
-        arities,
-        encoded.shape.param,
-        {
-            sym: ([[[values[p] for p in row] for row in grid] for grid in grids], [values[p] for p in const])
-            for sym, (grids, const) in encoded.table.items()
-        },
-    )
+        for sym, (grids, const) in encoded.table.items()
+    }
+    return MatrixInterpretation._from_table(arities, encoded.shape.param, table)

@@ -23,11 +23,13 @@ from ptrs.boxsolver import narrow
 from ptrs.interpretations import (
     Coeff,
     DegreeOverflow,
+    Differences,
     Interpretation,
     Matrix,
     MatrixInterpretation,
     PolyInterpretation,
     Vector,
+    _margin,
     check_certificate,
     ranking_from_certificate,
 )
@@ -194,9 +196,21 @@ class VecForm:
 Form = PolyForm | VecForm
 
 
-def apply_form(interp: Interpretation, symbol: str, args: Sequence[Form], cap: int | None) -> Form:
+def coefficients(interp: Interpretation) -> dict:
+    """The coefficients of `interp` as the tests read them: per symbol, a
+    polynomial's {frozenset of argument numbers from 1: coefficient}, or a
+    matrix interpretation's (argument matrices, constant vector)."""
     if interp.kind == "poly":
-        row = interp.coeffs[symbol]
+        return {
+            sym: {frozenset(i + 1 for i in indices): c for indices, c in row}
+            for sym, row in interp.table.items()
+        }
+    return dict(interp.table)
+
+
+def apply_form(interp: Interpretation, row: Any, args: Sequence[Form], cap: int | None) -> Form:
+    """The form of one symbol's application, from its `coefficients` row."""
+    if interp.kind == "poly":
         total = PolyForm({frozenset(): row.get(frozenset(), 0)}, cap)
         for V, c in sorted(row.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))):
             if not V:
@@ -206,7 +220,7 @@ def apply_form(interp: Interpretation, symbol: str, args: Sequence[Form], cap: i
                 prod = args[i - 1] if prod is None else prod.mul(args[i - 1])
             total = total.add(prod.scale(c))
         return total
-    mats, const = interp.entries[symbol]
+    mats, const = row
     out = VecForm({}, const, interp.dim)
     for M, form in zip(mats, args):
         coeffs = {v: _mat_mat(M, B) for v, B in form.coeffs.items()}
@@ -216,6 +230,7 @@ def apply_form(interp: Interpretation, symbol: str, args: Sequence[Form], cap: i
 
 def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) -> Form:
     """A term as a form over its variables; the cap bounds monomial degree."""
+    rows = coefficients(interp)
 
     def variable(var: Var) -> Form:
         if interp.kind == "poly":
@@ -226,7 +241,7 @@ def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) ->
     def apply(node: App, args: list[Form]) -> Form:
         if node.symbol not in interp.arities:
             raise KeyError(f"no interpretation for symbol {node.symbol!r}")
-        return apply_form(interp, node.symbol, args, cap)
+        return apply_form(interp, rows[node.symbol], args, cap)
 
     return fold_term(term, variable, apply)
 
@@ -261,25 +276,28 @@ def template(system: PTRS, shape: Shape, coefficient) -> Interpretation:
     size, or a matrix's argument matrices row by row and its constant."""
     symbols = sorted(system.signature.symbols().items())
     n = shape.param
+    # the table is built here, as `smt.decode` builds its own, since the
+    # constructors take numbers only
+    table: dict = {}
     if shape.kind == "poly":
-        coeffs: dict = {}
         for index, (sym, arity) in enumerate(symbols):
-            row: dict = {}
+            row = []
             subsets = [()] + [V for size in range(1, n + 1) for V in combinations(range(1, arity + 1), size)]
             for V in subsets:
                 tag = "k" if not V else "_".join(str(i) for i in V)
-                row[frozenset(V)] = coefficient(f"c{index}_{tag}", 1 if len(V) == 1 else 0)
-            coeffs[sym] = row
-        return PolyInterpretation(dict(symbols), coeffs)
-    entries: dict = {}
+                c = coefficient(f"c{index}_{tag}", 1 if len(V) == 1 else 0)
+                if not _is_zero(c):
+                    row.append((tuple(i - 1 for i in V), c))
+            table[sym] = tuple(row)
+        return PolyInterpretation._from_table(dict(symbols), table)
     for index, (sym, arity) in enumerate(symbols):
-        mats = [
-            [[coefficient(f"m{index}_a{arg}_{r}_{c}", 1 if r == c == 1 else 0) for c in range(1, n + 1)]
-             for r in range(1, n + 1)]
+        mats = tuple(
+            tuple(tuple(coefficient(f"m{index}_a{arg}_{r}_{c}", 1 if r == c == 1 else 0) for c in range(1, n + 1))
+                  for r in range(1, n + 1))
             for arg in range(1, arity + 1)
-        ]
-        entries[sym] = (mats, [coefficient(f"m{index}_k_{r}", 0) for r in range(1, n + 1)])
-    return MatrixInterpretation(dict(symbols), n, entries)
+        )
+        table[sym] = (mats, tuple(coefficient(f"m{index}_k_{r}", 0) for r in range(1, n + 1)))
+    return MatrixInterpretation._from_table(dict(symbols), n, table)
 
 
 def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = None) -> Form:
@@ -292,6 +310,19 @@ def rule_difference(interp: Interpretation, rule: ProbRule, cap: int | None = No
         part = symbolic_eval(interp, term, cap).scale(p)
         expected = part if expected is None else expected.add(part)
     return lhs.sub(expected)
+
+
+def orientation_margin(interp: Interpretation, rule: ProbRule) -> Fraction:
+    """The rule's constant margin, or NotOriented with the offending entry.
+
+    Soundness rests on absolute positiveness: every non-constant coefficient
+    of the difference is nonnegative, so the difference is minimized at the
+    zero assignment, where it equals the returned constant.
+
+    The signs are read off the difference times the rule's denominator
+    d > 0 (`Differences.entries`); each value reported is divided back by d.
+    """
+    return _margin(Differences.checking(interp).entries(rule), rule.rhs.denominator)
 
 
 def reference_orientation(interp: Interpretation, system: PTRS) -> list[Fraction | str]:
@@ -498,13 +529,14 @@ def evaluate(poly: Poly, point: Sequence[int]) -> int:
     return total
 
 
-def enumerate_box(cs: ConstraintSet, limit: int | None = None) -> Iterator[dict[str, int]]:
-    """Exhaustive models of the constraint set within its integer box.
+def enumerate_box(cs: ConstraintSet, bound: int, limit: int | None = None) -> Iterator[dict[str, int]]:
+    """Exhaustive models of the constraint set with every unknown from its
+    lower end to `bound`.
 
     Independent of any solver; the test oracle for small bounds.
     """
     names = [spec.name for spec in cs.unknowns]
-    ranges = [range(spec.lo, spec.hi + 1) for spec in cs.unknowns]
+    ranges = [range(spec.lo, bound + 1) for spec in cs.unknowns]
     count = 1
     for r in ranges:
         count *= len(r)
@@ -525,16 +557,16 @@ def prove_encoding_every_shape(system: PTRS, config: ProverConfig) -> Verdict:
     outcomes = []
     for shape in config.shapes:
         try:
-            encoded = encode(system, shape, config.coeff_bound)
+            encoded = encode(system, shape)
         except DegreeOverflow as exc:
             outcomes.append(ShapeOutcome(shape, "degree-overflow", str(exc)))
             continue
-        if box_points(encoded.constraint_set) > limit:
+        if box_points(encoded.constraint_set, config.coeff_bound) > limit:
             outcomes.append(ShapeOutcome(shape, "unknown", "solver answered unknown"))
             continue
-        result = solve_box(encoded.constraint_set, limit, timeout=config.timeout)
+        result = solve_box(encoded.constraint_set, config.coeff_bound, limit, timeout=config.timeout)
         if result.status == "sat":
-            cert = check_certificate(decode(encoded, result.model), system)
+            cert = check_certificate(decode(encoded, result.model, config.coeff_bound), system)
             outcomes.append(ShapeOutcome(shape, "proved", f"epsilon = {cert.epsilon}"))
             return Verdict("YES", cert, shape, tuple(outcomes))
         if result.status == "unsat":
@@ -869,10 +901,11 @@ def stepping_drift_harness(
 
 
 @functools.lru_cache(maxsize=None)
-def proved_certificates(seed: int = 20261019, count: int = 40) -> tuple[tuple[PTRS, str], ...]:
-    """(system, certificate text) of every YES that `prove` with the box
-    solver, at coefficient bounds 1 and 2, gives on seeded `random_ptrs`
-    systems; the text is the certificate `prove --json` prints."""
+def proved_certificates(seed: int = 20261019, count: int = 40) -> tuple[tuple[PTRS, str, Interpretation], ...]:
+    """(system, certificate text, interpretation) of every YES that `prove`
+    with the box solver, at coefficient bounds 1 and 2, gives on seeded
+    `random_ptrs` systems; the text is the certificate `prove --json`
+    prints, and the interpretation the one `smt.decode` built."""
     rng = random.Random(seed)
     proved = []
     for _ in range(count):
@@ -880,7 +913,8 @@ def proved_certificates(seed: int = 20261019, count: int = 40) -> tuple[tuple[PT
         for bound in (1, 2):
             verdict = prove(system, ProverConfig(solver=BOXSOLVER, coeff_bound=bound))
             if verdict.kind == "YES":
-                proved.append((system, verdict_json(verdict, system)["certificate"]))
+                text = verdict_json(verdict, system)["certificate"]
+                proved.append((system, text, verdict.certificate.interpretation))
     return tuple(proved)
 
 
@@ -1086,9 +1120,9 @@ def subterm_positions(term: Term) -> list[Position]:
     return out
 
 
-def box_points(cs: ConstraintSet) -> int:
+def box_points(cs: ConstraintSet, bound: int) -> int:
     """The number of points the box solver compares with its budget."""
-    lo, hi, constraints = cs.search_args()
+    lo, hi, constraints = cs.search_args(bound)
     return prod(max(0, h - l + 1) for l, h in zip(narrow(lo, constraints), hi))
 
 

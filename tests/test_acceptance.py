@@ -260,9 +260,9 @@ def test_criterion_09_soundness_guard():
     )
     assert verdict.kind == "MAYBE"  # never YES
     assert all(o.status in ("unsat", "unknown") for o in verdict.outcomes)
+    encoded = encode(system, Shape("poly", 1))
     for bound in (1, 2):
-        encoded = encode(system, Shape("poly", 1), bound=bound)
-        assert list(enumerate_box(encoded.constraint_set)) == []
+        assert list(enumerate_box(encoded.constraint_set, bound)) == []
     _passed(9, "upward walk never proves YES; linear box B <= 2 is empty")
 
 

@@ -78,8 +78,9 @@ def _shipped_scripts():
     for name in ("coingame", "matrix", "rw14", "rw34"):
         system = load_system(str(PROBLEMS / f"{name}.wst"))
         for shape in DEFAULT_SHAPES:
+            cs = encode(system, shape).constraint_set
             for bound in (1, 2, 16):
-                yield emit_smtlib(encode(system, shape, bound).constraint_set)
+                yield emit_smtlib(cs, bound)
 
 
 # str.isspace() characters beyond ASCII, and a zero-width space, which is not one
@@ -262,16 +263,16 @@ def test_search_answers_like_enumerating_the_box():
     for _ in range(30):
         system = random_ptrs(rng)
         for shape in DEFAULT_SHAPES:
+            try:
+                cs = encode(system, shape).constraint_set
+            except DegreeOverflow:
+                continue
             for bound in (1, 2):
-                try:
-                    cs = encode(system, shape, bound).constraint_set
-                except DegreeOverflow:
-                    continue
-                text = emit_smtlib(cs)
+                text = emit_smtlib(cs, bound)
                 reply = solve(text, limit)
                 assert reply == _enumerated(text, limit), (shape, bound, text)
                 # the same answer from the constraint set, with no script
-                assert solve_box(cs, limit) == _read_reply("".join(line + "\n" for line in reply), "", 0)
+                assert solve_box(cs, bound, limit) == _read_reply("".join(line + "\n" for line in reply), "", 0)
                 statuses.append(reply[0])
     for _ in range(400):
         text = _hand_built_script(rng)
@@ -291,21 +292,21 @@ def test_a_script_reads_into_the_polynomials_it_was_emitted_from():
     for system in systems:
         for shape in DEFAULT_SHAPES:
             try:
-                cs = encode(system, shape, 2).constraint_set
+                cs = encode(system, shape).constraint_set
             except DegreeOverflow:
                 continue
             index = {spec.name: i for i, spec in enumerate(cs.unknowns)}
-            asserts = [node[1] for node in parse_script(emit_smtlib(cs)) if node[0] == "assert"]
+            asserts = [node[1] for node in parse_script(emit_smtlib(cs, 2)) if node[0] == "assert"]
             # the first two assertions of each unknown are its bounds
             read = [constraint for node in asserts[2 * len(index) :] for constraint in read_assertion(node, index)]
-            in_process = cs.search_args()[2]
+            in_process = cs.search_args(2)[2]
             assert read == [({m: c for m, c in poly.items() if m}, k - poly.get((), 0)) for poly, k in in_process]
 
 
 def test_search_prunes_the_box():
     # the poly-linear box of matrix.wst at bound 16 holds 73,984 points and
     # no model; enumerating it took seconds
-    text = emit_smtlib(encode(load_system(str(PROBLEMS / "matrix.wst")), DEFAULT_SHAPES[0], 16).constraint_set)
+    text = emit_smtlib(encode(load_system(str(PROBLEMS / "matrix.wst")), DEFAULT_SHAPES[0]).constraint_set, 16)
     visited = []
     assert solve(text, stop=lambda: visited.append(1) or False) == ["unsat"]
     assert len(visited) == 1  # the root: fewer than 1024 nodes
@@ -323,9 +324,9 @@ def test_the_search_visits_as_many_nodes_as_before(name, shape, status, model, a
     # boxes of 10^13 points and more at bound 16, searched with the budget
     # lifted; `stop` is asked at the root and every 1024 nodes, so looser
     # pruning shows as more calls
-    cs = encode(load_system(str(PROBLEMS / f"{name}.wst")), parse_shape(shape), 16).constraint_set
+    cs = encode(load_system(str(PROBLEMS / f"{name}.wst")), parse_shape(shape)).constraint_set
     calls = []
-    assert solve_sums(*cs.search_args(), box_points(cs), lambda: calls.append(1) or False) == (status, model)
+    assert solve_sums(*cs.search_args(16), box_points(cs, 16), lambda: calls.append(1) or False) == (status, model)
     assert len(calls) == asked
 
 
@@ -447,7 +448,7 @@ def test_box_solver_raises_only_script_errors():
     for _ in range(8):
         system = random_ptrs(rng)
         for shape in (DEFAULT_SHAPES[0], DEFAULT_SHAPES[2]):
-            scripts.append(emit_smtlib(encode(system, shape, 1).constraint_set))
+            scripts.append(emit_smtlib(encode(system, shape).constraint_set, 1))
     answers = set()
     for _ in range(3000):
         text = _mutated(rng, rng.choice(scripts))

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    coefficients,
     items,
+    orientation_margin,
     poly_form_value,
     rand_matrix_interp,
     rand_poly_interp,
@@ -29,8 +31,6 @@ from ptrs.interpretations import (
     PolyInterpretation,
     check_certificate,
     eval_term,
-    numbers_table,
-    orientation_margin,
     ranking_from_certificate,
 )
 from ptrs.multidist import FiniteDistribution
@@ -107,7 +107,7 @@ def test_eval_term_matrix():
 
 def symbolic_eval(interp, term, cap=None):
     """The form of `term` under a concrete interpretation."""
-    return Differences(interp.kind, getattr(interp, "dim", 1), numbers_table(interp), NUMBERS, cap).form(term)
+    return Differences(interp.kind, getattr(interp, "dim", 1), interp.table, NUMBERS, cap).form(term)
 
 
 def test_symbolic_eval_poly_forms():
@@ -223,8 +223,7 @@ def test_check_certificate_collects_all_problems():
     system = elaborate(parse_problem(COINGAME))
     broken = PolyInterpretation(
         COIN_INTERP.arities,
-        {**{s: dict(COIN_INTERP.coeffs[s]) for s in COIN_INTERP.arities},
-         "?": {(): 0, (1,): 7}},
+        {**coefficients(COIN_INTERP), "?": {(): 0, (1,): 7}},
     )
     with pytest.raises(CertificateInvalid) as err:
         check_certificate(broken, system)
@@ -260,11 +259,10 @@ def _symbols(term) -> set[str]:
 def _shift_root_constant(interp, symbol, delta):
     """`interp` with `delta` added to the constant (the first component of
     the constant vector) of `symbol`."""
+    entries = coefficients(interp)
     if interp.kind == "poly":
-        coeffs = {sym: dict(row) for sym, row in interp.coeffs.items()}
-        coeffs[symbol][frozenset()] = coeffs[symbol].get(frozenset(), 0) + delta
-        return PolyInterpretation(interp.arities, coeffs)
-    entries = dict(interp.entries)
+        entries[symbol][frozenset()] = entries[symbol].get(frozenset(), 0) + delta
+        return PolyInterpretation(interp.arities, entries)
     mats, const = entries[symbol]
     entries[symbol] = (mats, (const[0] + delta,) + const[1:])
     return MatrixInterpretation(interp.arities, interp.dim, entries)
@@ -295,9 +293,9 @@ def _near_zero(interp, system, rng):
 
 def _coefficients(interp):
     if interp.kind == "poly":
-        return [c for row in interp.coeffs.values() for c in row.values()]
-    return [c for mats, const in interp.entries.values() for M in mats for row in M for c in row] + \
-        [c for _, const in interp.entries.values() for c in const]
+        return [c for row in coefficients(interp).values() for c in row.values()]
+    return [c for mats, const in coefficients(interp).values() for M in mats for row in M for c in row] + \
+        [c for _, const in coefficients(interp).values() for c in const]
 
 
 def _point(rng, interp, term):
@@ -375,7 +373,8 @@ def test_check_certificate_matches_the_per_rule_fraction_route():
                 seen["margin 0"] += " margin is 0, " in e
                 seen["negative"] += e.endswith(", negative")
                 seen["squared"] += "would be squared" in e
-        seen["degree 3"] += any(len(V) == 3 for row in getattr(interp, "coeffs", {}).values() for V in row)
+        if interp.kind == "poly":
+            seen["degree 3"] += any(len(V) == 3 for row in coefficients(interp).values() for V in row)
     assert min(seen[k] for k in ("margin <= 1", "margin 0", "negative")) >= 30, seen
     assert seen["certified"] >= 40 and seen["not strictly positive"] >= 100 and seen["squared"] >= 3, seen
     assert seen["degree 3"] >= 15, seen
@@ -470,8 +469,8 @@ def test_rank_memo_matches_fresh_evaluation():
 
 
 def test_ranks_equal_fraction_evaluation():
-    # ranking_from_certificate evaluates integral coefficients as ints; the
-    # oracle is eval_term on the certificate's own Fraction interpretation.
+    # an interpretation stores integral coefficients as ints, so ranks under
+    # one are ints; the oracle is eval_term, folded over the same table.
     rng = random.Random(61)
     cases = []
     for name in ("coingame", "matrix", "rw34"):
@@ -489,14 +488,14 @@ def test_ranks_equal_fraction_evaluation():
                 cert = Certificate(interp, (epsilon,), epsilon)
                 cases.append((Signature(arities), cert, max_den == 1))
 
-    def coefficients(interp):
+    def drawn_coefficients(interp):
         if interp.kind == "poly":
-            return [c for row in interp.coeffs.values() for c in row.values()]
-        return [e for mats, _ in interp.entries.values() for M in mats for row in M for e in row]
+            return [c for row in coefficients(interp).values() for c in row.values()]
+        return [e for mats, _ in coefficients(interp).values() for M in mats for row in M for e in row]
 
     for kind in ("poly", "matrix"):
         drawn = [
-            c for _, cert, _ in cases[3:] if cert.kind == kind for c in coefficients(cert.interpretation)
+            c for _, cert, _ in cases[3:] if cert.kind == kind for c in drawn_coefficients(cert.interpretation)
         ]
         assert any(c.denominator == 1 for c in drawn) and any(c.denominator != 1 for c in drawn)
     for signature, cert, integral in cases:

@@ -196,11 +196,11 @@ def test_sequential_portfolio_solves_an_unsat_script_once(monkeypatch, tmp_path)
     assert verdict.outcomes[0].detail == verdict.outcomes[1].detail
     # poly-multilinear-2 encodes poly-linear's constraint set: no second solve
     assert len(scripts) == 3 and len(set(map(repr, scripts))) == 3
-    poly_linear = encode(system, Shape("poly", 1), 1).constraint_set
+    poly_linear = encode(system, Shape("poly", 1)).constraint_set
     assert scripts[0] == poly_linear
     emitted = {path.name: path.read_text() for path in tmp_path.iterdir()}
     assert len(emitted) == 4
-    assert emitted["poly-multilinear-2.smt2"] == emitted["poly-linear.smt2"] == emit_smtlib(poly_linear)
+    assert emitted["poly-multilinear-2.smt2"] == emitted["poly-linear.smt2"] == emit_smtlib(poly_linear, 1)
 
 
 def test_only_sequential_unsat_answers_are_reused(monkeypatch):
@@ -239,9 +239,9 @@ def _spy_encode(monkeypatch) -> list:
     """The shapes `prove` encodes, in call order."""
     shapes: list = []
 
-    def spy(system, shape, bound=16):
+    def spy(system, shape):
         shapes.append(shape)
-        return encode(system, shape, bound)
+        return encode(system, shape)
 
     monkeypatch.setattr(prover, "encode", spy)
     return shapes
@@ -261,7 +261,7 @@ def _prove_like_encoding_every_shape(system, config, encoded: list) -> list:
     noted = [shape for shape, _, _ in notes]
     assert encoded == [o.shape for o in verdict.outcomes if o.shape not in noted]
     for shape, floor, limit in notes:
-        points = box_points(encode(system, shape, config.coeff_bound).constraint_set)
+        points = box_points(encode(system, shape).constraint_set, config.coeff_bound)
         assert limit < floor <= points
     return noted
 
@@ -285,11 +285,11 @@ def test_a_box_that_narrows_to_within_budget_is_searched(monkeypatch):
         for bound in (1, 2, 16):
             for shape in DEFAULT_SHAPES:
                 try:
-                    cs = encode(system, shape, bound).constraint_set
+                    cs = encode(system, shape).constraint_set
                 except DegreeOverflow:
                     continue
-                points = box_points(cs)
-                if not 0 < points < prod(spec.hi - spec.lo + 1 for spec in cs.unknowns) or points > 5000:
+                points = box_points(cs, bound)
+                if not 0 < points < prod(bound - spec.lo + 1 for spec in cs.unknowns) or points > 5000:
                     continue
                 config = ProverConfig(shapes=(shape,), solver=f"{BOXSOLVER} --limit {points}", coeff_bound=bound)
                 assert _prove_like_encoding_every_shape(system, config, encoded) == []
@@ -305,7 +305,7 @@ def test_emit_smt_still_encodes_every_shape(tmp_path):
     assert {o.status for o in emitted.outcomes} == {"unknown"}
     scripts = {path.name: path.read_text() for path in tmp_path.iterdir()}
     assert scripts == {
-        f"{shape}.smt2": emit_smtlib(encode(system, shape, 16).constraint_set) for shape in DEFAULT_SHAPES
+        f"{shape}.smt2": emit_smtlib(encode(system, shape).constraint_set, 16) for shape in DEFAULT_SHAPES
     }
 
 

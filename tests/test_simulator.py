@@ -31,7 +31,7 @@ from helpers import (
     walk_partial_edl,
 )
 from ptrs import rewriting, simulator
-from ptrs.certtext import load_interpretation, parse_interpretation
+from ptrs.certtext import load_interpretation, parse_interpretation, render_interpretation
 from ptrs.interpretations import check_certificate
 from ptrs.multidist import FiniteDistribution, MultiDistribution, expected_value
 from ptrs.prover import check_only
@@ -401,7 +401,7 @@ def _drift_cases():
         yield (name, *_shipped(name))
     rw34, _ = _shipped("rw34")
     yield "rw34-halves", rw34, check_certificate(parse_interpretation(HALVES), rw34)
-    for number, (system, text) in enumerate(proved_certificates()):
+    for number, (system, text, _) in enumerate(proved_certificates()):
         yield f"proved-{number}", system, check_certificate(parse_interpretation(text), system)
 
 
@@ -553,12 +553,15 @@ def test_drift_harness_runs_from_several_threads():
 
 def test_proved_certificates_pass_check_and_drift():
     # Every YES certificate printed for a generated system is accepted by
-    # `check` and holds the drift inequality at its own epsilon.
+    # `check` and holds the drift inequality at its own epsilon; the table
+    # `decode` filled is the one the parser builds from the printed text.
     proved = proved_certificates()
     assert len(proved) >= 10
-    for seed, (system, text) in enumerate(proved):
+    for seed, (system, text, interp) in enumerate(proved):
         verdict = check_only(system, text)
         assert verdict.kind == "YES", verdict.problems
+        parsed = parse_interpretation(render_interpretation(interp)).table
+        assert parsed == interp.table and repr(parsed) == repr(interp.table)  # ints as ints
         report = drift_harness(system, verdict.certificate, trials=20, max_depth=12,
                                rng=random.Random(seed), max_width=8)
         assert report.ok, report.violation

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import ptrs.interpretations
 import ptrs.smt
 
 from helpers import (
+    coefficients,
     enumerate_box,
     evaluate,
     looping_ptrs,
@@ -28,7 +30,16 @@ from helpers import (
 )
 from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
 from ptrs.certtext import render_interpretation
-from ptrs.interpretations import UNKNOWNS, CertificateInvalid, DegreeOverflow, PolyInterpretation, check_certificate
+from ptrs.interpretations import (
+    NUMBERS,
+    UNKNOWNS,
+    CertificateInvalid,
+    DegreeOverflow,
+    Differences,
+    MatrixInterpretation,
+    PolyInterpretation,
+    check_certificate,
+)
 from ptrs.prover import ProverConfig, _attempt
 from ptrs.rewriting import PTRS, random_walk_ptrs
 from ptrs.smt import (
@@ -53,6 +64,7 @@ from ptrs.smt import (
     run_solver,
     solve_box,
 )
+from ptrs.terms import Signature
 from ptrs.wst import elaborate, load_system, parse_problem
 
 
@@ -108,11 +120,11 @@ def test_shape_parsing():
 
 
 def test_encode_walk_linear():
-    encoded = encode(RW34, Shape("poly", 1), bound=16)
+    encoded = encode(RW34, Shape("poly", 1))
     cs = encoded.constraint_set
     assert [u.name for u in cs.unknowns] == ["c0_k", "c0_1"]
     assert cs.unknowns[1].lo == 1  # monotonicity witness
-    assert emit_smtlib(cs).startswith("(set-logic QF_NIA)\n")  # s nests on the right-hand side
+    assert emit_smtlib(cs, 16).startswith("(set-logic QF_NIA)\n")  # s nests on the right-hand side
     # 4*[s(x)] - (3*[x] + [s(s(x))]) = (4a - 3 - a^2) x + (3b - ab), a at 1 and b at 0
     slope = next(c for c in cs.constraints if c.label == "rule 1: coefficient of x")
     const = next(c for c in cs.constraints if "constant margin" in c.label)
@@ -125,7 +137,7 @@ def test_encode_walk_linear():
 def test_encode_without_nesting_is_linear_logic():
     system = elaborate(parse_problem("(VAR x)(RULES f(x) -> x)"))
     encoded = encode(system, Shape("poly", 1))
-    assert emit_smtlib(encoded.constraint_set).startswith("(set-logic QF_LIA)\n")
+    assert emit_smtlib(encoded.constraint_set, 16).startswith("(set-logic QF_LIA)\n")
 
 
 def test_encode_degree_overflow():
@@ -153,9 +165,9 @@ def test_each_distinct_subterm_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(ptrs.interpretations, "fold_term", counted)
     for shape in (*DEFAULT_SHAPES, Shape("matrix", 1)):
         calls.clear()
-        encoded = encode(SHARED, shape, 1)
+        encoded = encode(SHARED, shape)
         assert sorted(calls) == ["f", "g", "h"], shape
-        ones = decode(encoded, {spec.name: Fraction(1) for spec in encoded.constraint_set.unknowns})
+        ones = decode(encoded, {spec.name: Fraction(1) for spec in encoded.constraint_set.unknowns}, 1)
         calls.clear()
         with pytest.raises(CertificateInvalid):
             check_certificate(ones, SHARED)
@@ -178,21 +190,21 @@ def test_a_squared_shared_subterm_is_one_problem_per_rule():
         f"rule 2 (h(f(x,x),y) -> {{1/2: g(f(x,x)), 1/2: y}}): {squared}",
     ]
     with pytest.raises(DegreeOverflow, match=f"^{squared}$"):
-        encode(SQUARED, Shape("poly", 2), 1)
+        encode(SQUARED, Shape("poly", 2))
 
 
 def test_encode_matrix_shape():
-    encoded = encode(RW34, Shape("matrix", 2), bound=16)
+    encoded = encode(RW34, Shape("matrix", 2))
     cs = encoded.constraint_set
     assert len(cs.unknowns) == 6  # one 2x2 matrix and one offset vector for s
     assert cs.unknowns[0].name == "m0_a1_1_1"
     assert cs.unknowns[0].lo == 1
-    assert emit_smtlib(cs).startswith("(set-logic QF_NIA)\n")
+    assert emit_smtlib(cs, 16).startswith("(set-logic QF_NIA)\n")
 
 
 def test_emit_deterministic_and_readable():
-    one = emit_smtlib(encode(RW34, Shape("poly", 1)).constraint_set)
-    two = emit_smtlib(encode(RW34, Shape("poly", 1)).constraint_set)
+    one = emit_smtlib(encode(RW34, Shape("poly", 1)).constraint_set, 16)
+    two = emit_smtlib(encode(RW34, Shape("poly", 1)).constraint_set, 16)
     assert one == two
     assert one.startswith("(set-logic QF_NIA)\n")
     assert "(declare-const c0_1 Int)" in one
@@ -209,13 +221,13 @@ def test_poly_sexpr_forms():
 
 
 def test_enumerate_box_walk():
-    cs = encode(RW34, Shape("poly", 1), bound=2).constraint_set
-    models = list(enumerate_box(cs))
+    cs = encode(RW34, Shape("poly", 1)).constraint_set
+    models = list(enumerate_box(cs, 2))
     assert len(models) == 4  # slope 1..2 offset 1..2
     assert all(m["c0_1"] in (1, 2) and m["c0_k"] >= 1 for m in models)
-    assert list(enumerate_box(encode(RW14, Shape("poly", 1), bound=2).constraint_set)) == []
+    assert list(enumerate_box(encode(RW14, Shape("poly", 1)).constraint_set, 2)) == []
     with pytest.raises(ValueError):
-        list(enumerate_box(cs, limit=3))
+        list(enumerate_box(cs, 2, limit=3))
 
 
 def test_box_models_agree_with_exact_checker():
@@ -231,13 +243,13 @@ def test_box_models_agree_with_exact_checker():
         (RW34, Shape("matrix", 2), 2),
     ] + [(random_ptrs(rng), Shape("poly", 1), 1) for _ in range(4)]
     for system, shape, bound in systems:
-        encoded = encode(system, shape, bound=bound)
+        encoded = encode(system, shape)
         cs = encoded.constraint_set
         names = [u.name for u in cs.unknowns]
-        sat_models = {tuple(m[n] for n in names) for m in enumerate_box(cs)}
+        sat_models = {tuple(m[n] for n in names) for m in enumerate_box(cs, bound)}
         for values in product(range(0, bound + 1), repeat=len(names)):
             env = dict(zip(names, values))
-            in_box = all(u.lo <= env[u.name] <= u.hi for u in cs.unknowns)
+            in_box = all(u.lo <= env[u.name] <= bound for u in cs.unknowns)
             claims_sat = in_box and all(
                 evaluate(c.poly, values) >= c.at_least for c in cs.constraints
             )
@@ -245,7 +257,7 @@ def test_box_models_agree_with_exact_checker():
             if not in_box:
                 continue
             try:
-                check_certificate(decode(encoded, env), system)
+                check_certificate(decode(encoded, env, bound), system)
                 checker_accepts = True
             except CertificateInvalid:
                 checker_accepts = False
@@ -285,30 +297,30 @@ def test_deeply_nested_solver_output_is_an_error_outcome():
     }
 
 def test_decode_validation():
-    encoded = encode(RW34, Shape("poly", 1), bound=16)
-    good = decode(encoded, {"c0_1": Fraction(1), "c0_k": Fraction(1)})
+    encoded = encode(RW34, Shape("poly", 1))
+    good = decode(encoded, {"c0_1": Fraction(1), "c0_k": Fraction(1)}, 16)
     cert = check_certificate(good, RW34)
     assert cert.epsilon == Fraction(1, 2)
     with pytest.raises(ModelDecodeError):
-        decode(encoded, {"c0_1": Fraction(1)})
+        decode(encoded, {"c0_1": Fraction(1)}, 16)
     with pytest.raises(ModelDecodeError):
-        decode(encoded, {"c0_1": Fraction(1), "c0_k": Fraction(99)})
+        decode(encoded, {"c0_1": Fraction(1), "c0_k": Fraction(99)}, 16)
     with pytest.raises(ModelDecodeError):
-        decode(encoded, {"c0_1": Fraction(1, 2), "c0_k": Fraction(1)})
+        decode(encoded, {"c0_1": Fraction(1, 2), "c0_k": Fraction(1)}, 16)
 
 
 def test_boxsolver_finds_walk_model():
-    encoded = encode(RW34, Shape("poly", 1), bound=16)
-    result = run_solver(emit_smtlib(encoded.constraint_set), BOXSOLVER, timeout=30)
+    encoded = encode(RW34, Shape("poly", 1))
+    result = run_solver(emit_smtlib(encoded.constraint_set, 16), BOXSOLVER, timeout=30)
     assert result.status == "sat"
-    interp = decode(encoded, result.model)
+    interp = decode(encoded, result.model, 16)
     cert = check_certificate(interp, RW34)
     assert cert.epsilon >= Fraction(1, 4)
 
 
 def test_boxsolver_exhausts_unsat_box():
-    encoded = encode(RW14, Shape("poly", 1), bound=16)
-    result = run_solver(emit_smtlib(encoded.constraint_set), BOXSOLVER, timeout=30)
+    encoded = encode(RW14, Shape("poly", 1))
+    result = run_solver(emit_smtlib(encoded.constraint_set, 16), BOXSOLVER, timeout=30)
     assert result.status == "unsat"
 
 
@@ -463,31 +475,30 @@ def test_encode_matches_the_fraction_path():
     for system in systems:
         for shape in SIX_SHAPES:
             unknowns, expected = _fraction_path(system, shape)
-            for bound in (1, 2, 16):
-                try:
-                    encoded = encode(system, shape, bound)
-                except DegreeOverflow as exc:
-                    assert str(exc) == expected
-                    seen["overflow"] += 1
-                    continue
-                cs = encoded.constraint_set
-                assert cs.unknowns == [UnknownSpec(name, lo, bound) for name, lo in unknowns]
-                assert [(c.label, c.at_least, c.poly.terms) for c in cs.constraints] == expected
-                # every emitted coefficient is an int, never an integral Fraction
-                assert all(type(k) is int for c in cs.constraints for k in c.poly.terms.values())
-                seen["encoded"] += 1
-            if isinstance(expected, str):
+            try:
+                encoded = encode(system, shape)
+            except DegreeOverflow as exc:
+                assert str(exc) == expected
+                seen["overflow"] += 1
                 continue
+            cs = encoded.constraint_set
+            assert cs.unknowns == [UnknownSpec(name, lo) for name, lo in unknowns]
+            assert [(c.label, c.at_least, c.poly.terms) for c in cs.constraints] == expected
+            # every emitted coefficient is an int, never an integral Fraction
+            assert all(type(k) is int for c in cs.constraints for k in c.poly.terms.values())
+            seen["encoded"] += 1
             # a model decodes to the template with its values; one over the box is refused
             values = {name: lo + i % (3 - lo) for i, (name, lo) in enumerate(unknowns)}
-            decoded = decode(encoded, {name: Fraction(value) for name, value in values.items()})
+            decoded = decode(encoded, {name: Fraction(value) for name, value in values.items()}, 16)
             assert render_interpretation(decoded) == render_interpretation(
                 template(system, shape, lambda name, lo: values[name])
             )
             name, lo = unknowns[-1]
             with pytest.raises(ModelDecodeError, match=f"^{name} = 17 outside box {lo}..16$"):
-                decode(encoded, {**values, name: 17})
-    assert seen["encoded"] > 550 and seen["overflow"] > 15, seen
+                decode(encoded, {**values, name: 17}, 16)
+            with pytest.raises(ModelDecodeError, match=f"^{name} = 3 outside box {lo}..2$"):
+                decode(encoded, {**values, name: 3}, 2)
+    assert seen["encoded"] > 183 and seen["overflow"] > 5, seen
 
 
 def test_poly_coefficients_are_ints():
@@ -495,14 +506,14 @@ def test_poly_coefficients_are_ints():
     # Fraction reaches a constraint, and a model decodes to ints
     system = elaborate(parse_problem("(VAR x)(RULES f(x) -> 2 : g(x) || 1 : x  g(s(x)) -> 3 : f(x) || 5 : s(x))"))
     for shape in SIX_SHAPES:
-        encoded = encode(system, shape, 2)
+        encoded = encode(system, shape)
         assert all(type(k) is int for c in encoded.constraint_set.constraints for k in c.poly.terms.values())
-        decoded = decode(encoded, {spec.name: Fraction(spec.hi) for spec in encoded.constraint_set.unknowns})
+        decoded = decode(encoded, {spec.name: Fraction(2) for spec in encoded.constraint_set.unknowns}, 2)
         if decoded.kind == "poly":
-            coefficients = [c for row in decoded.coeffs.values() for c in row.values()]
+            values = [c for row in coefficients(decoded).values() for c in row.values()]
         else:
-            coefficients = [c for mats, const in decoded.entries.values() for c in chain(*chain(*mats), const)]
-        assert coefficients and all(type(c) is int for c in coefficients), shape
+            values = [c for mats, const in coefficients(decoded).values() for c in chain(*chain(*mats), const)]
+        assert values and all(type(c) is int for c in values), shape
 
 
 def test_weight_recovery_from_probabilities():
@@ -520,8 +531,8 @@ def test_constraint_equality_ignores_the_label():
 
 
 def test_emit_skips_nothing_on_empty_constraints():
-    cs = ConstraintSet([UnknownSpec("u", 0, 1)], [Constraint(Poly({(0,): 1}), 1)])
-    text = emit_smtlib(cs)
+    cs = ConstraintSet([UnknownSpec("u", 0)], [Constraint(Poly({(0,): 1}), 1)])
+    text = emit_smtlib(cs, 1)
     assert "(assert (>= u 1))" in text
 
 
@@ -550,9 +561,8 @@ def test_emitted_scripts_are_pinned(problem, shape, digest):
     # sha256 of the scripts for coefficient bounds 1, 2 and 16 in a row:
     # every declaration and constraint, in order, byte for byte
     system = load_system(str(PROBLEMS / f"{problem}.wst"))
-    scripts = "".join(
-        emit_smtlib(encode(system, parse_shape(shape), bound).constraint_set) for bound in (1, 2, 16)
-    )
+    cs = encode(system, parse_shape(shape)).constraint_set
+    scripts = "".join(emit_smtlib(cs, bound) for bound in (1, 2, 16))
     assert hashlib.sha256(scripts.encode()).hexdigest() == digest
 
 
@@ -567,7 +577,7 @@ def test_emitted_scripts_of_random_systems_are_pinned():
         system = random_ptrs(rng)
         for shape in DEFAULT_SHAPES:
             try:
-                digest.update(emit_smtlib(encode(system, shape, 2).constraint_set).encode())
+                digest.update(emit_smtlib(encode(system, shape).constraint_set, 2).encode())
             except DegreeOverflow:
                 digest.update(b"overflow\n")
     assert digest.hexdigest() == "f798675622038cd7f089c5ce23935f679efdefabb1504df6d3e4005d290d1686"
@@ -628,15 +638,15 @@ def test_a_solver_command_is_split_once_and_looked_up_every_time(monkeypatch, tm
     assert splits == [command] + [unbalanced] * 4
 
 
-def _same_as_child(cs: ConstraintSet, *flags: str) -> SolverResult:
-    # the in-process search on the set against a real child's reply to its
-    # script, read by the same reader
+def _same_as_child(cs: ConstraintSet, bound: int, *flags: str) -> SolverResult:
+    # the in-process search on the set at `bound` against a real child's
+    # reply to its script, read by the same reader
     limit = in_process_limit(shlex.join([sys.executable, "-m", "ptrs.boxsolver", *flags]))
     assert limit is not None
-    mine = solve_box(cs, limit, timeout=60)
+    mine = solve_box(cs, bound, limit, timeout=60)
     child = subprocess.run(
         [sys.executable, "-m", "ptrs.boxsolver", *flags],
-        input=emit_smtlib(cs), capture_output=True, text=True, timeout=60,
+        input=emit_smtlib(cs, bound), capture_output=True, text=True, timeout=60,
     )
     assert mine == _read_reply(child.stdout, child.stderr, child.returncode)
     return mine
@@ -647,21 +657,21 @@ def test_in_process_box_solver_answers_like_its_child_on_shipped_problems(proble
     system = load_system(str(PROBLEMS / f"{problem}.wst"))
     statuses = set()
     for shape in DEFAULT_SHAPES:
+        try:
+            encoded = encode(system, shape)
+        except DegreeOverflow:
+            continue
         for bound in (0, 1, 2):
-            try:
-                encoded = encode(system, shape, bound)
-            except DegreeOverflow:
-                continue
-            statuses.add(_same_as_child(encoded.constraint_set).status)
+            statuses.add(_same_as_child(encoded.constraint_set, bound).status)
     assert statuses <= {"sat", "unsat", "unknown"}
     assert len(statuses) >= 2
 
 
-def _set(bounds: dict[str, tuple[int, int]], *constraints: tuple[dict, int]) -> ConstraintSet:
-    """Unknowns name: (lo, hi), and constraints (terms of the poly, at_least),
-    with the unknowns' positions in the order of `bounds`."""
+def _set(lows: dict[str, int], *constraints: tuple[dict, int]) -> ConstraintSet:
+    """Unknowns name: lo, and constraints (terms of the poly, at_least),
+    with the unknowns' positions in the order of `lows`."""
     return ConstraintSet(
-        [UnknownSpec(name, lo, hi) for name, (lo, hi) in bounds.items()],
+        [UnknownSpec(name, lo) for name, lo in lows.items()],
         [Constraint(Poly(terms), at_least) for terms, at_least in constraints],
     )
 
@@ -672,39 +682,41 @@ def test_in_process_box_solver_answers_like_its_child_on_corner_cases():
     for i in range(24):
         system = random_ptrs(rng)
         try:
-            encoded = encode(system, DEFAULT_SHAPES[i % 4], i % 3)
+            encoded = encode(system, DEFAULT_SHAPES[i % 4])
         except DegreeOverflow:
             continue
-        statuses.append(_same_as_child(encoded.constraint_set).status)
+        statuses.append(_same_as_child(encoded.constraint_set, i % 3).status)
     assert len(statuses) >= 20 and len(set(statuses)) == 3
-    eleven = {"x": (0, 10)}
+    # x in 0..10 has 11 points
+    eleven = {"x": 0}
     # a bare x >= 1 raises the lower end of x: 10 points left of 11, within --limit 10
-    assert _same_as_child(_set(eleven, ({(0,): 1}, 1)), "--limit", "10").model == {"x": 1}
-    assert _same_as_child(_set(eleven, ({(0,): 1}, 1)), "--limit", "9").status == "unknown"
+    assert _same_as_child(_set(eleven, ({(0,): 1}, 1)), 10, "--limit", "10").model == {"x": 1}
+    assert _same_as_child(_set(eleven, ({(0,): 1}, 1)), 10, "--limit", "9").status == "unknown"
     # 2*x >= 1 and x - 1 >= 0 are not bounds
-    assert _same_as_child(_set(eleven, ({(0,): 2}, 1)), "--limit", "10").status == "unknown"
-    assert _same_as_child(_set(eleven, ({(0,): 1, (): -1}, 0)), "--limit", "10").status == "unknown"
-    # an empty range is unsat before the budget, however many points the rest holds
-    empty = {"x": (1, 0), **{f"y{i}": (0, 16) for i in range(6)}}
-    assert _same_as_child(_set(empty)).status == "unsat"
-    assert _same_as_child(_set(eleven, ({(0,): 1}, 11))).status == "unsat"
-    assert _same_as_child(_set(eleven, ({}, 1))).status == "unsat"  # 0 >= 1
-    assert _same_as_child(_set(eleven, ({}, 0))).model == {"x": 0}
-    assert _same_as_child(_set({}, ({(): 2}, 1))) == SolverResult("sat", model={})
-    products = _set({"x": (0, 4), "y": (-2, 4)}, ({(0, 1): 1, (): -3}, 0), ({(1, 1): -1, (0,): 5}, 0))
-    assert _same_as_child(products).model == {"x": 2, "y": 2}
-    assert _same_as_child(_set({"x": (0, 4), "y": (0, 4)}, ({(0, 1): 1}, 17))).status == "unsat"
+    assert _same_as_child(_set(eleven, ({(0,): 2}, 1)), 10, "--limit", "10").status == "unknown"
+    assert _same_as_child(_set(eleven, ({(0,): 1, (): -1}, 0)), 10, "--limit", "10").status == "unknown"
+    # an empty range (x from 17 to the bound 16) is unsat before the budget,
+    # however many points the rest holds
+    empty = {"x": 17, **{f"y{i}": 0 for i in range(6)}}
+    assert _same_as_child(_set(empty), 16).status == "unsat"
+    assert _same_as_child(_set(eleven, ({(0,): 1}, 11)), 10).status == "unsat"
+    assert _same_as_child(_set(eleven, ({}, 1)), 10).status == "unsat"  # 0 >= 1
+    assert _same_as_child(_set(eleven, ({}, 0)), 10).model == {"x": 0}
+    assert _same_as_child(_set({}, ({(): 2}, 1)), 0) == SolverResult("sat", model={})
+    products = _set({"x": 0, "y": -2}, ({(0, 1): 1, (): -3}, 0), ({(1, 1): -1, (0,): 5}, 0))
+    assert _same_as_child(products, 4).model == {"x": 2, "y": 2}
+    assert _same_as_child(_set({"x": 0, "y": 0}, ({(0, 1): 1}, 17)), 4).status == "unsat"
 
 
-# 10^6 points, every one of them failing the constraint, which no sub-box
-# rules out before v5 is fixed: -v5*v5 + 9*v5 spans [-81, 81] until then
-# and is at most 20 at a point
-MILLION_POINT_SET = _set({f"v{i}": (0, 9) for i in range(6)}, ({(5, 5): -1, (5,): 9}, 21))
+# 10^6 points at bound 9, every one of them failing the constraint, which no
+# sub-box rules out before v5 is fixed: -v5*v5 + 9*v5 spans [-81, 81] until
+# then and is at most 20 at a point
+MILLION_POINT_SET = _set({f"v{i}": 0 for i in range(6)}, ({(5, 5): -1, (5,): 9}, 21))
 
 
 def test_in_process_box_solver_times_out():
     start = time.monotonic()
-    result = solve_box(MILLION_POINT_SET, 2_000_000, timeout=0.3)
+    result = solve_box(MILLION_POINT_SET, 9, 2_000_000, timeout=0.3)
     assert result == SolverResult("unknown", detail="solver timed out after 0.3s")
     assert time.monotonic() - start < 5
 
@@ -715,7 +727,7 @@ def test_in_process_box_solver_is_cancelled():
     timer.start()
     start = time.monotonic()
     try:
-        result = solve_box(MILLION_POINT_SET, 2_000_000, timeout=60, cancel=token)
+        result = solve_box(MILLION_POINT_SET, 9, 2_000_000, timeout=60, cancel=token)
     finally:
         timer.cancel()
     assert result == SolverResult("unknown", detail="cancelled")
@@ -724,7 +736,7 @@ def test_in_process_box_solver_is_cancelled():
 
 def test_box_solver_asks_stop_every_1024_points():
     asked = []
-    lo, hi, sums = MILLION_POINT_SET.search_args()
+    lo, hi, sums = MILLION_POINT_SET.search_args(9)
     assert solve_sums(lo, hi, sums, 2_000_000, lambda: asked.append(1) or len(asked) == 3) == ("unknown", None)
     assert len(asked) == 3
     assert solve_sums([0], [3], [({(0,): 1}, 1)], stop=lambda: False) == ("sat", [1])
@@ -749,21 +761,64 @@ def test_one_coefficient_table_per_shape_attempt(monkeypatch):
     calls = []
     real = ptrs.smt.coefficient_table
 
-    def spy(system, shape, bound):
+    def spy(system, shape):
         calls.append(shape)
-        return real(system, shape, bound)
+        return real(system, shape)
 
     monkeypatch.setattr(ptrs.smt, "coefficient_table", spy)
     for shape in SIX_SHAPES:
         box_floor(RW34, shape, 16)
     assert calls == []
+    # no interpretation constructor runs in an attempt: decode fills the
+    # encoding's table, and check_certificate's evaluator reads that table
+    built, checked = [], []
+    for cls in (PolyInterpretation, MatrixInterpretation):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args: built.append(type(self)))
+    real_init = Differences.__init__
+
+    def init(self, kind, dim, table, ring, cap=None):
+        if ring is NUMBERS:
+            checked.append(table)
+        real_init(self, kind, dim, table, ring, cap)
+
+    monkeypatch.setattr(Differences, "__init__", init)
     # an attempt builds the table once to encode, and decodes a model into
     # that same table: in process, and with the solver as a child
     config = ProverConfig(solver=BOXSOLVER, coeff_bound=1)
-    for limit in (in_process_limit(BOXSOLVER), None):
+    for shape, limit in product((Shape("poly", 1), Shape("matrix", 2)), (in_process_limit(BOXSOLVER), None)):
         calls.clear()
-        outcome, cert = _attempt(RW34, Shape("poly", 1), config, CancelToken(), limit)
-        assert (outcome.status, cert is not None, calls) == ("proved", True, [Shape("poly", 1)])
+        checked.clear()
+        outcome, cert = _attempt(RW34, shape, config, CancelToken(), limit)
+        assert (outcome.status, cert is not None, calls) == ("proved", True, [shape])
+        assert built == [] and len(checked) == 1 and checked[0] is cert.interpretation.table
     calls.clear()
     outcome, cert = _attempt(RW14, Shape("poly", 1), config, CancelToken(), in_process_limit(BOXSOLVER))
     assert (outcome.status, cert, calls) == ("unsat", None, [Shape("poly", 1)])
+
+
+def test_one_encoding_answers_at_every_bound():
+    # the bound is no part of the encoding: each set, encoded once, is
+    # searched at bounds 1, 2 and 4 and gives the box oracle's first model
+    # there, or unsat where it has none; over unary symbols, so that boxes
+    # stay small enough to enumerate, and with a system whose [g] needs a
+    # constant of 3
+    rng = random.Random(43)
+    unary = Signature({"s": 1, "g": 1, "a": 0})
+    systems = [random_ptrs(rng, unary) for _ in range(12)]
+    systems.append(elaborate(parse_problem("(VAR x)(RULES s(x) -> x  g(x) -> s(s(x)))")))
+    answered, runs = Counter(), set()
+    for system in systems:
+        for shape in SIX_SHAPES:
+            cs = encode(system, shape).constraint_set
+            statuses = []
+            for bound in (1, 2, 4):
+                if prod(bound - spec.lo + 1 for spec in cs.unknowns) > 5000:
+                    continue
+                status, values = solve_sums(*cs.search_args(bound), 5000)
+                first = next(enumerate_box(cs, bound), None)
+                assert (status, values) == (("unsat", None) if first is None else ("sat", list(first.values())))
+                answered[bound, status] += 1
+                statuses.append(status)
+            runs.add(tuple(statuses))
+    assert all(answered[bound, "sat"] and answered[bound, "unsat"] for bound in (1, 2, 4)), answered
+    assert ("unsat", "unsat", "sat") in runs, runs
