@@ -32,7 +32,7 @@ from operator import add, mul
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .rewriting import PTRS, ProbRule
-from .terms import App, Term, Var, fold_term
+from .terms import App, Term, fold_term
 
 Coeff = Any  # Fraction | int
 Matrix = tuple[tuple[Coeff, ...], ...]
@@ -129,9 +129,6 @@ class PolyInterpretation:
     def symbols(self) -> list[str]:
         return sorted(self.arities)
 
-    def apply_values(self, symbol: str, args: Sequence[Coeff]) -> Coeff:
-        return _poly_value(self.table[symbol], args)
-
     def validate(self) -> list[str]:
         """Nonnegative coefficients plus the monotonicity witnesses c_{i} >= 1."""
         problems: list[str] = []
@@ -197,9 +194,6 @@ class MatrixInterpretation:
     def symbols(self) -> list[str]:
         return sorted(self.arities)
 
-    def apply_values(self, symbol: str, args: Sequence[Vector]) -> Vector:
-        return _matrix_value(self.table[symbol], args)
-
     def validate(self) -> list[str]:
         problems: list[str] = []
         for sym in self.symbols():
@@ -238,18 +232,22 @@ def eval_term(
     A memo passed in collects the value of every subterm and answers later
     calls from it; reuse it only with the same interpretation and assignment.
     """
+    table = interp.table
     zero: Any = 0 if interp.kind == "poly" else (0,) * interp.dim
+    value = _poly_value if interp.kind == "poly" else _matrix_value
 
     def apply(node: App, args: list[Any]) -> Any:
-        return interp.apply_values(_interpreted_symbol(interp.arities, node), args)
+        return value(_symbol_entry(table, node), args)
 
     return fold_term(term, lambda var: assignment.get(var.name, zero), apply, memo)
 
 
-def _interpreted_symbol(symbols: Mapping[str, Any], node: App) -> str:
-    if node.symbol not in symbols:
+def _symbol_entry(table: Mapping[str, Any], node: App) -> Any:
+    """The table entry of the node's symbol."""
+    entry = table.get(node.symbol)
+    if entry is None:
         raise KeyError(f"no interpretation for symbol {node.symbol!r}")
-    return node.symbol
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +433,7 @@ def _poly_apply(table: Mapping[str, Any], ring: Ring, cap: int | None) -> Callab
 
     def apply(node: App, args: list) -> dict:
         total: dict = {}
-        for indices, coefficient in table[_interpreted_symbol(table, node)]:
+        for indices, coefficient in _symbol_entry(table, node):
             if not indices:
                 total[_CONSTANT] = lift(coefficient)
                 continue
@@ -460,7 +458,7 @@ def _matrix_apply(table: Mapping[str, Any], ring: Ring) -> Callable[[App, list],
     lift, dot, add = ring.lift, ring.dot, ring.add
 
     def apply(node: App, args: list) -> tuple:
-        mats, const = table[_interpreted_symbol(table, node)]
+        mats, const = _symbol_entry(table, node)
         grids: dict = {}
         vector = [lift(c) for c in const]
         for M, (arg_grids, arg_vector) in zip(mats, args):
@@ -539,59 +537,25 @@ def ranking_from_certificate(
     first component. Along any reduction step the expected rank drops by at
     least epsilon times the surviving mass.
 
-    Ranks are exact and equal `eval_term`'s values: a rank is an int when
-    every coefficient its evaluation uses is an integer, else a Fraction.
+    Ranks are exact: a rank is an int when every coefficient its
+    evaluation uses is an integer, else a Fraction.
     Epsilon is always a Fraction (a certificate built in code may hold an
     int margin), so a rank divided by it is a Fraction, never a float.
 
-    The rank reads the interpretation's table, whose integral coefficients
-    are ints. It walks a term without recursion and remembers the value of
-    every subterm it has evaluated, so a reduct that shares most of its
-    structure with terms ranked before costs only its new spine, and a
-    term ranked before costs one lookup.
+    A rank is `eval_term` at the empty assignment over a memo the rank
+    function holds, so a reduct that shares most of its structure with
+    terms ranked before costs only its new spine, and a term ranked before
+    costs one lookup.
     """
     interp = cert.interpretation
-    tables = interp.table
-    if interp.kind == "poly":
-        zero: Any = 0
-        apply = _poly_value
-    else:
-        zero = (0,) * interp.dim
-        apply = _matrix_value
-
     values: dict[Term, Any] = {}
     lookup = values.get
-
-    def value_of(term: Term) -> Any:
-        if term.__class__ is Var:
-            return zero
-        stack = [term]
-        while stack:
-            node = stack[-1]
-            args = []
-            for arg in node.args:
-                value = lookup(arg)
-                if value is None:
-                    if arg.__class__ is Var:
-                        value = zero
-                    else:
-                        stack.append(arg)
-                args.append(value)
-            if stack[-1] is not node:
-                continue  # evaluate the new arguments first
-            stack.pop()
-            table = tables.get(node.symbol)
-            if table is None:
-                raise KeyError(f"no interpretation for symbol {node.symbol!r}")
-            values[node] = apply(table, args)
-        return values[term]
-
     first_component = interp.kind == "matrix"
 
     def rank(term: Term) -> int | Fraction:
         value = lookup(term)
         if value is None:
-            value = value_of(term)
+            value = eval_term(interp, term, {}, values)
         return value[0] if first_component else value
 
     return rank, Fraction(cert.epsilon)

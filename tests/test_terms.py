@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import subterm_positions, term_size
+from helpers import reference_fold, subterm_positions, term_size
 from ptrs import terms
 from ptrs.terms import (
     App,
@@ -240,6 +240,34 @@ def test_fold_term_evaluates_each_subterm_once():
     assert seen == [ZERO, shared, f(shared, shared)]
     assert fold_term(g(shared), lambda v: 1, on_app, memo) == 3
     assert seen[-1] == g(shared) and len(seen) == 4
+
+    # The call order against a recursive fold, on seeded terms built from
+    # a pool of earlier terms, so subterms and variables repeat; one memo
+    # runs across each batch. App.__reduce__ flattens a term in this order.
+    rng = random.Random(59)
+    for _ in range(40):
+        pool = [x, y, ZERO]
+        for _ in range(20):
+            symbol = rng.choice(("f", "g", "s", "0"))
+            arity = SIG.arity(symbol)
+            pool.append(App(symbol, tuple(rng.choice(pool[-6:] + pool[:3]) for _ in range(arity))))
+        batch = rng.sample(pool[3:], 5)
+        logs = []
+        for fold in (fold_term, reference_fold):
+            calls, memo = [], {}
+
+            def on_var(var):
+                calls.append(var)
+                return len(calls)
+
+            def on_app(node, args):
+                calls.append((node, tuple(args)))
+                return len(calls)
+
+            logs.append(([fold(t, on_var, on_app, memo) for t in batch], calls))
+        assert logs[0] == logs[1]
+        for t in batch:
+            assert pickle.loads(pickle.dumps(t)) is t
 
 
 def streamed_text(term):
