@@ -11,9 +11,9 @@ The fragment is a conjunction of polynomial inequalities. Int terms are
 numerals, declared names and + - * of Int terms; Bool terms are chained
 comparisons >= <= > < = of Int terms and `and` of Bool terms. A
 polynomial is a dict from monomials, sorted tuples of variable positions
-in declaration order (() for the constant), to nonzero int coefficients:
-the form `smt.Poly` keeps its terms in. Each assertion is read into the
-one constraint form the search knows, (polynomial, at_least), meaning
+in declaration order (() for the constant), to nonzero int coefficients.
+Each assertion is read into the one constraint form the search knows,
+and the one `smt.encode` builds, (polynomial, at_least), meaning
 polynomial >= at_least: each adjacent pair of a comparison gives one (`=`
 two), and `and` the union of its parts. The bounds are the assertions,
 top-level or directly under a top-level `and`, that compare a declared

@@ -131,8 +131,11 @@ def _solve(cs, shape, config, cancel, limit, unsat_sets) -> SolverResult:
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
     # equal sets emit equal scripts at one bound; `unsat_sets` lives for one
-    # `prove` call, whose attempts all search at `config.coeff_bound`
-    key = (tuple(cs.unknowns), tuple(cs.constraints)) if unsat_sets is not None else None
+    # `prove` call, whose attempts all search at `config.coeff_bound`. A
+    # polynomial's monomials count in any order.
+    key = None
+    if unsat_sets is not None:
+        key = (tuple(cs.unknowns), tuple((frozenset(p.items()), k) for p, k in cs.constraints))
     if key is not None and key in unsat_sets:
         return SolverResult("unsat")
     if limit is not None:

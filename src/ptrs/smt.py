@@ -19,7 +19,9 @@ one encoding serves every bound.
 A polynomial over the unknowns has one form from the encoder to the
 search: a dict from monomials, sorted tuples of unknown positions in
 declaration order, to nonzero `int` coefficients, as `boxsolver` reads a
-script into. `Poly` wraps it in a constraint. Only `emit_smtlib` maps
+script into. A constraint is the pair (polynomial, at_least) that
+`boxsolver.solve_sums` searches: the encoder builds it from
+`Differences.entries` and nothing unwraps it. Only `emit_smtlib` maps
 positions to names.
 
 Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe;
@@ -58,67 +60,24 @@ class ModelDecodeError(Exception):
     """The solver's model is unusable: incomplete, fractional, or out of box."""
 
 
-class Poly:
-    """A polynomial over the unknowns with `int` coefficients: `terms` maps
-    each monomial, a sorted tuple of unknown positions (repeats meaning
-    powers, the empty tuple the constant term), to its nonzero coefficient.
-    The encoder builds the dict and a `Poly` wraps it, so that constraints
-    compare and hash by value."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[tuple[int, ...], int]):
-        self.terms = terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"Poly({self.terms!r})"
-
-
 class UnknownSpec(NamedTuple):
     name: str
     lo: int = 0
 
 
-class Constraint:
-    """poly >= at_least over the integers. `label` says where it comes
-    from; equality and hashing ignore it."""
-
-    __slots__ = ("poly", "at_least", "label")
-
-    def __init__(self, poly: Poly, at_least: int, label: str = ""):
-        self.poly = poly
-        self.at_least = at_least
-        self.label = label
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Constraint:
-            return NotImplemented
-        return self.poly == other.poly and self.at_least == other.at_least
-
-    def __hash__(self) -> int:
-        return hash((self.poly, self.at_least))
-
-
 class ConstraintSet(NamedTuple):
-    """Constraints over the unknowns, each polynomial reading unknown i as
-    unknowns[i]."""
+    """Constraints over the unknowns, each a pair (poly, at_least) meaning
+    poly >= at_least, with poly reading unknown i as unknowns[i]."""
 
     unknowns: list[UnknownSpec]
-    constraints: list[Constraint]
+    constraints: list[tuple[dict[tuple[int, ...], int], int]]
 
     def search_args(self, bound: int) -> tuple[list[int], list[int], list]:
         """The set with every unknown at most `bound`, as
-        `boxsolver.solve_sums` takes it: (lo, hi, constraints)."""
+        `boxsolver.solve_sums` takes it: (lo, hi, constraints), the last
+        the set's own list, which the search only reads."""
         lo = [spec.lo for spec in self.unknowns]
-        return lo, [bound] * len(lo), [(c.poly.terms, c.at_least) for c in self.constraints]
+        return lo, [bound] * len(lo), self.constraints
 
 
 class Shape(NamedTuple):
@@ -208,12 +167,9 @@ def encode(system: PTRS, shape: Shape) -> EncodedProblem:
     unknowns, table = coefficient_table(system, shape)
     cap = shape.param if shape.kind == "poly" else None
     differences = Differences(shape.kind, shape.param, table, UNKNOWNS, cap)
-    constraints: list[Constraint] = []
-    for index, rule in enumerate(system.rules, start=1):
-        constraints.extend(
-            Constraint(Poly(value), 1 if strict else 0, f"rule {index}: {where}")
-            for where, value, strict in differences.entries(rule)
-        )
+    constraints = [
+        (value, 1 if strict else 0) for rule in system.rules for _, value, strict in differences.entries(rule)
+    ]
     return EncodedProblem(system, shape, ConstraintSet(unknowns, constraints), table)
 
 
@@ -229,12 +185,12 @@ def _mono_sexpr(parts: list[str], k: int) -> str:
     return "(* " + " ".join(parts) + ")"
 
 
-def poly_sexpr(poly: Poly, names: Sequence[str]) -> str:
+def poly_sexpr(poly: dict[tuple[int, ...], int], names: Sequence[str]) -> str:
     """`poly` with unknown i named names[i]: monomials by degree and then by
     their sorted names."""
-    if not poly.terms:
+    if not poly:
         return "0"
-    monomials = sorted([(len(m), sorted([names[p] for p in m]), c) for m, c in poly.terms.items()])
+    monomials = sorted([(len(m), sorted([names[p] for p in m]), c) for m, c in poly.items()])
     bits = [_mono_sexpr(mono, c) for _, mono, c in monomials]
     if len(bits) == 1:
         return bits[0]
@@ -244,7 +200,7 @@ def poly_sexpr(poly: Poly, names: Sequence[str]) -> str:
 def emit_smtlib(cs: ConstraintSet, bound: int) -> str:
     """The set with every unknown at most `bound`. Deterministic rendering:
     identical input gives identical bytes."""
-    nonlinear = any(len(m) > 1 for c in cs.constraints for m in c.poly.terms)
+    nonlinear = any(len(m) > 1 for poly, _ in cs.constraints for m in poly)
     lines = [f"(set-logic {'QF_NIA' if nonlinear else 'QF_LIA'})"]
     for spec in cs.unknowns:
         lines.append(f"(declare-const {spec.name} Int)")
@@ -252,8 +208,8 @@ def emit_smtlib(cs: ConstraintSet, bound: int) -> str:
         lines.append(f"(assert (>= {spec.name} {spec.lo}))")
         lines.append(f"(assert (<= {spec.name} {bound}))")
     names = [spec.name for spec in cs.unknowns]
-    for constraint in cs.constraints:
-        lines.append(f"(assert (>= {poly_sexpr(constraint.poly, names)} {constraint.at_least}))")
+    for poly, at_least in cs.constraints:
+        lines.append(f"(assert (>= {poly_sexpr(poly, names)} {at_least}))")
     lines.append("(check-sat)")
     lines.append("(get-model)")
     return "\n".join(lines) + "\n"

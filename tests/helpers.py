@@ -67,7 +67,7 @@ from ptrs.simulator import (
     RunReport,
     collapsed,
 )
-from ptrs.smt import ConstraintSet, Poly, Shape, decode, encode, in_process_limit, solve_box
+from ptrs.smt import ConstraintSet, Shape, decode, encode, in_process_limit, solve_box
 from ptrs.terms import App, Position, Signature, Term, Var, fold_term, variables
 from ptrs.wst import ElaborationError, ParseError, ProblemFile, RawRule, Token, tokenize
 
@@ -548,10 +548,10 @@ def looping_ptrs(rng):
     return PTRS(base.signature, tuple(rules))
 
 
-def evaluate(poly: Poly, point: Sequence[int]) -> int:
+def evaluate(poly: dict[tuple[int, ...], int], point: Sequence[int]) -> int:
     """The polynomial's value with unknown i at point[i]."""
     total = 0
-    for mono, c in poly.terms.items():
+    for mono, c in poly.items():
         value = c
         for position in mono:
             value *= point[position]
@@ -573,7 +573,7 @@ def enumerate_box(cs: ConstraintSet, bound: int, limit: int | None = None) -> It
     if limit is not None and count > limit:
         raise ValueError(f"box holds {count} assignments, over the limit {limit}")
     for values in iter_product(*ranges):
-        if all(evaluate(c.poly, values) >= c.at_least for c in cs.constraints):
+        if all(evaluate(poly, values) >= at_least for poly, at_least in cs.constraints):
             yield dict(zip(names, values))
 
 

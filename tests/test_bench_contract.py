@@ -13,6 +13,7 @@ from pathlib import Path
 from ptrs import interpretations
 from ptrs.interpretations import Certificate, PolyInterpretation, ranking_from_certificate
 from ptrs.rewriting import TermPars, leftmost_innermost, random_walk_ptrs
+from ptrs.smt import DEFAULT_SHAPES, encode
 from ptrs.terms import App
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -41,6 +42,18 @@ def test_term_pars_exposes_what_the_tracer_reads():
     assert callable(TermPars.redexes)
     pars = TermPars(random_walk_ptrs(1))
     assert len(pars._memo) == 0
+
+
+def test_encode_returns_what_the_tracer_counts():
+    # the smt.encode hook reads len() of the result's unknowns and
+    # constraints; a constraint is a pair (polynomial dict, int at_least)
+    for shape in DEFAULT_SHAPES:
+        cs = encode(random_walk_ptrs(1), shape).constraint_set
+        assert len(cs.unknowns) > 0 and len(cs.constraints) > 0
+        for constraint in cs.constraints:
+            assert type(constraint) is tuple and len(constraint) == 2
+            poly, at_least = constraint
+            assert type(poly) is dict and type(at_least) is int
 
 
 def test_a_rank_counts_eval_term_once_per_fresh_term(monkeypatch):

@@ -19,7 +19,10 @@ from ptrs.prover import (
 from ptrs.interpretations import DegreeOverflow
 from ptrs.smt import (
     DEFAULT_SHAPES,
+    ConstraintSet,
+    EncodedProblem,
     Shape,
+    UnknownSpec,
     emit_smtlib,
     encode,
     parse_shape,
@@ -218,6 +221,30 @@ def test_only_sequential_unsat_answers_are_reused(monkeypatch):
     in_process = prove(RW14, ProverConfig(shapes=both_poly, solver=BOXSOLVER, parallel=True))
     assert [o.status for o in in_process.outcomes] == ["unsat", "unsat"]
     assert len(scripts) == 5
+
+
+def test_unsat_sets_are_equal_by_unknowns_polynomials_and_at_least(monkeypatch):
+    # each shape encodes to a set of its own over one unknown u in 0..1,
+    # each unsat: u - 5 >= 1, the same with its monomials inserted the other
+    # way round, 2u - 5 >= 1, and u - 5 >= 0
+    sets = {
+        Shape("poly", 1): [({(0,): 1, (): -5}, 1)],
+        Shape("poly", 2): [({(): -5, (0,): 1}, 1)],
+        Shape("poly", 3): [({(0,): 2, (): -5}, 1)],
+        Shape("matrix", 1): [({(0,): 1, (): -5}, 0)],
+    }
+    monkeypatch.setattr(
+        prover,
+        "encode",
+        lambda system, shape: EncodedProblem(system, shape, ConstraintSet([UnknownSpec("u")], sets[shape]), {}),
+    )
+    solved = _count_solver_calls(monkeypatch)
+    verdict = prove(RW14, ProverConfig(shapes=tuple(sets), solver=BOXSOLVER, coeff_bound=1))
+    assert [o.status for o in verdict.outcomes] == ["unsat"] * 4
+    # the reordered set is answered from the first; a set that differs in
+    # one coefficient or in one at_least is solved
+    first, _, other_coefficient, other_at_least = sets.values()
+    assert [cs.constraints for cs in solved] == [first, other_coefficient, other_at_least]
 
 
 SHIPPED = tuple(load_system(str(PROBLEMS / f"{name}.wst")) for name in ("coingame", "matrix", "rw14", "rw34"))

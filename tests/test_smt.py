@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 import random
@@ -44,11 +45,9 @@ from ptrs.prover import ProverConfig, _attempt
 from ptrs.rewriting import PTRS, random_walk_ptrs
 from ptrs.smt import (
     CancelToken,
-    Constraint,
     ConstraintSet,
     DEFAULT_SHAPES,
     ModelDecodeError,
-    Poly,
     Shape,
     SolverResult,
     UnknownSpec,
@@ -87,7 +86,7 @@ def test_poly_algebra():
     a, b = UNKNOWNS.lift(0), UNKNOWNS.lift(1)
     p = UNKNOWNS.mul(UNKNOWNS.add({(): 1}, a), UNKNOWNS.add({(): 2}, b))
     p = UNKNOWNS.scaled(UNKNOWNS.scaled(None, p, 1), b, -1)
-    assert evaluate(Poly(p), [3, 5]) == 4 * 7 - 5
+    assert evaluate(p, [3, 5]) == 4 * 7 - 5
     assert (a, b) == ({(0,): 1}, {(1,): 1})
     assert UNKNOWNS.scaled(UNKNOWNS.scaled(None, a, 1), a, -1) == {}
     assert UNKNOWNS.scaled(None, a, 2) == {(0,): 2}
@@ -125,13 +124,9 @@ def test_encode_walk_linear():
     assert [u.name for u in cs.unknowns] == ["c0_k", "c0_1"]
     assert cs.unknowns[1].lo == 1  # monotonicity witness
     assert emit_smtlib(cs, 16).startswith("(set-logic QF_NIA)\n")  # s nests on the right-hand side
-    # 4*[s(x)] - (3*[x] + [s(s(x))]) = (4a - 3 - a^2) x + (3b - ab), a at 1 and b at 0
-    slope = next(c for c in cs.constraints if c.label == "rule 1: coefficient of x")
-    const = next(c for c in cs.constraints if "constant margin" in c.label)
-    assert slope.poly == Poly({(1,): 4, (): -3, (1, 1): -1})
-    assert slope.at_least == 0
-    assert const.poly == Poly({(0,): 3, (0, 1): -1})
-    assert const.at_least == 1
+    # 4*[s(x)] - (3*[x] + [s(s(x))]) = (4a - 3 - a^2) x + (3b - ab), a at 1 and b at 0:
+    # the constant margin, strict, comes first and the slope of x after it
+    assert cs.constraints == [({(0,): 3, (0, 1): -1}, 1), ({(1,): 4, (): -3, (1, 1): -1}, 0)]
 
 
 def test_encode_without_nesting_is_linear_logic():
@@ -213,11 +208,11 @@ def test_emit_deterministic_and_readable():
 
 
 def test_poly_sexpr_forms():
-    assert poly_sexpr(Poly({}), []) == "0"
-    assert poly_sexpr(Poly({(): -3}), []) == "(- 3)"
-    assert poly_sexpr(Poly({(0,): 4, (): -3, (0, 0): -1}), ["a"]) == "(+ (- 3) (* 4 a) (* (- 1) a a))"
+    assert poly_sexpr({}, []) == "0"
+    assert poly_sexpr({(): -3}, []) == "(- 3)"
+    assert poly_sexpr({(0,): 4, (): -3, (0, 0): -1}, ["a"]) == "(+ (- 3) (* 4 a) (* (- 1) a a))"
     # monomials by degree and then by their sorted names, not by position
-    assert poly_sexpr(Poly({(0, 1): 1, (0, 2): 1, (1,): 1, (2,): 1}), ["z", "y", "x"]) == "(+ x y (* x z) (* y z))"
+    assert poly_sexpr({(0, 1): 1, (0, 2): 1, (1,): 1, (2,): 1}, ["z", "y", "x"]) == "(+ x y (* x z) (* y z))"
 
 
 def test_enumerate_box_walk():
@@ -251,7 +246,7 @@ def test_box_models_agree_with_exact_checker():
             env = dict(zip(names, values))
             in_box = all(u.lo <= env[u.name] <= bound for u in cs.unknowns)
             claims_sat = in_box and all(
-                evaluate(c.poly, values) >= c.at_least for c in cs.constraints
+                evaluate(poly, values) >= at_least for poly, at_least in cs.constraints
             )
             assert claims_sat == (values in sat_models)
             if not in_box:
@@ -441,7 +436,7 @@ def _fraction_path(system, shape):
     the template laid out by callback with one `FractionPoly` per unknown,
     each rule difference [l] - sum pj [rj] from a fresh evaluation of every
     term, scaled by the weight total. Returns the (name, lo) of each unknown
-    and the (label, at_least, terms) of each constraint, or the message of
+    and the (at_least, terms) of each constraint, or the message of
     the DegreeOverflow that encoding raises instead."""
     unknowns = []
 
@@ -452,14 +447,13 @@ def _fraction_path(system, shape):
     interp = template(system, shape, unknown)
     cap = shape.param if shape.kind == "poly" else None
     constraints = []
-    for index, rule in enumerate(system.rules, start=1):
+    for rule in system.rules:
         try:
             diff = rule_difference(interp, rule, cap).scale(rule.rhs.denominator)
         except DegreeOverflow as exc:
             return unknowns, str(exc)
         constraints.extend(
-            (f"rule {index}: {where}", 1 if strict else 0, FractionPoly.of(value).terms)
-            for where, value, strict in orientation_entries(diff)
+            (1 if strict else 0, FractionPoly.of(value).terms) for _, value, strict in orientation_entries(diff)
         )
     return unknowns, constraints
 
@@ -483,9 +477,21 @@ def test_encode_matches_the_fraction_path():
                 continue
             cs = encoded.constraint_set
             assert cs.unknowns == [UnknownSpec(name, lo) for name, lo in unknowns]
-            assert [(c.label, c.at_least, c.poly.terms) for c in cs.constraints] == expected
+            assert [(at_least, poly) for poly, at_least in cs.constraints] == expected
+            # each rule gives one strict constraint, where its entries list the margin
+            cap = shape.param if shape.kind == "poly" else None
+            differences = Differences(shape.kind, shape.param, encoded.table, UNKNOWNS, cap)
+            margins, start = [], 0
+            for rule in system.rules:
+                entries = differences.entries(rule)
+                strict = [i for i, (_, _, is_strict) in enumerate(entries) if is_strict]
+                assert len(strict) == 1
+                margins.append(start + strict[0])
+                start += len(entries)
+            assert start == len(cs.constraints)
+            assert [i for i, (_, at_least) in enumerate(cs.constraints) if at_least == 1] == margins
             # every emitted coefficient is an int, never an integral Fraction
-            assert all(type(k) is int for c in cs.constraints for k in c.poly.terms.values())
+            assert all(type(k) is int for poly, _ in cs.constraints for k in poly.values())
             seen["encoded"] += 1
             # a model decodes to the template with its values; one over the box is refused
             values = {name: lo + i % (3 - lo) for i, (name, lo) in enumerate(unknowns)}
@@ -507,7 +513,7 @@ def test_poly_coefficients_are_ints():
     system = elaborate(parse_problem("(VAR x)(RULES f(x) -> 2 : g(x) || 1 : x  g(s(x)) -> 3 : f(x) || 5 : s(x))"))
     for shape in SIX_SHAPES:
         encoded = encode(system, shape)
-        assert all(type(k) is int for c in encoded.constraint_set.constraints for k in c.poly.terms.values())
+        assert all(type(k) is int for poly, _ in encoded.constraint_set.constraints for k in poly.values())
         decoded = decode(encoded, {spec.name: Fraction(2) for spec in encoded.constraint_set.unknowns}, 2)
         if decoded.kind == "poly":
             values = [c for row in coefficients(decoded).values() for c in row.values()]
@@ -521,17 +527,8 @@ def test_weight_recovery_from_probabilities():
     assert RW14.rules[0].rhs.denominator == 4
 
 
-def test_constraint_equality_ignores_the_label():
-    poly = Poly({(0,): 1, (): 1})
-    one, other = Constraint(poly, 1, "rule 1: constant margin"), Constraint(Poly({(): 1, (0,): 1}), 1, "rule 2")
-    assert one == other and hash(one) == hash(other)
-    assert one == Constraint(poly, 1) and one.label == "rule 1: constant margin"
-    assert one != Constraint(poly, 0, one.label) and one != Constraint(Poly({(1,): 1, (): 1}), 1, one.label)
-    assert len({one, other}) == 1
-
-
 def test_emit_skips_nothing_on_empty_constraints():
-    cs = ConstraintSet([UnknownSpec("u", 0)], [Constraint(Poly({(0,): 1}), 1)])
+    cs = ConstraintSet([UnknownSpec("u", 0)], [({(0,): 1}, 1)])
     text = emit_smtlib(cs, 1)
     assert "(assert (>= u 1))" in text
 
@@ -672,7 +669,7 @@ def _set(lows: dict[str, int], *constraints: tuple[dict, int]) -> ConstraintSet:
     with the unknowns' positions in the order of `lows`."""
     return ConstraintSet(
         [UnknownSpec(name, lo) for name, lo in lows.items()],
-        [Constraint(Poly(terms), at_least) for terms, at_least in constraints],
+        list(constraints),
     )
 
 
@@ -822,3 +819,22 @@ def test_one_encoding_answers_at_every_bound():
             runs.add(tuple(statuses))
     assert all(answered[bound, "sat"] and answered[bound, "unsat"] for bound in (1, 2, 4)), answered
     assert ("unsat", "unsat", "sat") in runs, runs
+
+
+def test_searching_and_emitting_leave_the_constraints_as_encoded():
+    # `search_args` hands the search the set's own list of (poly, at_least)
+    # pairs, whose polynomials `Differences.entries` built: neither a search
+    # nor an emission may change them
+    seen = set()
+    for path in sorted(PROBLEMS.glob("*.wst")):
+        system = load_system(str(path))
+        for shape in DEFAULT_SHAPES:
+            cs = encode(system, shape).constraint_set
+            before = copy.deepcopy(cs.constraints)
+            assert cs.search_args(1)[2] is cs.constraints
+            statuses = [solve_box(cs, bound, DEFAULT_LIMIT).status for bound in (1, 2, 4)]
+            emit_smtlib(cs, 16)
+            statuses.append(solve_sums(*cs.search_args(16), DEFAULT_LIMIT)[0])
+            assert cs.constraints == before, (path.name, shape, statuses)
+            seen.update(statuses)
+    assert seen == {"sat", "unsat", "unknown"} and UNKNOWNS.zero == {}
