@@ -383,7 +383,8 @@ class Differences:
                 for V in sorted((V for V, value in diff.items() if value), key=_by_size)
             ]
             if not diff.get(_CONSTANT):
-                entries.append(("constant margin", self.ring.zero, True))
+                # a fresh zero, not the one value the ring holds
+                entries.append(("constant margin", scaled(None, self.ring.zero, 1), True))
             return entries
         dim = range(self.dim)
         grids: dict[str, list[list]] = {}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 S = TypeVar("S", bound=Hashable)
@@ -44,7 +44,7 @@ class MultiDistribution(Generic[T]):
     build through `_unchecked` and carry the mass along instead.
     """
 
-    __slots__ = ("_numerators", "_den", "_mass_num", "_entries", "_key")
+    __slots__ = ("_numerators", "_den", "_mass_num", "_key")
 
     def __init__(self, entries: Iterable[tuple[Rational, T]]):
         kept: list[tuple[Fraction, T]] = []
@@ -67,7 +67,6 @@ class MultiDistribution(Generic[T]):
         self._numerators = tuple((p.numerator * (den // p.denominator), obj) for p, obj in kept)
         self._den = den
         self._mass_num = sum(n for n, _ in self._numerators)
-        self._entries = tuple(kept)
         self._key = None
 
     @classmethod
@@ -80,7 +79,6 @@ class MultiDistribution(Generic[T]):
         mu._numerators = numerators
         mu._den = den
         mu._mass_num = mass_num
-        mu._entries = None
         mu._key = None
         return mu
 
@@ -108,19 +106,16 @@ class MultiDistribution(Generic[T]):
 
     @property
     def entries(self) -> tuple[tuple[Fraction, T], ...]:
-        """The entries as (Fraction, obj), reduced once and cached."""
-        entries = self._entries
-        if entries is None:
-            den = self._den
-            reduced: dict[int, Fraction] = {}
-            out = []
-            for n, obj in self._numerators:
-                p = reduced.get(n)
-                if p is None:
-                    p = reduced[n] = Fraction(n, den)
-                out.append((p, obj))
-            entries = self._entries = tuple(out)
-        return entries
+        """The entries as (Fraction, obj), each distinct weight reduced once."""
+        den = self._den
+        reduced: dict[int, Fraction] = {}
+        out = []
+        for n, obj in self._numerators:
+            p = reduced.get(n)
+            if p is None:
+                p = reduced[n] = Fraction(n, den)
+            out.append((p, obj))
+        return tuple(out)
 
     def mass(self) -> Fraction:
         return Fraction(self._mass_num, self._den)
@@ -137,31 +132,15 @@ class MultiDistribution(Generic[T]):
 
     def bind(self, fn: Callable[[T], FiniteDistribution[S] | None]) -> "MultiDistribution[S]":
         """The union of p * fn(obj) over the entries (p, obj); an entry
-        whose fn(obj) is None vanishes.
-
-        Each image is added as it is read, its numerators scaled to the
-        running lcm `common` of the images' denominators; an image whose
-        denominator does not divide it rescales what is gathered so far.
-        An image has mass 1, so the result weighs the entries kept."""
-        numerators: list[tuple[int, S]] = []
-        append = numerators.append
-        common, kept = 1, 0
-        for n, obj in self._numerators:
+        whose fn(obj) is None vanishes. fn is called once per entry, in
+        entry order, and `_step` adds the images over this denominator
+        times their lcm. An image has mass 1: the result weighs the entries kept."""
+        rows = []
+        for _, obj in self._numerators:
             dist = fn(obj)
-            if dist is None:
-                continue
-            kept += n
-            d = dist._den
-            if common % d:
-                r = d // gcd(common, d)
-                numerators = [(r * m, image) for m, image in numerators]
-                append = numerators.append
-                common *= r
-            if d != common:
-                n *= common // d
-            for m, image in dist._numerators:
-                append((n * m, image))
-        return MultiDistribution._unchecked(tuple(numerators), self._den * common, kept * common)
+            rows.append(None if dist is None else (dist._den, dist._numerators))
+        out, common, kept = _step([(n, i) for i, (n, _) in enumerate(self._numerators)], rows, [], False)
+        return MultiDistribution._unchecked(tuple(out), self._den * common, kept * common)
 
     def _canonical(self) -> tuple[int, frozenset]:
         key = self._key
@@ -249,6 +228,49 @@ class FiniteDistribution(MultiDistribution[T]):
 
     def support(self) -> list[T]:
         return [obj for _, obj in self._numerators]
+
+
+def _step(state: list, rows: Sequence, acc: list[int], collapse: bool) -> tuple[list, int, int]:
+    """(successor, common, kept) for `state`, a list of (numerator, j): the
+    multidistribution step. Each entry is replaced by rows[j], a row
+    (d, [(m, k), ...]) of weights m / d on objects k, or dropped when that
+    is None. Rows are scaled to their running lcm `common`, and `kept` sums
+    the numerators kept. A collapsed step sums into `acc`, all 0 before and
+    after, and lists each image when first touched, merging as merged() does."""
+    out = []
+    common, kept = 1, 0
+    for n, j in state:
+        row = rows[j]
+        if row is None:
+            continue
+        kept += n
+        d, pairs = row
+        if common % d:
+            r = d // gcd(common, d)
+            if collapse:
+                for k in out:
+                    acc[k] *= r
+            else:
+                out = [(r * m, k) for m, k in out]
+            common *= r
+        if d != common:
+            n *= common // d
+        if collapse:
+            for m, k in pairs:
+                v = acc[k]
+                if v:
+                    acc[k] = v + n * m
+                else:
+                    acc[k] = n * m
+                    out.append(k)
+        else:
+            for m, k in pairs:
+                out.append((n * m, k))
+    if collapse:
+        out, touched = [(acc[k], k) for k in out], out
+        for k in touched:
+            acc[k] = 0
+    return out, common, kept
 
 
 def expected_value(mu: MultiDistribution[T], fn: Callable[[T], Rational | str]) -> Fraction:

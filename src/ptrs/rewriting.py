@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, product
-from math import lcm
+from itertools import product
+from math import lcm, prod
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .multidist import (
     FiniteDistribution,
     MultiDistribution,
+    _step,
     as_fraction,
 )
 from .terms import (
@@ -514,9 +515,9 @@ def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> Multi
     """One reduction step; terminal entries vanish, so mass is monotone.
 
     The chooser is asked once per entry, in entry order. Nothing in the
-    package steps through here: `simulator.run` and
-    `simulator.drift_harness` step over integer indices in their own
-    loops. It stays as the one-step semantics for tests and the tracer."""
+    package steps through here: `simulator.run` steps over integer
+    indices with `multidist._step`, and `simulator.drift_harness` in its
+    own loop. It stays as the one-step semantics for tests and the tracer."""
     return mu.bind(lambda obj: pars.choose(obj, chooser))
 
 
@@ -538,37 +539,27 @@ def all_steps(
 
     Duplicate results (as multisets) are removed; first-seen order is kept.
     """
-    choices = []
+    entries, choices = [], []
     for n, obj in mu.numerators:
         options = pars.options(obj)
         if options:
-            choices.append((n, [(d.denominator, d.numerators) for d in options]))
+            entries.append((n, len(entries)))  # entry i takes combo[i]
+            choices.append([(d.denominator, d.numerators) for d in options])
     if not choices:
         return [MultiDistribution.empty()]
-    # every successor's weights are numerators over mu's denominator times
-    # one common denominator of all the options
-    common = lcm(*{d for _, weighted in choices for d, _ in weighted})
-    alternatives: list[list[tuple[tuple[int, Hashable], ...]]] = []
-    for n, weighted in choices:
-        opts = []
-        for d, pairs in weighted:
-            factor = n * (common // d)
-            opts.append(tuple((factor * m, image) for m, image in pairs))
-        alternatives.append(opts)
-    # each option keeps the mass of the entry it replaces, so every
-    # successor weighs the nonterminal entries of mu: at most mass(mu)
-    den = mu.denominator * common
-    mass = common * sum(n for n, _ in choices)
-    seen: dict[MultiDistribution, None] = {}
-    combos = 1
-    for opts in alternatives:
-        combos *= len(opts)
+    # every option is scaled to one common denominator of all of them, so
+    # each successor is over mu's denominator times it and weighs the
+    # nonterminal entries of mu: at most mass(mu)
+    common = lcm(*{d for weighted in choices for d, _ in weighted})
+    alternatives = [[(common, [(m * (common // d), image) for m, image in pairs]) for d, pairs in weighted]
+                    for weighted in choices]
     if tracker is not None:
-        tracker.spend(combos * len(alternatives))
+        tracker.spend(prod(map(len, alternatives)) * len(alternatives))
+    den = mu.denominator * common
+    seen: dict[MultiDistribution, None] = {}
     for combo in product(*alternatives):
-        nu = MultiDistribution._unchecked(tuple(chain.from_iterable(combo)), den, mass)
-        if nu not in seen:
-            seen[nu] = None
+        out, _, kept = _step(entries, combo, [], False)
+        seen.setdefault(MultiDistribution._unchecked(tuple(out), den, kept * common))
     return list(seen)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
-from typing import Callable, Hashable, NamedTuple, Sequence
+from typing import Callable, Hashable, NamedTuple
 
 import random
 
@@ -18,6 +18,7 @@ from .interpretations import Certificate, ranking_from_certificate
 from .multidist import (
     MultiDistribution,
     Rational,
+    _step,
     as_fraction,
     canonical_order,
     display_key,
@@ -81,49 +82,6 @@ def collapsed(mu: MultiDistribution) -> MultiDistribution:
     mu = mu.merged()
     items = tuple(sorted(mu.numerators, key=display_key))
     return MultiDistribution._unchecked(items, mu.denominator, mu.mass_numerator)
-
-
-def _step(state: list, rows: Sequence, acc: list[int], collapse: bool) -> tuple[list, int, int]:
-    """(successor, common, kept) for `state`, a list of (numerator, j), by
-    bind's rule: each entry is replaced by rows[j], a row (d, [(m, k), ...])
-    of weights m / d on objects k, or dropped when that is None. Rows are
-    scaled to their running lcm `common`, and `kept` sums the numerators
-    kept. A collapsed step sums into `acc`, all 0 before and after, and
-    lists each image when first touched, merging as merged() does."""
-    out = []
-    common, kept = 1, 0
-    for n, j in state:
-        row = rows[j]
-        if row is None:
-            continue
-        kept += n
-        d, pairs = row
-        if common % d:
-            r = d // gcd(common, d)
-            if collapse:
-                for k in out:
-                    acc[k] *= r
-            else:
-                out = [(r * m, k) for m, k in out]
-            common *= r
-        if d != common:
-            n *= common // d
-        if collapse:
-            for m, k in pairs:
-                v = acc[k]
-                if v:
-                    acc[k] = v + n * m
-                else:
-                    acc[k] = n * m
-                    out.append(k)
-        else:
-            for m, k in pairs:
-                out.append((n * m, k))
-    if collapse:
-        out, touched = [(acc[k], k) for k in out], out
-        for k in touched:
-            acc[k] = 0
-    return out, common, kept
 
 
 def run(config: RunConfig) -> RunReport:
@@ -414,10 +372,10 @@ def drift_harness(
         for depth in range(max_depth):
             if not state:
                 break
-            # _step's rule, written out to read each drawn reduct off its
-            # redex index entry: compiled rows would keep every draw's images
-            # for as long as the system keeps the table. Routed through
-            # _step, drift-rank (2 vCPUs, 10 alternating pairs each) ran
+            # multidist._step's rule, written out to read each drawn reduct
+            # off its redex index entry: compiled rows would keep every
+            # draw's images for as long as the system keeps the table.
+            # Routed through _step, drift-rank (2 vCPUs, 10 alternating pairs each) ran
             # 767 against 1065 ops/s with rows built per step (p50 1.26
             # against 0.94 ms), and 927 against 1099 ops/s with rows cached
             # per object and redex, holding 0.8 MiB more

@@ -768,10 +768,11 @@ def reference_merged_steps(pars, start, steps, chooser) -> list[MultiDistributio
 
 
 # A single-strategy run as `simulator.run` took it before it stepped over
-# integer indices: every step through `MultiDistribution.bind`, a
-# per-object chooser's answers kept in a `picks` dict for the whole run
-# and started afresh before they could pass MEMO_LIMIT. It is the oracle of
-# the differential tests of `run`.
+# integer indices: a per-object chooser's answers kept in a `picks` dict
+# for the whole run and started afresh before they could pass MEMO_LIMIT.
+# Every step goes through `reference_bind`, the gather-then-union bind,
+# which gives the same integer forms as `multidist._step` and shares no
+# code with it. It is the oracle of the differential tests of `run`.
 
 
 def picking_step(
@@ -787,10 +788,8 @@ def picking_step(
         for _, obj in mu.numerators:
             if obj not in picks:
                 picks[obj] = pars.choose(obj, chooser)
-        nu = mu.bind(picks.__getitem__)
-    else:
-        nu = mu.bind(lambda obj: pars.choose(obj, chooser))
-    return nu.merged() if merge else nu
+        return reference_bind(mu, picks.__getitem__, merge)
+    return reference_bind(mu, lambda obj: pars.choose(obj, chooser), merge)
 
 
 def reference_run(config: RunConfig) -> RunReport:

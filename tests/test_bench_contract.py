@@ -44,6 +44,33 @@ def test_term_pars_exposes_what_the_tracer_reads():
     assert len(pars._memo) == 0
 
 
+# (module, name, defining module): every place the traced benchmark's own
+# tests require a wrapper to reach, bound to the function the tracer wraps.
+# The tracer patches a site only where it holds that very function object.
+IMPORT_SITES = (
+    ("ptrs.prover", "encode", "ptrs.smt"),
+    ("ptrs.prover", "emit_smtlib", "ptrs.smt"),
+    ("ptrs.prover", "run_solver", "ptrs.smt"),
+    ("ptrs.prover", "decode", "ptrs.smt"),
+    ("ptrs.smt", "encode", "ptrs.smt"),
+    ("ptrs.simulator", "step_multidist", "ptrs.rewriting"),
+    ("ptrs.simulator", "all_steps", "ptrs.rewriting"),
+    ("ptrs.simulator", "ranking_from_certificate", "ptrs.interpretations"),
+    ("ptrs.simulator", "expected_value", "ptrs.multidist"),
+    ("ptrs.rewriting", "match", "ptrs.terms"),
+    ("ptrs.rewriting", "replace_at", "ptrs.terms"),
+    ("ptrs.cli", "load_system", "ptrs.wst"),
+)
+
+
+def test_every_import_site_the_tracer_wraps_stays_bound():
+    for module, name, home in IMPORT_SITES:
+        bound = getattr(importlib.import_module(module), name, None)
+        assert callable(bound) and bound is getattr(importlib.import_module(home), name), (module, name)
+    simulator = importlib.import_module("ptrs.simulator")
+    assert simulator.MODES["innermost"] is leftmost_innermost
+
+
 def test_encode_returns_what_the_tracer_counts():
     # the smt.encode hook reads len() of the result's unknowns and
     # constraints; a constraint is a pair (polynomial dict, int at_least)

@@ -407,6 +407,14 @@ def test_assert_takes_one_term():
             solve(text)
 
 
+def test_a_zero_ary_declare_fun_declares_a_constant():
+    model = ["sat", "(", "  (define-fun x () Int 2)", ")"]
+    assert solve("(declare-fun x () Int)(assert (>= x 2))(assert (<= x 3))(check-sat)(get-model)") == model
+    for text in ("(declare-fun x (Int) Int)", "(declare-fun x () Bool)", "(declare-fun x Int)", "(declare-fun () () Int)"):
+        with pytest.raises(ScriptError, match="^only zero-ary Int declare-fun is supported$"):
+            solve(text + "(check-sat)")
+
+
 TOKENS = ["(", ")", "+", "-", "*", "=", ">=", "<", "and", "or", "not", "x", "c0_k", "1", "-1",
           "0", "true", "Int", "assert", "declare-const", "check-sat", "get-model", ";", "()"]
 

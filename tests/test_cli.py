@@ -168,6 +168,25 @@ def test_simulate_argument_validation(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_simulate_cert_needs_a_term_view(capsys):
+    # the nd family's objects are names, which no certificate ranks
+    code, out, err = run_cli(capsys, "simulate", "--family", "nd", "--start", "a", "--cert", RW34_CERT)
+    assert (code, out, err) == (2, "", "error: --cert needs a term-rewriting view of the system\n")
+
+
+def test_start_bytes_the_locale_left_escaped_are_read_as_utf8(capsys, tmp_path):
+    # what an ASCII locale leaves of the UTF-8 bytes of "é(0)" and of the
+    # byte 0xff, read in this process
+    assert _start_text("\udcc3\udca9(0)") == "é(0)"
+    problem = tmp_path / "accent.wst"
+    problem.write_text("(VAR x)(RULES é(x) -> x)\n", encoding="utf-8")
+    escaped = run_cli(capsys, "simulate", str(problem), "--start", "\udcc3\udca9(0)", "--steps", "2")
+    assert escaped == run_cli(capsys, "simulate", str(problem), "--start", "é(0)", "--steps", "2")
+    assert escaped[0] == 0
+    code, out, err = run_cli(capsys, "simulate", str(problem), "--start", "\udcff(0)", "--steps", "2")
+    assert (code, out, err) == (2, "", "error: --start is not UTF-8 text: '\\udcff(0)'\n")
+
+
 def test_stdout_is_deterministic(capsys):
     args = ("prove", RW34, "--solver", BOXSOLVER, "--shapes", "poly-linear", "--json")
     _, first, _ = run_cli(capsys, *args)

@@ -392,6 +392,36 @@ def test_matrix_validate():
     assert any("not monotone" in p for p in problems)
 
 
+ONE = ((1,),)
+IDENTITY = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PolyInterpretation({"f": 1}, {"f": {(2,): 1}}), "monomial [2] outside the arguments of f/1"),
+        (lambda: PolyInterpretation({"c": 0}, {"c": {(1,): 1}}), "monomial [1] outside the arguments of c/0"),
+        (lambda: MatrixInterpretation({"a": 0}, 0, {"a": ((), ())}), "matrix dimension must be at least 1"),
+        (lambda: MatrixInterpretation({"a": 2}, 1, {"a": ((ONE,), (0,))}), "[a] needs 2 argument matrices, got 1"),
+        (lambda: MatrixInterpretation({"a": 1}, 2, {"a": ((((1, 0),),), (0, 0))}), "[a] has a matrix that is not 2x2"),
+        (lambda: MatrixInterpretation({"a": 1}, 2, {"a": ((((1, 0), (0,)),), (0, 0))}),
+         "[a] has a matrix that is not 2x2"),
+        (lambda: MatrixInterpretation({"a": 1}, 2, {"a": ((IDENTITY,), (0,))}), "[a] constant vector is not of length 2"),
+    ],
+)
+def test_constructors_reject_a_table_of_the_wrong_shape(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_check_certificate_needs_a_rule():
+    system = elaborate(parse_problem(COINGAME))
+    empty = type(system)(system.signature, ())
+    with pytest.raises(ValueError, match="^system has no rules$"):
+        check_certificate(COIN_INTERP, empty)
+
+
 def test_ranking_from_certificate_poly():
     system = random_walk_ptrs(Fraction(3, 4))
     cert = check_certificate(walk_interp(), system)

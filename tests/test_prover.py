@@ -21,6 +21,7 @@ from ptrs.smt import (
     DEFAULT_SHAPES,
     ConstraintSet,
     EncodedProblem,
+    EncodingError,
     Shape,
     UnknownSpec,
     emit_smtlib,
@@ -29,6 +30,8 @@ from ptrs.smt import (
     run_solver,
     solve_box,
 )
+from ptrs.rewriting import PTRS
+from ptrs.terms import Signature
 from ptrs.wst import elaborate, load_system, parse_problem
 
 from helpers import box_points, prove_encoding_every_shape, random_ptrs
@@ -93,6 +96,18 @@ def test_unsound_model_is_hard_error():
     verdict = prove(RW34, ProverConfig(shapes=POLY_ONLY, solver=cmd))
     assert verdict.kind == "ERROR"
     assert "failed validation" in verdict.error
+
+
+def test_a_system_without_rules_is_an_error_verdict():
+    # nothing to orient: every solver setting answers ERROR before a search
+    empty = PTRS(Signature({"f": 1}), ())
+    with pytest.raises(EncodingError, match="^system has no rules$"):
+        encode(empty, POLY_ONLY[0])
+    for solver in (BOXSOLVER, f"{FAKE} --reply sat"):
+        for parallel in (False, True):
+            verdict = prove(empty, ProverConfig(solver=solver, parallel=parallel))
+            assert (verdict.kind, verdict.error) == ("ERROR", "cannot encode poly-linear: system has no rules")
+            assert format_verdict(verdict, empty).splitlines()[0] == "ERROR"
 
 
 def test_solver_failure_paths_become_outcomes():

@@ -444,6 +444,20 @@ def test_choose_default_goes_through_options():
     assert pars.choose(nat(2), random_chooser(random.Random(1))) in pars.options(nat(2))
 
 
+def test_a_chooser_indexes_the_redexes_as_a_sequence():
+    # f(a, a) has two redexes with distinct reducts: a chooser's -1 is the
+    # last, as on a list, and an index past either end is an IndexError
+    pars = TermPars(elaborate(parse_problem("(RULES a -> b  f(a, a) -> b)")))
+    a, b = App("a"), App("b")
+    term = App("f", (a, a))
+    assert len(pars.options(term)) == 3
+    last = pars.choose(term, lambda pars, obj, options: -1)
+    assert last == pars.options(term)[2] == FiniteDistribution.point(App("f", (a, b)))
+    for index in (3, -4):
+        with pytest.raises(IndexError, match="^redex index out of range$"):
+            pars.choose(term, lambda pars, obj, options: index)
+
+
 def test_deep_term_walk_is_linear_and_recursion_free():
     rw = random_walk_ptrs(Fraction(3, 4))
     depth = 3000

@@ -194,6 +194,15 @@ def test_estimate_edh_walk_bound():
     assert F(15, 2) < estimate.final_edl < 8
 
 
+def test_estimate_edh_needs_a_term_view():
+    # the nd family's objects are names, which no certificate ranks
+    cert = check_certificate(parse_interpretation("poly\n[0] = 0\n[s](x) = x + 1\n"), random_walk_ptrs(F(3, 4)))
+    pars = NondetBranch()
+    report = run(RunConfig(pars, "a", 2))
+    with pytest.raises(ValueError, match="^this system has no term view to rank$"):
+        estimate_edh(pars, cert, "a", report)
+
+
 def test_edl_prefixes_approach_twice_height():
     # hitting_times_truncated solves the expected-time system exactly; the
     # unbounded walk's edl prefixes must approach it from below.

@@ -135,6 +135,21 @@ def test_encode_without_nesting_is_linear_logic():
     assert emit_smtlib(encoded.constraint_set, 16).startswith("(set-logic QF_LIA)\n")
 
 
+def test_a_cancelled_margin_is_a_fresh_polynomial():
+    # every monomial of f(x) -> f(x) cancels, so its strict margin is an
+    # empty polynomial; it must be the constraint's own dict, not the
+    # ring's zero, which a caller could fill for every later encoding
+    system = elaborate(parse_problem("(VAR x)(RULES f(x) -> f(x))"))
+    first, second = (encode(system, parse_shape("poly-linear")).constraint_set.constraints for _ in range(2))
+    margin, at_least = first[-1]
+    assert margin == {} and at_least == 1 and margin is not UNKNOWNS.zero
+    polys = [poly for constraints in (first, second) for poly, _ in constraints]
+    assert len({id(poly) for poly in polys}) == len(polys) == 2 * len(first)
+    # checking a certificate, the NUMBERS ring keeps its 0
+    identity = PolyInterpretation({"f": 1}, {"f": {(1,): 1}})
+    assert Differences.checking(identity).entries(system.rules[0]) == [("constant margin", 0, True)]
+
+
 def test_encode_degree_overflow():
     system = elaborate(parse_problem("(VAR x y z)(RULES f(f(x,y),z) -> x)"))
     with pytest.raises(DegreeOverflow):
@@ -362,6 +377,11 @@ def test_solver_not_found():
     result = run_solver("(check-sat)", "definitely-not-a-solver-binary -in", timeout=5)
     assert result.status == "error"
     assert "cannot start" in result.detail
+
+
+def test_an_empty_solver_command_starts_nothing():
+    for command in ("", "   ", "\t\n"):
+        assert run_solver("(check-sat)", command, timeout=5) == SolverResult("error", detail="empty solver command")
 
 
 def test_solver_timeout_kills_process():
