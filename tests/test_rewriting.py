@@ -445,8 +445,8 @@ def test_choose_default_goes_through_options():
 
 
 def test_a_chooser_indexes_the_redexes_as_a_sequence():
-    # f(a, a) has two redexes with distinct reducts: a chooser's -1 is the
-    # last, as on a list, and an index past either end is an IndexError
+    # f(a, a) has three redexes, the root and each a: a chooser's -1 is
+    # the last, as on a list, and an index past either end is an IndexError
     pars = TermPars(elaborate(parse_problem("(RULES a -> b  f(a, a) -> b)")))
     a, b = App("a"), App("b")
     term = App("f", (a, a))
