@@ -19,11 +19,12 @@ from .multidist import MultiDistribution
 from .prover import ProverConfig, Verdict, check_only, format_verdict, prove, verdict_json
 from .rewriting import FAMILY_NAMES, NodeBudgetExceeded, TermPars, make_family
 from .simulator import RunConfig, estimate_edh, run
-from .smt import DEFAULT_SHAPES, in_process_limit, parse_shape
+from .smt import in_process_limit, parse_shape
 from .terms import Signature, TermError, check_term
 from .wst import WstError, load_system
 
-DEFAULT_SOLVER = "z3 -in"
+# prove's defaults, stated once, in ProverConfig
+DEFAULTS = ProverConfig._field_defaults
 # the longest a solver child can be waited for: `Popen.communicate` polls
 # with a timeout that is a C int of milliseconds
 MAX_SMT_TIMEOUT = 2_147_483.647
@@ -74,10 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     prove_p = sub.add_parser("prove", help="search for a ranking interpretation")
     prove_p.add_argument("file", help="rewrite system in .wst format")
-    prove_p.add_argument("--solver", help=f"solver command (default: {DEFAULT_SOLVER})")
+    prove_p.add_argument("--solver", help=f"solver command (default: {DEFAULTS['solver']})")
     prove_p.add_argument("--shapes", help="comma-separated shape list, e.g. poly-linear,matrix-2")
-    prove_p.add_argument("--coeff-bound", type=int, help="coefficient box 0..B (default 16)")
-    prove_p.add_argument("--smt-timeout", type=float, help="seconds per solver call (default 60, at most 2147483.647)")
+    prove_p.add_argument("--coeff-bound", type=int, help=f"coefficient box 0..B (default {DEFAULTS['coeff_bound']})")
+    prove_p.add_argument("--smt-timeout", type=float,
+                         help=f"seconds per solver call (default {DEFAULTS['timeout']:g}, at most {MAX_SMT_TIMEOUT})")
     prove_p.add_argument("--parallel", action="store_true", help="run the shapes concurrently (in order in process)")
     prove_p.add_argument("--emit-smt", metavar="DIR", help="write one .smt2 script per shape")
     _common_flags(prove_p)
@@ -146,10 +148,6 @@ def _out(text: str) -> None:
         sys.stdout.buffer.write(text.encode("utf-8"))
 
 
-def _exit_code(verdict: Verdict) -> int:
-    return {"YES": 0, "MAYBE": 1}.get(verdict.kind, 2)
-
-
 def _json_out(payload: dict) -> None:
     import json
 
@@ -165,21 +163,21 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
     solver = args.solver
     if solver is None:
         # an empty PTRS_SOLVER counts as unset
-        solver = os.environ.get("PTRS_SOLVER") or config.get("solver", DEFAULT_SOLVER)
+        solver = os.environ.get("PTRS_SOLVER") or config.get("solver", DEFAULTS["solver"])
     if not solver.strip():
         raise CliError(f"--solver names no command: {solver!r}")
     shapes_text = _pick(args, config, "shapes", None)
     shapes = (
         tuple(parse_shape(s.strip()) for s in shapes_text.split(",") if s.strip())
         if shapes_text is not None
-        else DEFAULT_SHAPES
+        else DEFAULTS["shapes"]
     )
     if not shapes:
         raise CliError(f"--shapes names no shape: {shapes_text!r}")
-    timeout = _pick(args, config, "smt-timeout", 60.0, float)
+    timeout = _pick(args, config, "smt-timeout", DEFAULTS["timeout"], float)
     if not 0 < timeout <= MAX_SMT_TIMEOUT:
         raise CliError(f"--smt-timeout must be positive and at most {MAX_SMT_TIMEOUT} seconds, got {timeout}")
-    coeff_bound = _pick(args, config, "coeff-bound", 16, int)
+    coeff_bound = _pick(args, config, "coeff-bound", DEFAULTS["coeff_bound"], int)
     if coeff_bound < 0:
         raise CliError(f"--coeff-bound must be at least 0, got {coeff_bound}")
     prover_config = ProverConfig(
@@ -194,15 +192,19 @@ def _run_prove(args, config: dict[str, str], color: bool) -> int:
         where = " (in process)" if in_process_limit(solver) is not None else ""
         print(f"solver: {solver}{where}", file=sys.stderr)
         print(f"shapes: {', '.join(str(s) for s in prover_config.shapes)}", file=sys.stderr)
-    verdict = prove(system, prover_config, _box_cap_note if args.verbose else None)
+    return _report(prove(system, prover_config, _box_cap_note if args.verbose else None), system, args, color)
+
+
+def _report(verdict: Verdict, system, args, color: bool) -> int:
+    """Write the verdict of `args.command`, prove or check, and return its exit code."""
     if args.json:
         payload = verdict_json(verdict, system)
-        payload["command"] = "prove"
+        payload["command"] = args.command
         payload["file"] = args.file
         _json_out(payload)
     else:
         _out(_colorize(format_verdict(verdict, system), color))
-    return _exit_code(verdict)
+    return {"YES": 0, "MAYBE": 1}.get(verdict.kind, 2)
 
 
 def _box_cap_note(shape, floor: int, limit: int) -> None:
@@ -215,15 +217,7 @@ def _run_check(args, config: dict[str, str], color: bool) -> int:
     system = load_system(args.file)
     with open(args.certificate, encoding="utf-8-sig") as handle:
         text = handle.read()
-    verdict = check_only(system, text)
-    if args.json:
-        payload = verdict_json(verdict, system)
-        payload["command"] = "check"
-        payload["file"] = args.file
-        _json_out(payload)
-    else:
-        _out(_colorize(format_verdict(verdict, system), color))
-    return _exit_code(verdict)
+    return _report(check_only(system, text), system, args, color)
 
 
 def _memo_full_note(limit: int) -> None:

@@ -17,6 +17,7 @@ from .interpretations import Certificate, CertificateInvalid, DegreeOverflow, ch
 from .rewriting import PTRS
 from .smt import (
     CancelToken,
+    ConstraintSet,
     DEFAULT_SHAPES,
     EncodingError,
     ModelDecodeError,
@@ -66,7 +67,7 @@ def _attempt(
     config: ProverConfig,
     cancel: CancelToken,
     limit: int | None,
-    unsat_sets: set[tuple] | None = None,
+    unsat_sets: list[ConstraintSet] | None = None,
     note: Callable[[Shape, int, int], None] | None = None,
 ) -> tuple[ShapeOutcome, Certificate | None]:
     """Encode, solve, decode and check one shape: in process with box budget
@@ -131,19 +132,16 @@ def _solve(cs, shape, config, cancel, limit, unsat_sets) -> SolverResult:
         with open(os.path.join(config.emit_smt, f"{shape}.smt2"), "w") as handle:
             handle.write(script)
     # equal sets emit equal scripts at one bound; `unsat_sets` lives for one
-    # `prove` call, whose attempts all search at `config.coeff_bound`. A
-    # polynomial's monomials count in any order.
-    key = None
-    if unsat_sets is not None:
-        key = (tuple(cs.unknowns), tuple((frozenset(p.items()), k) for p, k in cs.constraints))
-    if key is not None and key in unsat_sets:
+    # `prove` call, whose attempts all search at `config.coeff_bound`. Sets
+    # compare with ==, under which a polynomial's monomials count in any order.
+    if unsat_sets is not None and cs in unsat_sets:
         return SolverResult("unsat")
     if limit is not None:
         result = solve_box(cs, config.coeff_bound, limit, timeout=config.timeout, cancel=cancel)
     else:
         result = run_solver(script, config.solver, timeout=config.timeout, cancel=cancel)
-    if key is not None and result.status == "unsat":
-        unsat_sets.add(key)
+    if unsat_sets is not None and result.status == "unsat":
+        unsat_sets.append(cs)
     return result
 
 
@@ -177,7 +175,7 @@ def _run_sequential(system, config, cancel, limit, note):
     # Shapes can encode the same constraint set (poly-multilinear-2 is
     # poly-linear when no symbol takes two arguments); an unsat one is
     # solved once.
-    results, unsat_sets = [], set()
+    results, unsat_sets = [], []
     for shape in config.shapes:
         outcome, cert = _attempt(system, shape, config, cancel, limit, unsat_sets, note)
         results.append((outcome, cert))

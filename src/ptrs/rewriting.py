@@ -249,54 +249,44 @@ def _step_down(entry: _Entry, k: int) -> tuple[int, _Entry, int]:
     raise IndexError("redex index out of range")
 
 
-def _compile_rule(rule: ProbRule) -> tuple[int, tuple, tuple]:
-    """The plan that instantiates the rule's right-hand sides at a node its
-    left-hand side matches: the rule's denominator; reads (slot, i), each
-    of which adds a slot that holds argument i of the subject in an earlier
-    slot, slot 0 being the node; and, per right-hand side in order, its
-    numerator and a post-order list of steps. A step (None, slot) pushes
-    that slot's subject, and (symbol, arity) pops that many values and
-    pushes them as the arguments of symbol. A right-hand subterm that is a
-    left-hand one, every variable among them, is read off the subject and
-    not rebuilt. Every part is linear in the size of the rule."""
-    parent: dict[Term, tuple[Term, int]] = {}
+def _compile_rule(rule: ProbRule) -> tuple[int, tuple, tuple, tuple]:
+    """The program that instantiates the rule's right-hand sides at a node
+    its left-hand side matches, over a list of slots that starts with the
+    node: the rule's denominator; reads (slot, i), one per distinct
+    left-hand subterm below the root, each adding argument i of an earlier
+    slot; builds (symbol, argument slots), one per distinct right-hand node
+    that is not a left-hand one, each adding that node over earlier slots,
+    a single argument slot given as a plain int; and, per right-hand side
+    in order, its numerator and its slot. Every part is linear in the size
+    of the rule."""
+    slots: dict[Term, int] = {rule.lhs: 0}
+    reads: list[tuple[int, int]] = []
     stack = [rule.lhs]
     while stack:
         term = stack.pop()
-        if term.__class__ is App:
-            for i, arg in enumerate(term.args):
-                if arg not in parent:
-                    parent[arg] = (term, i)
+        for i, arg in enumerate(term.args):
+            if arg not in slots:
+                slots[arg] = len(slots)
+                reads.append((slots[term], i))
+                if arg.__class__ is App:
                     stack.append(arg)
-    slots: dict[Term, int] = {rule.lhs: 0}
-    reads: list[tuple[int, int]] = []
-
-    def slot(term: Term) -> int:
-        unread, up = [], term
-        while up not in slots:
-            unread.append(up)
-            up = parent[up][0]
-        for below in reversed(unread):
-            up, i = parent[below]
-            slots[below] = len(slots)
-            reads.append((slots[up], i))
-        return slots[term]
-
+    builds: list[tuple[str, int | tuple[int, ...]]] = []
     alternatives = []
     for n, rhs_term in rule.rhs.numerators:
-        plan: list[tuple] = []
-        todo: list[tuple[Term, bool]] = [(rhs_term, False)]
-        while todo:
-            term, built = todo.pop()
-            if built:
-                plan.append((term.symbol, len(term.args)))
-            elif term in slots or term in parent:
-                plan.append((None, slot(term)))
+        stack = [rhs_term]
+        while stack:
+            term = stack.pop()
+            if term in slots:
+                continue
+            unmade = [arg for arg in term.args if arg not in slots]
+            if unmade:
+                stack += term, *unmade  # its arguments first
             else:
-                todo.append((term, True))
-                todo.extend((arg, False) for arg in reversed(term.args))
-        alternatives.append((n, tuple(plan)))
-    return rule.rhs.denominator, tuple(reads), tuple(alternatives)
+                args = tuple(slots[arg] for arg in term.args)
+                builds.append((term.symbol, args[0] if len(args) == 1 else args))
+                slots[term] = len(slots)
+        alternatives.append((n, slots[rhs_term]))
+    return rule.rhs.denominator, tuple(reads), tuple(builds), tuple(alternatives)
 
 
 class TermPars(Pars):
@@ -317,7 +307,7 @@ class TermPars(Pars):
         self._rules_at: dict[str, list[tuple[int, Term]]] = {}
         for index, rule in enumerate(system.rules):
             self._rules_at.setdefault(rule.lhs.symbol, []).append((index, rule.lhs))
-        self._plans: list[tuple | None] = [None] * len(system.rules)
+        self._programs: list[tuple | None] = [None] * len(system.rules)
 
     def _entry(self, term: Term) -> _Entry:
         """The index entry of term. Nodes not indexed yet are indexed
@@ -364,34 +354,27 @@ class TermPars(Pars):
 
     def _contract(self, node: App, rule_index: int) -> FiniteDistribution[Term]:
         """The reduct distribution of a redex of the rule at the root of
-        node. The rule's plan reads what its variables match off node."""
+        node. The rule's program reads what its variables match off node."""
         # Instantiation can merge distinct right-hand sides, so collapse
         # here; plugging into a context keeps them distinct (contexts are
         # injective). The rule's weights were checked when it was built, and
         # merging and plugging keep them positive and summing to the rule's
         # denominator.
-        plan = self._plans[rule_index]
-        if plan is None:
-            plan = self._plans[rule_index] = _compile_rule(self.system.rules[rule_index])
-        den, reads, alternatives = plan
+        program = self._programs[rule_index]
+        if program is None:
+            program = self._programs[rule_index] = _compile_rule(self.system.rules[rule_index])
+        den, reads, builds, alternatives = program
         slots = [node]
         for j, i in reads:
             slots.append(slots[j].args[i])
+        for symbol, args in builds:
+            if args.__class__ is int:
+                slots.append(App(symbol, (slots[args],)))
+            else:
+                slots.append(App(symbol, tuple([slots[k] for k in args])))
         local: dict[Term, int] = {}
-        for n, steps in alternatives:
-            values: list[Term] = []
-            for symbol, operand in steps:
-                if symbol is None:
-                    values.append(slots[operand])
-                elif operand == 1:
-                    values[-1] = App(symbol, (values[-1],))
-                elif operand:
-                    args = tuple(values[-operand:])
-                    del values[-operand:]
-                    values.append(App(symbol, args))
-                else:
-                    values.append(App(symbol, ()))
-            image = values[0]
+        for n, k in alternatives:
+            image = slots[k]
             local[image] = local.get(image, 0) + n
         pairs = tuple((n, image) for image, n in local.items())
         return FiniteDistribution._unchecked(pairs, den, den)

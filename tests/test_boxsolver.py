@@ -361,6 +361,14 @@ def test_a_sum_over_a_box_bounds_its_values_at_the_points():
                 assert any(holding) and not all(holding), (poly, box, at_least)
 
 
+def test_a_search_told_to_stop_at_the_root_answers_unknown():
+    # x >= 1 over 0..1 holds at x = 1, a point the search reaches before it
+    # asks again
+    constraints = [({(0,): 1}, 1)]
+    assert solve_sums([0], [1], constraints, stop=lambda: False) == ("sat", [1])
+    assert solve_sums([0], [1], constraints, stop=lambda: True) == ("unknown", None)
+
+
 def test_an_empty_range_ends_the_search_at_once():
     # 17^11 points before the last variable, whose range 20..16 is empty
     text = "".join(f"(declare-const v{i} Int)" for i in range(12)) + "(assert (>= v11 20))(check-sat)"

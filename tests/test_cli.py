@@ -16,6 +16,7 @@ import ptrs.cli
 from helpers import certificate_corpus, garbled
 from ptrs.boxsolver import any_digits
 from ptrs.cli import _colorize, _start_text, load_config, main
+from ptrs.prover import ProverConfig, Verdict
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
 FAKE = f"{sys.executable} -m ptrs.fake_solver"
@@ -223,6 +224,14 @@ def test_solver_precedence(capsys, tmp_path, monkeypatch):
     assert json.loads(out)["attempts"][0]["status"] == "unknown"
     _, out, _ = run_cli(capsys, *args, "--solver", BOXSOLVER)
     assert json.loads(out)["verdict"] == "YES"
+
+
+def test_prove_with_no_flag_solver_or_config_runs_the_default_config(capsys, monkeypatch):
+    monkeypatch.delenv("PTRS_SOLVER", raising=False)
+    handed = []
+    monkeypatch.setattr(ptrs.cli, "prove", lambda system, config, note: handed.append(config) or Verdict("MAYBE"))
+    code, out, _ = run_cli(capsys, "prove", RW34)
+    assert (code, out.splitlines()[0], handed) == (1, "MAYBE", [ProverConfig()])
 
 
 def test_config_file_options(capsys, tmp_path):

@@ -336,9 +336,9 @@ def systems_under_test():
 
 def test_contraction_reads_the_subject_and_stays_linear():
     # A compiled contraction takes every right-hand subterm that is a
-    # left-hand one from the matched node, rebuilds the rest, and merges
-    # equal instances in order; its plan is linear in the rule even for a
-    # left-hand side deeper than the interpreter's recursion limit.
+    # left-hand one from the matched node, builds the rest, and merges
+    # equal instances in order; its program is linear in the rule even for
+    # a left-hand side deeper than the interpreter's recursion limit.
     y = Var("y")
 
     def tower(n, t):
@@ -377,9 +377,23 @@ def test_contraction_reads_the_subject_and_stays_linear():
             contracted += 1
             merged += len(got.numerators) < len(rule.rhs.numerators)
     assert (contracted, merged) == (8, 2)
-    den, reads, alternatives = ptrs.rewriting._compile_rule(rules[0])
-    assert len(reads) == 1002  # y and s^2000(x) down to s^1000(x), each once
-    assert [len(steps) for _, steps in alternatives] == [2, 3, 1]
+    den, reads, builds, alternatives = ptrs.rewriting._compile_rule(rules[0])
+    assert len(reads) == 2002  # every left-hand subterm below the root, each once
+    assert [symbol for symbol, _ in builds] == ["s", "f"]  # s(s^2000(x)) and f(y, s^1000(x))
+
+
+def test_contraction_builds_a_shared_right_hand_node_once():
+    # s(x) is on both right-hand sides and not on the left: the program
+    # builds it once, and both images hold that one node
+    rule = ProbRule(App("f", (x,)), FiniteDistribution([(App("g", (s(x),)), H), (App("h", (s(x),)), H)]))
+    system = PTRS(Signature({"f": 1, "g": 1, "h": 1, "s": 1, "0": 0}), (rule,))
+    den, reads, builds, alternatives = ptrs.rewriting._compile_rule(rule)
+    assert builds == (("s", 1), ("g", 2), ("h", 2))
+    assert [k for _, k in alternatives] == [3, 4]
+    subject = App("f", (nat(2),))
+    got = TermPars(system)._contract(subject, 0)
+    subst = match(rule.lhs, subject)
+    assert got.numerators == tuple((n, apply_substitution(t, subst)) for n, t in rule.rhs.numerators)
 
 
 def test_walk_agrees_with_naive_enumeration():

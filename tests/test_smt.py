@@ -3,6 +3,7 @@ import hashlib
 import os
 import random
 import shlex
+import signal
 import subprocess
 import sys
 import threading
@@ -279,6 +280,10 @@ def test_parse_model_values():
     assert parse_model(text) == {"a": 3, "b": -2}
     assert parse_model("sat\n(model\n  (define-fun c () Int 0)\n)") == {"c": 0}
     assert parse_model("sat\n( ; a comment (\n  (define-fun a () Int 3)\n)") == {"a": 3}
+    # after sat, an atom is skipped and a define-fun outside a model list
+    # is an entry of its own
+    assert parse_model("sat\nfoo\n((define-fun a () Int 3))") == {"a": 3}
+    assert parse_model("sat\n(define-fun a () Int 3)\n(define-fun b () Int (- 2))") == {"a": 3, "b": -2}
     for text, detail in (
         ("sat\n((define-fun a () Int 3)", "unbalanced '(' in solver output"),
         ("sat\n(define-fun a () Int 3))", "unbalanced ')' in solver output"),
@@ -405,6 +410,33 @@ def test_cancel_token_kills_solver():
     timer.cancel()
     assert result.status in ("unknown", "error")
     assert elapsed < 10
+
+
+def test_a_cancelled_token_kills_a_process_as_it_registers():
+    token = CancelToken()
+    token.cancel()
+    proc = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(30)"])
+    try:
+        token.register(proc)
+        assert proc.wait(timeout=10) == -signal.SIGKILL
+    finally:
+        proc.kill()
+        proc.wait()
+
+
+class _GoneProcess:
+    """A child process that has exited and been reaped by someone else."""
+
+    def kill(self):
+        raise ProcessLookupError
+
+
+def test_killing_a_process_that_is_gone_is_not_an_error():
+    token = CancelToken()
+    token.register(_GoneProcess())
+    token.cancel()
+    token.register(_GoneProcess())
+    assert token.cancelled
 
 
 class FractionPoly:
