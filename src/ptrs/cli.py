@@ -221,10 +221,7 @@ def _run_check(args, config: dict[str, str], color: bool) -> int:
 
 
 def _memo_full_note(limit: int) -> None:
-    print(
-        f"note: redex memo full at {limit} nodes; further nodes are matched afresh on every visit",
-        file=sys.stderr,
-    )
+    print(f"note: redex memo full at {limit} nodes; it starts afresh", file=sys.stderr)
 
 
 def _table_full_note(limit: int) -> None:

@@ -33,6 +33,7 @@ from .terms import (
     Var,
     apply_substitution,  # not called here; bench/tracing.py counts calls at this binding
     check_term,
+    fold_term,
     match,
     replace_at,  # not called here; bench/tracing.py counts calls at this binding
     variables,
@@ -188,18 +189,15 @@ class Pars:
 
 
 MEMO_LIMIT = 65536
-"""Most term nodes a TermPars keeps the redex index of, with the reducts
-kept at them. Past it the memo stops growing: a node left out is matched
-afresh, and its reducts rebuilt, each time a term containing it is
-visited, which bounds memory on long exhaustive runs at the price of
-repeated work. The memo holds its nodes, so they stay interned while it
-lives. `simulator.run` starts a single-strategy step table afresh before
-a step could take it past this many objects, and keeps an exhaustive one
-whole. `simulator.drift_harness` keeps its TermPars, rank function and
-step table on the system between calls, while the system lives and is
-checked against the same certificate; before a trial, once the table
-holds more than this many objects or the memo this many nodes, all three
-start afresh."""
+"""The cap of every table that grows with the terms met. A TermPars
+starts its redex memo afresh before it indexes a term once the memo
+holds this many nodes, so it holds at most this many plus one term's.
+`simulator.run` starts a single-strategy step table afresh before a step
+could take it past this many objects, and keeps an exhaustive one whole.
+`simulator.drift_harness` keeps its TermPars, rank function and step
+table on the system between calls, for the certificate it last checked;
+before a trial, once the table holds more than this many objects or the
+memo this many nodes, all three start afresh."""
 
 
 class _Entry:
@@ -237,6 +235,10 @@ class _Entry:
 _LEAF = _Entry(None, (), ())  # a variable: no redex
 
 
+def _leaf(var: Var) -> _Entry:
+    return _LEAF
+
+
 def _step_down(entry: _Entry, k: int) -> tuple[int, _Entry, int]:
     """For the k-th redex below entry's node, when it is not one of the
     node's own: the argument number of the child that holds it, the child's
@@ -271,86 +273,62 @@ def _compile_rule(rule: ProbRule) -> tuple[int, tuple, tuple, tuple]:
                 if arg.__class__ is App:
                     stack.append(arg)
     builds: list[tuple[str, int | tuple[int, ...]]] = []
-    alternatives = []
-    for n, rhs_term in rule.rhs.numerators:
-        stack = [rhs_term]
-        while stack:
-            term = stack.pop()
-            if term in slots:
-                continue
-            unmade = [arg for arg in term.args if arg not in slots]
-            if unmade:
-                stack += term, *unmade  # its arguments first
-            else:
-                args = tuple(slots[arg] for arg in term.args)
-                builds.append((term.symbol, args[0] if len(args) == 1 else args))
-                slots[term] = len(slots)
-        alternatives.append((n, slots[rhs_term]))
-    return rule.rhs.denominator, tuple(reads), tuple(builds), tuple(alternatives)
+
+    def build(term: App, args: list[int]) -> int:
+        builds.append((term.symbol, args[0] if len(args) == 1 else tuple(args)))
+        return len(slots)  # fold_term files the node under it next
+
+    # a right-hand variable occurs on the left, so it has a slot already
+    alternatives = tuple((n, fold_term(rhs_term, slots.__getitem__, build, slots))
+                         for n, rhs_term in rule.rhs.numerators)
+    return rule.rhs.denominator, tuple(reads), tuple(builds), alternatives
 
 
 class TermPars(Pars):
     """The PARS a PTRS induces on terms.
 
-    Redexes are indexed per interned node, up to MEMO_LIMIT nodes: a term
-    built from known subterms costs `match` calls only at its new nodes,
-    and its reducts are plugged from those its subterms keep. on_memo_full,
-    if given, is called with the limit once, the first time a node is left
-    out of the full memo. A TermPars lives as long as its caller keeps it:
-    one `simulate` run, or, in the drift harness, the system's held state
-    until it starts afresh (see MEMO_LIMIT)."""
+    Redexes are indexed per interned node by fold_term, so a term built
+    from known subterms costs `match` calls only at its new nodes, and its
+    reducts are plugged from those its subterms keep. The memo starts
+    afresh once it holds MEMO_LIMIT nodes; on_memo_full, if given, is
+    called with the limit the first time. A TermPars lives as long as its
+    caller keeps it: one `simulate` run, or, in the drift harness, the
+    system's held state until it starts afresh."""
 
     def __init__(self, system: PTRS, on_memo_full: Callable[[int], None] | None = None):
         self.system = system
         self._memo: dict[Term, _Entry] = {}
         self._on_memo_full = on_memo_full
-        self._rules_at: dict[str, list[tuple[int, Term]]] = {}
-        for index, rule in enumerate(system.rules):
-            self._rules_at.setdefault(rule.lhs.symbol, []).append((index, rule.lhs))
         self._programs: list[tuple | None] = [None] * len(system.rules)
+        rules_at: dict[str, list[tuple[int, Term]]] = {}
+        for rule_index, rule in enumerate(system.rules):
+            rules_at.setdefault(rule.lhs.symbol, []).append((rule_index, rule.lhs))
+        rules_for = rules_at.get
+
+        def index_node(node: App, children: list[_Entry]) -> _Entry:
+            """fold_term's step: the entry of node, with the rules that
+            match at it in rule order."""
+            matches = []
+            for rule_index, lhs in rules_for(node.symbol, ()):
+                if match(lhs, node) is not None:
+                    matches.append(rule_index)
+            return _Entry(node, tuple(matches), tuple(children))
+
+        self._index_node = index_node  # a closure: no bound method per call
 
     def _entry(self, term: Term) -> _Entry:
-        """The index entry of term. Nodes not indexed yet are indexed
-        children first; past MEMO_LIMIT their entries are linked below the
-        returned one but not kept in the memo."""
+        """The index entry of term; nodes not indexed yet are indexed
+        children first."""
         memo = self._memo
         entry = memo.get(term)
         if entry is not None:
             return entry
-        if term.__class__ is Var:
-            return _LEAF
-        made: dict[Term, _Entry] = {}  # entries left out of the full memo
-        rules_at = self._rules_at
-        stack = [term]
-        while stack:
-            node = stack[-1]
-            children = []
-            for arg in node.args:
-                child = memo.get(arg) or made.get(arg)
-                if child is None:
-                    if arg.__class__ is Var:
-                        child = _LEAF
-                    else:
-                        stack.append(arg)
-                children.append(child)
-            if stack[-1] is not node:
-                continue  # index the new children first
-            stack.pop()
-            if node in memo or node in made:
-                continue  # a shared child, pushed more than once
-            matches = []
-            for index, lhs in rules_at.get(node.symbol, ()):
-                if match(lhs, node) is not None:
-                    matches.append(index)
-            entry = _Entry(node, tuple(matches), tuple(children))
-            if len(memo) < MEMO_LIMIT:
-                memo[node] = entry
-            else:
-                made[node] = entry
-                if self._on_memo_full is not None:
-                    self._on_memo_full(MEMO_LIMIT)
-                    self._on_memo_full = None
-        return memo.get(term) or made[term]
+        if len(memo) >= MEMO_LIMIT:
+            memo.clear()
+            if self._on_memo_full is not None:
+                self._on_memo_full(MEMO_LIMIT)
+                self._on_memo_full = None
+        return fold_term(term, _leaf, self._index_node, memo)
 
     def _contract(self, node: App, rule_index: int) -> FiniteDistribution[Term]:
         """The reduct distribution of a redex of the rule at the root of

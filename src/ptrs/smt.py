@@ -32,6 +32,7 @@ decoded and re-validated exactly before it is believed.
 
 from __future__ import annotations
 
+import re
 import shutil
 import sys
 import threading
@@ -402,8 +403,13 @@ def _read_reply(out: str, err: str, returncode: int) -> SolverResult:
     return SolverResult("unknown", detail="solver answered unknown")
 
 
+_NUMBER = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # an SMT-LIB numeral or decimal
+
+
 def _model_value(name: str, node) -> Fraction:
-    """The value given to name: a numeral, or (- v) or (/ a b) of values."""
+    """The value given to name: a numeral or decimal, or (- v) or (/ a b)
+    of values. No other atom is read: `Fraction` would take exponents, so
+    a reply like 1e10000000 would cost seconds past the solver's timeout."""
     values: list[Fraction] = []
     stack = [(node, False)]
     while stack:
@@ -422,8 +428,10 @@ def _model_value(name: str, node) -> Fraction:
             stack.extend((arg, False) for arg in reversed(item[1:]))
         else:
             try:
+                if not _NUMBER.fullmatch(item):
+                    raise ValueError
                 values.append(Fraction(item))
-            except ValueError:
+            except ValueError:  # also past Python's limit on digits
                 raise ValueError(f"cannot read the model value of {name}: {item!r}") from None
     return values[0]
 

@@ -291,6 +291,9 @@ def _keep_text(term: App) -> str:
     return term._str
 
 
+_MISSING = object()  # fold_term's "no value yet"
+
+
 def fold_term(
     term: Term,
     on_var: Callable[[Var], Any],
@@ -305,8 +308,10 @@ def fold_term(
 
     A node goes back on the stack under its arguments that have no value
     yet, the leftmost on top, and is evaluated once they all have one.
+    It is the one memoized bottom-up walk of the package.
     """
     values: dict[Term, Any] = {} if memo is None else memo
+    get, missing = values.get, _MISSING
     stack: list[Term] = [term]
     while stack:
         node = stack.pop()
@@ -314,11 +319,19 @@ def fold_term(
             continue
         if node.__class__ is Var:
             values[node] = on_var(node)
-        elif missing := [a for a in node.args if a not in values]:
-            stack.append(node)
-            stack.extend(reversed(missing))
+            continue
+        args: list[Any] = []
+        for arg in node.args:
+            value = get(arg, missing)
+            if value is missing:
+                stack.append(node)
+                for arg in reversed(node.args):
+                    if arg not in values:
+                        stack.append(arg)
+                break
+            args.append(value)
         else:
-            values[node] = on_app(node, [values[a] for a in node.args])
+            values[node] = on_app(node, args)
     return values[term]
 
 

@@ -448,6 +448,55 @@ def test_drift_harness_matches_the_stepping_oracle(monkeypatch, memo_limit):
     assert reports[True] and reports[False]
 
 
+def _run_form(report):
+    *fields, outcomes, trace, truncation_hit, nodes = report
+    return fields, [str(mu) for mu in outcomes], trace and [str(mu) for mu in trace], truncation_hit, nodes
+
+
+def test_a_full_redex_memo_starts_afresh_and_changes_no_report(monkeypatch):
+    # Once the redex memo holds MEMO_LIMIT nodes it starts afresh before the
+    # next term is indexed, so indexing a term leaves it at most the limit
+    # plus that term's nodes; runs under both strategies, exhaustive runs and the
+    # drift harness report what they report with the memo never full.
+    sizes = []
+    entry = TermPars._entry
+
+    def spy(pars, term):
+        before = len(pars._memo)
+        found = entry(pars, term)
+        sizes.append((before, len(pars._memo), term._size))
+        return found
+
+    def reports():
+        out, notes = [], []
+        for name, start in (("coingame", "?(s(s(0)))"), ("rw34", "s(s(s(s(s(0)))))"),
+                            ("matrix", "a(a(a(x)))")):
+            system, cert = _shipped(name)
+            for mode, steps in (("outermost", 12), ("innermost", 12), ("exhaustive", 3)):
+                pars = TermPars(system, notes.append)
+                for collapse in (False, True):
+                    report = run(RunConfig(pars, pars.parse_object(start), steps, mode, collapse, keep_trace=True))
+                    out.append(_run_form(report))
+            for factor in (1, 2):
+                report = drift_harness(system, cert, rng=random.Random(5), trials=12, max_depth=10,
+                                       epsilon=factor * cert.epsilon)
+                out.append((report.trials, report.checks, str(report.violation)))
+        return out, notes
+
+    monkeypatch.setattr(TermPars, "_entry", spy)
+    want, notes = reports()
+    assert notes == [] and all(after >= before for before, after, _ in sizes)
+    monkeypatch.setattr(rewriting, "MEMO_LIMIT", 7)
+    sizes.clear()
+    got, notes = reports()
+    assert got == want
+    # a call that indexes nothing leaves the memo as it was
+    assert all(after == before or after <= 7 + nodes for before, after, nodes in sizes)
+    assert sum(after < before for before, after, _ in sizes) > 30
+    # each run's TermPars says so once, when its memo first starts afresh
+    assert notes == [7] * 9
+
+
 @pytest.mark.parametrize("memo_limit", [rewriting.MEMO_LIMIT, 30])
 def test_drift_reports_do_not_depend_on_the_held_state(monkeypatch, memo_limit):
     # Calls on one system, which keeps its table between them, report what

@@ -304,6 +304,12 @@ def test_deeply_nested_solver_output_is_an_error_outcome():
         (garbled, "cannot read the model value of a"),
         ("(/ 1 0)", "model value of a divides by zero"),
         ("-", "cannot read the model value of a: '-'"),
+        # only SMT-LIB numerals and decimals are read, so an exponent costs
+        # no time past the solver's timeout
+        ("1e10000000", "cannot read the model value of a: '1e10000000'"),
+        ("1_000", "cannot read the model value of a: '1_000'"),
+        ("+3", "cannot read the model value of a: '+3'"),
+        ("3/4", "cannot read the model value of a: '3/4'"),
     ):
         reply = _read_reply(f"sat\n((define-fun a () Int {value}))", "", 0)
         assert (reply.status, reply.detail) == ("error", detail)
