@@ -24,7 +24,7 @@ from .interpretations import (
     PolyInterpretation,
     Vector,
 )
-from .rewriting import PTRS
+from .rules import PTRS
 
 _ARG_NAMES = ("x", "y", "z")
 

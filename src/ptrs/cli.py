@@ -17,8 +17,7 @@ from .certtext import CertParseError
 from .interpretations import CertificateInvalid
 from .multidist import MultiDistribution
 from .prover import ProverConfig, Verdict, check_only, format_verdict, prove, verdict_json
-from .rewriting import FAMILY_NAMES, NodeBudgetExceeded, TermPars, make_family
-from .simulator import RunConfig, estimate_edh, run
+from .rules import FAMILY_NAMES
 from .smt import in_process_limit, parse_shape
 from .terms import Signature, TermError, check_term
 from .wst import WstError, load_system
@@ -232,6 +231,8 @@ def _table_full_note(limit: int) -> None:
 
 
 def _simulate_pars(args):
+    from .rewriting import TermPars, make_family
+
     if (args.file is None) == (args.family is None):
         raise CliError("simulate needs exactly one of FILE or --family")
     if args.p is not None and args.family != "rw":
@@ -267,6 +268,11 @@ def _start_text(text: str) -> str:
 
 
 def _run_simulate(args, config: dict[str, str], color: bool) -> int:
+    # the rewriting engine and the simulator load only when simulate runs,
+    # so a prove or check process never compiles them
+    from .rewriting import NodeBudgetExceeded
+    from .simulator import RunConfig, estimate_edh, run
+
     args.start = _start_text(args.start)
     if args.steps < 0:
         raise CliError(f"--steps must be at least 0, got {args.steps}")
@@ -291,18 +297,20 @@ def _run_simulate(args, config: dict[str, str], color: bool) -> int:
             check_term(pars.term_view(start), Signature(cert.interpretation.arities))
         except TermError as exc:
             raise CliError(f"the certificate does not interpret the start term: {exc}") from None
-    report = run(
-        RunConfig(
-            pars=pars,
-            start=start,
-            steps=args.steps,
-            mode=args.mode,
-            collapse=args.collapse,
-            node_budget=args.node_budget,
-            keep_trace=args.trace,
-            on_table_full=_table_full_note if args.verbose else None,
-        )
+    run_config = RunConfig(
+        pars=pars,
+        start=start,
+        steps=args.steps,
+        mode=args.mode,
+        collapse=args.collapse,
+        node_budget=args.node_budget,
+        keep_trace=args.trace,
+        on_table_full=_table_full_note if args.verbose else None,
     )
+    try:
+        report = run(run_config)
+    except NodeBudgetExceeded as exc:
+        raise CliError(str(exc)) from None
     estimate = estimate_edh(pars, cert, start, report) if cert is not None else None
     if args.json:
         payload = {
@@ -396,7 +404,6 @@ def main(argv: list[str] | None = None) -> int:
         WstError,
         CertParseError,
         CertificateInvalid,
-        NodeBudgetExceeded,
         OSError,
         ValueError,
     ) as exc:

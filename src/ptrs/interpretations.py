@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import add, mul
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
-from .rewriting import PTRS, ProbRule
+from .rules import PTRS, ProbRule
 from .terms import App, Term, fold_term
 
 Coeff = Any  # Fraction | int

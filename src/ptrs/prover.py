@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 from .certtext import CertParseError, parse_interpretation, render_certificate, render_interpretation
 from .interpretations import Certificate, CertificateInvalid, DegreeOverflow, check_certificate
-from .rewriting import PTRS
+from .rules import PTRS
 from .smt import (
     CancelToken,
     ConstraintSet,

@@ -29,7 +29,6 @@ from .rewriting import (
     BudgetTracker,
     Chooser,
     Pars,
-    PTRS,
     TermPars,
     all_steps,  # not called here; bench/tracing.py wraps it at this binding
     leftmost_innermost,
@@ -37,6 +36,7 @@ from .rewriting import (
     step_multidist,  # not called here; bench/tracing.py wraps it at this binding
     term_sampler,
 )
+from .rules import PTRS
 
 MODES = {"outermost": leftmost_outermost, "innermost": leftmost_innermost}
 

@@ -50,7 +50,7 @@ from .interpretations import (
     MatrixInterpretation,
     PolyInterpretation,
 )
-from .rewriting import PTRS
+from .rules import PTRS
 
 
 class EncodingError(Exception):
@@ -119,7 +119,8 @@ class EncodedProblem(NamedTuple):
 
 def _subsets(indices: Sequence[int], max_size: int) -> list[tuple[int, ...]]:
     out: list[tuple[int, ...]] = [()]
-    for size in range(1, max_size + 1):
+    # no subset is larger than the pool, so a huge max_size costs nothing
+    for size in range(1, min(max_size, len(indices)) + 1):
         out.extend(combinations(indices, size))
     return out
 

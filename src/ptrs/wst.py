@@ -19,7 +19,7 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from .multidist import FiniteDistribution
-from .rewriting import PTRS, ProbRule, RuleError
+from .rules import PTRS, ProbRule, RuleError
 from .terms import App, Signature, Term, Var
 
 

@@ -690,6 +690,55 @@ def reference_exhaustive(config: RunConfig) -> RunReport:
     )
 
 
+def value_iteration(pars: Pars, start: Hashable, steps: int) -> tuple[list[Fraction], ...]:
+    """Exhaustive mode's four envelopes (mass_min, mass_max, edl_min,
+    edl_max, by depth) by finite-horizon value iteration over objects,
+    without listing a multidistribution. Mass and the edl prefix are sums
+    over entries, and each entry's reduct is chosen on its own, so the best
+    over every strategy is the best per object and horizon:
+    M_0(o) = 1, E_0(o) = 0, and for h > 0 a terminal o has M_h = E_h = 0
+    while any other has M_h(o) = best_r sum p * M_(h-1)(o') and
+    E_h(o) = 1 + best_r sum p * E_(h-1)(o'), best being min or max.
+    Values at horizon h are integer numerators over L^h, L the lcm of every
+    option's denominator."""
+    # distance[o]: the fewest steps that reach o; o needs horizons up to
+    # steps - distance[o], and its options only when that is positive
+    distance = {start: 0}
+    rows: dict[Hashable, list[tuple[int, tuple]]] = {}
+    frontier = [start]
+    for depth in range(1, steps + 1):
+        reached = []
+        for obj in frontier:
+            rows[obj] = [(dist.denominator, dist.numerators) for dist in pars.options(obj)]
+            for _, pairs in rows[obj]:
+                for _, image in pairs:
+                    if image not in distance:
+                        distance[image] = depth
+                        reached.append(image)
+        frontier = reached
+    common = lcm(1, *(d for row in rows.values() for d, _ in row))
+    # per object: (least, greatest) mass numerator and (least, greatest) edl numerator
+    values = {obj: ((1, 1), (0, 0)) for obj in distance}
+    envelopes = [(Fraction(1), Fraction(1), Fraction(0), Fraction(0))]
+    den = 1
+    for horizon in range(1, steps + 1):
+        den *= common
+        stepped = {}
+        for obj, d in distance.items():
+            if d > steps - horizon:
+                continue
+            if not rows[obj]:
+                stepped[obj] = ((0, 0), (0, 0))
+                continue
+            sums = [[sum(n * (common // q) * values[image][kind][end] for n, image in pairs)
+                     for q, pairs in rows[obj]] for kind in (0, 1) for end in (0, 1)]
+            stepped[obj] = ((min(sums[0]), max(sums[1])), (den + min(sums[2]), den + max(sums[3])))
+        values = stepped
+        (m_lo, m_hi), (e_lo, e_hi) = values[start]
+        envelopes.append((Fraction(m_lo, den), Fraction(m_hi, den), Fraction(e_lo, den), Fraction(e_hi, den)))
+    return tuple(map(list, zip(*envelopes)))
+
+
 # The Fraction-per-entry multidistribution step that the integer form
 # replaced, kept as a reference. A state is (entries, mass): entries is a
 # tuple of (Fraction, obj) in order, mass their sum.

@@ -406,9 +406,43 @@ def test_importing_the_cli_loads_only_what_every_command_needs():
     bare = _loaded_modules()
     for module in ("ptrs.cli", "ptrs.simulator"):
         assert (_loaded_modules(module) - bare) & on_demand == set(), module
-    # the benchmark's tracer wraps functions in these modules after importing ptrs.cli
+    # the rewriting engine and the simulator serve simulate alone, which imports them
+    assert {"ptrs.rewriting", "ptrs.simulator"} & _loaded_modules("ptrs.cli") == set()
+    # the benchmark's tracer wraps functions in these modules after importing
+    # ptrs.cli and ptrs.simulator
     traced = {"prover", "smt", "interpretations", "certtext", "wst", "rewriting", "simulator", "multidist", "terms"}
-    assert {f"ptrs.{name}" for name in traced} <= _loaded_modules("ptrs.cli")
+    assert {f"ptrs.{name}" for name in traced} <= _loaded_modules("ptrs.cli", "ptrs.simulator")
+
+
+def _modules_a_run_loads(*argv) -> tuple[int, set[str]]:
+    """The exit code of `ptrs.cli.main(argv)` in a fresh interpreter, and
+    the ptrs modules loaded once it returns."""
+    probe = ("import sys\nfrom ptrs.cli import main\ncode = main(sys.argv[1:])\n"
+             "sys.stderr.write(f'\\nexit {code}: ' + ' '.join(m for m in sys.modules if m.startswith('ptrs')))\n")
+    result = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, timeout=60)
+    code, _, loaded = result.stderr.rpartition("\nexit ")[2].partition(": ")
+    return int(code), set(loaded.split())
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    engine = {"ptrs.rewriting", "ptrs.simulator"}
+    for argv in (
+        ("prove", RW34, "--solver", BOXSOLVER, "--coeff-bound", "1", "--json"),
+        ("prove", RW34, "--solver", f"{sys.executable} -u -m ptrs.boxsolver", "--coeff-bound", "1",
+         "-v", "--parallel", "--shapes", "poly-linear,matrix-1"),
+        ("check", RW34, "--certificate", RW34_CERT),
+    ):
+        code, loaded = _modules_a_run_loads(*argv)
+        assert code == 0 and "ptrs.prover" in loaded and loaded & engine == set(), argv
+    for argv, exit_code in (
+        (("simulate", RW34, "--start", "s(s(0))", "--steps", "2", "--cert", RW34_CERT), 0),
+        (("simulate", "--family", "nd", "--start", "a", "--mode", "exhaustive", "--node-budget", "1"), 2),
+    ):
+        code, loaded = _modules_a_run_loads(*argv)
+        assert code == exit_code and engine <= loaded, argv
+    # the rule system stands on terms and distributions alone
+    assert {m for m in _loaded_modules("ptrs.rules") if m.startswith("ptrs")} == {
+        "ptrs", "ptrs.rules", "ptrs.terms", "ptrs.multidist"}
 
 
 def test_color_marks_only_a_verdict_head_line():
@@ -536,12 +570,12 @@ def test_the_longest_smt_timeout_reaches_a_child_solver(capsys):
 
 
 def test_unexpected_failures_exit_two(capsys, monkeypatch):
-    import ptrs.cli
+    import ptrs.simulator
 
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(ptrs.cli, "run", broken)
+    monkeypatch.setattr(ptrs.simulator, "run", broken)
     code, out, err = run_cli(capsys, "simulate", "--family", "rw", "--p", "1/2", "--start", "1")
     assert code == 2 and out == ""
     assert err == "error: RuntimeError: boom\n"

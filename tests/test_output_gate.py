@@ -10,6 +10,10 @@ so that file names read the same in every checkout:
   trials, checks and violation text;
 - `simulate` from seeded `random_term` starts, outermost and innermost,
   collapsed or not;
+- `simulate --json` from the same starts, outermost and innermost, plain
+  and collapsed with `--trace`;
+- `simulate --cert` from the same starts with every certificate those
+  prove runs print for the system, in text and `--json`;
 - `simulate --family` over the built-in walk, payout and nondeterministic
   systems, in every single-strategy mode, output form and a few lengths;
 - `simulate --mode exhaustive` from the same starts and families, collapsed
@@ -45,6 +49,8 @@ DIGESTS = {
     "family": "48b2c96e978b6386920bcc172e5d54b300235435a7f22602a2ee2faff313aa83",
     "drift": "a83aef7410ddada575b54888ffb0aafa066bb276f56e9d4bb67feca5b3697714",
     "exhaustive": "89ee1c30679595c0c62d9a1620cee7cb2b720cc3c615c35452914b387b05c552",
+    "simulate-json": "b98e0aef3e968b0c694b0814f63611891748f86ae604fe48a69f748395fca4f5",
+    "simulate-cert": "3934d197c84ca2f5baa0ddde5ec579284682ea83e7a03089ad14a772efaeb3ac",
 }
 
 # output forms of the exhaustive runs; all but the first keep a trace
@@ -98,6 +104,7 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
     certificates = 0
     for name, text, starts in corpus():
         (tmp_path / name).write_text(text)
+        certs = []
         for bound in ("1", "2"):
             argv = ("prove", name, "--solver", BOXSOLVER, "--coeff-bound", bound)
             run("prove", *argv)
@@ -105,6 +112,7 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
             if report["certificate"] is not None:
                 cert = f"{name}.{bound}.cert"
                 (tmp_path / cert).write_text(report["certificate"])
+                certs.append(cert)
                 run("check", "check", name, "--certificate", cert)
                 run("check", "check", name, "--certificate", cert, "--json")
                 drift = drift_reports(text, report["certificate"], seed=certificates)
@@ -115,6 +123,13 @@ def run_all(capsys, monkeypatch, tmp_path) -> dict[str, str]:
                 for collapse in ((), ("--collapse",)):
                     run("simulate", "simulate", name, "--start", str(start), "--steps", "3",
                         "--mode", mode, "--trace", *collapse)
+                for flags in ((), ("--collapse", "--trace")):
+                    run("simulate-json", "simulate", name, "--start", str(start), "--steps", "3",
+                        "--mode", mode, "--json", *flags)
+            for cert in certs:
+                for flags in ((), ("--json",)):
+                    run("simulate-cert", "simulate", name, "--start", str(start), "--steps", "3",
+                        "--cert", cert, *flags)
             for flags in EXHAUSTIVE_FLAGS:
                 run("exhaustive", "simulate", name, "--start", str(start), "--steps", "3",
                     "--mode", "exhaustive", "--node-budget", "300", *flags)

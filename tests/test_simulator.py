@@ -27,6 +27,7 @@ from helpers import (
     reference_run,
     reference_step,
     stepping_drift_harness,
+    value_iteration,
     walk_masses,
     walk_partial_edl,
 )
@@ -982,6 +983,46 @@ def test_exhaustive_mode_hashes_no_multidistribution(monkeypatch):
                 continue
             done += 1
     assert done > 60
+
+
+def test_exhaustive_envelopes_match_value_iteration():
+    # The best over every strategy is the best per object and horizon, so
+    # the four envelopes need no list of multidistributions: the oracle
+    # iterates values over objects, and exhaustive mode must agree at every
+    # depth, collapsed or not, wherever it finishes under the budget.
+    rng = random.Random(8)
+    cases = []
+    for generate in (random_ptrs, looping_ptrs) * 5:
+        system = generate(rng)
+        # a start with two redexes, where one is found, so the strategy has a choice
+        for _ in range(30):
+            start = random_term(system.signature, rng, max_depth=3, variable_pool=())
+            if len(TermPars(system).options(start)) >= 2:
+                break
+        cases.append((lambda system=system: TermPars(system), start, 3))
+    # rw34 from s^3(0) finishes 4 steps under the budget, and 8 collapsed
+    for name, start, steps in (("rw34", "s(s(s(0)))", 4), ("rw34", "s(s(s(0)))", 8), ("coingame", "?(s(s(0)))", 8)):
+        system = load_system(str(PROBLEMS / f"{name}.wst"))
+        cases.append((lambda system=system: TermPars(system), TermPars(system).parse_object(start), steps))
+    cases += [
+        (NondetBranch, "a", 4),
+        (Payout, Stake(0), 10),
+        (lambda: Payout(truncate=3), Stake(0), 8),
+        (lambda: RandomWalk(F(3, 5)), 4, 8),
+        (lambda: RandomWalk(F(1, 2), truncate=5), 2, 8),
+    ]
+    done = split = 0
+    for make, start, steps in cases:
+        want = value_iteration(make(), start, steps)
+        for collapse in (False, True):
+            try:
+                report = run(RunConfig(make(), start, steps, "exhaustive", collapse, 100_000))
+            except NodeBudgetExceeded:
+                continue
+            assert (report.mass_min, report.mass_max, report.edl_min, report.edl_max) == want
+            done += 1
+        split += want[0] != want[1] or want[2] != want[3]
+    assert done >= 33 and split >= 6
 
 
 def _fold_cases():

@@ -812,6 +812,26 @@ def test_box_floor_counts_what_the_template_holds():
     assert 0 < nones < len(systems) * len(SIX_SHAPES) * 4
 
 
+def test_a_huge_multilinear_degree_lists_only_the_subsets_there_are(monkeypatch):
+    # a monomial has at most one factor per argument, so a degree past the
+    # largest arity encodes what that arity does, and asks for no larger subset
+    system = elaborate(parse_problem("(VAR x y)(RULES f(x, y) -> 1 : g(x) || 1 : y  g(x) -> 1 : x)"))
+    asked = []
+    real = ptrs.smt.combinations
+
+    def spy(pool, size):
+        pool = tuple(pool)
+        asked.append((len(pool), size))
+        return real(pool, size)
+
+    monkeypatch.setattr(ptrs.smt, "combinations", spy)
+    small = encode(system, parse_shape("poly-multilinear-2")).constraint_set
+    huge = encode(system, parse_shape("poly-multilinear-1000")).constraint_set
+    assert huge == small
+    assert emit_smtlib(huge, 1) == emit_smtlib(small, 1)
+    assert asked and all(size <= pool for pool, size in asked), max(asked, key=lambda a: a[1] - a[0])
+
+
 def test_one_coefficient_table_per_shape_attempt(monkeypatch):
     calls = []
     real = ptrs.smt.coefficient_table
