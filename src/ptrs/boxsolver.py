@@ -11,11 +11,14 @@ The fragment is a conjunction of polynomial inequalities. Int terms are
 numerals, declared names and + - * of Int terms; Bool terms are chained
 comparisons >= <= > < = of Int terms and `and` of Bool terms. A
 polynomial is a dict from monomials, sorted tuples of variable positions
-in declaration order (() for the constant), to nonzero int coefficients.
-Each assertion is read into the one constraint form the search knows,
-and the one `smt.encode` builds, (polynomial, at_least), meaning
-polynomial >= at_least: each adjacent pair of a comparison gives one (`=`
-two), and `and` the union of its parts. The bounds are the assertions,
+in declaration order with repeats (() for the constant), to nonzero int
+coefficients. `add_into`, `times`, `times_unknown` and `dot` are its
+arithmetic, written here once: the script reader and the encoder's ring
+(`smt.UNKNOWNS`) both compute with them. Each assertion is read into the
+one constraint form the search knows, and the one `smt.encode` builds,
+(polynomial, at_least), meaning polynomial >= at_least: each adjacent
+pair of a comparison gives one (`=` two), and `and` the union of its
+parts. The bounds are the assertions,
 top-level or directly under a top-level `and`, that compare a declared
 name with a literal; an open side is 0 below and 16 above. `or`, `not`,
 `=` on Bools and a product of two factors of two or more monomials each
@@ -39,7 +42,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from contextlib import contextmanager
 from functools import partial
 from math import prod
@@ -90,12 +93,6 @@ def parse_script(text: str) -> list:
     return out
 
 
-# An Int term reads as a polynomial: a dict from monomials, sorted tuples of
-# variable positions (() for the constant), to nonzero coefficients. A Bool
-# term reads as a list of constraints (polynomial, at_least), each meaning
-# polynomial >= at_least.
-
-
 def _atom(node: str, index: dict[str, int]) -> dict:
     position = index.get(node)
     if position is not None:
@@ -107,13 +104,49 @@ def _atom(node: str, index: dict[str, int]) -> dict:
     return {(): value} if value else {}
 
 
-def _add_into(total: dict, poly: dict, sign: int = 1) -> None:
+def add_into(total: dict, poly: dict, k: int = 1) -> dict:
+    """total + k · poly, written into total, cancelled monomials dropped."""
     for monomial, coefficient in poly.items():
-        coefficient = total.get(monomial, 0) + sign * coefficient
+        coefficient = total.get(monomial, 0) + k * coefficient
         if coefficient:
             total[monomial] = coefficient
         else:
             del total[monomial]
+    return total
+
+
+def times(a: dict, b: dict) -> dict:
+    """a · b, cancelled monomials dropped. Two keys concatenate when the
+    first ends at or before the second starts, and are sorted otherwise."""
+    product: dict = {}
+    for m, c in a.items():
+        for n, d in b.items():
+            key = m + n if not (m and n) or m[-1] <= n[0] else tuple(sorted(m + n))
+            coefficient = product.get(key, 0) + c * d
+            if coefficient:
+                product[key] = coefficient
+            else:
+                del product[key]
+    return product
+
+
+def times_unknown(p: int, poly: dict) -> dict:
+    """poly · variable p."""
+    return {(m + (p,) if not m or m[-1] <= p else tuple(sorted(m + (p,)))): c for m, c in poly.items()}
+
+
+def dot(ps: Sequence[int], polys: Sequence[dict]) -> dict:
+    """Σ polys[i] · variable ps[i], in one loop, cancelled monomials dropped."""
+    out: dict = {}
+    for p, poly in zip(ps, polys):
+        for m, c in poly.items():
+            m = m + (p,) if not m or m[-1] <= p else tuple(sorted(m + (p,)))
+            c += out.get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return out
 
 
 def _merged(parts: list, merge: Callable) -> dict | list:
@@ -128,7 +161,7 @@ def _merged(parts: list, merge: Callable) -> dict | list:
 
 def _minus(args: list) -> dict:
     first, rest = (args[0], args[1:]) if len(args) > 1 else ({}, args)  # (- x) is 0 - x
-    return _merged([first, *({m: -c for m, c in poly.items()} for poly in rest)], _add_into)
+    return _merged([first, *({m: -c for m, c in poly.items()} for poly in rest)], add_into)
 
 
 def _times(args: list) -> dict:
@@ -136,8 +169,7 @@ def _times(args: list) -> dict:
     for factor in args[1:]:
         if len(factor) > 1 < len(product):
             raise ScriptError("* takes at most one factor of two or more monomials")
-        # one side is zero or one monomial, so distinct monomials stay distinct
-        product = {tuple(sorted(m + n)): c * d for m, c in product.items() for n, d in factor.items()}
+        product = times(product, factor)
     return product
 
 
@@ -146,8 +178,7 @@ def _compared(ways: list, args: list) -> list:
     and each (sign, margin) of `ways`, sign · (x - y) >= margin."""
     constraints = []
     for x, y in zip(args, args[1:]):
-        difference = dict(x)
-        _add_into(difference, y, -1)
+        difference = add_into(dict(x), y, -1)
         constant = difference.pop((), 0)
         for sign, margin in ways:
             constraints.append(({m: sign * c for m, c in difference.items()}, margin - sign * constant))
@@ -157,7 +188,7 @@ def _compared(ways: list, args: list) -> list:
 # op: (fewest arguments, the type their readings must have, reading); a
 # comparison gives sign · (x - y) >= margin for each (sign, margin) listed
 _READINGS = {
-    "+": (1, dict, partial(_merged, merge=_add_into)),
+    "+": (1, dict, partial(_merged, merge=add_into)),
     "-": (1, dict, _minus),
     "*": (1, dict, _times),
     ">=": (2, dict, partial(_compared, [(1, 0)])),

@@ -17,12 +17,13 @@ vector, with integral coefficients as ints. The constructors check their
 input and build it; `smt.decode` fills a shape's table from a model.
 
 One evaluator, `Differences`, computes rule differences for both the
-checker and the encoder, over plain dicts, reading each symbol from such
-a table. A coefficient is a number when a concrete certificate is checked
-(`NUMBERS`: the interpretation's own table), and the position of a solver
-unknown when a shape is encoded (`UNKNOWNS`); there, values are
-polynomials over the unknowns, dicts from sorted tuples of positions to
-nonzero ints.
+checker and the encoder, reading each symbol from such a table and
+combining values in the `Ring` it is given. Under `NUMBERS`, the one ring
+defined here, a coefficient is a number: a concrete certificate is
+checked over the interpretation's own table. The encoder passes its own
+ring, `smt.UNKNOWNS`, whose coefficients are positions of solver unknowns
+and whose values are polynomials over them; their arithmetic lives in
+`boxsolver`, which the checker never loads.
 """
 
 from __future__ import annotations
@@ -275,55 +276,6 @@ def _scaled_number(acc: Any, value: Any, k: int) -> Any:
 
 NUMBERS = Ring(0, 1, lambda c: c, mul, lambda cs, vs: sum(map(mul, cs, vs)), mul, add, _scaled_number)
 
-
-# A monomial times unknown p: p goes last unless a position in it is larger.
-
-
-def _times_unknown(p: int, poly: dict) -> dict:
-    return {(m + (p,) if not m or m[-1] <= p else tuple(sorted(m + (p,)))): c for m, c in poly.items()}
-
-
-def _dot_unknowns(ps: Sequence[int], polys: Sequence[dict]) -> dict:
-    out: dict = {}
-    for p, poly in zip(ps, polys):
-        for m, c in poly.items():
-            m = m + (p,) if not m or m[-1] <= p else tuple(sorted(m + (p,)))
-            out[m] = out.get(m, 0) + c
-    return out
-
-
-def _mul_polys(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2)) if m1 and m2 else m1 or m2
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
-
-def _add_polys(a: dict, b: dict) -> dict:
-    for m, c in b.items():
-        a[m] = a.get(m, 0) + c
-    return a
-
-
-def _scaled_poly(acc: dict | None, poly: dict, k: int) -> dict:
-    if acc is None:
-        return {m: c * k for m, c in poly.items()}
-    for m, c in poly.items():
-        c = acc.get(m, 0) + c * k
-        if c:
-            acc[m] = c
-        else:
-            del acc[m]
-    return acc
-
-
-# Evaluation with unknowns has no cancellation: every unknown enters
-# with coefficient 1 and is multiplied and added only, so `_mul_polys`,
-# `_add_polys` and `_dot_unknowns` drop no zeros. Only the difference can
-# cancel, in `_scaled_poly`.
-UNKNOWNS = Ring({}, {(): 1}, lambda p: {(p,): 1}, _times_unknown, _dot_unknowns, _mul_polys, _add_polys, _scaled_poly)
 
 _CONSTANT: frozenset[str] = frozenset()
 

@@ -16,13 +16,14 @@ encoding: it is given when a set is searched (`ConstraintSet.search_args`,
 `solve_box`), emitted (`emit_smtlib`) or a model decoded (`decode`), so
 one encoding serves every bound.
 
-A polynomial over the unknowns has one form from the encoder to the
-search: a dict from monomials, sorted tuples of unknown positions in
-declaration order, to nonzero `int` coefficients, as `boxsolver` reads a
-script into. A constraint is the pair (polynomial, at_least) that
-`boxsolver.solve_sums` searches: the encoder builds it from
-`Differences.entries` and nothing unwraps it. Only `emit_smtlib` maps
-positions to names.
+A polynomial over the unknowns has one form and one arithmetic from the
+encoder to the search, both `boxsolver`'s: a dict from monomials, sorted
+tuples of unknown positions, to nonzero `int` coefficients. `encode`
+evaluates `Differences` in the ring `UNKNOWNS`, built from that
+arithmetic, where a table coefficient is an unknown's position. A
+constraint is the pair (polynomial, at_least) that `boxsolver.solve_sums`
+searches: the encoder builds it from `Differences.entries` and nothing
+unwraps it. Only `emit_smtlib` maps positions to names.
 
 Solvers are untrusted external processes speaking SMT-LIB 2 over a pipe;
 the shipped box solver may instead search the constraint set in process,
@@ -42,13 +43,13 @@ from itertools import combinations
 from time import monotonic
 from typing import Mapping, NamedTuple, Sequence
 
-from .boxsolver import DEFAULT_LIMIT, ScriptError, parse_script, solve_sums
+from .boxsolver import DEFAULT_LIMIT, ScriptError, add_into, dot, parse_script, solve_sums, times, times_unknown
 from .interpretations import (
-    UNKNOWNS,
     Differences,
     Interpretation,
     MatrixInterpretation,
     PolyInterpretation,
+    Ring,
 )
 from .rules import PTRS
 
@@ -155,6 +156,13 @@ def coefficient_table(system: PTRS, shape: Shape) -> tuple[list[UnknownSpec], di
         )
         table[sym] = (grids, tuple(unknown(f"m{index}_k_{r}", 0) for r in range(1, n + 1)))
     return unknowns, table
+
+
+def _scaled(acc: dict | None, poly: dict, k: int) -> dict:
+    return add_into({} if acc is None else acc, poly, k)
+
+
+UNKNOWNS = Ring({}, {(): 1}, lambda p: {(p,): 1}, times_unknown, dot, times, add_into, _scaled)
 
 
 def encode(system: PTRS, shape: Shape) -> EncodedProblem:

@@ -223,13 +223,12 @@ def parse_problem(text: str) -> ProblemFile:
     for _, close in blocks:
         toks[close] = ""  # the end of the reader's input
 
-    variables: list[str] = []
+    variables: dict[str, None] = {}  # the names in first-seen order
     for name, close in blocks:
         for k in range(name + 1, close) if toks[name] == "VAR" else ():
             if toks[k] in _PUNCTUATION:
                 raise reader.error(k, f"unexpected {toks[k]!r} in VAR block")
-            if toks[k] not in variables:
-                variables.append(toks[k])
+            variables[toks[k]] = None
 
     reader.variables = set(variables)
     rules: list[RawRule] = []

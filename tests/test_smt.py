@@ -30,11 +30,10 @@ from helpers import (
     rule_difference,
     template,
 )
-from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums
+from ptrs.boxsolver import DEFAULT_LIMIT, solve_sums, times
 from ptrs.certtext import render_interpretation
 from ptrs.interpretations import (
     NUMBERS,
-    UNKNOWNS,
     CertificateInvalid,
     DegreeOverflow,
     Differences,
@@ -51,6 +50,7 @@ from ptrs.smt import (
     ModelDecodeError,
     Shape,
     SolverResult,
+    UNKNOWNS,
     UnknownSpec,
     _read_reply,
     box_floor,
@@ -94,6 +94,15 @@ def test_poly_algebra():
     assert UNKNOWNS.times(1, UNKNOWNS.times(0, a)) == {(0, 0, 1): 1}
     assert UNKNOWNS.times(0, {(1,): 2, (): 3}) == {(0, 1): 2, (0,): 3}  # sorted positions
     assert UNKNOWNS.dot((1, 0), ({(): 2}, {(1,): 1})) == {(1,): 2, (0, 1): 1}
+
+
+def test_the_product_drops_cancelled_monomials():
+    # (x - y)(x + y) = x^2 - y^2: the two x*y terms cancel, keyed either way
+    x, y = {(0,): 1}, {(1,): 1}
+    difference, total = {**x, (1,): -1}, {**x, **y}
+    assert times(difference, total) == {(0, 0): 1, (1, 1): -1}
+    assert times(total, difference) == {(0, 0): 1, (1, 1): -1}
+    assert times({(1,): 1, (): 1}, {(0,): 1}) == {(0, 1): 1, (0,): 1}  # sorted when out of order
 
 
 def test_shape_parsing():
@@ -647,6 +656,16 @@ def test_boxsolver_imports_no_other_ptrs_module():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["ptrs", "ptrs.boxsolver"]
+
+
+def test_the_checker_and_the_simulator_load_no_solver_arithmetic():
+    # the trusted checker carries no arithmetic over unknowns, and a
+    # simulate or drift run pays for none
+    probe = "import sys, ptrs.interpretations, ptrs.simulator; print(*sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "ptrs.simulator" in loaded and {"ptrs.boxsolver", "ptrs.smt"} & loaded == set()
 
 
 def test_in_process_limit_matches_only_this_interpreter(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -466,3 +467,18 @@ def test_weights_are_decimal_digits():
     # a digit that int() reads is a weight
     rule = parse_problem("(VAR x)(RULES f(x) -> ٣ : x || 1 : f(x))").rules[0]
     assert rule.alternatives == ((3, Var("x")), (1, App("f", (Var("x"),))))
+
+
+def test_repeated_var_names_keep_their_first_seen_order():
+    pf = parse_problem("(VAR y x)(VAR z y)(RULES f(x, y, z) -> x)(VAR x w y)")
+    assert pf.variables == ("y", "x", "z", "w")
+
+
+def test_a_long_var_block_reads_in_linear_time():
+    # a list-membership test made this block quadratic: several seconds
+    names = [f"v{i}" for i in range(30_000)]
+    text = f"(VAR {' '.join(names)} v0)(RULES f(v0) -> v0)"
+    start = time.perf_counter()
+    pf = parse_problem(text)
+    assert time.perf_counter() - start < 1.0
+    assert pf.variables == tuple(names)
