@@ -394,13 +394,6 @@ leftmost_outermost.per_object = True
 leftmost_innermost.per_object = True
 
 
-def random_chooser(rng: random.Random) -> Chooser:
-    def choose(pars: Pars, obj: Hashable, options: Sequence[FiniteDistribution]) -> int:
-        return rng.randrange(len(options))
-
-    return choose
-
-
 def step_multidist(pars: Pars, mu: MultiDistribution, chooser: Chooser) -> MultiDistribution:
     """One reduction step; terminal entries vanish, so mass is monotone.
 
@@ -453,22 +446,12 @@ def all_steps(
     return list(seen)
 
 
-def random_term(
-    signature: Signature,
-    rng: random.Random,
-    *,
-    max_depth: int = 4,
-    variable_pool: Sequence[str] = ("x", "y"),
-) -> Term:
-    """Random well-formed term; leaves are variables or nullary symbols."""
-    return term_sampler(signature, variable_pool)(rng, max_depth)
-
-
 def term_sampler(
     signature: Signature, variable_pool: Sequence[str] = ("x", "y")
 ) -> Callable[[random.Random, int], Term]:
-    """random_term over one signature and variable pool, as a function of
-    the rng and max_depth; the symbol and leaf lists are built once."""
+    """Random well-formed terms over one signature, as a function of the
+    rng and max_depth: a leaf is a nullary symbol or a name from the
+    variable pool. The symbol and leaf lists are built once."""
     symbols = sorted(signature.symbols().items())
     leaves: list[Term] = [App(s, ()) for s, a in symbols if a == 0]
     leaves.extend(Var(name) for name in variable_pool)
@@ -502,21 +485,15 @@ class RandomWalk(Pars):
         if not 0 <= self.p <= 1:
             raise ValueError(f"probability {self.p} outside [0, 1]")
         self.truncate = truncate
-        # options per height, built once: a run of k steps from n visits at
-        # most n + k heights
-        self._options: dict[int, list[FiniteDistribution]] = {}
 
     def options(self, obj: int) -> list[FiniteDistribution]:
         if obj <= 0 or self.truncates(obj):
             return []
-        options = self._options.get(obj)
-        if options is None:
-            # p = a/b in lowest terms, so a and b - a over b are the weights
-            # in lowest terms too; a zero weight is left out
-            a, b = self.p.numerator, self.p.denominator
-            pairs = tuple((n, image) for n, image in ((a, obj - 1), (b - a, obj + 1)) if n)
-            options = self._options[obj] = [FiniteDistribution._unchecked(pairs, b, b)]
-        return options
+        # p = a/b in lowest terms, so a and b - a over b are the weights in
+        # lowest terms too; a zero weight is left out
+        a, b = self.p.numerator, self.p.denominator
+        pairs = tuple((n, image) for n, image in ((a, obj - 1), (b - a, obj + 1)) if n)
+        return [FiniteDistribution._unchecked(pairs, b, b)]
 
     def truncates(self, obj: int) -> bool:
         return self.truncate is not None and obj >= self.truncate
@@ -581,20 +558,14 @@ class Payout(Pars):
 
     def __init__(self, truncate: int | None = None):
         self.truncate = truncate
-        # options per stake, built once; a countdown height is visited
-        # about once, so its point distribution is built on each visit
-        self._options: dict[Stake, list[FiniteDistribution]] = {}
 
     def options(self, obj: "Stake | int") -> list[FiniteDistribution]:
         if self.truncates(obj):
             return []
         if isinstance(obj, Stake):
-            options = self._options.get(obj)
-            if options is None:
-                n = obj.round
-                raise_or_bust = FiniteDistribution([(Stake(n + 1), Fraction(1, 2)), (0, Fraction(1, 2))])
-                options = self._options[obj] = [raise_or_bust, FiniteDistribution.point(2**n * n)]
-            return options
+            n = obj.round
+            raise_or_bust = FiniteDistribution([(Stake(n + 1), Fraction(1, 2)), (0, Fraction(1, 2))])
+            return [raise_or_bust, FiniteDistribution.point(2**n * n)]
         return [FiniteDistribution.point(obj - 1)] if obj > 0 else []
 
     def truncates(self, obj: "Stake | int") -> bool:

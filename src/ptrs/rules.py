@@ -3,13 +3,13 @@
 A rule l -> {p1: r1, ..., pn: rn} rewrites an instance of l to the matching
 instance of ri with probability pi; every variable of a right-hand side
 occurs in l, which is not a bare variable. A PTRS is a signature and a
-tuple of rules whose terms are well formed over it. The rewriting engine,
-the prover and the certificate checker all read these names from here.
+tuple of rules whose terms are well formed over it. Only the checking
+`ProbRule` and `PTRS` constructors build them, for the WST reader too.
+The rewriting engine, the prover and the certificate checker all read
+these names from here.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .multidist import FiniteDistribution
 from .terms import Signature, Term, Var, check_term, variables
@@ -29,23 +29,11 @@ class ProbRule:
     __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs: Term, rhs: FiniteDistribution[Term]):
-        self._set(lhs, rhs, variables(lhs), map(variables, rhs.support()))
-
-    @classmethod
-    def _read(cls, lhs: Term, rhs: FiniteDistribution[Term], bound: set[str], used: Iterable[set[str]]):
-        """The rule with the same checks, made from the variables a reader
-        collected as it built the terms: `bound` of the left-hand side, and
-        `used` of each right-hand side in the order of `rhs.support()`,
-        where a term may come more than once."""
-        rule = cls.__new__(cls)
-        rule._set(lhs, rhs, bound, used)
-        return rule
-
-    def _set(self, lhs: Term, rhs: FiniteDistribution[Term], bound: set[str], used: Iterable[set[str]]) -> None:
         if isinstance(lhs, Var):
             raise RuleError(f"left-hand side is the bare variable {lhs}", "variable-lhs")
-        for names in used:
-            extra = names - bound
+        bound = variables(lhs)
+        for term in rhs.support():
+            extra = variables(term) - bound
             if extra:
                 raise RuleError(
                     f"right-hand side uses variable {sorted(extra)[0]!r} not bound on the left",
@@ -76,14 +64,6 @@ class PTRS:
         self.signature = signature
         self.rules = rules
         self._drift: list = []
-
-    @classmethod
-    def _read(cls, signature: Signature, rules: tuple[ProbRule, ...]) -> "PTRS":
-        """The system of rules whose terms a reader built with the arities
-        it gave `signature`, so no term is checked against it again."""
-        system = cls.__new__(cls)
-        system.signature, system.rules, system._drift = signature, rules, []
-        return system
 
 
 # the built-in PARS families `rewriting.make_family` builds, by name

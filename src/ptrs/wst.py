@@ -8,7 +8,8 @@ with positive integer weights written in decimal digits; alternative j fires
 with probability wj over the weight total. A rule without weights, `l -> r`,
 abbreviates `l -> 1 : r`. Comments run from `;` to end of line. Symbol
 arities are inferred from use, first use wins. The reader works on token
-texts alone, as one `findall` gives them.
+texts alone, as one `findall` gives them. `elaborate` builds the rules and
+the system with the checking `ProbRule` and `PTRS` constructors only.
 """
 
 from __future__ import annotations
@@ -82,15 +83,12 @@ class RawRule:
     where it starts. Equality and hashing ignore the position, which a
     parsed rule works out when it is first read."""
 
-    __slots__ = ("lhs", "alternatives", "_at", "_read")
+    __slots__ = ("lhs", "alternatives", "_at")
 
     def __init__(self, lhs: Term, alternatives: tuple[tuple[int, Term], ...], line: int = 0, col: int = 0):
         self.lhs = lhs
         self.alternatives = alternatives
         self._at: tuple[int, int] | Callable[[], tuple[int, int]] = (line, col)
-        # (signature, variables of lhs, variables of each alternative) when
-        # `parse_problem` read the rule, which `elaborate` checks instead of the terms
-        self._read: tuple[Signature, set[str], list[set[str]]] | None = None
 
     def _where(self) -> tuple[int, int]:
         if callable(self._at):
@@ -120,7 +118,7 @@ class _Reader:
     arities, first use winning. A '' in `toks` ends the input. A token's
     line and column are worked out only for an error or a rule's position."""
 
-    __slots__ = ("text", "toks", "end_line", "variables", "arities", "found", "_tokens")
+    __slots__ = ("text", "toks", "end_line", "variables", "arities", "_tokens")
 
     def __init__(self, text: str, end_line: int, variables: set[str]):
         self.toks = list(filter(None, _TOKEN.findall(text)))
@@ -129,7 +127,6 @@ class _Reader:
         self.text, self.end_line, self.variables = text, end_line, variables
         # each symbol's arity and the index of its first use; None for a declared symbol
         self.arities: dict[str, tuple[int, int | None]] = {}
-        self.found: set[str] = set()  # the variables `term` reads, as it reads them
         self._tokens: list[Token] | None = None
 
     def position(self, index: int) -> tuple[int, int]:
@@ -150,7 +147,7 @@ class _Reader:
         """The term that starts at token i, and the index after it."""
         # Open applications wait on a stack, so nesting depth costs no
         # recursion. Symbols are noted in post-order, as they complete.
-        toks, variables, arities, found = self.toks, self.variables, self.arities, self.found
+        toks, variables, arities = self.toks, self.variables, self.arities
         pending: list[tuple[str, int, list[Term]]] = []
         while True:
             head = toks[i]
@@ -160,7 +157,6 @@ class _Reader:
             i += 1
             if toks[i] != "(" and head in variables:
                 term: Term = Var(head)
-                found.add(head)
             else:
                 if toks[i] == "(":
                     if head in variables:
@@ -232,7 +228,6 @@ def parse_problem(text: str) -> ProblemFile:
 
     reader.variables = set(variables)
     rules: list[RawRule] = []
-    found: list[tuple[set[str], list[set[str]]]] = []
     for name, close in blocks:
         if toks[name] == "VAR":
             continue
@@ -241,12 +236,10 @@ def parse_problem(text: str) -> ProblemFile:
         i = name + 1
         while i < close:
             start = i
-            reader.found = bound = set()
             lhs, i = reader.term(i)
             if toks[i] != "->":
                 raise reader.expected(i, "ARROW")
             alternatives: list[tuple[int, Term]] = []
-            used: list[set[str]] = []
             while not alternatives or toks[i] == "||":  # i is at '->' or '||'
                 weight = 1
                 if toks[i + 1].isdecimal() and toks[i + 2] == ":":
@@ -254,19 +247,14 @@ def parse_problem(text: str) -> ProblemFile:
                     if weight <= 0:
                         raise reader.error(i + 1, "weights must be positive integers")
                     i += 2
-                reader.found = names = set()
                 term, i = reader.term(i + 1)
                 alternatives.append((weight, term))
-                used.append(names)
             rule = RawRule(lhs, tuple(alternatives))
             rule._at = partial(reader.position, start)
             rules.append(rule)
-            found.append((bound, used))
     if not rules:
         raise ParseError("no rules found", reader.end_line, 1)
     signature = Signature({s: a for s, (a, _) in reader.arities.items()})
-    for rule, (bound, used) in zip(rules, found):
-        rule._read = (signature, bound, used)
     return ProblemFile(tuple(variables), tuple(rules), signature)
 
 
@@ -277,9 +265,6 @@ def elaborate(problem: ProblemFile) -> PTRS:
     their gcd g, the weights over their total are in the least terms that
     `FiniteDistribution` gives: lcm(total/gcd(w_i, total)) = total/g.
     """
-    # rules `parse_problem` read with this signature carry their variables,
-    # and their terms use its arities
-    read = all(raw._read is not None and raw._read[0] is problem.signature for raw in problem.rules)
     rules: list[ProbRule] = []
     for raw in problem.rules:
         merged: dict[Term, int] = {}
@@ -289,10 +274,10 @@ def elaborate(problem: ProblemFile) -> PTRS:
         total = sum(merged.values()) // g
         dist = FiniteDistribution._unchecked(tuple((w // g, term) for term, w in merged.items()), total, total)
         try:
-            rules.append(ProbRule._read(raw.lhs, dist, *raw._read[1:]) if read else ProbRule(raw.lhs, dist))
+            rules.append(ProbRule(raw.lhs, dist))
         except RuleError as exc:
             raise ElaborationError(str(exc), raw.line, raw.col, exc.reason) from None
-    return (PTRS._read if read else PTRS)(problem.signature, tuple(rules))
+    return PTRS(problem.signature, tuple(rules))
 
 
 def load_problem(path: str) -> ProblemFile:

@@ -1,12 +1,15 @@
 """Scriptable stand-in for an SMT solver, for deterministic tests.
 
 Reads stdin to exhaustion (honouring the one-shot pipe protocol) and prints
-a canned reply:
+a canned reply. It imports nothing from the package, so it runs as a
+script wherever the tests are:
 
-    python -m ptrs.fake_solver --reply sat --model "c0_1=1,c0_k=1"
-    python -m ptrs.fake_solver --reply unsat
-    python -m ptrs.fake_solver --garbage
-    python -m ptrs.fake_solver --reply sat --sleep 30
+    python tests/fake_solver.py --reply sat --model "c0_1=1,c0_k=1"
+    python tests/fake_solver.py --reply unsat
+    python tests/fake_solver.py --garbage
+    python tests/fake_solver.py --reply sat --sleep 30
+
+The tests name it by `helpers.FAKE`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import time
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="ptrs.fake_solver")
+    parser = argparse.ArgumentParser(prog="fake_solver")
     parser.add_argument("--reply", choices=["sat", "unsat", "unknown"], default="unknown")
     parser.add_argument("--model", default="", help="comma-separated name=value pairs")
     parser.add_argument("--garbage", action="store_true", help="print nonsense instead")

@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import random
 import re
+import shlex
 import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product as iter_product
 from math import gcd, lcm, prod
+from pathlib import Path
 from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from ptrs.boxsolver import narrow
@@ -49,14 +51,14 @@ from ptrs.prover import ProverConfig, ShapeOutcome, Verdict, prove, verdict_json
 from ptrs.rewriting import (
     PTRS,
     BudgetTracker,
+    Chooser,
     Pars,
     ProbRule,
     RuleError,
     TermPars,
     all_steps,
-    random_chooser,
-    random_term,
     step_multidist,
+    term_sampler,
 )
 from ptrs import rewriting
 from ptrs.simulator import (
@@ -72,6 +74,8 @@ from ptrs.terms import App, Position, Signature, Term, Var, fold_term, variables
 from ptrs.wst import ElaborationError, ParseError, ProblemFile, RawRule, Token, tokenize
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"  # the shipped box solver, run in process
+# the scriptable stand-in solver, always a child process
+FAKE = f"{shlex.quote(sys.executable)} {shlex.quote(str(Path(__file__).with_name('fake_solver.py')))}"
 
 
 # Symbolic evaluation as the package did it before it computed rule
@@ -999,6 +1003,24 @@ def proved_certificates(seed: int = 20261019, count: int = 40) -> tuple[tuple[PT
 # Functions of the package that only tests call, moved here unchanged.
 
 
+def random_term(
+    signature: Signature,
+    rng: random.Random,
+    *,
+    max_depth: int = 4,
+    variable_pool: Sequence[str] = ("x", "y"),
+) -> Term:
+    """Random well-formed term; leaves are variables or nullary symbols."""
+    return term_sampler(signature, variable_pool)(rng, max_depth)
+
+
+def random_chooser(rng: random.Random) -> Chooser:
+    def choose(pars: Pars, obj: Hashable, options: Sequence[FiniteDistribution]) -> int:
+        return rng.randrange(len(options))
+
+    return choose
+
+
 def reference_random_term(
     signature: Signature,
     rng: random.Random,
@@ -1006,7 +1028,7 @@ def reference_random_term(
     max_depth: int = 4,
     variable_pool: Sequence[str] = ("x", "y"),
 ) -> Term:
-    """`rewriting.random_term` as it was before `term_sampler` built its
+    """`random_term` as it was before `term_sampler` built its
     symbol and leaf lists once per sampler: both lists on every call."""
     symbols = sorted(signature.symbols().items())
     leaves: list[Term] = [App(s, ()) for s, a in symbols if a == 0]

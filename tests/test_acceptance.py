@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import enumerate_box, hitting_times_truncated, items
+from helpers import FAKE, enumerate_box, hitting_times_truncated, items
 from ptrs.certtext import load_interpretation
 from ptrs.cli import main
 from ptrs.interpretations import check_certificate
@@ -30,7 +30,6 @@ from ptrs.wst import load_system
 
 F = Fraction
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
-FAKE = f"{sys.executable} -m ptrs.fake_solver"
 HAVE_Z3 = shutil.which("z3") is not None
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -13,13 +13,12 @@ import jsonschema
 import pytest
 
 import ptrs.cli
-from helpers import certificate_corpus, garbled
+from helpers import FAKE, certificate_corpus, garbled
 from ptrs.boxsolver import any_digits
 from ptrs.cli import _colorize, _start_text, load_config, main
 from ptrs.prover import ProverConfig, Verdict
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
-FAKE = f"{sys.executable} -m ptrs.fake_solver"
 
 ROOT = Path(__file__).resolve().parent.parent
 RW34 = str(ROOT / "problems" / "rw34.wst")

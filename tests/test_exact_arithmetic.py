@@ -19,7 +19,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "ptrs"
 UNTRUSTED = {
     "cli": "argument parsing, output and timings of the commands",
     "prover": "runs the shape portfolio; its only float is a solver's time limit",
-    "fake_solver": "a stand-in solver process that only tests start",
     "__init__": "the package marker",
     "__main__": "`python -m ptrs`, which calls `cli.main`",
 }

@@ -17,6 +17,7 @@ from helpers import (
     rand_poly_interp,
     rand_value_distribution,
     random_ptrs,
+    random_term,
     reference_orientation,
     rule_difference,
     vec_form_value,
@@ -36,7 +37,7 @@ from ptrs.interpretations import (
     ranking_from_certificate,
 )
 from ptrs.multidist import FiniteDistribution
-from ptrs.rewriting import ProbRule, TermPars, random_term, random_walk_ptrs
+from ptrs.rewriting import ProbRule, TermPars, random_walk_ptrs
 from ptrs.simulator import RunConfig, estimate_edh, run
 from ptrs.terms import App, Signature, Var, variables
 from ptrs.wst import elaborate, load_system, parse_problem

@@ -18,7 +18,7 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 
 # Self-calls whose depth is bounded by a parameter, not by the input.
 EXEMPT = {
-    # random_term's sampler: depth is bounded by max_depth
+    # the drift harness's start-term sampler: depth is bounded by max_depth
     ("rewriting", "term_sampler.draw.build"),
 }
 

@@ -31,11 +31,10 @@ import random
 import sys
 from itertools import chain, product
 
-from helpers import looping_ptrs, problem_of, random_ptrs, render_problem
+from helpers import looping_ptrs, problem_of, random_ptrs, random_term, render_problem
 from ptrs.certtext import parse_interpretation
 from ptrs.cli import main
 from ptrs.interpretations import check_certificate
-from ptrs.rewriting import random_term
 from ptrs.simulator import drift_harness
 from ptrs.wst import elaborate, parse_problem
 

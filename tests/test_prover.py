@@ -34,10 +34,9 @@ from ptrs.rewriting import PTRS
 from ptrs.terms import Signature
 from ptrs.wst import elaborate, load_system, parse_problem
 
-from helpers import box_points, prove_encoding_every_shape, random_ptrs
+from helpers import FAKE, box_points, prove_encoding_every_shape, random_ptrs
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
-FAKE = f"{sys.executable} -m ptrs.fake_solver"
 HAVE_Z3 = shutil.which("z3") is not None
 
 RW34 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 3 : x || 1 : s(s(x)))"))

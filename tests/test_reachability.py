@@ -2,15 +2,17 @@
 
 Every module of the package is parsed, and a reference graph is walked
 from the commands' entry points, `cli.main` and `boxsolver.main`, and from
-the statements a module runs at the top level (`__main__`'s body and each
-`if __name__ == "__main__":` block). A definition reaches every top-level
-definition it names, through the package's imports, including those made
-inside functions, and through attributes of an imported module. A method
-of a reached class is reached when any reached code uses its name as an
-attribute: the walk cannot tell receivers apart, so a method shares its
-fate with every other attribute of that name. Dunder methods, which the
-interpreter calls (pickling hooks such as `__reduce__` among them), are
-reached with their class.
+the statements a module runs at the top level: `__main__`'s body, and the
+`if __name__ == "__main__":` blocks of the modules a command starts
+(`COMMANDS`). Such a block in any other module would make a root of code
+that only a test runs, so the test fails on it. A definition reaches
+every top-level definition it names, through the package's imports,
+including those made inside functions, and through attributes of an
+imported module. A method of a reached class is reached when any reached
+code uses its name as an attribute: the walk cannot tell receivers apart,
+so a method shares its fate with every other attribute of that name.
+Dunder methods, which the interpreter calls (pickling hooks such as
+`__reduce__` among them), are reached with their class.
 
 The test fails on a top-level definition, or a method of a reached class,
 that the walk does not reach and that `ALLOWED` does not list with its
@@ -25,6 +27,8 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ptrs"
 ROOTS = ("cli.main", "boxsolver.main")
+# `python -m ptrs`, `python -m ptrs.cli`, and the box solver `--solver` starts
+COMMANDS = ("__main__", "cli", "boxsolver")
 
 _BENCH = "bench tracer binding, no caller in src/ (item 12, group 2), until item 18"
 _DRIFT = "drift harness, which no command runs yet, until item 23"
@@ -53,8 +57,6 @@ ALLOWED = {
     "simulator.DriftReport": _DRIFT,
     "simulator._fresh_drift": _DRIFT,
     "rewriting.term_sampler": "the drift harness's start-term sampler, until item 23",
-    "rewriting.random_term": "the drift harness's start-term sampler, until item 23",
-    "rewriting.random_chooser": "a seeded strategy that only the tests run",
     "__init__.__version__": "package metadata",
 }
 
@@ -63,14 +65,21 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
+def _is_main_block(node: ast.stmt) -> bool:
+    return isinstance(node, ast.If) and ast.unparse(node.test) in (
+        "__name__ == '__main__'", "'__main__' == __name__"
+    )
+
+
 class Package:
     """The definitions of a package directory and what each one names."""
 
-    def __init__(self, src: Path):
+    def __init__(self, src: Path, commands=COMMANDS):
         self.defs: dict[str, tuple[str, ast.AST]] = {}  # key -> (module, node)
         self.methods: dict[str, dict[str, ast.AST]] = {}  # class key -> name -> node
         self.imports: dict[str, dict[str, tuple[str, str | None]]] = {}
         self.top_level: list[tuple[str, ast.AST]] = []  # statements run at import
+        self.stray_main_blocks: list[str] = []  # "module.py:line" outside `commands`
         paths = sorted(src.glob("*.py"))
         modules = {path.stem for path in paths}
         for path in paths:
@@ -100,6 +109,8 @@ class Package:
                         for name in ast.walk(target):
                             if isinstance(name, ast.Name):
                                 self.defs[f"{module}.{name.id}"] = (module, node)
+                elif _is_main_block(node) and module not in commands:
+                    self.stray_main_blocks.append(f"{module}.py:{node.lineno}")
                 elif not isinstance(node, (ast.Import, ast.ImportFrom)) and not (
                     isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)  # a docstring
                 ):
@@ -180,8 +191,13 @@ class Package:
 
 
 @pytest.fixture(scope="module")
-def unreached() -> list[str]:
-    return Package(SRC).unreached(ROOTS)
+def package() -> Package:
+    return Package(SRC)
+
+
+@pytest.fixture(scope="module")
+def unreached(package) -> list[str]:
+    return package.unreached(ROOTS)
 
 
 def test_every_definition_is_reached_or_allowed(unreached):
@@ -191,6 +207,10 @@ def test_every_definition_is_reached_or_allowed(unreached):
 def test_every_allowed_entry_is_an_unreached_definition_with_a_reason(unreached):
     assert all(reason.strip() for reason in ALLOWED.values())
     assert [key for key in ALLOWED if key not in unreached] == []
+
+
+def test_only_the_modules_a_command_starts_have_a_main_block(package):
+    assert package.stray_main_blocks == []
 
 
 def test_the_walk_follows_names_imports_and_attributes(tmp_path):
@@ -230,5 +250,10 @@ def test_the_walk_follows_names_imports_and_attributes(tmp_path):
         "if __name__ == '__main__':\n"
         "    spare()\n"
     )
-    package = Package(tmp_path)
+    package = Package(tmp_path, commands=("c",))
     assert package.unreached(["a.main"]) == ["a.orphan", "b.Box.hidden", "b.Spare", "b.unlisted"]
+    assert package.stray_main_blocks == []
+    # in a module no command starts, the block is reported and is no root
+    package = Package(tmp_path, commands=("a",))
+    assert package.unreached(["a.main"]) == ["a.orphan", "b.Box.hidden", "b.Spare", "b.unlisted", "c.spare"]
+    assert package.stray_main_blocks == ["c.py:5"]

@@ -13,7 +13,9 @@ from helpers import (
     from_distribution,
     items,
     mapped,
+    random_chooser,
     random_ptrs,
+    random_term,
     reference_random_term,
     subterm_positions,
 )
@@ -34,8 +36,6 @@ from ptrs.rewriting import (
     leftmost_innermost,
     leftmost_outermost,
     make_family,
-    random_chooser,
-    random_term,
     random_walk_ptrs,
     step_multidist,
     term_sampler,

@@ -17,7 +17,9 @@ from helpers import (
     looping_ptrs,
     mapped,
     proved_certificates,
+    random_chooser,
     random_ptrs,
+    random_term,
     reference_all_steps,
     reference_collapsed,
     reference_drift_harness,
@@ -46,8 +48,6 @@ from ptrs.rewriting import (
     Stake,
     TermPars,
     all_steps,
-    random_chooser,
-    random_term,
     random_walk_ptrs,
     step_multidist,
 )
@@ -1097,6 +1097,35 @@ def test_per_object_chooser_is_asked_once_per_object_per_run(monkeypatch, make, 
     run(RunConfig(pars, pars.parse_object(start), length, mode, collapse=True))
     # each object once, in the order the run first meets it
     assert calls == list(dict.fromkeys(obj for mu in states for _, obj in mu.numerators))
+
+
+@pytest.mark.parametrize("make, start, length", [
+    (lambda: RandomWalk(F(3, 4)), "5", 12),
+    (lambda: RandomWalk(F(1, 2), truncate=7), "3", 12),
+    (Payout, "a0", 8),
+    (lambda: Payout(truncate=3), "a0", 10),
+    (lambda: TermPars(load_system(str(PROBLEMS / "rw34.wst"))), "s(s(s(0)))", 4),
+    (lambda: TermPars(load_system(str(PROBLEMS / "coingame.wst"))), "?(s(0))", 6),
+])
+@pytest.mark.parametrize("collapse", [False, True])
+def test_exhaustive_mode_asks_each_object_for_its_options_once_per_run(monkeypatch, make, start, length, collapse):
+    # A run builds each object's option rows once, so the families need no
+    # cache of their own: every object of a level before the last is asked
+    # exactly once, terminal and truncated ones included.
+    oracle = make()
+    traced = run(RunConfig(oracle, oracle.parse_object(start), length, "exhaustive", collapse, keep_trace=True))
+    stepped = {obj for level in traced.trace[:-1] for mu in level for _, obj in mu.numerators}
+    calls = []
+    for cls in (RandomWalk, Payout, TermPars):
+        def spy(self, obj, options=cls.options):
+            calls.append(obj)
+            return options(self, obj)
+
+        monkeypatch.setattr(cls, "options", spy)
+    pars = make()
+    report = run(RunConfig(pars, pars.parse_object(start), length, "exhaustive", collapse))
+    assert report.outcomes == traced.outcomes
+    assert len(calls) == len(set(calls)) and set(calls) == stepped
 
 
 def test_picks_start_afresh_at_the_memo_limit(monkeypatch):

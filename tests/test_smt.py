@@ -20,6 +20,7 @@ import ptrs.interpretations
 import ptrs.smt
 
 from helpers import (
+    FAKE,
     coefficients,
     enumerate_box,
     evaluate,
@@ -71,7 +72,6 @@ from ptrs.wst import elaborate, load_system, parse_problem
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 BOXSOLVER = f"{sys.executable} -m ptrs.boxsolver"
-FAKE = f"{sys.executable} -m ptrs.fake_solver"
 
 RW34 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 3 : x || 1 : s(s(x)))"))
 RW14 = elaborate(parse_problem("(VAR x)(RULES s(x) -> 1 : x || 3 : s(s(x)))"))
@@ -675,7 +675,7 @@ def test_in_process_limit_matches_only_this_interpreter(monkeypatch, tmp_path):
     for flags in (["--limit=10"], ["--limit", "-1"], ["--limit", "1e3"], ["--limit"],
                   ["--limit", "10", "-v"], ["-v"]):
         assert in_process_limit(shlex.join([exe, "-m", "ptrs.boxsolver", *flags])) is None, flags
-    for command in (f"{exe} -m ptrs.fake_solver", f"{exe} -u -m ptrs.boxsolver",
+    for command in (FAKE, f"{exe} -u -m ptrs.boxsolver",
                     f"{exe} -m ptrs.boxsolver.x", "z3 -in", "", "'unbalanced"):
         assert in_process_limit(command) is None, command
     # a name on PATH counts only when it resolves to this very path

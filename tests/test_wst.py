@@ -432,9 +432,9 @@ def test_rule_positions_are_read_on_demand_and_kept():
     assert (err.value.reason, err.value.line, err.value.col) == ("free-variable-on-rhs", 4, 4)
 
 
-def test_elaborate_reads_the_variables_the_reader_collected():
+def test_elaboration_errors_name_the_rule_line_and_column():
     # a free right-hand variable, behind a good alternative and repeated:
-    # the same error at the rule's line and column as the term walk gave
+    # one error, at the rule's line and column
     text = "(VAR x y)\n(RULES\n  f(x) -> x\n    f(g(x)) -> 1 : x || 2 : g(y) || 1 : g(y))"
     with pytest.raises(ElaborationError) as err:
         elaborate(parse_problem(text))
@@ -448,7 +448,8 @@ def test_elaborate_reads_the_variables_the_reader_collected():
         parse_problem("(VAR x)(RULES f(x) -> f(x,x))")
     assert (err.value.message, err.value.col) == (
         "symbol 'f' used with 2 arguments here but with 1 at line 1, column 15", 23)
-    # rules read under another signature, or built in code, are checked in full
+    # every rule is checked against the signature it is elaborated with,
+    # whether the reader or other code built it
     problem = parse_problem("(VAR x)(RULES f(x) -> x)")
     with pytest.raises(TermError):
         elaborate(ProblemFile(problem.variables, problem.rules, Signature({"f": 2})))
