@@ -126,7 +126,8 @@ could take it past this many objects, and keeps an exhaustive one whole.
 `simulator.drift_harness` keeps its TermPars, rank function and step
 table on the system between calls, for the certificate it last checked;
 before a trial, once the table holds more than this many objects or the
-memo this many nodes, all three start afresh."""
+memo this many nodes, all three start afresh. A `term_sampler` starts
+the nodes it keeps afresh before a draw once it holds this many."""
 
 
 class _Entry:
@@ -140,8 +141,9 @@ class _Entry:
     a redex, else the node's first match (0 when there is none).
     `reducts` maps the number k of a redex in that order to its reduct
     distribution, plugged into this node; it keeps those built for a term
-    this node is the root of or that a strategy's descent passed through,
-    and those of the node's own matches.
+    this node is the root of (the drift harness keeps rows of numbered
+    images instead, and drops them) or that a strategy's descent passed
+    through, and those of the node's own matches.
     """
 
     __slots__ = ("node", "matches", "children", "count", "innermost", "reducts")
@@ -451,21 +453,72 @@ def term_sampler(
 ) -> Callable[[random.Random, int], Term]:
     """Random well-formed terms over one signature, as a function of the
     rng and max_depth: a leaf is a nullary symbol or a name from the
-    variable pool. The symbol and leaf lists are built once."""
-    symbols = sorted(signature.symbols().items())
-    leaves: list[Term] = [App(s, ()) for s, a in symbols if a == 0]
+    variable pool. The symbol and leaf lists are built once.
+
+    A draw walks the term in pre-order. Below max_depth a node is a leaf
+    when `rng.random() < 0.25`; at max_depth it is a leaf without asking.
+    A leaf, or else a symbol, is picked from its sorted list with
+    `rng.getrandbits(k)`, drawn again while out of range, k being the
+    bit length of the list's length: the numbers `Random.choice` draws,
+    through its `_randbelow`. Draws go through `random()` and
+    `getrandbits()` only; an override of `choice` or `randrange` is not
+    consulted. Open nodes are kept on a stack, and each node is built
+    once per sampler: the sampler keeps every node it built, by its symbol
+    and its arguments' ids as `App` interns it, and starts that dict afresh
+    once it holds MEMO_LIMIT nodes."""
+    symbols = [(s, a, App(s, ()) if a == 0 else None) for s, a in sorted(signature.symbols().items())]
+    leaves: list[Term] = [node for _, a, node in symbols if a == 0]
     leaves.extend(Var(name) for name in variable_pool)
     if not leaves:
         raise ValueError("need a nullary symbol or a variable pool to close terms")
+    n_leaves, leaf_bits = len(leaves), len(leaves).bit_length()
+    n_symbols, symbol_bits = len(symbols), len(symbols).bit_length()
+    nodes: dict[tuple, App] = {}
 
     def draw(rng: random.Random, max_depth: int) -> Term:
-        def build(depth: int) -> Term:
-            if depth >= max_depth or rng.random() < 0.25:
-                return rng.choice(leaves)
-            sym, arity = rng.choice(symbols)
-            return App(sym, tuple(build(depth + 1) for _ in range(arity)))
-
-        return build(0)
+        if len(nodes) >= MEMO_LIMIT:
+            nodes.clear()
+        unit, getrandbits = rng.random, rng.getrandbits
+        frames: list[list] = []  # open nodes, outermost first: [symbol, arguments to come, argument, ...]
+        depth = 0  # len(frames)
+        while True:
+            if depth >= max_depth or unit() < 0.25:
+                r = getrandbits(leaf_bits)
+                while r >= n_leaves:
+                    r = getrandbits(leaf_bits)
+                node = leaves[r]
+            else:
+                if not n_symbols:
+                    raise IndexError("Cannot choose from an empty sequence")
+                r = getrandbits(symbol_bits)
+                while r >= n_symbols:
+                    r = getrandbits(symbol_bits)
+                symbol, arity, node = symbols[r]
+                if arity:
+                    frames.append([symbol, arity])
+                    depth += 1
+                    continue
+            # node is whole: it closes every open node it completes
+            while depth:
+                frame = frames[-1]
+                frame.append(node)
+                frame[1] -= 1
+                if frame[1]:
+                    break
+                del frames[-1]
+                depth -= 1
+                symbol = frame[0]
+                if len(frame) == 3:
+                    args = (node,)
+                    key = (symbol, id(node))
+                else:
+                    args = tuple(frame[2:])
+                    key = (symbol, *map(id, args))
+                node = nodes.get(key)
+                if node is None:
+                    node = nodes[key] = App(symbol, args)
+            else:
+                return node
 
     return draw
 

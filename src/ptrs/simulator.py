@@ -291,9 +291,11 @@ def drift_harness(
     the certified one) lets tests confirm the harness can catch forgeries;
     it is read exactly, as multidist.as_fraction reads it.
 
-    Each step picks one redex per entry at random, folds equal reducts as
-    it adds them, in first-seen order as `merged()` does, and sorts the
-    result in display order, so a state lists each object once. Expected
+    Each trial starts from a term the system's `term_sampler` draws at
+    term_depth. Each step picks one redex per entry at random, folds
+    equal reducts as it adds them, in first-seen order as `merged()`
+    does, and sorts the result in display order, so a state lists each
+    object once. Expected
     rank and mass are sums over the entries, so merging keeps the check
     exact. The check compares integer cross-products of the unreduced
     expected ranks; Fraction ranks and multidistributions are built only
@@ -307,10 +309,17 @@ def drift_harness(
     The system keeps what a call learns, for the certificate it was last
     checked against: each object met is matched, ranked, rendered and has
     each drawn redex contracted once for as long as the system lives, not
-    once per call. A call on another certificate replaces that state. The
-    state starts afresh before a trial once it passes MEMO_LIMIT objects
-    or redex-index nodes, so it holds at most about that many of each plus
-    one trial's. Reports do not depend on it.
+    once per call; each drawn redex keeps its reduct as a row of
+    numbered images. A call on another certificate replaces that state.
+    The state starts afresh before a trial once it passes MEMO_LIMIT
+    objects or redex-index nodes, so it holds at most about that many of
+    each plus one trial's. Reports do not depend on it.
+
+    The rng is read through `random()` and `getrandbits()` only, in the
+    order and numbers that `random()`, `choice()` and `randrange()` of a
+    `random.Random` use: a seed gives the reports and leaves the rng in
+    the state it did when the harness called those. An override of
+    `randrange` or `choice` on the rng is not consulted.
     """
     # The state a system keeps for its last certificate: (cert, certified
     # epsilon, start-term sampler, TermPars, rank function, table). Objects
@@ -319,9 +328,10 @@ def drift_harness(
     # Per object, `ranks` holds its rank as (numerator, denominator),
     # `keys` its display_key as (type name, text) once it is sorted, and
     # `steps` False until it is stepped, then None when it is terminal,
-    # else its redex index entry, whose `reducts` keep the reduct of each
-    # redex drawn there; a step looks up the number of each image. `acc`
-    # is all 0 between steps.
+    # else (redex count, its bit length, redex index entry, rows): rows[r]
+    # is None until the r-th redex is first drawn, then the row
+    # (denominator, ((numerator, number), ...)) of its reduct. `acc` is
+    # all 0 between steps.
     try:
         held = system._drift.pop()
     except IndexError:  # none kept, or another call has it
@@ -331,7 +341,7 @@ def drift_harness(
     _, certified, draw, pars, rank, (index, objs, ranks, keys, steps, acc) = held
     required = certified if epsilon is None else as_fraction(epsilon)
     e_num, e_den = required.numerator, required.denominator
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
     last = max_depth - 1
 
     def number(obj: Hashable) -> int:
@@ -345,6 +355,15 @@ def drift_harness(
             steps.append(False)
             acc.append(0)
         return k
+
+    def row(top: rewriting._Entry, r: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """The row of the r-th redex of top's node. Its images are numbered
+        here and kept in objs, so the plugged distribution is not kept at
+        top; a contraction at top's own node is, for the terms above it."""
+        dist = pars._reduct(top, r)
+        if r >= len(top.matches):
+            del top.reducts[r]
+        return dist.denominator, tuple([(m, number(image)) for m, image in dist.numerators])
 
     def expected(state: list[tuple[int, int]], den: int) -> tuple[int, int]:
         """The expected rank of a state over den, as (numerator, denominator)."""
@@ -372,27 +391,32 @@ def drift_harness(
         for depth in range(max_depth):
             if not state:
                 break
-            # multidist._step's rule, written out to read each drawn reduct
-            # off its redex index entry: compiled rows would keep every
-            # draw's images for as long as the system keeps the table.
-            # Routed through _step, drift-rank (2 vCPUs, 10 alternating pairs each) ran
-            # 767 against 1065 ops/s with rows built per step (p50 1.26
-            # against 0.94 ms), and 927 against 1099 ops/s with rows cached
-            # per object and redex, holding 0.8 MiB more
+            # multidist._step's rule, written out: each entry draws its
+            # redex and reads that redex's row where it is met. Routed
+            # through _step, which takes one row per entry, drift-rank
+            # (2 vCPUs, 10 alternating pairs each) ran 767 against 1065
+            # ops/s with rows built per step (p50 1.26 against 0.94 ms),
+            # and 927 against 1099 ops/s with rows cached per object and
+            # redex. A redex is drawn as randrange draws it: by rejection
+            # from getrandbits of the count's bit length.
             out = []
             common, kept = 1, 0
             for n, j in state:
-                top = steps[j]
-                if top is False:
+                stepped = steps[j]
+                if stepped is False:
                     top = pars._entry(objs[j])
-                    top = steps[j] = top if top.count else None
-                if top is None:
+                    count = top.count
+                    stepped = steps[j] = (count, count.bit_length(), top, [None] * count) if count else None
+                if stepped is None:
                     continue
-                r = randrange(top.count)
-                dist = top.reducts.get(r)
-                if dist is None:
-                    dist = pars._reduct(top, r)
-                d = dist.denominator
+                count, bits, top, rows = stepped
+                r = getrandbits(bits)
+                while r >= count:
+                    r = getrandbits(bits)
+                d_pairs = rows[r]
+                if d_pairs is None:
+                    d_pairs = rows[r] = row(top, r)
+                d, pairs = d_pairs
                 kept += n
                 if common % d:
                     f = d // gcd(common, d)
@@ -401,10 +425,7 @@ def drift_harness(
                     common *= f
                 if d != common:
                     n *= common // d
-                for m, image in dist.numerators:
-                    k = index.get(image)
-                    if k is None:
-                        k = number(image)
+                for m, k in pairs:
                     w = acc[k]
                     if w:
                         acc[k] = w + n * m

@@ -655,10 +655,14 @@ def test_a_collapsed_run_keeps_one_reduct_per_node_beyond_its_matches(mode):
 
 
 def test_term_sampler_draws_what_random_term_drew():
-    # A sampler builds the symbol and leaf lists once; every draw, through
-    # it or through random_term, makes the same rng calls and builds the
-    # same term as the body random_term had before.
-    signatures = [RANDOM_SIGNATURE, Signature({"f": 2}), Signature({"c": 0})]
+    # A sampler builds the symbol and leaf lists once and draws through
+    # `random` and `getrandbits` on a stack of open nodes; every draw,
+    # through it or through random_term, builds the same term and leaves
+    # the rng in the same state as the recursive body random_term had
+    # before, which picked with `rng.choice`. Arities 0-3 at depth 7 close
+    # nodes of every arity, several at once.
+    signatures = [RANDOM_SIGNATURE, Signature({"f": 2}), Signature({"c": 0}),
+                  Signature({"h": 3, "f": 2, "g": 1, "a": 0})]
     signatures += [load_system(PROBLEMS / f"{name}.wst").signature for name in ("coingame", "matrix", "rw34")]
     for signature in signatures:
         for pool in (("x", "y"), ("z",), ()):
@@ -669,9 +673,21 @@ def test_term_sampler_draws_what_random_term_drew():
                 continue
             sampler = term_sampler(signature, pool)
             for seed in range(10):
-                for depth in (0, 1, 3, 5):
+                for depth in (0, 1, 3, 5, 7):
                     rngs = [random.Random(seed) for _ in range(3)]
                     want = reference_random_term(signature, rngs[0], max_depth=depth, variable_pool=pool)
                     assert random_term(signature, rngs[1], max_depth=depth, variable_pool=pool) == want
                     assert sampler(rngs[2], depth) == want
                     assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+    # with no symbol, a draw that asks for one fails as rng.choice did
+    outcomes = {}
+    for seed in range(5):
+        for draw in (reference_random_term, random_term):
+            rng = random.Random(seed)
+            try:
+                term = draw(Signature({}), rng, max_depth=3)
+            except IndexError as error:
+                term = str(error)
+            outcomes.setdefault(seed, []).append((term, rng.getstate()))
+    assert all(got == want for want, got in outcomes.values())
+    assert {isinstance(term, str) for (term, _), _ in outcomes.values()} == {True, False}

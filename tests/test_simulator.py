@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 import threading
@@ -300,6 +301,41 @@ def _shipped(name):
     return system, check_certificate(load_interpretation(PROBLEMS / f"{name}.cert"), system)
 
 
+# sha256 of repr(rng.getstate()) after one drift call on a freshly loaded
+# system (seed 11, 40 trials of 12 steps), at the certified epsilon and at
+# twice it, recorded when start terms were drawn with `rng.random` and
+# `rng.choice` and redexes with `rng.randrange`.
+RNG_STATE_PINS = {
+    ("coingame", False): "3a9b15e212848c33766b93786beb26658a377b74350f9c190234243c01a8d3a7",
+    ("coingame", True): "3a9b15e212848c33766b93786beb26658a377b74350f9c190234243c01a8d3a7",
+    ("matrix", False): "d86e80798260b9eefe75f8bae1399f8fcef265c981b151f813e226765740e246",
+    ("matrix", True): "34e211988f3584eb7d981c027acc1fc73fefac31f7a931a5406d6ea69f777d94",
+    ("rw34", False): "915bbfbac900bc2715bbea27a4901c17935a8fc009e9001ef2d6b3719b8d96be",
+    ("rw34", True): "c8108c486749126ffbf1ad8cd4866a89795eda0d1649e5e97930c9d3d8615c85",
+}
+
+
+class _NoChoice(random.Random):
+    """An rng whose `choice` and `randrange` must not be called."""
+
+    def choice(self, seq):
+        raise AssertionError("choice called")
+
+    def randrange(self, *bounds):
+        raise AssertionError("randrange called")
+
+
+@pytest.mark.parametrize("name, forged", sorted(RNG_STATE_PINS))
+def test_drift_calls_consume_the_rng_as_pinned(name, forged):
+    # The harness reads the rng through `random` and `getrandbits` only,
+    # and draws the numbers the calls it made before drew.
+    for rng in (random.Random(11), _NoChoice(11)):
+        system, cert = _shipped(name)
+        drift_harness(system, cert, trials=40, max_depth=12, rng=rng,
+                      epsilon=2 * cert.epsilon if forged else None)
+        assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == RNG_STATE_PINS[name, forged]
+
+
 def test_drift_harness_matches_the_unmerged_reference():
     # Merging while binding and the integer comparison change how the
     # check is computed, not what it finds: the reference steps unmerged,
@@ -530,15 +566,21 @@ def test_drift_reports_do_not_depend_on_the_held_state(monkeypatch, memo_limit):
 
 
 def test_a_drift_call_that_raises_drops_the_held_state():
-    # A call cut short mid-step leaves the system without a state, and the
-    # next call builds a fresh one.
+    # A call cut short mid-step, at the rng's twelfth draw (a start term
+    # and two redexes have been drawn), leaves the system without a state,
+    # and the next call builds a fresh one.
     system, cert = _shipped("rw34")
     args = dict(trials=20, max_depth=12)
     drift_harness(system, cert, rng=random.Random(0), **args)
 
     class Broken(random.Random):
-        def randrange(self, *bounds):
-            raise KeyboardInterrupt
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            if self.calls > 11:
+                raise KeyboardInterrupt
+            return super().getrandbits(k)
 
     with pytest.raises(KeyboardInterrupt):
         drift_harness(system, cert, rng=Broken(1), **args)
@@ -563,11 +605,11 @@ def test_drift_harness_runs_from_several_threads():
     inside, done = threading.Event(), threading.Event()
 
     class Paused(random.Random):
-        def randrange(self, *bounds):
+        def getrandbits(self, k):
             if not inside.is_set():
                 inside.set()
                 done.wait(30)
-            return super().randrange(*bounds)
+            return super().getrandbits(k)
 
     got, errors = {}, []
 
